@@ -18,12 +18,10 @@ func newDeterministicRand(seed int64) *rand.Rand {
 
 func powFloat(u, e float64) float64 { return math.Pow(u, e) }
 
-// AdaptiveResult is the outcome of an adaptive execution: the query
-// result plus what the run-time decision procedures learned and decided.
+// AdaptiveResult is what an adaptive execution's run-time decision
+// procedures learned and decided (ExecResult.Adaptive); the rows and the
+// I/O account, materializations included, are on the ExecResult itself.
 type AdaptiveResult struct {
-	// Rows and Columns are the query result.
-	Rows    [][]int64
-	Columns []string
 	// Chosen is the final plan (its scan inputs are Temp-Scans over the
 	// materialized subplans).
 	Chosen *physical.Node
@@ -36,16 +34,6 @@ type AdaptiveResult struct {
 	ObservedSelectivities map[string]float64
 	// PredictedCost is the corrected prediction for the final plan.
 	PredictedCost float64
-	// I/O accounting, including the materializations.
-	SeqPageReads, RandPageReads, PageWrites, TupleOps int64
-}
-
-// SimulatedSeconds converts the account to simulated execution time.
-func (r *AdaptiveResult) SimulatedSeconds(p Params) float64 {
-	return float64(r.SeqPageReads)*p.SeqPageTime +
-		float64(r.RandPageReads)*p.RandIOTime +
-		float64(r.PageWrites)*p.SeqPageTime +
-		float64(r.TupleOps)*p.TupleCPUTime
 }
 
 // GenerateSkewedData fills the catalog relations like GenerateData but

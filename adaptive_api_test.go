@@ -1,6 +1,7 @@
 package dynplan
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
@@ -35,7 +36,7 @@ func adaptiveAPISystem(t *testing.T) (*System, *Query) {
 	return sys, q
 }
 
-func TestExecuteAdaptiveAPI(t *testing.T) {
+func TestAdaptiveAPI(t *testing.T) {
 	sys, q := adaptiveAPISystem(t)
 	dyn, err := sys.OptimizeDynamic(q, Uncertainty{})
 	if err != nil {
@@ -52,17 +53,17 @@ func TestExecuteAdaptiveAPI(t *testing.T) {
 		Selectivities: map[string]float64{"v1": 0.02, "v2": 0.02, "v3": 0.02},
 		MemoryPages:   64,
 	}
-	res, err := db.ExecuteAdaptive(dyn, b)
+	res, err := db.Exec(context.Background(), dyn, b, ExecOptions{Adaptive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Materialized != 3 {
-		t.Errorf("materialized %d subplans, want 3", res.Materialized)
+	if res.Adaptive.Materialized != 3 {
+		t.Errorf("materialized %d subplans, want 3", res.Adaptive.Materialized)
 	}
-	if len(res.ObservedSelectivities) != 3 {
-		t.Errorf("observed %d selectivities", len(res.ObservedSelectivities))
+	if len(res.Adaptive.ObservedSelectivities) != 3 {
+		t.Errorf("observed %d selectivities", len(res.Adaptive.ObservedSelectivities))
 	}
-	for v, s := range res.ObservedSelectivities {
+	for v, s := range res.Adaptive.ObservedSelectivities {
 		// skew 3: actual ≈ 0.02^(1/3) ≈ 0.27, far above the claimed 0.02.
 		if s < 0.15 || s > 0.45 {
 			t.Errorf("%s: observed selectivity %g implausible", v, s)
@@ -83,7 +84,7 @@ func TestExecuteAdaptiveAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := db.ExecuteActivation(act, b)
+	plain, err := db.Exec(context.Background(), act, b, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestExecuteAdaptiveAPI(t *testing.T) {
 	}
 }
 
-func TestExecuteAdaptiveUnboundVariable(t *testing.T) {
+func TestAdaptiveUnboundVariable(t *testing.T) {
 	sys, q := adaptiveAPISystem(t)
 	dyn, err := sys.OptimizeDynamic(q, Uncertainty{})
 	if err != nil {
@@ -105,7 +106,7 @@ func TestExecuteAdaptiveUnboundVariable(t *testing.T) {
 	if err := db.BuildIndexes(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.ExecuteAdaptive(dyn, Bindings{MemoryPages: 64}); err == nil {
+	if _, err := db.Exec(context.Background(), dyn, Bindings{MemoryPages: 64}, ExecOptions{Adaptive: true}); err == nil {
 		t.Error("unbound variables accepted")
 	}
 }

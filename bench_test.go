@@ -13,6 +13,7 @@
 package dynplan
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -559,7 +560,7 @@ func BenchmarkAdaptiveRuntimeDecisions(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, err := db.ExecuteActivation(act, binds)
+			res, err := db.Exec(context.Background(), act, binds, ExecOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -570,7 +571,7 @@ func BenchmarkAdaptiveRuntimeDecisions(b *testing.B) {
 	b.Run("runtime-decisions", func(b *testing.B) {
 		var sim float64
 		for b.Loop() {
-			res, err := db.ExecuteAdaptive(dyn, binds)
+			res, err := db.Exec(context.Background(), dyn, binds, ExecOptions{Adaptive: true})
 			if err != nil {
 				b.Fatal(err)
 			}

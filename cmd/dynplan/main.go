@@ -18,6 +18,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -171,7 +172,7 @@ func main() {
 		if err := db.BuildIndexes(); err != nil {
 			fatal(err)
 		}
-		res, err := db.Execute(chosen, *binds)
+		res, err := db.Exec(context.Background(), chosen, *binds, dynplan.ExecOptions{})
 		if err != nil {
 			fatal(err)
 		}
@@ -217,7 +218,7 @@ func runLoadedModule(sys *dynplan.System, path, selFlag string, mem float64, exe
 		if err := db.BuildIndexes(); err != nil {
 			fatal(err)
 		}
-		res, err := db.ExecuteActivation(act, *binds)
+		res, err := db.Exec(context.Background(), act, *binds, dynplan.ExecOptions{})
 		if err != nil {
 			fatal(err)
 		}

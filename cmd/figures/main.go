@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -159,7 +160,7 @@ func analyzeDemo() error {
 		return err
 	}
 	db.EnableObservability()
-	res, err := db.ExecuteActivation(act, binds)
+	res, err := db.Exec(context.Background(), act, binds, dynplan.ExecOptions{})
 	if err != nil {
 		return err
 	}

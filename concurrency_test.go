@@ -41,7 +41,7 @@ func TestConcurrentQueriesOneDatabase(t *testing.T) {
 	var mixes []mix
 	for _, sel := range []float64{0.2, 0.5, 0.8} {
 		b := resilBindings(3, sel, 64)
-		res, err := db.ExecuteResilient(context.Background(), mod, b, RetryPolicy{})
+		res, err := db.Exec(context.Background(), mod, b, ExecOptions{Resilient: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +60,7 @@ func TestConcurrentQueriesOneDatabase(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				m := mixes[(w+i)%len(mixes)]
-				res, err := db.ExecuteResilient(context.Background(), mod, m.b, RetryPolicy{MaxAttempts: 80})
+				res, err := db.Exec(context.Background(), mod, m.b, ExecOptions{Resilient: true, Policy: RetryPolicy{MaxAttempts: 80}})
 				if err != nil {
 					errCh <- fmt.Errorf("worker %d iter %d: %w", w, i, err)
 					return
@@ -111,7 +111,7 @@ func TestGovernedRejectionTaxonomy(t *testing.T) {
 	}
 	db := resilDatabase(t, sys)
 	b := resilBindings(2, 0.5, 64)
-	ref, err := db.ExecuteResilient(context.Background(), mod, b, RetryPolicy{})
+	ref, err := db.Exec(context.Background(), mod, b, ExecOptions{Resilient: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestGovernedRejectionTaxonomy(t *testing.T) {
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		res, err := db.ExecuteGoverned(context.Background(), mod, b, RetryPolicy{})
+		res, err := db.Exec(context.Background(), mod, b, ExecOptions{Governed: true, Resilient: true})
 		done <- outcome{res, err}
 	}()
 	for db.GovernorStats().Queued == 0 {
@@ -145,7 +145,7 @@ func TestGovernedRejectionTaxonomy(t *testing.T) {
 	}
 
 	// The queue is now full: the next arrival is shed immediately.
-	_, err = db.ExecuteGoverned(context.Background(), mod, b, RetryPolicy{})
+	_, err = db.Exec(context.Background(), mod, b, ExecOptions{Governed: true, Resilient: true})
 	if !errors.Is(err, ErrAdmission) {
 		t.Fatalf("queue-full rejection = %v, want ErrAdmission", err)
 	}
@@ -159,7 +159,7 @@ func TestGovernedRejectionTaxonomy(t *testing.T) {
 	// A canceled caller is a cancellation, never a shed.
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := db.ExecuteGoverned(canceled, mod, b, RetryPolicy{}); !IsCanceled(err) {
+	if _, err := db.Exec(canceled, mod, b, ExecOptions{Governed: true, Resilient: true}); !IsCanceled(err) {
 		t.Errorf("canceled admission = %v, want cancellation", err)
 	}
 
@@ -188,10 +188,10 @@ func TestGovernedRejectionTaxonomy(t *testing.T) {
 		t.Errorf("ShedTimeout = %d, want 0 (cancellation must not count as shedding)", s.ShedTimeout)
 	}
 
-	// Removing the governor reverts ExecuteGoverned to plain resilient
+	// Removing the governor reverts Governed execution to plain resilient
 	// execution: no admission account, zeroed counters.
 	db.ClearGovernor()
-	res, err := db.ExecuteGoverned(context.Background(), mod, b, RetryPolicy{})
+	res, err := db.Exec(context.Background(), mod, b, ExecOptions{Governed: true, Resilient: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestResilientBackoffMetadata(t *testing.T) {
 	run := func() *ExecResult {
 		t.Helper()
 		db.InjectFaults(FaultConfig{Seed: 42, TransientRate: 0.15})
-		res, err := db.ExecuteResilient(context.Background(), mod, b, pol)
+		res, err := db.Exec(context.Background(), mod, b, ExecOptions{Resilient: true, Policy: pol})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,7 +302,7 @@ func TestCircuitBreakerLifecycle(t *testing.T) {
 	db.InjectFaults(FaultConfig{Seed: 9, PermanentRate: 1})
 	var tripped error
 	for i := 0; i < 8 && tripped == nil; i++ {
-		_, err := db.ExecuteResilient(context.Background(), mod, b, RetryPolicy{MaxAttempts: 2})
+		_, err := db.Exec(context.Background(), mod, b, ExecOptions{Resilient: true, Policy: RetryPolicy{MaxAttempts: 2}})
 		if err == nil {
 			t.Fatal("execution succeeded with every page permanently faulty")
 		}
@@ -337,7 +337,7 @@ func TestCircuitBreakerLifecycle(t *testing.T) {
 	// and close the circuit for good.
 	db.ClearFaults()
 	for i := 0; i < 2; i++ {
-		if _, err := db.ExecuteResilient(context.Background(), mod, b, RetryPolicy{}); err != nil {
+		if _, err := db.Exec(context.Background(), mod, b, ExecOptions{Resilient: true}); err != nil {
 			t.Fatalf("post-cooldown execution %d failed: %v", i, err)
 		}
 	}

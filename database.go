@@ -20,7 +20,7 @@ import (
 // Database is a populated instance of the system's catalog: tables,
 // indexes, and the simulated-I/O accounting needed to actually run plans.
 //
-// A Database is safe for concurrent Execute* calls once loaded: tables
+// A Database is safe for concurrent Exec calls once loaded: tables
 // and indexes are read-only at query time, every execution gets its own
 // accountant and metrics window, and the shared fault injector and
 // resource governor are internally synchronized. Loading (Insert,
@@ -54,20 +54,17 @@ type Database struct {
 	// numbers the traces, making trace IDs deterministic per database.
 	tracing  atomic.Bool
 	traceSeq atomic.Uint64
-	// gov, when non-nil, governs admission and memory grants for
-	// ExecuteGoverned; breaker is the per-relation circuit breaker
-	// ExecuteResilient consults. Both are internally synchronized.
+	// gov, when non-nil, governs admission and memory grants for Governed
+	// executions; breaker is the per-relation circuit breaker Resilient
+	// executions consult. Both are internally synchronized.
 	gov     *governor.Governor
 	breaker *governor.Breaker
 	// wrap, when non-nil, decorates every compiled iterator (the
 	// leak-checking hook of the chaos harness; see exec.LeakChecker).
 	wrap func(exec.Iterator, *physical.Node) exec.Iterator
-	// pipes holds the pre-compiled execution stage stacks every Execute*
-	// façade selects from; assembled once at OpenDatabase (pipeline.go).
-	pipes *pipelines
 	// planCache is the shared LRU of compiled access modules prepared
 	// statements draw from, keyed on (query digest, catalog version);
-	// assembled once at OpenDatabase alongside the stage stacks.
+	// assembled once at OpenDatabase.
 	// catalogVersion counts statistics epochs: it starts at 1 and Analyze
 	// bumps it, implicitly invalidating every cached plan compiled under
 	// the old statistics.
@@ -87,7 +84,7 @@ type FaultStats = storage.FaultStats
 // page by a hash of the seed, so runs are reproducible), failed reads are
 // charged simulated latency, and a memory-shrink event can revoke part of
 // the memory grant mid-query. Injected failures wrap ErrFaultInjected
-// plus ErrTransientIO or ErrPermanentIO. Subsequent Execute* calls run
+// plus ErrTransientIO or ErrPermanentIO. Subsequent executions run
 // through the injector until ClearFaults.
 func (db *Database) InjectFaults(cfg FaultConfig) {
 	db.faults.Store(storage.NewInjector(cfg))
@@ -133,7 +130,6 @@ func (s *System) OpenDatabase() *Database {
 		store:   storage.NewStore(),
 		indexes: make(map[string]map[string]*btree.Tree),
 		loaded:  make(map[string]bool),
-		pipes:   newPipelines(),
 	}
 	db.planCache = newPlanCache(db, defaultPlanCacheCapacity)
 	db.catalogVersion.Store(1)
@@ -206,7 +202,7 @@ func (db *Database) GenerateData(seed int64) error {
 }
 
 // BuildIndexes constructs every B-tree the catalog declares over the
-// loaded data. Call it after loading and before Execute.
+// loaded data. Call it after loading and before Exec.
 func (db *Database) BuildIndexes() error {
 	for _, rel := range db.sys.cat.Relations() {
 		if !db.loaded[rel.Name] {
@@ -239,7 +235,7 @@ type ExecResult struct {
 	SeqPageReads, RandPageReads, PageWrites, TupleOps int64
 
 	// Retries is how many failed attempts preceded this result (always 0
-	// outside ExecuteResilient).
+	// without ExecOptions.Resilient).
 	Retries int
 	// BranchSwitched reports that a retry resolved the plan's choose-plan
 	// operators to different alternatives than the first attempt.
@@ -252,15 +248,15 @@ type ExecResult struct {
 	// memory-shrink event forced a downgrade.
 	EffectiveMemoryPages float64
 
-	// Backoffs records, per retry ExecuteResilient performed, the pause it
-	// slept before that retry (empty outside ExecuteResilient or when the
-	// policy has no backoff); BackoffTotal is their sum.
+	// Backoffs records, per retry a Resilient execution performed, the
+	// pause it slept before that retry (empty without ExecOptions.Resilient
+	// or when the policy has no backoff); BackoffTotal is their sum.
 	Backoffs     []time.Duration
 	BackoffTotal time.Duration
 
 	// Admission carries the resource-governor account of the execution —
 	// requested versus granted pages, queue wait, and the governor's shed
-	// counters at completion; nil outside ExecuteGoverned.
+	// counters at completion; nil without ExecOptions.Governed.
 	Admission *obs.AdmissionStats
 
 	// Operators is the per-operator stats tree of the execution, parallel
@@ -276,16 +272,15 @@ type ExecResult struct {
 	Calibration []obs.CalibrationVerdict
 	// Decisions is the start-up decision trace of the activation that
 	// produced the executed plan, when the execution path carries one
-	// (ExecuteResilient attaches it, including one entry per retry
-	// describing the recovery decision and backoff; for explicit
+	// (a module target attaches it; Resilient executions add one entry per
+	// retry describing the recovery decision and backoff; for explicit
 	// activations use Activation.DecisionTrace).
 	Decisions []obs.ChoiceTrace
 
 	// Adaptive carries the run-time decision account when the query ran
-	// through the adaptive executor (ExecuteAdaptive or
-	// ExecOptions.Adaptive): the final plan, materialization count,
-	// observed selectivities, and corrected cost prediction. Nil on every
-	// other path.
+	// through the adaptive executor (ExecOptions.Adaptive): the final
+	// plan, materialization count, observed selectivities, and corrected
+	// cost prediction. Nil on every other path.
 	Adaptive *AdaptiveResult
 
 	// Reopt carries the mid-query re-optimization account when the query

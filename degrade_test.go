@@ -65,7 +65,7 @@ func TestWorkerRetryAbsorbsTransientFault(t *testing.T) {
 	db := resilDatabase(t, sys)
 	root := degradeJoinPlan()
 	b := Bindings{MemoryPages: 96}
-	ref, err := db.Execute(root, b)
+	ref, err := db.Exec(context.Background(), root, b, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestDegradeLadderPermanentFault(t *testing.T) {
 	defer db.DisableObservatory()
 	root := degradeJoinPlan()
 	b := Bindings{MemoryPages: 96}
-	ref, err := db.Execute(root, b)
+	ref, err := db.Exec(context.Background(), root, b, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,6 +34,16 @@
 //	})
 //	fmt.Println(act.Explain()) // an index scan: few rows qualify
 //
+// # Execution
+//
+// Database.Exec is the one execution entry point: it runs a *Plan,
+// *Module, *Activation, or resolved plan node under the bindings through
+// one pipeline of stages, in which ExecOptions decide which stages take
+// part — admission and memory grants (Governed), retrying fallback onto
+// surviving alternatives (Resilient), mid-query re-optimization (Reopt),
+// parallelism, tracing. Database.Prepare returns a handle whose Exec
+// enters the same pipeline with a module from the shared plan cache.
+//
 // See the examples directory for runnable programs: quickstart (the
 // paper's Figure 1 scenario), embeddedquery (Figure 2: hash-join
 // build-side switching), memorypressure (uncertain memory), shrinking

@@ -1,6 +1,7 @@
 package dynplan
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -150,11 +151,11 @@ func TestFigure2EndToEnd(t *testing.T) {
 
 		// Execution through the public API; result must match the static
 		// plan's result.
-		got, err := db.ExecuteActivation(act, b)
+		got, err := db.Exec(context.Background(), act, b, ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := db.ExecutePlan(static, b)
+		want, err := db.Exec(context.Background(), static, b, ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +192,7 @@ func normalizeResult(r *ExecResult) string {
 	return strings.Join(lines, ";")
 }
 
-func TestExecutePlanRejectsDynamic(t *testing.T) {
+func TestExecRejectsDynamicPlan(t *testing.T) {
 	sys := newTestSystem(t)
 	q := figure2Query(t, sys)
 	dyn, err := sys.OptimizeDynamic(q, Uncertainty{})
@@ -206,7 +207,7 @@ func TestExecutePlanRejectsDynamic(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := Bindings{Selectivities: map[string]float64{"v": 0.5}, MemoryPages: 64}
-	if _, err := db.ExecutePlan(dyn, b); err == nil {
+	if _, err := db.Exec(context.Background(), dyn, b, ExecOptions{}); err == nil {
 		t.Error("executing a dynamic plan directly must fail")
 	}
 }
@@ -266,7 +267,7 @@ func TestInsertAndExecute(t *testing.T) {
 		t.Fatal(err)
 	}
 	// selectivity 0.5 over domain 10 => predicate x < 5 => rows 1 and 3.
-	res, err := db.ExecutePlan(static, Bindings{Selectivities: map[string]float64{"v": 0.5}, MemoryPages: 64})
+	res, err := db.Exec(context.Background(), static, Bindings{Selectivities: map[string]float64{"v": 0.5}, MemoryPages: 64}, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,9 @@
 package dynplan
 
 import (
+	"context"
+	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -46,7 +49,7 @@ func TestEmptyRelation(t *testing.T) {
 	if err := db.BuildIndexes(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.ExecuteActivation(act, b)
+	res, err := db.Exec(context.Background(), act, b, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +84,7 @@ func TestSingleRowRelations(t *testing.T) {
 	if err := db.BuildIndexes(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.ExecutePlan(static, Bindings{MemoryPages: 64})
+	res, err := db.Exec(context.Background(), static, Bindings{MemoryPages: 64}, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +125,7 @@ func TestExtremeSelectivities(t *testing.T) {
 		if err != nil {
 			t.Fatalf("sel=%g: %v", sel, err)
 		}
-		res, err := db.ExecuteActivation(act, b)
+		res, err := db.Exec(context.Background(), act, b, ExecOptions{})
 		if err != nil {
 			t.Fatalf("sel=%g: %v", sel, err)
 		}
@@ -178,7 +181,7 @@ func TestExtremeMemory(t *testing.T) {
 		if err != nil {
 			t.Fatalf("mem=%g: %v", mem, err)
 		}
-		res, err := db.ExecuteActivation(act, b)
+		res, err := db.Exec(context.Background(), act, b, ExecOptions{})
 		if err != nil {
 			t.Fatalf("mem=%g: %v", mem, err)
 		}
@@ -254,7 +257,7 @@ func TestTenWayJoinEndToEnd(t *testing.T) {
 	if err := db.BuildIndexes(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.ExecuteActivation(act, b)
+	res, err := db.Exec(context.Background(), act, b, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,3 +268,32 @@ func TestTenWayJoinEndToEnd(t *testing.T) {
 
 func nameR(i int) string { return "T" + string(rune('A'+i-1)) }
 func nameV(i int) string { return "v" + string(rune('A'+i-1)) }
+
+// TestInvalidBindings: a selectivity outside [0, 1] — or NaN, which every
+// range comparison lets through — is bad outside input. Every entry point
+// that takes Bindings must refuse it with ErrInvalidBindings before doing
+// any work, not panic inside the cost model.
+func TestInvalidBindings(t *testing.T) {
+	e := newObsEnv(t)
+	prep, err := e.db.Prepare(e.q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, sel := range []float64{-0.1, 1.5, math.NaN()} {
+		b := Bindings{Selectivities: map[string]float64{"v1": sel, "v2": 0.1, "v3": 0.1}, MemoryPages: 64}
+		entries := map[string]func() error{
+			"Exec":                              func() error { _, err := e.db.Exec(ctx, e.mod, b, ExecOptions{}); return err },
+			"PreparedQuery.Exec":                func() error { _, err := prep.Exec(ctx, b, ExecOptions{}); return err },
+			"Module.Activate":                   func() error { _, err := e.mod.Activate(b); return err },
+			"Module.ActivateValidated":          func() error { _, err := e.mod.ActivateValidated(b); return err },
+			"Module.ActivateWithBranchAndBound": func() error { _, err := e.mod.ActivateWithBranchAndBound(b); return err },
+			"System.OptimizeAt":                 func() error { _, err := e.sys.OptimizeAt(e.q, b); return err },
+		}
+		for name, run := range entries {
+			if err := run(); !errors.Is(err, ErrInvalidBindings) {
+				t.Errorf("%s with selectivity %v: err = %v, want ErrInvalidBindings", name, sel, err)
+			}
+		}
+	}
+}

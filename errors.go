@@ -1,12 +1,16 @@
 package dynplan
 
-import "dynplan/internal/qerr"
+import (
+	"errors"
+
+	"dynplan/internal/qerr"
+)
 
 // Typed execution errors. Every mid-query failure the engine produces
 // wraps exactly one of these sentinels (match with errors.Is), so callers
 // can distinguish cancellation from retryable resource failures from
-// unrecoverable faults. The retrying fallback executor (ExecuteResilient)
-// consumes the same taxonomy.
+// unrecoverable faults. The retrying fallback executor
+// (ExecOptions.Resilient) consumes the same taxonomy.
 var (
 	// ErrCanceled reports that the caller's context was canceled
 	// mid-query; the error also wraps context.Canceled.
@@ -47,6 +51,12 @@ var (
 	// was stuck, not slow.
 	ErrNoProgress = qerr.ErrNoProgress
 )
+
+// ErrInvalidBindings reports bindings the caller supplied that no
+// execution can run under — a selectivity outside [0, 1] or NaN. It is
+// raised before any work starts, by every entry point that takes Bindings
+// (Exec, PreparedQuery.Exec, Module.Activate*, OptimizeAt).
+var ErrInvalidBindings = errors.New("dynplan: invalid bindings")
 
 // IsRetryable reports whether re-executing can plausibly succeed:
 // transient I/O failures (retry the same plan) and insufficient memory

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -76,7 +77,7 @@ func main() {
 		}
 		fmt.Printf("\n--- bound selectivity %.3f ---\n", sel)
 		fmt.Printf("chosen plan (predicted %.4gs):\n%s", act.PredictedCost(), act.Explain())
-		res, err := db.ExecuteActivation(act, b)
+		res, err := db.Exec(context.Background(), act, b, dynplan.ExecOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -59,9 +59,10 @@ type GovernorConfig struct {
 type GovernorStats = governor.Stats
 
 // SetGovernor installs a resource governor on the database: subsequent
-// ExecuteGoverned calls pass through admission control, draw their memory
-// grants from the shared pool, run under the configured deadline, and
-// feed the per-relation circuit breaker that ExecuteResilient consults.
+// Governed executions (ExecOptions.Governed) pass through admission
+// control, draw their memory grants from the shared pool, run under the
+// configured deadline, and feed the per-relation circuit breaker that
+// Resilient executions consult.
 // Call it before queries start; replacing a governor mid-traffic leaves
 // in-flight tickets on the old one.
 func (db *Database) SetGovernor(cfg GovernorConfig) {
@@ -78,8 +79,8 @@ func (db *Database) SetGovernor(cfg GovernorConfig) {
 	db.breaker = governor.NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
 }
 
-// ClearGovernor removes the governor and circuit breaker; ExecuteGoverned
-// reverts to ungoverned resilient execution.
+// ClearGovernor removes the governor and circuit breaker; Governed
+// executions revert to their ungoverned behaviour.
 func (db *Database) ClearGovernor() {
 	db.gov = nil
 	db.breaker = nil

@@ -49,7 +49,7 @@ func TestObservatoryStaleCatalogFlagsViolation(t *testing.T) {
 	db.EnableObservatory()
 	defer db.DisableObservatory()
 	b := Bindings{Selectivities: map[string]float64{"v": 1.0}, MemoryPages: 64}
-	res, err := db.ExecutePlan(p, b)
+	res, err := db.Exec(context.Background(), p, b, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestObservatoryStaleCatalogFlagsViolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.EnableObservatory() // fresh registry: drop the stale-era verdicts
-	res2, err := db.ExecutePlan(p2, b)
+	res2, err := db.Exec(context.Background(), p2, b, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestObservatoryCountsQueries(t *testing.T) {
 
 	const n = 3
 	for i := 0; i < n; i++ {
-		if _, err := e.db.ExecutePlan(e.static, e.binds); err != nil {
+		if _, err := e.db.Exec(context.Background(), e.static, e.binds, ExecOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -148,7 +148,7 @@ func TestObservatoryCountsQueries(t *testing.T) {
 		t.Fatal("disabled observatory still serves data")
 	}
 	// Executions with the observatory off must not panic or record.
-	if _, err := e.db.ExecutePlan(e.static, e.binds); err != nil {
+	if _, err := e.db.Exec(context.Background(), e.static, e.binds, ExecOptions{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -163,7 +163,7 @@ func TestObservatoryGovernedRunRecord(t *testing.T) {
 	e.db.EnableObservatory()
 	defer e.db.DisableObservatory()
 
-	res, err := e.db.ExecuteGoverned(context.Background(), e.mod, e.binds, RetryPolicy{})
+	res, err := e.db.Exec(context.Background(), e.mod, e.binds, ExecOptions{Governed: true, Resilient: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestObservatoryHTTPEndpoints(t *testing.T) {
 	defer srv.Close()
 
 	for i := 0; i < 2; i++ {
-		if _, err := e.db.ExecutePlan(e.static, e.binds); err != nil {
+		if _, err := e.db.Exec(context.Background(), e.static, e.binds, ExecOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -296,7 +296,7 @@ func TestObservatoryShedsCountSeparately(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := e.db.ExecuteGoverned(context.Background(), e.mod, e.binds, RetryPolicy{})
+			_, err := e.db.Exec(context.Background(), e.mod, e.binds, ExecOptions{Governed: true, Resilient: true})
 			if err != nil && errors.Is(err, ErrAdmission) {
 				sheds.Add(1)
 			}

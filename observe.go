@@ -63,7 +63,7 @@ func (db *Database) nextTraceID() string {
 }
 
 // EnableObservability turns on per-operator metrics collection: subsequent
-// Execute* calls populate ExecResult.Operators with a stats tree parallel
+// executions populate ExecResult.Operators with a stats tree parallel
 // to the executed plan, rendered by ExecResult.ExplainAnalyze. Each
 // execution collects into its own window, so concurrent queries never
 // share counters. Collection meters every iterator call; when disabled
@@ -71,8 +71,8 @@ func (db *Database) nextTraceID() string {
 // and allocate nothing.
 func (db *Database) EnableObservability() { db.observing.Store(true) }
 
-// DisableObservability turns collection off; Execute* calls stop
-// populating per-operator stats.
+// DisableObservability turns collection off; executions stop populating
+// per-operator stats.
 func (db *Database) DisableObservability() { db.observing.Store(false) }
 
 // Observing reports whether per-operator metrics collection is on.

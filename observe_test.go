@@ -86,7 +86,7 @@ func TestExplainAnalyzeThreeWayChainJoin(t *testing.T) {
 		t.Fatal("EnableObservability did not install a collector")
 	}
 
-	res, err := e.db.ExecutePlan(e.static, e.binds)
+	res, err := e.db.Exec(context.Background(), e.static, e.binds, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestObservabilityDisabledByDefault(t *testing.T) {
 	if e.db.Observing() {
 		t.Fatal("fresh database is observing")
 	}
-	res, err := e.db.ExecutePlan(e.static, e.binds)
+	res, err := e.db.Exec(context.Background(), e.static, e.binds, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestProjectCarriesObservability(t *testing.T) {
 	e := newObsEnv(t)
 	e.db.EnableObservability()
 	defer e.db.DisableObservability()
-	res, err := e.db.ExecutePlan(e.static, e.binds)
+	res, err := e.db.Exec(context.Background(), e.static, e.binds, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,13 +281,13 @@ func TestProjectCarriesObservability(t *testing.T) {
 	}
 }
 
-// TestResilientAttachesDecisions checks that ExecuteResilient reports the
+// TestResilientAttachesDecisions checks that Resilient execution reports the
 // successful attempt's start-up decisions on the result.
 func TestResilientAttachesDecisions(t *testing.T) {
 	e := newObsEnv(t)
 	e.db.EnableObservability()
 	defer e.db.DisableObservability()
-	res, err := e.db.ExecuteResilient(context.Background(), e.mod, e.binds, RetryPolicy{})
+	res, err := e.db.Exec(context.Background(), e.mod, e.binds, ExecOptions{Resilient: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestRunRecordFromExecution(t *testing.T) {
 	e := newObsEnv(t)
 	e.db.EnableObservability()
 	defer e.db.DisableObservability()
-	res, err := e.db.ExecutePlan(e.static, e.binds)
+	res, err := e.db.Exec(context.Background(), e.static, e.binds, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,13 +334,13 @@ func TestRunRecordFromExecution(t *testing.T) {
 // rows and the same I/O account with and without the collector.
 func TestObservedExecutionMatchesUnobserved(t *testing.T) {
 	e := newObsEnv(t)
-	plain, err := e.db.ExecutePlan(e.static, e.binds)
+	plain, err := e.db.Exec(context.Background(), e.static, e.binds, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.db.EnableObservability()
 	defer e.db.DisableObservability()
-	observed, err := e.db.ExecutePlan(e.static, e.binds)
+	observed, err := e.db.Exec(context.Background(), e.static, e.binds, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

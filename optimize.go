@@ -61,7 +61,11 @@ func (s *System) OptimizeDynamic(q *Query, u Uncertainty) (*Plan, error) {
 func (s *System) OptimizeAt(q *Query, b Bindings) (*Plan, error) {
 	cfg := s.cfg
 	cfg.FinalOrder = q.orderBy
-	res, err := runtimeopt.OptimizeRuntime(q.q, b.internal(), cfg)
+	ib, err := b.internal()
+	if err != nil {
+		return nil, err
+	}
+	res, err := runtimeopt.OptimizeRuntime(q.q, ib, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -92,12 +96,16 @@ func (p *Plan) Explain() string { return p.res.Plan.Format() }
 // ExplainWithCosts renders the plan with per-operator cardinality and
 // cumulative cost annotations. With nil bindings the compile-time
 // intervals are shown; with bindings, the point estimates of that
-// invocation.
+// invocation (invalid bindings render as their error).
 func (p *Plan) ExplainWithCosts(b *Bindings) string {
 	model := physical.NewModel(p.sys.params)
 	var env *bindings.Env
 	if b != nil {
-		env = b.internal().Env()
+		ib, err := b.internal()
+		if err != nil {
+			return err.Error() + "\n"
+		}
+		env = ib.Env()
 	} else {
 		// Reconstruct the compile-time view: every referenced variable is
 		// maximally uncertain, memory spans the configured range.
@@ -204,12 +212,20 @@ type Bindings struct {
 	MemoryPages float64
 }
 
-func (b Bindings) internal() *bindings.Bindings {
+// internal validates the caller's bindings and converts them to the
+// optimizer's form. It is the one place outside input is checked — every
+// public entry point that takes Bindings converts exactly once and hands
+// the converted value down — so a selectivity outside [0, 1] (or NaN)
+// surfaces as ErrInvalidBindings instead of reaching the cost model.
+func (b Bindings) internal() (*bindings.Bindings, error) {
 	ib := bindings.NewBindings(b.MemoryPages)
 	for v, s := range b.Selectivities {
-		ib.BindSelectivity(v, s)
+		if !(s >= 0 && s <= 1) { // also rejects NaN
+			return nil, fmt.Errorf("%w: selectivity %g for host variable %q is outside [0, 1]", ErrInvalidBindings, s, v)
+		}
+		ib.Sel[v] = s
 	}
-	return ib
+	return ib, nil
 }
 
 // Activation is the outcome of starting a plan: the chosen alternative
@@ -223,7 +239,18 @@ type Activation struct {
 // choose-plan decision procedures run (each shared subplan's cost
 // evaluated once), and the cheapest alternative is selected.
 func (m *Module) Activate(b Bindings) (*Activation, error) {
-	rep, err := m.mod.Activate(b.internal(), plan.StartupOptions{Params: m.sys.params, Usage: m.stats})
+	return m.activate(b, plan.StartupOptions{})
+}
+
+// activate is the shared body of the Activate* family: validate and
+// convert the bindings, then run start-up processing under the options.
+func (m *Module) activate(b Bindings, opts plan.StartupOptions) (*Activation, error) {
+	ib, err := b.internal()
+	if err != nil {
+		return nil, err
+	}
+	opts.Params, opts.Usage = m.sys.params, m.stats
+	rep, err := m.mod.Activate(ib, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -243,9 +270,7 @@ var ErrInfeasible = plan.ErrInfeasible
 // only access path vanished fails with ErrInfeasible and must be
 // re-optimized.
 func (m *Module) ActivateValidated(b Bindings) (*Activation, error) {
-	rep, err := m.mod.Activate(b.internal(), plan.StartupOptions{
-		Params: m.sys.params,
-		Usage:  m.stats,
+	return m.activate(b, plan.StartupOptions{
 		IndexExists: func(rel, attr string) bool {
 			r, err := m.sys.cat.Relation(rel)
 			if err != nil {
@@ -258,10 +283,6 @@ func (m *Module) ActivateValidated(b Bindings) (*Activation, error) {
 			return a.BTree
 		},
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &Activation{sys: m.sys, report: rep}, nil
 }
 
 // DropIndex removes the B-tree on rel.attr from the catalog, simulating
@@ -300,11 +321,7 @@ func (s *System) CreateIndex(rel, attr string) error {
 // did not implement). The chosen plan is identical; fewer cost functions
 // are evaluated.
 func (m *Module) ActivateWithBranchAndBound(b Bindings) (*Activation, error) {
-	rep, err := m.mod.Activate(b.internal(), plan.StartupOptions{Params: m.sys.params, BranchAndBound: true, Usage: m.stats})
-	if err != nil {
-		return nil, err
-	}
-	return &Activation{sys: m.sys, report: rep}, nil
+	return m.activate(b, plan.StartupOptions{BranchAndBound: true})
 }
 
 // Explain renders the chosen plan.

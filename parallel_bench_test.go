@@ -113,7 +113,7 @@ func BenchmarkParallelJoins(b *testing.B) {
 		},
 	}
 	jb := Bindings{MemoryPages: 96}
-	sref, err := db.Execute(join, jb)
+	sref, err := db.Exec(context.Background(), join, jb, ExecOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

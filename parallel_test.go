@@ -30,7 +30,7 @@ func TestParallelDigestEquality(t *testing.T) {
 		for _, mem := range []float64{24, 48, 96} {
 			for _, sel := range []float64{0.2, 0.6} {
 				b := resilBindings(n, sel, mem)
-				ref, err := db.ExecutePlan(p, b)
+				ref, err := db.Exec(context.Background(), p, b, ExecOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -181,7 +181,7 @@ func TestParallelSymmetricJoinEquivalence(t *testing.T) {
 		},
 	}
 	b := Bindings{MemoryPages: 96}
-	ref, err := db.Execute(root, b)
+	ref, err := db.Exec(context.Background(), root, b, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestParallelCancellationCleanliness(t *testing.T) {
 	lc := exec.NewLeakChecker()
 	db.wrap = lc.Wrap
 	b := resilBindings(3, 0.5, 96)
-	ref, err := db.ExecutePlan(p, b)
+	ref, err := db.Exec(context.Background(), p, b, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,31 +1,32 @@
 package dynplan
 
-// The execution pipeline: every public Execute* façade routes through one
+// The execution pipeline: Database.Exec routes every query through the one
 // stack of composable stages assembled here, so admission, memory grants,
 // breaker consultation, retry/backoff, choose-plan activation, execution,
-// and workload recording exist exactly once instead of being hand-wired
-// per entry point. The paper's start-up-time processing (§4) is the
-// Activate stage: the memory binding it resolves choose-plans against is
-// whatever the Grant stage actually obtained, not what the caller asked
-// for.
+// and workload recording exist exactly once. The paper's start-up-time
+// processing (§4) is the Activate stage: the memory binding it resolves
+// choose-plans against is whatever the Grant stage actually obtained, not
+// what the caller asked for.
 //
 // A stage is a middleware function over the shared per-query execState;
-// the innermost stage runs the resolved plan. Stacks are compiled once
-// per Database (OpenDatabase) and validated against the canonical order
+// the innermost stage runs the resolved plan. There is one stack, composed
+// once at package init in the canonical order
 //
 //	Record → Admit → Grant → Breaker → Retry → Degrade → Reopt → Activate → Run
 //
-// Record is always the single outermost stage, which is what makes
-// exactly-one-recording per query structural: there is no inner layer
-// left that could double-count, so no context mark suppressing inner
-// recording is needed.
+// and each stage decides from the query's state whether it takes part
+// (the stages table). Record is always the single outermost stage, which
+// is what makes exactly-one-recording per query structural: there is no
+// inner layer left that could double-count.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"math/bits"
 	"math/rand"
-	"strings"
+	"slices"
 	"time"
 
 	"dynplan/internal/adaptive"
@@ -43,115 +44,35 @@ import (
 	"dynplan/internal/storage"
 )
 
-// stageKind identifies one composable stage of the execution pipeline.
-type stageKind int
-
-const (
-	// stageRecord is the single outermost stage: it measures the query's
-	// wall time and records exactly one query-level sample and run record
-	// into the workload observatory (sheds counted apart from errors).
-	stageRecord stageKind = iota
-	// stageAdmit claims an execution slot from the resource governor
-	// (bounded queue, load shedding with ErrAdmission); a no-op when no
-	// governor is installed.
-	stageAdmit
-	// stageGrant draws the admitted query's memory grant — possibly
-	// degraded below the request — and makes the grant, not the caller's
-	// number, the memory binding every downstream stage sees. It releases
-	// the ticket on every exit path and attaches AdmissionStats.
-	stageGrant
-	// stageBreaker snapshots which of the module's relations have open
-	// circuits, excluding them from the whole execution's choice set.
-	stageBreaker
-	// stageRetry is the retrying fallback executor: classify the failure,
-	// downgrade memory or exclude picked branches, back off, re-enter the
-	// Activate stage.
-	stageRetry
-	// stageDegrade is the graceful-degradation ladder for parallel
-	// execution: when a fault escalates past the per-worker retries inside
-	// the exchange operators, it caps the degree of parallelism (halving
-	// toward serial) and re-runs, instead of letting the whole-query
-	// remedies fire at full width. It sits below Retry — each whole-query
-	// attempt gets a fresh ladder — and above Reopt/Activate so a degraded
-	// re-run re-resolves the plan under the narrowed DOP. Pass-through for
-	// serial executions.
-	stageDegrade
-	// stageReopt is mid-query re-optimization: it arms cardinality guards
-	// and the progress watchdog over each execution attempt, and remedies
-	// guard violations by switching to a surviving choose-plan alternative,
-	// re-planning with the materialized temp as a base relation, or
-	// degrading to finishing the current plan when the budget is spent. It
-	// sits below Retry so a retry attempt gets a fresh re-opt budget, and
-	// above Activate so a switch re-enters start-up processing.
-	stageReopt
-	// stageActivate performs start-up-time processing: choose-plan
-	// resolution from the current grant and bindings, with avoid/blocked
-	// pruning and circuit-open fail-fast.
-	stageActivate
-	// stageRun executes the resolved plan through the Volcano engine (or
-	// the adaptive run-time decision procedures) and assembles the base
-	// ExecResult.
-	stageRun
-)
-
-// stageNames renders kinds in errors and tests.
-var stageNames = map[stageKind]string{
-	stageRecord:   "Record",
-	stageAdmit:    "Admit",
-	stageGrant:    "Grant",
-	stageBreaker:  "Breaker",
-	stageRetry:    "Retry",
-	stageDegrade:  "Degrade",
-	stageReopt:    "Reopt",
-	stageActivate: "Activate",
-	stageRun:      "Run",
-}
-
-func (k stageKind) String() string {
-	if n, ok := stageNames[k]; ok {
-		return n
-	}
-	return fmt.Sprintf("stage(%d)", int(k))
-}
-
-// ErrPipeline reports an invalid execution pipeline: a stage stack that
-// violates the canonical order or an Exec call whose options do not fit
-// its query target. Match it with errors.Is.
+// ErrPipeline reports an Exec call whose options do not fit its query
+// target. Match it with errors.Is.
 var ErrPipeline = errors.New("dynplan: invalid execution pipeline")
 
-// PipelineError carries the offending stack and the rule it broke; it
-// unwraps to ErrPipeline.
+// PipelineError carries the rule an Exec call broke; it unwraps to
+// ErrPipeline.
 type PipelineError struct {
-	// Stack renders the stage stack ("Record→Retry→Run"); empty for
-	// target/option mismatches raised by Exec.
-	Stack string
 	// Reason is the violated rule.
 	Reason string
 }
 
 func (e *PipelineError) Error() string {
-	if e.Stack == "" {
-		return fmt.Sprintf("dynplan: invalid execution pipeline: %s", e.Reason)
-	}
-	return fmt.Sprintf("dynplan: invalid execution pipeline [%s]: %s", e.Stack, e.Reason)
+	return fmt.Sprintf("dynplan: invalid execution pipeline: %s", e.Reason)
 }
 
 func (e *PipelineError) Unwrap() error { return ErrPipeline }
 
-// formatStack renders a stage stack for error messages.
-func formatStack(kinds []stageKind) string {
-	parts := make([]string, len(kinds))
-	for i, k := range kinds {
-		parts[i] = k.String()
-	}
-	return strings.Join(parts, "→")
-}
-
 // execState is one query's mutable state, threaded through every stage of
-// its stack. Exactly one of module (resolved per attempt by Activate) or
-// root (pre-resolved) identifies the plan; run executes it.
+// the stack. Exactly one of module (resolved per attempt by Activate) or
+// root (pre-resolved) identifies the plan; run executes it. Fields a
+// single stage (or a tightly coupled pair) owns live in that stage's
+// sub-struct, embedded by value so the whole state stays one allocation.
 type execState struct {
 	db *Database
+	// o is the caller's options, held by value: the stages read their
+	// knobs from it directly. part is the set of stages taking part in
+	// this query (bit i: row i of the stages table), fixed at entry.
+	o    ExecOptions
+	part uint16
 
 	// module is the dynamic access module to activate per attempt; nil
 	// when the target is already a resolved plan.
@@ -163,44 +84,39 @@ type execState struct {
 	// calibration layer checks observed executions against (zero: the
 	// model's own evaluation of the resolved plan substitutes).
 	planCost cost.Cost
-
-	// b is the caller's bindings; mem is the memory the next activation
-	// and execution run under — initially b.MemoryPages, rewritten by the
+	// b is the caller's bindings, validated and converted once at the Exec
+	// boundary. b.Memory is the memory the next activation and execution
+	// run under — initially the caller's MemoryPages, rewritten by the
 	// Grant stage (the broker's grant) and the Retry stage (downgrades).
-	b   Bindings
-	mem float64
-	// pol bounds the Retry stage.
-	pol RetryPolicy
-	// run is the terminal executor (runStatic or runAdaptive).
-	run func(ctx context.Context, st *execState) (*ExecResult, error)
-	// par enables intra-query parallelism in the Run stage; maxDOP caps
-	// the worker count the grant may fund (0: the default cap). The DOP
+	b *bindings.Bindings
+	// run is the terminal executor (runStatic or runAdaptive). The DOP
 	// decision lives inside runStatic rather than in a stage of its own:
 	// it is part of resolving the plan against the grant, exactly like
-	// choose-plan resolution, and keeping it there leaves non-parallel
-	// dispatch byte-identical.
-	par    bool
-	maxDOP int
-	// wpol bounds the per-worker retry loop each exchange worker runs its
-	// partition under (nil: the exec defaults); deg parameterizes the
-	// degradation ladder above the Run stage.
-	wpol *WorkerRetryPolicy
-	deg  *DegradePolicy
-	// degCap is the DOP ceiling the degradation ladder has imposed (0:
-	// none); lastDOP is the DOP the most recent execution actually ran
-	// with — the rung the ladder steps down from.
-	degCap  int
-	lastDOP int
+	// choose-plan resolution.
+	run func(ctx context.Context, st *execState) (*ExecResult, error)
 
-	// gov and adm are the Admit stage's governor snapshot and claimed
-	// slot; ticket is the Grant stage's memory claim.
+	admit   admitState
+	retry   retryState
+	degrade degradeState
+	reopt   reoptState
+	trace   traceState
+}
+
+// admitState belongs to the Admit/Grant pair: the governor snapshot and
+// claimed slot (Admit), and the memory claim (Grant).
+type admitState struct {
 	gov    *governor.Governor
 	adm    *governor.Admission
 	ticket *governor.Ticket
+}
+
+// retryState is the recovery account of the Breaker/Retry pair and the
+// Activate stage they steer.
+type retryState struct {
 	// blocked is the Breaker stage's snapshot of open-circuit relations.
 	blocked map[string]bool
 	// avoid marks plan nodes failed attempts have poisoned; written by
-	// Retry, consumed by Activate.
+	// Retry on the first exclusion, consumed by Activate.
 	avoid map[*physical.Node]bool
 	// rep is the latest activation's report; firstPicked and
 	// branchSwitched track choose-plan drift across attempts.
@@ -208,47 +124,55 @@ type execState struct {
 	firstPicked    []*physical.Node
 	branchSwitched bool
 	// attempt counts executions (1-based inside Retry); retries,
-	// backoffs, and retryTrace accumulate the recovery account.
-	attempt    int
-	retries    int
-	backoffs   []time.Duration
-	retryTrace []obs.ChoiceTrace
+	// backoffs, and trace accumulate the recovery account.
+	attempt  int
+	retries  int
+	backoffs []time.Duration
+	trace    []obs.ChoiceTrace
+}
 
-	// reopt enables the Reopt stage; rc is the stage's live controller
-	// (set for the duration of one reoptStage invocation, consumed by
-	// Activate for corrected bindings and by Run for guards and temps).
-	reopt *ReoptPolicy
-	rc    *reopt.Controller
+// exclude poisons the picked branches for later activations.
+func (r *retryState) exclude(picked []*physical.Node) {
+	if r.avoid == nil {
+		r.avoid = make(map[*physical.Node]bool, len(picked))
+	}
+	for _, n := range picked {
+		r.avoid[n] = true
+	}
+}
+
+// degradeState belongs to the Degrade stage: cap is the DOP ceiling the
+// ladder has imposed (0: none); lastDOP is the DOP the most recent
+// execution actually ran with — the rung the ladder steps down from.
+type degradeState struct {
+	cap     int
+	lastDOP int
+}
+
+// reoptState belongs to the Reopt stage, live for one invocation of it.
+type reoptState struct {
+	// rc is the stage's controller, consumed by Activate for corrected
+	// bindings and by Run for guards and temps.
+	rc *reopt.Controller
 	// skipActivate makes Activate pass through: a re-planned or degraded
 	// root is already resolved and must not be overwritten by the module.
 	skipActivate bool
-	// acc, when set by the Reopt stage, is the accountant the Run stage
-	// must use — the progress watchdog polls its tuple counter.
+	// acc is the accountant the Run stage must use — the progress watchdog
+	// polls its tuple counter.
 	acc *storage.Accountant
-
-	// tenant is the identity the query runs under (ExecOptions.Tenant):
-	// the governor's per-tenant admission slots and grant quotas key on
-	// it, and it rides the result and the observatory's run records.
-	tenant string
-	// cacheKey identifies the plan-cache entry the executed module came
-	// from (nil outside prepared execution); cacheHit reports whether it
-	// was served from the cache. A mid-query re-plan invalidates the
-	// entry — the cached module's estimates have been proven wrong.
-	cacheKey *plancache.Key
-	cacheHit bool
-
-	// traceOn requests a span tree for this query (ExecOptions.Trace);
-	// trace is the live tracer (nil when tracing is off — the disabled
-	// fast path is that one pointer comparison) and span the innermost
-	// open stage span, the parent each stage hangs its children and wait
-	// states under. Only the query's own goroutine moves span; worker
-	// goroutines receive their parent span by value.
-	traceOn bool
-	trace   *obs.Trace
-	span    *obs.Span
 }
 
-// pipelineFunc is a compiled (sub-)stack: the continuation each stage
+// traceState is the span tracer: t is nil when tracing is off (the
+// disabled fast path is that one pointer comparison) and span the
+// innermost open stage span, the parent each stage hangs its children and
+// wait states under. Only the query's own goroutine moves span; worker
+// goroutines receive their parent span by value.
+type traceState struct {
+	t    *obs.Trace
+	span *obs.Span
+}
+
+// pipelineFunc is a composed (sub-)stack: the continuation each stage
 // hands the state to.
 type pipelineFunc func(ctx context.Context, st *execState) (*ExecResult, error)
 
@@ -264,132 +188,137 @@ type stageAbort struct{ err error }
 func (a *stageAbort) Error() string { return a.err.Error() }
 func (a *stageAbort) Unwrap() error { return a.err }
 
-// pipeline is a compiled, validated stage stack.
-type pipeline struct {
-	kinds []stageKind
-	fn    pipelineFunc
+// need is a set of query properties; a stage takes part in a query that
+// has every property the stage needs. Participation is data rather than a
+// predicate call per stage so that stepping over the six stages a plain
+// query sits out costs less than running the three it takes
+// (BenchmarkExecPipelineOverhead).
+type need uint8
+
+const (
+	needGoverned  need = 1 << iota // ExecOptions.Governed
+	needResilient                  // ExecOptions.Resilient
+	needReopt                      // ExecOptions.Reopt is set
+	needModule                     // the target is a *Module
+)
+
+// properties derives the query's property set from its options and target.
+func (st *execState) properties() need {
+	var has need
+	if st.o.Governed {
+		has |= needGoverned
+	}
+	if st.o.Resilient {
+		has |= needResilient
+	}
+	if st.o.Reopt != nil {
+		has |= needReopt
+	}
+	if st.module != nil {
+		has |= needModule
+	}
+	return has
 }
 
-// compilePipeline validates the stack against the canonical stage order
-// and composes it into one call chain. Validation fails fast with a
-// *PipelineError (wrapping ErrPipeline):
-//
-//   - the stack must start with Record and end with Run (each exactly once),
-//   - stages must appear in canonical order, without duplicates,
-//   - Admit and Grant come as a pair,
-//   - Retry and Breaker require an Activate stage to steer.
-func compilePipeline(kinds ...stageKind) (*pipeline, error) {
-	bad := func(reason string) (*pipeline, error) {
-		return nil, &PipelineError{Stack: formatStack(kinds), Reason: reason}
-	}
-	if len(kinds) < 2 {
-		return bad("a pipeline needs at least the Record and Run stages")
-	}
-	seen := make(map[stageKind]bool, len(kinds))
-	for i, k := range kinds {
-		if _, ok := stageNames[k]; !ok {
-			return bad(fmt.Sprintf("unknown stage %v", k))
-		}
-		if seen[k] {
-			return bad(fmt.Sprintf("duplicate %v stage", k))
-		}
-		seen[k] = true
-		if i > 0 && kinds[i-1] >= k {
-			return bad(fmt.Sprintf("%v cannot follow %v (canonical order: %s)",
-				k, kinds[i-1], formatStack([]stageKind{stageRecord, stageAdmit, stageGrant, stageBreaker, stageRetry, stageDegrade, stageReopt, stageActivate, stageRun})))
-		}
-	}
-	if kinds[0] != stageRecord {
-		return bad("the Record stage must be outermost, so exactly one layer records each query")
-	}
-	if kinds[len(kinds)-1] != stageRun {
-		return bad("the Run stage must be innermost")
-	}
-	if seen[stageAdmit] != seen[stageGrant] {
-		return bad("Admit and Grant form a pair: a slot without a grant (or a grant without admission) leaks")
-	}
-	if seen[stageRetry] && !seen[stageActivate] {
-		return bad("Retry requires an Activate stage to re-resolve choose-plans onto surviving branches")
-	}
-	if seen[stageBreaker] && !seen[stageActivate] {
-		return bad("Breaker requires an Activate stage to exclude blocked relations")
-	}
-
-	// Each stage composes with a tracing decorator. The decorator's
-	// disabled branch is one pointer comparison and no calls, preserving
-	// the 0-allocs/op dispatch BenchmarkExecPipelineOverhead pins; the
-	// enabled branch opens one stage span, threads it through st.span as
-	// the parent for everything the stage does, and closes it on the way
-	// out — wrapper depth mirrors stack order, so a trace *is* the
-	// pipeline made visible.
-	fn := traceStage(stageRun.String(), nil, pipelineFunc(func(ctx context.Context, st *execState) (*ExecResult, error) {
+// stages is the canonical stack, outermost first — the only one there is.
+// The options select *which stages take part*, never which stack runs, and
+// order and pairing are facts of this table: Record is outermost (exactly
+// one layer records each query), Admit/Grant and Breaker/Retry need the
+// same property each (a slot never exists without a grant), and Retry sits
+// above the Activate stage it re-enters.
+var stages = [...]struct {
+	name  string
+	needs need
+	stage stageFunc
+}{
+	// One query-level sample and one run record per query.
+	{"Record", 0, recordStage},
+	// Claim an execution slot from the governor, then draw the memory
+	// grant that becomes the binding every later stage sees.
+	{"Admit", needGoverned, admitStage},
+	{"Grant", needGoverned, grantStage},
+	// Snapshot open circuits, then classify failures / downgrade / exclude
+	// branches / back off and re-enter the stages below.
+	{"Breaker", needResilient, breakerStage},
+	{"Retry", needResilient, retryStage},
+	// The DOP ladder: below Retry (each whole-query attempt gets a fresh
+	// ladder), above Reopt/Activate (a narrower re-run re-resolves the
+	// plan). It takes part in every query and passes through serial ones.
+	{"Degrade", 0, degradeStage},
+	// Cardinality guards and the progress watchdog: below Retry (a retry
+	// gets a fresh budget), above Activate (a switch re-enters start-up).
+	{"Reopt", needReopt, reoptStage},
+	// Start-up-time processing (§4) of a module target.
+	{"Activate", needModule, activateStage},
+	// Execute the resolved plan.
+	{"Run", 0, func(ctx context.Context, st *execState, _ pipelineFunc) (*ExecResult, error) {
 		return st.run(ctx, st)
-	}))
-	for i := len(kinds) - 2; i >= 0; i-- {
-		fn = traceStage(kinds[i].String(), stageOf(kinds[i]), fn)
-	}
-	return &pipeline{kinds: kinds, fn: fn}, nil
+	}},
 }
 
-// traceStage wraps one stage (or, with a nil stage, the terminal run
-// continuation) in its span decorator.
-func traceStage(name string, stage stageFunc, next pipelineFunc) pipelineFunc {
-	if stage == nil {
-		return func(ctx context.Context, st *execState) (*ExecResult, error) {
-			if st.trace == nil {
-				return next(ctx, st)
+// participants[p] is the set of stages (bit i: row i) that take part in a
+// query with property set p — the stages table read once, at package init,
+// for each of the sixteen property sets.
+var participants [1 << 4]uint16
+
+// stack[i] is the continuation "the stages from row i on", composed once
+// at package init; stack[0] is the whole pipeline and the last entry, the
+// Run stage's unused next, is nil. Each continuation is the single stage
+// decorator: it steps over the stages that sit this query out — no span,
+// no call — and runs the first that takes part (Run needs nothing, so
+// there always is one). With tracing off that costs one pointer
+// comparison; with tracing on it opens one stage span, threads it through
+// st.trace.span as the parent for everything the stage does, and closes
+// it on the way out — so a trace *is* the participating stages made
+// visible.
+var stack [len(stages) + 1]pipelineFunc
+
+func init() {
+	for p := range participants {
+		for i, s := range stages {
+			if s.needs&^need(p) == 0 {
+				participants[p] |= 1 << i
 			}
-			parent := st.span
-			st.span = st.trace.Start(parent, name, obs.SpanStage)
-			res, err := next(ctx, st)
-			st.span.End()
-			st.span = parent
+		}
+	}
+	for from := range stages {
+		stack[from] = func(ctx context.Context, st *execState) (*ExecResult, error) {
+			i := from + bits.TrailingZeros16(st.part>>from)
+			s := &stages[i]
+			if st.trace.t == nil {
+				return s.stage(ctx, st, stack[i+1])
+			}
+			parent := st.trace.span
+			st.trace.span = st.trace.t.Start(parent, s.name, obs.SpanStage)
+			res, err := s.stage(ctx, st, stack[i+1])
+			st.trace.span.End()
+			st.trace.span = parent
 			return res, err
 		}
 	}
-	return func(ctx context.Context, st *execState) (*ExecResult, error) {
-		if st.trace == nil {
-			return stage(ctx, st, next)
-		}
-		parent := st.span
-		st.span = st.trace.Start(parent, name, obs.SpanStage)
-		res, err := stage(ctx, st, next)
-		st.span.End()
-		st.span = parent
-		return res, err
-	}
 }
 
-// mustPipeline compiles one of the Database's own stacks; these are
-// program constants, so failure is a programming error.
-func mustPipeline(kinds ...stageKind) *pipeline {
-	p, err := compilePipeline(kinds...)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
-// exec runs the compiled stack over the state, unwrapping stage-internal
-// abort markers before the caller sees the error. This is the tracer's
-// single construction point (the lint gate pins obs.NewTrace here and in
+// exec runs the stack over the state, unwrapping stage-internal abort
+// markers before the caller sees the error. This is the tracer's single
+// construction point (TestConstructionPoints pins obs.NewTrace here and in
 // internal/obs): when tracing is on — database-wide via EnableTracing or
 // per query via ExecOptions.Trace — the query gets a deterministic trace
 // ID, every stage below builds the span tree, and the finished record is
 // attached to the result and folded into the observatory's /traces ring.
-func (p *pipeline) exec(ctx context.Context, st *execState) (*ExecResult, error) {
-	if st.traceOn || st.db.tracing.Load() {
-		st.trace = obs.NewTrace(st.db.nextTraceID())
+func (st *execState) exec(ctx context.Context) (*ExecResult, error) {
+	if st.o.Trace || st.db.tracing.Load() {
+		st.trace.t = obs.NewTrace(st.db.nextTraceID())
 	}
-	res, err := p.fn(ctx, st)
+	st.part = participants[st.properties()]
+	res, err := stack[0](ctx, st)
 	if err != nil {
 		var abort *stageAbort
 		if errors.As(err, &abort) {
 			res, err = nil, abort.err
 		}
 	}
-	if st.trace != nil {
-		rec := st.trace.Finish(err)
+	if st.trace.t != nil {
+		rec := st.trace.t.Finish(err)
 		if res != nil {
 			res.TraceID = rec.ID
 			res.Trace = rec
@@ -399,72 +328,15 @@ func (p *pipeline) exec(ctx context.Context, st *execState) (*ExecResult, error)
 	return res, err
 }
 
-// stageOf maps a kind to its implementation.
-func stageOf(k stageKind) stageFunc {
-	switch k {
-	case stageRecord:
-		return recordStage
-	case stageAdmit:
-		return admitStage
-	case stageGrant:
-		return grantStage
-	case stageBreaker:
-		return breakerStage
-	case stageRetry:
-		return retryStage
-	case stageDegrade:
-		return degradeStage
-	case stageReopt:
-		return reoptStage
-	case stageActivate:
-		return activateStage
-	default:
-		panic(fmt.Sprintf("dynplan: stage %v has no implementation", k))
-	}
-}
-
-// pipelines holds the Database's pre-compiled stage stacks, assembled
-// once at OpenDatabase. The stacks are fixed; each stage binds to the
-// database's currently configured governor, injector, and observatory
-// when the query enters it, so installing a governor never recompiles.
-type pipelines struct {
-	// plain: Record→Run — a pre-resolved plan, no governance.
-	plain *pipeline
-	// governedPlain: Record→Admit→Grant→Run — a pre-resolved plan behind
-	// admission control.
-	governedPlain *pipeline
-	// activate: Record→Activate→Run — one activation of a module, no
-	// retries.
-	activate *pipeline
-	// governedActivate: Record→Admit→Grant→Activate→Run — the grant
-	// feeds choose-plan resolution, without the fallback executor.
-	governedActivate *pipeline
-	// resilient: Record→Breaker→Retry→Activate→Run — the retrying
-	// fallback executor.
-	resilient *pipeline
-	// governed: the full stack.
-	governed *pipeline
-
-	// The reopt variants insert the Reopt stage into each base stack;
-	// ExecOptions.Reopt selects them. Kept as separate compiled stacks so
-	// the no-reopt paths stay byte-for-byte what they were.
-	plainReopt            *pipeline
-	governedPlainReopt    *pipeline
-	activateReopt         *pipeline
-	governedActivateReopt *pipeline
-	resilientReopt        *pipeline
-	governedReopt         *pipeline
-}
-
 // defaultPlanCacheCapacity bounds the shared plan cache; prepared
 // statements beyond it evict least-recently-used compiled modules.
 const defaultPlanCacheCapacity = 64
 
-// newPlanCache assembles the database's shared plan cache alongside its
-// stage stacks — the single construction point (the CI lint gate pins
-// plancache.New here and inside internal/plancache), so exactly one
-// cache exists per database. The cache mirrors its hit/miss/eviction
-// counters into the observatory registry whenever one is enabled.
+// newPlanCache assembles the database's shared plan cache — the single
+// construction point (TestConstructionPoints pins plancache.New here and
+// inside internal/plancache), so exactly one cache exists per database.
+// The cache mirrors its hit/miss/eviction counters into the observatory
+// registry whenever one is enabled.
 func newPlanCache(db *Database, capacity int) *plancache.Cache {
 	c := plancache.New(capacity)
 	c.SetObserver(func(hits, misses, evictions uint64) {
@@ -477,30 +349,8 @@ func newPlanCache(db *Database, capacity int) *plancache.Cache {
 	return c
 }
 
-func newPipelines() *pipelines {
-	// Every stack carries the Degrade stage: it is a pass-through branch
-	// for serial executions, and parallelism is an ExecOptions bit rather
-	// than a stack choice, so the ladder must be present wherever a
-	// parallel execution might run.
-	return &pipelines{
-		plain:            mustPipeline(stageRecord, stageDegrade, stageRun),
-		governedPlain:    mustPipeline(stageRecord, stageAdmit, stageGrant, stageDegrade, stageRun),
-		activate:         mustPipeline(stageRecord, stageDegrade, stageActivate, stageRun),
-		governedActivate: mustPipeline(stageRecord, stageAdmit, stageGrant, stageDegrade, stageActivate, stageRun),
-		resilient:        mustPipeline(stageRecord, stageBreaker, stageRetry, stageDegrade, stageActivate, stageRun),
-		governed:         mustPipeline(stageRecord, stageAdmit, stageGrant, stageBreaker, stageRetry, stageDegrade, stageActivate, stageRun),
-
-		plainReopt:            mustPipeline(stageRecord, stageDegrade, stageReopt, stageRun),
-		governedPlainReopt:    mustPipeline(stageRecord, stageAdmit, stageGrant, stageDegrade, stageReopt, stageRun),
-		activateReopt:         mustPipeline(stageRecord, stageDegrade, stageReopt, stageActivate, stageRun),
-		governedActivateReopt: mustPipeline(stageRecord, stageAdmit, stageGrant, stageDegrade, stageReopt, stageActivate, stageRun),
-		resilientReopt:        mustPipeline(stageRecord, stageBreaker, stageRetry, stageDegrade, stageReopt, stageActivate, stageRun),
-		governedReopt:         mustPipeline(stageRecord, stageAdmit, stageGrant, stageBreaker, stageRetry, stageDegrade, stageReopt, stageActivate, stageRun),
-	}
-}
-
 // recordStage is the single outermost stage: one query-level sample and
-// one run record per query, whatever stack ran below it. Sheds (the
+// one run record per query, whichever stages ran below it. Sheds (the
 // governor refused the query, so it never started) count apart from
 // query errors. When the observatory is disabled the stage is one pointer
 // comparison.
@@ -509,8 +359,8 @@ func recordStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecRe
 	if !reg.Enabled() {
 		res, err := next(ctx, st)
 		if res != nil {
-			res.Tenant = st.tenant
-			res.PlanCacheHit = st.cacheHit
+			res.Tenant = st.o.Tenant
+			res.PlanCacheHit = st.o.cacheHit
 		}
 		return res, err
 	}
@@ -520,29 +370,29 @@ func recordStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecRe
 	if err != nil {
 		if errors.Is(err, ErrAdmission) {
 			reg.RecordShed()
-			reg.RecordTenantShed(st.tenant)
+			reg.RecordTenantShed(st.o.Tenant)
 		} else {
 			reg.RecordQuery(obs.QuerySample{WallNanos: wall.Nanoseconds(), Failed: true})
-			reg.RecordTenantQuery(st.tenant, 0, true)
-			reg.LogQuery(st.db.queryLogRecord(nil, wall, err, st.trace.ID()))
+			reg.RecordTenantQuery(st.o.Tenant, 0, true)
+			reg.LogQuery(st.db.queryLogRecord(nil, wall, err, st.trace.t.ID()))
 		}
 		return nil, err
 	}
-	res.Tenant = st.tenant
-	res.PlanCacheHit = st.cacheHit
+	res.Tenant = st.o.Tenant
+	res.PlanCacheHit = st.o.cacheHit
 	var queueWait int64
 	if res.Admission != nil {
 		queueWait = res.Admission.QueueWaitNanos
 	}
 	reg.RecordQuery(querySampleOf(res, wall))
-	reg.RecordTenantQuery(st.tenant, queueWait, false)
-	reg.LogQuery(st.db.queryLogRecord(res, wall, nil, st.trace.ID()))
+	reg.RecordTenantQuery(st.o.Tenant, queueWait, false)
+	reg.LogQuery(st.db.queryLogRecord(res, wall, nil, st.trace.t.ID()))
 	return res, nil
 }
 
 // admitStage claims an execution slot from the governor; without an
-// installed governor the stage (and its Grant partner) pass through, so
-// governed stacks degrade to their ungoverned shape unchanged. The
+// installed governor the stage (and its Grant partner) pass through, so a
+// Governed query degrades to its ungoverned behaviour unchanged. The
 // governor is snapshotted once, so a concurrent ClearGovernor cannot
 // split the Admit/Grant pair across two governors.
 func admitStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecResult, error) {
@@ -551,18 +401,18 @@ func admitStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecRes
 		return next(ctx, st)
 	}
 	var t0 time.Time
-	if st.span != nil {
+	if st.trace.span != nil {
 		t0 = time.Now()
 	}
-	adm, err := gov.AdmitTenant(ctx, st.tenant)
-	if st.span != nil {
-		st.span.AddWait(obs.WaitAdmissionQueue, time.Since(t0).Nanoseconds())
+	adm, err := gov.AdmitTenant(ctx, st.o.Tenant)
+	if st.trace.span != nil {
+		st.trace.span.AddWait(obs.WaitAdmissionQueue, time.Since(t0).Nanoseconds())
 	}
 	if err != nil {
 		return nil, err
 	}
-	st.gov = gov
-	st.adm = adm
+	st.admit.gov = gov
+	st.admit.adm = adm
 	return next(ctx, st)
 }
 
@@ -572,31 +422,31 @@ func admitStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecRes
 // against (§6.2's graceful degradation). The ticket is released on every
 // exit path; AdmissionStats report the negotiation on success.
 func grantStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecResult, error) {
-	if st.adm == nil {
+	if st.admit.adm == nil {
 		return next(ctx, st)
 	}
 	var t0 time.Time
-	if st.span != nil {
+	if st.trace.span != nil {
 		t0 = time.Now()
 	}
-	ticket, qctx, err := st.adm.Grant(ctx, st.b.MemoryPages)
-	if st.span != nil {
-		st.span.AddWait(obs.WaitGrant, time.Since(t0).Nanoseconds())
+	ticket, qctx, err := st.admit.adm.Grant(ctx, st.b.Memory)
+	if st.trace.span != nil {
+		st.trace.span.AddWait(obs.WaitGrant, time.Since(t0).Nanoseconds())
 	}
 	if err != nil {
 		return nil, err
 	}
 	defer ticket.Release()
 	if reg := st.db.metrics.Load(); reg.Enabled() {
-		reg.PoolPages.Set(st.gov.Broker().Stats().TotalPages)
+		reg.PoolPages.Set(st.admit.gov.Broker().Stats().TotalPages)
 	}
-	st.ticket = ticket
-	st.mem = ticket.Pages
+	st.admit.ticket = ticket
+	st.b.Memory = ticket.Pages
 	res, err := next(qctx, st)
 	if err != nil {
 		return nil, err
 	}
-	s := st.gov.Stats()
+	s := st.admit.gov.Stats()
 	res.Admission = &obs.AdmissionStats{
 		RequestedPages: ticket.Requested,
 		GrantedPages:   ticket.Pages,
@@ -614,7 +464,7 @@ func grantStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecRes
 // blocked relation.
 func breakerStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecResult, error) {
 	if st.module != nil {
-		st.blocked = st.db.breaker.BlockedSet(st.module.mod.Relations())
+		st.retry.blocked = st.db.breaker.BlockedSet(st.module.mod.Relations())
 	}
 	return next(ctx, st)
 }
@@ -625,36 +475,36 @@ func breakerStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecR
 // (transient I/O: same plan; insufficient memory: downgrade the grant and
 // exclude the picked branches; permanent faults: exclude the picked
 // branches and charge the relation's circuit breaker). Retries pause
-// under capped exponential backoff with deterministic jitter.
+// under capped exponential backoff with deterministic jitter; the jitter
+// source is seeded on the first retry — almost no query backs off, and
+// seeding costs more than the rest of the dispatch put together.
 func retryStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecResult, error) {
-	pol := st.pol.withDefaults()
-	if st.avoid == nil {
-		st.avoid = make(map[*physical.Node]bool)
-	}
+	pol := st.o.Policy.withDefaults()
+	r := &st.retry
 	inj := st.db.injector()
 	absorbedBase := inj.Stats().Absorbed
-	rng := rand.New(rand.NewSource(pol.JitterSeed))
+	var rng *rand.Rand
 
-	for st.attempt = 1; ; st.attempt++ {
+	for r.attempt = 1; ; r.attempt++ {
 		if err := qerr.FromContext(ctx.Err()); err != nil {
 			return nil, err
 		}
 		res, err := next(ctx, st)
 		if err == nil {
 			st.db.recordPlanOutcome(st.root, "")
-			res.Retries = st.retries
-			res.BranchSwitched = st.branchSwitched
+			res.Retries = r.retries
+			res.BranchSwitched = r.branchSwitched
 			res.FaultsAbsorbed = inj.Stats().Absorbed - absorbedBase
-			res.EffectiveMemoryPages = st.mem * inj.MemoryScale()
-			res.Backoffs = st.backoffs
+			res.EffectiveMemoryPages = st.b.Memory * inj.MemoryScale()
+			res.Backoffs = r.backoffs
 			res.BackoffTotal = 0
-			for _, d := range st.backoffs {
+			for _, d := range r.backoffs {
 				res.BackoffTotal += d
 			}
-			if st.rep != nil {
+			if r.rep != nil {
 				// The successful attempt's start-up decision trace, followed
 				// by the recovery decisions that led to it.
-				res.Decisions = append(st.rep.Trace, st.retryTrace...)
+				res.Decisions = append(r.rep.Trace, r.trace...)
 			}
 			return res, nil
 		}
@@ -675,13 +525,13 @@ func retryStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecRes
 			failedRel = rel
 			st.db.recordPlanOutcome(nil, rel)
 		}
-		if st.attempt >= pol.MaxAttempts {
-			return nil, fmt.Errorf("dynplan: resilient execution gave up after %d attempts: %w", st.attempt, err)
+		if r.attempt >= pol.MaxAttempts {
+			return nil, fmt.Errorf("dynplan: resilient execution gave up after %d attempts: %w", r.attempt, err)
 		}
-		st.retries++
+		r.retries++
 		var picked []*physical.Node
-		if st.rep != nil {
-			picked = st.rep.Picked
+		if r.rep != nil {
+			picked = r.rep.Picked
 		}
 		var class, response string
 		switch {
@@ -691,15 +541,13 @@ func retryStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecRes
 				// Acknowledge the shrink event: the next activation plans
 				// for the memory actually available, so the executor must
 				// not discount it a second time.
-				st.mem *= scale
+				st.b.Memory *= scale
 				inj.RestoreMemory()
 			} else {
-				st.mem *= pol.MemoryDowngrade
+				st.b.Memory *= pol.MemoryDowngrade
 			}
-			for _, n := range picked {
-				st.avoid[n] = true
-			}
-			response = fmt.Sprintf("downgraded grant to %.3g pages, excluding picked branches", st.mem)
+			r.exclude(picked)
+			response = fmt.Sprintf("downgraded grant to %.3g pages, excluding picked branches", st.b.Memory)
 		case errors.Is(err, qerr.ErrTransientIO):
 			// Retry the same plan: the fault-injection substrate heals
 			// transient faults after a bounded number of touches, so the
@@ -712,22 +560,23 @@ func retryStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecRes
 			if len(picked) == 0 {
 				return nil, fmt.Errorf("dynplan: execution failed with no alternative branches to fall back to: %w", err)
 			}
-			for _, n := range picked {
-				st.avoid[n] = true
-			}
+			r.exclude(picked)
 			class = "permanent fault"
 			response = "excluding picked branches"
 			if failedRel != "" {
 				response += fmt.Sprintf(" (fault charged to %s)", failedRel)
 			}
 		}
-		d := backoffDelay(pol, rng, st.retries)
-		st.backoffs = append(st.backoffs, d)
-		st.retryTrace = append(st.retryTrace, obs.NewRetryTrace(st.attempt, class, response, d))
+		if rng == nil {
+			rng = rand.New(rand.NewSource(pol.JitterSeed))
+		}
+		d := backoffDelay(pol, rng, r.retries)
+		r.backoffs = append(r.backoffs, d)
+		r.trace = append(r.trace, obs.NewRetryTrace(r.attempt, class, response, d))
 		if err := sleepBackoff(ctx, d); err != nil {
 			return nil, err
 		}
-		st.span.AddWait(obs.WaitRetryBackoff, d.Nanoseconds())
+		st.trace.span.AddWait(obs.WaitRetryBackoff, d.Nanoseconds())
 	}
 }
 
@@ -744,29 +593,29 @@ func retryStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecRes
 //
 // The controller is built fresh per invocation, i.e. per whole-query
 // retry attempt, so a ladder never leaks descent across attempts; the
-// cap it imposes (st.degCap) persists, so later attempts do not climb
+// cap it imposes (st.degrade.cap) persists, so later attempts do not climb
 // back to a width that already failed. Faults the ladder cannot remedy
 // (see degrade.Decide) pass through untouched, preserving the Retry
 // stage's classification authority. Serial executions pass through in
 // one branch.
 func degradeStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecResult, error) {
-	if !st.par || (st.deg != nil && st.deg.Disabled) {
+	if !st.o.Parallel || (st.o.Degrade != nil && st.o.Degrade.Disabled) {
 		return next(ctx, st)
 	}
 	pol := degrade.Policy{Registry: st.db.metrics.Load()}
-	if st.deg != nil {
-		pol.MinDOP = st.deg.MinDOP
+	if st.o.Degrade != nil {
+		pol.MinDOP = st.o.Degrade.MinDOP
 	}
 	dc := degrade.NewController(pol)
 	// Each post-decision re-run is wrapped in a rung span named after the
 	// ladder step it descends ("dop-halve dop=2"); the first run is not a
 	// rung and stays directly under the Degrade span.
-	parent := st.span
+	parent := st.trace.span
 	var rung *obs.Span
 	for {
 		res, err := next(ctx, st)
 		rung.End()
-		st.span = parent
+		st.trace.span = parent
 		if err == nil {
 			if ev := dc.Events(); len(ev) > 0 {
 				res.Degrade = ev
@@ -781,18 +630,18 @@ func degradeStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecR
 			// The caller's context ended; nothing narrower can run.
 			return nil, err
 		}
-		cap, ok := dc.Decide(err, st.lastDOP)
+		cap, ok := dc.Decide(err, st.degrade.lastDOP)
 		if !ok {
 			return nil, err
 		}
-		st.degCap = cap
-		if st.trace != nil {
+		st.degrade.cap = cap
+		if st.trace.t != nil {
 			name := fmt.Sprintf("dop=%d", cap)
 			if ev := dc.Last(); ev != nil {
 				name = fmt.Sprintf("%s dop=%d", ev.Rung, cap)
 			}
-			rung = st.trace.Start(parent, name, obs.SpanRung)
-			st.span = rung
+			rung = st.trace.t.Start(parent, name, obs.SpanRung)
+			st.trace.span = rung
 		}
 	}
 }
@@ -816,14 +665,11 @@ func degradeStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecR
 // Finish. Non-violation errors pass through untouched, so the Retry stage
 // above keeps its classification authority.
 func reoptStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecResult, error) {
-	if st.reopt == nil {
-		return next(ctx, st)
-	}
 	// A previous controller (an earlier retry attempt) may have left a
 	// re-planned or degraded root referencing temporaries it released;
 	// re-entering Activate below re-resolves the module onto live state.
-	st.skipActivate = false
-	pol := *st.reopt
+	st.reopt.skipActivate = false
+	pol := *st.o.Reopt
 	rp := reopt.Policy{
 		Config:            st.db.sys.cfg,
 		Params:            st.db.sys.params,
@@ -833,18 +679,18 @@ func reoptStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecRes
 		Deadline:          pol.Deadline,
 		NoProgressTimeout: pol.NoProgressTimeout,
 		Registry:          st.db.metrics.Load(),
-		Trace:             st.trace,
-		Span:              st.span,
+		Trace:             st.trace.t,
+		Span:              st.trace.span,
 	}
 	if pol.Query != nil {
 		rp.Query = pol.Query.Logical()
 		rp.Config.FinalOrder = pol.Query.OrderBy()
 	}
 	rc := reopt.NewController(rp)
-	st.rc = rc
+	st.reopt.rc = rc
 	defer func() {
-		st.rc = nil
-		st.acc = nil
+		st.reopt.rc = nil
+		st.reopt.acc = nil
 		rc.Finish()
 	}()
 	dctx, cancel := rc.WithDeadline(ctx)
@@ -854,23 +700,23 @@ func reoptStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecRes
 	// final plan's — the benchmarks report re-optimization's *net* benefit.
 	// The watchdog snapshots the tuple counter at each attempt's start, so
 	// accumulation never masks a stall.
-	st.acc = &storage.Accountant{}
+	st.reopt.acc = &storage.Accountant{}
 	// Every execution attempt gets its own span under the Reopt stage, so
 	// Activate/Run appear exactly once per attempt and the attempts (and
 	// the replans between them — spans the controller opens) read off the
 	// tree in order.
-	parent := st.span
+	parent := st.trace.span
 	for attempt := 1; ; attempt++ {
 		var asp *obs.Span
-		if st.trace != nil {
-			asp = st.trace.Start(parent, fmt.Sprintf("reopt-attempt-%d", attempt), obs.SpanAttempt)
-			st.span = asp
+		if st.trace.t != nil {
+			asp = st.trace.t.Start(parent, fmt.Sprintf("reopt-attempt-%d", attempt), obs.SpanAttempt)
+			st.trace.span = asp
 		}
-		attemptCtx, stopWatchdog := rc.StartWatchdog(dctx, st.acc)
+		attemptCtx, stopWatchdog := rc.StartWatchdog(dctx, st.reopt.acc)
 		res, err := next(attemptCtx, st)
 		stopWatchdog()
 		asp.End()
-		st.span = parent
+		st.trace.span = parent
 		if err == nil {
 			res.Reopt = rc.Account()
 			return res, nil
@@ -879,62 +725,59 @@ func reoptStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecRes
 		if !errors.As(err, &v) {
 			return nil, err
 		}
-		canSwitch := st.module != nil && !st.skipActivate
+		canSwitch := st.module != nil && !st.reopt.skipActivate
 		canReplan := rp.Query != nil
 		switch rc.Decide(v, canSwitch, canReplan) {
 		case reopt.RemedySwitch:
 			rc.NoteSwitch(v, "re-activating surviving alternatives under corrected bindings")
 		case reopt.RemedyReplan:
-			bb := st.b
-			bb.MemoryPages = st.mem
-			forced, pc, rerr := rc.Replan(dctx, bb.internal())
+			forced, pc, rerr := rc.Replan(dctx, st.b)
 			if rerr != nil {
 				return nil, rerr
 			}
 			st.root = forced
 			st.planCost = pc
-			st.skipActivate = true
-			if st.cacheKey != nil {
+			st.reopt.skipActivate = true
+			if st.o.cacheKey != nil {
 				// The cached module's estimates just forced a re-plan; drop
 				// the entry so the next prepared execution compiles against
 				// the corrected picture instead of re-tripping the guard.
-				st.db.planCache.Invalidate(*st.cacheKey)
+				st.db.planCache.Invalidate(*st.o.cacheKey)
 			}
 		default:
 			st.root = rc.DegradeRoot(st.root, "re-optimization budget exhausted; finishing the current plan")
-			st.skipActivate = true
+			st.reopt.skipActivate = true
 		}
 	}
 }
 
 // activateStage performs start-up-time processing (§4): choose-plan
-// decision procedures resolve against the current grant (st.mem) and
+// decision procedures resolve against the current grant (st.b.Memory) and
 // bindings, avoiding branches failed attempts poisoned and relations
 // whose circuits are open. When exclusions alone leave no feasible plan,
 // they are forgiven (a transiently-poisoned branch may have healed);
 // when the circuit breaker alone leaves none, the query fails fast with
 // ErrCircuitOpen rather than re-probing a poisoned access path.
 func activateStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecResult, error) {
-	if st.module == nil || st.skipActivate {
-		// skipActivate: the Reopt stage installed a re-planned or degraded
-		// root that is already resolved; activation would overwrite it.
+	if st.reopt.skipActivate {
+		// The Reopt stage installed a re-planned or degraded root that is
+		// already resolved; activation would overwrite it.
 		return next(ctx, st)
 	}
+	r := &st.retry
 	opts := plan.StartupOptions{Params: st.db.sys.params, Usage: st.module.stats}
-	if len(st.avoid) > 0 || len(st.blocked) > 0 {
-		avoid, blocked := st.avoid, st.blocked
+	if len(r.avoid) > 0 || len(r.blocked) > 0 {
+		avoid, blocked := r.avoid, r.blocked
 		opts.Avoid = func(n *physical.Node) bool {
 			return avoid[n] || (n.Rel != "" && blocked[n.Rel])
 		}
 	}
-	bb := st.b
-	bb.MemoryPages = st.mem
-	ib := bb.internal()
-	if st.rc != nil {
+	ib := st.b
+	if st.reopt.rc != nil {
 		// Observed selectivities correct the *cost* side of activation only;
 		// execution keeps the caller's bindings — predicate literals are
 		// selectivity × domain, and moving them would change the answer.
-		ib = st.rc.CorrectBindings(ib)
+		ib = st.reopt.rc.CorrectBindings(ib)
 	}
 	reg := st.db.metrics.Load()
 	var actStart time.Time
@@ -942,11 +785,11 @@ func activateStage(ctx context.Context, st *execState, next pipelineFunc) (*Exec
 		actStart = time.Now()
 	}
 	rep, err := st.module.mod.Activate(ib, opts)
-	if errors.Is(err, plan.ErrInfeasible) && len(st.avoid) > 0 {
+	if errors.Is(err, plan.ErrInfeasible) && len(r.avoid) > 0 {
 		// Every alternative has failed at least once; forgive the
 		// exclusions (breaker-blocked relations stay excluded) and try the
 		// remaining choice set again.
-		clear(st.avoid)
+		clear(r.avoid)
 		rep, err = st.module.mod.Activate(ib, opts)
 	}
 	if reg.Enabled() {
@@ -954,26 +797,26 @@ func activateStage(ctx context.Context, st *execState, next pipelineFunc) (*Exec
 		// the histogram is what makes "activation ≪ compilation" observable.
 		reg.Activation.Record(time.Since(actStart).Nanoseconds())
 	}
-	if errors.Is(err, plan.ErrInfeasible) && len(st.blocked) > 0 {
+	if errors.Is(err, plan.ErrInfeasible) && len(r.blocked) > 0 {
 		// The circuit breaker alone leaves no feasible plan: fail fast
 		// instead of re-probing a poisoned access path.
 		return nil, &stageAbort{err: fmt.Errorf("dynplan: circuit breaker excludes %v and no alternative plan remains: %w: %w",
-			sortedKeys(st.blocked), qerr.ErrCircuitOpen, err)}
+			slices.Sorted(maps.Keys(r.blocked)), qerr.ErrCircuitOpen, err)}
 	}
 	if err != nil {
 		return nil, &stageAbort{err: err}
 	}
-	if st.attempt <= 1 {
-		st.firstPicked = rep.Picked
-	} else if !st.branchSwitched && !samePicked(st.firstPicked, rep.Picked) {
-		st.branchSwitched = true
+	if r.attempt <= 1 {
+		r.firstPicked = rep.Picked
+	} else if !r.branchSwitched && !slices.Equal(r.firstPicked, rep.Picked) {
+		r.branchSwitched = true
 	}
-	st.rep = rep
+	r.rep = rep
 	st.root = rep.Chosen
-	if st.rc != nil {
+	if st.reopt.rc != nil {
 		// Splice spooled temporaries in place of already-observed base
 		// subplans: the switched-to plan resumes from the finished work.
-		st.root = st.rc.Rewrite(st.root)
+		st.root = st.reopt.rc.Rewrite(st.root)
 	}
 	st.planCost = st.module.mod.PlanCost()
 	res, err := next(ctx, st)
@@ -985,6 +828,21 @@ func activateStage(ctx context.Context, st *execState, next pipelineFunc) (*Exec
 	return res, err
 }
 
+// engine assembles the executor over the database's storage substrate for
+// one execution, with that execution's own accountant, injector snapshot,
+// and metrics window.
+func (db *Database) engine(acc *storage.Accountant, inj *storage.Injector, collector *obs.Collector) *exec.DB {
+	return &exec.DB{
+		Catalog: db.sys.cat,
+		Store:   db.store,
+		Indexes: db.indexes,
+		Acc:     acc,
+		Faults:  inj,
+		Obs:     collector,
+		Wrap:    db.wrap,
+	}
+}
+
 // runStatic is the terminal executor for resolved plans: it compiles the
 // plan into Volcano iterators over the simulated store, runs it under the
 // context, and assembles the base ExecResult — I/O account, per-operator
@@ -994,7 +852,7 @@ func activateStage(ctx context.Context, st *execState, next pipelineFunc) (*Exec
 func runStatic(ctx context.Context, st *execState) (*ExecResult, error) {
 	db := st.db
 	reg := db.metrics.Load()
-	acc := st.acc
+	acc := st.reopt.acc
 	if acc == nil {
 		acc = &storage.Accountant{}
 	}
@@ -1007,48 +865,37 @@ func runStatic(ctx context.Context, st *execState) (*ExecResult, error) {
 		collector = obs.NewCollector()
 	}
 	inj := db.injector()
-	e := &exec.DB{
-		Catalog: db.sys.cat,
-		Store:   db.store,
-		Indexes: db.indexes,
-		Acc:     acc,
-		Faults:  inj,
-		Obs:     collector,
-		Wrap:    db.wrap,
-		Trace:   st.trace,
-		Span:    st.span,
-	}
-	bb := st.b
-	bb.MemoryPages = st.mem
-	ib := bb.internal()
-	if st.rc != nil {
+	e := db.engine(acc, inj, collector)
+	e.Trace, e.Span = st.trace.t, st.trace.span
+	ib, mem := st.b, st.b.Memory
+	if rc := st.reopt.rc; rc != nil {
 		// The Reopt stage's temporaries and cardinality guards. Guard bands
 		// are evaluated under the corrected bindings; the execution itself
 		// runs under the caller's bindings, untouched.
-		e.Temps = st.rc.Temps()
-		e.Guards = st.rc.Guard(physical.NewModel(db.sys.params), st.rc.CorrectBindings(ib).Env(), st.root, acc)
+		e.Temps = rc.Temps()
+		e.Guards = rc.Guard(physical.NewModel(db.sys.params), rc.CorrectBindings(ib).Env(), st.root, acc)
 	}
 	var pe *obs.ParallelExec
 	var dop, maxDOP int
 	var parReason string
-	if st.par {
+	if st.o.Parallel {
 		// The DOP decision is start-up-time processing in miniature: the
 		// grant funds the worker count, and the cost model must price the
 		// parallel plan below serial before any goroutine spawns — degree
 		// of parallelism as a least-expected-cost alternative, exactly how
 		// low-memory choose-plan branches are selected.
-		dop, maxDOP, parReason = chooseDOP(db, st.root, ib, st.mem, st.maxDOP)
-		if st.degCap > 0 && dop > st.degCap {
+		dop, maxDOP, parReason = chooseDOP(db, st.root, ib, st.o.MaxDOP)
+		if cap := st.degrade.cap; cap > 0 && dop > cap {
 			// The degradation ladder has capped the width: a fault already
 			// escaped per-worker retry at the wider DOP this query ran with.
-			dop = st.degCap
+			dop = cap
 			parReason = "degraded"
 		}
-		st.lastDOP = dop
+		st.degrade.lastDOP = dop
 		pe = &obs.ParallelExec{}
 		if dop > 1 {
 			e.Parallel = dop
-			e.Retry = st.wpol
+			e.Retry = st.o.WorkerRetry
 			e.Par = pe
 		}
 	}
@@ -1067,14 +914,14 @@ func runStatic(ctx context.Context, st *execState) (*ExecResult, error) {
 		PageWrites:           acc.PageWrites(),
 		TupleOps:             acc.TupleOps(),
 		FaultsAbsorbed:       inj.Stats().Absorbed - absorbedBefore,
-		EffectiveMemoryPages: bb.MemoryPages * inj.MemoryScale(),
+		EffectiveMemoryPages: mem * inj.MemoryScale(),
 	}
 	out.Rows = make([][]int64, len(rows))
 	for i, r := range rows {
 		out.Rows[i] = r
 	}
 	if pe != nil {
-		out.Parallel = pe.Stats(dop, maxDOP, st.mem, st.mem/float64(max(dop, 1)), parReason)
+		out.Parallel = pe.Stats(dop, maxDOP, mem, mem/float64(max(dop, 1)), parReason)
 		if reg.Enabled() {
 			reg.RecordParallel(out.Parallel)
 		}
@@ -1087,8 +934,8 @@ func runStatic(ctx context.Context, st *execState) (*ExecResult, error) {
 		// resolved plan serves as the cost prediction.
 		model := physical.NewModel(db.sys.params)
 		predEnv := ib.Env()
-		if st.rc != nil {
-			predEnv = st.rc.CorrectBindings(ib).Env()
+		if rc := st.reopt.rc; rc != nil {
+			predEnv = rc.CorrectBindings(ib).Env()
 		}
 		predicted := exec.AnnotatePredictions(collector, model, predEnv, st.root)
 		planCost := st.planCost
@@ -1122,12 +969,12 @@ const (
 // dop-way parallel execution below serial (reason "cost" otherwise) —
 // exchange startup and per-row transfer charges make serial cheaper for
 // tiny inputs. When both pass, the reason is "grant".
-func chooseDOP(db *Database, root *physical.Node, ib *bindings.Bindings, mem float64, maxCap int) (dop, maxDOP int, reason string) {
+func chooseDOP(db *Database, root *physical.Node, ib *bindings.Bindings, maxCap int) (dop, maxDOP int, reason string) {
 	maxDOP = maxCap
 	if maxDOP <= 0 {
 		maxDOP = parallelMaxDOPDefault
 	}
-	dop = int(mem / parallelPartitionPages)
+	dop = int(ib.Memory / parallelPartitionPages)
 	if dop > maxDOP {
 		dop = maxDOP
 	}
@@ -1156,17 +1003,9 @@ func runAdaptive(ctx context.Context, st *execState) (*ExecResult, error) {
 	if db.observing.Load() {
 		collector = obs.NewCollector()
 	}
-	e := &exec.DB{
-		Catalog: db.sys.cat,
-		Store:   db.store,
-		Indexes: db.indexes,
-		Acc:     acc,
-		Ctx:     ctx,
-		Faults:  db.injector(),
-		Obs:     collector,
-		Wrap:    db.wrap,
-	}
-	res, err := adaptive.Run(e, st.root, st.b.internal(), adaptive.Options{Params: db.sys.params})
+	e := db.engine(acc, db.injector(), collector)
+	e.Ctx = ctx
+	res, err := adaptive.Run(e, st.root, st.b, adaptive.Options{Params: db.sys.params})
 	if reg := db.metrics.Load(); reg.Enabled() {
 		reg.Executions.Add(1)
 	}
@@ -1180,18 +1019,12 @@ func runAdaptive(ctx context.Context, st *execState) (*ExecResult, error) {
 		RandPageReads:        acc.RandPageReads(),
 		PageWrites:           acc.PageWrites(),
 		TupleOps:             acc.TupleOps(),
-		EffectiveMemoryPages: st.mem * db.injector().MemoryScale(),
+		EffectiveMemoryPages: st.b.Memory * db.injector().MemoryScale(),
 		Adaptive: &AdaptiveResult{
-			Rows:                  res.Rows,
-			Columns:               res.Schema,
 			Chosen:                res.Chosen,
 			Materialized:          res.Materialized,
 			ObservedSelectivities: res.Observed,
 			PredictedCost:         res.PredictedCost,
-			SeqPageReads:          acc.SeqPageReads(),
-			RandPageReads:         acc.RandPageReads(),
-			PageWrites:            acc.PageWrites(),
-			TupleOps:              acc.TupleOps(),
 		},
 	}
 	return out, nil

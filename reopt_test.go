@@ -313,7 +313,7 @@ func TestReoptGovernedResilientStack(t *testing.T) {
 	}
 }
 
-// TestReoptAdaptiveExclusion pins the façade guard: the Adaptive engine
+// TestReoptAdaptiveExclusion pins the Exec guard: the Adaptive engine
 // already observes before deciding, so combining it with Reopt is a
 // configuration error, typed.
 func TestReoptAdaptiveExclusion(t *testing.T) {

@@ -3,7 +3,6 @@ package dynplan
 import (
 	"context"
 	"math/rand"
-	"sort"
 	"time"
 
 	"dynplan/internal/physical"
@@ -70,29 +69,6 @@ func (db *Database) recordPlanOutcome(chosen *physical.Node, failedRel string) {
 			db.breaker.RecordSuccess(n.Rel)
 		}
 	})
-}
-
-func sortedKeys(set map[string]bool) []string {
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// samePicked reports whether two activations resolved their choose-plans
-// to the identical alternatives.
-func samePicked(a, b []*physical.Node) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // backoffDelay computes the pause before the retry-th retry: the base

@@ -30,7 +30,7 @@ func BenchmarkWorkerFaultRecovery(b *testing.B) {
 	bind := Bindings{MemoryPages: 96}
 	ctx := context.Background()
 
-	serial, err := db.Execute(root, bind)
+	serial, err := db.Exec(context.Background(), root, bind, ExecOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
