@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 
-	"dynplan/internal/physical"
 	"dynplan/internal/storage"
 )
 
@@ -17,24 +16,6 @@ func newDeterministicRand(seed int64) *rand.Rand {
 }
 
 func powFloat(u, e float64) float64 { return math.Pow(u, e) }
-
-// AdaptiveResult is what an adaptive execution's run-time decision
-// procedures learned and decided (ExecResult.Adaptive); the rows and the
-// I/O account, materializations included, are on the ExecResult itself.
-type AdaptiveResult struct {
-	// Chosen is the final plan (its scan inputs are Temp-Scans over the
-	// materialized subplans).
-	Chosen *physical.Node
-	// Materialized counts the subplans evaluated into temporaries.
-	Materialized int
-	// ObservedSelectivities maps each host variable to the selectivity
-	// actually observed in the data, which may differ from the bound
-	// (claimed) selectivity when statistics or application estimates are
-	// stale.
-	ObservedSelectivities map[string]float64
-	// PredictedCost is the corrected prediction for the final plan.
-	PredictedCost float64
-}
 
 // GenerateSkewedData fills the catalog relations like GenerateData but
 // draws every attribute named "a" (the convention of the experiment

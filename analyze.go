@@ -12,7 +12,7 @@ import (
 // EstimateSelectivity and BindValue use distribution-aware estimates
 // instead of the uniform value ÷ domain assumption — eliminating at the
 // source much of the selectivity estimation error that otherwise only
-// the adaptive executor can absorb at run-time. The cardinality refresh
+// run-time observation (ExecOptions.Adaptive) can absorb. The cardinality refresh
 // is the remedy for the stale-catalog drift the workload observatory's
 // calibration table flags: once re-analyzed, subsequent optimizations
 // predict over the true row counts and the interval violations stop.

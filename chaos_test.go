@@ -334,6 +334,21 @@ func TestChaosSoakReopt(t *testing.T) {
 			},
 		},
 		{
+			// The eager trigger under the same load: every relation is
+			// observed into a temporary of its own, per retry attempt.
+			Name:      "eager-mix",
+			Reference: strings.Join(canonical(refMod), "\n"),
+			Run: func(ctx context.Context, seed int64) (string, error) {
+				res, err := db.Exec(ctx, mod, b, ExecOptions{
+					Governed: true, Resilient: true, Policy: pol(seed), Reopt: rp(), Adaptive: true,
+				})
+				if err != nil {
+					return "", err
+				}
+				return strings.Join(canonical(res), "\n"), nil
+			},
+		},
+		{
 			Name:      "replan-mix",
 			Reference: strings.Join(canonical(refPlan), "\n"),
 			Run: func(ctx context.Context, seed int64) (string, error) {

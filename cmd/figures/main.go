@@ -93,11 +93,11 @@ func main() {
 		}
 	}
 	if *exp == "all" || *exp == "adaptive" {
-		apts, err := harness.RunAdaptive(cfg)
+		apts, err := adaptiveSeries(cfg.Seed)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Println(harness.AdaptiveReport(apts))
+		fmt.Println(adaptiveReport(apts))
 	}
 }
 

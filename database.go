@@ -277,17 +277,12 @@ type ExecResult struct {
 	// activations use Activation.DecisionTrace).
 	Decisions []obs.ChoiceTrace
 
-	// Adaptive carries the run-time decision account when the query ran
-	// through the adaptive executor (ExecOptions.Adaptive): the final
-	// plan, materialization count, observed selectivities, and corrected
-	// cost prediction. Nil on every other path.
-	Adaptive *AdaptiveResult
-
-	// Reopt carries the mid-query re-optimization account when the query
-	// ran under a ReoptPolicy and anything happened — guard violations and
-	// the remedies taken (switch, re-plan, degrade), temporaries spooled,
-	// planning time spent. Nil when no guard tripped or re-optimization
-	// was not enabled.
+	// Reopt carries the run-time adaptation account when the query ran
+	// under a ReoptPolicy or with ExecOptions.Adaptive and anything
+	// happened — guard violations or eager observations and the remedies
+	// taken (switch, re-plan, degrade), temporaries spooled, selectivities
+	// observed, planning time spent. Nil when nothing was observed or
+	// neither option was set.
 	Reopt *ReoptAccount
 
 	// Parallel carries the intra-query parallelism account when the query

@@ -40,7 +40,8 @@
 // *Module, *Activation, or resolved plan node under the bindings through
 // one pipeline of stages, in which ExecOptions decide which stages take
 // part — admission and memory grants (Governed), retrying fallback onto
-// surviving alternatives (Resilient), mid-query re-optimization (Reopt),
+// surviving alternatives (Resilient), mid-query re-optimization (Reopt,
+// or Adaptive for §7's observe-before-deciding trigger of the same loop),
 // parallelism, tracing. Database.Prepare returns a handle whose Exec
 // enters the same pipeline with a module from the shared plan cache.
 //

@@ -6,9 +6,10 @@
 // The scenario: an application binds its host variables with selectivity
 // estimates that are badly wrong (the data is skewed; the estimates
 // assume uniformity). Start-up-time decisions trust the estimates and
-// pick an index-join chain that explodes; the adaptive executor
-// materializes each base input, observes its actual cardinality, corrects
-// the estimates, and only then decides the joins.
+// pick an index-join chain that explodes; with ExecOptions.Adaptive the
+// execution pipeline's Reopt stage materializes each base input before the
+// first tuple, observes its actual cardinality, corrects the estimates,
+// and only then decides the joins.
 package main
 
 import (
@@ -87,14 +88,16 @@ func main() {
 	fmt.Printf("executed: %d rows, simulated %.4gs (%d random + %d sequential reads)\n\n",
 		len(resS.Rows), resS.SimulatedSeconds(params), resS.RandPageReads, resS.SeqPageReads)
 
-	// Run-time decisions observe before deciding.
+	// Run-time decisions observe before deciding. Observability is switched
+	// on so the result carries the executed plan's operator tree.
+	db.EnableObservability()
 	resA, err := db.Exec(context.Background(), dyn, b, dynplan.ExecOptions{Adaptive: true})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("adaptive run: %d subplans materialized, observed selectivities %v\n",
-		resA.Adaptive.Materialized, resA.Adaptive.ObservedSelectivities)
-	fmt.Printf("final plan (decided with observed cardinalities):\n%s\n", resA.Adaptive.Chosen.Format())
+		resA.Reopt.TempsCreated, resA.Reopt.ObservedSelectivities)
+	fmt.Printf("final plan (decided with observed cardinalities):\n%s\n", resA.ExplainAnalyze(params))
 	fmt.Printf("executed: %d rows, simulated %.4gs (%d random + %d sequential reads, %d temp-page writes)\n",
 		len(resA.Rows), resA.SimulatedSeconds(params), resA.RandPageReads, resA.SeqPageReads, resA.PageWrites)
 	fmt.Printf("\nspeedup from run-time decisions: %.1fx\n",

@@ -71,21 +71,25 @@ type ExecOptions struct {
 	// Policy bounds the Resilient retry loop; the zero value selects the
 	// defaults (see RetryPolicy).
 	Policy RetryPolicy
-	// Adaptive runs a *Plan with run-time choose-plan decisions (§7):
-	// instead of trusting the bound selectivities, decision procedures
-	// evaluate subplans — each base relation's access path materializes
-	// into a temporary, its observed cardinality corrects the estimates,
-	// and only then do the remaining choose-plans (join orders, algorithms,
-	// build sides) resolve. That makes the execution robust to selectivity
-	// estimation error at the price of materialization I/O, charged to the
-	// result's account; the result's Adaptive field carries what was
-	// learned. Mutually exclusive with Governed and Resilient.
+	// Adaptive makes choose-plan decisions at run-time (§7): instead of
+	// trusting the bound selectivities, decision procedures evaluate
+	// subplans — each base relation the plan scans has its cheapest access
+	// path materialized into a temporary, its observed cardinality corrects
+	// the estimates, and only then do the remaining choose-plans (join
+	// orders, algorithms, build sides) resolve. That makes the execution
+	// robust to selectivity estimation error at the price of
+	// materialization I/O, charged to the result's account. It is the eager
+	// trigger of the Reopt stage — observe before the first tuple instead
+	// of waiting for a guard to trip — so the result's Reopt field carries
+	// what was learned (TempsCreated, ObservedSelectivities, one event pair
+	// per relation), and it composes with every other option. A dynamic
+	// *Plan is accepted as a target and activated like its Module; a
+	// target without alternatives is observed once and finished as is.
 	Adaptive bool
 	// Reopt enables mid-query re-optimization: cardinality guards at
 	// materialization points, safe plan switching / re-planning on a
 	// violation, a per-query deadline, and the progress watchdog (see
-	// ReoptPolicy). Mutually exclusive with Adaptive — run-time decisions
-	// already observe before deciding.
+	// ReoptPolicy).
 	Reopt *ReoptPolicy
 	// Parallel enables intra-query parallelism: at activation the memory
 	// grant sets the worker count (one worker per 16 granted pages, capped
@@ -94,7 +98,7 @@ type ExecOptions struct {
 	// serial execution — degree of parallelism is a costed alternative,
 	// selected the way low-memory choose-plan branches are. Answers are
 	// digest-identical to serial execution. The result's Parallel field
-	// reports the selection. Mutually exclusive with Adaptive.
+	// reports the selection.
 	Parallel bool
 	// MaxDOP caps the worker count Parallel may choose; 0 selects the
 	// default of 4.
@@ -152,27 +156,31 @@ type DegradePolicy struct {
 // pipeline stages the options enable. Once ctx is canceled or its deadline
 // passes, execution stops within a bounded number of operator calls with
 // an error wrapping ErrCanceled or ErrDeadlineExceeded. Invalid bindings
-// fail with ErrInvalidBindings; incompatible combinations (a Resilient
-// non-module, an Adaptive non-plan) fail fast with an error wrapping
-// ErrPipeline.
+// fail with ErrInvalidBindings; a target that does not fit the options (a
+// Resilient non-module, a dynamic *Plan without Adaptive) fails fast with
+// an error wrapping ErrPipeline.
 func (db *Database) Exec(ctx context.Context, q any, b Bindings, o ExecOptions) (*ExecResult, error) {
 	ib, err := b.internal()
 	if err != nil {
 		return nil, err
 	}
-	st := &execState{db: db, o: o, b: ib, run: runStatic}
+	st := &execState{db: db, o: o, b: ib}
 	switch t := q.(type) {
 	case *Module:
 		st.module = t
 	case *Plan:
-		st.root = t.Root()
-		if o.Adaptive {
-			st.run = runAdaptive
+		if t.IsDynamic() {
+			if !o.Adaptive {
+				return nil, &PipelineError{Reason: "cannot execute a dynamic plan directly; build its Module and Activate it first"}
+			}
+			// Run-time decisions re-resolve the plan's choose-plans per
+			// observation, which is what the Activate stage does to a module.
+			if st.module, err = t.Module(); err != nil {
+				return nil, err
+			}
 			break
 		}
-		if t.IsDynamic() {
-			return nil, fmt.Errorf("dynplan: cannot execute a dynamic plan directly; build its Module and Activate it first")
-		}
+		st.root = t.Root()
 		// The plan carries its compile-time predicted cost interval; the
 		// observatory's plan-level calibration verdict checks against it.
 		st.planCost = t.res.Cost
@@ -183,20 +191,7 @@ func (db *Database) Exec(ctx context.Context, q any, b Bindings, o ExecOptions) 
 	default:
 		return nil, &PipelineError{Reason: fmt.Sprintf("cannot execute a %T; pass a *Plan, *Module, *Activation, or a resolved plan node", q)}
 	}
-	if o.Adaptive {
-		if _, ok := q.(*Plan); !ok {
-			return nil, &PipelineError{Reason: fmt.Sprintf("the Adaptive option requires a *Plan, not a %T", q)}
-		}
-		if o.Governed || o.Resilient {
-			return nil, &PipelineError{Reason: "the Adaptive option excludes Governed and Resilient; run-time decisions have their own recovery"}
-		}
-		if o.Reopt != nil {
-			return nil, &PipelineError{Reason: "the Adaptive option excludes Reopt; run-time decisions already observe cardinalities before deciding"}
-		}
-		if o.Parallel {
-			return nil, &PipelineError{Reason: "the Adaptive option excludes Parallel; run-time decisions materialize serially by design"}
-		}
-	} else if o.Resilient && st.module == nil {
+	if o.Resilient && st.module == nil {
 		return nil, &PipelineError{Reason: fmt.Sprintf("the Resilient option requires a *Module, not a %T; fallback needs alternatives to steer onto", q)}
 	}
 	return st.exec(ctx)

@@ -63,7 +63,7 @@ type DB struct {
 	Acc     *storage.Accountant
 	Pool    *storage.BufferPool
 	// Temps holds run-time materialized results, keyed by temporary name
-	// (see Temp and the adaptive executor).
+	// (see Temp).
 	Temps map[string]*Temp
 
 	// Ctx, when non-nil, is polled periodically inside every operator's

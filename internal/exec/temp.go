@@ -9,9 +9,11 @@ import (
 )
 
 // Temp is a materialized intermediate result: rows in a page-shaped
-// container plus their schema. The adaptive executor (internal/adaptive)
-// creates temps when a choose-plan decision procedure evaluates a subplan
-// to learn its actual cardinality — the paper's §7 direction.
+// container plus their schema. The re-optimization layer (internal/reopt)
+// creates temps when it observes a single-relation subplan's actual
+// cardinality — eagerly, by evaluating the subplan as part of the
+// choose-plan decision procedure (the paper's §7 direction), or lazily,
+// by spooling a materialization a cardinality guard tripped on.
 type Temp struct {
 	Schema Schema
 	Table  *storage.Table
@@ -19,7 +21,8 @@ type Temp struct {
 
 // AddTemp registers a materialized result under a name, charging the page
 // writes needed to spool it (the cost of evaluating a subplan into a
-// temporary result).
+// temporary result). It is the one spool path: every temporary is built
+// and charged here.
 func (db *DB) AddTemp(name string, schema Schema, rows []storage.Row, rowBytes int) *Temp {
 	if db.Temps == nil {
 		db.Temps = make(map[string]*Temp)

@@ -192,39 +192,6 @@ func TestPerInvocationDecomposition(t *testing.T) {
 	}
 }
 
-func TestRunAdaptiveExperiment(t *testing.T) {
-	cfg := smallConfig()
-	points, err := RunAdaptive(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) == 0 {
-		t.Fatal("no adaptive points")
-	}
-	benefitAtLargest := 0.0
-	for _, p := range points {
-		if !p.RowsAgree {
-			t.Errorf("rels=%d claimed=%g: strategies disagree on results", p.Relations, p.Claimed)
-		}
-		if p.Materialized != p.Relations {
-			t.Errorf("rels=%d: materialized %d subplans", p.Relations, p.Materialized)
-		}
-		if p.Actual <= p.Claimed {
-			t.Errorf("estimation error missing: actual %g <= claimed %g", p.Actual, p.Claimed)
-		}
-		if p.Relations == 4 {
-			benefitAtLargest = p.StartupExec / p.AdaptiveExec
-		}
-	}
-	if benefitAtLargest < 1.5 {
-		t.Errorf("adaptive benefit at 4 relations only %.2fx", benefitAtLargest)
-	}
-	out := AdaptiveReport(points)
-	if !strings.Contains(out, "adaptive") {
-		t.Errorf("report malformed:\n%s", out)
-	}
-}
-
 func TestRunSweep(t *testing.T) {
 	cfg := smallConfig()
 	points, err := RunSweep(cfg, 1, 6)

@@ -180,8 +180,10 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if q > 1 {
 		q = 1
 	}
-	// rank is the 1-based index of the sample the quantile lands on.
-	rank := int64(q * float64(total))
+	// rank is the 1-based index of the sample the quantile lands on —
+	// nearest-rank ⌈q·N⌉, so a tail quantile over fewer than 1/(1−q) samples
+	// still reports the tail.
+	rank := int64(math.Ceil(q * float64(total)))
 	if rank < 1 {
 		rank = 1
 	}

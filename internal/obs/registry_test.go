@@ -83,6 +83,23 @@ func TestHistogramQuantiles(t *testing.T) {
 	if h.Quantile(1) != 100000 {
 		t.Errorf("Quantile(1) = %g, want exact max 100000", h.Quantile(1))
 	}
+
+	// 9 fast samples and 1 slow one: the slow sample is the 10th of 10, and
+	// both tail quantiles rank ⌈q·10⌉ = 10 — a floored rank reports the fast
+	// bucket and loses the tail.
+	var small Histogram
+	for i := 0; i < 9; i++ {
+		small.Record(100)
+	}
+	small.Record(100000)
+	if p50 := small.Quantile(0.50); p50 > 255 {
+		t.Errorf("9+1 samples: p50 = %g, want within the fast bucket (<= 255)", p50)
+	}
+	for _, q := range []float64{0.95, 0.99} {
+		if got := small.Quantile(q); got != 100000 {
+			t.Errorf("9+1 samples: Quantile(%g) = %g, want the slow sample 100000", q, got)
+		}
+	}
 }
 
 func TestHistogramConcurrentRecord(t *testing.T) {

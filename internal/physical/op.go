@@ -51,10 +51,11 @@ const (
 	// compile-time and selects among them at start-up-time.
 	ChoosePlan
 	// TempScan reads a temporary result materialized at run-time. It
-	// never appears in compile-time plans or access modules; the adaptive
-	// executor (the §7 extension: choose-plan decision procedures that
-	// evaluate subplans) substitutes it for materialized subplans, with
-	// BaseCard set to the *observed* cardinality.
+	// never appears in compile-time plans or access modules; the
+	// re-optimization layer (internal/reopt — including the §7 extension:
+	// choose-plan decision procedures that evaluate subplans) substitutes
+	// it for materialized subplans, with BaseCard set to the *observed*
+	// cardinality.
 	TempScan
 )
 

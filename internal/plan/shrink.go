@@ -40,61 +40,19 @@ func (m *AccessModule) Shrink(stats *UsageStats) (*AccessModule, error) {
 	if activations == 0 {
 		return nil, fmt.Errorf("plan: cannot shrink before any activation")
 	}
-	rebuilt := make(map[*physical.Node]*physical.Node)
-	var walk func(n *physical.Node) (*physical.Node, error)
-	walk = func(n *physical.Node) (*physical.Node, error) {
-		if r, ok := rebuilt[n]; ok {
-			return r, nil
-		}
+	// Only an alternative can be dropped for disuse: the other inputs of an
+	// operator are used whenever the operator is.
+	unused := make(map[*physical.Node]bool)
+	m.root.Walk(func(n *physical.Node) {
 		if n.Op == physical.ChoosePlan {
-			var kept []*physical.Node
 			for _, c := range n.Children {
-				if usage[c] > 0 {
-					r, err := walk(c)
-					if err != nil {
-						return nil, err
-					}
-					kept = append(kept, r)
-				}
-			}
-			if len(kept) == 0 {
-				return nil, fmt.Errorf("plan: used choose-plan with no used alternatives")
-			}
-			var r *physical.Node
-			if len(kept) == 1 {
-				r = kept[0]
-			} else {
-				clone := *n
-				clone.Children = kept
-				r = &clone
-			}
-			rebuilt[n] = r
-			return r, nil
-		}
-		children := make([]*physical.Node, len(n.Children))
-		changed := false
-		for i, c := range n.Children {
-			r, err := walk(c)
-			if err != nil {
-				return nil, err
-			}
-			children[i] = r
-			if r != c {
-				changed = true
+				unused[c] = usage[c] == 0
 			}
 		}
-		r := n
-		if changed {
-			clone := *n
-			clone.Children = children
-			r = &clone
-		}
-		rebuilt[n] = r
-		return r, nil
-	}
-	root, err := walk(m.root)
+	})
+	root, err := prune(m.root, func(n *physical.Node) bool { return unused[n] })
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("plan: used choose-plan with no used alternatives: %w", err)
 	}
 	return NewModule(root)
 }

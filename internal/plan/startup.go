@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"dynplan/internal/bindings"
@@ -121,17 +122,22 @@ func (m *AccessModule) Activate(b *bindings.Bindings, opt StartupOptions) (*Star
 	model := physical.NewModel(opt.Params)
 
 	root := m.root
-	// Avoid pruning runs first, against the module's untouched DAG, so the
-	// caller's node identities (from a prior report's Picked) still match.
-	if opt.Avoid != nil {
-		pruned, err := pruneAvoid(root, opt.Avoid)
-		if err != nil {
-			return nil, err
-		}
-		root = pruned
-	}
-	if opt.IndexExists != nil {
-		pruned, err := pruneInfeasible(root, opt.IndexExists)
+	if opt.Avoid != nil || opt.IndexExists != nil {
+		// One pass over the module's untouched DAG, so the caller's node
+		// identities (from a prior report's Picked) still match.
+		pruned, err := prune(root, func(n *physical.Node) bool {
+			if opt.Avoid != nil && opt.Avoid(n) {
+				return true
+			}
+			if opt.IndexExists == nil {
+				return false
+			}
+			switch n.Op {
+			case physical.BtreeScan, physical.FilterBtreeScan, physical.IndexJoin:
+				return !opt.IndexExists(n.Rel, n.Attr)
+			}
+			return false
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -387,148 +393,41 @@ func (e *bbEvaluator) choose(n *physical.Node) (*physical.Node, float64) {
 	return best, bestCost
 }
 
-// pruneInfeasible rebuilds the plan DAG without alternatives that require
-// access structures the catalog no longer provides. Choose-plan operators
-// keep their feasible alternatives (collapsing when one remains); any
-// other operator with an infeasible input is itself infeasible. It
-// returns ErrInfeasible when nothing survives.
-func pruneInfeasible(root *physical.Node, exists func(rel, attr string) bool) (*physical.Node, error) {
-	type entry struct {
-		node *physical.Node // nil = infeasible
-	}
-	memo := make(map[*physical.Node]entry)
+// prune rebuilds the plan DAG without the nodes the predicate drops (and
+// without every plan that would have to run them), cloning only the spine
+// above a change so shared subplans stay shared. Choose-plan operators
+// keep their surviving alternatives, collapsing when one remains; any
+// other operator with a dropped input is itself dropped. It returns
+// ErrInfeasible when no complete plan survives.
+func prune(root *physical.Node, drop func(*physical.Node) bool) (*physical.Node, error) {
+	memo := make(map[*physical.Node]*physical.Node) // nil: dropped
 	var walk func(n *physical.Node) *physical.Node
 	walk = func(n *physical.Node) *physical.Node {
-		if e, ok := memo[n]; ok {
-			return e.node
+		if r, ok := memo[n]; ok {
+			return r
 		}
-		var result *physical.Node
-		switch n.Op {
-		case physical.BtreeScan, physical.FilterBtreeScan:
-			if exists(n.Rel, n.Attr) {
-				result = n
-			}
-		case physical.IndexJoin:
-			if exists(n.Rel, n.Attr) {
-				if outer := walk(n.Children[0]); outer != nil {
-					result = n
-					if outer != n.Children[0] {
-						clone := *n
-						clone.Children = []*physical.Node{outer}
-						result = &clone
-					}
-				}
-			}
-		case physical.ChoosePlan:
-			var kept []*physical.Node
-			for _, c := range n.Children {
-				if r := walk(c); r != nil {
-					kept = append(kept, r)
-				}
-			}
-			switch {
-			case len(kept) == 0:
-				// infeasible
-			case len(kept) == 1:
-				result = kept[0]
-			case len(kept) == len(n.Children) && sameNodes(kept, n.Children):
-				result = n
-			default:
-				clone := *n
-				clone.Children = kept
-				result = &clone
-			}
-		default:
-			children := make([]*physical.Node, len(n.Children))
-			changed := false
-			ok := true
-			for i, c := range n.Children {
-				r := walk(c)
-				if r == nil {
-					ok = false
-					break
-				}
-				children[i] = r
-				changed = changed || r != c
-			}
-			if ok {
-				result = n
-				if changed {
-					clone := *n
-					clone.Children = children
-					result = &clone
-				}
-			}
-		}
-		memo[n] = entry{node: result}
-		return result
-	}
-	pruned := walk(root)
-	if pruned == nil {
-		return nil, ErrInfeasible
-	}
-	return pruned, nil
-}
-
-// pruneAvoid rebuilds the plan DAG without the nodes the predicate marks
-// (and without every plan that would have to run them). Choose-plan
-// operators keep their surviving alternatives, collapsing when one
-// remains; any other operator whose input is avoided is itself removed.
-// It returns ErrInfeasible when no complete plan survives.
-func pruneAvoid(root *physical.Node, avoid func(*physical.Node) bool) (*physical.Node, error) {
-	memo := make(map[*physical.Node]*physical.Node)
-	visited := make(map[*physical.Node]bool)
-	var walk func(n *physical.Node) *physical.Node
-	walk = func(n *physical.Node) *physical.Node {
-		if visited[n] {
-			return memo[n]
-		}
-		visited[n] = true
-		if avoid(n) {
-			memo[n] = nil
+		memo[n] = nil
+		if drop(n) {
 			return nil
 		}
-		var result *physical.Node
-		if n.Op == physical.ChoosePlan {
-			var kept []*physical.Node
-			for _, c := range n.Children {
-				if r := walk(c); r != nil {
-					kept = append(kept, r)
-				}
+		kept := make([]*physical.Node, 0, len(n.Children))
+		for _, c := range n.Children {
+			if r := walk(c); r != nil {
+				kept = append(kept, r)
+			} else if n.Op != physical.ChoosePlan {
+				return nil
 			}
-			switch {
-			case len(kept) == 0:
-				// infeasible
-			case len(kept) == 1:
-				result = kept[0]
-			case len(kept) == len(n.Children) && sameNodes(kept, n.Children):
-				result = n
-			default:
-				clone := *n
-				clone.Children = kept
-				result = &clone
-			}
-		} else {
-			children := make([]*physical.Node, len(n.Children))
-			changed := false
-			ok := true
-			for i, c := range n.Children {
-				r := walk(c)
-				if r == nil {
-					ok = false
-					break
-				}
-				children[i] = r
-				changed = changed || r != c
-			}
-			if ok {
-				result = n
-				if changed {
-					clone := *n
-					clone.Children = children
-					result = &clone
-				}
-			}
+		}
+		result := n
+		switch {
+		case n.Op == physical.ChoosePlan && len(kept) == 0:
+			return nil
+		case n.Op == physical.ChoosePlan && len(kept) == 1:
+			result = kept[0]
+		case !slices.Equal(kept, n.Children):
+			clone := *n
+			clone.Children = kept
+			result = &clone
 		}
 		memo[n] = result
 		return result
@@ -538,13 +437,4 @@ func pruneAvoid(root *physical.Node, avoid func(*physical.Node) bool) (*physical
 		return nil, ErrInfeasible
 	}
 	return pruned, nil
-}
-
-func sameNodes(a, b []*physical.Node) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

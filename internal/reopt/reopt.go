@@ -32,6 +32,16 @@
 //     degrade — budget exhausted: finish the current plan over the
 //     temporary and record that re-optimization gave up.
 //
+// The loop has two triggers that differ only in when the observation is
+// forced. The lazy trigger is the guard above: the plan runs until a
+// materialization it needed anyway disagrees with the prediction. The eager
+// trigger (Policy.Eager) is the paper's §7 proposal — "evaluating subplans
+// as part of choose-plan decision procedures … result cardinality is known":
+// before the first tuple, the cheapest access path of a base relation the
+// resolved plan still scans is evaluated into a temporary (Observe), so
+// every join decision is made over observed cardinalities. Both raise the
+// same Violation and are remedied by the same escalation.
+//
 // A progress watchdog (watchdog.go) guards the time axis the same way the
 // bands guard the cardinality axis: a per-query deadline and a no-progress
 // timeout measured in tuples advanced, both surfacing as typed qerr errors.
@@ -40,6 +50,7 @@ package reopt
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sync"
 	"time"
 
@@ -76,6 +87,11 @@ type Policy struct {
 	// guard (default 2): small misses are the estimation model being an
 	// estimation model, not a reason to abandon a running plan.
 	Tolerance float64
+	// Eager forces the observation before the first tuple (see Observe):
+	// every base relation the plan scans is evaluated into a temporary and
+	// the plan re-decided, one relation per attempt. The relation count
+	// bounds the attempts instead of MaxAttempts.
+	Eager bool
 
 	// Deadline, when positive, bounds the query's total execution time.
 	Deadline time.Duration
@@ -168,6 +184,9 @@ type tripInfo struct {
 	temp     string
 	observed int
 	rowBytes int
+	// order is the sort order the spooled rows are in ("" when the order
+	// is a materialization accident, as for every lazily spooled temporary).
+	order string
 }
 
 // Controller owns one query's re-optimization state: the policy and
@@ -243,16 +262,16 @@ type guard struct {
 	c     *Controller
 	tol   float64
 	bands map[*physical.Node]bandInfo
-	acc   *storage.Accountant
+	db    *exec.DB
 }
 
-// Guard returns the cardinality guard for one execution of root: every
-// node whose subtree reads exactly one base relation (temporaries excluded
-// — their cardinality is observed, hence exact) is banded with the cost
-// model's predicted cardinality interval under env. A degraded controller
-// returns nil: the decision to finish the current plan must not be
-// re-litigated by the plan it decided to finish.
-func (c *Controller) Guard(model *physical.Model, env *bindings.Env, root *physical.Node, acc *storage.Accountant) exec.MatGuard {
+// Guard returns the cardinality guard for one execution of root by db:
+// every node whose subtree reads exactly one base relation (temporaries
+// excluded — their cardinality is observed, hence exact) is banded with the
+// cost model's predicted cardinality interval under env. A degraded
+// controller returns nil: the decision to finish the current plan must not
+// be re-litigated by the plan it decided to finish.
+func (c *Controller) Guard(model *physical.Model, env *bindings.Env, root *physical.Node, db *exec.DB) exec.MatGuard {
 	c.mu.Lock()
 	degraded := c.degraded
 	c.mu.Unlock()
@@ -286,73 +305,115 @@ func (c *Controller) Guard(model *physical.Model, env *bindings.Env, root *physi
 		return rel
 	}
 	root.Walk(func(n *physical.Node) {
-		rel := relOf(n)
-		if rel == "" {
-			return
-		}
-		ev := sess.Evaluate(n)
-		variable, baseCard := subplanScanInfo(n)
-		bands[n] = bandInfo{
-			check:    obs.BandCheck{Lo: ev.Card.Lo, Hi: ev.Card.Hi},
-			rel:      rel,
-			variable: variable,
-			baseCard: baseCard,
+		if rel := relOf(n); rel != "" {
+			bands[n] = band(sess, n, rel)
 		}
 	})
-	return &guard{c: c, tol: c.pol.Tolerance, bands: bands, acc: acc}
+	return &guard{c: c, tol: c.pol.Tolerance, bands: bands, db: db}
+}
+
+// band predicts the cardinality interval of a single-relation subplan.
+func band(sess *physical.Session, n *physical.Node, rel string) bandInfo {
+	ev := sess.Evaluate(n)
+	variable, baseCard := subplanScanInfo(n)
+	return bandInfo{
+		check:    obs.BandCheck{Lo: ev.Card.Lo, Hi: ev.Card.Hi},
+		rel:      rel,
+		variable: variable,
+		baseCard: baseCard,
+	}
 }
 
 // CheckMat is the executor's materialization hook: compare the observed
-// row count against the node's band and trip the controller on a
-// violation beyond the tolerance.
+// row count against the node's band and, on a violation beyond the
+// tolerance, spool the materialized rows — the work is kept — and trip.
 func (g *guard) CheckMat(n *physical.Node, count int, schema exec.Schema, rows func() []storage.Row) error {
 	b, ok := g.bands[n]
 	if !ok {
 		return nil
 	}
 	qe, viol := b.check.Verdict(float64(count))
-	if !viol || qe <= g.tol {
+	if !viol || qe <= g.tol || !g.c.armed(b.rel) {
 		return nil
 	}
-	return g.c.trip(n, b, count, qe, schema, rows, g.acc)
+	// Spooling is charged to the execution's account like any temporary:
+	// keeping the finished work is not free, and the benchmarks must report
+	// the net benefit.
+	g.db.AddTemp(tempName(b.rel), schema, rows(), n.RowBytes)
+	return g.c.trip(n, b, count, "")
 }
 
-// trip spools the materialized rows into a temporary, corrects the
-// relation's selectivity estimate, and raises the violation. A relation
-// that already tripped does not trip again — its temporary already carries
-// the truth, and the plan reading it is the remedy, not a new problem.
-func (c *Controller) trip(n *physical.Node, b bandInfo, count int, qe float64, schema exec.Schema, rows func() []storage.Row, acc *storage.Accountant) error {
+// Observe is the eager trigger, run before a resolved plan's first tuple:
+// while root still scans a base relation, the cheapest access path of the
+// cheapest such relation — picked among the variants the dynamic plan dag
+// carries for it, priced under everything observed so far — is evaluated
+// by db into a temporary and tripped like a lazy guard, so the caller's
+// remedy re-decides the plan around the observed cardinality. Index-join
+// inners are probed, never scanned, and stay unobserved. Observe returns
+// nil when the policy is lazy or nothing is left to observe.
+func (c *Controller) Observe(db *exec.DB, model *physical.Model, dag, root *physical.Node, b *bindings.Bindings) error {
+	if !c.pol.Eager {
+		return nil
+	}
+	pending := make(map[string]bool)
+	root.Walk(func(n *physical.Node) {
+		if n.Op.IsScan() {
+			pending[n.Rel] = true
+		}
+	})
+	sess := model.NewSession(c.CorrectBindings(b).Env())
+	var best *physical.Node
+	var bestRel string
+	var bestCost float64
+	for _, v := range baseSubplans(dag) {
+		rel := baseRelation(v)
+		if !pending[rel] {
+			continue
+		}
+		// Ties go to the first relation by name, then to its first variant.
+		if vc := sess.Evaluate(v).Cost.Lo; best == nil || vc < bestCost || (vc == bestCost && rel < bestRel) {
+			best, bestRel, bestCost = v, rel, vc
+		}
+	}
+	if best == nil || !c.armed(bestRel) {
+		return nil
+	}
+	chosen := resolveChoose(best, sess)
+	_, count, err := db.Materialize(tempName(bestRel), chosen, b)
+	if err != nil {
+		return fmt.Errorf("reopt: observing %s: %w", bestRel, err)
+	}
+	return c.trip(chosen, band(sess, chosen, bestRel), count, chosen.Ordering())
+}
+
+// tempName names the temporary a relation's observed rows are spooled into.
+func tempName(rel string) string { return "reopt_" + rel }
+
+// armed reports whether rel may still trip. A relation that already
+// tripped does not trip again — its temporary already carries the truth,
+// and the plan reading it is the remedy, not a new problem.
+func (c *Controller) armed(rel string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.degraded || c.finished {
-		return nil
-	}
-	if _, dup := c.trips[b.rel]; dup {
-		return nil
-	}
-	tempName := "reopt_" + b.rel
-	t := storage.NewTable(tempName, n.RowBytes)
-	for _, r := range rows() {
-		t.Append(r)
-	}
-	if acc != nil {
-		// Spooling is charged honestly: keeping the finished work is not
-		// free, and the benchmarks must report the net benefit.
-		acc.Write(int64(t.NumPages()))
-	}
-	c.temps[tempName] = &exec.Temp{Schema: schema, Table: t}
+	_, dup := c.trips[rel]
+	return !dup && !c.degraded && !c.finished
+}
+
+// trip records the observation of b.rel — count rows, spooled in the given
+// order under tempName — corrects the relation's selectivity estimate, and
+// raises the violation.
+func (c *Controller) trip(n *physical.Node, b bandInfo, count int, order string) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.created++
 	if c.reg != nil {
 		c.reg.ReoptTempsCreated.Add(1)
 	}
-	c.trips[b.rel] = tripInfo{temp: tempName, observed: count, rowBytes: n.RowBytes}
+	c.trips[b.rel] = tripInfo{temp: tempName(b.rel), observed: count, rowBytes: n.RowBytes, order: order}
 	if b.variable != "" && b.baseCard > 0 {
-		s := float64(count) / float64(b.baseCard)
-		if s > 1 {
-			s = 1
-		}
-		c.overrides[b.variable] = s
+		c.overrides[b.variable] = min(float64(count)/float64(b.baseCard), 1)
 	}
+	qe, _ := b.check.Verdict(float64(count))
 	v := &Violation{Node: n, Op: n.Label(), Rel: b.rel, Observed: count, Band: b.check, QError: qe}
 	c.lastTrip = v
 	return v
@@ -367,7 +428,9 @@ func (c *Controller) Decide(v *Violation, canSwitch, canReplan bool) Remedy {
 	defer c.mu.Unlock()
 	c.attempts++
 	c.emit(fill(obs.ReoptEvent{Stage: "violation", Attempt: c.attempts}, v))
-	if c.attempts > c.pol.MaxAttempts || c.planning > c.pol.MaxPlanningTime {
+	// A relation trips at most once, so eager observation is bounded by the
+	// relation count and needs no attempt budget of its own.
+	if (!c.pol.Eager && c.attempts > c.pol.MaxAttempts) || c.planning > c.pol.MaxPlanningTime {
 		return RemedyDegrade
 	}
 	if canSwitch {
@@ -520,8 +583,9 @@ func (c *Controller) rewriteScans(root *physical.Node) *physical.Node {
 // Rewrite splices the temporaries into a (re-activated or degraded) plan:
 // every maximal single-relation subplan over a tripped relation is replaced
 // by a Temp-Scan of its spooled rows, Sort-wrapped when the subplan
-// promised an order — a temporary's row order is a materialization
-// accident (hash-table flattening), never a promise.
+// promised an order the temporary is not in — a lazily spooled temporary's
+// row order is a materialization accident (hash-table flattening), an
+// eagerly observed one keeps the order of the access path that filled it.
 func (c *Controller) Rewrite(root *physical.Node) *physical.Node {
 	c.mu.Lock()
 	trips := make(map[string]tripInfo, len(c.trips))
@@ -541,10 +605,11 @@ func (c *Controller) Rewrite(root *physical.Node) *physical.Node {
 		scan := &physical.Node{
 			Op:       physical.TempScan,
 			Rel:      ti.temp,
+			Attr:     ti.order,
 			BaseCard: ti.observed,
 			RowBytes: ti.rowBytes,
 		}
-		if o := base.Ordering(); o != "" {
+		if o := base.Ordering(); o != "" && o != ti.order {
 			replace[base] = &physical.Node{
 				Op:       physical.Sort,
 				Attr:     o,
@@ -601,8 +666,8 @@ func (c *Controller) CorrectBindings(b *bindings.Bindings) *bindings.Bindings {
 }
 
 // Temps returns the controller's live temporaries, for the executor's temp
-// namespace. The map is shared: trips during an attempt become visible to
-// the next attempt's executor.
+// namespace. The map is shared: the executor registers what a trip spools
+// in it (exec.DB.AddTemp), and the next attempt's executor reads it.
 func (c *Controller) Temps() map[string]*exec.Temp { return c.temps }
 
 // Finish releases every temporary. It is idempotent — the pipeline defers
@@ -640,6 +705,10 @@ type Account struct {
 	TempsCreated  int   `json:"temps_created,omitempty"`
 	PlanningNanos int64 `json:"planning_ns,omitempty"`
 	Stalls        int   `json:"stalls,omitempty"`
+	// ObservedSelectivities maps the host variable of every tripped
+	// relation's predicate to the selectivity actually observed in the
+	// data — the corrections all later cost evaluations ran under.
+	ObservedSelectivities map[string]float64 `json:"observed_selectivities,omitempty"`
 }
 
 // Account returns the controller's summary, or nil when nothing happened —
@@ -659,6 +728,8 @@ func (c *Controller) Account() *Account {
 		TempsCreated:  c.created,
 		PlanningNanos: c.planning.Nanoseconds(),
 		Stalls:        c.stalls,
+
+		ObservedSelectivities: maps.Clone(c.overrides),
 	}
 }
 
@@ -687,8 +758,8 @@ func subplanScanInfo(n *physical.Node) (string, int) {
 
 // baseSubplans returns the distinct maximal subplans whose subtrees consist
 // only of scans, filters, and choose-plans over a single relation — the
-// units a temporary can substitute for (see internal/adaptive for the §7
-// original of this decomposition).
+// units a temporary can substitute for, and the units §7 evaluates into
+// one.
 func baseSubplans(root *physical.Node) []*physical.Node {
 	var out []*physical.Node
 	seen := make(map[*physical.Node]bool)

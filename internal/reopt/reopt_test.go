@@ -7,9 +7,15 @@ import (
 	"testing"
 	"time"
 
+	"dynplan/internal/bindings"
+	"dynplan/internal/exec"
 	"dynplan/internal/obs"
+	"dynplan/internal/physical"
 	"dynplan/internal/qerr"
+	"dynplan/internal/runtimeopt"
+	"dynplan/internal/search"
 	"dynplan/internal/storage"
+	"dynplan/internal/workload"
 )
 
 // TestWatchdogCancelsStalledQuery pins the no-progress trip: an
@@ -205,5 +211,136 @@ func TestAccountNilWhenIdle(t *testing.T) {
 	c := NewController(Policy{})
 	if acct := c.Account(); acct != nil {
 		t.Errorf("idle controller account = %+v, want nil", acct)
+	}
+}
+
+// TestBaseSubplanDetection pins the decomposition both triggers rest on:
+// the maximal single-relation subplans of a dynamic plan cover every
+// relation of the query.
+func TestBaseSubplanDetection(t *testing.T) {
+	w := workload.New(25)
+	dyn, err := runtimeopt.OptimizeDynamic(w.Query(3), search.Config{}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bases := baseSubplans(dyn.Plan)
+	if len(bases) < 3 {
+		t.Fatalf("found %d base subplans for a 3-relation query", len(bases))
+	}
+	rels := make(map[string]bool)
+	for _, base := range bases {
+		if !isBaseSubplan(base) {
+			t.Error("non-base subplan returned")
+		}
+		rels[baseRelation(base)] = true
+	}
+	for _, r := range []string{"R1", "R2", "R3"} {
+		if !rels[r] {
+			t.Errorf("no base subplan covers %s", r)
+		}
+	}
+}
+
+// TestObserveEagerly drives the eager trigger by hand the way the Reopt
+// stage does — observe, switch, re-resolve under corrected bindings,
+// splice — and pins its contract: one materialization per relation, each
+// raising a typed violation and recording the observed selectivity; the
+// attempt budget does not apply; a lazy controller observes nothing.
+func TestObserveEagerly(t *testing.T) {
+	w := workload.New(22)
+	store := w.LoadStoreSkewed(3)
+	idx, err := w.BuildIndexes(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dyn, err := runtimeopt.OptimizeDynamic(w.Query(3), search.Config{}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const claimed = 0.01
+	b := bindings.NewBindings(64)
+	for _, v := range dyn.Plan.Variables() {
+		b.BindSelectivity(v, claimed)
+	}
+	model := physical.NewModel(physical.DefaultParams())
+
+	c := NewController(Policy{Eager: true, MaxAttempts: 1})
+	defer c.Finish()
+	db := &exec.DB{Catalog: w.Catalog, Store: store, Indexes: idx, Acc: &storage.Accountant{}, Temps: c.Temps()}
+	resolve := func() *physical.Node {
+		sess := model.NewSession(c.CorrectBindings(b).Env())
+		return c.Rewrite(resolveChoose(dyn.Plan, sess))
+	}
+	if err := NewController(Policy{}).Observe(db, model, dyn.Plan, resolve(), b); err != nil {
+		t.Fatalf("lazy controller observed: %v", err)
+	}
+	observed := 0
+	for {
+		err := c.Observe(db, model, dyn.Plan, resolve(), b)
+		if err == nil {
+			break
+		}
+		var v *Violation
+		if !errors.As(err, &v) {
+			t.Fatalf("observation raised %v, want a *Violation", err)
+		}
+		if observed++; observed > 3 {
+			t.Fatal("a relation was observed twice")
+		}
+		if r := c.Decide(v, true, false); r != RemedySwitch {
+			t.Fatalf("observation %d remedied by %v: the attempt budget must not bound the eager trigger", observed, r)
+		}
+	}
+	final := resolve()
+	if n := final.Operators()[physical.TempScan]; observed == 0 || n != observed {
+		t.Errorf("final plan reads %d temporaries after %d observations", n, observed)
+	}
+	if created, _ := c.TempBalance(); created != observed {
+		t.Errorf("%d temporaries for %d observations", created, observed)
+	}
+	if db.Acc.PageWrites() == 0 {
+		t.Error("materialization was not charged")
+	}
+	acct := c.Account()
+	if len(acct.ObservedSelectivities) != observed {
+		t.Errorf("%d selectivities for %d observations", len(acct.ObservedSelectivities), observed)
+	}
+	want := workload.ActualSelectivity(claimed, 3) // ≈ 0.215
+	for v, got := range acct.ObservedSelectivities {
+		if got < want*0.5 || got > want*1.5 {
+			t.Errorf("%s: observed %g, want ≈%g (claimed %g)", v, got, want, claimed)
+		}
+	}
+	// The spliced plan runs, and reads only temporaries.
+	if _, _, err := db.Run(final, b); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRewriteKeepsObservedOrder pins the order a temporary carries: an
+// access path that promised the order the temporary was filled in reads it
+// as is, one that promised another order gets its Sort, and a lazily
+// spooled temporary (no order) is sorted for every promise.
+func TestRewriteKeepsObservedOrder(t *testing.T) {
+	btree := func(attr string) *physical.Node {
+		return &physical.Node{Op: physical.BtreeScan, Rel: "R", Attr: attr, BaseCard: 100, RowBytes: 512}
+	}
+	for _, tc := range []struct {
+		order, promised string
+		wantSort        bool
+	}{
+		{"R.a", "a", false},
+		{"R.a", "jl", true},
+		{"", "a", true},
+	} {
+		c := NewController(Policy{})
+		_ = c.trip(btree("a"), bandInfo{rel: "R"}, 10, tc.order)
+		got := c.Rewrite(btree(tc.promised))
+		if got.Ordering() != "R."+tc.promised {
+			t.Errorf("temporary in order %q for a %s scan: rewritten plan delivers %q", tc.order, tc.promised, got.Ordering())
+		}
+		if (got.Op == physical.Sort) != tc.wantSort {
+			t.Errorf("temporary in order %q for a %s scan: rewritten to %s", tc.order, tc.promised, got.Label())
+		}
 	}
 }

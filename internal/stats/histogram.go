@@ -10,8 +10,8 @@
 //   - literal predicates get distribution-aware estimates instead of the
 //     uniform value ÷ domain ratio;
 //   - the experiments can quantify how far uniform estimates drift from
-//     the truth under skew, the error the adaptive executor
-//     (internal/adaptive) is designed to absorb at run-time.
+//     the truth under skew, the error eager observation
+//     (internal/reopt) is designed to absorb at run-time.
 //
 // Histograms here are equi-depth (equal row counts per bucket), the
 // variant that bounds the estimation error of range predicates.

@@ -186,7 +186,7 @@ func (w *Workload) LoadStore() *storage.Store {
 // selectivity claims ŝ actually qualifies a fraction ŝ^(1/skew) of the
 // records. Join attributes stay uniform. This models the selectivity
 // estimation error of [IoC91] that §7 of the paper targets with run-time
-// choose-plan decisions; see internal/adaptive.
+// choose-plan decisions; see internal/reopt.
 func (w *Workload) LoadStoreSkewed(skew float64) *storage.Store {
 	if skew <= 0 {
 		panic("workload: skew must be positive")

@@ -29,7 +29,6 @@ import (
 	"slices"
 	"time"
 
-	"dynplan/internal/adaptive"
 	"dynplan/internal/bindings"
 	"dynplan/internal/cost"
 	"dynplan/internal/degrade"
@@ -63,7 +62,7 @@ func (e *PipelineError) Unwrap() error { return ErrPipeline }
 
 // execState is one query's mutable state, threaded through every stage of
 // the stack. Exactly one of module (resolved per attempt by Activate) or
-// root (pre-resolved) identifies the plan; run executes it. Fields a
+// root (pre-resolved) identifies the plan. Fields a
 // single stage (or a tightly coupled pair) owns live in that stage's
 // sub-struct, embedded by value so the whole state stays one allocation.
 type execState struct {
@@ -89,11 +88,6 @@ type execState struct {
 	// run under — initially the caller's MemoryPages, rewritten by the
 	// Grant stage (the broker's grant) and the Retry stage (downgrades).
 	b *bindings.Bindings
-	// run is the terminal executor (runStatic or runAdaptive). The DOP
-	// decision lives inside runStatic rather than in a stage of its own:
-	// it is part of resolving the plan against the grant, exactly like
-	// choose-plan resolution.
-	run func(ctx context.Context, st *execState) (*ExecResult, error)
 
 	admit   admitState
 	retry   retryState
@@ -198,7 +192,7 @@ type need uint8
 const (
 	needGoverned  need = 1 << iota // ExecOptions.Governed
 	needResilient                  // ExecOptions.Resilient
-	needReopt                      // ExecOptions.Reopt is set
+	needReopt                      // ExecOptions.Reopt is set, or Adaptive
 	needModule                     // the target is a *Module
 )
 
@@ -211,7 +205,7 @@ func (st *execState) properties() need {
 	if st.o.Resilient {
 		has |= needResilient
 	}
-	if st.o.Reopt != nil {
+	if st.o.Reopt != nil || st.o.Adaptive {
 		has |= needReopt
 	}
 	if st.module != nil {
@@ -251,9 +245,7 @@ var stages = [...]struct {
 	// Start-up-time processing (§4) of a module target.
 	{"Activate", needModule, activateStage},
 	// Execute the resolved plan.
-	{"Run", 0, func(ctx context.Context, st *execState, _ pipelineFunc) (*ExecResult, error) {
-		return st.run(ctx, st)
-	}},
+	{"Run", 0, runStage},
 }
 
 // participants[p] is the set of stages (bit i: row i) that take part in a
@@ -646,11 +638,17 @@ func degradeStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecR
 	}
 }
 
-// reoptStage is mid-query re-optimization. Per invocation (i.e. per retry
+// reoptStage is run-time adaptation — mid-query re-optimization and the
+// paper's §7 run-time decisions, one loop. Per invocation (i.e. per retry
 // attempt above it) it creates one controller owning the re-opt budget and
 // the spooled temporaries, arms the per-query deadline, and loops: run the
 // plan under a progress watchdog with cardinality guards armed; on a guard
-// violation, remedy and re-run. The remedies escalate —
+// violation, remedy and re-run. What differs between the two is only when
+// the observation is forced: ExecOptions.Reopt waits for a materialization
+// the plan needed anyway to miss its band; ExecOptions.Adaptive evaluates
+// each base relation the resolved plan scans into a temporary before the
+// first tuple, one per attempt, so the remedy decides every join over
+// observed cardinalities. The remedies escalate —
 //
 //   - switch: re-enter the Activate stage below, which re-resolves the
 //     dynamic plan's choose-plans under the observed (corrected)
@@ -669,13 +667,17 @@ func reoptStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecRes
 	// re-planned or degraded root referencing temporaries it released;
 	// re-entering Activate below re-resolves the module onto live state.
 	st.reopt.skipActivate = false
-	pol := *st.o.Reopt
+	var pol ReoptPolicy
+	if st.o.Reopt != nil {
+		pol = *st.o.Reopt
+	}
 	rp := reopt.Policy{
 		Config:            st.db.sys.cfg,
 		Params:            st.db.sys.params,
 		MaxAttempts:       pol.MaxAttempts,
 		MaxPlanningTime:   pol.MaxPlanningTime,
 		Tolerance:         pol.Tolerance,
+		Eager:             st.o.Adaptive,
 		Deadline:          pol.Deadline,
 		NoProgressTimeout: pol.NoProgressTimeout,
 		Registry:          st.db.metrics.Load(),
@@ -843,13 +845,16 @@ func (db *Database) engine(acc *storage.Accountant, inj *storage.Injector, colle
 	}
 }
 
-// runStatic is the terminal executor for resolved plans: it compiles the
-// plan into Volcano iterators over the simulated store, runs it under the
-// context, and assembles the base ExecResult — I/O account, per-operator
-// stats tree, plan digest, and interval-calibration verdicts. Every
-// attempt counts one execution in the observatory; the query-level sample
-// belongs to the Record stage alone.
-func runStatic(ctx context.Context, st *execState) (*ExecResult, error) {
+// runStage is the terminal stage, the one executor there is: it compiles
+// the resolved plan into Volcano iterators over the simulated store, runs
+// it under the context, and assembles the base ExecResult — I/O account,
+// per-operator stats tree, plan digest, and interval-calibration verdicts.
+// Every attempt that runs the plan counts one execution in the
+// observatory (an attempt spent observing does not); the query-level
+// sample belongs to the Record stage alone. The DOP decision lives here
+// rather than in a stage of its own: it is part of resolving the plan
+// against the grant, exactly like choose-plan resolution.
+func runStage(ctx context.Context, st *execState, _ pipelineFunc) (*ExecResult, error) {
 	db := st.db
 	reg := db.metrics.Load()
 	acc := st.reopt.acc
@@ -866,14 +871,26 @@ func runStatic(ctx context.Context, st *execState) (*ExecResult, error) {
 	}
 	inj := db.injector()
 	e := db.engine(acc, inj, collector)
-	e.Trace, e.Span = st.trace.t, st.trace.span
+	e.Ctx, e.Trace, e.Span = ctx, st.trace.t, st.trace.span
 	ib, mem := st.b, st.b.Memory
 	if rc := st.reopt.rc; rc != nil {
-		// The Reopt stage's temporaries and cardinality guards. Guard bands
-		// are evaluated under the corrected bindings; the execution itself
-		// runs under the caller's bindings, untouched.
+		// The Reopt stage's temporaries, eager observation, and cardinality
+		// guards. Variants to observe and guard bands are priced under the
+		// corrected bindings; every execution runs under the caller's
+		// bindings, untouched.
 		e.Temps = rc.Temps()
-		e.Guards = rc.Guard(physical.NewModel(db.sys.params), rc.CorrectBindings(ib).Env(), st.root, acc)
+		model := physical.NewModel(db.sys.params)
+		// Eager observation picks access paths among the module's variants —
+		// unless failed attempts have poisoned some of them: the activated
+		// plan already avoids those, so then only its own scans are offered.
+		dag := st.root
+		if st.module != nil && len(st.retry.avoid) == 0 {
+			dag = st.module.mod.Root()
+		}
+		if err := rc.Observe(e, model, dag, st.root, ib); err != nil {
+			return nil, err
+		}
+		e.Guards = rc.Guard(model, rc.CorrectBindings(ib).Env(), st.root, e)
 	}
 	var pe *obs.ParallelExec
 	var dop, maxDOP int
@@ -900,7 +917,7 @@ func runStatic(ctx context.Context, st *execState) (*ExecResult, error) {
 		}
 	}
 	absorbedBefore := inj.Stats().Absorbed
-	rows, schema, err := e.RunContext(ctx, st.root, ib)
+	rows, schema, err := e.Run(st.root, ib)
 	if reg.Enabled() {
 		reg.Executions.Add(1)
 	}
@@ -989,43 +1006,4 @@ func chooseDOP(db *Database, root *physical.Node, ib *bindings.Bindings, maxCap 
 		return 1, maxDOP, "cost"
 	}
 	return dop, maxDOP, "grant"
-}
-
-// runAdaptive is the terminal executor for run-time choose-plan decisions
-// (§7): decision procedures materialize base-relation subplans, observe
-// their actual cardinalities, and only then resolve the remaining
-// choose-plans. The adaptive account rides the ExecResult in its Adaptive
-// field.
-func runAdaptive(ctx context.Context, st *execState) (*ExecResult, error) {
-	db := st.db
-	acc := &storage.Accountant{}
-	var collector *obs.Collector
-	if db.observing.Load() {
-		collector = obs.NewCollector()
-	}
-	e := db.engine(acc, db.injector(), collector)
-	e.Ctx = ctx
-	res, err := adaptive.Run(e, st.root, st.b, adaptive.Options{Params: db.sys.params})
-	if reg := db.metrics.Load(); reg.Enabled() {
-		reg.Executions.Add(1)
-	}
-	if err != nil {
-		return nil, err
-	}
-	out := &ExecResult{
-		Rows:                 res.Rows,
-		Columns:              res.Schema,
-		SeqPageReads:         acc.SeqPageReads(),
-		RandPageReads:        acc.RandPageReads(),
-		PageWrites:           acc.PageWrites(),
-		TupleOps:             acc.TupleOps(),
-		EffectiveMemoryPages: st.b.Memory * db.injector().MemoryScale(),
-		Adaptive: &AdaptiveResult{
-			Chosen:                res.Chosen,
-			Materialized:          res.Materialized,
-			ObservedSelectivities: res.Observed,
-			PredictedCost:         res.PredictedCost,
-		},
-	}
-	return out, nil
 }

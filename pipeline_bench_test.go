@@ -11,22 +11,19 @@ import (
 // BenchmarkExecPipelineOverhead pins the dispatch cost of the unified
 // execution pipeline: the price every query pays for the one-stack design
 // is the composed-closure walk from db.Exec over all nine stages to the
-// terminal run function. The run function is stubbed out, so the benchmark
+// terminal Run stage. The Run stage is stubbed out, so the benchmark
 // measures pure stage dispatch — and the "plain" case asserts it allocates
 // nothing with the observatory disabled, keeping the hot path as cheap as
 // the direct method calls it replaced.
 func BenchmarkExecPipelineOverhead(b *testing.B) {
 	db := New().OpenDatabase()
-	stub := &ExecResult{}
-	run := func(ctx context.Context, st *execState) (*ExecResult, error) {
-		return stub, nil
-	}
+	stubRunStage(b)
 	ctx := context.Background()
 	binds := bindings.NewBindings(64)
 
 	var dispatchAllocs float64
 	b.Run("plain", func(b *testing.B) {
-		st := &execState{db: db, b: binds, run: run}
+		st := &execState{db: db, b: binds}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -52,7 +49,7 @@ func BenchmarkExecPipelineOverhead(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			st := &execState{db: db, o: ExecOptions{Governed: true, Resilient: true}, b: binds, run: run}
+			st := &execState{db: db, o: ExecOptions{Governed: true, Resilient: true}, b: binds}
 			if _, err := st.exec(ctx); err != nil {
 				b.Fatal(err)
 			}

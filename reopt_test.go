@@ -313,21 +313,33 @@ func TestReoptGovernedResilientStack(t *testing.T) {
 	}
 }
 
-// TestReoptAdaptiveExclusion pins the Exec guard: the Adaptive engine
-// already observes before deciding, so combining it with Reopt is a
-// configuration error, typed.
-func TestReoptAdaptiveExclusion(t *testing.T) {
-	sys, q := resilChainSystem(t, 2)
-	db := resilDatabase(t, sys)
+// TestReoptAdaptiveCombined pins that the two triggers of the one Reopt
+// stage combine: on the stale catalog the eager trigger observes every
+// relation before a lazy guard could trip, and the rows are the truth.
+func TestReoptAdaptiveCombined(t *testing.T) {
+	sys, q, db := reoptStaleDB(t, 3, "C2", 4)
 	dyn, err := sys.OptimizeDynamic(q, Uncertainty{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = db.Exec(context.Background(), dyn, resilBindings(2, 0.5, 64),
-		ExecOptions{Adaptive: true, Reopt: &ReoptPolicy{}})
-	var pe *PipelineError
-	if !errors.As(err, &pe) {
-		t.Fatalf("Adaptive+Reopt err = %v, want *PipelineError", err)
+	mod, err := dyn.Module()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := resilBindings(3, 0.5, 64)
+	truth, err := db.Exec(context.Background(), mod, b, ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := db.Exec(context.Background(), dyn, b, ExecOptions{Adaptive: true, Reopt: &ReoptPolicy{Query: q}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := canonical(res), canonical(truth); strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("Adaptive+Reopt rows differ: got %d rows, want %d", len(got), len(want))
+	}
+	if res.Reopt == nil || res.Reopt.TempsCreated != 3 || res.Reopt.Degraded {
+		t.Errorf("account = %+v, want three observations and no degradation", res.Reopt)
 	}
 }
 

@@ -19,16 +19,13 @@ import (
 // quotes.
 func BenchmarkTraceOverhead(b *testing.B) {
 	db := New().OpenDatabase()
-	stub := &ExecResult{}
-	run := func(ctx context.Context, st *execState) (*ExecResult, error) {
-		return stub, nil
-	}
+	stubRunStage(b)
 	ctx := context.Background()
 	binds := bindings.NewBindings(64)
 
 	var disabledAllocs float64
 	b.Run("disabled", func(b *testing.B) {
-		st := &execState{db: db, b: binds, run: run}
+		st := &execState{db: db, b: binds}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -55,7 +52,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			st := &execState{db: db, o: ExecOptions{Governed: true, Resilient: true, Trace: true}, b: binds, run: run}
+			st := &execState{db: db, o: ExecOptions{Governed: true, Resilient: true, Trace: true}, b: binds}
 			var err error
 			if res, err = st.exec(ctx); err != nil {
 				b.Fatal(err)
