@@ -151,7 +151,7 @@ func (b *Bindings) Selectivity(variable string) (float64, error) {
 // Env converts the bindings into a fully bound (all-points) environment,
 // the form choose-plan decision procedures evaluate at start-up-time.
 func (b *Bindings) Env() *Env {
-	e := NewEnv(cost.PointRange(b.Memory))
+	e := &Env{Sel: make(map[string]cost.Range, len(b.Sel)), Memory: cost.PointRange(b.Memory)}
 	for v, s := range b.Sel {
 		e.Sel[v] = cost.PointRange(s)
 	}

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -117,18 +118,32 @@ func NewChoice(operator string, alternatives []string, costs []float64, picked i
 			runnerUp = i
 		}
 	}
+	// Every activation builds one reason per choose-plan it resolves, so
+	// it is appended into a stack buffer rather than formatted.
+	var buf [128]byte
+	b := buf[:0]
 	switch {
 	case picked < len(costs) && runnerUp >= 0:
-		t.Reason = fmt.Sprintf("predicted %.4gs vs runner-up %.4gs", costs[picked], costs[runnerUp])
+		b = appendSeconds(append(b, "predicted "...), costs[picked])
+		b = appendSeconds(append(b, " vs runner-up "...), costs[runnerUp])
 	case picked < len(costs):
-		t.Reason = fmt.Sprintf("predicted %.4gs; only completed evaluation", costs[picked])
+		b = appendSeconds(append(b, "predicted "...), costs[picked])
+		b = append(b, "; only completed evaluation"...)
 	default:
-		t.Reason = "no cost recorded"
+		b = append(b, "no cost recorded"...)
 	}
 	if aborted > 0 {
-		t.Reason += fmt.Sprintf(" (%d evaluation(s) aborted by bound)", aborted)
+		b = strconv.AppendInt(append(b, " ("...), int64(aborted), 10)
+		b = append(b, " evaluation(s) aborted by bound)"...)
 	}
+	t.Reason = string(b)
 	return t
+}
+
+// appendSeconds appends v as fmt's "%.4gs" would print it (fmt formats
+// floats through strconv too).
+func appendSeconds(b []byte, v float64) []byte {
+	return append(strconv.AppendFloat(b, v, 'g', 4, 64), 's')
 }
 
 // RenderDecisions formats a start-up decision trace, one choose-plan per

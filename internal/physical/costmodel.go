@@ -55,10 +55,11 @@ func (m *Model) Evaluate(n *Node, env *bindings.Env) Result {
 
 // EvaluateNode computes one operator's result from already-evaluated child
 // results, without touching the children. Callers that manage their own
-// memoization (the start-up branch-and-bound evaluator) use this to avoid
-// re-walking shared subplans.
+// memoization (the start-up evaluator, which keeps results in a slice
+// indexed by node) use this to avoid re-walking shared subplans. The
+// session is a value so the call allocates nothing.
 func (m *Model) EvaluateNode(n *Node, env *bindings.Env, kids []Result) Result {
-	s := &Session{m: m, env: env}
+	s := Session{m: m, env: env}
 	return s.evaluate(n, kids)
 }
 
@@ -80,9 +81,6 @@ func (s *Session) Evaluate(n *Node) Result {
 		kids[i] = s.Evaluate(c)
 	}
 	r := s.evaluate(n, kids)
-	if !r.Cost.Valid() || !r.Card.Valid() {
-		panic(fmt.Sprintf("physical: invalid evaluation of %s: cost %v card %v", n.Op, r.Cost, r.Card))
-	}
 	s.memo[n] = r
 	return r
 }
@@ -98,17 +96,27 @@ func (s *Session) selectivity(n *Node) cost.Range {
 	return cost.PointRange(1)
 }
 
+// evaluate computes one operator's result from its children's and panics
+// on an ill-formed one, which only a bug in a cost function can produce.
 func (s *Session) evaluate(n *Node, kids []Result) Result {
+	r := s.compute(n, kids)
+	if !r.Cost.Valid() || !r.Card.Valid() {
+		panic(fmt.Sprintf("physical: invalid evaluation of %s: cost %v card %v", n.Op, r.Cost, r.Card))
+	}
+	return r
+}
+
+func (s *Session) compute(n *Node, kids []Result) Result {
 	card := s.outputCard(n, kids)
 
 	if n.Op == ChoosePlan {
 		// The dynamic plan costs the bound-wise minimum of its
 		// alternatives plus the decision overhead (§3, §5).
-		alts := make([]cost.Cost, len(kids))
-		for i, k := range kids {
-			alts[i] = k.Cost
+		best := kids[0].Cost
+		for _, k := range kids[1:] {
+			best = cost.Min(best, k.Cost)
 		}
-		return Result{Card: card, Cost: cost.Min(alts...).AddScalar(s.m.P.ChooseOverhead)}
+		return Result{Card: card, Cost: best.AddScalar(s.m.P.ChooseOverhead)}
 	}
 
 	// Corner evaluation under the monotonicity assumption (§5): lower

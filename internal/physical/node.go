@@ -289,6 +289,21 @@ func (n *Node) validate(seen map[*Node]bool) error {
 		return nil
 	}
 	seen[n] = true
+	if err := n.Check(); err != nil {
+		return err
+	}
+	for _, c := range n.Children {
+		if err := c.validate(seen); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Check validates this one operator — its child count, required fields
+// and row width — without visiting its inputs, for callers that already
+// visit every node of the DAG once.
+func (n *Node) Check() error {
 	wantChildren := -1
 	switch n.Op {
 	case FileScan, BtreeScan, FilterBtreeScan:
@@ -342,11 +357,6 @@ func (n *Node) validate(seen map[*Node]bool) error {
 	}
 	if n.RowBytes <= 0 {
 		return fmt.Errorf("physical: %s with non-positive row width", n.Op)
-	}
-	for _, c := range n.Children {
-		if err := c.validate(seen); err != nil {
-			return err
-		}
 	}
 	return nil
 }

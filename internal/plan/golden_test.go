@@ -1,0 +1,265 @@
+package plan
+
+import (
+	"crypto/sha256"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"sync"
+	"testing"
+
+	"dynplan/internal/bindings"
+	"dynplan/internal/obs"
+	"dynplan/internal/physical"
+	"dynplan/internal/runtimeopt"
+	"dynplan/internal/search"
+	"dynplan/internal/workload"
+)
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/activate_golden.json from this build's Activate")
+
+const goldenPath = "testdata/activate_golden.json"
+
+// goldenRun is everything one activation reports that a caller can
+// observe, reduced to exact, comparable values: floats by bit pattern,
+// long strings by digest, nodes by their position in encode order.
+type goldenRun struct {
+	Err            string `json:"err,omitempty"`
+	Chosen         string `json:"chosen,omitempty"`
+	Cost           string `json:"cost,omitempty"`
+	CostLo         string `json:"cost_lo,omitempty"`
+	CostHi         string `json:"cost_hi,omitempty"`
+	Decisions      int    `json:"decisions"`
+	NodesEvaluated int    `json:"nodes_evaluated"`
+	Trace          string `json:"trace,omitempty"`
+	Picked         []int  `json:"picked"`
+}
+
+// goldenModule pins one paper query's module and the usage statistics its
+// activations leave behind (the shrunk module is a function of exactly
+// which nodes every run recorded as used).
+type goldenModule struct {
+	Nodes       int                  `json:"nodes"`
+	Bytes       string               `json:"bytes"`
+	Usage       string               `json:"usage_fraction"`
+	ShrunkNodes int                  `json:"shrunk_nodes"`
+	ShrunkBytes string               `json:"shrunk_bytes"`
+	Runs        map[string]goldenRun `json:"runs"`
+}
+
+func digest(b []byte) string { return fmt.Sprintf("%x", sha256.Sum256(b))[:24] }
+
+func bits(f float64) string { return fmt.Sprintf("%016x", math.Float64bits(f)) }
+
+// encodeOrder numbers the DAG's nodes children-first, the order the wire
+// format stores them in.
+func encodeOrder(root *physical.Node) map[*physical.Node]int {
+	index := make(map[*physical.Node]int)
+	var visit func(n *physical.Node)
+	visit = func(n *physical.Node) {
+		if _, ok := index[n]; ok {
+			return
+		}
+		for _, c := range n.Children {
+			visit(c)
+		}
+		index[n] = len(index)
+	}
+	visit(root)
+	return index
+}
+
+func record(rep *StartupReport, err error, order map[*physical.Node]int) goldenRun {
+	if err != nil {
+		return goldenRun{Err: err.Error(), Picked: []int{}}
+	}
+	run := goldenRun{
+		Chosen:         digest([]byte(rep.Chosen.Format())),
+		Cost:           bits(rep.ChosenCost),
+		CostLo:         bits(rep.ChosenCostRange.Lo),
+		CostHi:         bits(rep.ChosenCostRange.Hi),
+		Decisions:      rep.Decisions,
+		NodesEvaluated: rep.NodesEvaluated,
+		Trace:          digest([]byte(obs.RenderDecisions(rep.Trace))),
+		Picked:         make([]int, len(rep.Picked)),
+	}
+	for i, n := range rep.Picked {
+		// A pick that is a pruning clone, not a module node, has no
+		// position; -1 records that too.
+		idx, ok := order[n]
+		if !ok {
+			idx = -1
+		}
+		run.Picked[i] = idx
+	}
+	return run
+}
+
+// goldenTable activates mod under 20 seeded binding draws × {plain,
+// branch-and-bound, one index dropped, first plain pick avoided}.
+func goldenTable(t *testing.T, mod *AccessModule, relations int) goldenModule {
+	t.Helper()
+	order := encodeOrder(mod.Root())
+	stats := NewUsageStats()
+	gm := goldenModule{
+		Nodes: mod.NodeCount(),
+		Bytes: digest(mod.Bytes()),
+		Runs:  make(map[string]goldenRun),
+	}
+	gen := bindings.NewGenerator(int64(1000+relations), workload.Variables(relations), true)
+	for i, b := range gen.Draw(20) {
+		plain, err := mod.Activate(b, StartupOptions{Usage: stats})
+		gm.Runs[fmt.Sprintf("draw%02d/plain", i)] = record(plain, err, order)
+
+		rep, err := mod.Activate(b, StartupOptions{Usage: stats, BranchAndBound: true})
+		gm.Runs[fmt.Sprintf("draw%02d/bnb", i)] = record(rep, err, order)
+
+		rel := fmt.Sprintf("R%d", i%relations+1)
+		attr := []string{workload.SelAttr, workload.JoinLo, workload.JoinHi}[i%3]
+		rep, err = mod.Activate(b, StartupOptions{Usage: stats, BranchAndBound: i%2 == 1,
+			IndexExists: func(r, a string) bool { return r != rel || a != attr }})
+		gm.Runs[fmt.Sprintf("draw%02d/noindex-%s.%s", i, rel, attr)] = record(rep, err, order)
+
+		if plain != nil && len(plain.Picked) > 0 {
+			first := plain.Picked[0]
+			rep, err = mod.Activate(b, StartupOptions{Usage: stats, BranchAndBound: i%2 == 0,
+				Avoid: func(n *physical.Node) bool { return n == first }})
+			gm.Runs[fmt.Sprintf("draw%02d/avoid", i)] = record(rep, err, order)
+		}
+	}
+	gm.Usage = bits(mod.UsageFraction(stats))
+	shrunk, err := mod.Shrink(stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gm.ShrunkNodes, gm.ShrunkBytes = shrunk.NodeCount(), digest(shrunk.Bytes())
+	return gm
+}
+
+func paperModule(t testing.TB, relations int) *AccessModule {
+	t.Helper()
+	q := workload.New(11).Query(relations)
+	res, err := runtimeopt.OptimizeDynamic(q, search.Config{Params: physical.DefaultParams()}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod, err := NewModule(res.Plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mod
+}
+
+// TestActivateGolden is the differential guard of the start-up evaluator:
+// the table in testdata was recorded by the pointer-walking evaluator this
+// package used to have (run with -update at that commit), and every
+// activation of the flat program must reproduce it bit for bit — from the
+// compiled module and from its decoded bytes alike.
+func TestActivateGolden(t *testing.T) {
+	got := make(map[string]goldenModule)
+	for _, spec := range workload.PaperQueries() {
+		mod := paperModule(t, spec.Relations)
+		key := fmt.Sprintf("relations=%d", spec.Relations)
+		got[key] = goldenTable(t, mod, spec.Relations)
+
+		loaded, err := Load(mod.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromBytes := goldenTable(t, loaded, spec.Relations)
+		compareGolden(t, key+" (loaded vs compiled)", got[key], fromBytes)
+	}
+
+	if *updateGolden {
+		raw, err := json.MarshalIndent(got, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenPath, append(raw, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]goldenModule
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(got) {
+		t.Fatalf("golden has %d modules, this build produced %d", len(want), len(got))
+	}
+	for key, w := range want {
+		compareGolden(t, key, w, got[key])
+	}
+}
+
+func compareGolden(t *testing.T, key string, want, got goldenModule) {
+	t.Helper()
+	if len(want.Runs) != len(got.Runs) {
+		t.Errorf("%s: %d runs, want %d", key, len(got.Runs), len(want.Runs))
+	}
+	for name, w := range want.Runs {
+		if g := got.Runs[name]; fmt.Sprint(g) != fmt.Sprint(w) {
+			t.Errorf("%s %s:\n got %+v\nwant %+v", key, name, g, w)
+		}
+	}
+	want.Runs, got.Runs = nil, nil
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("%s: module\n got %+v\nwant %+v", key, got, want)
+	}
+}
+
+// TestActivateAllocations pins the allocation count of the hot path: a
+// plain activation of the 10-relation module (925 nodes) allocates for its
+// report — the chosen spine, the picks, the trace — and nothing per node.
+func TestActivateAllocations(t *testing.T) {
+	mod := paperModule(t, 10)
+	b := bindings.NewGenerator(7, workload.Variables(10), true).Next()
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := mod.Activate(b, StartupOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 80 {
+		t.Errorf("plain activation of the 10-relation module: %.0f allocs, want <= 80", allocs)
+	}
+}
+
+// TestActivateConcurrent shares one module among 32 goroutines: every
+// report must equal the serial one for the same bindings, whichever
+// pooled scratch the activation happened to draw.
+func TestActivateConcurrent(t *testing.T) {
+	mod := paperModule(t, 6)
+	order := encodeOrder(mod.Root())
+	draws := bindings.NewGenerator(3, workload.Variables(6), true).Draw(8)
+	opts := func(i int) StartupOptions { return StartupOptions{BranchAndBound: i%2 == 1} }
+	want := make([]goldenRun, len(draws))
+	for i, b := range draws {
+		rep, err := mod.Activate(b, opts(i))
+		want[i] = record(rep, err, order)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 32; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				i := (g + round) % len(draws)
+				rep, err := mod.Activate(draws[i], opts(i))
+				if got := record(rep, err, order); fmt.Sprint(got) != fmt.Sprint(want[i]) {
+					t.Errorf("goroutine %d draw %d:\n got %+v\nwant %+v", g, i, got, want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

@@ -18,12 +18,10 @@
 package plan
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"dynplan/internal/cost"
@@ -43,9 +41,13 @@ const moduleMagic = "DYNPLAN1"
 // without synchronization. Per-execution usage statistics live in a
 // separate UsageStats owned by the caller, not on the shared artifact.
 type AccessModule struct {
-	root  *physical.Node
-	nodes int
-	raw   []byte
+	// prog is the plan DAG in the flat form activation runs on.
+	prog *program
+	// raw is the serialized form: what Load was given, or prog encoded on
+	// the first Bytes call — a module that only ever lives in the plan
+	// cache never pays for serialization.
+	rawOnce sync.Once
+	raw     []byte
 	// planCost is the optimizer's compile-time predicted cost interval for
 	// the whole plan over its uncertainty region, set by the compiling
 	// system immediately after construction, before the module is shared
@@ -68,20 +70,19 @@ func (m *AccessModule) PlanCost() cost.Cost {
 }
 
 // UsageStats accumulates activation statistics for one access module —
-// which DAG nodes chosen plans have used, and how often the module was
-// activated — the inputs of the §4 shrinking heuristic. The statistics
-// live outside the module so the compiled artifact stays read-only and
-// concurrently shareable; the mutex here guards only this accumulator.
+// which DAG nodes chosen plans have used (counted by the node's index in
+// the module's program), and how often the module was activated — the
+// inputs of the §4 shrinking heuristic. The statistics live outside the
+// module so the compiled artifact stays read-only and concurrently
+// shareable; the mutex here guards only this accumulator.
 type UsageStats struct {
 	mu          sync.Mutex
-	usage       map[*physical.Node]int
+	usage       []int
 	activations int
 }
 
 // NewUsageStats returns an empty usage accumulator.
-func NewUsageStats() *UsageStats {
-	return &UsageStats{usage: make(map[*physical.Node]int)}
-}
+func NewUsageStats() *UsageStats { return &UsageStats{} }
 
 // Activations returns how many activations have been recorded.
 func (s *UsageStats) Activations() int {
@@ -93,282 +94,241 @@ func (s *UsageStats) Activations() int {
 	return s.activations
 }
 
-// record folds one activation's used-node set into the accumulator;
-// no-op on a nil receiver, so activation without stats costs nothing.
-func (s *UsageStats) record(used map[*physical.Node]bool) {
-	if s == nil {
-		return
-	}
+// record folds one activation's used-node set (distinct indices into a
+// module of the given size) into the accumulator.
+func (s *UsageStats) record(used []int32, nodes int) {
 	s.mu.Lock()
 	s.activations++
-	for n := range used {
-		s.usage[n]++
+	if len(s.usage) < nodes {
+		s.usage = append(s.usage, make([]int, nodes-len(s.usage))...)
+	}
+	for _, i := range used {
+		s.usage[i]++
 	}
 	s.mu.Unlock()
 }
 
-// snapshot copies the accumulator for a consistent read.
-func (s *UsageStats) snapshot() (map[*physical.Node]int, int) {
+// snapshot copies the accumulator for a consistent read: per-node use
+// counts for a module of the given size, and the activation count.
+func (s *UsageStats) snapshot(nodes int) ([]int, int) {
+	usage := make([]int, nodes)
 	if s == nil {
-		return nil, 0
+		return usage, 0
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	usage := make(map[*physical.Node]int, len(s.usage))
-	for n, c := range s.usage {
-		usage[n] = c
-	}
+	copy(usage, s.usage)
 	return usage, s.activations
 }
 
-// NewModule serializes a plan DAG into an access module.
+// NewModule compiles a plan DAG into an access module: one pass lowers it
+// into the flat program, validating every operator on the way.
 func NewModule(root *physical.Node) (*AccessModule, error) {
-	if err := root.Validate(); err != nil {
-		return nil, fmt.Errorf("plan: invalid plan: %w", err)
-	}
-	if n := root.Operators()[physical.TempScan]; n > 0 {
-		return nil, fmt.Errorf("plan: plan contains %d Temp-Scan operators; temporaries exist only at run-time and cannot be serialized", n)
-	}
-	raw, err := encode(root)
+	p, err := lower(root)
 	if err != nil {
 		return nil, err
 	}
-	return &AccessModule{
-		root:  root,
-		nodes: root.CountNodes(),
-		raw:   raw,
-	}, nil
+	return &AccessModule{prog: p}, nil
 }
 
 // Load deserializes an access module. The resulting DAG preserves subplan
 // sharing exactly.
 func Load(raw []byte) (*AccessModule, error) {
-	root, err := decode(raw)
+	p, err := decode(raw)
 	if err != nil {
 		return nil, err
 	}
-	if err := root.Validate(); err != nil {
-		return nil, fmt.Errorf("plan: loaded module is invalid: %w", err)
-	}
-	return &AccessModule{
-		root:  root,
-		nodes: root.CountNodes(),
-		raw:   raw,
-	}, nil
+	return &AccessModule{prog: p, raw: raw}, nil
 }
 
 // Root returns the plan DAG.
-func (m *AccessModule) Root() *physical.Node { return m.root }
+func (m *AccessModule) Root() *physical.Node { return m.prog.nodes[len(m.prog.nodes)-1] }
 
 // Relations returns the distinct base relations any alternative of the
-// plan DAG reads, sorted for determinism — the set a per-relation circuit
-// breaker screens before activation.
-func (m *AccessModule) Relations() []string {
-	seen := make(map[string]bool)
-	m.root.Walk(func(n *physical.Node) {
-		if n.Rel != "" {
-			seen[n.Rel] = true
-		}
-	})
-	out := make([]string, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
+// plan DAG reads, sorted — the set a per-relation circuit breaker screens
+// before activation. The slice is the module's own: read-only.
+func (m *AccessModule) Relations() []string { return m.prog.rels }
+
+// Variables returns the host variables the plan references, sorted — what
+// must be bound before activation. Read-only, like Relations.
+func (m *AccessModule) Variables() []string { return m.prog.vars }
 
 // NodeCount returns the number of distinct operator nodes, the paper's
 // plan-size metric (Figure 6).
-func (m *AccessModule) NodeCount() int { return m.nodes }
+func (m *AccessModule) NodeCount() int { return len(m.prog.nodes) }
 
 // Bytes returns the serialized form.
-func (m *AccessModule) Bytes() []byte { return m.raw }
+func (m *AccessModule) Bytes() []byte {
+	m.rawOnce.Do(func() {
+		if m.raw == nil {
+			m.raw = m.prog.encode()
+		}
+	})
+	return m.raw
+}
 
 // ReadTime returns the simulated time to read the module from contiguous
 // disk locations under the paper's fixed-node-size model (§6: 128-byte
 // nodes at 2 MB/s, about 16,000 nodes per second).
 func (m *AccessModule) ReadTime(p physical.Params) float64 {
-	return p.ModuleReadTime(m.nodes)
+	return p.ModuleReadTime(len(m.prog.nodes))
 }
 
-// encode serializes the DAG: nodes in topological (children-first) order,
-// children referenced by index, root last.
-func encode(root *physical.Node) ([]byte, error) {
-	var order []*physical.Node
-	index := make(map[*physical.Node]int)
-	var visit func(n *physical.Node)
-	visit = func(n *physical.Node) {
-		if _, ok := index[n]; ok {
-			return
-		}
-		for _, c := range n.Children {
-			visit(c)
-		}
-		index[n] = len(order)
-		order = append(order, n)
-	}
-	visit(root)
+var le = binary.LittleEndian
 
-	var b bytes.Buffer
-	b.WriteString(moduleMagic)
-	writeU32(&b, uint32(len(order)))
-	for _, n := range order {
-		b.WriteByte(byte(n.Op))
-		writeString(&b, n.Rel)
-		writeString(&b, n.Attr)
-		writeString(&b, n.SelAttr)
-		writeString(&b, n.Var)
-		writeString(&b, n.LeftAttr)
-		writeString(&b, n.RightAttr)
-		writeF64(&b, n.EdgeSel)
-		writeF64(&b, n.FixedSel)
-		writeU32(&b, uint32(n.BaseCard))
-		writeU32(&b, uint32(n.RowBytes))
-		writeU32(&b, uint32(len(n.Children)))
-		for _, c := range n.Children {
-			ci, ok := index[c]
-			if !ok || ci >= index[n] {
-				return nil, fmt.Errorf("plan: topological order violated")
-			}
-			writeU32(&b, uint32(ci))
+// minNodeBytes is a serialized node less its strings and child indices:
+// operator byte, six string lengths, two float64s, three uint32s.
+const minNodeBytes = 53
+
+// encode serializes the program: nodes in topological (children-first)
+// order, children referenced by index, root last.
+func (p *program) encode() []byte {
+	size := len(moduleMagic) + 4 + minNodeBytes*len(p.nodes) + 4*len(p.kids)
+	for _, n := range p.nodes {
+		size += len(n.Rel) + len(n.Attr) + len(n.SelAttr) + len(n.Var) + len(n.LeftAttr) + len(n.RightAttr)
+	}
+	b := make([]byte, 0, size)
+	b = append(b, moduleMagic...)
+	b = le.AppendUint32(b, uint32(len(p.nodes)))
+	for i, n := range p.nodes {
+		b = append(b, byte(n.Op))
+		for _, s := range [...]string{n.Rel, n.Attr, n.SelAttr, n.Var, n.LeftAttr, n.RightAttr} {
+			b = le.AppendUint32(b, uint32(len(s)))
+			b = append(b, s...)
+		}
+		b = le.AppendUint64(b, math.Float64bits(n.EdgeSel))
+		b = le.AppendUint64(b, math.Float64bits(n.FixedSel))
+		b = le.AppendUint32(b, uint32(n.BaseCard))
+		b = le.AppendUint32(b, uint32(n.RowBytes))
+		kids := p.inputs(int32(i))
+		b = le.AppendUint32(b, uint32(len(kids)))
+		for _, k := range kids {
+			b = le.AppendUint32(b, uint32(k))
 		}
 	}
-	return b.Bytes(), nil
+	return b
 }
 
-// decode reverses encode.
-func decode(raw []byte) (*physical.Node, error) {
-	r := bytes.NewReader(raw)
-	magic := make([]byte, len(moduleMagic))
-	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != moduleMagic {
+// reader cuts fields off the front of a serialized module. After the
+// first short read every field reads as zero and err stays set, so decode
+// checks once per node instead of once per field.
+type reader struct {
+	raw []byte
+	// str is raw as one string: string fields are cut out of it by offset
+	// instead of being copied out one allocation each.
+	str string
+	off int
+	err error
+}
+
+// next consumes n bytes and returns their offset, or -1 once reading has
+// failed.
+func (r *reader) next(n int) int {
+	if r.err == nil && n > len(r.raw)-r.off {
+		r.err = fmt.Errorf("plan: truncated module: %d bytes wanted at offset %d of %d", n, r.off, len(r.raw))
+	}
+	if r.err != nil {
+		return -1
+	}
+	r.off += n
+	return r.off - n
+}
+
+func (r *reader) u32() uint32 {
+	if i := r.next(4); i >= 0 {
+		return le.Uint32(r.raw[i:])
+	}
+	return 0
+}
+
+func (r *reader) f64() float64 {
+	if i := r.next(8); i >= 0 {
+		return math.Float64frombits(le.Uint64(r.raw[i:]))
+	}
+	return 0
+}
+
+func (r *reader) string() string {
+	n := int(r.u32())
+	if i := r.next(n); i >= 0 {
+		return r.str[i : i+n]
+	}
+	return ""
+}
+
+// decode reverses encode, building the program directly: the nodes arrive
+// in the order the program keeps them in.
+func decode(raw []byte) (*program, error) {
+	r := &reader{raw: raw, str: string(raw)}
+	if i := r.next(len(moduleMagic)); i < 0 || r.str[:len(moduleMagic)] != moduleMagic {
 		return nil, fmt.Errorf("plan: bad access-module header")
 	}
-	count, err := readU32(r)
-	if err != nil {
-		return nil, err
+	count := int(r.u32())
+	if r.err != nil {
+		return nil, r.err
 	}
 	if count == 0 {
 		return nil, fmt.Errorf("plan: empty access module")
 	}
-	// A serialized node occupies at least 53 bytes (operator byte, six
-	// string lengths, two float64s, three uint32s); a count exceeding
-	// what the remaining bytes could hold is a forged or corrupt header,
-	// and allocating for it blindly would be a denial-of-service vector.
-	const minNodeBytes = 53
-	if int64(count) > int64(r.Len()/minNodeBytes)+1 {
+	// A count exceeding what the remaining bytes could hold is a forged or
+	// corrupt header, and allocating for it blindly would be a
+	// denial-of-service vector.
+	if count > (len(raw)-r.off)/minNodeBytes+1 {
 		return nil, fmt.Errorf("plan: node count %d exceeds module size", count)
 	}
-	nodes := make([]*physical.Node, 0, count)
-	for i := uint32(0); i < count; i++ {
-		n := &physical.Node{}
-		op, err := r.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("plan: truncated module: %w", err)
+	p := newProgram(count)
+	slab := make([]physical.Node, count)
+	consumed := make([]bool, count)
+	var inputs []*physical.Node
+	for i := range slab {
+		n := &slab[i]
+		if at := r.next(1); at >= 0 {
+			n.Op = physical.Op(raw[at])
 		}
-		n.Op = physical.Op(op)
-		if n.Rel, err = readString(r); err != nil {
-			return nil, err
+		n.Rel, n.Attr, n.SelAttr = r.string(), r.string(), r.string()
+		n.Var, n.LeftAttr, n.RightAttr = r.string(), r.string(), r.string()
+		n.EdgeSel, n.FixedSel = r.f64(), r.f64()
+		n.BaseCard, n.RowBytes = int(r.u32()), int(r.u32())
+		nc := int(r.u32())
+		at := r.next(4 * nc)
+		if r.err != nil {
+			return nil, r.err
 		}
-		if n.Attr, err = readString(r); err != nil {
-			return nil, err
+		if nc > 0 {
+			n.Children = take(&inputs, nc, count)
 		}
-		if n.SelAttr, err = readString(r); err != nil {
-			return nil, err
-		}
-		if n.Var, err = readString(r); err != nil {
-			return nil, err
-		}
-		if n.LeftAttr, err = readString(r); err != nil {
-			return nil, err
-		}
-		if n.RightAttr, err = readString(r); err != nil {
-			return nil, err
-		}
-		if n.EdgeSel, err = readF64(r); err != nil {
-			return nil, err
-		}
-		if n.FixedSel, err = readF64(r); err != nil {
-			return nil, err
-		}
-		bc, err := readU32(r)
-		if err != nil {
-			return nil, err
-		}
-		n.BaseCard = int(bc)
-		rb, err := readU32(r)
-		if err != nil {
-			return nil, err
-		}
-		n.RowBytes = int(rb)
-		nc, err := readU32(r)
-		if err != nil {
-			return nil, err
-		}
-		for j := uint32(0); j < nc; j++ {
-			ci, err := readU32(r)
-			if err != nil {
-				return nil, err
-			}
-			if int(ci) >= len(nodes) {
+		for j := range n.Children {
+			ci := le.Uint32(raw[at+4*j:])
+			if int(ci) >= i {
 				return nil, fmt.Errorf("plan: child index %d out of range", ci)
 			}
-			n.Children = append(n.Children, nodes[ci])
+			n.Children[j], consumed[ci] = &slab[ci], true
+			p.kids = append(p.kids, int32(ci))
 		}
-		nodes = append(nodes, n)
-	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("plan: %d trailing bytes in access module", r.Len())
-	}
-	return nodes[len(nodes)-1], nil
-}
-
-func writeU32(b *bytes.Buffer, v uint32) {
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], v)
-	b.Write(buf[:])
-}
-
-func readU32(r *bytes.Reader) (uint32, error) {
-	var buf [4]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, fmt.Errorf("plan: truncated module: %w", err)
-	}
-	return binary.LittleEndian.Uint32(buf[:]), nil
-}
-
-func writeF64(b *bytes.Buffer, v float64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-	b.Write(buf[:])
-}
-
-func readF64(r *bytes.Reader) (float64, error) {
-	var buf [8]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, fmt.Errorf("plan: truncated module: %w", err)
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(buf[:])), nil
-}
-
-func writeString(b *bytes.Buffer, s string) {
-	writeU32(b, uint32(len(s)))
-	b.WriteString(s)
-}
-
-func readString(r *bytes.Reader) (string, error) {
-	n, err := readU32(r)
-	if err != nil {
-		return "", err
-	}
-	if int(n) > r.Len() {
-		return "", fmt.Errorf("plan: string length %d exceeds remaining bytes", n)
-	}
-	buf := make([]byte, n)
-	if n > 0 {
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return "", fmt.Errorf("plan: truncated module: %w", err)
+		if err := p.add(n); err != nil {
+			return nil, fmt.Errorf("plan: loaded module is invalid: %w", err)
 		}
 	}
-	return string(buf), nil
+	if r.off != len(raw) {
+		return nil, fmt.Errorf("plan: %d trailing bytes in access module", len(raw)-r.off)
+	}
+	// The last node is the root, and the module is its plan: a node no
+	// operator above consumes is not part of it.
+	if i := slices.Index(consumed[:count-1], false); i >= 0 {
+		return nil, fmt.Errorf("plan: loaded module is invalid: node %d is not part of the plan", i)
+	}
+	p.seal()
+	return p, nil
+}
+
+// take cuts n elements off a slab, starting a new chunk when it runs
+// out; earlier cuts keep pointing into the chunks they came from. One
+// allocation per chunk replaces one per cut.
+func take[T any](slab *[]T, n, chunk int) []T {
+	if len(*slab) < n {
+		*slab = make([]T, max(n, chunk))
+	}
+	out := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return out
 }

@@ -9,17 +9,14 @@ import (
 // UsageFraction returns the fraction of the module's nodes that have been
 // part of at least one chosen plan recorded into stats.
 func (m *AccessModule) UsageFraction(stats *UsageStats) float64 {
-	if m.nodes == 0 {
-		return 0
-	}
-	usage, _ := stats.snapshot()
+	usage, _ := stats.snapshot(m.NodeCount())
 	used := 0
 	for _, c := range usage {
 		if c > 0 {
 			used++
 		}
 	}
-	return float64(used) / float64(m.nodes)
+	return float64(used) / float64(m.NodeCount())
 }
 
 // Shrink implements the self-replacement heuristic of §4: after a number
@@ -36,21 +33,22 @@ func (m *AccessModule) UsageFraction(stats *UsageStats) float64 {
 // have been chosen under bindings that simply have not occurred yet, so a
 // shrunk plan trades adaptability for start-up speed.
 func (m *AccessModule) Shrink(stats *UsageStats) (*AccessModule, error) {
-	usage, activations := stats.snapshot()
+	p := m.prog
+	usage, activations := stats.snapshot(len(p.nodes))
 	if activations == 0 {
 		return nil, fmt.Errorf("plan: cannot shrink before any activation")
 	}
 	// Only an alternative can be dropped for disuse: the other inputs of an
 	// operator are used whenever the operator is.
-	unused := make(map[*physical.Node]bool)
-	m.root.Walk(func(n *physical.Node) {
+	unused := make([]bool, len(p.nodes))
+	for i, n := range p.nodes {
 		if n.Op == physical.ChoosePlan {
-			for _, c := range n.Children {
-				unused[c] = usage[c] == 0
+			for _, k := range p.inputs(int32(i)) {
+				unused[k] = usage[k] == 0
 			}
 		}
-	})
-	root, err := prune(m.root, func(n *physical.Node) bool { return unused[n] })
+	}
+	root, err := p.prune(func(n *physical.Node) bool { return unused[p.index[n]] })
 	if err != nil {
 		return nil, fmt.Errorf("plan: used choose-plan with no used alternatives: %w", err)
 	}

@@ -113,19 +113,23 @@ func (m *AccessModule) Activate(b *bindings.Bindings, opt StartupOptions) (*Star
 	if opt.Params == (physical.Params{}) {
 		opt.Params = physical.DefaultParams()
 	}
-	env := b.Env()
-	if missing := missingVars(m.root, b); len(missing) > 0 {
+	var missing []string
+	for _, v := range m.prog.vars {
+		if _, ok := b.Sel[v]; !ok {
+			missing = append(missing, v)
+		}
+	}
+	if len(missing) > 0 {
 		return nil, fmt.Errorf("plan: unbound host variables at start-up: %v", missing)
 	}
 
 	began := time.Now()
-	model := physical.NewModel(opt.Params)
-
-	root := m.root
+	prog := m.prog
 	if opt.Avoid != nil || opt.IndexExists != nil {
-		// One pass over the module's untouched DAG, so the caller's node
-		// identities (from a prior report's Picked) still match.
-		pruned, err := prune(root, func(n *physical.Node) bool {
+		// The cold path: one pruning pass over the module's untouched DAG
+		// (so the caller's node identities, from a prior report's Picked,
+		// still match), lowered on the spot and run like any program.
+		pruned, err := m.prog.prune(func(n *physical.Node) bool {
 			if opt.Avoid != nil && opt.Avoid(n) {
 				return true
 			}
@@ -141,256 +145,281 @@ func (m *AccessModule) Activate(b *bindings.Bindings, opt StartupOptions) (*Star
 		if err != nil {
 			return nil, err
 		}
-		root = pruned
+		if prog, err = lower(pruned); err != nil {
+			return nil, err
+		}
 	}
 
-	var nodesEvaluated int
-	var trace []obs.ChoiceTrace
-	var chooser func(n *physical.Node) (*physical.Node, float64)
-	if opt.BranchAndBound {
-		ev := newBBEvaluator(model, env)
-		if _, ok := ev.eval(root, math.Inf(1)); !ok {
+	e := prog.evaluators.Get().(*evaluator)
+	defer e.release()
+	rep, err := e.run(opt.Params, b, opt.BranchAndBound)
+	if err != nil {
+		return nil, err
+	}
+	if opt.Usage != nil {
+		// Usage statistics drive the shrinking heuristic and are counted
+		// by the module's own node indices; when pruning rebuilt parts of
+		// the DAG, only the surviving original nodes are counted.
+		used := e.used
+		if prog != m.prog {
+			used = used[:0]
+			for _, i := range e.used {
+				if j, ok := m.prog.index[prog.nodes[i]]; ok {
+					used = append(used, j)
+				}
+			}
+		}
+		opt.Usage.record(used, len(m.prog.nodes))
+	}
+	rep.SimIOSeconds = m.ReadTime(opt.Params)
+	rep.MeasuredCPU = time.Since(began)
+	return rep, nil
+}
+
+// Marks an evaluator keeps per node for the activation in progress.
+const (
+	isEvaluated uint8 = 1 << iota // res[i] holds the node's result
+	isUsed                        // the chosen plan contains it
+)
+
+// evaluator is one activation's working state over a program: the memo
+// of start-up evaluation (§4: "the cost of each subplan is evaluated only
+// once") as arrays indexed by node, where the node's position is its key.
+// Evaluators are recycled through their program's pool, so an activation
+// allocates only what its report keeps.
+type evaluator struct {
+	p     *program
+	model physical.Model
+	env   *bindings.Env
+
+	res   []physical.Result
+	state []uint8
+	// floor holds, per node, a budget below which branch-and-bound knows
+	// the node fails without evaluating anything more — its cost once
+	// evaluated, else what its last aborted descent learned, else -Inf —
+	// so shared subplans are not re-descended for hopeless budgets.
+	floor []float64
+	// in gathers one operator's input results for the cost model.
+	in        []physical.Result
+	used      []int32
+	evaluated int
+
+	// What the report keeps: the picks and the trace, and the slabs the
+	// chosen plan's cloned spine, its child lists and the trace's cost
+	// lists are cut from.
+	picked   []*physical.Node
+	trace    []obs.ChoiceTrace
+	clones   []physical.Node
+	children []*physical.Node
+	costs    []float64
+}
+
+func newEvaluator(p *program) *evaluator {
+	return &evaluator{
+		p:     p,
+		res:   make([]physical.Result, len(p.nodes)),
+		state: make([]uint8, len(p.nodes)),
+		floor: make([]float64, len(p.nodes)),
+		in:    make([]physical.Result, p.maxInputs),
+	}
+}
+
+// release returns the evaluator to its pool, dropping every reference to
+// what the finished activation handed out.
+func (e *evaluator) release() {
+	e.env, e.picked, e.trace, e.clones, e.children, e.costs = nil, nil, nil, nil, nil, nil
+	e.p.evaluators.Put(e)
+}
+
+// run evaluates the program under the bindings and materializes the
+// chosen plan.
+func (e *evaluator) run(params physical.Params, b *bindings.Bindings, branchAndBound bool) (*StartupReport, error) {
+	e.model, e.env = physical.Model{P: params}, b.Env()
+	clear(e.state)
+	e.used, e.evaluated = e.used[:0], 0
+	root := int32(len(e.p.nodes) - 1)
+	if branchAndBound {
+		for i := range e.floor {
+			e.floor[i] = math.Inf(-1)
+		}
+		if !e.bound(root, math.Inf(1)) {
 			return nil, fmt.Errorf("plan: start-up evaluation failed")
 		}
-		nodesEvaluated = ev.evaluated
-		chooser = func(n *physical.Node) (*physical.Node, float64) {
-			best, bestCost := ev.choose(n)
-			costs := make([]float64, len(n.Children))
-			picked := 0
-			for i, c := range n.Children {
-				// Aborted evaluations have no memoized cost; the trace
-				// marks them instead of inventing a number.
-				if r, ok := ev.memo[c]; ok {
-					costs[i] = r.Cost.Lo
-				} else {
-					costs[i] = obs.AbortedCost
-				}
-				if c == best {
-					picked = i
-				}
-			}
-			trace = append(trace, choiceTrace(n, costs, picked))
-			return best, bestCost
-		}
 	} else {
-		sess := model.NewSession(env)
-		sess.Evaluate(root)
-		nodesEvaluated = sess.EvaluatedNodes()
-		chooser = func(n *physical.Node) (*physical.Node, float64) {
-			costs := make([]float64, len(n.Children))
-			picked := 0
-			for i, c := range n.Children {
-				costs[i] = sess.Evaluate(c).Cost.Lo
-				if costs[i] < costs[picked] {
-					picked = i
-				}
-			}
-			trace = append(trace, choiceTrace(n, costs, picked))
-			return n.Children[picked], costs[picked]
+		// Inputs precede consumers, so one sweep in index order finds
+		// every operator's input results already in place.
+		for i := range e.p.nodes {
+			e.evaluate(int32(i))
 		}
 	}
-
-	resolved, used, picked := resolve(root, chooser)
-	chosenRes := model.Evaluate(resolved, env)
-
-	if opt.Usage != nil {
-		// Usage statistics drive the shrinking heuristic and are keyed by
-		// the module's own DAG nodes; when feasibility validation rebuilt
-		// parts of the DAG, only the surviving original nodes are counted.
-		if root == m.root {
-			opt.Usage.record(used)
-		} else {
-			originals := make(map[*physical.Node]bool)
-			m.root.Walk(func(n *physical.Node) { originals[n] = true })
-			filtered := make(map[*physical.Node]bool, len(used))
-			for n := range used {
-				if originals[n] {
-					filtered[n] = true
-				}
-			}
-			opt.Usage.record(filtered)
-		}
-	}
-
+	chosen, res := e.materialize(root)
 	return &StartupReport{
-		Chosen:          resolved,
-		ChosenCost:      chosenRes.Cost.Lo,
-		ChosenCostRange: chosenRes.Cost,
-		Decisions:       len(picked),
-		Picked:          picked,
-		Trace:           trace,
-		NodesEvaluated:  nodesEvaluated,
-		SimCPUSeconds:   float64(nodesEvaluated) * opt.Params.StartupNodeTime,
-		SimIOSeconds:    m.ReadTime(opt.Params),
-		MeasuredCPU:     time.Since(began),
+		Chosen:          chosen,
+		ChosenCost:      res.Cost.Lo,
+		ChosenCostRange: res.Cost,
+		Decisions:       len(e.picked),
+		Picked:          e.picked,
+		Trace:           e.trace,
+		NodesEvaluated:  e.evaluated,
+		SimCPUSeconds:   float64(e.evaluated) * params.StartupNodeTime,
 	}, nil
 }
 
-// choiceTrace records one choose-plan resolution for the start-up trace.
-func choiceTrace(n *physical.Node, costs []float64, picked int) obs.ChoiceTrace {
-	labels := make([]string, len(n.Children))
-	for i, c := range n.Children {
-		labels[i] = c.Label()
+// evaluate computes node i's result from its inputs', which must be in
+// place, through the cost model every other layer uses.
+func (e *evaluator) evaluate(i int32) {
+	kids := e.p.inputs(i)
+	in := e.in[:len(kids)]
+	for j, k := range kids {
+		in[j] = e.res[k]
 	}
-	return obs.NewChoice(n.Label(), labels, costs, picked)
+	e.res[i] = e.model.EvaluateNode(e.p.nodes[i], e.env, in)
+	e.settle(i)
 }
 
-// resolve walks the DAG and replaces every choose-plan with the
-// alternative the chooser selects, producing a tree (a chosen plan uses
-// each shared subplan at most once, since join operands cover disjoint
-// relation sets). It returns the resolved root, the set of original DAG
-// nodes the chosen plan uses, and the alternatives picked (one per
-// choose-plan resolved, in resolution order).
-func resolve(root *physical.Node, choose func(*physical.Node) (*physical.Node, float64)) (*physical.Node, map[*physical.Node]bool, []*physical.Node) {
-	used := make(map[*physical.Node]bool)
-	var picked []*physical.Node
-	var walk func(n *physical.Node) *physical.Node
-	walk = func(n *physical.Node) *physical.Node {
-		used[n] = true
-		if n.Op == physical.ChoosePlan {
-			best, _ := choose(n)
-			picked = append(picked, best)
-			return walk(best)
-		}
-		changed := false
-		children := make([]*physical.Node, len(n.Children))
-		for i, c := range n.Children {
-			children[i] = walk(c)
-			if children[i] != c {
-				changed = true
-			}
-		}
-		if !changed {
-			return n
-		}
-		clone := *n
-		clone.Children = children
-		return &clone
-	}
-	r := walk(root)
-	return r, used, picked
+// settle marks node i evaluated, its result in place.
+func (e *evaluator) settle(i int32) {
+	e.floor[i] = e.res[i].Cost.Lo
+	e.state[i] |= isEvaluated
+	e.evaluated++
 }
 
-// missingVars returns host variables the plan references that the
-// bindings do not supply.
-func missingVars(root *physical.Node, b *bindings.Bindings) []string {
-	var missing []string
-	for _, v := range root.Variables() {
-		if _, ok := b.Sel[v]; !ok {
-			missing = append(missing, v)
-		}
+// bound reports whether node i's cost is within the budget, evaluating
+// with branch-and-bound whatever that takes: an alternative whose
+// accumulated cost exceeds the best seen so far is aborted, and then
+// res[i] may be missing; complete evaluations stay in res. Most calls are
+// answered here, and this part is small enough to inline into descend.
+func (e *evaluator) bound(i int32, budget float64) bool {
+	if budget < e.floor[i] {
+		return false
 	}
-	return missing
+	return e.state[i]&isEvaluated != 0 || e.descend(i, budget)
 }
 
-// bbEvaluator evaluates plan costs with branch-and-bound: when an
-// alternative's accumulated cost exceeds the best alternative seen so far,
-// its evaluation is aborted. Complete evaluations are memoized so shared
-// subplans still cost one evaluation.
-type bbEvaluator struct {
-	model     *physical.Model
-	env       *bindings.Env
-	memo      map[*physical.Node]physical.Result
-	evaluated int
-	// failed records, per aborted node, the largest budget it has failed
-	// under: a node that exceeded budget B exceeds every budget ≤ B, so
-	// shared subplans are not re-descended for hopeless budgets.
-	failed map[*physical.Node]float64
-}
-
-func newBBEvaluator(model *physical.Model, env *bindings.Env) *bbEvaluator {
-	return &bbEvaluator{
-		model:  model,
-		env:    env,
-		memo:   make(map[*physical.Node]physical.Result),
-		failed: make(map[*physical.Node]float64),
-	}
-}
-
-// eval returns the node's evaluation result, or ok=false if its cost
-// provably exceeds the budget (in which case the result is meaningless).
-func (e *bbEvaluator) eval(n *physical.Node, budget float64) (physical.Result, bool) {
-	if r, ok := e.memo[n]; ok {
-		return r, r.Cost.Lo <= budget
-	}
-	if fb, ok := e.failed[n]; ok && budget <= fb {
-		return physical.Result{}, false
-	}
-	if n.Op == physical.ChoosePlan {
-		bestRes, ok := e.eval(n.Children[0], budget)
-		for _, c := range n.Children[1:] {
+// descend is bound for a node not evaluated yet.
+func (e *evaluator) descend(i int32, budget float64) bool {
+	kids := e.p.inputs(i)
+	if e.p.nodes[i].Op == physical.ChoosePlan {
+		best, ok, least := int32(-1), false, math.Inf(1)
+		for _, k := range kids {
 			limit := budget
-			if ok && bestRes.Cost.Lo < limit {
-				limit = bestRes.Cost.Lo
+			if ok && e.floor[best] < limit {
+				limit = e.floor[best]
 			}
-			if r, rok := e.eval(c, limit); rok && (!ok || r.Cost.Lo < bestRes.Cost.Lo) {
-				bestRes, ok = r, true
+			if !e.bound(k, limit) {
+				if e.floor[k] < least {
+					least = e.floor[k]
+				}
+			} else if !ok || e.floor[k] < e.floor[best] {
+				best, ok = k, true
 			}
 		}
 		if !ok {
-			e.fail(n, budget)
-			return physical.Result{}, false
+			// Every alternative was tried under the whole budget and will
+			// fail again below the least any of them needs.
+			e.floor[i] = least
+			return false
 		}
-		res := physical.Result{
-			Card: bestRes.Card,
-			Cost: bestRes.Cost.AddScalar(e.model.P.ChooseOverhead),
+		e.res[i] = physical.Result{
+			Card: e.res[best].Card,
+			Cost: e.res[best].Cost.AddScalar(e.model.P.ChooseOverhead),
 		}
-		e.memo[n] = res
-		e.evaluated++
-		return res, res.Cost.Lo <= budget
+		e.settle(i)
+		return e.floor[i] <= budget
 	}
 
 	remaining := budget
-	for _, c := range n.Children {
-		r, ok := e.eval(c, remaining)
-		if !ok {
-			e.fail(n, budget)
-			return physical.Result{}, false
+	for j, k := range kids {
+		if !e.bound(k, remaining) {
+			// The next descent stops at the same input, having evaluated
+			// nothing, unless the budget covers what that input needs.
+			e.floor[i] = e.floor[k]
+			if j > 0 {
+				e.floor[i] = floorAfter(e.floor[kids[0]], e.floor[k], budget)
+			}
+			return false
 		}
-		remaining -= r.Cost.Lo
+		remaining -= e.floor[k]
 	}
-	// All children fit; evaluate the node itself through the model (the
-	// session memoizes children it has already seen via our memo reuse).
-	res := e.full(n)
-	e.memo[n] = res
-	e.evaluated++
-	return res, res.Cost.Lo <= budget
+	e.evaluate(i)
+	return e.floor[i] <= budget
 }
 
-// fail records an aborted evaluation so shared subplans are not
-// re-descended under budgets that cannot succeed.
-func (e *bbEvaluator) fail(n *physical.Node, budget float64) {
-	if fb, ok := e.failed[n]; !ok || budget > fb {
-		e.failed[n] = budget
+// floorAfter computes the floor of a two-input operator whose descent
+// under budget just failed at the second input, which saw the budget less
+// the first one's cost (spent) and needs at least need. That a node which
+// exceeded budget B exceeds every budget ≤ B always holds; what the
+// failing input needs is usually far more, and re-descents under slowly
+// growing budgets are most of what branch-and-bound would otherwise do.
+func floorAfter(spent, need, budget float64) float64 {
+	// Float subtraction is monotone, so the sum is a floor exactly when
+	// the budget just below it still leaves the second input too little.
+	if t := need + spent; t > budget && math.Nextafter(t, math.Inf(-1))-spent < need {
+		return t
 	}
+	return math.Nextafter(budget, math.Inf(1))
 }
 
-// full evaluates a node from its memoized children (eval's traversal order
-// guarantees they are present).
-func (e *bbEvaluator) full(n *physical.Node) physical.Result {
-	kids := make([]physical.Result, len(n.Children))
-	for i, c := range n.Children {
-		kids[i] = e.memo[c]
+// materialize resolves the subplan at node i into a tree without
+// choose-plans (a chosen plan uses each shared subplan at most once,
+// since join operands cover disjoint relation sets) and returns it with
+// its result under the bindings. Only the spine above a resolved
+// choose-plan is cloned; the rest is the module's own nodes and results.
+func (e *evaluator) materialize(i int32) (*physical.Node, physical.Result) {
+	if e.state[i]&isUsed == 0 {
+		e.state[i] |= isUsed
+		e.used = append(e.used, i)
 	}
-	return e.model.EvaluateNode(n, e.env, kids)
+	n, kids := e.p.nodes[i], e.p.inputs(i)
+	if n.Op == physical.ChoosePlan {
+		return e.materialize(e.decide(i))
+	}
+	// Check admits at most two inputs below anything but a choose-plan.
+	var children [2]*physical.Node
+	var results [2]physical.Result
+	changed := false
+	for j, k := range kids {
+		children[j], results[j] = e.materialize(k)
+		changed = changed || children[j] != e.p.nodes[k]
+	}
+	if !changed {
+		return n, e.res[i]
+	}
+	chunk := e.p.chunk()
+	clone := &take(&e.clones, 1, chunk)[0]
+	*clone = *n
+	clone.Children = take(&e.children, len(kids), 2*chunk)
+	copy(clone.Children, children[:])
+	return clone, e.model.EvaluateNode(clone, e.env, results[:len(kids)])
 }
 
-// choose selects the cheapest alternative of a choose-plan node using the
-// memoized evaluations; alternatives that were aborted are treated as
-// infinitely expensive (they cannot be cheapest).
-func (e *bbEvaluator) choose(n *physical.Node) (*physical.Node, float64) {
-	best := (*physical.Node)(nil)
-	bestCost := math.Inf(1)
-	for _, c := range n.Children {
-		if r, ok := e.memo[c]; ok && r.Cost.Lo < bestCost {
-			best, bestCost = c, r.Cost.Lo
+// decide resolves choose-plan i — the cheapest evaluated alternative, the
+// first of equals — records the decision, and returns the alternative's
+// index. Alternatives branch-and-bound aborted have no cost; the trace
+// marks them instead of inventing a number, and they cannot be cheapest.
+func (e *evaluator) decide(i int32) int32 {
+	kids := e.p.inputs(i)
+	chunk := e.p.chunk()
+	costs := take(&e.costs, len(kids), 4*chunk)
+	best := -1
+	for j, k := range kids {
+		if e.state[k]&isEvaluated == 0 {
+			costs[j] = obs.AbortedCost
+			continue
+		}
+		costs[j] = e.res[k].Cost.Lo
+		if best < 0 || costs[j] < costs[best] {
+			best = j
 		}
 	}
-	if best == nil {
-		// Should not happen: at least one alternative completes.
-		best = n.Children[0]
+	if e.trace == nil {
+		e.trace = make([]obs.ChoiceTrace, 0, chunk)
+		e.picked = make([]*physical.Node, 0, chunk)
 	}
-	return best, bestCost
+	labels := e.p.choice(i)
+	e.trace = append(e.trace, obs.NewChoice(labels.operator, labels.alternatives, costs, best))
+	e.picked = append(e.picked, e.p.nodes[kids[best]])
+	return kids[best]
 }
 
 // prune rebuilds the plan DAG without the nodes the predicate drops (and
@@ -399,42 +428,35 @@ func (e *bbEvaluator) choose(n *physical.Node) (*physical.Node, float64) {
 // keep their surviving alternatives, collapsing when one remains; any
 // other operator with a dropped input is itself dropped. It returns
 // ErrInfeasible when no complete plan survives.
-func prune(root *physical.Node, drop func(*physical.Node) bool) (*physical.Node, error) {
-	memo := make(map[*physical.Node]*physical.Node) // nil: dropped
-	var walk func(n *physical.Node) *physical.Node
-	walk = func(n *physical.Node) *physical.Node {
-		if r, ok := memo[n]; ok {
-			return r
-		}
-		memo[n] = nil
+func (p *program) prune(drop func(*physical.Node) bool) (*physical.Node, error) {
+	out := make([]*physical.Node, len(p.nodes)) // by index; nil: dropped
+nodes:
+	for i, n := range p.nodes {
 		if drop(n) {
-			return nil
+			continue
 		}
 		kept := make([]*physical.Node, 0, len(n.Children))
-		for _, c := range n.Children {
-			if r := walk(c); r != nil {
-				kept = append(kept, r)
+		for _, k := range p.inputs(int32(i)) {
+			if out[k] != nil {
+				kept = append(kept, out[k])
 			} else if n.Op != physical.ChoosePlan {
-				return nil
+				continue nodes
 			}
 		}
-		result := n
 		switch {
 		case n.Op == physical.ChoosePlan && len(kept) == 0:
-			return nil
 		case n.Op == physical.ChoosePlan && len(kept) == 1:
-			result = kept[0]
+			out[i] = kept[0]
 		case !slices.Equal(kept, n.Children):
 			clone := *n
 			clone.Children = kept
-			result = &clone
+			out[i] = &clone
+		default:
+			out[i] = n
 		}
-		memo[n] = result
-		return result
 	}
-	pruned := walk(root)
-	if pruned == nil {
-		return nil, ErrInfeasible
+	if root := out[len(out)-1]; root != nil {
+		return root, nil
 	}
-	return pruned, nil
+	return nil, ErrInfeasible
 }

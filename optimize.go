@@ -2,6 +2,7 @@ package dynplan
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"dynplan/internal/bindings"
@@ -180,7 +181,7 @@ func (m *Module) NodeCount() int { return m.mod.NodeCount() }
 
 // Variables returns the host variables the module's plan references, in
 // sorted order — what an application must bind before Activate.
-func (m *Module) Variables() []string { return m.mod.Root().Variables() }
+func (m *Module) Variables() []string { return slices.Clone(m.mod.Variables()) }
 
 // UsageFraction returns the fraction of nodes used by at least one
 // activation so far.
@@ -218,7 +219,7 @@ type Bindings struct {
 // the converted value down — so a selectivity outside [0, 1] (or NaN)
 // surfaces as ErrInvalidBindings instead of reaching the cost model.
 func (b Bindings) internal() (*bindings.Bindings, error) {
-	ib := bindings.NewBindings(b.MemoryPages)
+	ib := &bindings.Bindings{Sel: make(map[string]float64, len(b.Selectivities)), Memory: b.MemoryPages}
 	for v, s := range b.Selectivities {
 		if !(s >= 0 && s <= 1) { // also rejects NaN
 			return nil, fmt.Errorf("%w: selectivity %g for host variable %q is outside [0, 1]", ErrInvalidBindings, s, v)
