@@ -1,22 +1,26 @@
-// Benchmark run records: the machine-readable counterpart of the Figure
-// benchmarks' custom metrics.
+// The benchmark ledger: the nine committed BENCH_<name>.json run records,
+// the machine-readable counterpart of the paper's §6 figures (4, 6 and 7)
+// and of the layers built on them (stage dispatch, span tracing, parallel
+// joins, worker-fault recovery, the plan cache, mid-query re-optimization).
 //
-// When BENCH_DIR is set, the Figure 4/6/7 benchmarks write one
-// BENCH_<name>.json per experiment into that directory. The values are
-// computed deterministically over the full seeded draw sets — outside the
-// timed loops, independent of -benchtime — so two runs of the same tree
-// produce byte-identical records. The copies committed at the repo root
-// are the perf-trajectory baselines; CI regenerates the records on every
-// push and fails via cmd/benchdiff when a simulated-cost total regresses
-// more than the tolerance. Refresh the baselines after an intentional
-// cost change with:
+// Every record is computed deterministically — simulated costs, node
+// counts, decisions, page and tuple counters, no wall-clock figure — so
+// TestBenchLedger rebuilds all nine on every `go test` and requires each
+// to match its committed copy byte for byte: a changed, missing or extra
+// record fails. The builders also enforce the acceptance floors their
+// layers promise (parallel speedup, worker-fault re-reads, plan-cache
+// advantage). After an intentional behaviour change, refresh the records
+// with:
 //
-//	BENCH_DIR=. go test -bench=Figure -benchtime=1x -run='^$' .
+//	go test -run TestBenchLedger -update .
 package dynplan
 
 import (
+	"bytes"
+	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"dynplan/internal/obs"
@@ -25,28 +29,101 @@ import (
 	"dynplan/internal/workload"
 )
 
-// benchRecordDir returns the directory run records are written into, or
-// "" when record writing is disabled (the default for plain test runs).
-func benchRecordDir() string { return os.Getenv("BENCH_DIR") }
+var updateLedger = flag.Bool("update", false, "rewrite the committed BENCH_*.json records from this build")
 
-func writeBenchRecord(b *testing.B, rec *obs.RunRecord) {
-	b.Helper()
-	if err := rec.WriteFile(benchRecordDir()); err != nil {
-		b.Fatalf("writing bench record: %v", err)
+// ledger names every committed record and the builder that recomputes it.
+var ledger = []struct {
+	name  string
+	build func(testing.TB) *obs.RunRecord
+}{
+	{"figure4-exec-times", figure4Record},
+	{"figure6-plan-sizes", figure6Record},
+	{"figure7-startup", figure7Record},
+	{"exec-pipeline-overhead", execPipelineRecord},
+	{"trace-overhead", traceOverheadRecord},
+	{"parallel-joins", parallelJoinsRecord},
+	{"worker-faults", workerFaultsRecord},
+	{"plan-cache", planCacheRecord},
+	{"reopt-stale-catalog", reoptStaleCatalogRecord},
+}
+
+// TestBenchLedger rebuilds every record and byte-compares it with the
+// committed file, in both directions: a record whose bytes changed, a
+// ledger entry with no committed file, and a committed BENCH_*.json no
+// builder produces all fail. With -update it rewrites the committed
+// files instead (and deletes the ones no builder produces).
+func TestBenchLedger(t *testing.T) {
+	dir := t.TempDir()
+	if *updateLedger {
+		dir = "."
+	}
+	produced := make(map[string]bool)
+	for _, l := range ledger {
+		file := "BENCH_" + l.name + ".json"
+		produced[file] = true
+		t.Run(l.name, func(t *testing.T) {
+			rec := l.build(t)
+			rec.Name = l.name
+			if err := rec.WriteFile(dir); err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(filepath.Join(dir, file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			committed, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatalf("%s is not committed (%v); run `go test -run TestBenchLedger -update .` to add it", file, err)
+			}
+			if !bytes.Equal(got, committed) {
+				t.Errorf("%s differs from this build's record: %s", file, firstDiff(committed, got))
+			}
+		})
+	}
+	committed, err := filepath.Glob("BENCH_*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, file := range committed {
+		switch {
+		case produced[file]:
+		case *updateLedger:
+			if err := os.Remove(file); err != nil {
+				t.Error(err)
+			}
+		default:
+			t.Errorf("%s is committed but no ledger builder produces it", file)
+		}
 	}
 }
 
-// recordFigure4 writes the Figure 4 record: average predicted execution
-// time of the static and dynamic plan per query, over every draw of the
-// seeded binding sets. The gated total is the sum of the dynamic
-// averages — the headline quantity the paper's experiment optimizes for.
-func recordFigure4(b *testing.B, e *benchEnv) {
-	if benchRecordDir() == "" {
-		return
+// firstDiff locates the first line at which two records diverge.
+func firstDiff(committed, rebuilt []byte) string {
+	a := bytes.Split(committed, []byte("\n"))
+	b := bytes.Split(rebuilt, []byte("\n"))
+	for i := 0; i < len(a) || i < len(b); i++ {
+		var la, lb []byte
+		if i < len(a) {
+			la = a[i]
+		}
+		if i < len(b) {
+			lb = b[i]
+		}
+		if !bytes.Equal(la, lb) {
+			return fmt.Sprintf("line %d: committed %q, rebuilt %q", i+1, la, lb)
+		}
 	}
+	return "no line differs"
+}
+
+// figure4Record is the Figure 4 record: average predicted execution time
+// of the static and dynamic plan per query, over every draw of the seeded
+// binding sets. The headline total is the sum of the dynamic averages —
+// the quantity the paper's experiment optimizes for.
+func figure4Record(tb testing.TB) *obs.RunRecord {
+	e := benchSetup(tb)
 	model := physical.NewModel(e.params)
 	rec := &obs.RunRecord{
-		Name:    "figure4-exec-times",
 		Query:   "paper queries (2-10 relations): predicted execution time, static vs dynamic, averaged over 64 seeded binding draws",
 		Metrics: map[string]float64{},
 	}
@@ -59,7 +136,7 @@ func recordFigure4(b *testing.B, e *benchEnv) {
 			sumStatic += model.Evaluate(e.static[n].Plan, env).Cost.Lo
 			rep, err := e.modules[n].Activate(d, plan.StartupOptions{Params: e.params})
 			if err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 			sumDynamic += rep.ChosenCost
 		}
@@ -69,21 +146,16 @@ func recordFigure4(b *testing.B, e *benchEnv) {
 		rec.Metrics[fmt.Sprintf("dynamic-exec-s/relations=%d", n)] = avgDynamic
 		rec.SimCostTotal += avgDynamic
 	}
-	writeBenchRecord(b, rec)
+	return rec
 }
 
-// recordFigure6 writes the Figure 6 record: plan sizes (static nodes,
-// dynamic nodes, encoded alternatives, choose-plan operators) per query,
-// plus the optimizer span of the largest query's dynamic optimization
-// (wall-clock stripped).
-// The record is size-only — SimCostTotal stays zero, so the comparison
-// reports drift without gating.
-func recordFigure6(b *testing.B, e *benchEnv) {
-	if benchRecordDir() == "" {
-		return
-	}
+// figure6Record is the Figure 6 record: plan sizes (static nodes, dynamic
+// nodes, encoded alternatives, choose-plan operators) per query, plus the
+// optimizer span of the largest query's dynamic optimization (wall-clock
+// stripped). The record is size-only: SimCostTotal stays zero.
+func figure6Record(tb testing.TB) *obs.RunRecord {
+	e := benchSetup(tb)
 	rec := &obs.RunRecord{
-		Name:    "figure6-plan-sizes",
 		Query:   "paper queries (2-10 relations): static vs dynamic plan sizes and encoded alternatives",
 		Metrics: map[string]float64{},
 	}
@@ -100,19 +172,16 @@ func recordFigure6(b *testing.B, e *benchEnv) {
 	span := *e.dynamic[10].Span
 	span.WallNanos = 0
 	rec.Optimizer = &span
-	writeBenchRecord(b, rec)
+	return rec
 }
 
-// recordFigure7 writes the Figure 7 record: start-up expense of the
-// dynamic plans (nodes evaluated, decisions, module I/O, simulated
-// start-up seconds) averaged over every draw. The gated total is the sum
-// of the per-query average start-up seconds.
-func recordFigure7(b *testing.B, e *benchEnv) {
-	if benchRecordDir() == "" {
-		return
-	}
+// figure7Record is the Figure 7 record: start-up expense of the dynamic
+// plans (nodes evaluated, decisions, module I/O, simulated start-up
+// seconds) averaged over every draw. The headline total is the sum of the
+// per-query average start-up seconds.
+func figure7Record(tb testing.TB) *obs.RunRecord {
+	e := benchSetup(tb)
 	rec := &obs.RunRecord{
-		Name:    "figure7-startup",
 		Query:   "paper queries (2-10 relations): dynamic-plan start-up expense averaged over 64 seeded binding draws",
 		Metrics: map[string]float64{},
 	}
@@ -123,7 +192,7 @@ func recordFigure7(b *testing.B, e *benchEnv) {
 		for _, d := range draws {
 			rep, err := e.modules[n].Activate(d, plan.StartupOptions{Params: e.params})
 			if err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 			sumNodes += float64(rep.NodesEvaluated)
 			sumDecisions += float64(rep.Decisions)
@@ -135,5 +204,5 @@ func recordFigure7(b *testing.B, e *benchEnv) {
 		rec.Metrics[fmt.Sprintf("module-io-s/relations=%d", n)] = e.modules[n].ReadTime(e.params)
 		rec.SimCostTotal += sumStartup / cnt
 	}
-	writeBenchRecord(b, rec)
+	return rec
 }

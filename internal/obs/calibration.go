@@ -80,17 +80,6 @@ func (b BandCheck) Verdict(actual float64) (qerror float64, violation bool) {
 	}
 }
 
-// Contains reports whether actual falls inside the band (no violation).
-func (b BandCheck) Contains(actual float64) bool {
-	_, viol := b.Verdict(actual)
-	return !viol
-}
-
-// qError keeps the historical call shape for this file's own callers.
-func qError(lo, hi, actual float64) (float64, bool) {
-	return BandCheck{Lo: lo, Hi: hi}.Verdict(actual)
-}
-
 // Calibrate walks an execution's stats tree and produces the calibration
 // verdicts: one cardinality verdict per distinct operator carrying a
 // Prediction (also annotating the node's QError/Violation fields, so
@@ -110,7 +99,7 @@ func Calibrate(tree *PlanStats, planLo, planHi, actualCost float64) []Calibratio
 		}
 		seen[s] = true
 		if p := s.Predicted; p != nil {
-			qe, viol := qError(p.CardLo, p.CardHi, float64(s.Counters.Rows))
+			qe, viol := BandCheck{Lo: p.CardLo, Hi: p.CardHi}.Verdict(float64(s.Counters.Rows))
 			s.QError = qe
 			s.Violation = viol
 			verdicts = append(verdicts, CalibrationVerdict{
@@ -131,7 +120,7 @@ func Calibrate(tree *PlanStats, planLo, planHi, actualCost float64) []Calibratio
 	}
 	walk(tree)
 	if planHi > 0 {
-		qe, viol := qError(planLo, planHi, actualCost)
+		qe, viol := BandCheck{Lo: planLo, Hi: planHi}.Verdict(actualCost)
 		verdicts = append(verdicts, CalibrationVerdict{
 			Kind:        "cost",
 			Op:          tree.Op,
@@ -198,12 +187,4 @@ func (r CalibrationReport) ViolationRate() float64 {
 		return 0
 	}
 	return float64(r.Violations) / float64(r.Observations)
-}
-
-// MeanQError returns the average q-error across observations.
-func (r CalibrationReport) MeanQError() float64 {
-	if r.Observations == 0 {
-		return 0
-	}
-	return r.SumQError / float64(r.Observations)
 }

@@ -1,7 +1,7 @@
 // Package obs is the observability substrate of the system: per-operator
 // runtime metrics, optimizer spans, and start-up decision traces, rendered
 // both as human-readable EXPLAIN ANALYZE text and as machine-readable JSON
-// run records the benchmark pipeline diffs in CI.
+// run records the root package's ledger test byte-compares.
 //
 // The paper's entire evaluation (§6) is a measurement exercise —
 // optimization time, plans compared, memo and module sizes, start-up cost,
@@ -22,7 +22,6 @@ package obs
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"dynplan/internal/physical"
@@ -147,16 +146,6 @@ func (c *Collector) StatsFor(n *physical.Node) *Counters {
 	return s
 }
 
-// Reset clears all collected counters; no-op on nil.
-func (c *Collector) Reset() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	clear(c.stats)
-}
-
 // PlanStats is one node of the stats tree that parallels the executed
 // physical plan: the operator's label, its counters, and its inputs. It is
 // both the EXPLAIN ANALYZE model and the plan-shape section of a JSON run
@@ -255,17 +244,6 @@ func (s *PlanStats) NodeCount() int {
 	}
 	walk(s)
 	return len(seen)
-}
-
-// MetricNames returns the sorted metric keys of a metrics map, for
-// deterministic rendering and comparison.
-func MetricNames(m map[string]float64) []string {
-	names := make([]string, 0, len(m))
-	for k := range m {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // formatBytes renders a byte count compactly.

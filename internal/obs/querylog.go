@@ -6,96 +6,40 @@ import "sync"
 // recent-query ring buffer retains when no capacity is configured.
 const DefaultQueryLogCap = 256
 
-// queryLog is a fixed-capacity ring buffer of run records: the /queries
-// endpoint's backing store. Appends overwrite the oldest entry once the
-// buffer is full, so a long soak holds memory constant.
-type queryLog struct {
-	mu    sync.Mutex
-	buf   []*RunRecord
-	next  int
-	total int64
-}
-
-func (l *queryLog) init(cap_ int) {
-	if cap_ <= 0 {
-		cap_ = DefaultQueryLogCap
-	}
-	l.buf = make([]*RunRecord, 0, cap_)
-}
-
-func (l *queryLog) append(rec *RunRecord) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if cap(l.buf) == 0 {
-		// Zero-value log (registry built without NewRegistry): fall back to
-		// the default capacity rather than dropping records.
-		l.buf = make([]*RunRecord, 0, DefaultQueryLogCap)
-	}
-	if len(l.buf) < cap(l.buf) {
-		l.buf = append(l.buf, rec)
-	} else {
-		l.buf[l.next] = rec
-		l.next = (l.next + 1) % len(l.buf)
-	}
-	l.total++
-}
-
-// recent returns the retained records oldest-first, at most max entries
-// from the newest end (all when max ≤ 0).
-func (l *queryLog) recent(max int) []*RunRecord {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := len(l.buf)
-	out := make([]*RunRecord, 0, n)
-	// Oldest entry sits at l.next once the ring has wrapped.
-	for i := 0; i < n; i++ {
-		out = append(out, l.buf[(l.next+i)%n])
-	}
-	if max > 0 && len(out) > max {
-		out = out[len(out)-max:]
-	}
-	return out
-}
-
-// DefaultTraceLogCap bounds the trace ring when no capacity is
-// configured. Traces are an order of magnitude heavier than run records
-// (a whole span tree each), so the ring is correspondingly smaller.
+// DefaultTraceLogCap bounds the trace ring. Traces are an order of
+// magnitude heavier than run records (a whole span tree each), so the
+// ring is correspondingly smaller.
 const DefaultTraceLogCap = 64
 
-// traceLog is the bounded ring buffer behind /traces, the trace-shaped
-// twin of queryLog.
-type traceLog struct {
+// ring is a fixed-capacity ring buffer, the backing store of /queries
+// (run records) and /traces (span trees). The capacity is cap(buf), set
+// by the owner; appends overwrite the oldest entry once the buffer is
+// full, so a long soak holds memory constant.
+type ring[T any] struct {
 	mu   sync.Mutex
-	buf  []*TraceRecord
+	buf  []T
 	next int
 }
 
-func (l *traceLog) init(cap_ int) {
-	if cap_ <= 0 {
-		cap_ = DefaultTraceLogCap
-	}
-	l.buf = make([]*TraceRecord, 0, cap_)
-}
-
-func (l *traceLog) append(rec *TraceRecord) {
+func (l *ring[T]) push(v T) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if cap(l.buf) == 0 {
-		l.buf = make([]*TraceRecord, 0, DefaultTraceLogCap)
-	}
 	if len(l.buf) < cap(l.buf) {
-		l.buf = append(l.buf, rec)
+		l.buf = append(l.buf, v)
 	} else {
-		l.buf[l.next] = rec
+		l.buf[l.next] = v
 		l.next = (l.next + 1) % len(l.buf)
 	}
 }
 
-func (l *traceLog) recent(max int) []*TraceRecord {
+// recent returns the retained entries oldest-first, at most max entries
+// from the newest end (all when max ≤ 0).
+func (l *ring[T]) recent(max int) []T {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	n := len(l.buf)
-	out := make([]*TraceRecord, 0, n)
+	out := make([]T, 0, n)
+	// Oldest entry sits at l.next once the ring has wrapped.
 	for i := 0; i < n; i++ {
 		out = append(out, l.buf[(l.next+i)%n])
 	}

@@ -21,10 +21,10 @@ func Digest(s string) string {
 // RunRecord is the machine-readable outcome of one measured run: the
 // query, the executed plan shape with its per-operator counters, the
 // optimizer span and start-up decisions when available, a flat metrics
-// map, and the simulated-cost total CI gates regressions on. The
-// benchmark harness writes one record per experiment as BENCH_<name>.json;
-// the committed copies are the perf-trajectory baselines cmd/benchdiff
-// compares fresh runs against.
+// map, and the headline simulated-cost total. The root package's ledger
+// test (TestBenchLedger) rebuilds one record per experiment as
+// BENCH_<name>.json and requires the committed copies to match byte for
+// byte.
 type RunRecord struct {
 	// Name identifies the record and determines its filename.
 	Name string `json:"name"`
@@ -32,10 +32,8 @@ type RunRecord struct {
 	Query string `json:"query,omitempty"`
 	// Metrics are the record's named series (averages, counts, sizes).
 	Metrics map[string]float64 `json:"metrics"`
-	// SimCostTotal is the headline simulated cost in seconds; CI fails
-	// when it regresses more than the tolerance against the committed
-	// baseline. Zero means the record carries no gated cost (size-only
-	// records), and comparison skips the gate.
+	// SimCostTotal is the headline simulated cost in seconds; zero for
+	// records that carry no cost (size-only and structural records).
 	SimCostTotal float64 `json:"sim_cost_total"`
 	// Optimizer, Operators, and Decisions attach the full telemetry when
 	// the run collected it.
@@ -99,87 +97,4 @@ func (r *RunRecord) WriteFile(dir string) error {
 		return err
 	}
 	return os.WriteFile(filepath.Join(dir, name), append(data, '\n'), 0o644)
-}
-
-// ReadRecordFile loads a run record from a JSON file.
-func ReadRecordFile(path string) (*RunRecord, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r RunRecord
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("obs: parsing %s: %w", path, err)
-	}
-	if r.Name == "" {
-		return nil, fmt.Errorf("obs: %s has no record name", path)
-	}
-	return &r, nil
-}
-
-// Delta describes one metric's movement between a baseline record and a
-// current record.
-type Delta struct {
-	Record   string  `json:"record"`
-	Metric   string  `json:"metric"`
-	Baseline float64 `json:"baseline"`
-	Current  float64 `json:"current"`
-	// Ratio is current/baseline (0 when the baseline is zero).
-	Ratio float64 `json:"ratio"`
-	// Gating marks the deltas that fail the comparison (simulated-cost
-	// regressions beyond tolerance); other deltas are informational
-	// drift.
-	Gating bool `json:"gating"`
-}
-
-// Compare diffs a current record against its baseline. A simulated-cost
-// total more than tolerance above the baseline is a gating regression;
-// any metric moving more than tolerance in either direction is reported
-// as informational drift.
-func Compare(baseline, current *RunRecord, tolerance float64) []Delta {
-	var deltas []Delta
-	if baseline.SimCostTotal > 0 {
-		ratio := current.SimCostTotal / baseline.SimCostTotal
-		if ratio > 1+tolerance {
-			deltas = append(deltas, Delta{
-				Record: baseline.Name, Metric: "sim_cost_total",
-				Baseline: baseline.SimCostTotal, Current: current.SimCostTotal,
-				Ratio: ratio, Gating: true,
-			})
-		}
-	}
-	for _, k := range MetricNames(baseline.Metrics) {
-		bv := baseline.Metrics[k]
-		cv, ok := current.Metrics[k]
-		if !ok {
-			deltas = append(deltas, Delta{Record: baseline.Name, Metric: k, Baseline: bv})
-			continue
-		}
-		if bv == 0 {
-			if cv != 0 {
-				deltas = append(deltas, Delta{Record: baseline.Name, Metric: k, Baseline: bv, Current: cv})
-			}
-			continue
-		}
-		ratio := cv / bv
-		if ratio > 1+tolerance || ratio < 1-tolerance {
-			deltas = append(deltas, Delta{
-				Record: baseline.Name, Metric: k,
-				Baseline: bv, Current: cv, Ratio: ratio,
-			})
-		}
-	}
-	// Metrics the current record carries that the baseline never had —
-	// newly added series such as calibration q-errors — are informational
-	// drift, never gating: an old baseline must not mask them, and a
-	// size-only baseline must not fail on them.
-	for _, k := range MetricNames(current.Metrics) {
-		if _, ok := baseline.Metrics[k]; ok {
-			continue
-		}
-		if cv := current.Metrics[k]; cv != 0 {
-			deltas = append(deltas, Delta{Record: baseline.Name, Metric: k, Current: cv})
-		}
-	}
-	return deltas
 }

@@ -343,8 +343,8 @@ type Registry struct {
 	calib   map[calibKey]*CalibrationReport
 	stages  map[string]*Histogram
 	tenants map[string]*tenantAgg
-	log     queryLog
-	traces  traceLog
+	log     ring[*RunRecord]
+	traces  ring[*TraceRecord]
 }
 
 // tenantAgg is one tenant's live admission account; counters and the
@@ -376,8 +376,11 @@ func NewRegistry(logCap int) *Registry {
 		calib:  make(map[calibKey]*CalibrationReport),
 		stages: make(map[string]*Histogram),
 	}
-	r.log.init(logCap)
-	r.traces.init(0)
+	if logCap <= 0 {
+		logCap = DefaultQueryLogCap
+	}
+	r.log.buf = make([]*RunRecord, 0, logCap)
+	r.traces.buf = make([]*TraceRecord, 0, DefaultTraceLogCap)
 	return r
 }
 
@@ -452,26 +455,6 @@ func (r *Registry) RecordTenantQuery(tenant string, queueWaitNanos int64, failed
 func (r *Registry) RecordTenantShed(tenant string) {
 	if a := r.tenantAggFor(tenant); a != nil {
 		a.sheds.Add(1)
-	}
-}
-
-// TenantSnapshot returns the named tenant's current aggregate; the zero
-// value when the tenant has never been seen.
-func (r *Registry) TenantSnapshot(tenant string) TenantAggregate {
-	if r == nil {
-		return TenantAggregate{}
-	}
-	r.mu.Lock()
-	a := r.tenants[tenant]
-	r.mu.Unlock()
-	if a == nil {
-		return TenantAggregate{}
-	}
-	return TenantAggregate{
-		Queries:   a.queries.Load(),
-		Errors:    a.errors.Load(),
-		Sheds:     a.sheds.Load(),
-		QueueWait: a.wait.Snapshot(),
 	}
 }
 
@@ -770,7 +753,7 @@ func (r *Registry) LogQuery(rec *RunRecord) {
 	if r == nil || rec == nil {
 		return
 	}
-	r.log.append(rec)
+	r.log.push(rec)
 }
 
 // RecentQueries returns the retained run records, oldest first, up to max
@@ -790,7 +773,7 @@ func (r *Registry) RecordTrace(rec *TraceRecord) {
 		return
 	}
 	r.Traces.Add(1)
-	r.traces.append(rec)
+	r.traces.push(rec)
 	if rec.Root == nil {
 		return
 	}
@@ -816,17 +799,6 @@ func (r *Registry) stageHistogram(name string) *Histogram {
 		r.stages[name] = h
 	}
 	return h
-}
-
-// StageLatency returns the named stage's latency histogram, or nil if the
-// stage has never been traced (or the registry is disabled).
-func (r *Registry) StageLatency(name string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.stages[name]
 }
 
 // RecentTraces returns the retained trace records, oldest first, up to

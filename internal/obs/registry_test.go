@@ -215,9 +215,9 @@ func TestQErrorVerdicts(t *testing.T) {
 		{0, 0.5, 3, 3, true},     // 1-floored hi
 	}
 	for _, c := range cases {
-		q, viol := qError(c.lo, c.hi, c.actual)
+		q, viol := BandCheck{Lo: c.lo, Hi: c.hi}.Verdict(c.actual)
 		if q != c.wantQ || viol != c.wantViolation {
-			t.Errorf("qError(%g,%g,%g) = (%g,%v), want (%g,%v)",
+			t.Errorf("Verdict(%g,%g,%g) = (%g,%v), want (%g,%v)",
 				c.lo, c.hi, c.actual, q, viol, c.wantQ, c.wantViolation)
 		}
 	}
@@ -269,22 +269,53 @@ func TestCalibrationReportsSorted(t *testing.T) {
 	}
 }
 
-func TestQueryLogRingWrap(t *testing.T) {
+// TestRingWrap pins the ring both recent-entry logs share: once full, an
+// append overwrites the oldest entry, reads come back oldest first, and
+// ?n=K keeps the newest K.
+func TestRingWrap(t *testing.T) {
 	r := NewRegistry(4)
-	for i := 0; i < 10; i++ {
-		r.LogQuery(&RunRecord{Name: fmt.Sprintf("q%d", i)})
+	cases := []struct {
+		name   string
+		cap    int
+		push   func(id string)
+		recent func(max int) []string
+	}{
+		{"queries", 4,
+			func(id string) { r.LogQuery(&RunRecord{Name: id}) },
+			func(max int) (ids []string) {
+				for _, rec := range r.RecentQueries(max) {
+					ids = append(ids, rec.Name)
+				}
+				return ids
+			}},
+		{"traces", DefaultTraceLogCap,
+			func(id string) { r.RecordTrace(&TraceRecord{ID: id}) },
+			func(max int) (ids []string) {
+				for _, rec := range r.RecentTraces(max) {
+					ids = append(ids, rec.ID)
+				}
+				return ids
+			}},
 	}
-	got := r.RecentQueries(0)
-	if len(got) != 4 {
-		t.Fatalf("retained %d records, want 4", len(got))
-	}
-	for i, rec := range got {
-		if want := fmt.Sprintf("q%d", 6+i); rec.Name != want {
-			t.Fatalf("record %d = %s, want %s (oldest first)", i, rec.Name, want)
-		}
-	}
-	if newest := r.RecentQueries(2); len(newest) != 2 || newest[1].Name != "q9" {
-		t.Fatalf("RecentQueries(2) = %v", newest)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			for i := 0; i < c.cap+6; i++ {
+				c.push(fmt.Sprintf("e%d", i))
+			}
+			got := c.recent(0)
+			if len(got) != c.cap {
+				t.Fatalf("retained %d entries, want %d", len(got), c.cap)
+			}
+			for i, id := range got {
+				if want := fmt.Sprintf("e%d", 6+i); id != want {
+					t.Fatalf("entry %d = %s, want %s (oldest first)", i, id, want)
+				}
+			}
+			last := fmt.Sprintf("e%d", c.cap+5)
+			if newest := c.recent(2); len(newest) != 2 || newest[1] != last {
+				t.Fatalf("recent(2) = %v, want newest %s last", newest, last)
+			}
+		})
 	}
 }
 
@@ -371,22 +402,4 @@ func TestHandlerEndpoints(t *testing.T) {
 			}
 		}
 	})
-}
-
-func TestCompareReportsCurrentOnlyMetrics(t *testing.T) {
-	base := &RunRecord{Name: "r", Metrics: map[string]float64{"rows": 10}, SimCostTotal: 1}
-	cur := &RunRecord{Name: "r", Metrics: map[string]float64{"rows": 10, "q-error-max": 4}, SimCostTotal: 1}
-	deltas := Compare(base, cur, 0.1)
-	var found bool
-	for _, d := range deltas {
-		if d.Metric == "q-error-max" {
-			found = true
-			if d.Gating {
-				t.Fatalf("current-only metric gated: %+v", d)
-			}
-		}
-	}
-	if !found {
-		t.Fatal("current-only metric not reported")
-	}
 }

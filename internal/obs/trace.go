@@ -24,13 +24,13 @@ import (
 // Like the Collector and the Registry, the disabled state is a nil
 // *Trace: every method is safe on a nil receiver, and the pipeline's
 // disabled fast path stays one pointer comparison with zero allocations
-// (pinned by BenchmarkExecPipelineOverhead). The enabled path is
-// allocation-frugal: spans come from a fixed arena allocated once per
-// trace, and only a trace that outgrows it (deep retry/reopt cascades)
-// falls back to the heap span by span.
+// (pinned by the exec-pipeline-overhead and trace-overhead ledger
+// records). The enabled path is allocation-frugal: spans come from a
+// fixed arena allocated once per trace, and only a trace that outgrows
+// it (deep retry/reopt cascades) falls back to the heap span by span.
 
 // Span kinds, carried on every span so consumers can filter the tree
-// structurally (the trace-smoke CI job extracts the stage chain by kind).
+// structurally (cmd/obsd's TestTraceLane extracts the stage chain by kind).
 const (
 	// SpanStage is one pipeline stage (Record, Admit, …, Run).
 	SpanStage = "stage"
@@ -103,7 +103,6 @@ type Trace struct {
 	mu    sync.Mutex
 	arena []Span
 	root  *Span
-	done  bool
 }
 
 // NewTrace starts an empty trace. The id should be deterministic per
@@ -269,7 +268,6 @@ func (t *Trace) Finish(err error) *TraceRecord {
 	wall := time.Since(t.start).Nanoseconds()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.done = true
 	var closeOpen func(s *Span)
 	closeOpen = func(s *Span) {
 		if s == nil {

@@ -294,8 +294,8 @@ func TestParallelCancellationCleanliness(t *testing.T) {
 // under seeded transient-fault injection: every execution must return the
 // fault-free reference digest whatever DOP its grant funded, the retry
 // loop must compose with parallel execution (a failed parallel attempt
-// tears down cleanly and re-runs), and nothing may leak. Run under -race
-// in the parallel-soak CI lane.
+// tears down cleanly and re-runs), and nothing may leak. CI's race job
+// also runs it at -cpu 1,2,4.
 func TestParallelChaosSoak(t *testing.T) {
 	iterations := 20
 	if testing.Short() {

@@ -12,16 +12,15 @@ import (
 // execution pipeline: the price every query pays for the one-stack design
 // is the composed-closure walk from db.Exec over all nine stages to the
 // terminal Run stage. The Run stage is stubbed out, so the benchmark
-// measures pure stage dispatch — and the "plain" case asserts it allocates
-// nothing with the observatory disabled, keeping the hot path as cheap as
-// the direct method calls it replaced.
+// measures pure stage dispatch; the "plain" case runs with the
+// observatory disabled, the path whose zero allocations the
+// exec-pipeline-overhead record pins.
 func BenchmarkExecPipelineOverhead(b *testing.B) {
 	db := New().OpenDatabase()
 	stubRunStage(b)
 	ctx := context.Background()
 	binds := bindings.NewBindings(64)
 
-	var dispatchAllocs float64
 	b.Run("plain", func(b *testing.B) {
 		st := &execState{db: db, b: binds}
 		b.ReportAllocs()
@@ -30,13 +29,6 @@ func BenchmarkExecPipelineOverhead(b *testing.B) {
 			if _, err := st.exec(ctx); err != nil {
 				b.Fatal(err)
 			}
-		}
-		b.StopTimer()
-		dispatchAllocs = testing.AllocsPerRun(100, func() {
-			_, _ = st.exec(ctx)
-		})
-		if dispatchAllocs != 0 {
-			b.Fatalf("plain dispatch allocates %v objects per query, want 0", dispatchAllocs)
 		}
 	})
 
@@ -55,20 +47,23 @@ func BenchmarkExecPipelineOverhead(b *testing.B) {
 			}
 		}
 	})
+}
 
-	if benchRecordDir() != "" {
-		rec := &obs.RunRecord{
-			Name:  "exec-pipeline-overhead",
-			Query: "stage-dispatch overhead of the unified execution pipeline (stubbed run stage)",
-			Metrics: map[string]float64{
-				"stages":          float64(len(stages)),
-				"dispatch-allocs": dispatchAllocs,
-			},
-			// Structural record, measured: drift in the stage table or the
-			// zero-alloc guarantee shows up in review; no simulated cost
-			// is gated.
-			SimCostTotal: 0,
-		}
-		writeBenchRecord(b, rec)
+// execPipelineRecord is the exec-pipeline-overhead record: the size of
+// the stage table and the allocations of one plain (untraced,
+// observatory-off) dispatch over a stubbed Run stage. Structural: drift
+// in the stage table or the zero-alloc guarantee shows up as a changed
+// record; no simulated cost is carried.
+func execPipelineRecord(tb testing.TB) *obs.RunRecord {
+	db := New().OpenDatabase()
+	stubRunStage(tb)
+	ctx := context.Background()
+	st := &execState{db: db, b: bindings.NewBindings(64)}
+	return &obs.RunRecord{
+		Query: "stage-dispatch overhead of the unified execution pipeline (stubbed run stage)",
+		Metrics: map[string]float64{
+			"stages":          float64(len(stages)),
+			"dispatch-allocs": testing.AllocsPerRun(100, func() { _, _ = st.exec(ctx) }),
+		},
 	}
 }

@@ -9,21 +9,11 @@ import (
 )
 
 // BenchmarkReoptStaleCatalog measures what mid-query re-optimization
-// costs and buys when the catalog lies: the same static plan over a
-// 3-relation chain whose middle relation really holds 4x its declared
-// cardinality, executed with guards off and with guards armed. The run
-// record (BENCH_reopt-stale-catalog.json) captures both sides — the
-// unguarded run's calibration q-error stays at the staleness factor,
-// the guarded run corrects its estimates mid-flight and pays for it in
-// spool writes and re-planning — so CI sees drift in either the remedy's
-// benefit or its price.
+// costs when the catalog lies: the same static plan over a 3-relation
+// chain whose middle relation really holds 4x its declared cardinality,
+// executed with guards off and with guards armed.
 func BenchmarkReoptStaleCatalog(b *testing.B) {
-	sys, q, db := reoptStaleDB(b, 3, "C2", 4)
-	p, err := sys.OptimizeStatic(q)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bind := resilBindings(3, 0.5, 64)
+	db, p, q, bind := reoptStaleRig(b)
 	ctx := context.Background()
 
 	b.Run("off", func(b *testing.B) {
@@ -40,32 +30,47 @@ func BenchmarkReoptStaleCatalog(b *testing.B) {
 			}
 		}
 	})
+}
 
-	if benchRecordDir() == "" {
-		return
+// reoptStaleRig is the stale-catalog database, static plan, query, and
+// bindings the benchmark and the record share.
+func reoptStaleRig(tb testing.TB) (*Database, *Plan, *Query, Bindings) {
+	sys, q, db := reoptStaleDB(tb, 3, "C2", 4)
+	p, err := sys.OptimizeStatic(q)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	// The record is computed outside the timed loops from one observed
-	// pair of executions; every metric derives from deterministic page
-	// and tuple counters, so re-runs produce byte-identical records.
+	return db, p, q, resilBindings(3, 0.5, 64)
+}
+
+// reoptStaleCatalogRecord is the reopt-stale-catalog record, computed
+// from one observed pair of executions of the benchmark's plan: the
+// unguarded run's calibration q-error stays at the staleness factor, the
+// guarded run corrects its estimates mid-flight and pays for it in spool
+// writes and re-planning, so drift in either the remedy's benefit or its
+// price changes the record. Every metric derives from deterministic page
+// and tuple counters.
+func reoptStaleCatalogRecord(tb testing.TB) *obs.RunRecord {
+	db, p, q, bind := reoptStaleRig(tb)
+	ctx := context.Background()
 	db.EnableObservatory()
 	defer db.DisableObservatory()
 	off, err := db.Exec(ctx, p, bind, ExecOptions{})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	on, err := db.Exec(ctx, p, bind, ExecOptions{Reopt: &ReoptPolicy{Query: q}})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if on.Reopt == nil {
-		b.Fatal("4x-stale catalog tripped no guard; the record would be vacuous")
+		tb.Fatal("4x-stale catalog tripped no guard; the record would be vacuous")
 	}
 	if strings.Join(canonical(on), "\n") != strings.Join(canonical(off), "\n") {
-		b.Fatal("re-optimized rows differ from the unguarded execution")
+		tb.Fatal("re-optimized rows differ from the unguarded execution")
 	}
 	params := DefaultParams()
-	rec := &obs.RunRecord{
-		Name:  "reopt-stale-catalog",
+	return &obs.RunRecord{
 		Query: "3-relation chain join, C2 4x stale: static plan unguarded vs with mid-query re-optimization armed",
 		Metrics: map[string]float64{
 			"off-sim-cost-s":    off.SimulatedSeconds(params),
@@ -78,11 +83,11 @@ func BenchmarkReoptStaleCatalog(b *testing.B) {
 			"rows":              float64(len(on.Rows)),
 		},
 		Reopt: stripWallClock(on.Reopt.Events),
-		// Gate the guarded run's simulated cost: it prices the whole
-		// remedy — violated attempt, spooling, re-planned finish.
+		// The headline total is the guarded run's simulated cost: it
+		// prices the whole remedy — violated attempt, spooling, re-planned
+		// finish.
 		SimCostTotal: on.SimulatedSeconds(params),
 	}
-	writeBenchRecord(b, rec)
 }
 
 // stripWallClock copies the re-opt events with their planning_ns zeroed:
