@@ -371,61 +371,6 @@ func BenchmarkAblationEqualCostRetention(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSearchBnB quantifies branch-and-bound pruning during
-// optimization (the device whose erosion under interval costs Figure 5
-// discusses).
-func BenchmarkAblationSearchBnB(b *testing.B) {
-	e := benchSetup(b)
-	q := e.w.Query(10)
-	for _, disable := range []bool{false, true} {
-		name := "with-bnb"
-		if disable {
-			name = "without-bnb"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := e.cfg
-			cfg.DisableBnB = disable
-			env := runtimeopt.StaticEnv(q, cfg)
-			var pruned int
-			for b.Loop() {
-				res, err := search.Optimize(q, env, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				pruned = res.Stats.PrunedByBound
-			}
-			b.ReportMetric(float64(pruned), "pruned-candidates")
-		})
-	}
-}
-
-// BenchmarkAblationStartupBnB quantifies the start-up branch-and-bound
-// extension (§4 proposes it; the paper's prototype omitted it).
-func BenchmarkAblationStartupBnB(b *testing.B) {
-	e := benchSetup(b)
-	draws := benchBindings(e, 10, 400)
-	for _, bb := range []bool{false, true} {
-		name := "full-evaluation"
-		if bb {
-			name = "bnb-evaluation"
-		}
-		b.Run(name, func(b *testing.B) {
-			var nodes int
-			i := 0
-			for b.Loop() {
-				rep, err := e.modules[10].Activate(draws[i%len(draws)],
-					plan.StartupOptions{Params: e.params, BranchAndBound: bb})
-				if err != nil {
-					b.Fatal(err)
-				}
-				nodes = rep.NodesEvaluated
-				i++
-			}
-			b.ReportMetric(float64(nodes), "nodes-evaluated")
-		})
-	}
-}
-
 // BenchmarkAblationPlanShrinking measures activation cost before and
 // after the §4 shrinking heuristic under a skewed binding distribution.
 func BenchmarkAblationPlanShrinking(b *testing.B) {
@@ -600,32 +545,4 @@ func BenchmarkFeasibilityValidation(b *testing.B) {
 		}
 		b.ReportMetric(1, "dynamic-survives")
 	})
-}
-
-// BenchmarkAblationCascadeBounds measures Volcano's full top-down
-// branch-and-bound (parent limits cascading into sub-goals) for static
-// optimization of the largest query — identical plans, less effort.
-func BenchmarkAblationCascadeBounds(b *testing.B) {
-	e := benchSetup(b)
-	q := e.w.Query(10)
-	for _, cascade := range []bool{false, true} {
-		name := "local-bounds"
-		if cascade {
-			name = "cascaded-bounds"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := e.cfg
-			cfg.CascadeBounds = cascade
-			env := runtimeopt.StaticEnv(q, cfg)
-			var pruned int
-			for b.Loop() {
-				res, err := search.Optimize(q, env, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				pruned = res.Stats.PrunedByBound
-			}
-			b.ReportMetric(float64(pruned), "pruned-candidates")
-		})
-	}
 }

@@ -34,12 +34,6 @@ func WithEqualCostPruning() Option {
 	return func(s *System) { s.cfg.PruneEqualCost = true }
 }
 
-// WithoutBranchAndBound disables branch-and-bound pruning during search.
-// Plans are unchanged; only optimization effort differs.
-func WithoutBranchAndBound() Option {
-	return func(s *System) { s.cfg.DisableBnB = true }
-}
-
 // Params re-exports the cost-model constants; see the fields of
 // internal/physical.Params for documentation.
 type Params = physical.Params

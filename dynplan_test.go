@@ -3,7 +3,6 @@ package dynplan
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 	"testing"
@@ -212,40 +211,6 @@ func TestExecRejectsDynamicPlan(t *testing.T) {
 	}
 }
 
-func TestActivationBranchAndBound(t *testing.T) {
-	sys := newTestSystem(t)
-	q := figure2Query(t, sys)
-	dyn, err := sys.OptimizeDynamic(q, Uncertainty{Memory: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mod, err := dyn.Module()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(44))
-	for i := 0; i < 10; i++ {
-		b := Bindings{
-			Selectivities: map[string]float64{"v": rng.Float64()},
-			MemoryPages:   16 + rng.Float64()*96,
-		}
-		full, err := mod.Activate(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bb, err := mod.ActivateWithBranchAndBound(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if full.PredictedCost() != bb.PredictedCost() {
-			t.Errorf("B&B activation changed the choice: %g vs %g", bb.PredictedCost(), full.PredictedCost())
-		}
-		if bb.NodesEvaluated() > full.NodesEvaluated() {
-			t.Error("B&B evaluated more nodes than full evaluation")
-		}
-	}
-}
-
 func TestInsertAndExecute(t *testing.T) {
 	sys := New()
 	sys.MustCreateRelation("T", 4, 512, Attr{Name: "x", DomainSize: 10, BTree: true})
@@ -321,12 +286,12 @@ func TestShrinkThroughAPI(t *testing.T) {
 func TestOptions(t *testing.T) {
 	params := DefaultParams()
 	params.DefaultSelectivity = 0.2
-	sys := New(WithParams(params), WithEqualCostPruning(), WithoutBranchAndBound())
+	sys := New(WithParams(params), WithEqualCostPruning())
 	if sys.params.DefaultSelectivity != 0.2 {
 		t.Error("WithParams ignored")
 	}
-	if !sys.cfg.PruneEqualCost || !sys.cfg.DisableBnB {
-		t.Error("option flags ignored")
+	if !sys.cfg.PruneEqualCost {
+		t.Error("WithEqualCostPruning ignored")
 	}
 }
 

@@ -283,12 +283,11 @@ func TestInvalidBindings(t *testing.T) {
 	for _, sel := range []float64{-0.1, 1.5, math.NaN()} {
 		b := Bindings{Selectivities: map[string]float64{"v1": sel, "v2": 0.1, "v3": 0.1}, MemoryPages: 64}
 		entries := map[string]func() error{
-			"Exec":                              func() error { _, err := e.db.Exec(ctx, e.mod, b, ExecOptions{}); return err },
-			"PreparedQuery.Exec":                func() error { _, err := prep.Exec(ctx, b, ExecOptions{}); return err },
-			"Module.Activate":                   func() error { _, err := e.mod.Activate(b); return err },
-			"Module.ActivateValidated":          func() error { _, err := e.mod.ActivateValidated(b); return err },
-			"Module.ActivateWithBranchAndBound": func() error { _, err := e.mod.ActivateWithBranchAndBound(b); return err },
-			"System.OptimizeAt":                 func() error { _, err := e.sys.OptimizeAt(e.q, b); return err },
+			"Exec":                     func() error { _, err := e.db.Exec(ctx, e.mod, b, ExecOptions{}); return err },
+			"PreparedQuery.Exec":       func() error { _, err := prep.Exec(ctx, b, ExecOptions{}); return err },
+			"Module.Activate":          func() error { _, err := e.mod.Activate(b); return err },
+			"Module.ActivateValidated": func() error { _, err := e.mod.ActivateValidated(b); return err },
+			"System.OptimizeAt":        func() error { _, err := e.sys.OptimizeAt(e.q, b); return err },
 		}
 		for name, run := range entries {
 			if err := run(); !errors.Is(err, ErrInvalidBindings) {

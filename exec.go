@@ -39,10 +39,9 @@ type ExecOptions struct {
 	//     after a bounded number of touches, so each retry makes progress.
 	//   - ErrInsufficientMemory: the memory grant is downgraded to what is
 	//     actually available (absorbing the injector's shrink event, or
-	//     applying Policy.MemoryDowngrade), the branches the failed attempt
-	//     had picked are excluded, and activation re-resolves the
-	//     choose-plans — selecting the best alternative branch for the
-	//     reduced memory.
+	//     halving it), the branches the failed attempt had picked are
+	//     excluded, and activation re-resolves the choose-plans —
+	//     selecting the best alternative branch for the reduced memory.
 	//   - Permanent faults and operator panics: the picked branches are
 	//     excluded so re-activation steers onto sibling alternatives that
 	//     may avoid the poisoned access path; with no alternatives left the
@@ -146,9 +145,6 @@ type DegradePolicy struct {
 	// Disabled turns the ladder off: faults that escape worker retry
 	// escalate straight to the whole-query remedies at full width.
 	Disabled bool
-	// MinDOP floors the descent (0 or 1: the ladder may fall all the way
-	// to serial execution).
-	MinDOP int
 }
 
 // Exec is the execution entry point: it runs query q — a *Plan, *Module,

@@ -13,10 +13,6 @@
 //
 // The package also provides the arithmetic the search engine needs:
 //   - Add sums both bounds.
-//   - SubLower subtracts only the lower bound, the conservative operation
-//     used to maintain branch-and-bound limits (paper §5): when part of a
-//     budget has been spent on a subplan, only that subplan's lower bound
-//     is guaranteed to be "used up".
 //   - Min combines the costs of alternative plans under a choose-plan
 //     operator: the dynamic plan costs, in the best case, the lower of the
 //     best cases, and in the worst case the lower of the worst cases.
@@ -145,18 +141,6 @@ func (c Cost) DivScalar(d float64) Cost {
 		panic(fmt.Sprintf("cost: DivScalar by %g", d))
 	}
 	return Cost{Lo: c.Lo / d, Hi: c.Hi / d}
-}
-
-// SubLower returns the branch-and-bound remainder of budget c after
-// spending d: only d's lower bound is subtracted from both bounds, since
-// only the lower bound of a subplan's cost is certain to be consumed
-// (paper §5). The result may be an interval whose bounds are negative,
-// which simply means the budget is exhausted.
-func (c Cost) SubLower(d Cost) Cost {
-	if c.IsInfinite() {
-		return c
-	}
-	return Cost{Lo: c.Lo - d.Lo, Hi: c.Hi - d.Lo}
 }
 
 // Min combines the costs of equivalent alternative plans linked by a

@@ -128,18 +128,10 @@ func TestDominates(t *testing.T) {
 	}
 }
 
-func TestAddSubLower(t *testing.T) {
+func TestAdd(t *testing.T) {
 	a, b := Interval(1, 3), Interval(2, 5)
-	sum := a.Add(b)
-	if sum != (Cost{3, 8}) {
+	if sum := a.Add(b); sum != (Cost{3, 8}) {
 		t.Fatalf("Add = %v, want [3,8]", sum)
-	}
-	rem := Interval(10, 20).SubLower(b)
-	if rem != (Cost{8, 18}) {
-		t.Fatalf("SubLower = %v, want [8,18] (only the lower bound is subtracted)", rem)
-	}
-	if got := Infinite().SubLower(a); !got.IsInfinite() {
-		t.Fatalf("Infinite().SubLower = %v, want infinite", got)
 	}
 }
 

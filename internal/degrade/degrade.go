@@ -31,10 +31,6 @@ type Policy struct {
 	// Disabled turns the ladder off: every escalated fault passes through
 	// to the downstream remedies untouched.
 	Disabled bool
-	// MinDOP floors the descent (default 1: the ladder may fall all the
-	// way to serial). A floor above 1 stops the ladder early, handing the
-	// fault to the whole-query remedies while still parallel.
-	MinDOP int
 	// Registry receives the per-rung counters at decision time; nil (the
 	// disabled observatory) records nothing.
 	Registry *obs.Registry
@@ -48,12 +44,8 @@ type Controller struct {
 	events []obs.DegradeEvent
 }
 
-// NewController builds a ladder controller from the policy, applying the
-// MinDOP default of 1.
+// NewController builds a ladder controller from the policy.
 func NewController(pol Policy) *Controller {
-	if pol.MinDOP < 1 {
-		pol.MinDOP = 1
-	}
 	return &Controller{pol: pol}
 }
 
@@ -73,7 +65,7 @@ func NewController(pol Policy) *Controller {
 // help: fewer workers touch fewer pages concurrently, and serial
 // execution re-reads every page through the healed fault path.
 func (c *Controller) Decide(err error, curDOP int) (nextDOP int, ok bool) {
-	if c == nil || c.pol.Disabled || err == nil || curDOP <= c.pol.MinDOP {
+	if c == nil || c.pol.Disabled || err == nil || curDOP <= 1 {
 		return 0, false
 	}
 	switch {
@@ -86,9 +78,6 @@ func (c *Controller) Decide(err error, curDOP int) (nextDOP int, ok bool) {
 		return 0, false
 	}
 	nextDOP = curDOP / 2
-	if nextDOP < c.pol.MinDOP {
-		nextDOP = c.pol.MinDOP
-	}
 	rung := "dop-halve"
 	if nextDOP <= 1 {
 		nextDOP = 1

@@ -87,27 +87,6 @@ func TestDecideDeclines(t *testing.T) {
 	}
 }
 
-func TestDecideMinDOPFloor(t *testing.T) {
-	c := NewController(Policy{MinDOP: 2})
-	fault := qerr.ErrPermanentIO
-	next, ok := c.Decide(fault, 8)
-	if !ok || next != 4 {
-		t.Fatalf("Decide(fault, 8) = %d, %v; want 4, true", next, ok)
-	}
-	next, ok = c.Decide(fault, 4)
-	if !ok || next != 2 {
-		t.Fatalf("Decide(fault, 4) = %d, %v; want 2, true (clamped to MinDOP)", next, ok)
-	}
-	if _, ok := c.Decide(fault, 2); ok {
-		t.Fatal("Decide(fault, 2) descended below MinDOP 2")
-	}
-	for _, e := range c.Events() {
-		if e.Rung == "serial-fallback" {
-			t.Errorf("serial-fallback recorded despite MinDOP 2: %+v", e)
-		}
-	}
-}
-
 func TestDecideDisabledAndNil(t *testing.T) {
 	c := NewController(Policy{Disabled: true})
 	if _, ok := c.Decide(qerr.ErrPermanentIO, 8); ok {

@@ -67,12 +67,6 @@ func (s *OptimizerSpan) Render() string {
 	return b.String()
 }
 
-// AbortedCost is the sentinel recorded for a choose-plan alternative whose
-// cost evaluation was aborted by the start-up branch-and-bound before
-// completing (it provably could not be cheapest). JSON cannot carry ±Inf
-// or NaN, so traces use a negative cost instead.
-const AbortedCost = -1
-
 // ChoiceTrace records how one choose-plan operator was resolved at
 // start-up-time: the alternatives it offered, the predicted cost of each
 // under the activation's bindings (the interval endpoints collapse to
@@ -85,8 +79,7 @@ type ChoiceTrace struct {
 	// the plan's order.
 	Alternatives []string `json:"alternatives"`
 	// Costs are the predicted execution costs (seconds) evaluated for each
-	// alternative; AbortedCost marks branches whose evaluation the
-	// start-up branch-and-bound cut short.
+	// alternative.
 	Costs []float64 `json:"costs"`
 	// Picked is the index of the selected alternative.
 	Picked int `json:"picked"`
@@ -95,49 +88,28 @@ type ChoiceTrace struct {
 }
 
 // NewChoice builds a ChoiceTrace with a generated reason: the picked
-// branch's cost against the best rejected branch, noting aborted
-// evaluations.
+// branch's cost against the cheapest rejected branch.
 func NewChoice(operator string, alternatives []string, costs []float64, picked int) ChoiceTrace {
-	t := ChoiceTrace{
-		Operator:     operator,
-		Alternatives: alternatives,
-		Costs:        costs,
-		Picked:       picked,
-	}
 	runnerUp := -1
-	aborted := 0
 	for i, c := range costs {
-		if i == picked {
-			continue
-		}
-		if c < 0 {
-			aborted++
-			continue
-		}
-		if runnerUp < 0 || c < costs[runnerUp] {
+		if i != picked && (runnerUp < 0 || c < costs[runnerUp]) {
 			runnerUp = i
 		}
 	}
 	// Every activation builds one reason per choose-plan it resolves, so
 	// it is appended into a stack buffer rather than formatted.
 	var buf [128]byte
-	b := buf[:0]
-	switch {
-	case picked < len(costs) && runnerUp >= 0:
-		b = appendSeconds(append(b, "predicted "...), costs[picked])
+	b := appendSeconds(append(buf[:0], "predicted "...), costs[picked])
+	if runnerUp >= 0 {
 		b = appendSeconds(append(b, " vs runner-up "...), costs[runnerUp])
-	case picked < len(costs):
-		b = appendSeconds(append(b, "predicted "...), costs[picked])
-		b = append(b, "; only completed evaluation"...)
-	default:
-		b = append(b, "no cost recorded"...)
 	}
-	if aborted > 0 {
-		b = strconv.AppendInt(append(b, " ("...), int64(aborted), 10)
-		b = append(b, " evaluation(s) aborted by bound)"...)
+	return ChoiceTrace{
+		Operator:     operator,
+		Alternatives: alternatives,
+		Costs:        costs,
+		Picked:       picked,
+		Reason:       string(b),
 	}
-	t.Reason = string(b)
-	return t
 }
 
 // appendSeconds appends v as fmt's "%.4gs" would print it (fmt formats
@@ -161,11 +133,7 @@ func RenderDecisions(trace []ChoiceTrace) string {
 			if j == t.Picked {
 				mark = "*"
 			}
-			cost := "aborted"
-			if j < len(t.Costs) && t.Costs[j] >= 0 {
-				cost = fmt.Sprintf("%.4gs", t.Costs[j])
-			}
-			fmt.Fprintf(&b, "    %s %d. %-50s %s\n", mark, j+1, alt, cost)
+			fmt.Fprintf(&b, "    %s %d. %-50s %.4gs\n", mark, j+1, alt, t.Costs[j])
 		}
 	}
 	return b.String()

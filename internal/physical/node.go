@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"dynplan/internal/bindings"
-	"dynplan/internal/cost"
 )
 
 // Node is one operator of a physical plan. Plans are directed acyclic
@@ -359,10 +356,4 @@ func (n *Node) Check() error {
 		return fmt.Errorf("physical: %s with non-positive row width", n.Op)
 	}
 	return nil
-}
-
-// CostOf is a convenience that evaluates the node's total cost under a
-// model and environment; see Model.Evaluate.
-func (n *Node) CostOf(m *Model, env *bindings.Env) cost.Cost {
-	return m.Evaluate(n, env).Cost
 }

@@ -98,8 +98,8 @@ func record(rep *StartupReport, err error, order map[*physical.Node]int) goldenR
 	return run
 }
 
-// goldenTable activates mod under 20 seeded binding draws × {plain,
-// branch-and-bound, one index dropped, first plain pick avoided}.
+// goldenTable activates mod under 20 seeded binding draws × {plain, one
+// index dropped, first plain pick avoided}.
 func goldenTable(t *testing.T, mod *AccessModule, relations int) goldenModule {
 	t.Helper()
 	order := encodeOrder(mod.Root())
@@ -114,18 +114,15 @@ func goldenTable(t *testing.T, mod *AccessModule, relations int) goldenModule {
 		plain, err := mod.Activate(b, StartupOptions{Usage: stats})
 		gm.Runs[fmt.Sprintf("draw%02d/plain", i)] = record(plain, err, order)
 
-		rep, err := mod.Activate(b, StartupOptions{Usage: stats, BranchAndBound: true})
-		gm.Runs[fmt.Sprintf("draw%02d/bnb", i)] = record(rep, err, order)
-
 		rel := fmt.Sprintf("R%d", i%relations+1)
 		attr := []string{workload.SelAttr, workload.JoinLo, workload.JoinHi}[i%3]
-		rep, err = mod.Activate(b, StartupOptions{Usage: stats, BranchAndBound: i%2 == 1,
+		rep, err := mod.Activate(b, StartupOptions{Usage: stats,
 			IndexExists: func(r, a string) bool { return r != rel || a != attr }})
 		gm.Runs[fmt.Sprintf("draw%02d/noindex-%s.%s", i, rel, attr)] = record(rep, err, order)
 
 		if plain != nil && len(plain.Picked) > 0 {
 			first := plain.Picked[0]
-			rep, err = mod.Activate(b, StartupOptions{Usage: stats, BranchAndBound: i%2 == 0,
+			rep, err = mod.Activate(b, StartupOptions{Usage: stats,
 				Avoid: func(n *physical.Node) bool { return n == first }})
 			gm.Runs[fmt.Sprintf("draw%02d/avoid", i)] = record(rep, err, order)
 		}
@@ -154,9 +151,9 @@ func paperModule(t testing.TB, relations int) *AccessModule {
 }
 
 // TestActivateGolden is the differential guard of the start-up evaluator:
-// the table in testdata was recorded by the pointer-walking evaluator this
-// package used to have (run with -update at that commit), and every
-// activation of the flat program must reproduce it bit for bit — from the
+// the table in testdata is recorded (with -update) by the evaluator as it
+// stood before the latest rewrite of start-up processing, and every
+// activation of the current one must reproduce it bit for bit — from the
 // compiled module and from its decoded bytes alike.
 func TestActivateGolden(t *testing.T) {
 	got := make(map[string]goldenModule)
@@ -241,10 +238,9 @@ func TestActivateConcurrent(t *testing.T) {
 	mod := paperModule(t, 6)
 	order := encodeOrder(mod.Root())
 	draws := bindings.NewGenerator(3, workload.Variables(6), true).Draw(8)
-	opts := func(i int) StartupOptions { return StartupOptions{BranchAndBound: i%2 == 1} }
 	want := make([]goldenRun, len(draws))
 	for i, b := range draws {
-		rep, err := mod.Activate(b, opts(i))
+		rep, err := mod.Activate(b, StartupOptions{})
 		want[i] = record(rep, err, order)
 	}
 	var wg sync.WaitGroup
@@ -254,7 +250,7 @@ func TestActivateConcurrent(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < 20; round++ {
 				i := (g + round) % len(draws)
-				rep, err := mod.Activate(draws[i], opts(i))
+				rep, err := mod.Activate(draws[i], StartupOptions{})
 				if got := record(rep, err, order); fmt.Sprint(got) != fmt.Sprint(want[i]) {
 					t.Errorf("goroutine %d draw %d:\n got %+v\nwant %+v", g, i, got, want[i])
 				}

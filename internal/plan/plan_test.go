@@ -189,7 +189,7 @@ func TestActivateReportsAccounting(t *testing.T) {
 		t.Errorf("decisions = %d, choose-plans = %d", rep.Decisions, res.Plan.CountChoosePlans())
 	}
 	if rep.NodesEvaluated != mod.NodeCount() {
-		t.Errorf("evaluated %d nodes, module has %d (full evaluation expected without B&B)",
+		t.Errorf("evaluated %d nodes, module has %d (full evaluation expected)",
 			rep.NodesEvaluated, mod.NodeCount())
 	}
 	params := physical.DefaultParams()
@@ -219,43 +219,6 @@ func TestActivateRejectsUnboundVariables(t *testing.T) {
 	b := bindings.NewBindings(64) // nothing bound
 	if _, err := mod.Activate(b, StartupOptions{}); err == nil || !strings.Contains(err.Error(), "unbound") {
 		t.Errorf("expected unbound-variable error, got %v", err)
-	}
-}
-
-// TestBranchAndBoundActivation: the extension must choose the same plan
-// while evaluating no more (usually fewer) nodes.
-func TestBranchAndBoundActivation(t *testing.T) {
-	res := dynamicPlan(t, 4)
-	mod, err := NewModule(res.Plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(17))
-	savedAny := false
-	for i := 0; i < 25; i++ {
-		b := bindingsFor(4, rng.Float64(), 16+rng.Float64()*96)
-		full, err := mod.Activate(b, StartupOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		bb, err := mod.Activate(b, StartupOptions{BranchAndBound: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if full.ChosenCost != bb.ChosenCost {
-			t.Fatalf("draw %d: B&B chose a different-cost plan: %g vs %g",
-				i, bb.ChosenCost, full.ChosenCost)
-		}
-		if bb.NodesEvaluated > full.NodesEvaluated {
-			t.Fatalf("draw %d: B&B evaluated more nodes (%d > %d)",
-				i, bb.NodesEvaluated, full.NodesEvaluated)
-		}
-		if bb.NodesEvaluated < full.NodesEvaluated {
-			savedAny = true
-		}
-	}
-	if !savedAny {
-		t.Error("branch-and-bound never saved a single evaluation across 25 draws")
 	}
 }
 

@@ -3,7 +3,6 @@ package plan
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"time"
 
@@ -17,12 +16,6 @@ import (
 type StartupOptions struct {
 	// Params are the cost-model constants; zero value means defaults.
 	Params physical.Params
-	// BranchAndBound enables bound-based abortion of alternative cost
-	// evaluations at start-up-time, the optimization §4 proposes ("if the
-	// cost computation exceeds the bound, cost calculation can be
-	// aborted") but the paper's prototype omitted. It never changes the
-	// chosen plan, only the number of cost-function evaluations.
-	BranchAndBound bool
 	// IndexExists, when non-nil, validates the plan against the current
 	// catalog (the System R revalidation of [CAK81], which the paper's
 	// activation step includes: "I/O operations to verify that the plan
@@ -84,8 +77,8 @@ type StartupReport struct {
 	// the start-up decision trace the observability layer renders.
 	Trace []obs.ChoiceTrace
 	// NodesEvaluated is the number of distinct plan nodes whose cost
-	// functions were evaluated; with branch-and-bound it can be smaller
-	// than the module's node count.
+	// functions were evaluated: every node of the module, or of what
+	// remains of it once Avoid and IndexExists have pruned it.
 	NodesEvaluated int
 	// SimCPUSeconds is the simulated start-up CPU time:
 	// NodesEvaluated × Params.StartupNodeTime (the paper measured ≈0.4 ms
@@ -152,10 +145,7 @@ func (m *AccessModule) Activate(b *bindings.Bindings, opt StartupOptions) (*Star
 
 	e := prog.evaluators.Get().(*evaluator)
 	defer e.release()
-	rep, err := e.run(opt.Params, b, opt.BranchAndBound)
-	if err != nil {
-		return nil, err
-	}
+	rep := e.run(opt.Params, b)
 	if opt.Usage != nil {
 		// Usage statistics drive the shrinking heuristic and are counted
 		// by the module's own node indices; when pruning rebuilt parts of
@@ -176,12 +166,6 @@ func (m *AccessModule) Activate(b *bindings.Bindings, opt StartupOptions) (*Star
 	return rep, nil
 }
 
-// Marks an evaluator keeps per node for the activation in progress.
-const (
-	isEvaluated uint8 = 1 << iota // res[i] holds the node's result
-	isUsed                        // the chosen plan contains it
-)
-
 // evaluator is one activation's working state over a program: the memo
 // of start-up evaluation (§4: "the cost of each subplan is evaluated only
 // once") as arrays indexed by node, where the node's position is its key.
@@ -192,17 +176,12 @@ type evaluator struct {
 	model physical.Model
 	env   *bindings.Env
 
-	res   []physical.Result
-	state []uint8
-	// floor holds, per node, a budget below which branch-and-bound knows
-	// the node fails without evaluating anything more — its cost once
-	// evaluated, else what its last aborted descent learned, else -Inf —
-	// so shared subplans are not re-descended for hopeless budgets.
-	floor []float64
+	res []physical.Result
 	// in gathers one operator's input results for the cost model.
-	in        []physical.Result
-	used      []int32
-	evaluated int
+	in []physical.Result
+	// used lists the nodes the chosen plan contains; isUsed marks them.
+	used   []int32
+	isUsed []bool
 
 	// What the report keeps: the picks and the trace, and the slabs the
 	// chosen plan's cloned spine, its child lists and the trace's cost
@@ -216,11 +195,10 @@ type evaluator struct {
 
 func newEvaluator(p *program) *evaluator {
 	return &evaluator{
-		p:     p,
-		res:   make([]physical.Result, len(p.nodes)),
-		state: make([]uint8, len(p.nodes)),
-		floor: make([]float64, len(p.nodes)),
-		in:    make([]physical.Result, p.maxInputs),
+		p:      p,
+		res:    make([]physical.Result, len(p.nodes)),
+		in:     make([]physical.Result, p.maxInputs),
+		isUsed: make([]bool, len(p.nodes)),
 	}
 }
 
@@ -233,26 +211,16 @@ func (e *evaluator) release() {
 
 // run evaluates the program under the bindings and materializes the
 // chosen plan.
-func (e *evaluator) run(params physical.Params, b *bindings.Bindings, branchAndBound bool) (*StartupReport, error) {
+func (e *evaluator) run(params physical.Params, b *bindings.Bindings) *StartupReport {
 	e.model, e.env = physical.Model{P: params}, b.Env()
-	clear(e.state)
-	e.used, e.evaluated = e.used[:0], 0
-	root := int32(len(e.p.nodes) - 1)
-	if branchAndBound {
-		for i := range e.floor {
-			e.floor[i] = math.Inf(-1)
-		}
-		if !e.bound(root, math.Inf(1)) {
-			return nil, fmt.Errorf("plan: start-up evaluation failed")
-		}
-	} else {
-		// Inputs precede consumers, so one sweep in index order finds
-		// every operator's input results already in place.
-		for i := range e.p.nodes {
-			e.evaluate(int32(i))
-		}
+	clear(e.isUsed)
+	e.used = e.used[:0]
+	// Inputs precede consumers, so one sweep in index order finds every
+	// operator's input results already in place.
+	for i := range e.p.nodes {
+		e.evaluate(int32(i))
 	}
-	chosen, res := e.materialize(root)
+	chosen, res := e.materialize(int32(len(e.p.nodes) - 1))
 	return &StartupReport{
 		Chosen:          chosen,
 		ChosenCost:      res.Cost.Lo,
@@ -260,9 +228,9 @@ func (e *evaluator) run(params physical.Params, b *bindings.Bindings, branchAndB
 		Decisions:       len(e.picked),
 		Picked:          e.picked,
 		Trace:           e.trace,
-		NodesEvaluated:  e.evaluated,
-		SimCPUSeconds:   float64(e.evaluated) * params.StartupNodeTime,
-	}, nil
+		NodesEvaluated:  len(e.p.nodes),
+		SimCPUSeconds:   float64(len(e.p.nodes)) * params.StartupNodeTime,
+	}
 }
 
 // evaluate computes node i's result from its inputs', which must be in
@@ -274,90 +242,6 @@ func (e *evaluator) evaluate(i int32) {
 		in[j] = e.res[k]
 	}
 	e.res[i] = e.model.EvaluateNode(e.p.nodes[i], e.env, in)
-	e.settle(i)
-}
-
-// settle marks node i evaluated, its result in place.
-func (e *evaluator) settle(i int32) {
-	e.floor[i] = e.res[i].Cost.Lo
-	e.state[i] |= isEvaluated
-	e.evaluated++
-}
-
-// bound reports whether node i's cost is within the budget, evaluating
-// with branch-and-bound whatever that takes: an alternative whose
-// accumulated cost exceeds the best seen so far is aborted, and then
-// res[i] may be missing; complete evaluations stay in res. Most calls are
-// answered here, and this part is small enough to inline into descend.
-func (e *evaluator) bound(i int32, budget float64) bool {
-	if budget < e.floor[i] {
-		return false
-	}
-	return e.state[i]&isEvaluated != 0 || e.descend(i, budget)
-}
-
-// descend is bound for a node not evaluated yet.
-func (e *evaluator) descend(i int32, budget float64) bool {
-	kids := e.p.inputs(i)
-	if e.p.nodes[i].Op == physical.ChoosePlan {
-		best, ok, least := int32(-1), false, math.Inf(1)
-		for _, k := range kids {
-			limit := budget
-			if ok && e.floor[best] < limit {
-				limit = e.floor[best]
-			}
-			if !e.bound(k, limit) {
-				if e.floor[k] < least {
-					least = e.floor[k]
-				}
-			} else if !ok || e.floor[k] < e.floor[best] {
-				best, ok = k, true
-			}
-		}
-		if !ok {
-			// Every alternative was tried under the whole budget and will
-			// fail again below the least any of them needs.
-			e.floor[i] = least
-			return false
-		}
-		e.res[i] = physical.Result{
-			Card: e.res[best].Card,
-			Cost: e.res[best].Cost.AddScalar(e.model.P.ChooseOverhead),
-		}
-		e.settle(i)
-		return e.floor[i] <= budget
-	}
-
-	remaining := budget
-	for j, k := range kids {
-		if !e.bound(k, remaining) {
-			// The next descent stops at the same input, having evaluated
-			// nothing, unless the budget covers what that input needs.
-			e.floor[i] = e.floor[k]
-			if j > 0 {
-				e.floor[i] = floorAfter(e.floor[kids[0]], e.floor[k], budget)
-			}
-			return false
-		}
-		remaining -= e.floor[k]
-	}
-	e.evaluate(i)
-	return e.floor[i] <= budget
-}
-
-// floorAfter computes the floor of a two-input operator whose descent
-// under budget just failed at the second input, which saw the budget less
-// the first one's cost (spent) and needs at least need. That a node which
-// exceeded budget B exceeds every budget ≤ B always holds; what the
-// failing input needs is usually far more, and re-descents under slowly
-// growing budgets are most of what branch-and-bound would otherwise do.
-func floorAfter(spent, need, budget float64) float64 {
-	// Float subtraction is monotone, so the sum is a floor exactly when
-	// the budget just below it still leaves the second input too little.
-	if t := need + spent; t > budget && math.Nextafter(t, math.Inf(-1))-spent < need {
-		return t
-	}
-	return math.Nextafter(budget, math.Inf(1))
 }
 
 // materialize resolves the subplan at node i into a tree without
@@ -366,8 +250,8 @@ func floorAfter(spent, need, budget float64) float64 {
 // its result under the bindings. Only the spine above a resolved
 // choose-plan is cloned; the rest is the module's own nodes and results.
 func (e *evaluator) materialize(i int32) (*physical.Node, physical.Result) {
-	if e.state[i]&isUsed == 0 {
-		e.state[i] |= isUsed
+	if !e.isUsed[i] {
+		e.isUsed[i] = true
 		e.used = append(e.used, i)
 	}
 	n, kids := e.p.nodes[i], e.p.inputs(i)
@@ -393,22 +277,16 @@ func (e *evaluator) materialize(i int32) (*physical.Node, physical.Result) {
 	return clone, e.model.EvaluateNode(clone, e.env, results[:len(kids)])
 }
 
-// decide resolves choose-plan i — the cheapest evaluated alternative, the
-// first of equals — records the decision, and returns the alternative's
-// index. Alternatives branch-and-bound aborted have no cost; the trace
-// marks them instead of inventing a number, and they cannot be cheapest.
+// decide resolves choose-plan i — the cheapest alternative, the first of
+// equals — records the decision, and returns the alternative's index.
 func (e *evaluator) decide(i int32) int32 {
 	kids := e.p.inputs(i)
 	chunk := e.p.chunk()
 	costs := take(&e.costs, len(kids), 4*chunk)
-	best := -1
+	best := 0
 	for j, k := range kids {
-		if e.state[k]&isEvaluated == 0 {
-			costs[j] = obs.AbortedCost
-			continue
-		}
 		costs[j] = e.res[k].Cost.Lo
-		if best < 0 || costs[j] < costs[best] {
+		if costs[j] < costs[best] {
 			best = j
 		}
 	}

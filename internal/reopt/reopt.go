@@ -83,10 +83,6 @@ type Policy struct {
 	// MaxPlanningTime bounds the cumulative optimizer time re-planning may
 	// spend (default 250ms); once exceeded, further trips degrade.
 	MaxPlanningTime time.Duration
-	// Tolerance is the q-error a band violation must exceed to trip a
-	// guard (default 2): small misses are the estimation model being an
-	// estimation model, not a reason to abandon a running plan.
-	Tolerance float64
 	// Eager forces the observation before the first tuple (see Observe):
 	// every base relation the plan scans is evaluated into a temporary and
 	// the plan re-decided, one relation per attempt. The relation count
@@ -117,9 +113,6 @@ func (p Policy) withDefaults() Policy {
 	}
 	if p.MaxPlanningTime == 0 {
 		p.MaxPlanningTime = 250 * time.Millisecond
-	}
-	if p.Tolerance == 0 {
-		p.Tolerance = 2
 	}
 	if p.Params == (physical.Params{}) {
 		p.Params = physical.DefaultParams()
@@ -257,10 +250,14 @@ type bandInfo struct {
 	baseCard int
 }
 
+// tolerance is the q-error a band violation must exceed to trip a guard:
+// small misses are the estimation model being an estimation model, not a
+// reason to abandon a running plan.
+const tolerance = 2
+
 // guard implements exec.MatGuard for one plan execution.
 type guard struct {
 	c     *Controller
-	tol   float64
 	bands map[*physical.Node]bandInfo
 	db    *exec.DB
 }
@@ -309,7 +306,7 @@ func (c *Controller) Guard(model *physical.Model, env *bindings.Env, root *physi
 			bands[n] = band(sess, n, rel)
 		}
 	})
-	return &guard{c: c, tol: c.pol.Tolerance, bands: bands, db: db}
+	return &guard{c: c, bands: bands, db: db}
 }
 
 // band predicts the cardinality interval of a single-relation subplan.
@@ -333,7 +330,7 @@ func (g *guard) CheckMat(n *physical.Node, count int, schema exec.Schema, rows f
 		return nil
 	}
 	qe, viol := b.check.Verdict(float64(count))
-	if !viol || qe <= g.tol || !g.c.armed(b.rel) {
+	if !viol || qe <= tolerance || !g.c.armed(b.rel) {
 		return nil
 	}
 	// Spooling is charged to the execution's account like any temporary:

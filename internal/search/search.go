@@ -24,7 +24,6 @@ package search
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 	"time"
@@ -49,29 +48,10 @@ type Config struct {
 	// pruning. Static (all-point) optimization forces this on, since a
 	// total order cannot yield incomparability.
 	PruneEqualCost bool
-	// DisableBnB turns off branch-and-bound pruning, for the ablation
-	// benchmarks. The result is unchanged; only effort differs.
-	DisableBnB bool
 	// FinalOrder optionally requires the root plan to deliver a sort
 	// order (a qualified attribute), exercising the Sort enforcer at the
 	// top, an extension beyond the paper's experiments.
 	FinalOrder string
-	// CascadeBounds enables Volcano's full top-down branch-and-bound:
-	// cost limits flow from parents into sub-goal optimization, so a
-	// sub-goal whose best plan provably exceeds its caller's budget is
-	// abandoned early ("stop optimizing the second input …", §3). It
-	// applies only to point-cost (static and run-time) optimization:
-	// under interval costs a parent-imposed limit could prune an
-	// alternative that is optimal for some binding, which would break the
-	// dynamic-plan guarantee — the erosion of branch-and-bound the paper
-	// analyzes is therefore structural, not an implementation choice.
-	// The produced plan is identical; only effort differs — and not
-	// always favorably: a goal that failed under a tight budget must be
-	// re-explored when a looser budget asks again, so on workloads where
-	// memoization already carries most of the weight the cascaded
-	// variant can abandon far more candidates yet spend more total time
-	// (see BenchmarkAblationCascadeBounds).
-	CascadeBounds bool
 	// SampledDominance enables the heuristic §3 describes for plans
 	// whose interval costs overlap although one "is actually
 	// consistently cheaper than the other": evaluate both plans' cost
@@ -141,13 +121,6 @@ type Optimizer struct {
 	// heuristic; each keeps its own evaluation session so shared
 	// subplans are costed once per sample across all comparisons.
 	samples []*physical.Session
-	// failed records, for goals abandoned under a cascaded bound, the
-	// largest limit they failed under: a goal with no plan cheaper than
-	// L has no plan cheaper than any L' ≤ L.
-	failed map[memo.Goal]float64
-	// cascade is true when cascading bounds are active (CascadeBounds
-	// requested and the environment is all points).
-	cascade bool
 }
 
 // Optimize builds the optimal — or optimally adaptable, when parameters
@@ -171,23 +144,18 @@ func Optimize(q *logical.Query, env *bindings.Env, cfg Config) (*Result, error) 
 	}
 	model := physical.NewModel(cfg.Params)
 	o := &Optimizer{
-		query:   q,
-		env:     env,
-		cfg:     cfg,
-		model:   model,
-		sess:    model.NewSession(env),
-		memo:    memo.New(),
-		failed:  make(map[memo.Goal]float64),
-		cascade: cfg.CascadeBounds && env.IsPoint() && !cfg.DisableBnB,
+		query: q,
+		env:   env,
+		cfg:   cfg,
+		model: model,
+		sess:  model.NewSession(env),
+		memo:  memo.New(),
 	}
 	start := time.Now()
 	root := memo.Goal{Set: q.AllRels(), Prop: physical.Prop{Order: cfg.FinalOrder}}
-	w, err := o.optimizeGoal(root, math.Inf(1))
+	w, err := o.optimizeGoal(root)
 	if err != nil {
 		return nil, err
-	}
-	if w == nil {
-		return nil, fmt.Errorf("search: root goal failed under an infinite limit")
 	}
 	o.stats.Goals = o.memo.Len()
 	o.stats.LogicalAlternatives = q.LogicalAlternatives(q.AllRels())
@@ -229,27 +197,10 @@ type candidatePlan struct {
 	seq  int
 }
 
-// optimizeGoal solves one goal, memoized. The limit is the cascaded
-// branch-and-bound budget (infinite unless CascadeBounds is active for a
-// point-cost optimization); a nil winner with a nil error means the goal
-// has no plan within the limit.
-func (o *Optimizer) optimizeGoal(g memo.Goal, limit float64) (*memo.Winner, error) {
+// optimizeGoal solves one goal, memoized.
+func (o *Optimizer) optimizeGoal(g memo.Goal) (*memo.Winner, error) {
 	if w, ok := o.memo.Lookup(g); ok {
-		// Memoized winners are exact (see finishWithin): they are valid
-		// for any limit, failing those they exceed.
-		if o.cascade && w.Cost.Lo > limit {
-			o.stats.PrunedByBound++
-			return nil, nil
-		}
 		return w, nil
-	}
-	if o.cascade {
-		if fl, ok := o.failed[g]; ok && limit <= fl {
-			o.stats.PrunedByBound++
-			return nil, nil
-		}
-	} else {
-		limit = math.Inf(1)
 	}
 
 	cands := rules.Enumerate(o.query, g.Set, g.Prop)
@@ -258,34 +209,21 @@ func (o *Optimizer) optimizeGoal(g memo.Goal, limit float64) (*memo.Winner, erro
 	}
 
 	// bound is the branch-and-bound limit: the lowest *upper* bound of
-	// any fully costed candidate so far, capped by the cascaded budget.
-	// With interval costs this is the only sound limit (§5), which is
-	// precisely why pruning erodes relative to point-cost optimization.
+	// any fully costed candidate so far. With interval costs this is the
+	// only sound limit (§5), which is precisely why pruning erodes
+	// relative to point-cost optimization.
 	bound := cost.Infinite()
-	if o.cascade {
-		bound = cost.Point(limit)
-	}
 	var survivors []candidatePlan
 
+cands:
 	for seq, cand := range cands {
 		o.stats.Candidates++
 		children := make([]*physical.Node, 0, len(cand.Inputs))
 		childCost := cost.Point(0)
-		pruned := false
 		for _, in := range cand.Inputs {
-			childLimit := math.Inf(1)
-			if o.cascade && !bound.IsInfinite() {
-				childLimit = bound.Hi - childCost.Lo
-			}
-			w, err := o.optimizeGoal(in, childLimit)
+			w, err := o.optimizeGoal(in)
 			if err != nil {
 				return nil, err
-			}
-			if w == nil {
-				// The input has no plan within the remaining budget.
-				o.stats.PrunedByBound++
-				pruned = true
-				break
 			}
 			children = append(children, w.Plan)
 			childCost = childCost.Add(w.Cost)
@@ -293,14 +231,10 @@ func (o *Optimizer) optimizeGoal(g memo.Goal, limit float64) (*memo.Winner, erro
 			// already exceed the limit: "stop optimizing the second input
 			// only when the two inputs' minimum costs together exceed the
 			// bound" (§3).
-			if !o.cfg.DisableBnB && !bound.IsInfinite() && childCost.Lo > bound.Hi {
+			if childCost.Lo > bound.Hi {
 				o.stats.PrunedByBound++
-				pruned = true
-				break
+				continue cands
 			}
-		}
-		if pruned {
-			continue
 		}
 		node := cand.Build(children)
 		if !node.Delivered().Satisfies(g.Prop) {
@@ -316,7 +250,7 @@ func (o *Optimizer) optimizeGoal(g memo.Goal, limit float64) (*memo.Winner, erro
 			o.stats.CandidatesByOp[node.Children[0].Op]++
 		}
 		res := o.sess.Evaluate(node)
-		if !o.cfg.DisableBnB && !bound.IsInfinite() && res.Cost.Lo > bound.Hi {
+		if res.Cost.Lo > bound.Hi {
 			o.stats.PrunedByBound++
 			continue
 		}
@@ -327,16 +261,6 @@ func (o *Optimizer) optimizeGoal(g memo.Goal, limit float64) (*memo.Winner, erro
 	}
 
 	if len(survivors) == 0 {
-		if o.cascade && !math.IsInf(limit, 1) {
-			// No plan within the cascaded budget; remember the limit so
-			// the goal is not re-explored for tighter budgets. (Survivors
-			// are always within the budget, so a memoized winner and a
-			// recorded failure never coexist.)
-			if fl, ok := o.failed[g]; !ok || limit > fl {
-				o.failed[g] = limit
-			}
-			return nil, nil
-		}
 		return nil, fmt.Errorf("search: all candidates pruned for goal %s", g)
 	}
 	w := o.finish(survivors)

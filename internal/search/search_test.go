@@ -299,31 +299,6 @@ func TestStatsConsistency(t *testing.T) {
 	}
 }
 
-// TestBnBDoesNotChangeResult: branch-and-bound is an efficiency device;
-// disabling it must yield a plan of identical cost (and here, identical
-// shape, since candidate order is deterministic).
-func TestBnBDoesNotChangeResult(t *testing.T) {
-	q := paperishQuery(4)
-	env := dynamicEnv(q)
-	with, err := Optimize(q, env, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	without, err := Optimize(q, env, Config{DisableBnB: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if without.Stats.PrunedByBound != 0 {
-		t.Error("DisableBnB still pruned by bound")
-	}
-	if with.Cost != without.Cost {
-		t.Errorf("costs differ: %v vs %v", with.Cost, without.Cost)
-	}
-	if with.Plan.Format() != without.Plan.Format() {
-		t.Error("plans differ with/without branch-and-bound")
-	}
-}
-
 // TestBnBMoreEffectiveForStatic reproduces the asymmetry of §3: with
 // point costs the bound prunes far more candidates than with intervals.
 func TestBnBMoreEffectiveForStatic(t *testing.T) {
@@ -516,72 +491,4 @@ func TestSampledDominanceShrinksPlans(t *testing.T) {
 	}
 	t.Logf("sampled dominance: %d pruned, nodes %d -> %d, worst-case choice ratio %.2f",
 		sampled.Stats.PrunedSampled, naive.Plan.CountNodes(), sampled.Plan.CountNodes(), worst)
-}
-
-// TestCascadeBoundsPreserveOptimality: Volcano-style cascaded limits are
-// an efficiency device for point-cost optimization; results must be
-// identical to the exhaustive search, verified against brute force.
-func TestCascadeBoundsPreserveOptimality(t *testing.T) {
-	rng := rand.New(rand.NewSource(909))
-	model := physical.NewModel(physical.DefaultParams())
-	for trial := 0; trial < 40; trial++ {
-		q := randomQuery(rng, 1+rng.Intn(3))
-		env := pointEnv(rng, q, 16, 112)
-		cascaded, err := Optimize(q, env, Config{CascadeBounds: true})
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		got := model.Evaluate(cascaded.Plan, env).Cost.Lo
-		want := bruteForceBest(q, env, model)
-		if !close(got, want) {
-			t.Fatalf("trial %d: cascaded search found %g, brute force %g\nquery: %s",
-				trial, got, want, q)
-		}
-	}
-}
-
-// TestCascadeBoundsPruneMore: cascading limits never weaken pruning, and
-// on larger queries they strengthen it.
-func TestCascadeBoundsPruneMore(t *testing.T) {
-	q := paperishQuery(8)
-	params := physical.DefaultParams()
-	env := bindings.NewEnv(cost.PointRange(params.ExpectedMemory))
-	for _, v := range q.Variables() {
-		env.Bind(v, cost.PointRange(params.DefaultSelectivity))
-	}
-	plain, err := Optimize(q, env, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cascaded, err := Optimize(q, env, Config{CascadeBounds: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cascaded.Cost != plain.Cost {
-		t.Errorf("cascading changed the plan cost: %v vs %v", cascaded.Cost, plain.Cost)
-	}
-	if cascaded.Stats.PrunedByBound <= plain.Stats.PrunedByBound {
-		t.Errorf("cascading did not strengthen pruning: %d vs %d",
-			cascaded.Stats.PrunedByBound, plain.Stats.PrunedByBound)
-	}
-	t.Logf("pruned: plain %d, cascaded %d", plain.Stats.PrunedByBound, cascaded.Stats.PrunedByBound)
-}
-
-// TestCascadeBoundsIgnoredForIntervals: under interval costs cascading
-// must be inert (it could break the dynamic-plan guarantee), so dynamic
-// plans are identical with and without the flag.
-func TestCascadeBoundsIgnoredForIntervals(t *testing.T) {
-	q := paperishQuery(4)
-	env := dynamicEnv(q)
-	plain, err := Optimize(q, env, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	flagged, err := Optimize(q, env, Config{CascadeBounds: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Plan.Format() != flagged.Plan.Format() {
-		t.Error("CascadeBounds changed a dynamic plan")
-	}
 }

@@ -317,14 +317,6 @@ func (s *System) CreateIndex(rel, attr string) error {
 	return nil
 }
 
-// ActivateWithBranchAndBound is Activate with bound-based abortion of
-// alternative cost evaluations (an extension the paper proposes in §4 but
-// did not implement). The chosen plan is identical; fewer cost functions
-// are evaluated.
-func (m *Module) ActivateWithBranchAndBound(b Bindings) (*Activation, error) {
-	return m.activate(b, plan.StartupOptions{BranchAndBound: true})
-}
-
 // Explain renders the chosen plan.
 func (a *Activation) Explain() string { return a.report.Chosen.Format() }
 

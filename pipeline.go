@@ -536,7 +536,7 @@ func retryStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecRes
 				st.b.Memory *= scale
 				inj.RestoreMemory()
 			} else {
-				st.b.Memory *= pol.MemoryDowngrade
+				st.b.Memory *= memoryDowngrade
 			}
 			r.exclude(picked)
 			response = fmt.Sprintf("downgraded grant to %.3g pages, excluding picked branches", st.b.Memory)
@@ -594,11 +594,7 @@ func degradeStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecR
 	if !st.o.Parallel || (st.o.Degrade != nil && st.o.Degrade.Disabled) {
 		return next(ctx, st)
 	}
-	pol := degrade.Policy{Registry: st.db.metrics.Load()}
-	if st.o.Degrade != nil {
-		pol.MinDOP = st.o.Degrade.MinDOP
-	}
-	dc := degrade.NewController(pol)
+	dc := degrade.NewController(degrade.Policy{Registry: st.db.metrics.Load()})
 	// Each post-decision re-run is wrapped in a rung span named after the
 	// ladder step it descends ("dop-halve dop=2"); the first run is not a
 	// rung and stays directly under the Degrade span.
@@ -676,7 +672,6 @@ func reoptStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecRes
 		Params:            st.db.sys.params,
 		MaxAttempts:       pol.MaxAttempts,
 		MaxPlanningTime:   pol.MaxPlanningTime,
-		Tolerance:         pol.Tolerance,
 		Eager:             st.o.Adaptive,
 		Deadline:          pol.Deadline,
 		NoProgressTimeout: pol.NoProgressTimeout,

@@ -10,7 +10,7 @@ import (
 // (ExecOptions.Reopt). The execution pipeline arms cardinality guards at
 // every materialization point whose subtree reads a single base relation
 // (hash-join builds, sort inputs, temporary loads): when the observed row
-// count misses the cost model's predicted band by more than Tolerance, the
+// count misses the cost model's predicted band by a q-error above 2, the
 // rows already materialized are spooled into a temporary and the plan is
 // remedied mid-flight — by re-activating the dynamic plan's surviving
 // alternatives under the observed selectivities, by re-entering the
@@ -28,9 +28,6 @@ type ReoptPolicy struct {
 	// MaxPlanningTime bounds the cumulative optimizer time re-planning may
 	// spend (default 250ms).
 	MaxPlanningTime time.Duration
-	// Tolerance is the q-error a band miss must exceed to trip a guard
-	// (default 2).
-	Tolerance float64
 	// Deadline, when positive, bounds the query's total execution time; it
 	// surfaces as ErrDeadlineExceeded.
 	Deadline time.Duration

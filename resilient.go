@@ -24,18 +24,16 @@ type RetryPolicy struct {
 	// JitterSeed seeds the deterministic backoff jitter, so retry
 	// schedules are reproducible in tests and chaos runs (default 1).
 	JitterSeed int64
-	// MemoryDowngrade is the factor applied to the memory grant when an
-	// attempt fails with ErrInsufficientMemory and the injector reports no
-	// specific shrink factor to absorb (default 0.5).
-	MemoryDowngrade float64
 }
+
+// memoryDowngrade is the factor applied to the memory grant when an
+// attempt fails with ErrInsufficientMemory and the injector reports no
+// specific shrink factor to absorb.
+const memoryDowngrade = 0.5
 
 func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.MaxAttempts <= 0 {
 		p.MaxAttempts = 5
-	}
-	if p.MemoryDowngrade <= 0 || p.MemoryDowngrade >= 1 {
-		p.MemoryDowngrade = 0.5
 	}
 	if p.MaxBackoff <= 0 {
 		p.MaxBackoff = 32 * p.Backoff
