@@ -351,13 +351,15 @@ func (r *ExecResult) Project(cols []string) (*ExecResult, error) {
 	}
 	// Copy the whole result — I/O account, resilience metadata, and
 	// observability attachments survive post-processing — then replace
-	// the projected columns and rows.
+	// the projected columns and rows, the rows cut from one slab.
 	out := &ExecResult{}
 	*out = *r
 	out.Columns = append([]string(nil), cols...)
 	out.Rows = make([][]int64, len(r.Rows))
+	flat := make([]int64, len(r.Rows)*len(perm))
 	for i, row := range r.Rows {
-		projected := make([]int64, len(perm))
+		projected := flat[:len(perm):len(perm)]
+		flat = flat[len(perm):]
 		for k, j := range perm {
 			projected[k] = row[j]
 		}

@@ -333,20 +333,11 @@ func (t *Tree) check(n node, depth int, lo, hi *int64, leaves *[]*leaf) (int, er
 // (row[attrIdx], rid).
 func Build(t *storage.Table, attrIdx int, order int) *Tree {
 	tree := New(order)
-	// Direct traversal through RIDs, without charging I/O: index
-	// construction is outside the measured query path.
-	for page := int32(0); ; page++ {
-		any := false
-		for slot := int32(0); ; slot++ {
-			row, err := t.Get(storage.RID{Page: page, Slot: slot})
-			if err != nil {
-				break
-			}
-			any = true
-			tree.Insert(row[attrIdx], storage.RID{Page: page, Slot: slot})
-		}
-		if !any {
-			break
+	// A page walk without charging I/O: index construction is outside the
+	// measured query path.
+	for page := 0; page < t.NumPages(); page++ {
+		for slot, row := range t.Page(page) {
+			tree.Insert(row[attrIdx], storage.RID{Page: int32(page), Slot: int32(slot)})
 		}
 	}
 	return tree

@@ -90,17 +90,35 @@ type Relation struct {
 	RecordBytes int
 	// Attrs lists the attributes in schema order.
 	Attrs []*Attribute
+
+	// qualified caches the attributes' qualified names (see
+	// QualifiedNames).
+	qualified []string
 }
 
 // NewRelation builds a relation with the given attributes. Attribute names
 // must be unique within the relation.
 func NewRelation(name string, cardinality, recordBytes int, attrs ...*Attribute) *Relation {
 	r := &Relation{Name: name, Cardinality: cardinality, RecordBytes: recordBytes, Attrs: attrs}
-	for _, a := range attrs {
-		a.Rel = r
-	}
+	r.attach()
 	return r
 }
+
+// attach points the attributes at their relation and caches their
+// qualified names.
+func (r *Relation) attach() {
+	r.qualified = make([]string, len(r.Attrs))
+	for i, a := range r.Attrs {
+		a.Rel = r
+		r.qualified[i] = a.QualifiedName()
+	}
+}
+
+// QualifiedNames returns the attributes' qualified names ("R.a") in schema
+// order — the executor's schema of a base relation — computed once when
+// the relation is built or registered. The slice is shared: callers must
+// not modify it.
+func (r *Relation) QualifiedNames() []string { return r.qualified }
 
 func (r *Relation) validate() error {
 	if r.Name == "" {
@@ -124,8 +142,8 @@ func (r *Relation) validate() error {
 			return fmt.Errorf("catalog: attribute %s.%s has non-positive domain size", r.Name, a.Name)
 		}
 		seen[a.Name] = true
-		a.Rel = r
 	}
+	r.attach()
 	return nil
 }
 

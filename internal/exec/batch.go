@@ -1,156 +1,109 @@
 package exec
 
 import (
-	"dynplan/internal/qerr"
+	"slices"
+
 	"dynplan/internal/storage"
 )
 
-// batchRows is the row-vector length of the batched iterator protocol:
-// large enough to amortize per-call metering, cancellation polling, and
-// channel traffic across the exchange operators, small enough that an
-// exchange buffers only a few kilobytes per worker.
+// batchRows is the vector length streaming operators settle at: large
+// enough to amortize per-call metering, cancellation polling, and channel
+// traffic across the exchange operators, small enough that an exchange
+// buffers only a few kilobytes per worker.
 const batchRows = 64
 
-// BatchIterator is the vectorized extension of Iterator: operators that
-// can produce rows in batches implement it, and consumers that can accept
-// batches (exchange workers, the parallel join's distributors) probe for
-// it via nextBatch. The scans, Filter, and the exchange operators
-// implement it; everything else is reached through the Next fallback.
-type BatchIterator interface {
-	Iterator
-	// NextBatch fills dst with up to len(dst) rows and returns how many
-	// were produced; 0 with a nil error is end of stream. Rows in dst
-	// follow the same reuse contract as Next: consumers that keep them
-	// past the following call must Clone.
-	NextBatch(dst []storage.Row) (int, error)
-}
+// minBatch is the row count drains and join slabs start at; they grow
+// geometrically from it, so an operator that sees few rows — a near-empty
+// 10-way join has a dozen — allocates a few hundred bytes, not a full
+// vector.
+const minBatch = 8
 
-// nextBatch drains up to len(dst) rows from an iterator, using the
-// vectorized fast path when the iterator provides one and falling back to
-// a Next loop otherwise. Like NextBatch, 0 with a nil error is end of
-// stream.
-func nextBatch(it Iterator, dst []storage.Row) (int, error) {
-	if bi, ok := it.(BatchIterator); ok {
-		return bi.NextBatch(dst)
-	}
-	n := 0
-	for n < len(dst) {
-		row, ok, err := it.Next()
-		if err != nil {
-			return n, err
-		}
-		if !ok {
-			break
-		}
-		dst[n] = row
-		n++
-	}
-	return n, nil
-}
-
-// NextBatch on the heap-file scan: the page/slot advance of Next, with
-// one cancellation poll and one batched tuple charge per vector.
-func (it *fileScanIter) NextBatch(dst []storage.Row) (int, error) {
-	if err := it.db.checkCancel(); err != nil {
-		return 0, err
-	}
-	n := 0
-	for n < len(dst) && it.page < it.limit() {
-		row, err := it.table.Get(storage.RID{Page: int32(it.page), Slot: int32(it.slot)})
-		if err != nil {
-			it.page++
-			it.slot = 0
-			continue
-		}
-		if it.slot == 0 {
-			if err := it.db.pageRead(it.table.Name(), int32(it.page), true); err != nil {
-				return n, err
-			}
-		}
-		it.slot++
-		dst[n] = row
-		n++
-	}
-	if n > 0 {
-		it.db.Acc.Tuples(int64(n))
-	}
-	return n, nil
-}
-
-// NextBatch on the B-tree scan: fetch up to len(dst) of the drained RIDs.
-func (it *btreeScanIter) NextBatch(dst []storage.Row) (int, error) {
-	if err := it.db.checkCancel(); err != nil {
-		return 0, err
-	}
-	n := 0
-	for n < len(dst) && it.pos < len(it.rids) {
-		row, err := it.db.fetch(it.table, it.rids[it.pos])
-		if err != nil {
-			return n, err
-		}
-		it.pos++
-		dst[n] = row
-		n++
-	}
-	if n > 0 {
-		it.db.Acc.Tuples(int64(n))
-	}
-	return n, nil
-}
-
-// NextBatch on Filter: pull an input vector, keep the qualifying rows in
-// place. The per-input-row tuple charge matches the Next path exactly.
-func (it *filterIter) NextBatch(dst []storage.Row) (int, error) {
-	if it.buf == nil {
-		it.buf = make([]storage.Row, batchRows)
-	}
+// drain appends the rest of the input's stream to rows. The input writes
+// straight into rows' spare capacity, which doubles from minBatch, so a
+// drain of n rows makes O(log n) calls and allocations. Rows produced by a
+// failing call are kept: they were read, and their work was charged.
+func drain(it Iterator, rows []storage.Row) ([]storage.Row, error) {
 	for {
-		if err := it.db.checkCancel(); err != nil {
-			return 0, err
+		if len(rows) == cap(rows) {
+			rows = slices.Grow(rows, max(minBatch, len(rows)))
 		}
-		buf := it.buf
-		if len(dst) < len(buf) {
-			buf = buf[:len(dst)]
-		}
-		m, err := nextBatch(it.child, buf)
-		if err != nil {
-			return 0, err
-		}
-		if m == 0 {
-			return 0, nil
-		}
-		it.db.Acc.Tuples(int64(m))
-		n := 0
-		for _, row := range buf[:m] {
-			if float64(row[it.col]) < it.limit {
-				dst[n] = row
-				n++
-			}
-		}
-		if n > 0 {
-			return n, nil
+		n, err := it.NextBatch(rows[len(rows):cap(rows)])
+		rows = rows[:len(rows)+n]
+		if err != nil || n == 0 {
+			return rows, err
 		}
 	}
 }
 
-// NextBatch on the meter forwards the vector through one begin/end
-// measurement — the batched path's point: one accountant snapshot and one
-// clock read amortized over the whole vector instead of per row.
-func (m *meterIter) NextBatch(dst []storage.Row) (int, error) {
-	snap, absorbed, start := m.begin()
-	n, err := nextBatch(m.inner, dst)
-	m.c.NextCalls++
-	m.c.Rows += int64(n)
-	m.end(snap, absorbed, start)
-	return n, err
+// cursor reads a join's streaming input a vector at a time and hands out
+// its rows one by one. The vector doubles from two rows up to batchRows:
+// an input that ends early — most of them, in a near-empty plan — never
+// paid for a full vector.
+type cursor struct {
+	src   Iterator
+	batch []storage.Row
+	pos   int
 }
 
-// NextBatch on the guard forwards the vector, wrapping any error with the
-// operator's identity like Next does.
-func (g *guardIter) NextBatch(dst []storage.Row) (int, error) {
-	n, err := nextBatch(g.inner, dst)
-	if err != nil {
-		return n, qerr.AtRel(g.op, g.rel, err)
+// next returns the input's next row; ok is false at end of stream and on
+// error.
+func (c *cursor) next() (row storage.Row, ok bool, err error) {
+	if c.pos == len(c.batch) {
+		buf := c.batch[:cap(c.batch)]
+		if len(buf) < batchRows {
+			buf = make([]storage.Row, min(max(2*len(buf), 2), batchRows))
+		}
+		n, err := c.src.NextBatch(buf)
+		if err != nil || n == 0 {
+			c.batch, c.pos = buf[:0], 0
+			return nil, false, err
+		}
+		c.batch, c.pos = buf[:n], 0
 	}
-	return n, nil
+	c.pos++
+	return c.batch[c.pos-1], true, nil
+}
+
+// release drops the vector, rewinding the cursor.
+func (c *cursor) release() { c.batch, c.pos = nil, 0 }
+
+// slabRows caps a slab chunk, in rows.
+const slabRows = 512
+
+// slab carves join output rows out of shared chunks: one allocation holds
+// many rows. Chunks double from minBatch rows up to slabRows, and a carved
+// row is never written again — rows are immutable, so a chunk is simply
+// abandoned to its rows once full.
+type slab struct {
+	free  []int64
+	chunk int // rows in the next chunk
+}
+
+// concat returns a followed by b, carved from the slab.
+func (s *slab) concat(a, b storage.Row) storage.Row {
+	n := len(a) + len(b)
+	if len(s.free) < n {
+		s.chunk = min(max(2*s.chunk, minBatch), slabRows)
+		s.free = make([]int64, s.chunk*n)
+	}
+	r := s.free[:n:n]
+	s.free = s.free[n:]
+	copy(r[copy(r, a):], b)
+	return r
+}
+
+// detach copies rows into one contiguous slab and re-points them there,
+// capacity-clipped, so a caller owns its result outright: no row aliases a
+// stored table row or an operator's slab.
+func detach(rows []storage.Row) []storage.Row {
+	total := 0
+	for _, r := range rows {
+		total += len(r)
+	}
+	flat := make([]int64, total)
+	for i, r := range rows {
+		n := copy(flat, r)
+		rows[i], flat = flat[:n:n], flat[n:]
+	}
+	return rows
 }

@@ -23,9 +23,9 @@ import (
 // retry/breaker stages compose with parallel execution unchanged.
 //
 // Isolation model: every worker goroutine runs over its own shallow DB
-// clone (workerClone) with a private accountant and poll counter, and
-// folds its I/O account into the parent's shared atomic accountant one
-// batch at a time — so the execution's totals equal the serial totals
+// clone (workerClone) with a private accountant, and folds its I/O
+// account into the parent's shared atomic accountant one batch at a
+// time — so the execution's totals equal the serial totals
 // exactly, and the progress watchdog polling the shared accountant sees
 // parallel work advance. Collectors, buffer pools, and guard hooks are
 // deliberately not shared: obs.Counters and storage.BufferPool are
@@ -35,9 +35,9 @@ import (
 
 // workerClone returns a shallow copy of the DB for one worker goroutine:
 // shared immutable state (catalog, store, indexes, temps, fault injector,
-// context), a private accountant and poll counter, and none of the
-// single-threaded hooks (collector, leak-check wrap, buffer pool,
-// materialization guards).
+// context, the concurrency-safe wrap hook), a private accountant, and none
+// of the single-threaded hooks (collector, buffer pool, materialization
+// guards).
 func (db *DB) workerClone() *DB {
 	return &DB{
 		Catalog:  db.Catalog,
@@ -264,20 +264,23 @@ func (w *exchangeWorker) attempt(out chan<- []storage.Row, stop <-chan struct{},
 		// downstream without folding anything — the first attempt already
 		// charged them. The partition iterators are deterministic (fixed
 		// page range, preset RID chunk), so row sent+1 of the re-run is
-		// exactly where the failed attempt left off.
+		// exactly where the failed attempt left off. The skip reads one
+		// row per call, so a pushed-down filter stops right after the last
+		// delivered row, exactly where a row-at-a-time skip stopped.
+		var one [1]storage.Row
 		for skipped := int64(0); skipped < w.rows; skipped++ {
-			_, ok, err := w.it.Next()
+			n, err := w.it.NextBatch(one[:])
 			if err != nil {
 				return err
 			}
-			if !ok {
+			if n == 0 {
 				return fmt.Errorf("exec: partition shrank on worker retry (%d rows, expected ≥ %d)", skipped, w.rows)
 			}
 		}
 		last = w.db.Acc.Snapshot()
 		for {
 			buf := make([]storage.Row, batchRows)
-			n, nerr := nextBatch(w.it, buf)
+			n, nerr := w.it.NextBatch(buf)
 			if nerr != nil {
 				// Do not fold: the failed vector's charges (and the fault's
 				// injected latency) belong to no delivered row.
@@ -452,22 +455,6 @@ func (ex *exchangeIter) fetch() ([]storage.Row, error) {
 	return b, nil
 }
 
-func (ex *exchangeIter) Next() (storage.Row, bool, error) {
-	for ex.pos >= len(ex.cur) {
-		b, err := ex.fetch()
-		if err != nil {
-			return nil, false, err
-		}
-		if b == nil {
-			return nil, false, nil
-		}
-		ex.cur, ex.pos = b, 0
-	}
-	row := ex.cur[ex.pos]
-	ex.pos++
-	return row, true, nil
-}
-
 func (ex *exchangeIter) NextBatch(dst []storage.Row) (int, error) {
 	for ex.pos >= len(ex.cur) {
 		b, err := ex.fetch()
@@ -537,7 +524,7 @@ func (ex *exchangeIter) record() {
 // no order, so arrival order is free). Page and tuple charges equal the
 // serial scan's exactly; only their distribution across workers differs.
 func (db *DB) buildParallelFileScan(scan, filter *physical.Node, b *bindings.Bindings) (Iterator, Schema, error) {
-	schema, _, err := db.relSchema(scan.Rel)
+	schema, err := db.relSchema(scan.Rel)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -588,7 +575,7 @@ func (db *DB) buildParallelFileScan(scan, filter *physical.Node, b *bindings.Bin
 // reassembles the chunks in index order, so the exchange delivers exactly
 // the serial scan's order — Merge-Join inputs stay sorted.
 func (db *DB) buildParallelBtreeScan(n *physical.Node, b *bindings.Bindings, filtered bool) (Iterator, Schema, error) {
-	schema, _, err := db.relSchema(n.Rel)
+	schema, err := db.relSchema(n.Rel)
 	if err != nil {
 		return nil, nil, err
 	}

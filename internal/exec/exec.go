@@ -9,13 +9,18 @@
 // every alternative linked by a choose-plan operator computes the same
 // result.
 //
-// Each operator is an Iterator (Open / Next / Close), the execution
-// paradigm of the Volcano system the optimizer generator belongs to.
+// Each operator is an Iterator (Open / NextBatch / Close), the execution
+// paradigm of the Volcano system the optimizer generator belongs to with
+// a vector of rows per call instead of one. Rows are immutable: scans hand
+// out the stored rows themselves, joins carve theirs from shared slabs,
+// and no operator copies or reuses a row it has read or returned. Run
+// copies the final result once, into one contiguous slab the caller owns.
 package exec
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"dynplan/internal/bindings"
@@ -41,14 +46,18 @@ func (s Schema) Index(name string) (int, error) {
 	return 0, fmt.Errorf("exec: column %q not in schema %v", name, []string(s))
 }
 
-// Iterator is the Volcano operator interface.
+// Iterator is the Volcano operator interface, batched.
 type Iterator interface {
 	// Open prepares the iterator (building hash tables, sorting, …).
 	Open() error
-	// Next returns the next row, or ok=false at end of stream. The
-	// returned row may be reused by the iterator; consumers that keep
-	// rows must Clone them.
-	Next() (row storage.Row, ok bool, err error)
+	// NextBatch fills dst (len(dst) ≥ 1) with up to len(dst) rows and
+	// returns how many it wrote. Only 0 with a nil error is end of
+	// stream; a short vector is not. After an error the stream is over,
+	// and n counts the rows written before the failure. Returned rows are
+	// immutable and stay valid for good — the operator never modifies or
+	// reuses them — so a consumer may keep them without copying; dst
+	// itself belongs to the caller.
+	NextBatch(dst []storage.Row) (int, error)
 	// Close releases resources. Close is idempotent.
 	Close() error
 }
@@ -66,24 +75,22 @@ type DB struct {
 	// (see Temp).
 	Temps map[string]*Temp
 
-	// Ctx, when non-nil, is polled periodically inside every operator's
-	// Next loop; once it ends, execution stops within a bounded number of
-	// calls with an error wrapping qerr.ErrCanceled or
-	// qerr.ErrDeadlineExceeded. Set it via RunContext or directly before
-	// Run.
+	// Ctx, when non-nil, is polled once per NextBatch call of every
+	// streaming operator; once it ends, the next poll stops execution with
+	// an error wrapping qerr.ErrCanceled or qerr.ErrDeadlineExceeded. Set
+	// it via RunContext or directly before Run.
 	Ctx context.Context
 	// Faults, when non-nil, routes base-table page reads through the
 	// fault injector (in-memory temporaries are exempt). Injected
 	// failures carry the qerr taxonomy and the raising operator.
 	Faults *storage.Injector
-	// Wrap, when non-nil, decorates every compiled iterator (outermost);
-	// the leak-checking test wrapper uses it.
+	// Wrap, when non-nil, decorates every compiled iterator (inside its
+	// operator decorator); the leak-checking test wrapper uses it.
 	Wrap func(it Iterator, n *physical.Node) Iterator
-	// Obs, when non-nil, meters every compiled operator: rows, Next
+	// Obs, when non-nil, meters every compiled operator: rows, NextBatch
 	// calls, inclusive page/tuple/fault/wall deltas, and buffered-memory
-	// high-water, keyed by plan node. A nil Obs (the default) skips the
-	// metering wrapper entirely — the disabled fast path is one pointer
-	// check per compiled operator.
+	// high-water, keyed by plan node. A nil Obs (the default) costs one
+	// pointer check per protocol call.
 	Obs *obs.Collector
 	// Guards, when non-nil, is consulted at every materialization point —
 	// a hash-join build fully drained, a sort input fully buffered, a
@@ -116,15 +123,7 @@ type DB struct {
 	// open.
 	Trace *obs.Trace
 	Span  *obs.Span
-
-	// polls counts cancellation checks so only every pollEvery-th check
-	// actually inspects the context.
-	polls uint64
 }
-
-// pollEvery bounds how many Next calls may pass between two context
-// inspections; cancellation is observed within at most this many calls.
-const pollEvery = 8
 
 // MatGuard observes materialization points as tuples finish flowing into
 // them. The executor defines the interface (rather than importing the
@@ -133,38 +132,37 @@ const pollEvery = 8
 type MatGuard interface {
 	// CheckMat is called when the materialization rooted at plan node n
 	// has fully drained: count rows of the given schema were buffered.
-	// rows lazily flattens the buffered rows — it is only invoked when the
-	// guard decides to act (e.g. to register the materialized result as a
-	// temporary), so the satisfied fast path copies nothing. A non-nil
-	// error aborts the execution.
+	// rows returns the buffered rows, in arrival order; the guard calls it
+	// only when it decides to act (e.g. to register the materialized
+	// result as a temporary), and only during the call. A non-nil error
+	// aborts the execution.
 	CheckMat(n *physical.Node, count int, schema Schema, rows func() []storage.Row) error
 }
 
-// checkMat consults the guard hook at a materialization point; nil-safe.
-func (db *DB) checkMat(n *physical.Node, count int, schema Schema, rows func() []storage.Row) error {
+// checkMat consults the guard hook at a materialization point over the
+// buffered rows; nil-safe, and allocation-free without a guard.
+func (db *DB) checkMat(n *physical.Node, schema Schema, rows []storage.Row) error {
 	if db.Guards == nil || n == nil {
 		return nil
 	}
-	return db.Guards.CheckMat(n, count, schema, rows)
+	return db.Guards.CheckMat(n, len(rows), schema, func() []storage.Row { return rows })
 }
 
-// checkCancel polls the context every pollEvery-th call; on expiry it
-// returns an error wrapping qerr.ErrCanceled or qerr.ErrDeadlineExceeded —
-// or the cancellation cause itself when one was attached (the progress
-// watchdog cancels with typed qerr causes that must survive to the
-// re-optimization layer).
+// checkCancel polls the context — a non-blocking receive on its Done
+// channel; on expiry it returns an error wrapping qerr.ErrCanceled or
+// qerr.ErrDeadlineExceeded — or the cancellation cause itself when one was
+// attached (the progress watchdog cancels with typed qerr causes that must
+// survive to the re-optimization layer).
 func (db *DB) checkCancel() error {
 	if db.Ctx == nil {
 		return nil
 	}
-	db.polls++
-	if db.polls%pollEvery != 0 {
+	select {
+	case <-db.Ctx.Done():
+		return qerr.FromContext(context.Cause(db.Ctx))
+	default:
 		return nil
 	}
-	if db.Ctx.Err() == nil {
-		return nil
-	}
-	return qerr.FromContext(context.Cause(db.Ctx))
 }
 
 // pageRead charges one page read (sequential or random) for a base table
@@ -183,14 +181,8 @@ func (db *DB) fetch(t *storage.Table, rid storage.RID) (storage.Row, error) {
 	return t.FetchThrough(rid, db.Acc, db.Pool, db.Faults)
 }
 
-// memoryPages returns the run-time memory grant in pages, reduced by the
-// injector's shrink event when one has fired.
-func (db *DB) memoryPages(granted float64) float64 {
-	return granted * db.Faults.MemoryScale()
-}
-
 // RunContext is Run with a context: cancellation and deadline expiry
-// propagate into every operator's Next loop.
+// propagate into every operator's NextBatch calls.
 func (db *DB) RunContext(ctx context.Context, root *physical.Node, b *bindings.Bindings) ([]storage.Row, Schema, error) {
 	db.Ctx = ctx
 	return db.Run(root, b)
@@ -198,11 +190,14 @@ func (db *DB) RunContext(ctx context.Context, root *physical.Node, b *bindings.B
 
 // Run executes a resolved plan under the bindings and returns all result
 // rows and the output schema. The plan must not contain choose-plan
-// operators; activate the access module first.
+// operators; activate the access module first. The rows live in one
+// contiguous slab and the schema is a fresh slice: the caller owns both
+// and aliases no stored table data.
 //
 // Run is the executor boundary: operator panics are recovered and
 // converted into errors wrapping qerr.ErrOperatorPanic, and every
-// iterator opened is closed even when Open or Next fails mid-pipeline.
+// iterator opened is closed even when Open or NextBatch fails
+// mid-pipeline.
 func (db *DB) Run(root *physical.Node, b *bindings.Bindings) (rows []storage.Row, schema Schema, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -217,46 +212,42 @@ func (db *DB) Run(root *physical.Node, b *bindings.Bindings) (rows []storage.Row
 	if err != nil {
 		return nil, nil, err
 	}
-	// Close unconditionally: if Open or Next failed mid-pipeline the
+	// Close unconditionally: if Open or NextBatch failed mid-pipeline the
 	// iterator tree may be partially open, and every operator's Close is
 	// idempotent and safe on a partially opened tree.
 	defer it.Close()
 	if err := it.Open(); err != nil {
 		return nil, nil, err
 	}
-	var out []storage.Row
-	for {
-		row, ok, err := it.Next()
-		if err != nil {
-			return nil, nil, err
-		}
-		if !ok {
-			break
-		}
-		out = append(out, row.Clone())
+	out, err := drain(it, nil)
+	if err != nil {
+		return nil, nil, err
 	}
 	if err := it.Close(); err != nil {
 		return nil, nil, err
 	}
-	return out, schema, nil
+	return detach(out), slices.Clone(schema), nil
 }
 
-// Build compiles a resolved physical plan into an iterator tree. Each
-// compiled operator is wrapped so that errors it raises name it (see
-// qerr.OpError), and then by the DB's Wrap hook, if any.
-func (db *DB) Build(n *physical.Node, b *bindings.Bindings) (Iterator, Schema, error) {
+// Build compiles a resolved physical plan into an iterator tree and
+// returns its root. Every compiled operator runs under one opIter, which
+// names it in the errors it raises (see qerr.OpError) and meters it when a
+// collector is installed; the DB's Wrap hook, if any, decorates the
+// operator inside it.
+func (db *DB) Build(n *physical.Node, b *bindings.Bindings) (*opIter, Schema, error) {
 	it, schema, err := db.compile(n, b)
 	if err != nil {
 		return nil, nil, err
 	}
+	op := &opIter{db: db, inner: it, node: n}
 	if db.Obs.Enabled() {
-		it = newMeter(db, it, db.Obs.StatsFor(n))
+		op.c = db.Obs.StatsFor(n)
+		op.mem, _ = it.(memReporter)
 	}
-	it = &guardIter{inner: it, op: n.Label(), rel: n.Rel}
 	if db.Wrap != nil {
-		it = db.Wrap(it, n)
+		op.inner = db.Wrap(it, n)
 	}
-	return it, schema, nil
+	return op, schema, nil
 }
 
 // compile dispatches on the operator.
@@ -313,17 +304,20 @@ func (db *DB) compile(n *physical.Node, b *bindings.Bindings) (Iterator, Schema,
 	}
 }
 
-// relSchema returns the qualified schema of a base relation.
-func (db *DB) relSchema(relName string) (Schema, *catalog.Relation, error) {
+// relSchema returns the qualified schema of a base relation: the names the
+// catalog cached, shared and never modified.
+func (db *DB) relSchema(relName string) (Schema, error) {
 	rel, err := db.Catalog.Relation(relName)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	s := make(Schema, len(rel.Attrs))
-	for i, a := range rel.Attrs {
-		s[i] = a.QualifiedName()
-	}
-	return s, rel, nil
+	return rel.QualifiedNames(), nil
+}
+
+// joinSchema is the schema of a join's output: the left input's columns,
+// then the right's.
+func joinSchema(l, r Schema) Schema {
+	return append(append(make(Schema, 0, len(l)+len(r)), l...), r...)
 }
 
 // predicate resolves a selection predicate "SelAttr <= ?Var" (or a bound

@@ -27,6 +27,26 @@ func testDB(t *testing.T, w *workload.Workload) *DB {
 	return &DB{Catalog: w.Catalog, Store: store, Indexes: idx, Acc: &storage.Accountant{}}
 }
 
+// pollEvery is how many protocol calls of a polling operator may pass
+// between two inspections of the context: every NextBatch call polls.
+const pollEvery = 1
+
+// Next steps a built plan one row at a time — a one-row NextBatch — for
+// tests that observe the stream row by row.
+func (o *opIter) Next() (storage.Row, bool, error) {
+	var one [1]storage.Row
+	n, err := o.NextBatch(one[:])
+	if err != nil || n == 0 {
+		return nil, false, err
+	}
+	return one[0], true, nil
+}
+
+// concat is a join result row built by hand.
+func concat(a, b storage.Row) storage.Row {
+	return append(append(make(storage.Row, 0, len(a)+len(b)), a...), b...)
+}
+
 // normalize renders a result as a canonical multiset string, reordering
 // columns alphabetically so plans with different join orders compare
 // equal.
@@ -78,7 +98,7 @@ func reference(w *workload.Workload, db *DB, n int, b *bindings.Bindings) string
 		var acc storage.Accountant
 		table.Scan(&acc, func(r storage.Row) bool {
 			if float64(r[aIdx]) < limit {
-				filtered = append(filtered, r.Clone())
+				filtered = append(filtered, r)
 			}
 			return true
 		})
@@ -96,7 +116,7 @@ func reference(w *workload.Workload, db *DB, n int, b *bindings.Bindings) string
 		for _, l := range cur.rows {
 			for _, r := range filtered {
 				if l[lcol] == r[rcol] {
-					joined = append(joined, storage.Concat(l, r))
+					joined = append(joined, concat(l, r))
 				}
 			}
 		}

@@ -1,10 +1,12 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"dynplan/internal/bindings"
+	"dynplan/internal/btree"
 	"dynplan/internal/physical"
 	"dynplan/internal/qerr"
 	"dynplan/internal/storage"
@@ -30,22 +32,24 @@ func (db *DB) buildHashJoin(n *physical.Node, b *bindings.Bindings) (Iterator, S
 	if err != nil {
 		return nil, nil, err
 	}
-	schema := append(append(Schema{}, ls...), rs...)
 	return &hashJoinIter{
-		db: db, build: left, probe: right,
+		db: db, build: left, probe: cursor{src: right},
 		buildCol: lcol, probeCol: rcol,
 		buildNode:     n.Children[0],
 		buildSchema:   ls,
 		buildRowBytes: n.Children[0].RowBytes,
 		probeRowBytes: n.Children[1].RowBytes,
 		memPages:      b.Memory,
-	}, schema, nil
+	}, joinSchema(ls, rs), nil
 }
 
+// hashJoinIter is the serial hash join. The build side is one flat table:
+// the build rows in arrival order, the first row of every key in head, and
+// each row's successor with the same key in next — so a probe row meets
+// its matches in build-insertion order without a slice per key.
 type hashJoinIter struct {
 	db       *DB
 	build    Iterator
-	probe    Iterator
 	buildCol int
 	probeCol int
 
@@ -58,14 +62,18 @@ type hashJoinIter struct {
 	probeRowBytes int
 	memPages      float64
 
-	table       map[int64][]storage.Row
-	buildLen    int
-	probeLen    int
+	rows        []storage.Row
+	head        map[int64]int32
+	next        []int32
 	buildClosed bool
-	// matches buffers the build rows matching the current probe row.
-	matches  []storage.Row
-	matchPos int
+
+	// probe reads the probe side; cur is the probe row being joined and
+	// match its next build row (-1 when its matches are exhausted).
+	probe    cursor
 	cur      storage.Row
+	match    int32
+	probeLen int
+	out      slab
 	spilled  bool
 	opened   bool
 }
@@ -75,32 +83,34 @@ func (it *hashJoinIter) Open() error {
 	if err := it.build.Open(); err != nil {
 		return err
 	}
-	it.table = make(map[int64][]storage.Row)
-	it.buildLen = 0
-	for {
-		if err := it.db.checkCancel(); err != nil {
-			return err
-		}
-		row, ok, err := it.build.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		k := row[it.buildCol]
-		it.table[k] = append(it.table[k], row.Clone())
-		it.buildLen++
-		it.db.Acc.Tuples(1)
+	rows, err := drain(it.build, it.rows[:0])
+	it.rows = rows
+	it.db.Acc.Tuples(int64(len(rows)))
+	if err != nil {
+		return err
 	}
 	if err := it.build.Close(); err != nil {
 		return err
 	}
 	it.buildClosed = true
+	// Link the rows back to front, so every chain starts at its key's
+	// first row and runs in insertion order.
+	it.head = make(map[int64]int32, len(rows))
+	it.next = slices.Grow(it.next[:0], len(rows))[:len(rows)]
+	for i := len(rows) - 1; i >= 0; i-- {
+		k := rows[i][it.buildCol]
+		if h, ok := it.head[k]; ok {
+			it.next[i] = h
+		} else {
+			it.next[i] = -1
+		}
+		it.head[k] = int32(i)
+	}
 	// The build side is a materialization point: its true cardinality is
 	// now known, so the guard can compare it against the predicted band
-	// before the probe side spends any work.
-	if err := it.db.checkMat(it.buildNode, it.buildLen, it.buildSchema, it.flattenBuild); err != nil {
+	// before the probe side spends any work. The rows are in arrival
+	// order; guard temporaries never claim a sort order.
+	if err := it.db.checkMat(it.buildNode, it.buildSchema, rows); err != nil {
 		return err
 	}
 	// A memory-shrink event revokes part of the grant the plan was
@@ -108,64 +118,60 @@ func (it *hashJoinIter) Open() error {
 	// simulated-spill accounting below models a build that was *planned*
 	// not to fit, not one whose memory vanished mid-build).
 	if scale := it.db.Faults.MemoryScale(); scale < 1 {
-		if buildPages, avail := pagesOf(it.buildRowBytes, it.buildLen), it.memPages*scale; buildPages > avail {
+		if buildPages, avail := pagesOf(it.buildRowBytes, len(rows)), it.memPages*scale; buildPages > avail {
 			return fmt.Errorf("exec: hash build of %.0f pages exceeds memory grant shrunk to %.1f pages: %w",
 				buildPages, avail, qerr.ErrInsufficientMemory)
 		}
 	}
-	if err := it.probe.Open(); err != nil {
+	if err := it.probe.src.Open(); err != nil {
 		return err
 	}
+	it.match = -1
 	it.opened = true
 	return nil
 }
 
-func (it *hashJoinIter) Next() (storage.Row, bool, error) {
+// NextBatch fills dst with joined rows, carved from the join's slab: the
+// pending matches of the current probe row first, then probe row after
+// probe row. One tuple charge per probe row and one per emitted row, as
+// the per-row join charged.
+func (it *hashJoinIter) NextBatch(dst []storage.Row) (int, error) {
 	if !it.opened {
-		return nil, false, fmt.Errorf("exec: Hash-Join next before open")
+		return 0, fmt.Errorf("exec: Hash-Join next before open")
 	}
-	for {
-		if err := it.db.checkCancel(); err != nil {
-			return nil, false, err
+	if err := it.db.checkCancel(); err != nil {
+		return 0, err
+	}
+	n, probed := 0, 0
+	var err error
+	for n < len(dst) {
+		if it.match >= 0 {
+			dst[n] = it.out.concat(it.rows[it.match], it.cur)
+			n++
+			it.match = it.next[it.match]
+			continue
 		}
-		if it.matchPos < len(it.matches) {
-			m := it.matches[it.matchPos]
-			it.matchPos++
-			it.db.Acc.Tuples(1)
-			return storage.Concat(m, it.cur), true, nil
+		var ok bool
+		if it.cur, ok, err = it.probe.next(); !ok {
+			if err == nil {
+				it.chargeSpill()
+			}
+			break
 		}
-		row, ok, err := it.probe.Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			it.chargeSpill()
-			return nil, false, nil
-		}
+		probed++
 		it.probeLen++
-		it.db.Acc.Tuples(1)
-		it.cur = row.Clone()
-		it.matches = it.table[row[it.probeCol]]
-		it.matchPos = 0
+		if h, ok := it.head[it.cur[it.probeCol]]; ok {
+			it.match = h
+		}
 	}
+	it.db.Acc.Tuples(int64(probed + n))
+	return n, err
 }
 
 // MemoryHighWater reports the build side's buffered bytes, the join's
 // memory footprint (the probe side streams).
 func (it *hashJoinIter) MemoryHighWater() int64 {
-	return int64(it.buildLen) * int64(it.buildRowBytes)
-}
-
-// flattenBuild snapshots the hash table's rows for the guard; it runs only
-// when the guard acts on a violation, never on the satisfied fast path.
-// The order is arbitrary (hash-table iteration), which is why guard
-// temporaries never claim a sort order.
-func (it *hashJoinIter) flattenBuild() []storage.Row {
-	out := make([]storage.Row, 0, it.buildLen)
-	for _, group := range it.table {
-		out = append(out, group...)
-	}
-	return out
+	return int64(len(it.rows)) * int64(it.buildRowBytes)
 }
 
 // chargeSpill accounts the Grace-partitioning I/O the cost model predicts
@@ -178,7 +184,7 @@ func (it *hashJoinIter) chargeSpill() {
 		return
 	}
 	it.spilled = true
-	buildPages := pagesOf(it.buildRowBytes, it.buildLen)
+	buildPages := pagesOf(it.buildRowBytes, len(it.rows))
 	if buildPages > it.memPages {
 		probePages := pagesOf(it.probeRowBytes, it.probeLen)
 		total := int64(buildPages + probePages)
@@ -188,8 +194,8 @@ func (it *hashJoinIter) chargeSpill() {
 }
 
 func (it *hashJoinIter) Close() error {
-	it.table = nil
-	it.matches = nil
+	it.rows, it.head, it.next = nil, nil, nil
+	it.probe.release()
 	var buildErr error
 	if !it.buildClosed {
 		// Open failed mid-build (or was never reached); release the build
@@ -197,7 +203,7 @@ func (it *hashJoinIter) Close() error {
 		buildErr = it.build.Close()
 		it.buildClosed = true
 	}
-	probeErr := it.probe.Close()
+	probeErr := it.probe.src.Close()
 	if buildErr != nil {
 		return buildErr
 	}
@@ -222,10 +228,11 @@ func (db *DB) buildMergeJoin(n *physical.Node, b *bindings.Bindings) (Iterator, 
 	if err != nil {
 		return nil, nil, err
 	}
-	schema := append(append(Schema{}, ls...), rs...)
 	return &mergeJoinIter{
-		db: db, left: left, right: right, lcol: lcol, rcol: rcol,
-	}, schema, nil
+		db:    db,
+		left:  mergeInput{it: left, col: lcol, side: "left"},
+		right: mergeInput{it: right, col: rcol, side: "right"},
+	}, joinSchema(ls, rs), nil
 }
 
 // mergeJoinIter implements the standard sorted-merge equi-join with
@@ -233,134 +240,133 @@ func (db *DB) buildMergeJoin(n *physical.Node, b *bindings.Bindings) (Iterator, 
 // group is buffered and the cross product with the left group emitted.
 type mergeJoinIter struct {
 	db          *DB
-	left, right Iterator
-	lcol, rcol  int
+	left, right mergeInput
 
-	lrow   storage.Row
-	lok    bool
-	rrow   storage.Row
-	rok    bool
-	lprev  int64
-	rprev  int64
-	lseen  bool
-	rseen  bool
 	group  []storage.Row // buffered right rows with the current key
 	gpos   int
 	curKey int64
+	out    slab
 	opened bool
 }
 
+// mergeInput is one sorted input of a merge join and its current row. It
+// reads one row per call: a merge join stops reading one input as soon as
+// the other ends, so a wider vector would fetch — and charge — rows the
+// join never looks at.
+type mergeInput struct {
+	it   Iterator
+	col  int
+	side string
+	one  [1]storage.Row // the one-row input vector; one[0] is the current row
+	ok   bool           // one[0] is valid: the input has not ended
+	prev int64
+	seen bool
+}
+
+func (in *mergeInput) row() storage.Row { return in.one[0] }
+
+func (in *mergeInput) key() int64 { return in.one[0][in.col] }
+
+// advance reads the input's next row, checking that keys do not descend.
+func (in *mergeInput) advance(acc *storage.Accountant) error {
+	n, err := in.it.NextBatch(in.one[:])
+	if err != nil {
+		return err
+	}
+	if in.ok = n == 1; in.ok {
+		k := in.key()
+		if in.seen && k < in.prev {
+			return fmt.Errorf("exec: Merge-Join %s input not sorted (%d after %d)", in.side, k, in.prev)
+		}
+		in.prev, in.seen = k, true
+		acc.Tuples(1)
+	}
+	return nil
+}
+
 func (it *mergeJoinIter) Open() error {
-	if err := it.left.Open(); err != nil {
+	if err := it.left.it.Open(); err != nil {
 		return err
 	}
-	if err := it.right.Open(); err != nil {
+	if err := it.right.it.Open(); err != nil {
 		return err
 	}
-	if err := it.advanceLeft(); err != nil {
+	if err := it.left.advance(it.db.Acc); err != nil {
 		return err
 	}
-	if err := it.advanceRight(); err != nil {
+	if err := it.right.advance(it.db.Acc); err != nil {
 		return err
 	}
 	it.opened = true
 	return nil
 }
 
-func (it *mergeJoinIter) advanceLeft() error {
-	row, ok, err := it.left.Next()
-	if err != nil {
-		return err
-	}
-	if ok {
-		k := row[it.lcol]
-		if it.lseen && k < it.lprev {
-			return fmt.Errorf("exec: Merge-Join left input not sorted (%d after %d)", k, it.lprev)
-		}
-		it.lprev, it.lseen = k, true
-		it.lrow = row.Clone()
-		it.db.Acc.Tuples(1)
-	}
-	it.lok = ok
-	return nil
-}
-
-func (it *mergeJoinIter) advanceRight() error {
-	row, ok, err := it.right.Next()
-	if err != nil {
-		return err
-	}
-	if ok {
-		k := row[it.rcol]
-		if it.rseen && k < it.rprev {
-			return fmt.Errorf("exec: Merge-Join right input not sorted (%d after %d)", k, it.rprev)
-		}
-		it.rprev, it.rseen = k, true
-		it.rrow = row.Clone()
-		it.db.Acc.Tuples(1)
-	}
-	it.rok = ok
-	return nil
-}
-
-func (it *mergeJoinIter) Next() (storage.Row, bool, error) {
+func (it *mergeJoinIter) NextBatch(dst []storage.Row) (int, error) {
 	if !it.opened {
-		return nil, false, fmt.Errorf("exec: Merge-Join next before open")
+		return 0, fmt.Errorf("exec: Merge-Join next before open")
 	}
-	for {
-		if err := it.db.checkCancel(); err != nil {
-			return nil, false, err
-		}
+	if err := it.db.checkCancel(); err != nil {
+		return 0, err
+	}
+	n, err := it.merge(dst)
+	if n > 0 {
+		it.db.Acc.Tuples(int64(n))
+	}
+	return n, err
+}
+
+// merge runs the merge state machine until dst is full or the join ends,
+// returning how many rows it wrote.
+func (it *mergeJoinIter) merge(dst []storage.Row) (n int, err error) {
+	l, r, acc := &it.left, &it.right, it.db.Acc
+	for n < len(dst) {
 		// Emit pending pairs of the current key group.
 		if it.gpos < len(it.group) {
-			out := storage.Concat(it.lrow, it.group[it.gpos])
+			dst[n] = it.out.concat(l.row(), it.group[it.gpos])
+			n++
 			it.gpos++
-			it.db.Acc.Tuples(1)
-			return out, true, nil
+			continue
 		}
 		if len(it.group) > 0 {
 			// Finished pairing the current left row with the group; move
 			// to the next left row and re-pair if its key still matches.
-			if err := it.advanceLeft(); err != nil {
-				return nil, false, err
+			if err := l.advance(acc); err != nil {
+				return n, err
 			}
-			if it.lok && it.lrow[it.lcol] == it.curKey {
+			if l.ok && l.key() == it.curKey {
 				it.gpos = 0
 				continue
 			}
 			it.group = it.group[:0]
 		}
-		if !it.lok || !it.rok {
-			return nil, false, nil
+		if !l.ok || !r.ok {
+			return n, nil
 		}
-		lk, rk := it.lrow[it.lcol], it.rrow[it.rcol]
-		switch {
+		switch lk, rk := l.key(), r.key(); {
 		case lk < rk:
-			if err := it.advanceLeft(); err != nil {
-				return nil, false, err
-			}
+			err = l.advance(acc)
 		case lk > rk:
-			if err := it.advanceRight(); err != nil {
-				return nil, false, err
-			}
+			err = r.advance(acc)
 		default:
 			// Buffer the right group for this key.
 			it.curKey = lk
 			it.group = it.group[:0]
-			for it.rok && it.rrow[it.rcol] == it.curKey {
-				it.group = append(it.group, it.rrow)
-				if err := it.advanceRight(); err != nil {
-					return nil, false, err
-				}
+			for err == nil && r.ok && r.key() == it.curKey {
+				it.group = append(it.group, r.row())
+				err = r.advance(acc)
 			}
 			it.gpos = 0
 		}
+		if err != nil {
+			return n, err
+		}
 	}
+	return n, nil
 }
 
 func (it *mergeJoinIter) Close() error {
-	err1 := it.left.Close()
-	err2 := it.right.Close()
+	err1 := it.left.it.Close()
+	err2 := it.right.it.Close()
 	if err1 != nil {
 		return err1
 	}
@@ -375,7 +381,7 @@ func (db *DB) buildIndexJoin(n *physical.Node, b *bindings.Bindings) (Iterator, 
 	if err != nil {
 		return nil, nil, err
 	}
-	innerSchema, _, err := db.relSchema(n.Rel)
+	innerSchema, err := db.relSchema(n.Rel)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -392,7 +398,7 @@ func (db *DB) buildIndexJoin(n *physical.Node, b *bindings.Bindings) (Iterator, 
 		return nil, nil, err
 	}
 	it := &indexJoinIter{
-		db: db, outer: outer, table: table, tree: tree, ocol: ocol, residCol: -1,
+		db: db, outer: cursor{src: outer}, table: table, tree: tree, ocol: ocol, residCol: -1,
 	}
 	if n.SelAttr != "" {
 		col, limit, err := db.predicate(n.SelAttr, n.Var, n.FixedSel, innerSchema, b)
@@ -401,68 +407,86 @@ func (db *DB) buildIndexJoin(n *physical.Node, b *bindings.Bindings) (Iterator, 
 		}
 		it.residCol, it.residLimit = col, limit
 	}
-	schema := append(append(Schema{}, os...), innerSchema...)
-	return it, schema, nil
+	return it, joinSchema(os, innerSchema), nil
 }
 
 type indexJoinIter struct {
-	db    *DB
-	outer Iterator
-	table *storage.Table
-	tree  interface {
-		Search(key int64) []storage.RID
-	}
+	db         *DB
+	table      *storage.Table
+	tree       *btree.Tree
 	ocol       int
 	residCol   int
 	residLimit float64
 
+	// outer reads the outer side; cur is the outer row being joined and
+	// rids its index matches, read into one reused buffer.
+	outer  cursor
 	cur    storage.Row
 	rids   []storage.RID
 	ridPos int
+	out    slab
 	opened bool
 }
 
 func (it *indexJoinIter) Open() error {
-	if err := it.outer.Open(); err != nil {
+	if err := it.outer.src.Open(); err != nil {
 		return err
 	}
+	it.rids, it.ridPos = it.rids[:0], 0
 	it.opened = true
 	return nil
 }
 
-func (it *indexJoinIter) Next() (storage.Row, bool, error) {
+// appendRID collects one index match of the current outer row.
+func (it *indexJoinIter) appendRID(_ int64, rid storage.RID) bool {
+	it.rids = append(it.rids, rid)
+	return true
+}
+
+// NextBatch fills dst with joined rows, carved from the join's slab. One
+// tuple charge per outer row and one per fetched inner record, qualifying
+// or not, as the per-row join charged.
+func (it *indexJoinIter) NextBatch(dst []storage.Row) (int, error) {
 	if !it.opened {
-		return nil, false, fmt.Errorf("exec: Index-Join next before open")
+		return 0, fmt.Errorf("exec: Index-Join next before open")
 	}
-	for {
-		if err := it.db.checkCancel(); err != nil {
-			return nil, false, err
-		}
-		for it.ridPos < len(it.rids) {
-			rid := it.rids[it.ridPos]
-			it.ridPos++
-			inner, err := it.db.fetch(it.table, rid)
-			if err != nil {
-				return nil, false, err
+	if err := it.db.checkCancel(); err != nil {
+		return 0, err
+	}
+	n, work := 0, 0
+	var err error
+	for n < len(dst) {
+		if it.ridPos < len(it.rids) {
+			var inner storage.Row
+			if inner, err = it.db.fetch(it.table, it.rids[it.ridPos]); err != nil {
+				break
 			}
-			it.db.Acc.Tuples(1)
+			it.ridPos++
+			work++
 			if it.residCol >= 0 && float64(inner[it.residCol]) >= it.residLimit {
 				continue
 			}
-			return storage.Concat(it.cur, inner), true, nil
+			dst[n] = it.out.concat(it.cur, inner)
+			n++
+			continue
 		}
-		row, ok, err := it.outer.Next()
-		if err != nil || !ok {
-			return nil, false, err
+		var ok bool
+		if it.cur, ok, err = it.outer.next(); !ok {
+			break
 		}
-		it.db.Acc.Tuples(1)
-		it.cur = row.Clone()
-		it.rids = it.tree.Search(row[it.ocol])
-		it.ridPos = 0
+		work++
+		it.rids, it.ridPos = it.rids[:0], 0
+		it.tree.Range(it.cur[it.ocol], it.cur[it.ocol], it.appendRID)
 	}
+	it.db.Acc.Tuples(int64(work))
+	return n, err
 }
 
-func (it *indexJoinIter) Close() error { return it.outer.Close() }
+func (it *indexJoinIter) Close() error {
+	it.outer.release()
+	it.rids = nil
+	return it.outer.src.Close()
+}
 
 // buildSort compiles the Sort enforcer: drain, sort by the key column,
 // and charge external-sort I/O when the input exceeds the run-time memory.
@@ -511,21 +535,11 @@ func (it *sortIter) Open() error {
 	if err := it.child.Open(); err != nil {
 		return err
 	}
-	it.rows = it.rows[:0]
-	it.pos = 0
-	for {
-		if err := it.db.checkCancel(); err != nil {
-			return err
-		}
-		row, ok, err := it.child.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		it.rows = append(it.rows, row.Clone())
-		it.db.Acc.Tuples(1)
+	rows, err := drain(it.child, it.rows[:0])
+	it.rows, it.pos = rows, 0
+	it.db.Acc.Tuples(int64(len(rows)))
+	if err != nil {
+		return err
 	}
 	if err := it.child.Close(); err != nil {
 		return err
@@ -535,19 +549,17 @@ func (it *sortIter) Open() error {
 	// buffered, so the guard sees the true cardinality before the sort
 	// (and any external-sort I/O) is paid for. The rows are in drain
 	// order; guard temporaries never claim a sort order.
-	if err := it.db.checkMat(it.childNode, len(it.rows), it.childSchema, func() []storage.Row { return it.rows }); err != nil {
+	if err := it.db.checkMat(it.childNode, it.childSchema, rows); err != nil {
 		return err
 	}
-	if len(it.rows) > it.maxRows {
-		it.maxRows = len(it.rows)
+	if len(rows) > it.maxRows {
+		it.maxRows = len(rows)
 	}
-	sort.SliceStable(it.rows, func(i, j int) bool {
-		return it.rows[i][it.col] < it.rows[j][it.col]
-	})
+	slices.SortStableFunc(rows, func(a, b storage.Row) int { return cmp.Compare(a[it.col], b[it.col]) })
 	// Charge external-sort I/O when the input would not fit in memory:
 	// run generation plus merge passes, write + read each (mirroring the
 	// cost model's formula).
-	pages := pagesOf(it.rowBytes, len(it.rows))
+	pages := pagesOf(it.rowBytes, len(rows))
 	mem := it.memPages
 	if mem < 3 {
 		mem = 3
@@ -582,13 +594,14 @@ func (it *sortIter) Open() error {
 	return nil
 }
 
-func (it *sortIter) Next() (storage.Row, bool, error) {
+// NextBatch hands out the sorted rows.
+func (it *sortIter) NextBatch(dst []storage.Row) (int, error) {
 	if it.pos >= len(it.rows) {
-		return nil, false, nil
+		return 0, nil
 	}
-	row := it.rows[it.pos]
-	it.pos++
-	return row, true, nil
+	n := copy(dst, it.rows[it.pos:])
+	it.pos += n
+	return n, nil
 }
 
 func (it *sortIter) Close() error {

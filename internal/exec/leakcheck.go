@@ -9,7 +9,7 @@ import (
 )
 
 // LeakChecker is a test utility that verifies every iterator opened during
-// an execution is closed again, including when Open or Next fails
+// an execution is closed again, including when Open or NextBatch fails
 // mid-pipeline. Install it on a DB before building plans:
 //
 //	lc := exec.NewLeakChecker()
@@ -83,14 +83,8 @@ func (w *leakIter) Open() error {
 	return w.inner.Open()
 }
 
-func (w *leakIter) Next() (storage.Row, bool, error) {
-	return w.inner.Next()
-}
-
-// NextBatch forwards the vectorized path so wrapping does not degrade a
-// batched subtree to row-at-a-time.
 func (w *leakIter) NextBatch(dst []storage.Row) (int, error) {
-	return nextBatch(w.inner, dst)
+	return w.inner.NextBatch(dst)
 }
 
 func (w *leakIter) Close() error {

@@ -148,9 +148,9 @@ func TestPanicRecovered(t *testing.T) {
 
 type panicIter struct{}
 
-func (panicIter) Open() error                      { panic("boom") }
-func (panicIter) Next() (storage.Row, bool, error) { panic("boom") }
-func (panicIter) Close() error                     { return nil }
+func (panicIter) Open() error                          { panic("boom") }
+func (panicIter) NextBatch([]storage.Row) (int, error) { panic("boom") }
+func (panicIter) Close() error                         { return nil }
 
 // TestTransientFaultSurfacesTyped verifies an injected page fault reaches
 // the caller with the taxonomy sentinel and the raising operator's name,

@@ -11,7 +11,7 @@ import (
 
 // buildFileScan compiles File-Scan: a sequential heap-file scan.
 func (db *DB) buildFileScan(n *physical.Node) (Iterator, Schema, error) {
-	schema, _, err := db.relSchema(n.Rel)
+	schema, err := db.relSchema(n.Rel)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -47,28 +47,36 @@ func (it *fileScanIter) Open() error {
 	return nil
 }
 
-func (it *fileScanIter) Next() (storage.Row, bool, error) {
+// NextBatch walks the pages: a page ends when its slots do, and its read
+// is charged (and offered to the fault injector) just before its first row
+// is delivered — so a vector that stops at a page boundary has not read
+// the next page. One cancellation poll and one tuple charge per vector.
+func (it *fileScanIter) NextBatch(dst []storage.Row) (int, error) {
 	if err := it.db.checkCancel(); err != nil {
-		return nil, false, err
+		return 0, err
 	}
-	for it.page < it.limit() {
-		row, err := it.table.Get(storage.RID{Page: int32(it.page), Slot: int32(it.slot)})
-		if err != nil {
-			// Page exhausted; advance.
+	n := 0
+	var err error
+	for n < len(dst) && it.page < it.limit() {
+		rows := it.table.Page(it.page)
+		if it.slot == len(rows) {
 			it.page++
 			it.slot = 0
 			continue
 		}
 		if it.slot == 0 {
-			if err := it.db.pageRead(it.table.Name(), int32(it.page), true); err != nil {
-				return nil, false, err
+			if err = it.db.pageRead(it.table.Name(), int32(it.page), true); err != nil {
+				break
 			}
 		}
-		it.slot++
-		it.db.Acc.Tuples(1)
-		return row, true, nil
+		c := copy(dst[n:], rows[it.slot:])
+		it.slot += c
+		n += c
 	}
-	return nil, false, nil
+	if n > 0 {
+		it.db.Acc.Tuples(int64(n))
+	}
+	return n, err
 }
 
 func (it *fileScanIter) Close() error { return nil }
@@ -76,7 +84,7 @@ func (it *fileScanIter) Close() error { return nil }
 // buildBtreeScan compiles B-tree-Scan: a full scan through an unclustered
 // index, delivering rows in index order at one random I/O per record.
 func (db *DB) buildBtreeScan(n *physical.Node) (Iterator, Schema, error) {
-	schema, _, err := db.relSchema(n.Rel)
+	schema, err := db.relSchema(n.Rel)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -97,7 +105,7 @@ func (db *DB) buildBtreeScan(n *physical.Node) (Iterator, Schema, error) {
 // buildFilterBtreeScan compiles Filter-B-tree-Scan: an index range scan
 // fetching only qualifying records.
 func (db *DB) buildFilterBtreeScan(n *physical.Node, b *bindings.Bindings) (Iterator, Schema, error) {
-	schema, _, err := db.relSchema(n.Rel)
+	schema, err := db.relSchema(n.Rel)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -171,21 +179,26 @@ func (it *btreeScanIter) Open() error {
 	return nil
 }
 
-func (it *btreeScanIter) Next() (storage.Row, bool, error) {
+// NextBatch fetches up to len(dst) of the drained RIDs.
+func (it *btreeScanIter) NextBatch(dst []storage.Row) (int, error) {
 	if err := it.db.checkCancel(); err != nil {
-		return nil, false, err
+		return 0, err
 	}
-	if it.pos >= len(it.rids) {
-		return nil, false, nil
+	n := 0
+	var err error
+	for n < len(dst) && it.pos < len(it.rids) {
+		var row storage.Row
+		if row, err = it.db.fetch(it.table, it.rids[it.pos]); err != nil {
+			break
+		}
+		it.pos++
+		dst[n] = row
+		n++
 	}
-	rid := it.rids[it.pos]
-	it.pos++
-	row, err := it.db.fetch(it.table, rid)
-	if err != nil {
-		return nil, false, err
+	if n > 0 {
+		it.db.Acc.Tuples(int64(n))
 	}
-	it.db.Acc.Tuples(1)
-	return row, true, nil
+	return n, err
 }
 
 func (it *btreeScanIter) Close() error { return nil }
@@ -208,24 +221,29 @@ type filterIter struct {
 	child Iterator
 	col   int
 	limit float64
-	// buf is the input vector of the batched fast path (see NextBatch).
-	buf []storage.Row
 }
 
 func (it *filterIter) Open() error { return it.child.Open() }
 
-func (it *filterIter) Next() (storage.Row, bool, error) {
+// NextBatch reads an input vector straight into dst and compacts the
+// qualifying rows to its front, one tuple charge per input row; an input
+// vector with no qualifying row is followed by the next. Reading at most
+// len(dst) input rows keeps every qualifying row it reads.
+func (it *filterIter) NextBatch(dst []storage.Row) (int, error) {
 	for {
-		if err := it.db.checkCancel(); err != nil {
-			return nil, false, err
+		m, err := it.child.NextBatch(dst)
+		if m > 0 {
+			it.db.Acc.Tuples(int64(m))
 		}
-		row, ok, err := it.child.Next()
-		if err != nil || !ok {
-			return nil, false, err
+		n := 0
+		for _, row := range dst[:m] {
+			if float64(row[it.col]) < it.limit {
+				dst[n] = row
+				n++
+			}
 		}
-		it.db.Acc.Tuples(1)
-		if float64(row[it.col]) < it.limit {
-			return row, true, nil
+		if n > 0 || m == 0 || err != nil {
+			return n, err
 		}
 	}
 }

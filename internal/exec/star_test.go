@@ -32,7 +32,7 @@ func starReference(w *workload.Workload, db *DB, n int, b *bindings.Bindings) st
 		var acc storage.Accountant
 		table.Scan(&acc, func(r storage.Row) bool {
 			if float64(r[aIdx]) < limit {
-				filtered[i-1] = append(filtered[i-1], r.Clone())
+				filtered[i-1] = append(filtered[i-1], r)
 			}
 			return true
 		})
@@ -55,7 +55,7 @@ func starReference(w *workload.Workload, db *DB, n int, b *bindings.Bindings) st
 		for _, l := range cur {
 			for _, r := range filtered[i] {
 				if l[lcol] == r[rcol] {
-					joined = append(joined, storage.Concat(l, r))
+					joined = append(joined, concat(l, r))
 				}
 			}
 		}

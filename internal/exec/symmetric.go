@@ -48,6 +48,7 @@ type symWorker struct {
 	in   chan symBatch
 	ltab map[int64][]storage.Row
 	rtab map[int64][]storage.Row
+	out  slab // the partition's joined rows
 
 	lrows, rrows int
 	matches      int64
@@ -110,7 +111,7 @@ func (db *DB) buildSymmetricHashJoin(n *physical.Node, b *bindings.Bindings) (It
 	if err != nil {
 		return nil, nil, err
 	}
-	schema := append(append(Schema{}, ls...), rs...)
+	schema := joinSchema(ls, rs)
 	return &symHashJoinIter{
 		db: db, node: n, left: left, right: right, ldb: ldb, rdb: rdb,
 		lcol: lcol, rcol: rcol,
@@ -206,9 +207,8 @@ func (it *symHashJoinIter) send(p int, b symBatch) bool {
 // partition owning their key. Whatever happens — end of stream, error,
 // teardown — it broadcasts the side's EOS marker to every partition, so
 // workers always see two markers and never block the shutdown path.
-// Rows are forwarded by reference: no iterator in this engine reuses row
-// memory across Next calls (scans return stored rows, joins allocate
-// fresh ones), and workers clone before storing.
+// Rows are forwarded and stored by reference: rows are immutable (scans
+// return stored rows, joins carve theirs from slabs they never rewrite).
 func (it *symHashJoinIter) distribute(src Iterator, sdb *DB, side, col int, errp *error, total *atomic.Int64) {
 	defer it.dwg.Done()
 	var last storage.AccountSnapshot
@@ -219,7 +219,7 @@ func (it *symHashJoinIter) distribute(src Iterator, sdb *DB, side, col int, errp
 		bins := make([][]storage.Row, it.parts)
 		buf := make([]storage.Row, batchRows)
 		for {
-			n, err := nextBatch(src, buf)
+			n, err := src.NextBatch(buf)
 			last = foldAccount(it.db.Acc, sdb.Acc, last)
 			if err != nil {
 				return err
@@ -304,24 +304,23 @@ func (it *symHashJoinIter) runWorker(w *symWorker) {
 		}
 		for _, row := range b.rows {
 			w.db.Acc.Tuples(1)
-			stored := row.Clone()
 			if b.side == 0 {
-				k := stored[it.lcol]
-				w.ltab[k] = append(w.ltab[k], stored)
+				k := row[it.lcol]
+				w.ltab[k] = append(w.ltab[k], row)
 				w.lrows++
 				for _, m := range w.rtab[k] {
 					w.db.Acc.Tuples(1)
 					w.matches++
-					emit = append(emit, storage.Concat(stored, m))
+					emit = append(emit, w.out.concat(row, m))
 				}
 			} else {
-				k := stored[it.rcol]
-				w.rtab[k] = append(w.rtab[k], stored)
+				k := row[it.rcol]
+				w.rtab[k] = append(w.rtab[k], row)
 				w.rrows++
 				for _, m := range w.ltab[k] {
 					w.db.Acc.Tuples(1)
 					w.matches++
-					emit = append(emit, storage.Concat(m, stored))
+					emit = append(emit, w.out.concat(m, row))
 				}
 			}
 		}
@@ -397,25 +396,6 @@ func (it *symHashJoinIter) chargeSpill() {
 		it.db.Acc.Write(total)
 		it.db.Acc.ReadSeq(total)
 	}
-}
-
-func (it *symHashJoinIter) Next() (storage.Row, bool, error) {
-	if !it.started {
-		return nil, false, fmt.Errorf("exec: Hash-Join next before open")
-	}
-	for it.pos >= len(it.cur) {
-		b, err := it.fetch()
-		if err != nil {
-			return nil, false, err
-		}
-		if b == nil {
-			return nil, false, nil
-		}
-		it.cur, it.pos = b, 0
-	}
-	row := it.cur[it.pos]
-	it.pos++
-	return row, true, nil
 }
 
 func (it *symHashJoinIter) NextBatch(dst []storage.Row) (int, error) {

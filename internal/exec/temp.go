@@ -82,20 +82,21 @@ func (it *tempScanIter) Open() error {
 	// A loaded temporary is a materialization point too: a temp spooled
 	// under one cardinality assumption may feed a plan that predicted
 	// another.
-	return it.db.checkMat(it.node, len(it.rows), it.schema, func() []storage.Row { return it.rows })
+	return it.db.checkMat(it.node, it.schema, it.rows)
 }
 
-func (it *tempScanIter) Next() (storage.Row, bool, error) {
+// NextBatch hands out the loaded rows, one tuple charge per row.
+func (it *tempScanIter) NextBatch(dst []storage.Row) (int, error) {
 	if err := it.db.checkCancel(); err != nil {
-		return nil, false, err
+		return 0, err
 	}
 	if it.pos >= len(it.rows) {
-		return nil, false, nil
+		return 0, nil
 	}
-	row := it.rows[it.pos]
-	it.pos++
-	it.acc.Tuples(1)
-	return row, true, nil
+	n := copy(dst, it.rows[it.pos:])
+	it.pos += n
+	it.acc.Tuples(int64(n))
+	return n, nil
 }
 
 func (it *tempScanIter) Close() error {

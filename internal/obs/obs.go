@@ -35,8 +35,9 @@ import (
 // the operator's own.
 type Counters struct {
 	// Opens and NextCalls count the iterator protocol traffic through the
-	// operator; Rows counts the rows it produced (Rows = successful Next
-	// calls, so NextCalls is typically Rows+1 for the end-of-stream call).
+	// operator; Rows counts the rows it produced. A protocol call moves a
+	// vector of rows, so NextCalls counts batches (the last one the empty
+	// end-of-stream call), not rows.
 	Opens     int64 `json:"opens"`
 	NextCalls int64 `json:"next_calls"`
 	Rows      int64 `json:"rows"`

@@ -48,22 +48,13 @@ func Build(t *storage.Table, attrIdx, buckets int) (*Histogram, error) {
 	if buckets < 1 {
 		return nil, fmt.Errorf("stats: bucket count %d < 1", buckets)
 	}
-	var values []int64
-	for page := int32(0); ; page++ {
-		any := false
-		for slot := int32(0); ; slot++ {
-			row, err := t.Get(storage.RID{Page: page, Slot: slot})
-			if err != nil {
-				break
-			}
-			any = true
+	values := make([]int64, 0, t.NumRows())
+	for page := 0; page < t.NumPages(); page++ {
+		for _, row := range t.Page(page) {
 			if attrIdx < 0 || attrIdx >= len(row) {
 				return nil, fmt.Errorf("stats: attribute index %d out of range for width %d", attrIdx, len(row))
 			}
 			values = append(values, row[attrIdx])
-		}
-		if !any {
-			break
 		}
 	}
 	return FromValues(values, buckets)

@@ -21,24 +21,9 @@ const PageBytes = 2048
 
 // Row is one record: a vector of integer attribute values. The experiment
 // schema is purely numeric (uniform integer domains), which is all the
-// paper's cost model reasons about.
-type Row []int64
-
-// Clone returns a copy of the row; iterators reuse buffers, so operators
-// that buffer rows (sorts, hash tables) must clone.
-func (r Row) Clone() Row {
-	c := make(Row, len(r))
-	copy(c, r)
-	return c
-}
-
-// Concat returns the concatenation of two rows, the schema of a join
-// result.
-func Concat(a, b Row) Row {
-	c := make(Row, 0, len(a)+len(b))
-	c = append(c, a...)
-	return append(c, b...)
-}
+// paper's cost model reasons about. Rows are immutable once stored: a
+// table hands out its own rows, and no reader may modify them.
+type Row = []int64
 
 // RID identifies a record by page number and slot within the page, the
 // unit an unclustered index stores.
@@ -172,8 +157,14 @@ func (t *Table) NumPages() int { return len(t.pages) }
 // RowsPerPage returns the page capacity in rows.
 func (t *Table) RowsPerPage() int { return t.rowsPerPage }
 
+// Page returns the rows of page p in slot order, without charging I/O: a
+// page is finished when its slots are, so a sequential reader walks
+// p = 0 … NumPages()-1 by length alone. The slice and its rows belong to
+// the table and must not be modified.
+func (t *Table) Page(p int) []Row { return t.pages[p] }
+
 // Get fetches the record at rid without charging I/O; use Fetch for
-// accounted access.
+// accounted access. An invalid rid is an error.
 func (t *Table) Get(rid RID) (Row, error) {
 	if int(rid.Page) >= len(t.pages) || int(rid.Slot) >= len(t.pages[rid.Page]) {
 		return nil, fmt.Errorf("storage: invalid rid %v in table %q", rid, t.name)

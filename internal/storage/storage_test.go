@@ -145,23 +145,30 @@ func TestStore(t *testing.T) {
 	}
 }
 
-func TestRowCloneAndConcat(t *testing.T) {
-	r := Row{1, 2, 3}
-	c := r.Clone()
-	c[0] = 99
-	if r[0] != 1 {
-		t.Error("Clone shares backing array")
+// TestPageWalk reads a table page by page, the way sequential readers do:
+// every row once, in RID order, each page ending at its length.
+func TestPageWalk(t *testing.T) {
+	tab := NewTable("R", 512)
+	fill(tab, 10) // pages of 4, 4, 2 rows
+	var got []int64
+	for p := 0; p < tab.NumPages(); p++ {
+		rows := tab.Page(p)
+		if want := min(4, 10-4*p); len(rows) != want {
+			t.Errorf("page %d holds %d rows, want %d", p, len(rows), want)
+		}
+		for slot, row := range rows {
+			if byRID, err := tab.Get(RID{Page: int32(p), Slot: int32(slot)}); err != nil || byRID[0] != row[0] {
+				t.Errorf("page %d slot %d: walk %v, Get %v (%v)", p, slot, row, byRID, err)
+			}
+			got = append(got, row[0])
+		}
 	}
-	cat := Concat(Row{1, 2}, Row{3})
-	if len(cat) != 3 || cat[0] != 1 || cat[2] != 3 {
-		t.Errorf("Concat = %v", cat)
+	for i, v := range got {
+		if v != int64(i) {
+			t.Fatalf("walk order %v", got)
+		}
 	}
-	// Concat must not alias its inputs' growth room.
-	a := make(Row, 2, 8)
-	a[0], a[1] = 1, 2
-	cat = Concat(a, Row{3})
-	cat[0] = 42
-	if a[0] != 1 {
-		t.Error("Concat aliases its first input")
+	if len(got) != 10 {
+		t.Errorf("walk visited %d rows, want 10", len(got))
 	}
 }

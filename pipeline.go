@@ -921,16 +921,13 @@ func runStage(ctx context.Context, st *execState, _ pipelineFunc) (*ExecResult, 
 	}
 	out := &ExecResult{
 		Columns:              schema,
+		Rows:                 rows, // Run's own slab: the result owns it
 		SeqPageReads:         acc.SeqPageReads(),
 		RandPageReads:        acc.RandPageReads(),
 		PageWrites:           acc.PageWrites(),
 		TupleOps:             acc.TupleOps(),
 		FaultsAbsorbed:       inj.Stats().Absorbed - absorbedBefore,
 		EffectiveMemoryPages: mem * inj.MemoryScale(),
-	}
-	out.Rows = make([][]int64, len(rows))
-	for i, r := range rows {
-		out.Rows[i] = r
 	}
 	if pe != nil {
 		out.Parallel = pe.Stats(dop, maxDOP, mem, mem/float64(max(dop, 1)), parReason)

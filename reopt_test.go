@@ -436,10 +436,10 @@ func TestReoptCancellationMidQuery(t *testing.T) {
 }
 
 // stallWrap returns an iterator decorator: every compiled scan over rel
-// sleeps pause once on its first Next — a stall (no tuples advance while
-// it sleeps), not slowness, so the watchdog and the deadline both get a
-// clean window to fire in. Re-planned attempts compile fresh iterators
-// and stall again.
+// sleeps pause once on its first NextBatch — a stall (no tuples advance
+// while it sleeps), not slowness, so the watchdog and the deadline both
+// get a clean window to fire in. Re-planned attempts compile fresh
+// iterators and stall again.
 func stallWrap(rel string, pause time.Duration) func(exec.Iterator, *physical.Node) exec.Iterator {
 	return func(it exec.Iterator, n *physical.Node) exec.Iterator {
 		if n == nil || n.Rel != rel || !n.Op.IsScan() {
@@ -456,11 +456,11 @@ type stallIter struct {
 }
 
 func (s *stallIter) Open() error { return s.inner.Open() }
-func (s *stallIter) Next() (storage.Row, bool, error) {
+func (s *stallIter) NextBatch(dst []storage.Row) (int, error) {
 	if !s.stalled {
 		s.stalled = true
 		time.Sleep(s.pause)
 	}
-	return s.inner.Next()
+	return s.inner.NextBatch(dst)
 }
 func (s *stallIter) Close() error { return s.inner.Close() }
