@@ -169,7 +169,7 @@ func figure6Record(tb testing.TB) *obs.RunRecord {
 	}
 	// The span's wall_ns is its one wall-clock field, and the committed
 	// record must be byte-identical across runs.
-	span := *e.dynamic[10].Span
+	span := *e.dynamic[10].Span()
 	span.WallNanos = 0
 	rec.Optimizer = &span
 	return rec

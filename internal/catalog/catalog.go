@@ -13,7 +13,8 @@ package catalog
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // PageBytes is the size of a disk page. All I/O in the cost model and the
@@ -92,8 +93,10 @@ type Relation struct {
 	Attrs []*Attribute
 
 	// qualified caches the attributes' qualified names (see
-	// QualifiedNames).
+	// QualifiedNames), and byName the attributes sorted by name (see
+	// AttrsByName).
 	qualified []string
+	byName    []*Attribute
 }
 
 // NewRelation builds a relation with the given attributes. Attribute names
@@ -105,13 +108,17 @@ func NewRelation(name string, cardinality, recordBytes int, attrs ...*Attribute)
 }
 
 // attach points the attributes at their relation and caches their
-// qualified names.
+// qualified names and their name order.
 func (r *Relation) attach() {
 	r.qualified = make([]string, len(r.Attrs))
 	for i, a := range r.Attrs {
 		a.Rel = r
-		r.qualified[i] = a.QualifiedName()
+		a.qualified = r.Name + "." + a.Name
+		r.qualified[i] = a.qualified
 	}
+	r.byName = slices.SortedFunc(slices.Values(r.Attrs), func(a, b *Attribute) int {
+		return strings.Compare(a.Name, b.Name)
+	})
 }
 
 // QualifiedNames returns the attributes' qualified names ("R.a") in schema
@@ -202,18 +209,11 @@ func (r *Relation) PagesFor(n float64) float64 {
 	return math.Ceil(n / perPage)
 }
 
-// IndexedAttrs returns the attributes carrying a B-tree, sorted by name,
-// which keeps optimizer output deterministic.
-func (r *Relation) IndexedAttrs() []*Attribute {
-	var out []*Attribute
-	for _, a := range r.Attrs {
-		if a.BTree {
-			out = append(out, a)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
+// AttrsByName returns the attributes sorted by name, the order that keeps
+// the optimizer's output deterministic, computed once like QualifiedNames
+// (indexes come and go, so which carry a B-tree is read at use). Shared:
+// callers must not modify it.
+func (r *Relation) AttrsByName() []*Attribute { return r.byName }
 
 // Attribute describes one column of a relation together with the
 // statistics and access structures the cost model uses.
@@ -231,6 +231,9 @@ type Attribute struct {
 	// general; here it is a compile-time fact, as in the paper's
 	// experiments.
 	BTree bool
+
+	// qualified caches QualifiedName once the attribute is attached.
+	qualified string
 }
 
 // NewAttribute builds an attribute description.
@@ -238,10 +241,11 @@ func NewAttribute(name string, domainSize int, btree bool) *Attribute {
 	return &Attribute{Name: name, DomainSize: domainSize, BTree: btree}
 }
 
-// QualifiedName returns "relation.attribute".
+// QualifiedName returns "relation.attribute", or the bare name of an
+// attribute not attached to a relation.
 func (a *Attribute) QualifiedName() string {
-	if a.Rel == nil {
+	if a.qualified == "" {
 		return a.Name
 	}
-	return a.Rel.Name + "." + a.Name
+	return a.qualified
 }

@@ -122,15 +122,20 @@ func TestAttributeLookup(t *testing.T) {
 	}
 }
 
-func TestIndexedAttrsSorted(t *testing.T) {
+func TestAttrsByNameSorted(t *testing.T) {
 	r := NewRelation("R", 10, 512,
 		NewAttribute("z", 5, true),
 		NewAttribute("a", 5, true),
 		NewAttribute("m", 5, false),
 	)
-	idx := r.IndexedAttrs()
-	if len(idx) != 2 || idx[0].Name != "a" || idx[1].Name != "z" {
-		t.Errorf("IndexedAttrs = %v", idx)
+	byName := r.AttrsByName()
+	if len(byName) != 3 || byName[0].Name != "a" || byName[1].Name != "m" || byName[2].Name != "z" {
+		t.Errorf("AttrsByName = %v", byName)
+	}
+	// The schema order is untouched, and the cached qualified names agree
+	// with it.
+	if r.Attrs[0].Name != "z" || r.QualifiedNames()[0] != "R.z" || byName[0].QualifiedName() != "R.a" {
+		t.Errorf("schema order or qualified names disturbed: %v %v", r.Attrs, r.QualifiedNames())
 	}
 }
 

@@ -198,7 +198,7 @@ func RunQuery(w *workload.Workload, spec workload.QuerySpec, memUncertain bool, 
 	pt.DynamicNodes = dynamic.Plan.CountNodes()
 	pt.ChoosePlans = dynamic.Plan.CountChoosePlans()
 	pt.DynamicAlternatives = dynamic.Plan.Alternatives()
-	pt.LogicalAlternatives = dynamic.Stats.LogicalAlternatives
+	pt.LogicalAlternatives = q.LogicalAlternatives(q.AllRels())
 
 	module, err := plan.NewModule(dynamic.Plan)
 	if err != nil {

@@ -178,43 +178,53 @@ func (q *Query) AllRels() RelSet {
 
 // Connected reports whether the join graph restricted to s is connected.
 func (q *Query) Connected(s RelSet) bool {
+	var adj [64]RelSet
+	return q.graph(adj[:len(q.Rels)]).Connected(s)
+}
+
+// Graph is a query's join graph as one adjacency mask per relation: bit j
+// of Graph[i] is set when a join edge links relations i and j. A search
+// builds its own before it starts, so concurrent searches share nothing.
+type Graph []RelSet
+
+// Graph returns the query's join graph.
+func (q *Query) Graph() Graph { return q.graph(make(Graph, len(q.Rels))) }
+
+// graph fills g, one zeroed mask per relation, from the edges.
+func (q *Query) graph(g Graph) Graph {
+	for _, e := range q.Edges {
+		g[e.Left] |= Bit(e.Right)
+		g[e.Right] |= Bit(e.Left)
+	}
+	return g
+}
+
+// Connected reports whether the graph restricted to s is connected: a
+// flood fill from s's lowest member over the adjacency masks.
+func (g Graph) Connected(s RelSet) bool {
 	if s == 0 {
 		return false
 	}
-	if s.IsSingleton() {
-		return true
-	}
-	frontier := Bit(s.Single())
-	reached := frontier
-	for frontier != 0 {
+	reached := s & -s
+	for frontier := reached; frontier != 0; {
 		next := RelSet(0)
-		for _, e := range q.Edges {
-			if !e.Within(s) {
-				continue
-			}
-			l, r := Bit(e.Left), Bit(e.Right)
-			if frontier&l != 0 && reached&r == 0 {
-				next |= r
-			}
-			if frontier&r != 0 && reached&l == 0 {
-				next |= l
-			}
+		for t := frontier; t != 0; t &= t - 1 {
+			next |= g[bits.TrailingZeros64(uint64(t))]
 		}
-		reached |= next
-		frontier = next
+		frontier = next & s &^ reached
+		reached |= frontier
 	}
 	return reached == s
 }
 
-// CrossingEdges returns the join edges connecting the two disjoint sets.
-func (q *Query) CrossingEdges(l, r RelSet) []JoinEdge {
-	var out []JoinEdge
-	for _, e := range q.Edges {
-		if e.Connects(l, r) {
-			out = append(out, e)
+// Joined reports whether some join edge links the disjoint sets l and r.
+func (g Graph) Joined(l, r RelSet) bool {
+	for t := l; t != 0; t &= t - 1 {
+		if g[bits.TrailingZeros64(uint64(t))]&r != 0 {
+			return true
 		}
 	}
-	return out
+	return false
 }
 
 // Cardinality returns the cardinality interval of the sub-query covering
@@ -252,8 +262,8 @@ func (q *Query) BaseCardinality(i int, env *bindings.Env) cost.Range {
 // of the member relations' record widths (joins concatenate records).
 func (q *Query) RowBytes(s RelSet) int {
 	w := 0
-	for _, i := range s.Members() {
-		w += q.Rels[i].Rel.RecordBytes
+	for t := s; t != 0; t &= t - 1 {
+		w += q.Rels[bits.TrailingZeros64(uint64(t))].Rel.RecordBytes
 	}
 	return w
 }
@@ -298,11 +308,10 @@ func (q *Query) RelIndex(name string) int {
 // reports e.g. 74,022,912 alternatives for the ten-way join) over the
 // connected set s, excluding cross products. For a singleton it returns 1.
 func (q *Query) LogicalAlternatives(s RelSet) float64 {
-	memo := make(map[RelSet]float64)
-	return q.countTrees(s, memo)
+	return q.Graph().countTrees(s, make(map[RelSet]float64))
 }
 
-func (q *Query) countTrees(s RelSet, memo map[RelSet]float64) float64 {
+func (g Graph) countTrees(s RelSet, memo map[RelSet]float64) float64 {
 	if s.IsSingleton() {
 		return 1
 	}
@@ -312,13 +321,9 @@ func (q *Query) countTrees(s RelSet, memo map[RelSet]float64) float64 {
 	total := 0.0
 	for l := (s - 1) & s; l != 0; l = (l - 1) & s {
 		r := s &^ l
-		if len(q.CrossingEdges(l, r)) == 0 {
-			continue
+		if g.Joined(l, r) && g.Connected(l) && g.Connected(r) {
+			total += g.countTrees(l, memo) * g.countTrees(r, memo)
 		}
-		if !q.Connected(l) || !q.Connected(r) {
-			continue
-		}
-		total += q.countTrees(l, memo) * q.countTrees(r, memo)
 	}
 	memo[s] = total
 	return total

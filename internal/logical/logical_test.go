@@ -120,14 +120,53 @@ func TestConnected(t *testing.T) {
 	}
 }
 
-func TestCrossingEdges(t *testing.T) {
+func TestGraphMasks(t *testing.T) {
 	q := chainQuery(4)
-	edges := q.CrossingEdges(Bit(0)|Bit(1), Bit(2)|Bit(3))
-	if len(edges) != 1 || edges[0].Left != 1 || edges[0].Right != 2 {
-		t.Errorf("CrossingEdges = %v", edges)
+	g := q.Graph()
+	want := Graph{Bit(1), Bit(0) | Bit(2), Bit(1) | Bit(3), Bit(2)}
+	for i := range want {
+		if g[i] != want[i] {
+			t.Errorf("adjacency of %d = %b, want %b", i, g[i], want[i])
+		}
 	}
-	if got := q.CrossingEdges(Bit(0), Bit(2)); len(got) != 0 {
-		t.Errorf("no edge should cross 0-2: %v", got)
+	if !g.Joined(Bit(0)|Bit(1), Bit(2)|Bit(3)) || !g.Joined(Bit(2)|Bit(3), Bit(0)|Bit(1)) {
+		t.Error("the chain's middle edge joins its halves")
+	}
+	if g.Joined(Bit(0), Bit(2)) || g.Joined(Bit(0)|Bit(3), 0) {
+		t.Error("no edge links 0 and 2, nor anything with the empty set")
+	}
+	// On the chain and on the chain closed into a cycle, the masks agree
+	// with the edge list on every pair of disjoint sets, and the flood fill
+	// with a walk over the edges on every set.
+	cyc := chainQuery(5)
+	cyc.Edges = append(cyc.Edges, JoinEdge{Left: 4, Right: 0,
+		LeftAttr: cyc.Rels[4].Rel.MustAttribute("jh"), RightAttr: cyc.Rels[0].Rel.MustAttribute("jl")})
+	for _, q := range []*Query{q, cyc} {
+		g, all := q.Graph(), q.AllRels()
+		for l := RelSet(1); l <= all; l++ {
+			reached := l & -l
+			for grown := true; grown; {
+				grown = false
+				for _, e := range q.Edges {
+					if e.Within(l) && reached.Has(e.Left) != reached.Has(e.Right) {
+						reached |= Bit(e.Left) | Bit(e.Right)
+						grown = true
+					}
+				}
+			}
+			if got, want := g.Connected(l), reached == l; got != want {
+				t.Errorf("Connected(%b) = %v, want %v", l, got, want)
+			}
+			for r := all &^ l; r != 0; r = (r - 1) & (all &^ l) {
+				crossing := false
+				for _, e := range q.Edges {
+					crossing = crossing || e.Connects(l, r)
+				}
+				if g.Joined(l, r) != crossing {
+					t.Errorf("Joined(%b, %b) = %v, want %v", l, r, g.Joined(l, r), crossing)
+				}
+			}
+		}
 	}
 }
 

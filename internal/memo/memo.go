@@ -15,6 +15,8 @@ package memo
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -48,28 +50,22 @@ type Winner struct {
 
 // Memo is the goal table.
 type Memo struct {
-	winners map[Goal]*Winner
-	order   []Goal
+	winners map[Goal]Winner
 }
 
 // New returns an empty memo.
 func New() *Memo {
-	return &Memo{winners: make(map[Goal]*Winner)}
+	return &Memo{winners: make(map[Goal]Winner)}
 }
 
 // Lookup returns the memoized winner for a goal, if present.
-func (m *Memo) Lookup(g Goal) (*Winner, bool) {
+func (m *Memo) Lookup(g Goal) (Winner, bool) {
 	w, ok := m.winners[g]
 	return w, ok
 }
 
 // Store memoizes the winner for a goal.
-func (m *Memo) Store(g Goal, w *Winner) {
-	if _, dup := m.winners[g]; !dup {
-		m.order = append(m.order, g)
-	}
-	m.winners[g] = w
-}
+func (m *Memo) Store(g Goal, w Winner) { m.winners[g] = w }
 
 // Len returns the number of memoized goals.
 func (m *Memo) Len() int { return len(m.winners) }
@@ -88,10 +84,8 @@ func (m *Memo) ExtraAlternatives() int {
 	return total
 }
 
-// Goals returns the memoized goals in first-stored order.
-func (m *Memo) Goals() []Goal {
-	return append([]Goal(nil), m.order...)
-}
+// Goals returns the memoized goals, in no particular order.
+func (m *Memo) Goals() []Goal { return slices.Collect(maps.Keys(m.winners)) }
 
 // Dump renders the memo contents for debugging and EXPLAIN-style output,
 // sorted by set size then goal string for determinism.

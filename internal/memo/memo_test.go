@@ -9,8 +9,8 @@ import (
 	"dynplan/internal/physical"
 )
 
-func winner(op physical.Op) *Winner {
-	return &Winner{
+func winner(op physical.Op) Winner {
+	return Winner{
 		Plan:         &physical.Node{Op: op, Rel: "R", BaseCard: 1, RowBytes: 512},
 		Cost:         cost.Point(1),
 		Card:         cost.PointRange(1),

@@ -89,9 +89,6 @@ func (n *Node) Ordering() string {
 	}
 }
 
-// Delivered returns the node's delivered physical property.
-func (n *Node) Delivered() Prop { return Prop{Order: n.Ordering()} }
-
 // CountNodes returns the number of distinct operator nodes in the DAG
 // rooted at n — the paper's plan-size metric (Figure 6) and the basis of
 // access-module I/O time.

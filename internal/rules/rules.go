@@ -15,7 +15,7 @@
 package rules
 
 import (
-	"fmt"
+	"iter"
 
 	"dynplan/internal/logical"
 	"dynplan/internal/memo"
@@ -23,227 +23,210 @@ import (
 )
 
 // Candidate describes one way to implement a goal before its inputs have
-// been optimized. Inputs lists the child goals in the order the search
-// engine should optimize them (enabling branch-and-bound between the
-// first and second input, §3); Build assembles the plan node once the
-// child plans are known.
+// been optimized: an operator template and the child goals it consumes.
+// Candidates are plain values; nothing is allocated until the search
+// builds one.
 type Candidate struct {
-	// Desc is a short human-readable tag for statistics and debugging.
-	Desc string
-	// Inputs are the child optimization goals in optimization order.
-	Inputs []memo.Goal
-	// Build constructs the operator (sub)tree on top of the child plans.
-	Build func(children []*physical.Node) *physical.Node
+	// op is the operator Build returns, less its inputs.
+	op physical.Node
+	// filter, on an access path, is the selection a Filter applies on top
+	// of op.
+	filter *logical.SelPred
+	// inputs[:n] are the child goals in optimization order.
+	inputs [2]memo.Goal
+	n      int
 }
 
-// Enumerate returns the candidates for goal (set, prop) over query q.
-// The caller must have validated the query.
-func Enumerate(q *logical.Query, set logical.RelSet, prop physical.Prop) []Candidate {
-	var cands []Candidate
-	if set.IsSingleton() {
-		cands = accessPaths(q, set.Single(), prop)
-	} else {
-		cands = joins(q, set, prop)
+// Inputs returns the child goals in the order the search engine should
+// optimize them (enabling branch-and-bound between the first and second
+// input, §3).
+func (c *Candidate) Inputs() []memo.Goal { return c.inputs[:c.n] }
+
+// Build returns the candidate's operator (sub)tree on top of the child
+// plans, one per input. A node is allocated together with its input
+// array, so a built candidate costs one allocation; the children are
+// copied, not retained.
+func (c *Candidate) Build(children ...*physical.Node) *physical.Node {
+	if p := c.filter; p != nil {
+		b := &struct {
+			filter, scan physical.Node
+			input        [1]*physical.Node
+		}{scan: c.op}
+		b.input[0] = &b.scan
+		b.filter = physical.Node{Op: physical.Filter, SelAttr: p.Attr.QualifiedName(), Var: p.Variable,
+			FixedSel: p.FixedSel, RowBytes: c.op.RowBytes, Children: b.input[:]}
+		return &b.filter
 	}
-	if prop.Order != "" {
-		cands = append(cands, sortEnforcer(q, set, prop))
+	b := &struct {
+		node   physical.Node
+		inputs [2]*physical.Node
+	}{node: c.op}
+	if k := copy(b.inputs[:], children); k > 0 {
+		b.node.Children = b.inputs[:k:k]
 	}
-	return cands
+	return &b.node
+}
+
+// Desc labels the candidate's operator ("Hash-Join R1.jh = R2.jl (build
+// left)") for error messages and tests.
+func (c *Candidate) Desc() string { return c.op.Label() }
+
+// Rules generates the candidates of one query's goals. The caller must
+// have validated the query.
+type Rules struct {
+	q *logical.Query
+	g logical.Graph
+}
+
+// New binds the rules to a query, computing its join graph once for every
+// goal the search will pose.
+func New(q *logical.Query) Rules { return Rules{q: q, g: q.Graph()} }
+
+// Candidates yields the candidates for goal (set, prop) in a fixed order —
+// the order a goal's choose-plan lists its surviving alternatives in.
+func (r Rules) Candidates(set logical.RelSet, prop physical.Prop) iter.Seq[Candidate] {
+	return func(yield func(Candidate) bool) {
+		if set.IsSingleton() {
+			if !r.accessPaths(set.Single(), prop, yield) {
+				return
+			}
+		} else if !r.joins(set, prop, yield) {
+			return
+		}
+		if prop.Order != "" {
+			yield(Candidate{
+				op:     physical.Node{Op: physical.Sort, Attr: prop.Order, RowBytes: r.q.RowBytes(set)},
+				inputs: [2]memo.Goal{{Set: set}},
+				n:      1,
+			})
+		}
+	}
 }
 
 // accessPaths implements Get-Set and Select (Figure 1 of the paper): a
 // file scan with a filter, a full B-tree scan with a filter (delivering
 // the index order), and a filtered B-tree scan fetching only qualifying
-// records.
-func accessPaths(q *logical.Query, i int, prop physical.Prop) []Candidate {
-	rel := q.Rels[i].Rel
-	pred := q.Rels[i].Pred
-	var cands []Candidate
-
-	addScan := func(desc string, scan *physical.Node, filtered bool) {
-		n := scan
-		if filtered && pred != nil {
-			n = filterNode(pred, scan)
+// records. It reports whether yield asked for more.
+func (r Rules) accessPaths(i int, prop physical.Prop, yield func(Candidate) bool) bool {
+	rel, pred := r.q.Rels[i].Rel, r.q.Rels[i].Pred
+	// offer yields the scan, under a Filter applying the selection when
+	// filtered, unless the order it delivers is not the required one.
+	offer := func(scan physical.Node, filtered bool, order string) bool {
+		if prop.Order != "" && order != prop.Order {
+			return true
 		}
-		if !n.Delivered().Satisfies(prop) {
-			return
+		c := Candidate{op: scan}
+		if filtered {
+			c.filter = pred
 		}
-		cands = append(cands, Candidate{
-			Desc:  desc,
-			Build: func([]*physical.Node) *physical.Node { return n },
-		})
+		return yield(c)
 	}
 
-	addScan("file-scan "+rel.Name, &physical.Node{
-		Op:       physical.FileScan,
-		Rel:      rel.Name,
-		BaseCard: rel.Cardinality,
-		RowBytes: rel.RecordBytes,
-	}, true)
-
-	for _, attr := range rel.IndexedAttrs() {
+	base := physical.Node{Rel: rel.Name, BaseCard: rel.Cardinality, RowBytes: rel.RecordBytes}
+	scan := base
+	scan.Op = physical.FileScan
+	if !offer(scan, true, "") {
+		return false
+	}
+	for _, attr := range rel.AttrsByName() {
+		if !attr.BTree {
+			continue
+		}
 		qual := attr.QualifiedName()
 		onPred := pred != nil && pred.Attr == attr
+		scan = base
+		scan.Attr = attr.Name
 		// A full B-tree scan is worth considering when it delivers a
 		// requested order or when it is an alternative way to evaluate
 		// the predicate (the third physical expression of query 1, §6).
 		if prop.Order == qual || onPred {
-			addScan("b-tree-scan "+qual, &physical.Node{
-				Op:       physical.BtreeScan,
-				Rel:      rel.Name,
-				Attr:     attr.Name,
-				BaseCard: rel.Cardinality,
-				RowBytes: rel.RecordBytes,
-			}, true)
+			scan.Op = physical.BtreeScan
+			if !offer(scan, true, qual) {
+				return false
+			}
 		}
 		if onPred {
-			addScan("filter-b-tree-scan "+qual, &physical.Node{
-				Op:       physical.FilterBtreeScan,
-				Rel:      rel.Name,
-				Attr:     attr.Name,
-				SelAttr:  qual,
-				Var:      pred.Variable,
-				FixedSel: pred.FixedSel,
-				BaseCard: rel.Cardinality,
-				RowBytes: rel.RecordBytes,
-			}, false)
+			scan.Op = physical.FilterBtreeScan
+			scan.SelAttr, scan.Var, scan.FixedSel = qual, pred.Variable, pred.FixedSel
+			if !offer(scan, false, qual) {
+				return false
+			}
 		}
 	}
-	return cands
+	return true
 }
 
-func filterNode(pred *logical.SelPred, child *physical.Node) *physical.Node {
-	return &physical.Node{
-		Op:       physical.Filter,
-		SelAttr:  pred.Attr.QualifiedName(),
-		Var:      pred.Variable,
-		FixedSel: pred.FixedSel,
-		RowBytes: child.RowBytes,
-		Children: []*physical.Node{child},
-	}
-}
-
-// joins enumerates every ordered partition of set into two connected
-// subsets and every applicable join algorithm.
-func joins(q *logical.Query, set logical.RelSet, prop physical.Prop) []Candidate {
-	var cands []Candidate
+// joins enumerates every ordered partition of set into two connected,
+// joined subsets and every applicable join algorithm. It reports whether
+// yield asked for more.
+func (r Rules) joins(set logical.RelSet, prop physical.Prop, yield func(Candidate) bool) bool {
+	q := r.q
 	width := q.RowBytes(set)
 
-	for l := (set - 1) & set; l != 0; l = (l - 1) & set {
-		r := set &^ l
-		if r == 0 || !q.Connected(l) || !q.Connected(r) {
+	for left := (set - 1) & set; left != 0; left = (left - 1) & set {
+		right := set &^ left
+		if !r.g.Joined(left, right) || !r.g.Connected(left) || !r.g.Connected(right) {
 			continue
 		}
-		edges := q.CrossingEdges(l, r)
-		if len(edges) == 0 {
-			continue
-		}
-		e := edges[0]
+		// The first crossing edge names the join attributes; the product
+		// of every crossing edge's selectivity is the join's.
+		var e *logical.JoinEdge
 		edgeSel := 1.0
-		for _, ce := range edges {
-			edgeSel *= ce.Selectivity()
+		for i := range q.Edges {
+			if ce := &q.Edges[i]; ce.Connects(left, right) {
+				if e == nil {
+					e = ce
+				}
+				edgeSel *= ce.Selectivity()
+			}
 		}
-		// Orient the join attributes: leftAttr belongs to side l.
+		// Orient the join attributes: leftAttr belongs to side left.
 		leftAttr, rightAttr := e.LeftAttr, e.RightAttr
-		if l.Has(e.Right) {
+		if left.Has(e.Right) {
 			leftAttr, rightAttr = rightAttr, leftAttr
 		}
-		lq, rq := leftAttr.QualifiedName(), rightAttr.QualifiedName()
-		l, r := l, r // capture per iteration
+		join := physical.Node{
+			LeftAttr:  leftAttr.QualifiedName(),
+			RightAttr: rightAttr.QualifiedName(),
+			EdgeSel:   edgeSel,
+			RowBytes:  width,
+		}
 
 		// Hash-Join: builds on the left input, no order requirements, no
 		// order delivered.
 		if prop.Order == "" {
-			cands = append(cands, Candidate{
-				Desc:   fmt.Sprintf("hash-join %s=%s", lq, rq),
-				Inputs: []memo.Goal{{Set: l}, {Set: r}},
-				Build: func(ch []*physical.Node) *physical.Node {
-					return &physical.Node{
-						Op:        physical.HashJoin,
-						LeftAttr:  lq,
-						RightAttr: rq,
-						EdgeSel:   edgeSel,
-						RowBytes:  width,
-						Children:  []*physical.Node{ch[0], ch[1]},
-					}
-				},
-			})
+			join.Op = physical.HashJoin
+			if !yield(Candidate{op: join, inputs: [2]memo.Goal{{Set: left}, {Set: right}}, n: 2}) {
+				return false
+			}
 		}
 
 		// Merge-Join: requires both inputs sorted on the join attributes,
 		// delivers the left attribute's order.
-		if prop.Order == "" || prop.Order == lq {
-			cands = append(cands, Candidate{
-				Desc: fmt.Sprintf("merge-join %s=%s", lq, rq),
-				Inputs: []memo.Goal{
-					{Set: l, Prop: physical.Prop{Order: lq}},
-					{Set: r, Prop: physical.Prop{Order: rq}},
-				},
-				Build: func(ch []*physical.Node) *physical.Node {
-					return &physical.Node{
-						Op:        physical.MergeJoin,
-						LeftAttr:  lq,
-						RightAttr: rq,
-						EdgeSel:   edgeSel,
-						RowBytes:  width,
-						Children:  []*physical.Node{ch[0], ch[1]},
-					}
-				},
-			})
+		if prop.Order == "" || prop.Order == join.LeftAttr {
+			join.Op = physical.MergeJoin
+			if !yield(Candidate{op: join, n: 2, inputs: [2]memo.Goal{
+				{Set: left, Prop: physical.Prop{Order: join.LeftAttr}},
+				{Set: right, Prop: physical.Prop{Order: join.RightAttr}},
+			}}) {
+				return false
+			}
 		}
 
 		// Index-Join: inner input must be a single base relation with a
 		// B-tree on its join attribute; the inner selection (if any)
 		// becomes a residual predicate applied after each fetch.
-		if prop.Order == "" && r.IsSingleton() && rightAttr.BTree {
-			inner := q.Rels[r.Single()]
-			var selAttr, v string
-			var fixed float64
-			if inner.Pred != nil {
-				selAttr = inner.Pred.Attr.QualifiedName()
-				v = inner.Pred.Variable
-				fixed = inner.Pred.FixedSel
+		if prop.Order == "" && right.IsSingleton() && rightAttr.BTree {
+			inner := q.Rels[right.Single()]
+			join.Op = physical.IndexJoin
+			join.Rel, join.Attr, join.BaseCard = inner.Rel.Name, rightAttr.Name, inner.Rel.Cardinality
+			if p := inner.Pred; p != nil {
+				join.SelAttr, join.Var, join.FixedSel = p.Attr.QualifiedName(), p.Variable, p.FixedSel
 			}
-			rightAttrName := rightAttr.Name
-			cands = append(cands, Candidate{
-				Desc:   fmt.Sprintf("index-join %s=%s", lq, rq),
-				Inputs: []memo.Goal{{Set: l}},
-				Build: func(ch []*physical.Node) *physical.Node {
-					return &physical.Node{
-						Op:        physical.IndexJoin,
-						Rel:       inner.Rel.Name,
-						Attr:      rightAttrName,
-						SelAttr:   selAttr,
-						Var:       v,
-						FixedSel:  fixed,
-						LeftAttr:  lq,
-						RightAttr: rq,
-						EdgeSel:   edgeSel,
-						BaseCard:  inner.Rel.Cardinality,
-						RowBytes:  width,
-						Children:  []*physical.Node{ch[0]},
-					}
-				},
-			})
+			if !yield(Candidate{op: join, inputs: [2]memo.Goal{{Set: left}}, n: 1}) {
+				return false
+			}
 		}
 	}
-	return cands
-}
-
-// sortEnforcer wraps the goal's order-free winner in a Sort.
-func sortEnforcer(q *logical.Query, set logical.RelSet, prop physical.Prop) Candidate {
-	width := q.RowBytes(set)
-	order := prop.Order
-	return Candidate{
-		Desc:   "sort " + order,
-		Inputs: []memo.Goal{{Set: set}},
-		Build: func(ch []*physical.Node) *physical.Node {
-			return &physical.Node{
-				Op:       physical.Sort,
-				Attr:     order,
-				RowBytes: width,
-				Children: []*physical.Node{ch[0]},
-			}
-		},
-	}
+	return true
 }

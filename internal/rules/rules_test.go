@@ -1,6 +1,7 @@
 package rules
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -37,21 +38,26 @@ func testQuery() *logical.Query {
 	return q
 }
 
+// enumerate collects the candidates for goal (set, prop) over q.
+func enumerate(q *logical.Query, set logical.RelSet, prop physical.Prop) []Candidate {
+	return slices.Collect(New(q).Candidates(set, prop))
+}
+
 func build(c Candidate, q *logical.Query) *physical.Node {
-	children := make([]*physical.Node, len(c.Inputs))
-	for i, in := range c.Inputs {
+	children := make([]*physical.Node, len(c.Inputs()))
+	for i, in := range c.Inputs() {
 		// Stand-in child: a file scan wide enough to be valid.
 		children[i] = &physical.Node{
 			Op: physical.FileScan, Rel: "X",
 			BaseCard: 10, RowBytes: q.RowBytes(in.Set),
 		}
 	}
-	return c.Build(children)
+	return c.Build(children...)
 }
 
 func TestLeafCandidatesUnordered(t *testing.T) {
 	q := testQuery()
-	cands := Enumerate(q, logical.Bit(0), physical.None)
+	cands := enumerate(q, logical.Bit(0), physical.None)
 	// Figure 1's three physical expressions: Filter(File-Scan),
 	// Filter(B-tree-Scan), Filter-B-tree-Scan.
 	if len(cands) != 3 {
@@ -61,7 +67,7 @@ func TestLeafCandidatesUnordered(t *testing.T) {
 	for _, c := range cands {
 		n := build(c, q)
 		if err := n.Validate(); err != nil {
-			t.Errorf("%s: invalid node: %v", c.Desc, err)
+			t.Errorf("%s: invalid node: %v", c.Desc(), err)
 		}
 		// Walk to the scan at the bottom.
 		for len(n.Children) > 0 {
@@ -77,14 +83,14 @@ func TestLeafCandidatesUnordered(t *testing.T) {
 func TestLeafCandidatesOrdered(t *testing.T) {
 	q := testQuery()
 	prop := physical.Prop{Order: "A.jh"}
-	cands := Enumerate(q, logical.Bit(0), prop)
+	cands := enumerate(q, logical.Bit(0), prop)
 	// Natively: B-tree scan on jh (delivers A.jh); plus the Sort enforcer.
 	var delivered int
 	var sorts int
 	for _, c := range cands {
 		n := build(c, q)
-		if !n.Delivered().Satisfies(prop) {
-			t.Errorf("%s delivers %q, requirement %v", c.Desc, n.Ordering(), prop)
+		if !(physical.Prop{Order: n.Ordering()}).Satisfies(prop) {
+			t.Errorf("%s delivers %q, requirement %v", c.Desc(), n.Ordering(), prop)
 		}
 		if n.Op == physical.Sort {
 			sorts++
@@ -103,7 +109,7 @@ func TestLeafCandidatesOrdered(t *testing.T) {
 func TestLeafWithoutPredicate(t *testing.T) {
 	q := testQuery()
 	q.Rels[0].Pred = nil
-	cands := Enumerate(q, logical.Bit(0), physical.None)
+	cands := enumerate(q, logical.Bit(0), physical.None)
 	// Only the file scan: a full B-tree scan is never cheaper without a
 	// predicate or an order requirement.
 	if len(cands) != 1 {
@@ -118,29 +124,29 @@ func TestLeafWithoutPredicate(t *testing.T) {
 func TestJoinCandidates(t *testing.T) {
 	q := testQuery()
 	set := logical.Bit(0) | logical.Bit(1)
-	cands := Enumerate(q, set, physical.None)
+	cands := enumerate(q, set, physical.None)
 	// Partitions ({A},{B}) and ({B},{A}); each: hash, merge, index (both
 	// inners are base relations with B-trees on their join attributes).
 	var hash, merge, index int
 	for _, c := range cands {
 		n := build(c, q)
 		if err := n.Validate(); err != nil {
-			t.Errorf("%s: %v", c.Desc, err)
+			t.Errorf("%s: %v", c.Desc(), err)
 		}
 		switch n.Op {
 		case physical.HashJoin:
 			hash++
-			if len(c.Inputs) != 2 || c.Inputs[0].Prop != physical.None {
+			if len(c.Inputs()) != 2 || c.Inputs()[0].Prop != physical.None {
 				t.Error("hash join inputs must be unordered goals")
 			}
 		case physical.MergeJoin:
 			merge++
-			if c.Inputs[0].Prop.Order == "" || c.Inputs[1].Prop.Order == "" {
+			if c.Inputs()[0].Prop.Order == "" || c.Inputs()[1].Prop.Order == "" {
 				t.Error("merge join must require sorted inputs")
 			}
 		case physical.IndexJoin:
 			index++
-			if len(c.Inputs) != 1 {
+			if len(c.Inputs()) != 1 {
 				t.Error("index join takes only the outer input goal")
 			}
 			if n.Var == "" {
@@ -157,11 +163,11 @@ func TestJoinCandidatesOrdered(t *testing.T) {
 	q := testQuery()
 	set := logical.Bit(0) | logical.Bit(1)
 	prop := physical.Prop{Order: "A.jh"}
-	cands := Enumerate(q, set, prop)
+	cands := enumerate(q, set, prop)
 	for _, c := range cands {
 		n := build(c, q)
-		if !n.Delivered().Satisfies(prop) {
-			t.Errorf("%s delivers %q", c.Desc, n.Ordering())
+		if !(physical.Prop{Order: n.Ordering()}).Satisfies(prop) {
+			t.Errorf("%s delivers %q", c.Desc(), n.Ordering())
 		}
 	}
 	// Natively only the merge join with A on the left, plus the enforcer.
@@ -175,9 +181,9 @@ func TestNoIndexJoinWithoutBtree(t *testing.T) {
 	// Drop the B-tree on B.jl: the ({A},{B}) index join disappears.
 	q.Rels[1].Rel.MustAttribute("jl").BTree = false
 	set := logical.Bit(0) | logical.Bit(1)
-	for _, c := range Enumerate(q, set, physical.None) {
-		if strings.HasPrefix(c.Desc, "index-join A.jh=B.jl") {
-			t.Errorf("index join generated without an index: %s", c.Desc)
+	for _, c := range enumerate(q, set, physical.None) {
+		if strings.HasPrefix(c.Desc(), "Index-Join A.jh = B.jl") {
+			t.Errorf("index join generated without an index: %s", c.Desc())
 		}
 	}
 }
@@ -188,7 +194,7 @@ func TestNoCrossProducts(t *testing.T) {
 	// operand, and Enumerate for the pair {A,C} itself yields only the
 	// enforcer-free empty set.
 	set := logical.Bit(0) | logical.Bit(2)
-	if cands := Enumerate(q, set, physical.None); len(cands) != 0 {
+	if cands := enumerate(q, set, physical.None); len(cands) != 0 {
 		t.Errorf("cross-product partition produced %d candidates", len(cands))
 	}
 }
@@ -196,14 +202,14 @@ func TestNoCrossProducts(t *testing.T) {
 func TestThreeWayPartitions(t *testing.T) {
 	q := testQuery()
 	all := q.AllRels()
-	cands := Enumerate(q, all, physical.None)
+	cands := enumerate(q, all, physical.None)
 	// Connected ordered partitions of the chain A-B-C:
 	// ({A},{BC}), ({BC},{A}), ({AB},{C}), ({C},{AB}) — 4 of them.
 	// Each yields hash + merge, and index when the inner is a singleton
 	// with an indexed join attribute (({BC},{A}) and ({AB},{C})).
 	var inputsSeen = map[string]bool{}
 	for _, c := range cands {
-		for _, in := range c.Inputs {
+		for _, in := range c.Inputs() {
 			inputsSeen[in.String()] = true
 		}
 	}
@@ -215,7 +221,7 @@ func TestThreeWayPartitions(t *testing.T) {
 
 func TestSortEnforcerShape(t *testing.T) {
 	q := testQuery()
-	cands := Enumerate(q, q.AllRels(), physical.Prop{Order: "C.jl"})
+	cands := enumerate(q, q.AllRels(), physical.Prop{Order: "C.jl"})
 	var foundSort bool
 	for _, c := range cands {
 		n := build(c, q)
@@ -224,10 +230,10 @@ func TestSortEnforcerShape(t *testing.T) {
 			if n.Attr != "C.jl" {
 				t.Errorf("sort key = %q", n.Attr)
 			}
-			if len(c.Inputs) != 1 || c.Inputs[0].Prop != physical.None {
+			if len(c.Inputs()) != 1 || c.Inputs()[0].Prop != physical.None {
 				t.Error("sort enforcer must consume the unordered winner")
 			}
-			if c.Inputs[0].Set != q.AllRels() {
+			if c.Inputs()[0].Set != q.AllRels() {
 				t.Error("sort enforcer must consume the same relation set")
 			}
 		}
@@ -240,7 +246,7 @@ func TestSortEnforcerShape(t *testing.T) {
 func TestEdgeOrientation(t *testing.T) {
 	q := testQuery()
 	set := logical.Bit(0) | logical.Bit(1)
-	for _, c := range Enumerate(q, set, physical.None) {
+	for _, c := range enumerate(q, set, physical.None) {
 		n := build(c, q)
 		if n.Op != physical.HashJoin && n.Op != physical.MergeJoin {
 			continue
@@ -249,13 +255,13 @@ func TestEdgeOrientation(t *testing.T) {
 		leftRel := strings.SplitN(n.LeftAttr, ".", 2)[0]
 		var inputRels []string
 		switch {
-		case strings.Contains(c.Desc, "A.jh=B.jl"):
+		case strings.Contains(c.Desc(), "A.jh = B.jl"):
 			inputRels = []string{"A"}
-		case strings.Contains(c.Desc, "B.jl=A.jh"):
+		case strings.Contains(c.Desc(), "B.jl = A.jh"):
 			inputRels = []string{"B"}
 		}
 		if len(inputRels) == 1 && leftRel != inputRels[0] {
-			t.Errorf("%s: left attr %q not from left side", c.Desc, n.LeftAttr)
+			t.Errorf("%s: left attr %q not from left side", c.Desc(), n.LeftAttr)
 		}
 	}
 }

@@ -25,7 +25,7 @@ package search
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"sync"
 	"time"
 
 	"dynplan/internal/bindings"
@@ -89,34 +89,69 @@ type Stats struct {
 	CandidatesByOp map[physical.Op]int
 	// ChoosePlans is the number of choose-plan operators inserted.
 	ChoosePlans int
-	// LogicalAlternatives is the number of distinct bushy join trees of
-	// the query (the paper reports these counts per query in §6).
-	LogicalAlternatives float64
 	// Elapsed is the wall-clock optimization time (the paper's a and e).
 	Elapsed time.Duration
 }
 
 // Result is the outcome of an optimization: the (possibly dynamic) plan,
-// its cost interval, the effort statistics, and the machine-readable
-// optimizer span the observability layer exposes.
+// its cost interval, and the effort statistics. The machine-readable
+// optimizer span the observability layer exposes is assembled from them
+// on request (Span).
 type Result struct {
 	Plan  *physical.Node
 	Cost  cost.Cost
 	Card  cost.Range
 	Memo  *memo.Memo
 	Stats Stats
-	Span  *obs.OptimizerSpan
+
+	spanOnce sync.Once
+	span     *obs.OptimizerSpan
+}
+
+// Span returns the optimizer span: the memo's size, the enumeration and
+// pruning tallies, the produced plan's shape and predicted cost interval.
+// It is assembled on the first call — walking the plan costs as much as a
+// small optimization — and shared by every later (or concurrent) caller.
+func (r *Result) Span() *obs.OptimizerSpan {
+	r.spanOnce.Do(func() {
+		r.span = &obs.OptimizerSpan{
+			Goals:               r.Memo.Len(),
+			Candidates:          r.Stats.Candidates,
+			PrunedByBound:       r.Stats.PrunedByBound,
+			PrunedDominated:     r.Stats.PrunedDominated,
+			PrunedEqual:         r.Stats.PrunedEqual,
+			PrunedSampled:       r.Stats.PrunedSampled,
+			KeptIncomparable:    r.Memo.ExtraAlternatives(),
+			Comparisons:         r.Stats.Comparisons,
+			ChoosePlansEmitted:  r.Stats.ChoosePlans,
+			PlanChoosePlans:     r.Plan.CountChoosePlans(),
+			PlanNodes:           r.Plan.CountNodes(),
+			EncodedAlternatives: r.Plan.Alternatives(),
+			CostLo:              r.Cost.Lo,
+			CostHi:              r.Cost.Hi,
+			WallNanos:           r.Stats.Elapsed.Nanoseconds(),
+		}
+	})
+	return r.span
 }
 
 // Optimizer carries the state of one optimization run.
 type Optimizer struct {
-	query *logical.Query
 	env   *bindings.Env
 	cfg   Config
 	model *physical.Model
-	sess  *physical.Session
+	rules rules.Rules
 	memo  *memo.Memo
 	stats Stats
+	// built counts the costed candidates by root operator, the tallies
+	// Stats.CandidatesByOp reports.
+	built [physical.TempScan + 1]int
+	// survivors is a stack of the goals in progress' survivor sets: a goal
+	// owns the entries from the length it found to the top, and the goals
+	// it recurses into push above that and pop back before it resumes.
+	survivors []candidatePlan
+	// results is finish's scratch for the survivors' results.
+	results []physical.Result
 	// samples are the fixed parameter settings of the sampled-dominance
 	// heuristic; each keeps its own evaluation session so shared
 	// subplans are costed once per sample across all comparisons.
@@ -142,70 +177,40 @@ func Optimize(q *logical.Query, env *bindings.Env, cfg Config) (*Result, error) 
 		// ties would make "static" plans dynamic.
 		cfg.PruneEqualCost = true
 	}
-	model := physical.NewModel(cfg.Params)
+	start := time.Now()
 	o := &Optimizer{
-		query: q,
 		env:   env,
 		cfg:   cfg,
-		model: model,
-		sess:  model.NewSession(env),
+		model: physical.NewModel(cfg.Params),
+		rules: rules.New(q),
 		memo:  memo.New(),
 	}
-	start := time.Now()
 	root := memo.Goal{Set: q.AllRels(), Prop: physical.Prop{Order: cfg.FinalOrder}}
 	w, err := o.optimizeGoal(root)
 	if err != nil {
 		return nil, err
 	}
 	o.stats.Goals = o.memo.Len()
-	o.stats.LogicalAlternatives = q.LogicalAlternatives(q.AllRels())
-	o.stats.Elapsed = time.Since(start)
-	return &Result{
-		Plan: w.Plan, Cost: w.Cost, Card: w.Card, Memo: o.memo, Stats: o.stats,
-		Span: o.span(w.Plan, w.Cost),
-	}, nil
-}
-
-// span assembles the optimizer span the observability layer exposes: the
-// memo's size, the enumeration and pruning tallies, the shape of the
-// produced plan, and its predicted cost interval.
-func (o *Optimizer) span(plan *physical.Node, c cost.Cost) *obs.OptimizerSpan {
-	return &obs.OptimizerSpan{
-		Goals:               o.memo.Len(),
-		Candidates:          o.stats.Candidates,
-		PrunedByBound:       o.stats.PrunedByBound,
-		PrunedDominated:     o.stats.PrunedDominated,
-		PrunedEqual:         o.stats.PrunedEqual,
-		PrunedSampled:       o.stats.PrunedSampled,
-		KeptIncomparable:    o.memo.ExtraAlternatives(),
-		Comparisons:         o.stats.Comparisons,
-		ChoosePlansEmitted:  o.stats.ChoosePlans,
-		PlanChoosePlans:     plan.CountChoosePlans(),
-		PlanNodes:           plan.CountNodes(),
-		EncodedAlternatives: plan.Alternatives(),
-		CostLo:              c.Lo,
-		CostHi:              c.Hi,
-		WallNanos:           o.stats.Elapsed.Nanoseconds(),
+	o.stats.CandidatesByOp = make(map[physical.Op]int)
+	for op, n := range o.built {
+		if n > 0 {
+			o.stats.CandidatesByOp[physical.Op(op)] = n
+		}
 	}
+	o.stats.Elapsed = time.Since(start)
+	return &Result{Plan: w.Plan, Cost: w.Cost, Card: w.Card, Memo: o.memo, Stats: o.stats}, nil
 }
 
 // candidatePlan is a fully costed candidate awaiting the pruning pass.
 type candidatePlan struct {
 	node *physical.Node
 	res  physical.Result
-	desc string
-	seq  int
 }
 
 // optimizeGoal solves one goal, memoized.
-func (o *Optimizer) optimizeGoal(g memo.Goal) (*memo.Winner, error) {
+func (o *Optimizer) optimizeGoal(g memo.Goal) (memo.Winner, error) {
 	if w, ok := o.memo.Lookup(g); ok {
 		return w, nil
-	}
-
-	cands := rules.Enumerate(o.query, g.Set, g.Prop)
-	if len(cands) == 0 {
-		return nil, fmt.Errorf("search: no candidates for goal %s", g)
 	}
 
 	// bound is the branch-and-bound limit: the lowest *upper* bound of
@@ -213,19 +218,21 @@ func (o *Optimizer) optimizeGoal(g memo.Goal) (*memo.Winner, error) {
 	// only sound limit (§5), which is precisely why pruning erodes
 	// relative to point-cost optimization.
 	bound := cost.Infinite()
-	var survivors []candidatePlan
+	base := len(o.survivors)
 
 cands:
-	for seq, cand := range cands {
+	for cand := range o.rules.Candidates(g.Set, g.Prop) {
 		o.stats.Candidates++
-		children := make([]*physical.Node, 0, len(cand.Inputs))
+		inputs := cand.Inputs()
+		var kids [2]physical.Result
+		var winners [2]*physical.Node
 		childCost := cost.Point(0)
-		for _, in := range cand.Inputs {
+		for i, in := range inputs {
 			w, err := o.optimizeGoal(in)
 			if err != nil {
-				return nil, err
+				return w, err
 			}
-			children = append(children, w.Plan)
+			winners[i], kids[i] = w.Plan, physical.Result{Card: w.Card, Cost: w.Cost}
 			childCost = childCost.Add(w.Cost)
 			// Abandon the candidate if the inputs optimized so far
 			// already exceed the limit: "stop optimizing the second input
@@ -236,20 +243,22 @@ cands:
 				continue cands
 			}
 		}
-		node := cand.Build(children)
-		if !node.Delivered().Satisfies(g.Prop) {
-			return nil, fmt.Errorf("search: candidate %s does not deliver %s", cand.Desc, g.Prop)
+		node := cand.Build(winners[:len(inputs)]...)
+		in := kids[:len(inputs)]
+		if len(inputs) == 0 && len(node.Children) == 1 {
+			// An access path's Filter sits over its own fresh scan.
+			kids[0], in = o.model.EvaluateNode(node.Children[0], o.env, nil), kids[:1]
 		}
-		if o.stats.CandidatesByOp == nil {
-			o.stats.CandidatesByOp = make(map[physical.Op]int)
+		res := o.model.EvaluateNode(node, o.env, in)
+		if g.Prop.Order != "" && node.Ordering() != g.Prop.Order {
+			return memo.Winner{}, fmt.Errorf("search: candidate %s does not deliver %s", cand.Desc(), g.Prop)
 		}
-		o.stats.CandidatesByOp[node.Op]++
+		o.built[node.Op]++
 		// A filtered access path is one candidate but exercises two
 		// algorithms; credit the scan underneath as well.
 		if node.Op == physical.Filter && node.Children[0].Op.IsScan() {
-			o.stats.CandidatesByOp[node.Children[0].Op]++
+			o.built[node.Children[0].Op]++
 		}
-		res := o.sess.Evaluate(node)
 		if res.Cost.Lo > bound.Hi {
 			o.stats.PrunedByBound++
 			continue
@@ -257,35 +266,41 @@ cands:
 		if res.Cost.Hi < bound.Hi {
 			bound = res.Cost
 		}
-		survivors = o.insert(survivors, candidatePlan{node: node, res: res, desc: cand.Desc, seq: seq})
+		o.survivors = o.insert(o.survivors, base, candidatePlan{node: node, res: res})
 	}
 
-	if len(survivors) == 0 {
-		return nil, fmt.Errorf("search: all candidates pruned for goal %s", g)
+	// The first costed candidate always survives, so only a goal without
+	// candidates ends up here empty.
+	if len(o.survivors) == base {
+		return memo.Winner{}, fmt.Errorf("search: no candidates for goal %s", g)
 	}
-	w := o.finish(survivors)
+	w := o.finish(o.survivors[base:])
+	o.survivors = o.survivors[:base]
 	o.memo.Store(g, w)
 	return w, nil
 }
 
-// insert adds a costed candidate to the survivor set, maintaining the
-// invariant that survivors are mutually incomparable (or equal, when
-// equal-cost retention is on). This realizes the partial-order pruning of
-// §3: a candidate is discarded exactly when some other plan's interval is
-// provably no worse for every run-time binding.
-func (o *Optimizer) insert(survivors []candidatePlan, c candidatePlan) []candidatePlan {
-	kept := survivors[:0]
-	for _, s := range survivors {
+// insert adds a costed candidate to the goal's survivor set, the entries
+// of all from base on, maintaining the invariant that survivors are
+// mutually incomparable (or equal, when equal-cost retention is on). This
+// realizes the partial-order pruning of §3: a candidate is discarded
+// exactly when some other plan's interval is provably no worse for every
+// run-time binding. Survivors keep their relative order and the newcomer
+// goes last, so the set stays in enumeration order — the order the goal's
+// choose-plan lists its alternatives in.
+func (o *Optimizer) insert(all []candidatePlan, base int, c candidatePlan) []candidatePlan {
+	kept := all[:base]
+	for _, s := range all[base:] {
 		o.stats.Comparisons++
 		switch s.res.Cost.Compare(c.res.Cost) {
 		case cost.Less:
 			// Existing plan dominates the newcomer.
 			o.stats.PrunedDominated++
-			return survivors
+			return all
 		case cost.Equal:
 			if o.cfg.PruneEqualCost {
 				o.stats.PrunedEqual++
-				return survivors
+				return all
 			}
 			kept = append(kept, s)
 		case cost.Greater:
@@ -296,7 +311,7 @@ func (o *Optimizer) insert(survivors []candidatePlan, c candidatePlan) []candida
 				switch o.sampledCompare(s.node, c.node) {
 				case cost.Less:
 					o.stats.PrunedSampled++
-					return survivors
+					return all
 				case cost.Greater:
 					o.stats.PrunedSampled++
 					continue
@@ -360,22 +375,23 @@ func (o *Optimizer) makeSamples(k int) []*physical.Session {
 
 // finish converts the survivor set into the goal's winner, inserting a
 // choose-plan enforcer when more than one plan survived.
-func (o *Optimizer) finish(survivors []candidatePlan) *memo.Winner {
-	sort.Slice(survivors, func(i, j int) bool { return survivors[i].seq < survivors[j].seq })
+func (o *Optimizer) finish(survivors []candidatePlan) memo.Winner {
 	if len(survivors) == 1 {
 		s := survivors[0]
-		return &memo.Winner{Plan: s.node, Cost: s.res.Cost, Card: s.res.Card, Alternatives: 1}
+		return memo.Winner{Plan: s.node, Cost: s.res.Cost, Card: s.res.Card, Alternatives: 1}
 	}
 	o.stats.ChoosePlans++
 	children := make([]*physical.Node, len(survivors))
+	o.results = o.results[:0]
 	for i, s := range survivors {
 		children[i] = s.node
+		o.results = append(o.results, s.res)
 	}
 	choose := &physical.Node{
 		Op:       physical.ChoosePlan,
 		RowBytes: children[0].RowBytes,
 		Children: children,
 	}
-	res := o.sess.Evaluate(choose)
-	return &memo.Winner{Plan: choose, Cost: res.Cost, Card: res.Card, Alternatives: len(survivors)}
+	res := o.model.EvaluateNode(choose, o.env, o.results)
+	return memo.Winner{Plan: choose, Cost: res.Cost, Card: res.Card, Alternatives: len(survivors)}
 }

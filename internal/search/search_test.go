@@ -11,6 +11,7 @@ import (
 	"dynplan/internal/cost"
 	"dynplan/internal/logical"
 	"dynplan/internal/memo"
+	"dynplan/internal/obs"
 	"dynplan/internal/physical"
 	"dynplan/internal/rules"
 )
@@ -61,13 +62,13 @@ func allPlans(q *logical.Query, g memo.Goal, cache map[memo.Goal][]*physical.Nod
 		return plans
 	}
 	var out []*physical.Node
-	for _, c := range rules.Enumerate(q, g.Set, g.Prop) {
-		if len(c.Inputs) == 0 {
-			out = append(out, c.Build(nil))
+	for c := range rules.New(q).Candidates(g.Set, g.Prop) {
+		if len(c.Inputs()) == 0 {
+			out = append(out, c.Build())
 			continue
 		}
-		childPlans := make([][]*physical.Node, len(c.Inputs))
-		for i, in := range c.Inputs {
+		childPlans := make([][]*physical.Node, len(c.Inputs()))
+		for i, in := range c.Inputs() {
 			childPlans[i] = allPlans(q, in, cache)
 		}
 		// Cartesian product over input choices.
@@ -77,7 +78,7 @@ func allPlans(q *logical.Query, g memo.Goal, cache map[memo.Goal][]*physical.Nod
 			for i, k := range idx {
 				children[i] = childPlans[i][k]
 			}
-			out = append(out, c.Build(children))
+			out = append(out, c.Build(children...))
 			p := len(idx) - 1
 			for p >= 0 {
 				idx[p]++
@@ -275,6 +276,33 @@ func dynamicEnv(q *logical.Query) *bindings.Env {
 	return env
 }
 
+// TestSpanOnRequest: the optimizer span is assembled by the first Span
+// call, and every caller — concurrent ones included — shares that one.
+func TestSpanOnRequest(t *testing.T) {
+	q := paperishQuery(4)
+	res, err := Optimize(q, dynamicEnv(q), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.span != nil {
+		t.Fatal("Optimize assembled the span nobody asked for")
+	}
+	spans := make(chan *obs.OptimizerSpan, 8)
+	for range cap(spans) {
+		go func() { spans <- res.Span() }()
+	}
+	first := <-spans
+	for range cap(spans) - 1 {
+		if s := <-spans; s != first {
+			t.Fatal("concurrent callers got different spans")
+		}
+	}
+	if first.PlanNodes != res.Plan.CountNodes() || first.Goals != res.Stats.Goals ||
+		first.WallNanos != res.Stats.Elapsed.Nanoseconds() {
+		t.Errorf("span %+v disagrees with the result", first)
+	}
+}
+
 func TestStatsConsistency(t *testing.T) {
 	q := paperishQuery(4)
 	res, err := Optimize(q, dynamicEnv(q), Config{})
@@ -287,9 +315,6 @@ func TestStatsConsistency(t *testing.T) {
 	}
 	if st.ChoosePlans != res.Plan.CountChoosePlans() {
 		t.Errorf("stats report %d choose-plans, plan has %d", st.ChoosePlans, res.Plan.CountChoosePlans())
-	}
-	if st.LogicalAlternatives != q.LogicalAlternatives(q.AllRels()) {
-		t.Error("logical alternative count mismatch")
 	}
 	if st.Elapsed <= 0 {
 		t.Error("elapsed time not recorded")

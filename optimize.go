@@ -133,8 +133,8 @@ func (p *Plan) Stats() search.Stats { return p.res.Stats }
 // plan: memo size, candidates enumerated, plans pruned versus kept
 // incomparable, choose-plan operators emitted, and the produced plan's
 // shape — the observability layer's machine-readable counterpart of
-// Stats.
-func (p *Plan) Trace() *OptimizerSpan { return p.res.Span }
+// Stats. It is assembled on the first call, not by every compile.
+func (p *Plan) Trace() *OptimizerSpan { return p.res.Span() }
 
 // Root exposes the physical plan DAG (advanced use).
 func (p *Plan) Root() *physical.Node { return p.res.Plan }
