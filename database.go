@@ -42,12 +42,13 @@ type Database struct {
 	// InjectFaults/ClearFaults may race with in-flight executions, which
 	// snapshot the pointer once and use that injector throughout.
 	faults atomic.Pointer[storage.Injector]
-	// observing enables per-operator metrics; each execution collects into
-	// its own window, so concurrent queries never share counters.
+	// observing is the caller's EnableObservability switch for
+	// per-operator metrics; each execution collects into its own window, so
+	// concurrent queries never share counters.
 	observing atomic.Bool
 	// metrics holds the workload observatory's registry when enabled
-	// (EnableObservatory); nil means disabled and every recording hook
-	// reduces to one pointer comparison.
+	// (EnableObservatory); nil means disabled. The pipeline entry reads it
+	// once per query and is its only writer.
 	metrics atomic.Pointer[obs.Registry]
 	// tracing enables end-to-end span tracing (EnableTracing): every
 	// execution builds a span tree over its pipeline stages; traceSeq
@@ -131,7 +132,7 @@ func (s *System) OpenDatabase() *Database {
 		indexes: make(map[string]map[string]*btree.Tree),
 		loaded:  make(map[string]bool),
 	}
-	db.planCache = newPlanCache(db, defaultPlanCacheCapacity)
+	db.planCache = newPlanCache(defaultPlanCacheCapacity)
 	db.catalogVersion.Store(1)
 	return db
 }
@@ -154,7 +155,7 @@ type PlanCacheStats = plancache.Stats
 // discarded, though outstanding PreparedQuery handles keep working and
 // repopulate the new cache on their next execution.
 func (db *Database) SetPlanCacheCapacity(capacity int) {
-	db.planCache = newPlanCache(db, capacity)
+	db.planCache = newPlanCache(capacity)
 }
 
 // Insert appends rows to a relation; each row must list the attribute

@@ -31,9 +31,6 @@ type Policy struct {
 	// Disabled turns the ladder off: every escalated fault passes through
 	// to the downstream remedies untouched.
 	Disabled bool
-	// Registry receives the per-rung counters at decision time; nil (the
-	// disabled observatory) records nothing.
-	Registry *obs.Registry
 }
 
 // Controller runs one query's ladder. It is not safe for concurrent use;
@@ -91,7 +88,6 @@ func (c *Controller) Decide(err error, curDOP int) (nextDOP int, ok bool) {
 		Class:   qerr.Class(err),
 		Error:   err.Error(),
 	})
-	c.pol.Registry.RecordDegrade(rung)
 	return nextDOP, true
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"dynplan/internal/obs"
 	"dynplan/internal/qerr"
 )
 
@@ -98,17 +97,5 @@ func TestDecideDisabledAndNil(t *testing.T) {
 	}
 	if ev := nilC.Events(); ev != nil {
 		t.Errorf("nil controller reports events: %+v", ev)
-	}
-}
-
-func TestDecideRecordsRegistry(t *testing.T) {
-	r := obs.NewRegistry(0)
-	c := NewController(Policy{Registry: r})
-	c.Decide(qerr.ErrPermanentIO, 4) // dop-halve
-	c.Decide(qerr.ErrPermanentIO, 2) // serial-fallback
-	snap := r.Snapshot()
-	if snap.DopDegrades != 1 || snap.SerialFallbacks != 1 {
-		t.Errorf("registry: dop_degrades=%d serial_fallbacks=%d, want 1/1",
-			snap.DopDegrades, snap.SerialFallbacks)
 	}
 }

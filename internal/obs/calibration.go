@@ -90,7 +90,8 @@ func Calibrate(tree *PlanStats, planLo, planHi, actualCost float64) []Calibratio
 	if tree == nil {
 		return nil
 	}
-	var verdicts []CalibrationVerdict
+	// At most one verdict per distinct node plus the plan's: sized once.
+	verdicts := make([]CalibrationVerdict, 0, tree.NodeCount()+1)
 	seen := make(map[*PlanStats]bool)
 	var walk func(s *PlanStats)
 	walk = func(s *PlanStats) {

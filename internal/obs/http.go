@@ -9,7 +9,9 @@ import (
 // Handler serves the workload observatory over stdlib net/http. source is
 // consulted per request and returns the live registry (nil while the
 // observatory is disabled, which answers 503), so the handler can be
-// installed once and survive Enable/Disable cycles. Endpoints:
+// installed once and survive Enable/Disable cycles; metrics builds the
+// /metrics snapshot (nil while disabled), so the endpoint serves exactly
+// what the caller's own snapshot accessor returns. Endpoints:
 //
 //	/metrics      JSON RegistrySnapshot: counters, gauges, histogram
 //	              quantiles, per-operator and per-relation aggregates,
@@ -24,19 +26,19 @@ import (
 // All endpoints are GET-only (a non-GET method answers 405 with an Allow
 // header); unknown routes answer 404. The database layer wraps this as
 // (*Database).Handler(), keeping obs free of upward imports.
-func Handler(source func() *Registry) http.Handler {
+func Handler(source func() *Registry, metrics func() *RegistrySnapshot) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, req *http.Request) {
-		r := source()
-		if !r.Enabled() {
+		s := metrics()
+		if s == nil {
 			disabled(w)
 			return
 		}
-		writeJSON(w, r.Snapshot())
+		writeJSON(w, s)
 	})
 	mux.HandleFunc("GET /calibration", func(w http.ResponseWriter, req *http.Request) {
 		r := source()
-		if !r.Enabled() {
+		if r == nil {
 			disabled(w)
 			return
 		}
@@ -48,7 +50,7 @@ func Handler(source func() *Registry) http.Handler {
 	})
 	mux.HandleFunc("GET /queries", func(w http.ResponseWriter, req *http.Request) {
 		r := source()
-		if !r.Enabled() {
+		if r == nil {
 			disabled(w)
 			return
 		}
@@ -66,7 +68,7 @@ func Handler(source func() *Registry) http.Handler {
 	})
 	mux.HandleFunc("GET /traces", func(w http.ResponseWriter, req *http.Request) {
 		r := source()
-		if !r.Enabled() {
+		if r == nil {
 			disabled(w)
 			return
 		}

@@ -184,7 +184,7 @@ func (c *Collector) tree(n *physical.Node, memo map[*physical.Node]*PlanStats) *
 	if s, ok := memo[n]; ok {
 		return s
 	}
-	s := &PlanStats{Op: n.Op.String(), Label: n.Label(), Rel: n.Rel}
+	s := &PlanStats{Op: n.Op.String(), Label: n.Label(), Rel: n.Rel, Children: make([]*PlanStats, 0, len(n.Children))}
 	memo[n] = s
 	if cnt := c.stats[n]; cnt != nil {
 		s.Counters = *cnt

@@ -6,14 +6,13 @@ import (
 	"math"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 )
 
 func TestHistogramEmpty(t *testing.T) {
 	var h Histogram
-	if h.Count() != 0 || h.Sum() != 0 || h.Max() != 0 {
-		t.Fatalf("empty histogram reports count=%d sum=%d max=%d", h.Count(), h.Sum(), h.Max())
+	if h.Count != 0 || h.Sum != 0 || h.Max != 0 {
+		t.Fatalf("empty histogram reports count=%d sum=%d max=%d", h.Count, h.Sum, h.Max)
 	}
 	for _, q := range []float64{0, 0.5, 0.95, 1} {
 		if got := h.Quantile(q); got != 0 {
@@ -25,8 +24,8 @@ func TestHistogramEmpty(t *testing.T) {
 func TestHistogramSingleSample(t *testing.T) {
 	var h Histogram
 	h.Record(1234)
-	if h.Count() != 1 || h.Sum() != 1234 || h.Max() != 1234 {
-		t.Fatalf("count=%d sum=%d max=%d", h.Count(), h.Sum(), h.Max())
+	if h.Count != 1 || h.Sum != 1234 || h.Max != 1234 {
+		t.Fatalf("count=%d sum=%d max=%d", h.Count, h.Sum, h.Max)
 	}
 	// Every quantile of a one-sample histogram is that sample: the bucket
 	// upper bound clamps to the observed max.
@@ -102,43 +101,11 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
-func TestHistogramConcurrentRecord(t *testing.T) {
-	var h Histogram
-	const workers, per = 8, 1000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			for i := int64(0); i < per; i++ {
-				h.Record(seed*1000 + i)
-			}
-		}(int64(w + 1))
-	}
-	wg.Wait()
-	if h.Count() != workers*per {
-		t.Fatalf("count = %d, want %d", h.Count(), workers*per)
-	}
-	if h.Max() != workers*1000+per-1 {
-		t.Fatalf("max = %d, want %d", h.Max(), workers*1000+per-1)
-	}
-}
-
 func TestDisabledRegistryAllocatesNothing(t *testing.T) {
 	var r *Registry
-	var c *Counter
-	var g *Gauge
-	var h *Histogram
+	o := &Outcome{WallNanos: 42, Rows: 1, Executions: 1}
 	allocs := testing.AllocsPerRun(1000, func() {
-		r.RecordQuery(QuerySample{WallNanos: 42, Rows: 1})
-		r.RecordShed()
-		r.RecordBreakerTrip()
-		r.RecordOperators(nil)
-		r.RecordCalibration(nil)
-		r.LogQuery(nil)
-		c.Add(1)
-		g.Set(64)
-		h.Record(42)
+		r.Record(o)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled registry allocated %.1f per run, want 0", allocs)
@@ -147,47 +114,57 @@ func TestDisabledRegistryAllocatesNothing(t *testing.T) {
 
 func TestNilRegistryReadsAreSafe(t *testing.T) {
 	var r *Registry
-	if r.Enabled() {
-		t.Fatal("nil registry reports Enabled")
-	}
 	if r.Snapshot() != nil {
 		t.Fatal("nil registry Snapshot not nil")
 	}
 	if r.CalibrationReports() != nil {
 		t.Fatal("nil registry CalibrationReports not nil")
 	}
-	if r.RecentQueries(0) != nil {
-		t.Fatal("nil registry RecentQueries not nil")
+	if r.RecentQueries(0) != nil || r.RecentTraces(0) != nil {
+		t.Fatal("nil registry RecentQueries/RecentTraces not nil")
 	}
 }
 
 func TestRegistryRecordQuery(t *testing.T) {
-	r := NewRegistry(0)
-	r.RecordQuery(QuerySample{WallNanos: 1000, Rows: 5, SeqPageReads: 10, RandPageReads: 2, Retries: 1})
-	r.RecordQuery(QuerySample{WallNanos: 9000, Failed: true})
-	r.RecordShed()
+	r := NewRegistry()
+	r.Record(&Outcome{Tenant: "a", WallNanos: 1000, Rows: 5, PagesRead: 12, Retries: 1, BackoffNanos: 50, Executions: 2})
+	r.Record(&Outcome{Tenant: "a", WallNanos: 9000, Failed: true, Retries: 2, BackoffNanos: 70, Executions: 3,
+		Reopt:   []ReoptEvent{{Stage: "violation"}, {Stage: "replan", PlanningNanos: 5}},
+		Degrade: []DegradeEvent{{Rung: "dop-halve"}, {Rung: "serial-fallback"}}})
+	r.Record(&Outcome{Tenant: "b", Shed: true})
 	s := r.Snapshot()
-	if s.Queries != 2 || s.Errors != 1 || s.Sheds != 1 || s.Retries != 1 {
+	if s.Queries != 2 || s.Errors != 1 || s.Sheds != 1 || s.Retries != 3 || s.Executions != 5 {
 		t.Fatalf("snapshot %+v", s)
 	}
-	if s.LatencyNanos.Count != 2 {
-		t.Fatalf("latency count = %d, want 2", s.LatencyNanos.Count)
+	if s.LatencyNanos.Count != 2 || s.BackoffNanos.Count != 2 || s.BackoffNanos.Sum != 120 {
+		t.Fatalf("latency %+v backoff %+v", s.LatencyNanos, s.BackoffNanos)
 	}
-	// Failed queries contribute latency but not I/O or row volume.
+	// Failed queries contribute latency but not I/O or row volume; their
+	// events count like a successful query's.
 	if s.PagesRead.Count != 1 || s.PagesRead.Sum != 12 || s.RowsOut.Sum != 5 {
 		t.Fatalf("pages_read %+v rows_out %+v", s.PagesRead, s.RowsOut)
+	}
+	if s.Reopts != 1 || s.ReoptReplans != 1 || s.ReplanNanos.Count != 1 || s.DopDegrades != 1 || s.SerialFallbacks != 1 {
+		t.Fatalf("event counters %+v", s)
+	}
+	if a, b := s.Tenants["a"], s.Tenants["b"]; a.Queries != 2 || a.Errors != 1 || a.QueueWait.Count != 2 || b.Queries != 0 || b.Sheds != 1 {
+		t.Fatalf("tenants %+v", s.Tenants)
+	}
+	// A snapshot's histograms carry their quantiles.
+	if s.LatencyNanos.P99 != 9000 || s.LatencyNanos.P50 < 1000 {
+		t.Fatalf("latency quantiles %+v", s.LatencyNanos)
 	}
 }
 
 func TestRegistryRecordOperators(t *testing.T) {
-	r := NewRegistry(0)
+	r := NewRegistry()
 	shared := &PlanStats{Op: "file-scan", Rel: "E1", Counters: Counters{Rows: 7, SeqPageReads: 3}}
 	tree := &PlanStats{
 		Op:       "nl-join",
 		Counters: Counters{Rows: 2},
 		Children: []*PlanStats{shared, shared}, // shared node charged once
 	}
-	r.RecordOperators(tree)
+	r.Record(&Outcome{Operators: tree})
 	s := r.Snapshot()
 	if s.Operators["file-scan"].Executions != 1 {
 		t.Fatalf("shared scan charged %d times, want 1", s.Operators["file-scan"].Executions)
@@ -248,12 +225,12 @@ func TestCalibrateTreeAndPlanCost(t *testing.T) {
 }
 
 func TestCalibrationReportsSorted(t *testing.T) {
-	r := NewRegistry(0)
-	r.RecordCalibration([]CalibrationVerdict{
+	r := NewRegistry()
+	r.Record(&Outcome{Calibration: []CalibrationVerdict{
 		{Kind: "cardinality", Op: "file-scan", Rel: "A", QError: 2, Violation: true},
 		{Kind: "cardinality", Op: "file-scan", Rel: "B", QError: 16, Violation: true},
 		{Kind: "cardinality", Op: "file-scan", Rel: "C", QError: 1},
-	})
+	}})
 	reps := r.CalibrationReports()
 	if len(reps) != 3 {
 		t.Fatalf("got %d reports", len(reps))
@@ -264,8 +241,8 @@ func TestCalibrationReportsSorted(t *testing.T) {
 	if reps[2].Rel != "C" || reps[2].Violations != 0 {
 		t.Fatalf("clean relation last: got %+v", reps[2])
 	}
-	if r.Violations.Load() != 2 || r.WorstQError.Load() != 16 {
-		t.Fatalf("violations=%d worst=%g", r.Violations.Load(), r.WorstQError.Load())
+	if s := r.Snapshot(); s.Violations != 2 || s.WorstQError != 16 {
+		t.Fatalf("violations=%d worst=%g", s.Violations, s.WorstQError)
 	}
 }
 
@@ -273,15 +250,15 @@ func TestCalibrationReportsSorted(t *testing.T) {
 // append overwrites the oldest entry, reads come back oldest first, and
 // ?n=K keeps the newest K.
 func TestRingWrap(t *testing.T) {
-	r := NewRegistry(4)
+	r := NewRegistry()
 	cases := []struct {
 		name   string
 		cap    int
 		push   func(id string)
 		recent func(max int) []string
 	}{
-		{"queries", 4,
-			func(id string) { r.LogQuery(&RunRecord{Name: id}) },
+		{"queries", DefaultQueryLogCap,
+			func(id string) { r.Record(&Outcome{Log: &RunRecord{Name: id}}) },
 			func(max int) (ids []string) {
 				for _, rec := range r.RecentQueries(max) {
 					ids = append(ids, rec.Name)
@@ -289,7 +266,7 @@ func TestRingWrap(t *testing.T) {
 				return ids
 			}},
 		{"traces", DefaultTraceLogCap,
-			func(id string) { r.RecordTrace(&TraceRecord{ID: id}) },
+			func(id string) { r.Record(&Outcome{Trace: &TraceRecord{ID: id}}) },
 			func(max int) (ids []string) {
 				for _, rec := range r.RecentTraces(max) {
 					ids = append(ids, rec.ID)
@@ -319,28 +296,13 @@ func TestRingWrap(t *testing.T) {
 	}
 }
 
-func TestGaugeSetMax(t *testing.T) {
-	var g Gauge
-	g.SetMax(4)
-	g.SetMax(2)
-	if g.Load() != 4 {
-		t.Fatalf("gauge = %g, want 4", g.Load())
-	}
-	g.Set(1)
-	if g.Load() != 1 {
-		t.Fatalf("Set does not override: %g", g.Load())
-	}
-}
-
 func TestHandlerEndpoints(t *testing.T) {
-	reg := NewRegistry(0)
-	reg.RecordQuery(QuerySample{WallNanos: 1000, Rows: 3})
-	reg.RecordCalibration([]CalibrationVerdict{
+	reg := NewRegistry()
+	reg.Record(&Outcome{WallNanos: 1000, Rows: 3, Log: &RunRecord{Name: "q0"}, Calibration: []CalibrationVerdict{
 		{Kind: "cardinality", Op: "file-scan", Rel: "E1", QError: 4, Violation: true},
-	})
-	reg.LogQuery(&RunRecord{Name: "q0"})
-	reg.LogQuery(&RunRecord{Name: "q1"})
-	h := Handler(func() *Registry { return reg })
+	}})
+	reg.Record(&Outcome{WallNanos: 2000, Log: &RunRecord{Name: "q1"}})
+	h := Handler(func() *Registry { return reg }, reg.Snapshot)
 
 	srv := httptest.NewServer(h)
 	defer srv.Close()
@@ -355,7 +317,7 @@ func TestHandlerEndpoints(t *testing.T) {
 		if err := json.Unmarshal(rr.Body.Bytes(), &snap); err != nil {
 			t.Fatalf("bad JSON: %v", err)
 		}
-		if snap.Queries != 1 || snap.Violations != 1 {
+		if snap.Queries != 2 || snap.Violations != 1 || snap.LatencyNanos.Max != 2000 {
 			t.Fatalf("snapshot %+v", snap)
 		}
 	})
@@ -393,7 +355,8 @@ func TestHandlerEndpoints(t *testing.T) {
 		}
 	})
 	t.Run("disabled", func(t *testing.T) {
-		off := Handler(func() *Registry { return nil })
+		var none *Registry
+		off := Handler(func() *Registry { return none }, none.Snapshot)
 		for _, path := range []string{"/metrics", "/calibration", "/queries"} {
 			rr := httptest.NewRecorder()
 			off.ServeHTTP(rr, httptest.NewRequest("GET", path, nil))

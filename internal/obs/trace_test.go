@@ -202,17 +202,14 @@ func TestTraceRecordRenderAndJSON(t *testing.T) {
 }
 
 func TestRegistryRecordTrace(t *testing.T) {
-	r := NewRegistry(0)
+	r := NewRegistry()
 	tr := NewTrace("t00000001")
 	root := tr.Start(nil, "Record", SpanStage)
 	run := tr.Start(root, "Run", SpanStage)
 	run.End()
 	root.End()
-	r.RecordTrace(tr.Finish(nil))
+	r.Record(&Outcome{Trace: tr.Finish(nil)})
 
-	if got := r.Traces.Load(); got != 1 {
-		t.Fatalf("traces counter = %d", got)
-	}
 	recent := r.RecentTraces(0)
 	if len(recent) != 1 || recent[0].ID != "t00000001" {
 		t.Fatalf("recent traces = %+v", recent)
@@ -226,22 +223,22 @@ func TestRegistryRecordTrace(t *testing.T) {
 			t.Fatalf("stage %q latency = %+v", stage, snap.StageLatency)
 		}
 	}
-	// Nil registry and nil record are inert.
+	// Nil registry and an untraced query are inert.
 	var nilReg *Registry
-	nilReg.RecordTrace(recent[0])
-	r.RecordTrace(nil)
-	if got := r.Traces.Load(); got != 1 {
-		t.Fatalf("nil record counted: %d", got)
+	nilReg.Record(&Outcome{Trace: recent[0]})
+	r.Record(&Outcome{})
+	if got := r.Snapshot().Traces; got != 1 {
+		t.Fatalf("untraced query counted: %d", got)
 	}
 }
 
 // TestQueryLogConcurrentWriters pins the ring's snapshot consistency:
 // concurrent appends across the wraparound boundary must never lose the
-// ring's shape — every snapshot holds exactly capacity records, each
-// non-nil, and the total count matches the appends.
+// ring's shape — every snapshot holds at most capacity records, each
+// non-nil, and the final one a full ring.
 func TestQueryLogConcurrentWriters(t *testing.T) {
-	r := NewRegistry(8)
-	const writers, per = 8, 200
+	r := NewRegistry()
+	const writers, per, capacity = 8, 200, DefaultQueryLogCap
 	var wws, rws sync.WaitGroup
 	stop := make(chan struct{})
 	// A reader races the writers, checking every snapshot is whole.
@@ -255,8 +252,8 @@ func TestQueryLogConcurrentWriters(t *testing.T) {
 			default:
 			}
 			recs := r.RecentQueries(0)
-			if len(recs) > 8 {
-				t.Errorf("snapshot holds %d records, cap is 8", len(recs))
+			if len(recs) > capacity {
+				t.Errorf("snapshot holds %d records, cap is %d", len(recs), capacity)
 				return
 			}
 			for _, rec := range recs {
@@ -272,7 +269,7 @@ func TestQueryLogConcurrentWriters(t *testing.T) {
 		go func(w int) {
 			defer wws.Done()
 			for i := 0; i < per; i++ {
-				r.LogQuery(&RunRecord{Name: fmt.Sprintf("w%d-q%d", w, i)})
+				r.Record(&Outcome{Log: &RunRecord{Name: fmt.Sprintf("w%d-q%d", w, i)}})
 			}
 		}(w)
 	}
@@ -280,8 +277,8 @@ func TestQueryLogConcurrentWriters(t *testing.T) {
 	close(stop)
 	rws.Wait()
 	got := r.RecentQueries(0)
-	if len(got) != 8 {
-		t.Fatalf("final snapshot holds %d records, want full ring of 8", len(got))
+	if len(got) != capacity {
+		t.Fatalf("final snapshot holds %d records, want full ring of %d", len(got), capacity)
 	}
 	for _, rec := range got {
 		if rec == nil {
@@ -322,11 +319,11 @@ func TestHistogramQuantileBucketBoundaries(t *testing.T) {
 // wrong methods 405 with an Allow header, and the traces endpoint
 // behaves like the queries one.
 func TestHandlerErrorPaths(t *testing.T) {
-	reg := NewRegistry(0)
+	reg := NewRegistry()
 	tr := NewTrace("t00000001")
 	tr.Start(nil, "Record", SpanStage).End()
-	reg.RecordTrace(tr.Finish(nil))
-	h := Handler(func() *Registry { return reg })
+	reg.Record(&Outcome{Trace: tr.Finish(nil)})
+	h := Handler(func() *Registry { return reg }, reg.Snapshot)
 
 	t.Run("unknown-route-404", func(t *testing.T) {
 		for _, path := range []string{"/", "/nope", "/metrics/extra"} {
@@ -371,7 +368,8 @@ func TestHandlerErrorPaths(t *testing.T) {
 		}
 	})
 	t.Run("traces-disabled-503", func(t *testing.T) {
-		off := Handler(func() *Registry { return nil })
+		var none *Registry
+		off := Handler(func() *Registry { return none }, none.Snapshot)
 		rr := httptest.NewRecorder()
 		off.ServeHTTP(rr, httptest.NewRequest("GET", "/traces", nil))
 		if rr.Code != 503 {

@@ -54,10 +54,6 @@ type Cache struct {
 	entries  map[Key]*entry
 	lru      *list.List // front = most recent; values are *entry
 	stats    Stats
-
-	// onEvent, when set, mirrors hit/miss/eviction counts into an
-	// external metrics registry. Called outside the lock.
-	onEvent func(hits, misses, evictions uint64)
 }
 
 // New creates a cache holding at most capacity entries; capacity < 1 is
@@ -73,13 +69,6 @@ func New(capacity int) *Cache {
 	}
 }
 
-// SetObserver installs a callback receiving the event deltas
-// (hits, misses, evictions) after each lookup; used to mirror counters
-// into the observatory registry. Not safe to change while lookups run.
-func (c *Cache) SetObserver(fn func(hits, misses, evictions uint64)) {
-	c.onEvent = fn
-}
-
 // Do returns the value for k, computing it at most once across
 // concurrent callers. hit reports whether the value came from the cache
 // (a waiter joining an in-flight computation counts as a hit: it did not
@@ -91,7 +80,6 @@ func (c *Cache) Do(k Key, compute func() (any, error)) (v any, hit bool, err err
 		c.lru.MoveToFront(e.elem)
 		c.stats.Hits++
 		c.mu.Unlock()
-		c.emit(1, 0, 0)
 		<-e.ready
 		return e.val, true, e.err
 	}
@@ -99,17 +87,14 @@ func (c *Cache) Do(k Key, compute func() (any, error)) (v any, hit bool, err err
 	e.elem = c.lru.PushFront(e)
 	c.entries[k] = e
 	c.stats.Misses++
-	var evicted uint64
 	for c.lru.Len() > c.capacity {
 		oldest := c.lru.Back()
 		victim := oldest.Value.(*entry)
 		c.lru.Remove(oldest)
 		delete(c.entries, victim.key)
 		c.stats.Evictions++
-		evicted++
 	}
 	c.mu.Unlock()
-	c.emit(0, 1, evicted)
 
 	e.val, e.err = compute()
 	close(e.ready)
@@ -171,10 +156,4 @@ func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
-}
-
-func (c *Cache) emit(hits, misses, evictions uint64) {
-	if c.onEvent != nil {
-		c.onEvent(hits, misses, evictions)
-	}
 }

@@ -120,28 +120,6 @@ func TestInvalidateOlderThan(t *testing.T) {
 	}
 }
 
-func TestObserverMirrorsCounts(t *testing.T) {
-	c := New(1)
-	var h, m, e atomic.Uint64
-	c.SetObserver(func(hits, misses, evictions uint64) {
-		h.Add(hits)
-		m.Add(misses)
-		e.Add(evictions)
-	})
-	k1 := Key{Digest: "a", CatalogVersion: 1}
-	k2 := Key{Digest: "b", CatalogVersion: 1}
-	c.Do(k1, func() (any, error) { return 1, nil })
-	c.Do(k1, nil)
-	c.Do(k2, func() (any, error) { return 2, nil })
-	s := c.Stats()
-	if h.Load() != s.Hits || m.Load() != s.Misses || e.Load() != s.Evictions {
-		t.Errorf("observer (%d,%d,%d) != stats %+v", h.Load(), m.Load(), e.Load(), s)
-	}
-	if s.Hits != 1 || s.Misses != 2 || s.Evictions != 1 {
-		t.Errorf("stats = %+v", s)
-	}
-}
-
 func TestConcurrentMixedKeys(t *testing.T) {
 	c := New(8)
 	var wg sync.WaitGroup

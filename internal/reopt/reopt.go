@@ -95,10 +95,6 @@ type Policy struct {
 	// advance for that long — the query is stuck, not slow.
 	NoProgressTimeout time.Duration
 
-	// Registry receives re-opt counters and temp-leak audit tallies; nil
-	// disables.
-	Registry *obs.Registry
-
 	// Trace and Span, when set, hang a "replan" span (with its planning
 	// time attributed as a wait state) off the query's re-opt stage span
 	// for every re-planning pass. Nil disables.
@@ -191,7 +187,6 @@ type tripInfo struct {
 // watchdog runs on its own.
 type Controller struct {
 	pol Policy
-	reg *obs.Registry
 
 	mu        sync.Mutex
 	temps     map[string]*exec.Temp
@@ -215,19 +210,10 @@ func NewController(pol Policy) *Controller {
 	pol = pol.withDefaults()
 	return &Controller{
 		pol:       pol,
-		reg:       pol.Registry,
 		temps:     make(map[string]*exec.Temp),
 		trips:     make(map[string]tripInfo),
 		overrides: make(map[string]float64),
 	}
-}
-
-// emit appends an event and forwards it to the registry. Callers hold mu —
-// error paths carry no ExecResult, so the registry must see every event as
-// it happens, not at result-assembly time.
-func (c *Controller) emit(e obs.ReoptEvent) {
-	c.events = append(c.events, e)
-	c.reg.RecordReopt([]obs.ReoptEvent{e})
 }
 
 // fill copies a violation's attribution into an event.
@@ -403,9 +389,6 @@ func (c *Controller) trip(n *physical.Node, b bandInfo, count int, order string)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.created++
-	if c.reg != nil {
-		c.reg.ReoptTempsCreated.Add(1)
-	}
 	c.trips[b.rel] = tripInfo{temp: tempName(b.rel), observed: count, rowBytes: n.RowBytes, order: order}
 	if b.variable != "" && b.baseCard > 0 {
 		c.overrides[b.variable] = min(float64(count)/float64(b.baseCard), 1)
@@ -424,7 +407,7 @@ func (c *Controller) Decide(v *Violation, canSwitch, canReplan bool) Remedy {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.attempts++
-	c.emit(fill(obs.ReoptEvent{Stage: "violation", Attempt: c.attempts}, v))
+	c.events = append(c.events, fill(obs.ReoptEvent{Stage: "violation", Attempt: c.attempts}, v))
 	// A relation trips at most once, so eager observation is bounded by the
 	// relation count and needs no attempt budget of its own.
 	if (!c.pol.Eager && c.attempts > c.pol.MaxAttempts) || c.planning > c.pol.MaxPlanningTime {
@@ -444,8 +427,7 @@ func (c *Controller) NoteSwitch(v *Violation, note string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.switched = true
-	e := fill(obs.ReoptEvent{Stage: "switch", Attempt: c.attempts, Note: note}, v)
-	c.emit(e)
+	c.events = append(c.events, fill(obs.ReoptEvent{Stage: "switch", Attempt: c.attempts, Note: note}, v))
 }
 
 // Replan re-enters the optimizer with every tripped relation replaced by a
@@ -485,13 +467,12 @@ func (c *Controller) Replan(ctx context.Context, b *bindings.Bindings) (*physica
 	forced := c.rewriteScans(resolveChoose(res.Plan, sess))
 	c.mu.Lock()
 	c.replanned = true
-	e := fill(obs.ReoptEvent{
+	c.events = append(c.events, fill(obs.ReoptEvent{
 		Stage:         "replan",
 		Attempt:       c.attempts,
 		PlanningNanos: elapsed.Nanoseconds(),
 		Note:          fmt.Sprintf("re-optimized with %d temp(s) as base relations", len(c.trips)),
-	}, c.lastTrip)
-	c.emit(e)
+	}, c.lastTrip))
 	c.mu.Unlock()
 	return forced, res.Cost, nil
 }
@@ -631,7 +612,7 @@ func (c *Controller) DegradeRoot(root *physical.Node, note string) *physical.Nod
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.degraded = true
-	c.emit(fill(obs.ReoptEvent{Stage: "degrade", Attempt: c.attempts, Note: note}, c.lastTrip))
+	c.events = append(c.events, fill(obs.ReoptEvent{Stage: "degrade", Attempt: c.attempts, Note: note}, c.lastTrip))
 	return rewritten
 }
 
@@ -677,12 +658,7 @@ func (c *Controller) Finish() {
 		return
 	}
 	c.finished = true
-	if n := len(c.temps); n > 0 {
-		c.released += n
-		if c.reg != nil {
-			c.reg.ReoptTempsReleased.Add(int64(n))
-		}
-	}
+	c.released += len(c.temps)
 	clear(c.temps)
 }
 

@@ -93,5 +93,4 @@ func (c *Controller) noteStall() {
 	c.mu.Lock()
 	c.stalls++
 	c.mu.Unlock()
-	c.reg.RecordWatchdogStall()
 }

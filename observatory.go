@@ -1,6 +1,7 @@
 package dynplan
 
 import (
+	"errors"
 	"net/http"
 	"time"
 
@@ -17,7 +18,7 @@ type (
 	MetricsSnapshot = obs.RegistrySnapshot
 	// HistogramSnapshot is one log-bucketed histogram's summary (count,
 	// sum, max, p50/p95/p99).
-	HistogramSnapshot = obs.HistogramSnapshot
+	HistogramSnapshot = obs.Histogram
 	// CalibrationReport aggregates interval-calibration verdicts for one
 	// (kind, operator, relation) key across the workload.
 	CalibrationReport = obs.CalibrationReport
@@ -35,31 +36,33 @@ type (
 // comparing each operator's predicted cardinality interval and the plan's
 // predicted cost interval against observed actuals (the paper's §5
 // correctness condition, checked on real executions). It implies
-// per-operator collection (EnableObservability). Inspect the registry via
+// per-operator collection (see Observing). Inspect the registry via
 // MetricsSnapshot, Calibration, RecentQueries, or serve it over HTTP with
-// Handler. When disabled (the default), every recording hook reduces to
-// one pointer comparison and allocates nothing.
-func (db *Database) EnableObservatory() { db.EnableObservatoryWithLog(0) }
+// Handler. Re-enabling installs a fresh registry, discarding prior
+// aggregates. When disabled (the default), a query notes nothing and
+// allocates nothing for the observatory.
+func (db *Database) EnableObservatory() { db.metrics.Store(obs.NewRegistry()) }
 
-// EnableObservatoryWithLog is EnableObservatory with an explicit
-// recent-query ring-buffer capacity (0 selects the default, 256).
-// Re-enabling installs a fresh registry, discarding prior aggregates.
-func (db *Database) EnableObservatoryWithLog(logCap int) {
-	db.metrics.Store(obs.NewRegistry(logCap))
-	db.observing.Store(true)
-}
+// DisableObservatory removes the registry, dropping its aggregates.
+// Per-operator collection the caller enabled with EnableObservability
+// stays on.
+func (db *Database) DisableObservatory() { db.metrics.Store(nil) }
 
-// DisableObservatory removes the registry (dropping its aggregates) and
-// turns per-operator collection back off.
-func (db *Database) DisableObservatory() {
-	db.metrics.Store(nil)
-	db.observing.Store(false)
-}
-
-// MetricsSnapshot captures the observatory's current state; nil while the
-// observatory is disabled.
+// MetricsSnapshot captures the observatory's current state — the /metrics
+// payload; nil while the observatory is disabled. The plan-cache counters
+// and the governor's pool size are read from their owners here, when the
+// snapshot is taken.
 func (db *Database) MetricsSnapshot() *MetricsSnapshot {
-	return db.metrics.Load().Snapshot()
+	s := db.metrics.Load().Snapshot()
+	if s == nil {
+		return nil
+	}
+	cs := db.planCache.Stats()
+	s.PlanCacheHits, s.PlanCacheMisses, s.PlanCacheEvictions = int64(cs.Hits), int64(cs.Misses), int64(cs.Evictions)
+	if db.gov != nil {
+		s.PoolPages = db.gov.Broker().Stats().TotalPages
+	}
+	return s
 }
 
 // Calibration returns the workload's interval-calibration reports, worst
@@ -84,53 +87,58 @@ func (db *Database) RecentTraces(max int) []*TraceRecord {
 	return db.metrics.Load().RecentTraces(max)
 }
 
-// Handler serves the observatory over HTTP: /metrics (JSON snapshot),
-// /calibration (JSON reports, worst first), /queries (recent run records
-// as JSON lines; ?n=K limits to the newest K), and /traces (recent query
-// span trees as JSON lines; ?n=K likewise). While the observatory is
-// disabled the endpoints answer 503, so the handler can be mounted once
-// and survive Enable/Disable cycles.
+// Handler serves the observatory over HTTP: /metrics (JSON snapshot, the
+// one MetricsSnapshot builds), /calibration (JSON reports, worst first),
+// /queries (recent run records as JSON lines; ?n=K limits to the newest
+// K), and /traces (recent query span trees as JSON lines; ?n=K likewise).
+// While the observatory is disabled the endpoints answer 503, so the
+// handler can be mounted once and survive Enable/Disable cycles.
 func (db *Database) Handler() http.Handler {
-	return obs.Handler(func() *obs.Registry { return db.metrics.Load() })
+	return obs.Handler(db.metrics.Load, db.MetricsSnapshot)
 }
 
-// querySampleOf condenses a successful execution into the per-query tally
-// the registry records.
-func querySampleOf(res *ExecResult, wall time.Duration) obs.QuerySample {
-	s := obs.QuerySample{
-		WallNanos:     wall.Nanoseconds(),
-		Rows:          int64(len(res.Rows)),
-		SeqPageReads:  res.SeqPageReads,
-		RandPageReads: res.RandPageReads,
-		PageWrites:    res.PageWrites,
-		TupleOps:      res.TupleOps,
-		Retries:       int64(res.Retries),
-		BackoffNanos:  res.BackoffTotal.Nanoseconds(),
+// outcome completes the query's account for the registry: the facts the
+// stages noted on st.out while it ran, plus how it ended — a shed (the
+// governor refused it, so it never started and counts apart from
+// queries), a failure, or a result — and its /queries record. A failed
+// query keeps everything it noted: its retries and backoff, its tenant
+// and plan-cache verdict, its re-optimization and degradation events.
+func (st *execState) outcome(res *ExecResult, err error, trace *obs.TraceRecord) *obs.Outcome {
+	o := st.out
+	o.Tenant = st.o.Tenant
+	o.Trace = trace
+	if errors.Is(err, ErrAdmission) {
+		o.Shed = true
+		return o
 	}
-	if res.Admission != nil {
-		s.QueueWaitNanos = res.Admission.QueueWaitNanos
+	o.Retries = int64(st.retry.retries)
+	for _, d := range st.retry.backoffs {
+		o.BackoffNanos += d.Nanoseconds()
 	}
-	return s
-}
-
-// queryLogRecord builds the run record the observatory's query log
-// retains for one execution (or one failure). traceID cross-references
-// the query's span tree when tracing was on; it is threaded explicitly
-// because the record is logged before the trace is sealed onto the
-// result (and failures carry no result at all).
-func (db *Database) queryLogRecord(res *ExecResult, wall time.Duration, err error, traceID string) *obs.RunRecord {
+	if t := st.admit.ticket; t != nil {
+		o.QueueWaitNanos = t.Wait.Nanoseconds()
+	}
 	if err != nil {
-		return &obs.RunRecord{
-			Name:      "query",
-			WallNanos: wall.Nanoseconds(),
-			UnixNanos: time.Now().UnixNano(),
-			Error:     err.Error(),
-			TraceID:   traceID,
+		o.Failed = true
+		o.Log = &obs.RunRecord{
+			Name:              "query",
+			Retries:           st.retry.retries,
+			Backoffs:          len(st.retry.backoffs),
+			BackoffTotalNanos: o.BackoffNanos,
+			Reopt:             o.Reopt,
+			Degrade:           o.Degrade,
+			Error:             err.Error(),
+			TraceID:           st.trace.t.ID(),
+			Tenant:            st.o.Tenant,
+			CacheHit:          st.o.cacheHit,
 		}
+	} else {
+		o.PagesRead = res.SeqPageReads + res.RandPageReads
+		o.Rows = int64(len(res.Rows))
+		o.Parallel, o.Operators, o.Calibration = res.Parallel, res.Operators, res.Calibration
+		o.Log = res.RunRecordFor("query", "", st.db.sys.params)
 	}
-	rec := res.RunRecordFor("query", "", db.sys.params)
-	rec.WallNanos = wall.Nanoseconds()
-	rec.UnixNanos = time.Now().UnixNano()
-	rec.TraceID = traceID
-	return rec
+	o.Log.WallNanos = o.WallNanos
+	o.Log.UnixNanos = time.Now().UnixNano()
+	return o
 }

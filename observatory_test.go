@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http/httptest"
 	"strings"
@@ -202,7 +203,7 @@ func TestObservatoryGovernedRunRecord(t *testing.T) {
 // 503 once disabled.
 func TestObservatoryHTTPEndpoints(t *testing.T) {
 	e := newObsEnv(t)
-	e.db.EnableObservatoryWithLog(8)
+	e.db.EnableObservatory()
 	srv := httptest.NewServer(e.db.Handler())
 	defer srv.Close()
 
@@ -322,4 +323,146 @@ type slowOpen struct{ exec.Iterator }
 func (s slowOpen) Open() error {
 	time.Sleep(5 * time.Millisecond)
 	return s.Iterator.Open()
+}
+
+// TestFailedQueryKeepsItsAccount pins that a failed query loses nothing it
+// noted on the way: a tenant-tagged Resilient prepared query whose every
+// attempt fails still charges its retries and backoff to the registry, and
+// its /queries record carries its tenant, plan-cache verdict and recovery
+// account.
+func TestFailedQueryKeepsItsAccount(t *testing.T) {
+	e := newObsEnv(t)
+	e.db.EnableObservatory()
+	defer e.db.DisableObservatory()
+	p, err := e.db.Prepare(e.q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.db.InjectFaults(FaultConfig{Seed: 1, PermanentRate: 1})
+	defer e.db.ClearFaults()
+
+	const attempts = 3
+	_, err = p.Exec(context.Background(), e.binds, ExecOptions{
+		Resilient: true,
+		Tenant:    "acme",
+		Policy:    RetryPolicy{MaxAttempts: attempts, Backoff: time.Microsecond},
+	})
+	if err == nil {
+		t.Fatal("every page read fails permanently, yet the query succeeded")
+	}
+	snap := e.db.MetricsSnapshot()
+	if snap.Queries != 1 || snap.Errors != 1 || snap.Executions != attempts {
+		t.Errorf("queries=%d errors=%d executions=%d, want 1/1/%d", snap.Queries, snap.Errors, snap.Executions, attempts)
+	}
+	if snap.Retries != attempts-1 {
+		t.Errorf("retries = %d, want %d", snap.Retries, attempts-1)
+	}
+	if snap.BackoffNanos.Count != 1 || snap.BackoffNanos.Sum <= 0 {
+		t.Errorf("backoff histogram %+v, want one positive sample", snap.BackoffNanos)
+	}
+	if tn := snap.Tenants["acme"]; tn.Queries != 1 || tn.Errors != 1 {
+		t.Errorf("tenant account %+v, want one failed query", tn)
+	}
+	recs := e.db.RecentQueries(0)
+	if len(recs) != 1 {
+		t.Fatalf("query log holds %d records, want 1", len(recs))
+	}
+	rec := recs[0]
+	if rec.Error == "" || rec.Tenant != "acme" || !rec.CacheHit {
+		t.Errorf("failure record error=%q tenant=%q cache_hit=%v", rec.Error, rec.Tenant, rec.CacheHit)
+	}
+	if rec.Retries != attempts-1 || rec.Backoffs != attempts-1 || rec.BackoffTotalNanos != snap.BackoffNanos.Sum {
+		t.Errorf("failure record retries=%d backoffs=%d backoff=%d", rec.Retries, rec.Backoffs, rec.BackoffTotalNanos)
+	}
+}
+
+// TestObservatoryKeepsCallerObservability pins that the observatory only
+// implies per-operator collection: disabling it does not switch off the
+// collection the caller asked for.
+func TestObservatoryKeepsCallerObservability(t *testing.T) {
+	e := newObsEnv(t)
+	e.db.EnableObservatory()
+	if !e.db.Observing() {
+		t.Error("the enabled observatory does not imply per-operator collection")
+	}
+	e.db.DisableObservatory()
+	if e.db.Observing() {
+		t.Error("collection still reported on after the observatory alone was disabled")
+	}
+
+	e.db.EnableObservability()
+	e.db.EnableObservatory()
+	e.db.DisableObservatory()
+	if !e.db.Observing() {
+		t.Error("DisableObservatory switched off the caller's EnableObservability")
+	}
+	res, err := e.db.Exec(context.Background(), e.static, e.binds, ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Operators == nil {
+		t.Error("no stats tree after EnableObservability → EnableObservatory → DisableObservatory")
+	}
+}
+
+// TestMetricsSnapshotConsistent takes snapshots while four goroutines run
+// governed tenant queries (every fifth one canceled) and checks each
+// snapshot is internally consistent: a query is in all of its figures or
+// in none of them.
+func TestMetricsSnapshotConsistent(t *testing.T) {
+	e := newObsEnv(t)
+	e.db.SetGovernor(GovernorConfig{TotalPages: 512, MaxConcurrent: 4, MaxQueued: 64, QueueTimeout: 10 * time.Second})
+	defer e.db.ClearGovernor()
+	e.db.EnableObservatory()
+	defer e.db.DisableObservatory()
+
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	const workers, per = 4, 40
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tenant := fmt.Sprintf("t%d", w)
+			for i := range per {
+				ctx := context.Background()
+				if i%5 == 4 {
+					ctx = canceled
+				}
+				_, _ = e.db.Exec(ctx, e.mod, e.binds, ExecOptions{Governed: true, Tenant: tenant})
+			}
+		}()
+	}
+	check := func(s *MetricsSnapshot) {
+		t.Helper()
+		if s.Queries != s.LatencyNanos.Count {
+			t.Fatalf("queries=%d latency count=%d", s.Queries, s.LatencyNanos.Count)
+		}
+		if s.Queries-s.Errors != s.PagesRead.Count {
+			t.Fatalf("queries=%d errors=%d pages_read count=%d", s.Queries, s.Errors, s.PagesRead.Count)
+		}
+		var tenantQueries int64
+		for _, a := range s.Tenants {
+			tenantQueries += a.Queries
+		}
+		if tenantQueries > s.Queries {
+			t.Fatalf("tenant queries %d > queries %d", tenantQueries, s.Queries)
+		}
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		check(e.db.MetricsSnapshot())
+	}
+	final := e.db.MetricsSnapshot()
+	check(final)
+	if final.Queries != workers*per || final.Errors != workers*per/5 {
+		t.Errorf("queries=%d errors=%d, want %d/%d", final.Queries, final.Errors, workers*per, workers*per/5)
+	}
 }

@@ -75,8 +75,10 @@ func (db *Database) EnableObservability() { db.observing.Store(true) }
 // per-operator stats.
 func (db *Database) DisableObservability() { db.observing.Store(false) }
 
-// Observing reports whether per-operator metrics collection is on.
-func (db *Database) Observing() bool { return db.observing.Load() }
+// Observing reports whether per-operator metrics collection is on: the
+// caller enabled it (EnableObservability), or the workload observatory is
+// enabled, which implies it.
+func (db *Database) Observing() bool { return db.observing.Load() || db.metrics.Load() != nil }
 
 // ExplainAnalyze renders the executed plan annotated with the observed
 // per-operator metrics — rows produced, page I/O, tuple work, wall and

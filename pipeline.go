@@ -15,9 +15,11 @@ package dynplan
 //	Record → Admit → Grant → Breaker → Retry → Degrade → Reopt → Activate → Run
 //
 // and each stage decides from the query's state whether it takes part
-// (the stages table). Record is always the single outermost stage, which
-// is what makes exactly-one-recording per query structural: there is no
-// inner layer left that could double-count.
+// (the stages table). The observatory has one writer: stages only note
+// the facts they compute on the query's state (st.out), and the pipeline
+// entry folds the finished account into the registry exactly once, after
+// the trace is sealed — no inner layer holds the registry, so none can
+// double-count or lose part of a failed query's account.
 
 import (
 	"context"
@@ -94,6 +96,13 @@ type execState struct {
 	degrade degradeState
 	reopt   reoptState
 	trace   traceState
+
+	// out is the query's account for the workload observatory: the facts
+	// each stage notes (executions, start-up time, breaker trips, re-opt
+	// and degrade events, the temp ledger) accumulated across attempts and
+	// kept on error paths. Nil while the observatory is disabled, which
+	// makes every noting site one nil check.
+	out *obs.Outcome
 }
 
 // admitState belongs to the Admit/Grant pair: the governor snapshot and
@@ -225,7 +234,7 @@ var stages = [...]struct {
 	needs need
 	stage stageFunc
 }{
-	// One query-level sample and one run record per query.
+	// Time the query and stamp its identity on the result.
 	{"Record", 0, recordStage},
 	// Claim an execution slot from the governor, then draw the memory
 	// grant that becomes the binding every later stage sees.
@@ -296,8 +305,15 @@ func init() {
 // internal/obs): when tracing is on — database-wide via EnableTracing or
 // per query via ExecOptions.Trace — the query gets a deterministic trace
 // ID, every stage below builds the span tree, and the finished record is
-// attached to the result and folded into the observatory's /traces ring.
+// attached to the result. It is also the observatory's one writer: the
+// registry is read once, at entry, and the query's account — outcome,
+// stats tree, calibration verdicts and sealed trace — is folded into it
+// by one Record call on the way out.
 func (st *execState) exec(ctx context.Context) (*ExecResult, error) {
+	reg := st.db.metrics.Load()
+	if reg != nil {
+		st.out = &obs.Outcome{}
+	}
 	if st.o.Trace || st.db.tracing.Load() {
 		st.trace.t = obs.NewTrace(st.db.nextTraceID())
 	}
@@ -309,13 +325,16 @@ func (st *execState) exec(ctx context.Context) (*ExecResult, error) {
 			res, err = nil, abort.err
 		}
 	}
+	var rec *obs.TraceRecord
 	if st.trace.t != nil {
-		rec := st.trace.t.Finish(err)
+		rec = st.trace.t.Finish(err)
 		if res != nil {
 			res.TraceID = rec.ID
 			res.Trace = rec
 		}
-		st.db.metrics.Load().RecordTrace(rec)
+	}
+	if reg != nil {
+		reg.Record(st.outcome(res, err, rec))
 	}
 	return res, err
 }
@@ -327,59 +346,26 @@ const defaultPlanCacheCapacity = 64
 // newPlanCache assembles the database's shared plan cache — the single
 // construction point (TestConstructionPoints pins plancache.New here and
 // inside internal/plancache), so exactly one cache exists per database.
-// The cache mirrors its hit/miss/eviction counters into the observatory
-// registry whenever one is enabled.
-func newPlanCache(db *Database, capacity int) *plancache.Cache {
-	c := plancache.New(capacity)
-	c.SetObserver(func(hits, misses, evictions uint64) {
-		if reg := db.metrics.Load(); reg.Enabled() {
-			reg.PlanCacheHits.Add(int64(hits))
-			reg.PlanCacheMisses.Add(int64(misses))
-			reg.PlanCacheEvictions.Add(int64(evictions))
-		}
-	})
-	return c
-}
+func newPlanCache(capacity int) *plancache.Cache { return plancache.New(capacity) }
 
-// recordStage is the single outermost stage: one query-level sample and
-// one run record per query, whichever stages ran below it. Sheds (the
-// governor refused the query, so it never started) count apart from
-// query errors. When the observatory is disabled the stage is one pointer
-// comparison.
+// recordStage is the single outermost stage: it times the query, whichever
+// stages ran below it, and stamps the query's identity on the result. The
+// entry folds the time into the observatory; when that is disabled the
+// stage takes no time.
 func recordStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecResult, error) {
-	reg := st.db.metrics.Load()
-	if !reg.Enabled() {
-		res, err := next(ctx, st)
-		if res != nil {
-			res.Tenant = st.o.Tenant
-			res.PlanCacheHit = st.o.cacheHit
-		}
-		return res, err
+	var start time.Time
+	if st.out != nil {
+		start = time.Now()
 	}
-	start := time.Now()
 	res, err := next(ctx, st)
-	wall := time.Since(start)
-	if err != nil {
-		if errors.Is(err, ErrAdmission) {
-			reg.RecordShed()
-			reg.RecordTenantShed(st.o.Tenant)
-		} else {
-			reg.RecordQuery(obs.QuerySample{WallNanos: wall.Nanoseconds(), Failed: true})
-			reg.RecordTenantQuery(st.o.Tenant, 0, true)
-			reg.LogQuery(st.db.queryLogRecord(nil, wall, err, st.trace.t.ID()))
-		}
-		return nil, err
+	if st.out != nil {
+		st.out.WallNanos = time.Since(start).Nanoseconds()
 	}
-	res.Tenant = st.o.Tenant
-	res.PlanCacheHit = st.o.cacheHit
-	var queueWait int64
-	if res.Admission != nil {
-		queueWait = res.Admission.QueueWaitNanos
+	if res != nil {
+		res.Tenant = st.o.Tenant
+		res.PlanCacheHit = st.o.cacheHit
 	}
-	reg.RecordQuery(querySampleOf(res, wall))
-	reg.RecordTenantQuery(st.o.Tenant, queueWait, false)
-	reg.LogQuery(st.db.queryLogRecord(res, wall, nil, st.trace.t.ID()))
-	return res, nil
+	return res, err
 }
 
 // admitStage claims an execution slot from the governor; without an
@@ -429,9 +415,6 @@ func grantStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecRes
 		return nil, err
 	}
 	defer ticket.Release()
-	if reg := st.db.metrics.Load(); reg.Enabled() {
-		reg.PoolPages.Set(st.admit.gov.Broker().Stats().TotalPages)
-	}
 	st.admit.ticket = ticket
 	st.b.Memory = ticket.Pages
 	res, err := next(qctx, st)
@@ -515,7 +498,9 @@ func retryStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecRes
 		failedRel := ""
 		if rel := qerr.Relation(err); rel != "" && !qerr.Retryable(err) {
 			failedRel = rel
-			st.db.recordPlanOutcome(nil, rel)
+			if st.db.recordPlanOutcome(nil, rel) && st.out != nil {
+				st.out.BreakerTrips++
+			}
 		}
 		if r.attempt >= pol.MaxAttempts {
 			return nil, fmt.Errorf("dynplan: resilient execution gave up after %d attempts: %w", r.attempt, err)
@@ -594,7 +579,11 @@ func degradeStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecR
 	if !st.o.Parallel || (st.o.Degrade != nil && st.o.Degrade.Disabled) {
 		return next(ctx, st)
 	}
-	dc := degrade.NewController(degrade.Policy{Registry: st.db.metrics.Load()})
+	dc := degrade.NewController(degrade.Policy{})
+	if st.out != nil {
+		// Every rung counts, including those of a ladder that then fails.
+		defer func() { st.out.Degrade = append(st.out.Degrade, dc.Events()...) }()
+	}
 	// Each post-decision re-run is wrapped in a rung span named after the
 	// ladder step it descends ("dop-halve dop=2"); the first run is not a
 	// rung and stays directly under the Degrade span.
@@ -675,7 +664,6 @@ func reoptStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecRes
 		Eager:             st.o.Adaptive,
 		Deadline:          pol.Deadline,
 		NoProgressTimeout: pol.NoProgressTimeout,
-		Registry:          st.db.metrics.Load(),
 		Trace:             st.trace.t,
 		Span:              st.trace.span,
 	}
@@ -689,6 +677,16 @@ func reoptStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecRes
 		st.reopt.rc = nil
 		st.reopt.acc = nil
 		rc.Finish()
+		if o := st.out; o != nil {
+			// The temp ledger counts releases where they happen, at Finish.
+			created, released := rc.TempBalance()
+			o.TempsCreated += int64(created)
+			o.TempsReleased += int64(released)
+			if a := rc.Account(); a != nil {
+				o.Reopt = append(o.Reopt, a.Events...)
+				o.Stalls += int64(a.Stalls)
+			}
+		}
 	}()
 	dctx, cancel := rc.WithDeadline(ctx)
 	defer cancel()
@@ -776,9 +774,8 @@ func activateStage(ctx context.Context, st *execState, next pipelineFunc) (*Exec
 		// selectivity × domain, and moving them would change the answer.
 		ib = st.reopt.rc.CorrectBindings(ib)
 	}
-	reg := st.db.metrics.Load()
 	var actStart time.Time
-	if reg.Enabled() {
+	if st.out != nil {
 		actStart = time.Now()
 	}
 	rep, err := st.module.mod.Activate(ib, opts)
@@ -789,10 +786,12 @@ func activateStage(ctx context.Context, st *execState, next pipelineFunc) (*Exec
 		clear(r.avoid)
 		rep, err = st.module.mod.Activate(ib, opts)
 	}
-	if reg.Enabled() {
+	if st.out != nil {
 		// Start-up-time processing is the cost a plan-cache hit still pays;
-		// the histogram is what makes "activation ≪ compilation" observable.
-		reg.Activation.Record(time.Since(actStart).Nanoseconds())
+		// the per-query total is what makes "activation ≪ compilation"
+		// observable.
+		st.out.Activated = true
+		st.out.ActivationNanos += time.Since(actStart).Nanoseconds()
 	}
 	if errors.Is(err, plan.ErrInfeasible) && len(r.blocked) > 0 {
 		// The circuit breaker alone leaves no feasible plan: fail fast
@@ -844,14 +843,12 @@ func (db *Database) engine(acc *storage.Accountant, inj *storage.Injector, colle
 // the resolved plan into Volcano iterators over the simulated store, runs
 // it under the context, and assembles the base ExecResult — I/O account,
 // per-operator stats tree, plan digest, and interval-calibration verdicts.
-// Every attempt that runs the plan counts one execution in the
-// observatory (an attempt spent observing does not); the query-level
-// sample belongs to the Record stage alone. The DOP decision lives here
-// rather than in a stage of its own: it is part of resolving the plan
-// against the grant, exactly like choose-plan resolution.
+// Every attempt that runs the plan notes one execution for the
+// observatory (an attempt spent observing does not). The DOP decision
+// lives here rather than in a stage of its own: it is part of resolving
+// the plan against the grant, exactly like choose-plan resolution.
 func runStage(ctx context.Context, st *execState, _ pipelineFunc) (*ExecResult, error) {
 	db := st.db
-	reg := db.metrics.Load()
 	acc := st.reopt.acc
 	if acc == nil {
 		acc = &storage.Accountant{}
@@ -861,7 +858,7 @@ func runStage(ctx context.Context, st *execState, _ pipelineFunc) (*ExecResult, 
 	// share counters. The injector pointer is snapshotted once, so a
 	// concurrent InjectFaults/ClearFaults cannot swap it mid-query.
 	var collector *obs.Collector
-	if db.observing.Load() || reg.Enabled() {
+	if db.observing.Load() || st.out != nil {
 		collector = obs.NewCollector()
 	}
 	inj := db.injector()
@@ -913,8 +910,8 @@ func runStage(ctx context.Context, st *execState, _ pipelineFunc) (*ExecResult, 
 	}
 	absorbedBefore := inj.Stats().Absorbed
 	rows, schema, err := e.Run(st.root, ib)
-	if reg.Enabled() {
-		reg.Executions.Add(1)
+	if st.out != nil {
+		st.out.Executions++
 	}
 	if err != nil {
 		return nil, err
@@ -931,34 +928,29 @@ func runStage(ctx context.Context, st *execState, _ pipelineFunc) (*ExecResult, 
 	}
 	if pe != nil {
 		out.Parallel = pe.Stats(dop, maxDOP, mem, mem/float64(max(dop, 1)), parReason)
-		if reg.Enabled() {
-			reg.RecordParallel(out.Parallel)
-		}
 	}
-	if reg.Enabled() {
-		// Annotate the resolved tree with the cost model's predicted
-		// cardinality intervals under this execution's bindings, then
-		// compare each against the observed actuals. When no compile-time
-		// plan interval rode along, the model's own evaluation of the
-		// resolved plan serves as the cost prediction.
-		model := physical.NewModel(db.sys.params)
-		predEnv := ib.Env()
-		if rc := st.reopt.rc; rc != nil {
-			predEnv = rc.CorrectBindings(ib).Env()
-		}
-		predicted := exec.AnnotatePredictions(collector, model, predEnv, st.root)
-		planCost := st.planCost
-		if planCost.Hi <= 0 {
-			planCost = predicted
-		}
+	if st.out == nil {
 		out.Operators = collector.Tree(st.root)
-		out.PlanDigest = obs.Digest(st.root.Format())
-		out.Calibration = obs.Calibrate(out.Operators, planCost.Lo, planCost.Hi, out.SimulatedSeconds(db.sys.params))
-		reg.RecordOperators(out.Operators)
-		reg.RecordCalibration(out.Calibration)
-	} else {
-		out.Operators = collector.Tree(st.root)
+		return out, nil
 	}
+	// Annotate the resolved tree with the cost model's predicted
+	// cardinality intervals under this execution's bindings, then compare
+	// each against the observed actuals. When no compile-time plan interval
+	// rode along, the model's own evaluation of the resolved plan serves as
+	// the cost prediction.
+	model := physical.NewModel(db.sys.params)
+	predEnv := ib.Env()
+	if rc := st.reopt.rc; rc != nil {
+		predEnv = rc.CorrectBindings(ib).Env()
+	}
+	predicted := exec.AnnotatePredictions(collector, model, predEnv, st.root)
+	planCost := st.planCost
+	if planCost.Hi <= 0 {
+		planCost = predicted
+	}
+	out.Operators = collector.Tree(st.root)
+	out.PlanDigest = obs.Digest(st.root.Format())
+	out.Calibration = obs.Calibrate(out.Operators, planCost.Lo, planCost.Hi, out.SimulatedSeconds(db.sys.params))
 	return out, nil
 }
 

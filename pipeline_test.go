@@ -393,7 +393,7 @@ func TestExactlyOneRunRecordPerQuery(t *testing.T) {
 	e := newObsEnv(t)
 	e.db.SetGovernor(GovernorConfig{TotalPages: 1024, MaxConcurrent: 4})
 	defer e.db.ClearGovernor()
-	e.db.EnableObservatoryWithLog(64)
+	e.db.EnableObservatory()
 	defer e.db.DisableObservatory()
 
 	for _, tc := range execMatrix(t, e) {
@@ -454,6 +454,9 @@ func TestConstructionPoints(t *testing.T) {
 		{"degradation controller construction", regexp.MustCompile(`degrade\.NewController`), []string{"internal/degrade/", "pipeline.go"}, false},
 		{"tracer construction", regexp.MustCompile(`obs\.NewTrace`), []string{"internal/obs/", "pipeline.go"}, true},
 		{"plan cache construction", regexp.MustCompile(`plancache\.New\(`), []string{"internal/plancache/", "pipeline.go"}, false},
+		// The observatory has one writer, the pipeline entry: no layer below
+		// it holds the registry, so telemetry stays one fold per query.
+		{"observatory registry access", regexp.MustCompile(`obs\.Registry`), []string{"internal/obs/", "pipeline.go", "observatory.go", "database.go"}, true},
 		// Exactly-one-recording is structural (the Record stage); the
 		// context hack that used to suppress inner recording stays deleted.
 		{"the recording-suppression hack", regexp.MustCompile("Suppress" + "Recording"), nil, false},

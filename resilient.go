@@ -46,19 +46,17 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 
 // recordPlanOutcome updates the circuit breaker: a fault-free execution of
 // chosen closes (or keeps closed) the breakers of every relation the plan
-// read; a permanent fault on failedRel charges that relation.
-func (db *Database) recordPlanOutcome(chosen *physical.Node, failedRel string) {
+// read; a permanent fault on failedRel charges that relation. It reports
+// whether the charge tripped the relation's breaker open.
+func (db *Database) recordPlanOutcome(chosen *physical.Node, failedRel string) (tripped bool) {
 	if db.breaker == nil {
-		return
+		return false
 	}
 	if failedRel != "" {
-		if db.breaker.RecordFailure(failedRel) {
-			db.metrics.Load().RecordBreakerTrip()
-		}
-		return
+		return db.breaker.RecordFailure(failedRel)
 	}
 	if chosen == nil {
-		return
+		return false
 	}
 	seen := make(map[string]bool)
 	chosen.Walk(func(n *physical.Node) {
@@ -67,6 +65,7 @@ func (db *Database) recordPlanOutcome(chosen *physical.Node, failedRel string) {
 			db.breaker.RecordSuccess(n.Rel)
 		}
 	})
+	return false
 }
 
 // backoffDelay computes the pause before the retry-th retry: the base
