@@ -269,10 +269,11 @@ func TestTenWayJoinEndToEnd(t *testing.T) {
 func nameR(i int) string { return "T" + string(rune('A'+i-1)) }
 func nameV(i int) string { return "v" + string(rune('A'+i-1)) }
 
-// TestInvalidBindings: a selectivity outside [0, 1] — or NaN, which every
-// range comparison lets through — is bad outside input. Every entry point
-// that takes Bindings must refuse it with ErrInvalidBindings before doing
-// any work, not panic inside the cost model.
+// TestInvalidBindings: a selectivity outside [0, 1], or a memory that is
+// negative or infinite — or NaN, which every range comparison lets
+// through — is bad outside input. Every entry point that takes Bindings
+// must refuse it with ErrInvalidBindings before doing any work, not panic
+// inside the cost model or run as if memory were unlimited.
 func TestInvalidBindings(t *testing.T) {
 	e := newObsEnv(t)
 	prep, err := e.db.Prepare(e.q)
@@ -280,8 +281,14 @@ func TestInvalidBindings(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
+	var cases []Bindings
 	for _, sel := range []float64{-0.1, 1.5, math.NaN()} {
-		b := Bindings{Selectivities: map[string]float64{"v1": sel, "v2": 0.1, "v3": 0.1}, MemoryPages: 64}
+		cases = append(cases, Bindings{Selectivities: map[string]float64{"v1": sel, "v2": 0.1, "v3": 0.1}, MemoryPages: 64})
+	}
+	for _, mem := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -5} {
+		cases = append(cases, Bindings{Selectivities: map[string]float64{"v1": 0.1, "v2": 0.1, "v3": 0.1}, MemoryPages: mem})
+	}
+	for _, b := range cases {
 		entries := map[string]func() error{
 			"Exec":                     func() error { _, err := e.db.Exec(ctx, e.mod, b, ExecOptions{}); return err },
 			"PreparedQuery.Exec":       func() error { _, err := prep.Exec(ctx, b, ExecOptions{}); return err },
@@ -291,7 +298,7 @@ func TestInvalidBindings(t *testing.T) {
 		}
 		for name, run := range entries {
 			if err := run(); !errors.Is(err, ErrInvalidBindings) {
-				t.Errorf("%s with selectivity %v: err = %v, want ErrInvalidBindings", name, sel, err)
+				t.Errorf("%s with %+v: err = %v, want ErrInvalidBindings", name, b, err)
 			}
 		}
 	}

@@ -10,12 +10,13 @@ import (
 )
 
 // Model is the interval cost model: Params plus the evaluation machinery.
-// The same model serves compile-time optimization (interval environments),
+// Its cost functions are one kernel, Params.Corner, which serves
+// compile-time optimization (interval environments, both corners),
 // static optimization (point environments with default estimates), and
-// start-up-time choose-plan decisions (point environments from actual
-// bindings) — re-evaluating "the cost functions associated with the
-// participating alternative plans" is exactly the paper's decision
-// procedure (§4).
+// start-up-time choose-plan decisions (actual bindings, one corner, run
+// by the start-up evaluator over its lowered program) — re-evaluating
+// "the cost functions associated with the participating alternative
+// plans" is exactly the paper's decision procedure (§4).
 type Model struct {
 	P Params
 }
@@ -55,9 +56,9 @@ func (m *Model) Evaluate(n *Node, env *bindings.Env) Result {
 
 // EvaluateNode computes one operator's result from already-evaluated child
 // results, without touching the children. Callers that manage their own
-// memoization (the start-up evaluator, which keeps results in a slice
-// indexed by node) use this to avoid re-walking shared subplans. The
-// session is a value so the call allocates nothing.
+// memoization (the search, which costs a candidate from its inputs'
+// winners) use this to avoid re-walking shared subplans. The session is
+// a value so the call allocates nothing.
 func (m *Model) EvaluateNode(n *Node, env *bindings.Env, kids []Result) Result {
 	s := Session{m: m, env: env}
 	return s.evaluate(n, kids)
@@ -66,9 +67,6 @@ func (m *Model) EvaluateNode(n *Node, env *bindings.Env, kids []Result) Result {
 // EvaluatedNodes returns the number of distinct nodes this session has
 // evaluated, the basis of simulated start-up CPU time.
 func (s *Session) EvaluatedNodes() int { return len(s.memo) }
-
-// Env returns the session's environment.
-func (s *Session) Env() *bindings.Env { return s.env }
 
 // Evaluate returns the cardinality and total cost of the subplan rooted
 // at n under the session's environment.
@@ -107,8 +105,6 @@ func (s *Session) evaluate(n *Node, kids []Result) Result {
 }
 
 func (s *Session) compute(n *Node, kids []Result) Result {
-	card := s.outputCard(n, kids)
-
 	if n.Op == ChoosePlan {
 		// The dynamic plan costs the bound-wise minimum of its
 		// alternatives plus the decision overhead (§3, §5).
@@ -116,14 +112,9 @@ func (s *Session) compute(n *Node, kids []Result) Result {
 		for _, k := range kids[1:] {
 			best = cost.Min(best, k.Cost)
 		}
-		return Result{Card: card, Cost: best.AddScalar(s.m.P.ChooseOverhead)}
+		return Result{Card: kids[0].Card, Cost: best.AddScalar(s.m.P.ChooseOverhead)}
 	}
-
-	// Corner evaluation under the monotonicity assumption (§5): lower
-	// bound with smallest cardinalities and most memory, upper bound with
-	// largest cardinalities and least memory.
-	lo := s.ownScalar(n, kids, card, false)
-	hi := s.ownScalar(n, kids, card, true)
+	card, lo, hi := s.corners(n, kids)
 	if hi < lo {
 		// Cost functions are monotone by construction; tolerate tiny
 		// floating-point inversions rather than panicking.
@@ -139,91 +130,98 @@ func (s *Session) compute(n *Node, kids []Result) Result {
 	return Result{Card: card, Cost: total}
 }
 
-// outputCard computes the node's output-cardinality interval.
-func (s *Session) outputCard(n *Node, kids []Result) cost.Range {
-	switch n.Op {
-	case FileScan, BtreeScan, TempScan:
-		return cost.PointRange(float64(n.BaseCard))
-	case FilterBtreeScan:
-		return cost.PointRange(float64(n.BaseCard)).Mul(s.selectivity(n))
-	case Filter:
-		return kids[0].Card.Mul(s.selectivity(n))
-	case HashJoin, MergeJoin:
-		return kids[0].Card.Mul(kids[1].Card).MulScalar(n.EdgeSel)
-	case IndexJoin:
-		inner := cost.PointRange(float64(n.BaseCard))
-		return kids[0].Card.Mul(inner).MulScalar(n.EdgeSel).Mul(s.selectivity(n))
-	case Sort, ChoosePlan:
-		return kids[0].Card
-	default:
-		panic(fmt.Sprintf("physical: outputCard of unknown operator %d", n.Op))
+// corners evaluates n at both corners of the environment (§5): the lower
+// bound at the least input and most memory, the upper at the opposite.
+func (s *Session) corners(n *Node, kids []Result) (card cost.Range, lo, hi float64) {
+	shape, sel := ShapeOf(n), s.selectivity(n)
+	var in [2]cost.Range
+	for i, k := range kids[:min(len(kids), 2)] {
+		in[i] = k.Card
 	}
+	p := &s.m.P
+	card.Lo, lo = p.Corner(shape, in[0].Lo, in[1].Lo, sel.Lo, s.env.Memory.Hi)
+	card.Hi, hi = p.Corner(shape, in[0].Hi, in[1].Hi, sel.Hi, s.env.Memory.Lo)
+	return card, lo, hi
 }
 
-// ownScalar evaluates the operator's own cost (excluding inputs) at one
-// corner of the parameter space. worst selects the expensive corner:
-// highest cardinalities and selectivities, least memory.
-func (s *Session) ownScalar(n *Node, kids []Result, outCard cost.Range, worst bool) float64 {
-	p := s.m.P
-	pick := func(r cost.Range) float64 {
-		if worst {
-			return r.Hi
-		}
-		return r.Lo
-	}
-	mem := s.env.Memory.Hi
-	if worst {
-		mem = s.env.Memory.Lo
-	}
-	out := pick(outCard)
+// Shape is what an operator's cost function reads of the operator itself,
+// all fixed at compile time: the base relation's cardinality, the join
+// edge's selectivity, and the rows per page of its own records and of its
+// inputs' (ShapeOf sets only those the operator's cost reads).
+type Shape struct {
+	Op                Op
+	Base, Edge        float64
+	PerPage, In0, In1 float64
+}
 
+// ShapeOf returns n's shape.
+func ShapeOf(n *Node) Shape {
+	s := Shape{Op: n.Op, Base: float64(n.BaseCard), Edge: n.EdgeSel}
 	switch n.Op {
 	case FileScan, TempScan:
-		pages := pagesFor(n.RowBytes, float64(n.BaseCard))
-		return pages*p.SeqPageTime + float64(n.BaseCard)*p.TupleCPUTime
+		s.PerPage = RowsPerPage(n)
+	case Sort:
+		s.In0 = RowsPerPage(n.Children[0])
+	case HashJoin:
+		s.In0, s.In1 = RowsPerPage(n.Children[0]), RowsPerPage(n.Children[1])
+	}
+	return s
+}
+
+// RowsPerPage returns how many of n's output records one page holds.
+func RowsPerPage(n *Node) float64 { return max(float64(catalog.PageBytes/n.RowBytes), 1) }
+
+// Corner is the cost model's one kernel: an operator's output cardinality
+// and own cost (its inputs' excluded) at one corner of the parameter
+// space, given its input cardinalities, selectivity and memory there.
+// Interval evaluation calls it at both corners, start-up at its one; a
+// choose-plan has no cost function of its own.
+func (p *Params) Corner(s Shape, in0, in1, sel, mem float64) (card, own float64) {
+	switch s.Op {
+	case FileScan, TempScan:
+		return s.Base, pageCount(s.Base, s.PerPage)*p.SeqPageTime + s.Base*p.TupleCPUTime
 
 	case BtreeScan:
 		// Full scan through an unclustered index: one random I/O per
 		// record (§6's cost model for uncluttered B-trees).
-		c := float64(n.BaseCard)
-		return p.BtreeProbeIOs*p.RandIOTime + c*(p.RandIOTime+p.TupleCPUTime)
+		return s.Base, p.BtreeProbeIOs*p.RandIOTime + s.Base*(p.RandIOTime+p.TupleCPUTime)
 
 	case FilterBtreeScan:
 		// Only qualifying records are fetched.
-		return p.BtreeProbeIOs*p.RandIOTime + out*(p.RandIOTime+p.TupleCPUTime)
+		out := s.Base * sel
+		return out, p.BtreeProbeIOs*p.RandIOTime + out*(p.RandIOTime+p.TupleCPUTime)
 
 	case Filter:
-		return pick(kids[0].Card)*p.CompareCPUTime + out*p.TupleCPUTime
+		out := in0 * sel
+		return out, in0*p.CompareCPUTime + out*p.TupleCPUTime
 
 	case HashJoin:
-		build, probe := pick(kids[0].Card), pick(kids[1].Card)
-		cpu := (build+probe)*p.TupleCPUTime + build*p.CompareCPUTime + probe*p.CompareCPUTime + out*p.TupleCPUTime
-		buildPages := pagesFor(n.Children[0].RowBytes, build)
+		out := in0 * in1 * s.Edge
+		cpu := (in0+in1)*p.TupleCPUTime + in0*p.CompareCPUTime + in1*p.CompareCPUTime + out*p.TupleCPUTime
+		buildPages := pageCount(in0, s.In0)
 		io := 0.0
 		if buildPages > mem {
 			// Grace hash join: partition both inputs to disk and read
 			// them back.
-			probePages := pagesFor(n.Children[1].RowBytes, probe)
-			io = 2 * (buildPages + probePages) * p.SeqPageTime
+			io = 2 * (buildPages + pageCount(in1, s.In1)) * p.SeqPageTime
 		}
-		return cpu + io
+		return out, cpu + io
 
 	case MergeJoin:
-		l, r := pick(kids[0].Card), pick(kids[1].Card)
-		return (l+r)*p.CompareCPUTime + out*p.TupleCPUTime
+		out := in0 * in1 * s.Edge
+		return out, (in0+in1)*p.CompareCPUTime + out*p.TupleCPUTime
 
 	case IndexJoin:
-		outer := pick(kids[0].Card)
 		// Fetched records before the residual predicate is applied; the
 		// residual selectivity reduces the output, not the fetches.
-		fetched := outer * float64(n.BaseCard) * n.EdgeSel
-		probes := outer * p.BtreeProbeIOs * p.RandIOTime
-		return probes + fetched*(p.RandIOTime+p.TupleCPUTime) + out*p.TupleCPUTime
+		fetched := in0 * s.Base * s.Edge
+		out := fetched * sel
+		probes := in0 * p.BtreeProbeIOs * p.RandIOTime
+		return out, probes + fetched*(p.RandIOTime+p.TupleCPUTime) + out*p.TupleCPUTime
 
 	case Sort:
-		in := pick(kids[0].Card)
-		cpu := in * log2(in) * p.CompareCPUTime
-		pages := pagesFor(n.Children[0].RowBytes, in)
+		cpu := in0 * log2(in0) * p.CompareCPUTime
+		pages := pageCount(in0, s.In0)
 		io := 0.0
 		if memEff := math.Max(mem, 3); pages > memEff {
 			mem := memEff
@@ -237,22 +235,19 @@ func (s *Session) ownScalar(n *Node, kids []Result, outCard cost.Range, worst bo
 			// pass beyond the first.
 			io = 2 * pages * passes * p.SeqPageTime
 		}
-		return cpu + io + in*p.TupleCPUTime
+		return in0, cpu + io + in0*p.TupleCPUTime
 
 	default:
-		panic(fmt.Sprintf("physical: ownScalar of unexpected operator %s", n.Op))
+		panic(fmt.Sprintf("physical: no cost function for operator %s", s.Op))
 	}
 }
 
-func pagesFor(rowBytes int, n float64) float64 {
+// pageCount returns the pages n records fill at rows records a page.
+func pageCount(n, rows float64) float64 {
 	if n <= 0 {
 		return 0
 	}
-	perPage := float64(catalog.PageBytes / rowBytes)
-	if perPage < 1 {
-		perPage = 1
-	}
-	return math.Ceil(n / perPage)
+	return math.Ceil(n / rows)
 }
 
 func log2(n float64) float64 {

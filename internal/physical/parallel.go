@@ -48,7 +48,7 @@ func (ps *parSession) exchangeOverhead(rows float64) float64 {
 }
 
 // serialKids returns the serial results of n's children, the cardinality
-// inputs ownScalar needs.
+// inputs the cost kernel needs.
 func (ps *parSession) serialKids(n *Node) []Result {
 	kids := make([]Result, len(n.Children))
 	for i, c := range n.Children {
@@ -60,10 +60,7 @@ func (ps *parSession) serialKids(n *Node) []Result {
 // own evaluates the operator's own cost interval by corner evaluation,
 // the same convention as Session.evaluate.
 func (ps *parSession) own(n *Node) cost.Cost {
-	kids := ps.serialKids(n)
-	card := ps.s.Evaluate(n).Card
-	lo := ps.s.ownScalar(n, kids, card, false)
-	hi := ps.s.ownScalar(n, kids, card, true)
+	_, lo, hi := ps.s.corners(n, ps.serialKids(n))
 	if hi < lo {
 		hi = lo
 	}

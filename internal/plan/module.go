@@ -316,8 +316,7 @@ func decode(raw []byte) (*program, error) {
 	if i := slices.Index(consumed[:count-1], false); i >= 0 {
 		return nil, fmt.Errorf("plan: loaded module is invalid: node %d is not part of the plan", i)
 	}
-	p.seal()
-	return p, nil
+	return p, p.seal()
 }
 
 // take cuts n elements off a slab, starting a new chunk when it runs

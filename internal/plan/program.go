@@ -3,6 +3,7 @@ package plan
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -26,13 +27,26 @@ type program struct {
 	// (StartupOptions.Avoid's pruned DAG, Shrink).
 	index map[*physical.Node]int32
 	// vars and rels are the host variables and base relations the DAG
-	// mentions, sorted; maxInputs is the widest operator's input count.
+	// mentions, sorted.
 	vars, rels []string
-	maxInputs  int
+	// rows and consts are the operators lowered for the start-up sweep.
+	rows   []row
+	consts []float64
 	// labels caches, per choose-plan, the names its decision trace shows.
 	labels []atomic.Pointer[choiceLabels]
 	// evaluators recycles the per-activation working arrays.
 	evaluators sync.Pool
+}
+
+// row is one operator's physical.Shape — rows per page of its own records
+// and of its inputs' — with its selectivity, base and edge as slots into
+// an activation's values: the bound variables in vars order, then consts,
+// each distinct fixed selectivity, 1, base and edge once.
+type row struct {
+	op              physical.Op
+	sel, base, edge uint16
+	perPage         uint16
+	in              [2]uint16
 }
 
 func newProgram(capacity int) *program {
@@ -61,7 +75,6 @@ func (p *program) add(n *physical.Node) error {
 	p.index[n] = int32(len(p.nodes))
 	p.nodes = append(p.nodes, n)
 	p.kidOff = append(p.kidOff, int32(len(p.kids)))
-	p.maxInputs = max(p.maxInputs, len(n.Children))
 	if n.Var != "" && !slices.Contains(p.vars, n.Var) {
 		p.vars = append(p.vars, n.Var)
 	}
@@ -76,12 +89,52 @@ func (p *program) add(n *physical.Node) error {
 // its cloned spine, picks and trace entries each number a few times r.
 func (p *program) chunk() int { return 2 * len(p.rels) }
 
-// seal finishes a program once its last node, the root, is in.
-func (p *program) seal() {
+// seal finishes a program once its last node, the root, is in, lowering
+// every operator into its row.
+func (p *program) seal() error {
 	slices.Sort(p.vars)
 	slices.Sort(p.rels)
 	p.labels = make([]atomic.Pointer[choiceLabels], len(p.nodes))
-	p.evaluators.New = func() any { return newEvaluator(p) }
+	p.rows = make([]row, len(p.nodes))
+	consts := make([]float64, 0, 64) // on the stack until cut to size below
+	slot := func(v float64) uint16 {
+		j := slices.IndexFunc(consts, func(c float64) bool { return math.Float64bits(c) == math.Float64bits(v) })
+		if j < 0 {
+			j, consts = len(consts), append(consts, v)
+		}
+		return uint16(len(p.vars) + j)
+	}
+	for i, n := range p.nodes {
+		r := row{op: n.Op, base: slot(float64(n.BaseCard)), edge: slot(n.EdgeSel), perPage: uint16(physical.RowsPerPage(n))}
+		if n.Op != physical.ChoosePlan { // the one operator with over two inputs
+			for j, k := range p.inputs(int32(i)) {
+				r.in[j] = p.rows[k].perPage
+			}
+		}
+		switch {
+		case n.Var != "":
+			j, _ := slices.BinarySearch(p.vars, n.Var)
+			r.sel = uint16(j)
+		case n.SelAttr != "":
+			r.sel = slot(n.FixedSel)
+		default:
+			r.sel = slot(1)
+		}
+		p.rows[i] = r
+		if len(p.vars)+len(consts) > math.MaxUint16 {
+			return errors.New("plan: too many distinct cost constants to lower")
+		}
+	}
+	p.consts = slices.Clone(consts)
+	return nil
+}
+
+// evaluator returns a pooled evaluator, or a new one.
+func (p *program) evaluator() *evaluator {
+	if e, ok := p.evaluators.Get().(*evaluator); ok {
+		return e
+	}
+	return newEvaluator(p)
 }
 
 // lower flattens the DAG under root in one children-first pass — the
@@ -107,8 +160,7 @@ func lower(root *physical.Node) (*program, error) {
 	if err := visit(root); err != nil {
 		return nil, fmt.Errorf("plan: invalid plan: %w", err)
 	}
-	p.seal()
-	return p, nil
+	return p, p.seal()
 }
 
 // choiceLabels are the names one choose-plan's decision trace shows: the

@@ -3,11 +3,11 @@ package plan
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
 	"dynplan/internal/bindings"
-	"dynplan/internal/cost"
 	"dynplan/internal/obs"
 	"dynplan/internal/physical"
 )
@@ -58,12 +58,6 @@ type StartupReport struct {
 	// paper's execution times are "those predicted by the optimizer",
 	// §6 footnote 4).
 	ChosenCost float64
-	// ChosenCostRange is the full predicted cost interval of the chosen
-	// plan under the bindings (ChosenCost is its Lo); with every host
-	// variable bound it typically collapses to a point, but unbound
-	// parameters keep it an interval — the band the calibration layer
-	// compares observed executions against.
-	ChosenCostRange cost.Cost
 	// Decisions is the number of choose-plan operators resolved.
 	Decisions int
 	// Picked records, per resolved choose-plan in resolution order, the
@@ -106,55 +100,34 @@ func (m *AccessModule) Activate(b *bindings.Bindings, opt StartupOptions) (*Star
 	if opt.Params == (physical.Params{}) {
 		opt.Params = physical.DefaultParams()
 	}
-	var missing []string
-	for _, v := range m.prog.vars {
-		if _, ok := b.Sel[v]; !ok {
-			missing = append(missing, v)
-		}
-	}
-	if len(missing) > 0 {
+	e := m.prog.evaluator()
+	if missing := e.bind(b); len(missing) > 0 {
+		e.release()
 		return nil, fmt.Errorf("plan: unbound host variables at start-up: %v", missing)
 	}
 
 	began := time.Now()
-	prog := m.prog
 	if opt.Avoid != nil || opt.IndexExists != nil {
-		// The cold path: one pruning pass over the module's untouched DAG
-		// (so the caller's node identities, from a prior report's Picked,
-		// still match), lowered on the spot and run like any program.
-		pruned, err := m.prog.prune(func(n *physical.Node) bool {
-			if opt.Avoid != nil && opt.Avoid(n) {
-				return true
-			}
-			if opt.IndexExists == nil {
-				return false
-			}
-			switch n.Op {
-			case physical.BtreeScan, physical.FilterBtreeScan, physical.IndexJoin:
-				return !opt.IndexExists(n.Rel, n.Attr)
-			}
-			return false
-		})
+		e.release()
+		prog, err := m.prog.restrict(opt)
 		if err != nil {
 			return nil, err
 		}
-		if prog, err = lower(pruned); err != nil {
-			return nil, err
-		}
+		e = prog.evaluator()
+		e.bind(b) // pruning only drops variables: the rest are bound
 	}
 
-	e := prog.evaluators.Get().(*evaluator)
 	defer e.release()
-	rep := e.run(opt.Params, b)
+	rep := e.run(opt.Params)
 	if opt.Usage != nil {
 		// Usage statistics drive the shrinking heuristic and are counted
 		// by the module's own node indices; when pruning rebuilt parts of
 		// the DAG, only the surviving original nodes are counted.
 		used := e.used
-		if prog != m.prog {
+		if e.p != m.prog {
 			used = used[:0]
 			for _, i := range e.used {
-				if j, ok := m.prog.index[prog.nodes[i]]; ok {
+				if j, ok := m.prog.index[e.p.nodes[i]]; ok {
 					used = append(used, j)
 				}
 			}
@@ -168,17 +141,17 @@ func (m *AccessModule) Activate(b *bindings.Bindings, opt StartupOptions) (*Star
 
 // evaluator is one activation's working state over a program: the memo
 // of start-up evaluation (§4: "the cost of each subplan is evaluated only
-// once") as arrays indexed by node, where the node's position is its key.
-// Evaluators are recycled through their program's pool, so an activation
-// allocates only what its report keeps.
+// once") as arrays indexed by node. Every parameter is bound at start-up,
+// so the cost kernel runs at one corner and a node's cardinality and cost
+// are one number each. Evaluators are recycled through their program's
+// pool, so an activation allocates only what its report keeps.
 type evaluator struct {
-	p     *program
-	model physical.Model
-	env   *bindings.Env
-
-	res []physical.Result
-	// in gathers one operator's input results for the cost model.
-	in []physical.Result
+	p      *program
+	params physical.Params
+	mem    float64
+	// vals holds what the rows' slots name; card and cost each node's
+	// output cardinality and its subplan's total cost.
+	vals, card, cost []float64
 	// used lists the nodes the chosen plan contains; isUsed marks them.
 	used   []int32
 	isUsed []bool
@@ -194,62 +167,88 @@ type evaluator struct {
 }
 
 func newEvaluator(p *program) *evaluator {
-	return &evaluator{
-		p:      p,
-		res:    make([]physical.Result, len(p.nodes)),
-		in:     make([]physical.Result, p.maxInputs),
-		isUsed: make([]bool, len(p.nodes)),
+	v, n := len(p.vars)+len(p.consts), len(p.nodes)
+	buf := make([]float64, v+2*n)
+	copy(buf[len(p.vars):], p.consts)
+	return &evaluator{p: p, vals: buf[:v], card: buf[v : v+n], cost: buf[v+n:], isUsed: make([]bool, n)}
+}
+
+// bind reads the bindings into the variable slots; it returns the unbound.
+func (e *evaluator) bind(b *bindings.Bindings) (missing []string) {
+	for j, v := range e.p.vars {
+		s, ok := b.Sel[v]
+		if !ok {
+			missing = append(missing, v)
+		}
+		e.vals[j] = s
 	}
+	e.mem = b.Memory
+	return missing
 }
 
 // release returns the evaluator to its pool, dropping every reference to
 // what the finished activation handed out.
 func (e *evaluator) release() {
-	e.env, e.picked, e.trace, e.clones, e.children, e.costs = nil, nil, nil, nil, nil, nil
+	e.picked, e.trace, e.clones, e.children, e.costs = nil, nil, nil, nil, nil
 	e.p.evaluators.Put(e)
 }
 
-// run evaluates the program under the bindings and materializes the
+// run evaluates the program under the bound values and materializes the
 // chosen plan.
-func (e *evaluator) run(params physical.Params, b *bindings.Bindings) *StartupReport {
-	e.model, e.env = physical.Model{P: params}, b.Env()
+func (e *evaluator) run(params physical.Params) *StartupReport {
+	e.params = params
 	clear(e.isUsed)
 	e.used = e.used[:0]
 	// Inputs precede consumers, so one sweep in index order finds every
 	// operator's input results already in place.
-	for i := range e.p.nodes {
-		e.evaluate(int32(i))
+	p, vals := e.p, e.vals
+	for i, r := range p.rows {
+		kids := p.inputs(int32(i))
+		if r.op == physical.ChoosePlan {
+			// The cheapest alternative plus the decision overhead (§3, §5).
+			best := e.cost[kids[0]]
+			for _, k := range kids[1:] {
+				if c := e.cost[k]; c < best {
+					best = c
+				}
+			}
+			e.card[i], e.cost[i] = e.card[kids[0]], best+params.ChooseOverhead
+			continue
+		}
+		var in [2]float64
+		for j, k := range kids {
+			in[j] = e.card[k]
+		}
+		s := physical.Shape{Op: r.op, Base: vals[r.base], Edge: vals[r.edge],
+			PerPage: float64(r.perPage), In0: float64(r.in[0]), In1: float64(r.in[1])}
+		card, cost := e.params.Corner(s, in[0], in[1], vals[r.sel], e.mem)
+		for _, k := range kids {
+			cost += e.cost[k]
+		}
+		if math.IsNaN(card) || math.IsNaN(cost) {
+			panic(fmt.Sprintf("plan: invalid evaluation of %s: cost %g card %g", r.op, cost, card))
+		}
+		e.card[i], e.cost[i] = card, cost
 	}
-	chosen, res := e.materialize(int32(len(e.p.nodes) - 1))
+	chosen, _, cost := e.materialize(int32(len(p.nodes) - 1))
 	return &StartupReport{
-		Chosen:          chosen,
-		ChosenCost:      res.Cost.Lo,
-		ChosenCostRange: res.Cost,
-		Decisions:       len(e.picked),
-		Picked:          e.picked,
-		Trace:           e.trace,
-		NodesEvaluated:  len(e.p.nodes),
-		SimCPUSeconds:   float64(len(e.p.nodes)) * params.StartupNodeTime,
+		Chosen:         chosen,
+		ChosenCost:     cost,
+		Decisions:      len(e.picked),
+		Picked:         e.picked,
+		Trace:          e.trace,
+		NodesEvaluated: len(p.nodes),
+		SimCPUSeconds:  float64(len(p.nodes)) * params.StartupNodeTime,
 	}
-}
-
-// evaluate computes node i's result from its inputs', which must be in
-// place, through the cost model every other layer uses.
-func (e *evaluator) evaluate(i int32) {
-	kids := e.p.inputs(i)
-	in := e.in[:len(kids)]
-	for j, k := range kids {
-		in[j] = e.res[k]
-	}
-	e.res[i] = e.model.EvaluateNode(e.p.nodes[i], e.env, in)
 }
 
 // materialize resolves the subplan at node i into a tree without
 // choose-plans (a chosen plan uses each shared subplan at most once,
 // since join operands cover disjoint relation sets) and returns it with
-// its result under the bindings. Only the spine above a resolved
-// choose-plan is cloned; the rest is the module's own nodes and results.
-func (e *evaluator) materialize(i int32) (*physical.Node, physical.Result) {
+// its cardinality and cost under the bindings. Only the spine above a
+// resolved choose-plan is cloned; the rest is the module's own nodes and
+// results.
+func (e *evaluator) materialize(i int32) (*physical.Node, float64, float64) {
 	if !e.isUsed[i] {
 		e.isUsed[i] = true
 		e.used = append(e.used, i)
@@ -260,21 +259,27 @@ func (e *evaluator) materialize(i int32) (*physical.Node, physical.Result) {
 	}
 	// Check admits at most two inputs below anything but a choose-plan.
 	var children [2]*physical.Node
-	var results [2]physical.Result
+	var cards, costs [2]float64
 	changed := false
 	for j, k := range kids {
-		children[j], results[j] = e.materialize(k)
+		children[j], cards[j], costs[j] = e.materialize(k)
 		changed = changed || children[j] != e.p.nodes[k]
 	}
 	if !changed {
-		return n, e.res[i]
+		return n, e.card[i], e.cost[i]
 	}
 	chunk := e.p.chunk()
 	clone := &take(&e.clones, 1, chunk)[0]
 	*clone = *n
 	clone.Children = take(&e.children, len(kids), 2*chunk)
 	copy(clone.Children, children[:])
-	return clone, e.model.EvaluateNode(clone, e.env, results[:len(kids)])
+	// The clone's shape reads its resolved inputs' widths. Its inputs and
+	// selectivity passed the sweep's NaN check.
+	card, cost := e.params.Corner(physical.ShapeOf(clone), cards[0], cards[1], e.vals[e.p.rows[i].sel], e.mem)
+	for j := range kids {
+		cost += costs[j]
+	}
+	return clone, card, cost
 }
 
 // decide resolves choose-plan i — the cheapest alternative, the first of
@@ -285,7 +290,7 @@ func (e *evaluator) decide(i int32) int32 {
 	costs := take(&e.costs, len(kids), 4*chunk)
 	best := 0
 	for j, k := range kids {
-		costs[j] = e.res[k].Cost.Lo
+		costs[j] = e.cost[k]
 		if costs[j] < costs[best] {
 			best = j
 		}
@@ -298,6 +303,28 @@ func (e *evaluator) decide(i int32) int32 {
 	e.trace = append(e.trace, obs.NewChoice(labels.operator, labels.alternatives, costs, best))
 	e.picked = append(e.picked, e.p.nodes[kids[best]])
 	return kids[best]
+}
+
+// restrict is activation's cold path: it prunes what opt avoids or lacks
+// an index from the untouched DAG and lowers the rest on the spot.
+func (p *program) restrict(opt StartupOptions) (*program, error) {
+	pruned, err := p.prune(func(n *physical.Node) bool {
+		if opt.Avoid != nil && opt.Avoid(n) {
+			return true
+		}
+		if opt.IndexExists == nil {
+			return false
+		}
+		switch n.Op {
+		case physical.BtreeScan, physical.FilterBtreeScan, physical.IndexJoin:
+			return !opt.IndexExists(n.Rel, n.Attr)
+		}
+		return false
+	})
+	if err != nil {
+		return nil, err
+	}
+	return lower(pruned)
 }
 
 // prune rebuilds the plan DAG without the nodes the predicate drops (and

@@ -2,6 +2,7 @@ package dynplan
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -216,9 +217,13 @@ type Bindings struct {
 // internal validates the caller's bindings and converts them to the
 // optimizer's form. It is the one place outside input is checked — every
 // public entry point that takes Bindings converts exactly once and hands
-// the converted value down — so a selectivity outside [0, 1] (or NaN)
-// surfaces as ErrInvalidBindings instead of reaching the cost model.
+// the converted value down — so a selectivity outside [0, 1] or a memory
+// that is negative or not finite (NaN included) surfaces as
+// ErrInvalidBindings instead of reaching the cost model.
 func (b Bindings) internal() (*bindings.Bindings, error) {
+	if !(b.MemoryPages >= 0) || math.IsInf(b.MemoryPages, 1) { // also rejects NaN
+		return nil, fmt.Errorf("%w: memory of %g pages is not a finite, non-negative size", ErrInvalidBindings, b.MemoryPages)
+	}
 	ib := &bindings.Bindings{Sel: make(map[string]float64, len(b.Selectivities)), Memory: b.MemoryPages}
 	for v, s := range b.Selectivities {
 		if !(s >= 0 && s <= 1) { // also rejects NaN
