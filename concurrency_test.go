@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"dynplan/internal/exec"
+	"dynplan/internal/storage"
 )
 
 // TestConcurrentQueriesOneDatabase is the -race regression for sharing one
@@ -48,7 +49,31 @@ func TestConcurrentQueriesOneDatabase(t *testing.T) {
 		mixes = append(mixes, mix{b: b, ref: canonical(res)})
 	}
 
-	db.InjectFaults(FaultConfig{Seed: 5, TransientRate: 0.1})
+	// Every hot-swap below installs a fresh injector, unhealing its
+	// faulty pages, and each failed attempt heals one (injector, page)
+	// pair: the transient pages of every configuration the queries can
+	// meet, plus the clean attempt, bound the attempts any query needs.
+	configs := []FaultConfig{{Seed: 5, TransientRate: 0.1}}
+	for i := 0; i < 10; i++ {
+		configs = append(configs, FaultConfig{Seed: int64(i), TransientRate: 0.1})
+	}
+	maxAttempts := 1
+	for _, cfg := range configs {
+		inj := storage.NewInjector(cfg)
+		for _, rel := range []string{"C1", "C2", "C3"} {
+			pages, err := db.RelationPages(rel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for p := range pages {
+				if inj.PageRead(rel, int32(p), nil) != nil {
+					maxAttempts++
+				}
+			}
+		}
+	}
+
+	db.InjectFaults(configs[0])
 	defer db.ClearFaults()
 
 	const workers, iters = 4, 6
@@ -60,7 +85,7 @@ func TestConcurrentQueriesOneDatabase(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				m := mixes[(w+i)%len(mixes)]
-				res, err := db.Exec(context.Background(), mod, m.b, ExecOptions{Resilient: true, Policy: RetryPolicy{MaxAttempts: 80}})
+				res, err := db.Exec(context.Background(), mod, m.b, ExecOptions{Resilient: true, Policy: RetryPolicy{MaxAttempts: maxAttempts}})
 				if err != nil {
 					errCh <- fmt.Errorf("worker %d iter %d: %w", w, i, err)
 					return
@@ -79,8 +104,8 @@ func TestConcurrentQueriesOneDatabase(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; i < 10; i++ {
-			db.InjectFaults(FaultConfig{Seed: int64(i), TransientRate: 0.1})
+		for _, cfg := range configs[1:] {
+			db.InjectFaults(cfg)
 			time.Sleep(200 * time.Microsecond)
 		}
 	}()

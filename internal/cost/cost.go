@@ -133,16 +133,6 @@ func (c Cost) AddScalar(v float64) Cost {
 	return Cost{Lo: c.Lo + v, Hi: c.Hi + v}
 }
 
-// DivScalar returns the interval scaled down by a positive factor — the
-// per-worker share of a cost split across d partitions. It panics on a
-// non-positive divisor, which would invert or poison the interval.
-func (c Cost) DivScalar(d float64) Cost {
-	if d <= 0 || math.IsNaN(d) {
-		panic(fmt.Sprintf("cost: DivScalar by %g", d))
-	}
-	return Cost{Lo: c.Lo / d, Hi: c.Hi / d}
-}
-
 // Min combines the costs of equivalent alternative plans linked by a
 // choose-plan operator: the bound-wise minimum. The choose-plan decision
 // overhead is added separately by the caller.

@@ -105,7 +105,9 @@ func (c Counters) SimulatedSeconds(r CostRates) float64 {
 type Collector struct {
 	mu    sync.Mutex
 	stats map[*physical.Node]*Counters
-	preds map[*physical.Node]Prediction
+	// cards are the predicted output cardinalities of the plan Tree
+	// describes, one per distinct operator in post-order.
+	cards []float64
 }
 
 // NewCollector returns an empty, enabled collector.
@@ -113,19 +115,18 @@ func NewCollector() *Collector {
 	return &Collector{stats: make(map[*physical.Node]*Counters)}
 }
 
-// Predict attaches a compile-time cardinality interval to a plan node, so
-// the stats tree can be calibrated against it after execution. No-op on a
-// nil collector.
-func (c *Collector) Predict(n *physical.Node, p Prediction) {
-	if c == nil || n == nil {
+// Predict attaches the cost model's predicted output cardinalities to the
+// plan Tree describes, so the stats tree can be calibrated against them
+// after execution: one per distinct operator, in post-order — an
+// operator's inputs, left to right, before it, which is the order of the
+// plan's lowered program. No-op on a nil collector.
+func (c *Collector) Predict(cards []float64) {
+	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.preds == nil {
-		c.preds = make(map[*physical.Node]Prediction)
-	}
-	c.preds[n] = p
+	c.cards = cards
 }
 
 // Enabled reports whether the collector is collecting; false on nil.
@@ -158,9 +159,8 @@ type PlanStats struct {
 	// Rel names the base relation the operator reads, when it reads one —
 	// the key the workload registry aggregates per-relation metrics under.
 	Rel string `json:"rel,omitempty"`
-	// Predicted is the compile-time cardinality interval attached via
-	// Collector.Predict; QError and Violation are filled in by Calibrate
-	// after execution.
+	// Predicted is the cardinality predicted via Collector.Predict; QError
+	// and Violation are filled in by Calibrate after execution.
 	Predicted *Prediction  `json:"predicted,omitempty"`
 	QError    float64      `json:"q_error,omitempty"`
 	Violation bool         `json:"violation,omitempty"`
@@ -177,10 +177,13 @@ func (c *Collector) Tree(root *physical.Node) *PlanStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	memo := make(map[*physical.Node]*PlanStats)
-	return c.tree(root, memo)
+	preds := make([]Prediction, 0, len(c.cards))
+	return c.tree(root, memo, &preds)
 }
 
-func (c *Collector) tree(n *physical.Node, memo map[*physical.Node]*PlanStats) *PlanStats {
+// tree builds the stats of n's subplan, attaching the predictions in
+// post-order; preds never outgrows its capacity, so they stay in place.
+func (c *Collector) tree(n *physical.Node, memo map[*physical.Node]*PlanStats, preds *[]Prediction) *PlanStats {
 	if s, ok := memo[n]; ok {
 		return s
 	}
@@ -189,12 +192,12 @@ func (c *Collector) tree(n *physical.Node, memo map[*physical.Node]*PlanStats) *
 	if cnt := c.stats[n]; cnt != nil {
 		s.Counters = *cnt
 	}
-	if p, ok := c.preds[n]; ok {
-		pred := p
-		s.Predicted = &pred
-	}
 	for _, ch := range n.Children {
-		s.Children = append(s.Children, c.tree(ch, memo))
+		s.Children = append(s.Children, c.tree(ch, memo, preds))
+	}
+	if k := len(*preds); k < len(c.cards) {
+		*preds = append(*preds, Prediction{CardLo: c.cards[k], CardHi: c.cards[k]})
+		s.Predicted = &(*preds)[k]
 	}
 	return s
 }

@@ -11,12 +11,12 @@ import (
 
 // Model is the interval cost model: Params plus the evaluation machinery.
 // Its cost functions are one kernel, Params.Corner, which serves
-// compile-time optimization (interval environments, both corners),
-// static optimization (point environments with default estimates), and
-// start-up-time choose-plan decisions (actual bindings, one corner, run
-// by the start-up evaluator over its lowered program) — re-evaluating
-// "the cost functions associated with the participating alternative
-// plans" is exactly the paper's decision procedure (§4).
+// compile-time optimization (interval environments, both corners, through
+// EvaluateNode), static optimization (point environments with default
+// estimates), and every run-time evaluation (actual bindings, one corner,
+// through a lowered Program's sweep) — re-evaluating "the cost functions
+// associated with the participating alternative plans" is exactly the
+// paper's decision procedure (§4).
 type Model struct {
 	P Params
 }
@@ -33,78 +33,43 @@ type Result struct {
 	Cost cost.Cost
 }
 
-// Session evaluates plan nodes under one fixed environment, memoizing by
-// node identity. Memoization is what makes shared subplans in a DAG cost
-// only one evaluation — the paper's key start-up-time technique (§4: "the
-// cost of each subplan is evaluated only once, not as many times as the
-// subplan participates in some larger plan").
-type Session struct {
-	m    *Model
-	env  *bindings.Env
-	memo map[*Node]Result
-}
-
-// NewSession starts an evaluation session for env.
-func (m *Model) NewSession(env *bindings.Env) *Session {
-	return &Session{m: m, env: env, memo: make(map[*Node]Result)}
-}
-
-// Evaluate is a convenience that runs a fresh session over one node.
+// Evaluate returns the cardinality and total cost intervals of the
+// subplan rooted at n under env: the compile-time view of a plan, which
+// lowers it and evaluates each shared subplan once.
 func (m *Model) Evaluate(n *Node, env *bindings.Env) Result {
-	return m.NewSession(env).Evaluate(n)
+	res := m.EvaluateProgram(mustLower(n), env)
+	return res[len(res)-1]
 }
 
-// EvaluateNode computes one operator's result from already-evaluated child
-// results, without touching the children. Callers that manage their own
+// EvaluateProgram evaluates every operator of p under env, inputs before
+// consumers, and returns the results by index.
+func (m *Model) EvaluateProgram(p *Program, env *bindings.Env) []Result {
+	res := make([]Result, len(p.Nodes))
+	var kids []Result
+	for i, n := range p.Nodes {
+		kids = kids[:0]
+		for _, k := range p.Inputs(int32(i)) {
+			kids = append(kids, res[k])
+		}
+		res[i] = EvaluateNode(&m.P, n, env, kids)
+	}
+	return res
+}
+
+// EvaluateNode computes one operator's result under env from its inputs'
+// results, without touching the inputs; callers that manage their own
 // memoization (the search, which costs a candidate from its inputs'
-// winners) use this to avoid re-walking shared subplans. The session is
-// a value so the call allocates nothing.
-func (m *Model) EvaluateNode(n *Node, env *bindings.Env, kids []Result) Result {
-	s := Session{m: m, env: env}
-	return s.evaluate(n, kids)
-}
-
-// EvaluatedNodes returns the number of distinct nodes this session has
-// evaluated, the basis of simulated start-up CPU time.
-func (s *Session) EvaluatedNodes() int { return len(s.memo) }
-
-// Evaluate returns the cardinality and total cost of the subplan rooted
-// at n under the session's environment.
-func (s *Session) Evaluate(n *Node) Result {
-	if r, ok := s.memo[n]; ok {
-		return r
-	}
-	kids := make([]Result, len(n.Children))
-	for i, c := range n.Children {
-		kids[i] = s.Evaluate(c)
-	}
-	r := s.evaluate(n, kids)
-	s.memo[n] = r
-	return r
-}
-
-// selectivity returns the node's selection-predicate selectivity range.
-func (s *Session) selectivity(n *Node) cost.Range {
-	if n.Var != "" {
-		return s.env.Selectivity(n.Var)
-	}
-	if n.SelAttr != "" {
-		return cost.PointRange(n.FixedSel)
-	}
-	return cost.PointRange(1)
-}
-
-// evaluate computes one operator's result from its children's and panics
-// on an ill-formed one, which only a bug in a cost function can produce.
-func (s *Session) evaluate(n *Node, kids []Result) Result {
-	r := s.compute(n, kids)
+// winners) evaluate shared subplans once this way. It panics on an
+// ill-formed result, which only a bug in a cost function can produce.
+func EvaluateNode(p *Params, n *Node, env *bindings.Env, kids []Result) Result {
+	r := compute(p, n, env, kids)
 	if !r.Cost.Valid() || !r.Card.Valid() {
 		panic(fmt.Sprintf("physical: invalid evaluation of %s: cost %v card %v", n.Op, r.Cost, r.Card))
 	}
 	return r
 }
 
-func (s *Session) compute(n *Node, kids []Result) Result {
+func compute(p *Params, n *Node, env *bindings.Env, kids []Result) Result {
 	if n.Op == ChoosePlan {
 		// The dynamic plan costs the bound-wise minimum of its
 		// alternatives plus the decision overhead (§3, §5).
@@ -112,9 +77,24 @@ func (s *Session) compute(n *Node, kids []Result) Result {
 		for _, k := range kids[1:] {
 			best = cost.Min(best, k.Cost)
 		}
-		return Result{Card: kids[0].Card, Cost: best.AddScalar(s.m.P.ChooseOverhead)}
+		return Result{Card: kids[0].Card, Cost: best.AddScalar(p.ChooseOverhead)}
 	}
-	card, lo, hi := s.corners(n, kids)
+	// Both corners of the environment (§5): the lower bound at the least
+	// input and most memory, the upper at the opposite.
+	sel := cost.PointRange(1)
+	switch {
+	case n.Var != "":
+		sel = env.Selectivity(n.Var)
+	case n.SelAttr != "":
+		sel = cost.PointRange(n.FixedSel)
+	}
+	shape := ShapeOf(n)
+	var in [2]cost.Range
+	for i, k := range kids[:min(len(kids), 2)] {
+		in[i] = k.Card
+	}
+	cardLo, lo := p.Corner(shape, in[0].Lo, in[1].Lo, sel.Lo, env.Memory.Hi)
+	cardHi, hi := p.Corner(shape, in[0].Hi, in[1].Hi, sel.Hi, env.Memory.Lo)
 	if hi < lo {
 		// Cost functions are monotone by construction; tolerate tiny
 		// floating-point inversions rather than panicking.
@@ -127,21 +107,7 @@ func (s *Session) compute(n *Node, kids []Result) Result {
 	for _, k := range kids {
 		total = total.Add(k.Cost)
 	}
-	return Result{Card: card, Cost: total}
-}
-
-// corners evaluates n at both corners of the environment (§5): the lower
-// bound at the least input and most memory, the upper at the opposite.
-func (s *Session) corners(n *Node, kids []Result) (card cost.Range, lo, hi float64) {
-	shape, sel := ShapeOf(n), s.selectivity(n)
-	var in [2]cost.Range
-	for i, k := range kids[:min(len(kids), 2)] {
-		in[i] = k.Card
-	}
-	p := &s.m.P
-	card.Lo, lo = p.Corner(shape, in[0].Lo, in[1].Lo, sel.Lo, s.env.Memory.Hi)
-	card.Hi, hi = p.Corner(shape, in[0].Hi, in[1].Hi, sel.Hi, s.env.Memory.Lo)
-	return card, lo, hi
+	return Result{Card: cost.Range{Lo: cardLo, Hi: cardHi}, Cost: total}
 }
 
 // Shape is what an operator's cost function reads of the operator itself,
@@ -174,8 +140,8 @@ func RowsPerPage(n *Node) float64 { return max(float64(catalog.PageBytes/n.RowBy
 // Corner is the cost model's one kernel: an operator's output cardinality
 // and own cost (its inputs' excluded) at one corner of the parameter
 // space, given its input cardinalities, selectivity and memory there.
-// Interval evaluation calls it at both corners, start-up at its one; a
-// choose-plan has no cost function of its own.
+// Interval evaluation calls it at both corners, a program's sweep at its
+// one; a choose-plan has no cost function of its own.
 func (p *Params) Corner(s Shape, in0, in1, sel, mem float64) (card, own float64) {
 	switch s.Op {
 	case FileScan, TempScan:

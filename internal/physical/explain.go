@@ -2,7 +2,6 @@ package physical
 
 import (
 	"fmt"
-	"strings"
 
 	"dynplan/internal/bindings"
 )
@@ -12,27 +11,10 @@ import (
 // under the given environment — interval annotations at compile-time,
 // point annotations for bound environments (EXPLAIN with costs).
 func (n *Node) FormatWithCosts(m *Model, env *bindings.Env) string {
-	sess := m.NewSession(env)
-	sess.Evaluate(n)
-	var b strings.Builder
-	ids := make(map[*Node]int)
-	printed := make(map[*Node]bool)
-	n.assignIDs(ids)
-	n.formatCosts(&b, 0, ids, printed, sess)
-	return b.String()
-}
-
-func (n *Node) formatCosts(b *strings.Builder, depth int, ids map[*Node]int, printed map[*Node]bool, sess *Session) {
-	indent := strings.Repeat("  ", depth)
-	if printed[n] {
-		fmt.Fprintf(b, "%s@%d (shared %s)\n", indent, ids[n], n.Op)
-		return
-	}
-	printed[n] = true
-	res := sess.Evaluate(n)
-	fmt.Fprintf(b, "%s@%d %s  [rows=%s cost=%s]\n",
-		indent, ids[n], n.label(), res.Card, res.Cost)
-	for _, c := range n.Children {
-		c.formatCosts(b, depth+1, ids, printed, sess)
-	}
+	p := mustLower(n)
+	res := m.EvaluateProgram(p, env)
+	return n.render(func(n *Node) string {
+		r := res[p.Index(n)]
+		return fmt.Sprintf("  [rows=%s cost=%s]", r.Card, r.Cost)
+	})
 }

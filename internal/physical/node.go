@@ -2,7 +2,7 @@ package physical
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -92,10 +92,13 @@ func (n *Node) Ordering() string {
 // CountNodes returns the number of distinct operator nodes in the DAG
 // rooted at n — the paper's plan-size metric (Figure 6) and the basis of
 // access-module I/O time.
-func (n *Node) CountNodes() int {
+func (n *Node) CountNodes() int { return len(n.distinct()) }
+
+// distinct returns the DAG's distinct nodes.
+func (n *Node) distinct() map[*Node]bool {
 	seen := make(map[*Node]bool)
 	n.walk(seen)
-	return len(seen)
+	return seen
 }
 
 func (n *Node) walk(seen map[*Node]bool) {
@@ -111,9 +114,7 @@ func (n *Node) walk(seen map[*Node]bool) {
 // Walk visits every distinct node of the DAG once, in no particular
 // order.
 func (n *Node) Walk(visit func(*Node)) {
-	seen := make(map[*Node]bool)
-	n.walk(seen)
-	for m := range seen {
+	for m := range n.distinct() {
 		visit(m)
 	}
 }
@@ -121,45 +122,33 @@ func (n *Node) Walk(visit func(*Node)) {
 // CountChoosePlans returns the number of distinct choose-plan operators in
 // the DAG.
 func (n *Node) CountChoosePlans() int {
-	seen := make(map[*Node]bool)
-	n.walk(seen)
 	count := 0
-	for m := range seen {
+	n.Walk(func(m *Node) {
 		if m.Op == ChoosePlan {
 			count++
 		}
-	}
+	})
 	return count
 }
 
 // Operators returns a histogram of operator kinds in the DAG, useful for
 // the Table 1 inventory benchmark and for tests.
 func (n *Node) Operators() map[Op]int {
-	seen := make(map[*Node]bool)
-	n.walk(seen)
 	hist := make(map[Op]int)
-	for m := range seen {
-		hist[m.Op]++
-	}
+	n.Walk(func(m *Node) { hist[m.Op]++ })
 	return hist
 }
 
 // Variables returns the host variables referenced anywhere in the DAG, in
 // sorted order.
 func (n *Node) Variables() []string {
-	seen := make(map[*Node]bool)
-	n.walk(seen)
-	vars := make(map[string]bool)
-	for m := range seen {
-		if m.Var != "" {
-			vars[m.Var] = true
+	out := []string{}
+	n.Walk(func(m *Node) {
+		if m.Var != "" && !slices.Contains(out, m.Var) {
+			out = append(out, m.Var)
 		}
-	}
-	out := make([]string, 0, len(vars))
-	for v := range vars {
-		out = append(out, v)
-	}
-	sort.Strings(out)
+	})
+	slices.Sort(out)
 	return out
 }
 
@@ -238,12 +227,15 @@ func (n *Node) label() string {
 // Format renders the DAG as an indented tree. Shared subplans are printed
 // once and referenced by a stable id afterwards, so the output size stays
 // proportional to the DAG, not to the tree expansion.
-func (n *Node) Format() string {
+func (n *Node) Format() string { return n.render(nil) }
+
+// render formats the DAG, appending annotate's text, when given, to every
+// operator's line.
+func (n *Node) render(annotate func(*Node) string) string {
 	var b strings.Builder
 	ids := make(map[*Node]int)
-	printed := make(map[*Node]bool)
 	n.assignIDs(ids)
-	n.format(&b, 0, ids, printed)
+	n.format(&b, 0, ids, make(map[*Node]bool), annotate)
 	return b.String()
 }
 
@@ -257,46 +249,33 @@ func (n *Node) assignIDs(ids map[*Node]int) {
 	}
 }
 
-func (n *Node) format(b *strings.Builder, depth int, ids map[*Node]int, printed map[*Node]bool) {
+func (n *Node) format(b *strings.Builder, depth int, ids map[*Node]int, printed map[*Node]bool, annotate func(*Node) string) {
 	indent := strings.Repeat("  ", depth)
 	if printed[n] {
 		fmt.Fprintf(b, "%s@%d (shared %s)\n", indent, ids[n], n.Op)
 		return
 	}
 	printed[n] = true
-	fmt.Fprintf(b, "%s@%d %s\n", indent, ids[n], n.label())
+	note := ""
+	if annotate != nil {
+		note = annotate(n)
+	}
+	fmt.Fprintf(b, "%s@%d %s%s\n", indent, ids[n], n.label(), note)
 	for _, c := range n.Children {
-		c.format(b, depth+1, ids, printed)
+		c.format(b, depth+1, ids, printed, annotate)
 	}
 }
 
-// Validate checks the structural invariants of a plan DAG: child counts
-// per operator, presence of required fields, and positive widths. It is
-// used after deserializing access modules and in tests.
+// Validate checks the structural invariants of a plan DAG — child counts
+// per operator, presence of required fields, and positive widths — by
+// lowering it.
 func (n *Node) Validate() error {
-	seen := make(map[*Node]bool)
-	return n.validate(seen)
-}
-
-func (n *Node) validate(seen map[*Node]bool) error {
-	if seen[n] {
-		return nil
-	}
-	seen[n] = true
-	if err := n.Check(); err != nil {
-		return err
-	}
-	for _, c := range n.Children {
-		if err := c.validate(seen); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := Lower(n)
+	return err
 }
 
 // Check validates this one operator — its child count, required fields
-// and row width — without visiting its inputs, for callers that already
-// visit every node of the DAG once.
+// and row width — without visiting its inputs.
 func (n *Node) Check() error {
 	wantChildren := -1
 	switch n.Op {

@@ -2,6 +2,7 @@ package physical
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -310,19 +311,30 @@ func TestChoosePlanEvaluation(t *testing.T) {
 	}
 }
 
-// TestSessionMemoizesSharedSubplans: evaluating a DAG twice the size of
-// its node count must only evaluate each node once.
-func TestSessionMemoizesSharedSubplans(t *testing.T) {
+// TestLowerSharesSubplans: a shared subplan lowers to one index, so a
+// sweep evaluates each node of a DAG once — and two roots that share a
+// subplan lower it once between them.
+func TestLowerSharesSubplans(t *testing.T) {
 	shared := filtered("v", fileScan("R", 500))
-	root := &Node{Op: ChoosePlan, RowBytes: 512, Children: []*Node{
-		&Node{Op: Sort, Attr: "R.a", RowBytes: 512, Children: []*Node{shared}},
-		&Node{Op: Sort, Attr: "R.b", RowBytes: 512, Children: []*Node{shared}},
-	}}
-	model := NewModel(DefaultParams())
-	sess := model.NewSession(bindings.NewEnv(cost.PointRange(64)).Bind("v", cost.PointRange(0.5)))
-	sess.Evaluate(root)
-	if got := sess.EvaluatedNodes(); got != root.CountNodes() {
-		t.Errorf("evaluated %d nodes, DAG has %d", got, root.CountNodes())
+	a := &Node{Op: Sort, Attr: "R.a", RowBytes: 512, Children: []*Node{shared}}
+	b := &Node{Op: Sort, Attr: "R.b", RowBytes: 512, Children: []*Node{shared}}
+	root := &Node{Op: ChoosePlan, RowBytes: 512, Children: []*Node{a, b}}
+	p, err := Lower(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(p.Nodes); got != root.CountNodes() {
+		t.Errorf("lowered %d nodes, DAG has %d", got, root.CountNodes())
+	}
+	if ia, ib := p.Index(a), p.Index(b); !slices.Equal(p.Inputs(ia), p.Inputs(ib)) {
+		t.Errorf("the sorts' inputs lower to %v and %v, want one index", p.Inputs(ia), p.Inputs(ib))
+	}
+	both, err := Lower(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(both.Nodes); got != root.CountNodes()-1 {
+		t.Errorf("two roots sharing a subplan lowered to %d nodes, want %d", got, root.CountNodes()-1)
 	}
 }
 
@@ -362,16 +374,15 @@ func TestSelectivityMonotonicity(t *testing.T) {
 	}
 }
 
-func TestEvaluateNodeMatchesSession(t *testing.T) {
+func TestEvaluateNodeMatchesModel(t *testing.T) {
 	model := NewModel(DefaultParams())
 	env := bindings.NewEnv(cost.PointRange(64)).Bind("v", cost.PointRange(0.3))
 	l := filtered("v", fileScan("R", 300))
 	r := fileScan("S", 200)
 	j := hashJoin(l, r)
-	sess := model.NewSession(env)
-	want := sess.Evaluate(j)
+	want := model.Evaluate(j, env)
 	kids := []Result{model.Evaluate(l, env), model.Evaluate(r, env)}
-	got := model.EvaluateNode(j, env, kids)
+	got := EvaluateNode(&model.P, j, env, kids)
 	if got != want {
 		t.Errorf("EvaluateNode = %+v, want %+v", got, want)
 	}

@@ -299,20 +299,20 @@ func TestSweepMatchesIntervalModel(t *testing.T) {
 					}
 				}
 				e := prog.evaluator()
-				if missing := e.bind(b); len(missing) > 0 {
+				if missing := prog.Bind(&e.Eval, b); len(missing) > 0 {
 					t.Fatalf("%s: unbound %v", name, missing)
 				}
 				rep := e.run(params)
-				sess := model.NewSession(b.Env())
-				for j, node := range prog.nodes {
-					r := sess.Evaluate(node)
-					card, cost := bits(e.card[j]), bits(e.cost[j])
+				res := model.EvaluateProgram(prog.Program, b.Env())
+				for j, node := range prog.Nodes {
+					r := res[j]
+					card, cost := bits(e.Card[j]), bits(e.Cost[j])
 					if card != bits(r.Card.Lo) || card != bits(r.Card.Hi) || cost != bits(r.Cost.Lo) || cost != bits(r.Cost.Hi) {
 						t.Fatalf("%s: node %d (%s): sweep card %g cost %g, model %v / %v",
-							name, j, node.Label(), e.card[j], e.cost[j], r.Card, r.Cost)
+							name, j, node.Label(), e.Card[j], e.Cost[j], r.Card, r.Cost)
 					}
 				}
-				want := decisionCosts(sess, prog.nodes[len(prog.nodes)-1], nil)
+				want := decisionCosts(prog.Program, res, int32(len(prog.Nodes)-1), nil)
 				if len(want) != len(rep.Trace) {
 					t.Fatalf("%s: %d decisions traced, model resolves %d", name, len(rep.Trace), len(want))
 				}
@@ -333,21 +333,58 @@ func TestSweepMatchesIntervalModel(t *testing.T) {
 	}
 }
 
-// decisionCosts resolves the plan at n under sess the way start-up does —
-// depth first, each choose-plan to its cheapest alternative, the first of
-// equals — and appends each decision's alternative costs to out.
-func decisionCosts(sess *physical.Session, n *physical.Node, out [][]float64) [][]float64 {
-	if n.Op == physical.ChoosePlan {
-		costs, best := make([]float64, len(n.Children)), 0
-		for j, c := range n.Children {
-			if costs[j] = sess.Evaluate(c).Cost.Lo; costs[j] < costs[best] {
+// TestCardsMatchModel pins the cardinalities a report carries for the
+// calibration layer: one per operator of the chosen plan, in post-order,
+// each equal bit for bit to the interval model's evaluation of that
+// operator's subplan — clones above a resolved choose-plan included, whose
+// cardinality the sweep computed from the choose-plan's first alternative.
+func TestCardsMatchModel(t *testing.T) {
+	model := physical.NewModel(physical.DefaultParams())
+	for _, spec := range workload.PaperQueries() {
+		n := spec.Relations
+		mod := paperModule(t, n)
+		for i, b := range bindings.NewGenerator(int64(5000+n), workload.Variables(n), true).Draw(20) {
+			rep, err := mod.Activate(b, StartupOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cards := rep.Cards
+			var walk func(n *physical.Node)
+			walk = func(n *physical.Node) {
+				for _, c := range n.Children {
+					walk(c)
+				}
+				want := model.Evaluate(n, b.Env()).Card
+				if len(cards) == 0 || bits(cards[0]) != bits(want.Lo) || bits(cards[0]) != bits(want.Hi) {
+					t.Fatalf("relations=%d draw%02d: %s: cards %v, model %v", spec.Relations, i, n.Label(), cards, want)
+				}
+				cards = cards[1:]
+			}
+			walk(rep.Chosen)
+			if len(cards) > 0 {
+				t.Fatalf("relations=%d draw%02d: %d cards beyond the chosen plan", spec.Relations, i, len(cards))
+			}
+		}
+	}
+}
+
+// decisionCosts resolves the plan at node i of p under the model's
+// results res the way start-up does — depth first, each choose-plan to its
+// cheapest alternative, the first of equals — and appends each decision's
+// alternative costs to out.
+func decisionCosts(p *physical.Program, res []physical.Result, i int32, out [][]float64) [][]float64 {
+	kids := p.Inputs(i)
+	if p.Nodes[i].Op == physical.ChoosePlan {
+		costs, best := make([]float64, len(kids)), 0
+		for j, k := range kids {
+			if costs[j] = res[k].Cost.Lo; costs[j] < costs[best] {
 				best = j
 			}
 		}
-		return decisionCosts(sess, n.Children[best], append(out, costs))
+		return decisionCosts(p, res, kids[best], append(out, costs))
 	}
-	for _, c := range n.Children {
-		out = decisionCosts(sess, c, out)
+	for _, k := range kids {
+		out = decisionCosts(p, res, k, out)
 	}
 	return out
 }

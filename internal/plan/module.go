@@ -141,7 +141,7 @@ func Load(raw []byte) (*AccessModule, error) {
 }
 
 // Root returns the plan DAG.
-func (m *AccessModule) Root() *physical.Node { return m.prog.nodes[len(m.prog.nodes)-1] }
+func (m *AccessModule) Root() *physical.Node { return m.prog.Nodes[len(m.prog.Nodes)-1] }
 
 // Relations returns the distinct base relations any alternative of the
 // plan DAG reads, sorted — the set a per-relation circuit breaker screens
@@ -150,11 +150,11 @@ func (m *AccessModule) Relations() []string { return m.prog.rels }
 
 // Variables returns the host variables the plan references, sorted — what
 // must be bound before activation. Read-only, like Relations.
-func (m *AccessModule) Variables() []string { return m.prog.vars }
+func (m *AccessModule) Variables() []string { return m.prog.Vars }
 
 // NodeCount returns the number of distinct operator nodes, the paper's
 // plan-size metric (Figure 6).
-func (m *AccessModule) NodeCount() int { return len(m.prog.nodes) }
+func (m *AccessModule) NodeCount() int { return len(m.prog.Nodes) }
 
 // Bytes returns the serialized form.
 func (m *AccessModule) Bytes() []byte {
@@ -170,7 +170,7 @@ func (m *AccessModule) Bytes() []byte {
 // disk locations under the paper's fixed-node-size model (§6: 128-byte
 // nodes at 2 MB/s, about 16,000 nodes per second).
 func (m *AccessModule) ReadTime(p physical.Params) float64 {
-	return p.ModuleReadTime(len(m.prog.nodes))
+	return p.ModuleReadTime(len(m.prog.Nodes))
 }
 
 var le = binary.LittleEndian
@@ -182,14 +182,14 @@ const minNodeBytes = 53
 // encode serializes the program: nodes in topological (children-first)
 // order, children referenced by index, root last.
 func (p *program) encode() []byte {
-	size := len(moduleMagic) + 4 + minNodeBytes*len(p.nodes) + 4*len(p.kids)
-	for _, n := range p.nodes {
-		size += len(n.Rel) + len(n.Attr) + len(n.SelAttr) + len(n.Var) + len(n.LeftAttr) + len(n.RightAttr)
+	size := len(moduleMagic) + 4 + minNodeBytes*len(p.Nodes)
+	for i, n := range p.Nodes {
+		size += len(n.Rel) + len(n.Attr) + len(n.SelAttr) + len(n.Var) + len(n.LeftAttr) + len(n.RightAttr) + 4*len(p.Inputs(int32(i)))
 	}
 	b := make([]byte, 0, size)
 	b = append(b, moduleMagic...)
-	b = le.AppendUint32(b, uint32(len(p.nodes)))
-	for i, n := range p.nodes {
+	b = le.AppendUint32(b, uint32(len(p.Nodes)))
+	for i, n := range p.Nodes {
 		b = append(b, byte(n.Op))
 		for _, s := range [...]string{n.Rel, n.Attr, n.SelAttr, n.Var, n.LeftAttr, n.RightAttr} {
 			b = le.AppendUint32(b, uint32(len(s)))
@@ -199,7 +199,7 @@ func (p *program) encode() []byte {
 		b = le.AppendUint64(b, math.Float64bits(n.FixedSel))
 		b = le.AppendUint32(b, uint32(n.BaseCard))
 		b = le.AppendUint32(b, uint32(n.RowBytes))
-		kids := p.inputs(int32(i))
+		kids := p.Inputs(int32(i))
 		b = le.AppendUint32(b, uint32(len(kids)))
 		for _, k := range kids {
 			b = le.AppendUint32(b, uint32(k))
@@ -275,7 +275,7 @@ func decode(raw []byte) (*program, error) {
 	if count > (len(raw)-r.off)/minNodeBytes+1 {
 		return nil, fmt.Errorf("plan: node count %d exceeds module size", count)
 	}
-	p := newProgram(count)
+	p := physical.NewProgram(count)
 	slab := make([]physical.Node, count)
 	consumed := make([]bool, count)
 	var inputs []*physical.Node
@@ -302,9 +302,12 @@ func decode(raw []byte) (*program, error) {
 				return nil, fmt.Errorf("plan: child index %d out of range", ci)
 			}
 			n.Children[j], consumed[ci] = &slab[ci], true
-			p.kids = append(p.kids, int32(ci))
 		}
-		if err := p.add(n); err != nil {
+		err := p.Add(n)
+		if err == nil && isTempScan(n) {
+			err = errTempScan
+		}
+		if err != nil {
 			return nil, fmt.Errorf("plan: loaded module is invalid: %w", err)
 		}
 	}
@@ -316,7 +319,7 @@ func decode(raw []byte) (*program, error) {
 	if i := slices.Index(consumed[:count-1], false); i >= 0 {
 		return nil, fmt.Errorf("plan: loaded module is invalid: node %d is not part of the plan", i)
 	}
-	return p, p.seal()
+	return newProgram(p), p.Seal()
 }
 
 // take cuts n elements off a slab, starting a new chunk when it runs

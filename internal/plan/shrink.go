@@ -34,21 +34,21 @@ func (m *AccessModule) UsageFraction(stats *UsageStats) float64 {
 // shrunk plan trades adaptability for start-up speed.
 func (m *AccessModule) Shrink(stats *UsageStats) (*AccessModule, error) {
 	p := m.prog
-	usage, activations := stats.snapshot(len(p.nodes))
+	usage, activations := stats.snapshot(len(p.Nodes))
 	if activations == 0 {
 		return nil, fmt.Errorf("plan: cannot shrink before any activation")
 	}
 	// Only an alternative can be dropped for disuse: the other inputs of an
 	// operator are used whenever the operator is.
-	unused := make([]bool, len(p.nodes))
-	for i, n := range p.nodes {
+	unused := make([]bool, len(p.Nodes))
+	for i, n := range p.Nodes {
 		if n.Op == physical.ChoosePlan {
-			for _, k := range p.inputs(int32(i)) {
+			for _, k := range p.Inputs(int32(i)) {
 				unused[k] = usage[k] == 0
 			}
 		}
 	}
-	root, err := p.prune(func(n *physical.Node) bool { return unused[p.index[n]] })
+	root, err := p.prune(func(n *physical.Node) bool { return unused[p.Index(n)] })
 	if err != nil {
 		return nil, fmt.Errorf("plan: used choose-plan with no used alternatives: %w", err)
 	}

@@ -3,7 +3,6 @@ package plan
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"time"
 
@@ -70,6 +69,10 @@ type StartupReport struct {
 	// bindings, and why the decision procedure picked the one it did —
 	// the start-up decision trace the observability layer renders.
 	Trace []obs.ChoiceTrace
+	// Cards holds the predicted output cardinality of every operator of
+	// Chosen under these bindings, in post-order: an operator's inputs,
+	// left to right, before the operator.
+	Cards []float64
 	// NodesEvaluated is the number of distinct plan nodes whose cost
 	// functions were evaluated: every node of the module, or of what
 	// remains of it once Avoid and IndexExists have pruned it.
@@ -101,7 +104,7 @@ func (m *AccessModule) Activate(b *bindings.Bindings, opt StartupOptions) (*Star
 		opt.Params = physical.DefaultParams()
 	}
 	e := m.prog.evaluator()
-	if missing := e.bind(b); len(missing) > 0 {
+	if missing := e.p.Bind(&e.Eval, b); len(missing) > 0 {
 		e.release()
 		return nil, fmt.Errorf("plan: unbound host variables at start-up: %v", missing)
 	}
@@ -114,7 +117,7 @@ func (m *AccessModule) Activate(b *bindings.Bindings, opt StartupOptions) (*Star
 			return nil, err
 		}
 		e = prog.evaluator()
-		e.bind(b) // pruning only drops variables: the rest are bound
+		prog.Bind(&e.Eval, b) // pruning only drops variables: the rest are bound
 	}
 
 	defer e.release()
@@ -127,12 +130,12 @@ func (m *AccessModule) Activate(b *bindings.Bindings, opt StartupOptions) (*Star
 		if e.p != m.prog {
 			used = used[:0]
 			for _, i := range e.used {
-				if j, ok := m.prog.index[e.p.nodes[i]]; ok {
+				if j := m.prog.Index(e.p.Nodes[i]); j >= 0 {
 					used = append(used, j)
 				}
 			}
 		}
-		opt.Usage.record(used, len(m.prog.nodes))
+		opt.Usage.record(used, len(m.prog.Nodes))
 	}
 	rep.SimIOSeconds = m.ReadTime(opt.Params)
 	rep.MeasuredCPU = time.Since(began)
@@ -141,55 +144,43 @@ func (m *AccessModule) Activate(b *bindings.Bindings, opt StartupOptions) (*Star
 
 // evaluator is one activation's working state over a program: the memo
 // of start-up evaluation (§4: "the cost of each subplan is evaluated only
-// once") as arrays indexed by node. Every parameter is bound at start-up,
-// so the cost kernel runs at one corner and a node's cardinality and cost
-// are one number each. Evaluators are recycled through their program's
-// pool, so an activation allocates only what its report keeps.
+// once") as the program's arrays indexed by node. Evaluators are recycled
+// through their program's pool, so an activation allocates only what its
+// report keeps.
 type evaluator struct {
 	p      *program
 	params physical.Params
-	mem    float64
-	// vals holds what the rows' slots name; card and cost each node's
-	// output cardinality and its subplan's total cost.
-	vals, card, cost []float64
+	physical.Eval
 	// used lists the nodes the chosen plan contains; isUsed marks them.
 	used   []int32
 	isUsed []bool
+	// decided collects each decision's alternative costs and post the
+	// chosen plan's cardinalities while it materializes; the report keeps
+	// both, copied into one slab.
+	decided, post []float64
 
 	// What the report keeps: the picks and the trace, and the slabs the
-	// chosen plan's cloned spine, its child lists and the trace's cost
-	// lists are cut from.
+	// chosen plan's cloned spine and its child lists are cut from.
 	picked   []*physical.Node
 	trace    []obs.ChoiceTrace
 	clones   []physical.Node
 	children []*physical.Node
-	costs    []float64
 }
 
 func newEvaluator(p *program) *evaluator {
-	v, n := len(p.vars)+len(p.consts), len(p.nodes)
-	buf := make([]float64, v+2*n)
-	copy(buf[len(p.vars):], p.consts)
-	return &evaluator{p: p, vals: buf[:v], card: buf[v : v+n], cost: buf[v+n:], isUsed: make([]bool, n)}
-}
-
-// bind reads the bindings into the variable slots; it returns the unbound.
-func (e *evaluator) bind(b *bindings.Bindings) (missing []string) {
-	for j, v := range e.p.vars {
-		s, ok := b.Sel[v]
-		if !ok {
-			missing = append(missing, v)
-		}
-		e.vals[j] = s
-	}
-	e.mem = b.Memory
-	return missing
+	// What materializing collects is sized like the report's slabs — the
+	// chosen plan's nodes a few times r, its decisions' costs about r² —
+	// so a typical activation never grows it.
+	c := p.chunk()
+	scratch := make([]float64, 2*c+c*c)
+	return &evaluator{p: p, Eval: p.NewEval(), isUsed: make([]bool, len(p.Nodes)), used: make([]int32, 0, 3*c),
+		post: scratch[: 0 : 2*c], decided: scratch[2*c : 2*c]}
 }
 
 // release returns the evaluator to its pool, dropping every reference to
 // what the finished activation handed out.
 func (e *evaluator) release() {
-	e.picked, e.trace, e.clones, e.children, e.costs = nil, nil, nil, nil, nil
+	e.picked, e.trace, e.clones, e.children = nil, nil, nil, nil
 	e.p.evaluators.Put(e)
 }
 
@@ -198,62 +189,42 @@ func (e *evaluator) release() {
 func (e *evaluator) run(params physical.Params) *StartupReport {
 	e.params = params
 	clear(e.isUsed)
-	e.used = e.used[:0]
-	// Inputs precede consumers, so one sweep in index order finds every
-	// operator's input results already in place.
-	p, vals := e.p, e.vals
-	for i, r := range p.rows {
-		kids := p.inputs(int32(i))
-		if r.op == physical.ChoosePlan {
-			// The cheapest alternative plus the decision overhead (§3, §5).
-			best := e.cost[kids[0]]
-			for _, k := range kids[1:] {
-				if c := e.cost[k]; c < best {
-					best = c
-				}
-			}
-			e.card[i], e.cost[i] = e.card[kids[0]], best+params.ChooseOverhead
-			continue
-		}
-		var in [2]float64
-		for j, k := range kids {
-			in[j] = e.card[k]
-		}
-		s := physical.Shape{Op: r.op, Base: vals[r.base], Edge: vals[r.edge],
-			PerPage: float64(r.perPage), In0: float64(r.in[0]), In1: float64(r.in[1])}
-		card, cost := e.params.Corner(s, in[0], in[1], vals[r.sel], e.mem)
-		for _, k := range kids {
-			cost += e.cost[k]
-		}
-		if math.IsNaN(card) || math.IsNaN(cost) {
-			panic(fmt.Sprintf("plan: invalid evaluation of %s: cost %g card %g", r.op, cost, card))
-		}
-		e.card[i], e.cost[i] = card, cost
+	e.used, e.decided, e.post = e.used[:0], e.decided[:0], e.post[:0]
+	p := e.p
+	p.Sweep(&e.params, &e.Eval)
+	chosen, _, cost := e.materialize(int32(len(p.Nodes) - 1))
+	// One slab holds the floats the report keeps: every decision's costs,
+	// then the chosen plan's cardinalities.
+	slab := make([]float64, len(e.decided)+len(e.post))
+	copy(slab[copy(slab, e.decided):], e.post)
+	for k := range e.trace {
+		n := len(e.trace[k].Costs)
+		e.trace[k].Costs, slab = slab[:n:n], slab[n:]
 	}
-	chosen, _, cost := e.materialize(int32(len(p.nodes) - 1))
 	return &StartupReport{
 		Chosen:         chosen,
 		ChosenCost:     cost,
+		Cards:          slab,
 		Decisions:      len(e.picked),
 		Picked:         e.picked,
 		Trace:          e.trace,
-		NodesEvaluated: len(p.nodes),
-		SimCPUSeconds:  float64(len(p.nodes)) * params.StartupNodeTime,
+		NodesEvaluated: len(p.Nodes),
+		SimCPUSeconds:  float64(len(p.Nodes)) * params.StartupNodeTime,
 	}
 }
 
 // materialize resolves the subplan at node i into a tree without
 // choose-plans (a chosen plan uses each shared subplan at most once,
 // since join operands cover disjoint relation sets) and returns it with
-// its cardinality and cost under the bindings. Only the spine above a
-// resolved choose-plan is cloned; the rest is the module's own nodes and
-// results.
+// its cardinality and cost under the bindings, appending the cardinality
+// to post once its inputs' are there. Only the spine above a resolved
+// choose-plan is cloned; the rest is the module's own nodes and results.
 func (e *evaluator) materialize(i int32) (*physical.Node, float64, float64) {
 	if !e.isUsed[i] {
 		e.isUsed[i] = true
 		e.used = append(e.used, i)
 	}
-	n, kids := e.p.nodes[i], e.p.inputs(i)
+	n, kids := e.p.Nodes[i], e.p.Inputs(i)
 	if n.Op == physical.ChoosePlan {
 		return e.materialize(e.decide(i))
 	}
@@ -263,45 +234,45 @@ func (e *evaluator) materialize(i int32) (*physical.Node, float64, float64) {
 	changed := false
 	for j, k := range kids {
 		children[j], cards[j], costs[j] = e.materialize(k)
-		changed = changed || children[j] != e.p.nodes[k]
+		changed = changed || children[j] != e.p.Nodes[k]
 	}
-	if !changed {
-		return n, e.card[i], e.cost[i]
+	card, cost := e.Card[i], e.Cost[i]
+	if changed {
+		chunk := e.p.chunk()
+		clone := &take(&e.clones, 1, chunk)[0]
+		*clone = *n
+		clone.Children = take(&e.children, len(kids), 2*chunk)
+		copy(clone.Children, children[:])
+		// The clone's shape reads its resolved inputs' widths. Its inputs and
+		// selectivity passed the sweep's NaN check.
+		card, cost = e.params.Corner(physical.ShapeOf(clone), cards[0], cards[1], e.p.Selectivity(&e.Eval, i), e.Mem)
+		for j := range kids {
+			cost += costs[j]
+		}
+		n = clone
 	}
-	chunk := e.p.chunk()
-	clone := &take(&e.clones, 1, chunk)[0]
-	*clone = *n
-	clone.Children = take(&e.children, len(kids), 2*chunk)
-	copy(clone.Children, children[:])
-	// The clone's shape reads its resolved inputs' widths. Its inputs and
-	// selectivity passed the sweep's NaN check.
-	card, cost := e.params.Corner(physical.ShapeOf(clone), cards[0], cards[1], e.vals[e.p.rows[i].sel], e.mem)
-	for j := range kids {
-		cost += costs[j]
-	}
-	return clone, card, cost
+	e.post = append(e.post, card)
+	return n, card, cost
 }
 
-// decide resolves choose-plan i — the cheapest alternative, the first of
-// equals — records the decision, and returns the alternative's index.
+// decide resolves choose-plan i through the program's decision procedure,
+// records the decision, and returns the alternative's index.
 func (e *evaluator) decide(i int32) int32 {
-	kids := e.p.inputs(i)
-	chunk := e.p.chunk()
-	costs := take(&e.costs, len(kids), 4*chunk)
-	best := 0
-	for j, k := range kids {
-		costs[j] = e.cost[k]
-		if costs[j] < costs[best] {
-			best = j
-		}
+	kids := e.p.Inputs(i)
+	best := e.p.Decide(i, e.Cost)
+	from := len(e.decided)
+	for _, k := range kids {
+		e.decided = append(e.decided, e.Cost[k])
 	}
 	if e.trace == nil {
+		chunk := e.p.chunk()
 		e.trace = make([]obs.ChoiceTrace, 0, chunk)
 		e.picked = make([]*physical.Node, 0, chunk)
 	}
 	labels := e.p.choice(i)
-	e.trace = append(e.trace, obs.NewChoice(labels.operator, labels.alternatives, costs, best))
-	e.picked = append(e.picked, e.p.nodes[kids[best]])
+	// The trace's costs point into decided until run moves them.
+	e.trace = append(e.trace, obs.NewChoice(labels.operator, labels.alternatives, e.decided[from:], best))
+	e.picked = append(e.picked, e.p.Nodes[kids[best]])
 	return kids[best]
 }
 
@@ -334,14 +305,14 @@ func (p *program) restrict(opt StartupOptions) (*program, error) {
 // other operator with a dropped input is itself dropped. It returns
 // ErrInfeasible when no complete plan survives.
 func (p *program) prune(drop func(*physical.Node) bool) (*physical.Node, error) {
-	out := make([]*physical.Node, len(p.nodes)) // by index; nil: dropped
+	out := make([]*physical.Node, len(p.Nodes)) // by index; nil: dropped
 nodes:
-	for i, n := range p.nodes {
+	for i, n := range p.Nodes {
 		if drop(n) {
 			continue
 		}
 		kept := make([]*physical.Node, 0, len(n.Children))
-		for _, k := range p.inputs(int32(i)) {
+		for _, k := range p.Inputs(int32(i)) {
 			if out[k] != nil {
 				kept = append(kept, out[k])
 			} else if n.Op != physical.ChoosePlan {

@@ -251,56 +251,51 @@ type guard struct {
 // Guard returns the cardinality guard for one execution of root by db:
 // every node whose subtree reads exactly one base relation (temporaries
 // excluded — their cardinality is observed, hence exact) is banded with the
-// cost model's predicted cardinality interval under env. A degraded
-// controller returns nil: the decision to finish the current plan must not
-// be re-litigated by the plan it decided to finish.
-func (c *Controller) Guard(model *physical.Model, env *bindings.Env, root *physical.Node, db *exec.DB) exec.MatGuard {
+// cost model's predicted cardinality under b, corrected by what has been
+// observed. A degraded controller returns nil: the decision to finish the
+// current plan must not be re-litigated by the plan it decided to finish.
+func (c *Controller) Guard(model *physical.Model, b *bindings.Bindings, root *physical.Node, db *exec.DB) (exec.MatGuard, error) {
 	c.mu.Lock()
 	degraded := c.degraded
 	c.mu.Unlock()
 	if degraded || root == nil {
-		return nil
+		return nil, nil
 	}
-	sess := model.NewSession(env)
+	prog, err := physical.Lower(root)
+	if err != nil {
+		return nil, fmt.Errorf("reopt: guarding: %w", err)
+	}
+	e := prog.At(&model.P, c.CorrectBindings(b))
 	bands := make(map[*physical.Node]bandInfo)
-	memo := make(map[*physical.Node]string)
-	// relOf returns the single base relation a subtree reads, or "" when
-	// the subtree is disqualified: it reads several relations, or it reads
-	// a temporary (whose cardinality is observed, hence exact).
-	var relOf func(n *physical.Node) string
-	relOf = func(n *physical.Node) string {
-		if r, ok := memo[n]; ok {
-			return r
-		}
-		memo[n] = ""
+	// rels[i] is the single base relation node i's subtree reads, or ""
+	// when the subtree is disqualified: it reads several relations, or it
+	// reads a temporary (whose cardinality is observed, hence exact).
+	rels := make([]string, len(prog.Nodes))
+nodes:
+	for i, n := range prog.Nodes {
 		if n.Op == physical.TempScan {
-			return ""
+			continue
 		}
 		rel := n.Rel
-		for _, ch := range n.Children {
-			cr := relOf(ch)
-			if cr == "" || (rel != "" && rel != cr) {
-				return ""
+		for _, k := range prog.Inputs(int32(i)) {
+			if rels[k] == "" || (rel != "" && rel != rels[k]) {
+				continue nodes
 			}
-			rel = cr
+			rel = rels[k]
 		}
-		memo[n] = rel
-		return rel
+		if rels[i] = rel; rel != "" {
+			bands[n] = band(e.Card[i], n, rel)
+		}
 	}
-	root.Walk(func(n *physical.Node) {
-		if rel := relOf(n); rel != "" {
-			bands[n] = band(sess, n, rel)
-		}
-	})
-	return &guard{c: c, bands: bands, db: db}
+	return &guard{c: c, bands: bands, db: db}, nil
 }
 
-// band predicts the cardinality interval of a single-relation subplan.
-func band(sess *physical.Session, n *physical.Node, rel string) bandInfo {
-	ev := sess.Evaluate(n)
+// band is the guard of a single-relation subplan predicted to produce
+// card rows.
+func band(card float64, n *physical.Node, rel string) bandInfo {
 	variable, baseCard := subplanScanInfo(n)
 	return bandInfo{
-		check:    obs.BandCheck{Lo: ev.Card.Lo, Hi: ev.Card.Hi},
+		check:    obs.BandCheck{Lo: card, Hi: card},
 		rel:      rel,
 		variable: variable,
 		baseCard: baseCard,
@@ -344,29 +339,35 @@ func (c *Controller) Observe(db *exec.DB, model *physical.Model, dag, root *phys
 			pending[n.Rel] = true
 		}
 	})
-	sess := model.NewSession(c.CorrectBindings(b).Env())
-	var best *physical.Node
-	var bestRel string
-	var bestCost float64
+	var variants []*physical.Node
 	for _, v := range baseSubplans(dag) {
-		rel := baseRelation(v)
-		if !pending[rel] {
-			continue
-		}
-		// Ties go to the first relation by name, then to its first variant.
-		if vc := sess.Evaluate(v).Cost.Lo; best == nil || vc < bestCost || (vc == bestCost && rel < bestRel) {
-			best, bestRel, bestCost = v, rel, vc
+		if pending[baseRelation(v)] {
+			variants = append(variants, v)
 		}
 	}
-	if best == nil || !c.armed(bestRel) {
+	prog, err := physical.Lower(variants...)
+	if err != nil {
+		return fmt.Errorf("reopt: observing: %w", err)
+	}
+	e := prog.At(&model.P, c.CorrectBindings(b))
+	best := int32(-1)
+	var bestRel string
+	for _, v := range variants {
+		// Ties go to the first relation by name, then to its first variant.
+		i, rel := prog.Index(v), baseRelation(v)
+		if best < 0 || e.Cost[i] < e.Cost[best] || (e.Cost[i] == e.Cost[best] && rel < bestRel) {
+			best, bestRel = i, rel
+		}
+	}
+	if best < 0 || !c.armed(bestRel) {
 		return nil
 	}
-	chosen := resolveChoose(best, sess)
+	chosen, card := prog.Resolve(&model.P, &e, best)
 	_, count, err := db.Materialize(tempName(bestRel), chosen, b)
 	if err != nil {
 		return fmt.Errorf("reopt: observing %s: %w", bestRel, err)
 	}
-	return c.trip(chosen, band(sess, chosen, bestRel), count, chosen.Ordering())
+	return c.trip(chosen, band(card, chosen, bestRel), count, chosen.Ordering())
 }
 
 // tempName names the temporary a relation's observed rows are spooled into.
@@ -463,8 +464,13 @@ func (c *Controller) Replan(ctx context.Context, b *bindings.Bindings) (*physica
 	if err != nil {
 		return nil, cost.Cost{}, fmt.Errorf("reopt: re-optimization failed: %w", err)
 	}
-	sess := physical.NewModel(c.pol.Params).NewSession(corrected.Env())
-	forced := c.rewriteScans(resolveChoose(res.Plan, sess))
+	prog, err := physical.Lower(res.Plan)
+	if err != nil {
+		return nil, cost.Cost{}, fmt.Errorf("reopt: re-optimized plan: %w", err)
+	}
+	e := prog.At(&c.pol.Params, corrected)
+	chosen, _ := prog.Resolve(&c.pol.Params, &e, int32(len(prog.Nodes)-1))
+	forced := c.rewriteScans(chosen)
 	c.mu.Lock()
 	c.replanned = true
 	c.events = append(c.events, fill(obs.ReoptEvent{
@@ -477,6 +483,14 @@ func (c *Controller) Replan(ctx context.Context, b *bindings.Bindings) (*physica
 	return forced, res.Cost, nil
 }
 
+// snapshotTrips copies the tripped relations, for a rewrite that must not
+// hold the lock.
+func (c *Controller) snapshotTrips() map[string]tripInfo {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return maps.Clone(c.trips)
+}
+
 // deriveQuery clones the logical query with every tripped relation replaced
 // by a derived relation of the observed cardinality. The derived relation
 // keeps the original name — the temporary's schema columns are qualified
@@ -484,12 +498,7 @@ func (c *Controller) Replan(ctx context.Context, b *bindings.Bindings) (*physica
 // spooled rows) and the B-tree flags (a temporary has no indexes), so the
 // optimizer can only plan a sequential read of the truth.
 func (c *Controller) deriveQuery() (*logical.Query, error) {
-	c.mu.Lock()
-	trips := make(map[string]tripInfo, len(c.trips))
-	for k, v := range c.trips {
-		trips[k] = v
-	}
-	c.mu.Unlock()
+	trips := c.snapshotTrips()
 	src := c.pol.Query
 	dq := &logical.Query{
 		Rels:  make([]logical.QRel, len(src.Rels)),
@@ -532,12 +541,7 @@ func (c *Controller) deriveQuery() (*logical.Query, error) {
 // sequential and unordered; no Sort wrapping is needed here — any order
 // the new plan needs it plans explicitly.
 func (c *Controller) rewriteScans(root *physical.Node) *physical.Node {
-	c.mu.Lock()
-	trips := make(map[string]tripInfo, len(c.trips))
-	for k, v := range c.trips {
-		trips[k] = v
-	}
-	c.mu.Unlock()
+	trips := c.snapshotTrips()
 	replace := make(map[*physical.Node]*physical.Node)
 	root.Walk(func(n *physical.Node) {
 		if !n.Op.IsScan() {
@@ -565,12 +569,7 @@ func (c *Controller) rewriteScans(root *physical.Node) *physical.Node {
 // row order is a materialization accident (hash-table flattening), an
 // eagerly observed one keeps the order of the access path that filled it.
 func (c *Controller) Rewrite(root *physical.Node) *physical.Node {
-	c.mu.Lock()
-	trips := make(map[string]tripInfo, len(c.trips))
-	for k, v := range c.trips {
-		trips[k] = v
-	}
-	c.mu.Unlock()
+	trips := c.snapshotTrips()
 	if len(trips) == 0 || root == nil {
 		return root
 	}
@@ -627,19 +626,10 @@ func (c *Controller) CorrectBindings(b *bindings.Bindings) *bindings.Bindings {
 	if len(c.overrides) == 0 {
 		return b
 	}
+	// trip keeps every override inside [0, 1].
 	nb := bindings.NewBindings(b.Memory)
-	for k, v := range b.Sel {
-		nb.Sel[k] = v
-	}
-	for k, v := range c.overrides {
-		if v > 1 {
-			v = 1
-		}
-		if v < 0 {
-			v = 0
-		}
-		nb.Sel[k] = v
-	}
+	maps.Copy(nb.Sel, b.Sel)
+	maps.Copy(nb.Sel, c.overrides)
 	return nb
 }
 
@@ -754,66 +744,26 @@ func baseSubplans(root *physical.Node) []*physical.Node {
 	return out
 }
 
-func isBaseSubplan(n *physical.Node) bool {
-	rels := make(map[string]bool)
-	return collectBase(n, rels) && len(rels) == 1
-}
+func isBaseSubplan(n *physical.Node) bool { return baseRelation(n) != "" }
 
-func collectBase(n *physical.Node, rels map[string]bool) bool {
-	switch n.Op {
-	case physical.FileScan, physical.BtreeScan, physical.FilterBtreeScan:
-		rels[n.Rel] = true
-		return true
-	case physical.Filter, physical.ChoosePlan:
-		for _, c := range n.Children {
-			if !collectBase(c, rels) {
-				return false
-			}
-		}
-		return true
-	default:
-		return false
-	}
-}
-
-// baseRelation returns the single relation a base subplan scans.
+// baseRelation returns the one relation n scans when n is a base subplan,
+// and "" otherwise.
 func baseRelation(n *physical.Node) string {
 	if n.Op.IsScan() {
 		return n.Rel
 	}
+	if n.Op != physical.Filter && n.Op != physical.ChoosePlan {
+		return ""
+	}
+	rel := ""
 	for _, c := range n.Children {
-		if r := baseRelation(c); r != "" {
-			return r
+		r := baseRelation(c)
+		if r == "" || (rel != "" && r != rel) {
+			return ""
 		}
+		rel = r
 	}
-	return ""
-}
-
-// resolveChoose reduces every choose-plan under n to its cheapest
-// alternative under the session's environment.
-func resolveChoose(n *physical.Node, sess *physical.Session) *physical.Node {
-	if n.Op == physical.ChoosePlan {
-		best := n.Children[0]
-		bc := sess.Evaluate(best).Cost.Lo
-		for _, c := range n.Children[1:] {
-			if cc := sess.Evaluate(c).Cost.Lo; cc < bc {
-				best, bc = c, cc
-			}
-		}
-		return resolveChoose(best, sess)
-	}
-	children := make([]*physical.Node, len(n.Children))
-	changed := false
-	for i, c := range n.Children {
-		children[i] = resolveChoose(c, sess)
-		changed = changed || children[i] != c
-	}
-	if !changed {
-		return n
-	}
-	clone := *n
-	clone.Children = children
-	return &clone
+	return rel
 }
 
 // substitute rebuilds the DAG with the given node replacements, cloning

@@ -263,8 +263,13 @@ func TestObserveEagerly(t *testing.T) {
 	defer c.Finish()
 	db := &exec.DB{Catalog: w.Catalog, Store: store, Indexes: idx, Acc: &storage.Accountant{}, Temps: c.Temps()}
 	resolve := func() *physical.Node {
-		sess := model.NewSession(c.CorrectBindings(b).Env())
-		return c.Rewrite(resolveChoose(dyn.Plan, sess))
+		prog, err := physical.Lower(dyn.Plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := prog.At(&model.P, c.CorrectBindings(b))
+		chosen, _ := prog.Resolve(&model.P, &e, int32(len(prog.Nodes)-1))
+		return c.Rewrite(chosen)
 	}
 	if err := NewController(Policy{}).Observe(db, model, dyn.Plan, resolve(), b); err != nil {
 		t.Fatalf("lazy controller observed: %v", err)

@@ -139,7 +139,6 @@ func (r *Result) Span() *obs.OptimizerSpan {
 type Optimizer struct {
 	env   *bindings.Env
 	cfg   Config
-	model *physical.Model
 	rules rules.Rules
 	memo  *memo.Memo
 	stats Stats
@@ -153,9 +152,8 @@ type Optimizer struct {
 	// results is finish's scratch for the survivors' results.
 	results []physical.Result
 	// samples are the fixed parameter settings of the sampled-dominance
-	// heuristic; each keeps its own evaluation session so shared
-	// subplans are costed once per sample across all comparisons.
-	samples []*physical.Session
+	// heuristic.
+	samples []*bindings.Bindings
 }
 
 // Optimize builds the optimal — or optimally adaptable, when parameters
@@ -181,7 +179,6 @@ func Optimize(q *logical.Query, env *bindings.Env, cfg Config) (*Result, error) 
 	o := &Optimizer{
 		env:   env,
 		cfg:   cfg,
-		model: physical.NewModel(cfg.Params),
 		rules: rules.New(q),
 		memo:  memo.New(),
 	}
@@ -247,9 +244,9 @@ cands:
 		in := kids[:len(inputs)]
 		if len(inputs) == 0 && len(node.Children) == 1 {
 			// An access path's Filter sits over its own fresh scan.
-			kids[0], in = o.model.EvaluateNode(node.Children[0], o.env, nil), kids[:1]
+			kids[0], in = physical.EvaluateNode(&o.cfg.Params, node.Children[0], o.env, nil), kids[:1]
 		}
-		res := o.model.EvaluateNode(node, o.env, in)
+		res := physical.EvaluateNode(&o.cfg.Params, node, o.env, in)
 		if g.Prop.Order != "" && node.Ordering() != g.Prop.Order {
 			return memo.Winner{}, fmt.Errorf("search: candidate %s does not deliver %s", cand.Desc(), g.Prop)
 		}
@@ -325,16 +322,25 @@ func (o *Optimizer) insert(all []candidatePlan, base int, c candidatePlan) []can
 
 // sampledCompare evaluates two plans at the heuristic's fixed parameter
 // samples (§3): Less/Greater when one plan is no more expensive at every
-// sample (and strictly cheaper at one), Incomparable otherwise.
+// sample (and strictly cheaper at one), Incomparable otherwise. The two
+// plans are lowered together, so a subplan they share is costed once per
+// sample.
 func (o *Optimizer) sampledCompare(a, b *physical.Node) cost.Ordering {
 	if o.samples == nil {
 		o.samples = o.makeSamples(o.cfg.SampledDominance)
 	}
+	prog, err := physical.Lower(a, b)
+	if err != nil {
+		// Candidates are well formed; an unlowerable pair proves nothing.
+		return cost.Incomparable
+	}
+	ia, ib, e := prog.Index(a), prog.Index(b), prog.NewEval()
 	aWins, bWins := 0, 0
-	for _, sess := range o.samples {
+	for _, sample := range o.samples {
 		o.stats.Comparisons++
-		ca := sess.Evaluate(a).Cost.Lo
-		cb := sess.Evaluate(b).Cost.Lo
+		prog.Bind(&e, sample)
+		prog.Sweep(&o.cfg.Params, &e)
+		ca, cb := e.Cost[ia], e.Cost[ib]
 		switch {
 		case ca < cb:
 			aWins++
@@ -355,22 +361,21 @@ func (o *Optimizer) sampledCompare(a, b *physical.Node) cost.Ordering {
 	}
 }
 
-// makeSamples draws k deterministic point environments from within the
+// makeSamples draws k deterministic point bindings from within the
 // optimizer's uncertain environment.
-func (o *Optimizer) makeSamples(k int) []*physical.Session {
+func (o *Optimizer) makeSamples(k int) []*bindings.Bindings {
 	rng := rand.New(rand.NewSource(794)) // fixed: sampling must be reproducible
 	vars := o.env.Vars()
-	sessions := make([]*physical.Session, 0, k)
+	samples := make([]*bindings.Bindings, 0, k)
 	for i := 0; i < k; i++ {
-		mem := o.env.Memory.Lo + rng.Float64()*(o.env.Memory.Hi-o.env.Memory.Lo)
-		env := bindings.NewEnv(cost.PointRange(mem))
+		b := bindings.NewBindings(o.env.Memory.Lo + rng.Float64()*(o.env.Memory.Hi-o.env.Memory.Lo))
 		for _, v := range vars {
 			r := o.env.Selectivity(v)
-			env.Bind(v, cost.PointRange(r.Lo+rng.Float64()*(r.Hi-r.Lo)))
+			b.Sel[v] = r.Lo + rng.Float64()*(r.Hi-r.Lo)
 		}
-		sessions = append(sessions, o.model.NewSession(env))
+		samples = append(samples, b)
 	}
-	return sessions
+	return samples
 }
 
 // finish converts the survivor set into the goal's winner, inserting a
@@ -392,6 +397,6 @@ func (o *Optimizer) finish(survivors []candidatePlan) memo.Winner {
 		RowBytes: children[0].RowBytes,
 		Children: children,
 	}
-	res := o.model.EvaluateNode(choose, o.env, o.results)
+	res := physical.EvaluateNode(&o.cfg.Params, choose, o.env, o.results)
 	return memo.Winner{Plan: choose, Cost: res.Cost, Card: res.Card, Alternatives: len(survivors)}
 }

@@ -113,29 +113,19 @@ func bruteForceBest(q *logical.Query, env *bindings.Env, model *physical.Model) 
 
 // resolveAt reduces a dynamic plan to the static plan its choose-plan
 // decision procedures select under a point environment.
-func resolveAt(n *physical.Node, sess *physical.Session) *physical.Node {
-	if n.Op == physical.ChoosePlan {
-		best := n.Children[0]
-		bc := sess.Evaluate(best).Cost.Lo
-		for _, c := range n.Children[1:] {
-			if cc := sess.Evaluate(c).Cost.Lo; cc < bc {
-				best, bc = c, cc
-			}
-		}
-		return resolveAt(best, sess)
+func resolveAt(t *testing.T, model *physical.Model, n *physical.Node, env *bindings.Env) *physical.Node {
+	t.Helper()
+	b := bindings.NewBindings(env.Memory.Lo)
+	for v, r := range env.Sel {
+		b.Sel[v] = r.Lo
 	}
-	children := make([]*physical.Node, len(n.Children))
-	changed := false
-	for i, c := range n.Children {
-		children[i] = resolveAt(c, sess)
-		changed = changed || children[i] != c
+	prog, err := physical.Lower(n)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !changed {
-		return n
-	}
-	clone := *n
-	clone.Children = children
-	return &clone
+	e := prog.At(&model.P, b)
+	chosen, _ := prog.Resolve(&model.P, &e, int32(len(prog.Nodes)-1))
+	return chosen
 }
 
 func pointEnv(rng *rand.Rand, q *logical.Query, memLo, memHi float64) *bindings.Env {
@@ -205,8 +195,7 @@ func TestDynamicGuarantee(t *testing.T) {
 			if !memUncertain {
 				env.Memory = cost.PointRange(params.ExpectedMemory)
 			}
-			sess := model.NewSession(env)
-			chosen := resolveAt(res.Plan, sess)
+			chosen := resolveAt(t, model, res.Plan, env)
 			got := model.Evaluate(chosen, env).Cost.Lo
 			want := bruteForceBest(q, env, model)
 			if got < want-1e-9 {
@@ -501,10 +490,8 @@ func TestSampledDominanceShrinksPlans(t *testing.T) {
 	worst := 1.0
 	for i := 0; i < 40; i++ {
 		pe := pointEnv(rng, q, params.MemoryLo, params.MemoryHi)
-		sess1 := model.NewSession(pe)
-		sess2 := model.NewSession(pe)
-		naiveCost := model.Evaluate(resolveAt(naive.Plan, sess1), pe).Cost.Lo
-		sampledCost := model.Evaluate(resolveAt(sampled.Plan, sess2), pe).Cost.Lo
+		naiveCost := model.Evaluate(resolveAt(t, model, naive.Plan, pe), pe).Cost.Lo
+		sampledCost := model.Evaluate(resolveAt(t, model, sampled.Plan, pe), pe).Cost.Lo
 		if naiveCost > 0 && sampledCost/naiveCost > worst {
 			worst = sampledCost / naiveCost
 		}

@@ -121,9 +121,11 @@ type retryState struct {
 	// avoid marks plan nodes failed attempts have poisoned; written by
 	// Retry on the first exclusion, consumed by Activate.
 	avoid map[*physical.Node]bool
-	// rep is the latest activation's report; firstPicked and
-	// branchSwitched track choose-plan drift across attempts.
+	// rep is the latest activation's report and repB the bindings it
+	// decided under; firstPicked and branchSwitched track choose-plan
+	// drift across attempts.
 	rep            *plan.StartupReport
+	repB           *bindings.Bindings
 	firstPicked    []*physical.Node
 	branchSwitched bool
 	// attempt counts executions (1-based inside Retry); retries,
@@ -807,7 +809,7 @@ func activateStage(ctx context.Context, st *execState, next pipelineFunc) (*Exec
 	} else if !r.branchSwitched && !slices.Equal(r.firstPicked, rep.Picked) {
 		r.branchSwitched = true
 	}
-	r.rep = rep
+	r.rep, r.repB = rep, ib
 	st.root = rep.Chosen
 	if st.reopt.rc != nil {
 		// Splice spooled temporaries in place of already-observed base
@@ -882,7 +884,10 @@ func runStage(ctx context.Context, st *execState, _ pipelineFunc) (*ExecResult, 
 		if err := rc.Observe(e, model, dag, st.root, ib); err != nil {
 			return nil, err
 		}
-		e.Guards = rc.Guard(model, rc.CorrectBindings(ib).Env(), st.root, e)
+		var err error
+		if e.Guards, err = rc.Guard(model, ib, st.root, e); err != nil {
+			return nil, err
+		}
 	}
 	var pe *obs.ParallelExec
 	var dop, maxDOP int
@@ -893,7 +898,10 @@ func runStage(ctx context.Context, st *execState, _ pipelineFunc) (*ExecResult, 
 		// parallel plan below serial before any goroutine spawns — degree
 		// of parallelism as a least-expected-cost alternative, exactly how
 		// low-memory choose-plan branches are selected.
-		dop, maxDOP, parReason = chooseDOP(db, st.root, ib, st.o.MaxDOP)
+		var err error
+		if dop, maxDOP, parReason, err = chooseDOP(db, st.root, ib, st.o.MaxDOP); err != nil {
+			return nil, err
+		}
 		if cap := st.degrade.cap; cap > 0 && dop > cap {
 			// The degradation ladder has capped the width: a fault already
 			// escaped per-worker retry at the wider DOP this query ran with.
@@ -934,19 +942,21 @@ func runStage(ctx context.Context, st *execState, _ pipelineFunc) (*ExecResult, 
 		return out, nil
 	}
 	// Annotate the resolved tree with the cost model's predicted
-	// cardinality intervals under this execution's bindings, then compare
-	// each against the observed actuals. When no compile-time plan interval
+	// cardinalities under this execution's bindings, then compare each
+	// against the observed actuals. When no compile-time plan interval
 	// rode along, the model's own evaluation of the resolved plan serves as
 	// the cost prediction.
-	model := physical.NewModel(db.sys.params)
-	predEnv := ib.Env()
+	pb := ib
 	if rc := st.reopt.rc; rc != nil {
-		predEnv = rc.CorrectBindings(ib).Env()
+		pb = rc.CorrectBindings(ib)
 	}
-	predicted := exec.AnnotatePredictions(collector, model, predEnv, st.root)
+	predicted, err := st.predict(collector, pb)
+	if err != nil {
+		return nil, err
+	}
 	planCost := st.planCost
 	if planCost.Hi <= 0 {
-		planCost = predicted
+		planCost = cost.Point(predicted)
 	}
 	out.Operators = collector.Tree(st.root)
 	out.PlanDigest = obs.Digest(st.root.Format())
@@ -970,7 +980,7 @@ const (
 // dop-way parallel execution below serial (reason "cost" otherwise) —
 // exchange startup and per-row transfer charges make serial cheaper for
 // tiny inputs. When both pass, the reason is "grant".
-func chooseDOP(db *Database, root *physical.Node, ib *bindings.Bindings, maxCap int) (dop, maxDOP int, reason string) {
+func chooseDOP(db *Database, root *physical.Node, ib *bindings.Bindings, maxCap int) (dop, maxDOP int, reason string, err error) {
 	maxDOP = maxCap
 	if maxDOP <= 0 {
 		maxDOP = parallelMaxDOPDefault
@@ -980,14 +990,35 @@ func chooseDOP(db *Database, root *physical.Node, ib *bindings.Bindings, maxCap 
 		dop = maxDOP
 	}
 	if dop <= 1 {
-		return 1, maxDOP, "grant-limited"
+		return 1, maxDOP, "grant-limited", nil
 	}
-	model := physical.NewModel(db.sys.params)
-	env := ib.Env()
-	serial := model.Evaluate(root, env).Cost
-	par := model.ParallelEvaluate(root, env, dop).Cost
-	if (par.Lo+par.Hi)/2 >= (serial.Lo+serial.Hi)/2 {
-		return 1, maxDOP, "cost"
+	prog, err := physical.Lower(root)
+	if err != nil {
+		return 0, 0, "", fmt.Errorf("dynplan: pricing parallel execution: %w", err)
 	}
-	return dop, maxDOP, "grant"
+	p := &db.sys.params
+	e := prog.At(p, ib)
+	if prog.ParallelCost(p, &e, dop) >= e.Cost[len(e.Cost)-1] {
+		return 1, maxDOP, "cost", nil
+	}
+	return dop, maxDOP, "grant", nil
+}
+
+// predict attaches the cost model's predicted output cardinalities under
+// b to the resolved plan and returns the plan's predicted cost. The
+// activation that chose the plan under b has both already; any other plan
+// — a static target, a re-planned or rewritten root, bindings
+// re-optimization corrected — is lowered and swept once.
+func (st *execState) predict(c *obs.Collector, b *bindings.Bindings) (float64, error) {
+	if rep := st.retry.rep; rep != nil && rep.Chosen == st.root && st.retry.repB == b {
+		c.Predict(rep.Cards)
+		return rep.ChosenCost, nil
+	}
+	prog, err := physical.Lower(st.root)
+	if err != nil {
+		return 0, fmt.Errorf("dynplan: predicting cardinalities: %w", err)
+	}
+	e := prog.At(&st.db.sys.params, b)
+	c.Predict(e.Card)
+	return e.Cost[len(e.Cost)-1], nil
 }
