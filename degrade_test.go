@@ -11,6 +11,7 @@ import (
 	"dynplan/internal/exec"
 	"dynplan/internal/harness"
 	"dynplan/internal/physical"
+	"dynplan/internal/qerr"
 )
 
 // degradeJoinPlan hand-builds the two-relation Hash-Join plan the
@@ -426,4 +427,73 @@ func workerFaultSoak(t *testing.T, seed int64, rate float64) {
 	if snap.WorkerRetries > 0 && snap.WorkerRetryBackoff.Count == 0 {
 		t.Error("worker retries recorded but the backoff histogram is empty")
 	}
+}
+
+// rungCase is one escalated failure handed to degradeRung at a DOP, and
+// the rung the ladder should take ("" when it declines) with the DOP it
+// steps to.
+type rungCase struct {
+	name string
+	err  error
+	dop  int
+	rung string
+	to   int
+}
+
+func checkRungs(t *testing.T, cases []rungCase) {
+	t.Helper()
+	for _, tc := range cases {
+		ev, ok := degradeRung(tc.err, tc.dop, 3)
+		if ok != (tc.rung != "") {
+			t.Errorf("%s: degradeRung(_, %d) took a rung = %v, want %v", tc.name, tc.dop, ok, !ok)
+			continue
+		}
+		if !ok {
+			continue
+		}
+		if ev.Rung != tc.rung || ev.FromDOP != tc.dop || ev.ToDOP != tc.to || ev.Attempt != 3 {
+			t.Errorf("%s: got %+v, want rung %s %d→%d at attempt 3", tc.name, ev, tc.rung, tc.dop, tc.to)
+		}
+		if ev.Class != qerr.Class(tc.err) || ev.Error != tc.err.Error() {
+			t.Errorf("%s: event carries class %q, error %q", tc.name, ev.Class, ev.Error)
+		}
+	}
+}
+
+// TestDegradeRungDescent pins the ladder's rungs: it halves the DOP down to
+// a serial fallback and has no rung below serial.
+func TestDegradeRungDescent(t *testing.T) {
+	fault := qerr.AtRel("file-scan", "R1", fmt.Errorf("%w: %w", qerr.ErrFaultInjected, qerr.ErrPermanentIO))
+	checkRungs(t, []rungCase{
+		{"halve 8", fault, 8, "dop-halve", 4},
+		{"halve 4", fault, 4, "dop-halve", 2},
+		{"serial fallback", fault, 2, "serial-fallback", 1},
+		{"odd width", fault, 3, "serial-fallback", 1},
+		{"below serial", fault, 1, "", 0},
+	})
+	if ev, _ := degradeRung(fault, 8, 1); ev.Class != "permanent-io" {
+		t.Errorf("injected permanent fault classed %q, want permanent-io", ev.Class)
+	}
+}
+
+// TestDegradeRungDeclines pins the ownership boundaries: the ladder answers
+// escalated execution faults — notably I/O — and declines the ones other
+// stages own. Memory pressure belongs to the retry stage's grant
+// downgrade, cardinality and stall faults to re-optimization, cancellation
+// and admission verdicts to nobody.
+func TestDegradeRungDeclines(t *testing.T) {
+	checkRungs(t, []rungCase{
+		{"transient past worker retry", qerr.ErrTransientIO, 8, "dop-halve", 4},
+		{"operator panic", qerr.ErrOperatorPanic, 8, "dop-halve", 4},
+		{"unclassified", errors.New("unclassified substrate failure"), 8, "dop-halve", 4},
+		{"canceled", qerr.ErrCanceled, 8, "", 0},
+		{"wrapped cancel", qerr.At("probe", qerr.ErrCanceled), 8, "", 0},
+		{"deadline", qerr.ErrDeadlineExceeded, 8, "", 0},
+		{"admission", qerr.ErrAdmission, 8, "", 0},
+		{"circuit open", qerr.ErrCircuitOpen, 8, "", 0},
+		{"insufficient memory", qerr.ErrInsufficientMemory, 8, "", 0},
+		{"cardinality", qerr.ErrCardinalityViolation, 8, "", 0},
+		{"no progress", qerr.ErrNoProgress, 8, "", 0},
+		{"nil", nil, 8, "", 0},
+	})
 }

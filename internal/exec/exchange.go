@@ -16,11 +16,12 @@ import (
 )
 
 // This file is the intra-query parallelism layer: exchange operators that
-// split a base-relation scan into DOP partitioned workers and gather
-// their streams back into one Volcano iterator. The consumer side stays a
-// plain Iterator — parents never know their input is parallel — which is
-// what lets choose-plan activation, re-optimization guards, and the
-// retry/breaker stages compose with parallel execution unchanged.
+// split a base-relation scan — or a hash join's key space (symmetric.go) —
+// into DOP partitioned workers and gather their streams back into one
+// Volcano iterator. The consumer side stays a plain Iterator — parents
+// never know their input is parallel — which is what lets choose-plan
+// activation, re-optimization guards, and the retry/breaker stages compose
+// with parallel execution unchanged.
 //
 // Isolation model: every worker goroutine runs over its own shallow DB
 // clone (workerClone) with a private accountant, and folds its I/O
@@ -170,6 +171,10 @@ type exchangeWorker struct {
 	// delivered are a prefix, and the tallies must not be cross-checked
 	// against a complete partition.
 	torn bool
+	// oneShot makes the worker single-attempt whatever the retry policy:
+	// its iterator reads a stream that cannot be re-read (a join
+	// partition's queue).
+	oneShot bool
 	// span is this worker's trace span (nil when tracing is off): it
 	// covers the goroutine's whole life and carries the backoff sleeps as
 	// worker-backoff waits.
@@ -179,20 +184,8 @@ type exchangeWorker struct {
 // fold moves the private accountant's charges since last into the shared
 // account and the worker's folded tally, returning the new snapshot.
 func (w *exchangeWorker) fold(dst *storage.Accountant, last storage.AccountSnapshot) storage.AccountSnapshot {
-	cur := w.db.Acc.Snapshot()
+	cur := foldAccount(dst, w.db.Acc, last)
 	d := cur.Sub(last)
-	if d.SeqPageReads != 0 {
-		dst.ReadSeq(d.SeqPageReads)
-	}
-	if d.RandPageReads != 0 {
-		dst.ReadRand(d.RandPageReads)
-	}
-	if d.PageWrites != 0 {
-		dst.Write(d.PageWrites)
-	}
-	if d.TupleOps != 0 {
-		dst.Tuples(d.TupleOps)
-	}
 	w.folded.SeqPageReads += d.SeqPageReads
 	w.folded.RandPageReads += d.RandPageReads
 	w.folded.PageWrites += d.PageWrites
@@ -215,7 +208,7 @@ func (w *exchangeWorker) run(out chan<- []storage.Row, stop <-chan struct{}, fol
 	pol := w.db.Retry.withDefaults()
 	for attempt := 1; ; attempt++ {
 		err := w.attempt(out, stop, fold)
-		if err == nil || w.torn || !qerr.Retryable(err) || attempt >= pol.MaxAttempts {
+		if err == nil || w.torn || w.oneShot || !qerr.Retryable(err) || attempt >= pol.MaxAttempts {
 			w.err = err
 			return
 		}
@@ -308,29 +301,41 @@ func (w *exchangeWorker) attempt(out chan<- []storage.Row, stop <-chan struct{},
 	return err
 }
 
-// counters converts the worker's folded account into a per-worker tally.
+// counters converts the worker's folded account into a per-worker tally,
+// with the buffered-memory high-water of an iterator that buffers rows.
 func (w *exchangeWorker) counters() obs.Counters {
-	return obs.Counters{
+	c := obs.Counters{
 		Rows:          w.rows,
 		SeqPageReads:  w.folded.SeqPageReads,
 		RandPageReads: w.folded.RandPageReads,
 		PageWrites:    w.folded.PageWrites,
 		TupleOps:      w.folded.TupleOps,
 	}
+	if m, ok := w.it.(memReporter); ok {
+		c.MemBytes = m.MemoryHighWater()
+	}
+	return c
 }
 
-// exchangeIter is the gather side of a partitioned parallel scan: at Open
-// it builds DOP workers (setup runs then, not at compile time, so re-opens
-// get fresh partitions), starts them, and merges their batch streams.
-// Unordered mode interleaves batches as workers produce them; ordered
-// mode concatenates the workers' streams in worker order, which preserves
-// a global order when the partitions are contiguous ranges of an ordered
-// input (the B-tree scan's RID chunks).
+// exchangeIter is the gather side of a partitioned parallel operator: at
+// Open it builds DOP workers (setup runs then, not at compile time, so
+// re-opens get fresh partitions), starts them, and merges their batch
+// streams. Unordered mode interleaves batches as workers produce them;
+// ordered mode concatenates the workers' streams in worker order, which
+// preserves a global order when the partitions are contiguous ranges of an
+// ordered input (the B-tree scan's RID chunks).
 type exchangeIter struct {
-	db    *DB
-	node  *physical.Node
-	kind  string
-	setup func() ([]*exchangeWorker, error)
+	db   *DB
+	node *physical.Node
+	kind string
+	// setup builds the workers. It gets the exchange's stop channel and
+	// wait group, so producers feeding the workers (the symmetric join's
+	// distributors) can start there and be waited out with them.
+	setup func(stop <-chan struct{}, wg *sync.WaitGroup) ([]*exchangeWorker, error)
+	// done, when set, runs once at the end of an unordered stream, after
+	// every goroutine has exited, with the first worker error; what it
+	// returns ends the stream.
+	done func(workerErr error) error
 	// ordered selects concatenating gather (worker 0's whole stream, then
 	// worker 1's, …) instead of arrival-order interleaving.
 	ordered bool
@@ -341,6 +346,8 @@ type exchangeIter struct {
 	wg      *sync.WaitGroup
 	started bool
 	closed  bool
+	ended   bool // unordered mode: the stream has ended with endErr
+	endErr  error
 
 	widx      int // ordered mode: the worker currently being drained
 	cur       []storage.Row
@@ -358,8 +365,12 @@ func (ex *exchangeIter) openSpans() {
 	if ex.db.Trace == nil {
 		return
 	}
+	// A join exchange names its operator, a scan exchange its relation.
 	name := ex.kind
-	if ex.node.Rel != "" {
+	switch {
+	case ex.node.Op == physical.HashJoin:
+		name += " " + ex.node.Op.String()
+	case ex.node.Rel != "":
 		name += " " + ex.node.Rel
 	}
 	ex.span = ex.db.Trace.Start(ex.db.Span, name, obs.SpanExchange)
@@ -376,14 +387,15 @@ func (ex *exchangeIter) Open() error {
 			return err
 		}
 	}
-	ws, err := ex.setup()
+	ex.stop = make(chan struct{})
+	ex.wg = &sync.WaitGroup{}
+	ws, err := ex.setup(ex.stop, ex.wg)
 	if err != nil {
 		return err
 	}
 	ex.workers = ws
-	ex.stop = make(chan struct{})
-	ex.wg = &sync.WaitGroup{}
 	ex.started, ex.closed = true, false
+	ex.ended, ex.endErr = false, nil
 	ex.widx, ex.cur, ex.pos = 0, nil, 0
 	ex.batches, ex.waitNanos = 0, 0
 	ex.openSpans()
@@ -444,15 +456,33 @@ func (ex *exchangeIter) fetch() ([]storage.Row, error) {
 	b, ok := <-ex.merged
 	ex.waitNanos += time.Since(start).Nanoseconds()
 	if !ok {
-		for _, w := range ex.workers {
-			if w.err != nil {
-				return nil, w.err
+		if !ex.ended {
+			ex.ended = true
+			for _, w := range ex.workers {
+				if w.err != nil {
+					ex.endErr = w.err
+					break
+				}
+			}
+			if ex.done != nil {
+				ex.endErr = ex.done(ex.endErr)
 			}
 		}
-		return nil, nil
+		return nil, ex.endErr
 	}
 	ex.batches++
 	return b, nil
+}
+
+// MemoryHighWater reports the busiest worker's buffered bytes.
+func (ex *exchangeIter) MemoryHighWater() int64 {
+	var hw int64
+	for _, w := range ex.workers {
+		if m, ok := w.it.(memReporter); ok {
+			hw = max(hw, m.MemoryHighWater())
+		}
+	}
+	return hw
 }
 
 func (ex *exchangeIter) NextBatch(dst []storage.Row) (int, error) {
@@ -547,7 +577,7 @@ func (db *DB) buildParallelFileScan(scan, filter *physical.Node, b *bindings.Bin
 	dop := db.Parallel
 	ex := &exchangeIter{
 		db: db, node: node, kind: "gather",
-		setup: func() ([]*exchangeWorker, error) {
+		setup: func(<-chan struct{}, *sync.WaitGroup) ([]*exchangeWorker, error) {
 			pages := table.NumPages()
 			ws := make([]*exchangeWorker, dop)
 			for i := 0; i < dop; i++ {
@@ -599,7 +629,7 @@ func (db *DB) buildParallelBtreeScan(n *physical.Node, b *bindings.Bindings, fil
 	dop := db.Parallel
 	ex := &exchangeIter{
 		db: db, node: n, kind: "ordered-gather", ordered: true,
-		setup: func() ([]*exchangeWorker, error) {
+		setup: func(<-chan struct{}, *sync.WaitGroup) ([]*exchangeWorker, error) {
 			drain := &btreeScanIter{
 				db: db, table: table, tree: tree,
 				lo: lo, hi: hi, exclusiveHi: exclusive,

@@ -24,7 +24,7 @@ import (
 	"dynplan/internal/workload"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/exec_golden.json from this build's executor")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata golden tables from this build's executor")
 
 const goldenPath = "testdata/exec_golden.json"
 
@@ -204,34 +204,50 @@ func TestExecGolden(t *testing.T) {
 		}
 	}
 	for name, p := range goldenPlans(w) {
-		for _, mem := range []float64{2, 64} {
-			for _, sel := range [][2]float64{{0.1, 0.9}, {0.5, 0.5}, {0.9, 0.1}, {1, 1}} {
-				b := bindings.NewBindings(mem)
-				b.BindSelectivity("v1", sel[0])
-				b.BindSelectivity("v2", sel[1])
-				got[fmt.Sprintf("hand/%s/mem=%g/sel=%g,%g", name, mem, sel[0], sel[1])] = goldenExec(base, p, b, 1)
-			}
+		for key, b := range goldenHandBindings() {
+			got[fmt.Sprintf("hand/%s/%s", name, key)] = goldenExec(base, p, b, 1)
 		}
 	}
+	checkGolden(t, goldenPath, got)
+}
 
+// goldenHandBindings are the bindings every hand-built plan runs under: a
+// starved and a roomy grant, each at four selectivity pairs.
+func goldenHandBindings() map[string]*bindings.Bindings {
+	out := make(map[string]*bindings.Bindings)
+	for _, mem := range []float64{2, 64} {
+		for _, sel := range [][2]float64{{0.1, 0.9}, {0.5, 0.5}, {0.9, 0.1}, {1, 1}} {
+			b := bindings.NewBindings(mem)
+			b.BindSelectivity("v1", sel[0])
+			b.BindSelectivity("v2", sel[1])
+			out[fmt.Sprintf("mem=%g/sel=%g,%g", mem, sel[0], sel[1])] = b
+		}
+	}
+	return out
+}
+
+// checkGolden compares got, run by run, against the table at path; with
+// -update it rewrites the table instead.
+func checkGolden[R any](t *testing.T, path string, got map[string]R) {
+	t.Helper()
 	if *updateGolden {
 		raw, err := json.MarshalIndent(got, "", " ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenPath, append(raw, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	raw, err := os.ReadFile(goldenPath)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want map[string]goldenRun
+	var want map[string]R
 	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatal(err)
 	}

@@ -35,12 +35,49 @@ func (db *DB) buildHashJoin(n *physical.Node, b *bindings.Bindings) (Iterator, S
 	return &hashJoinIter{
 		db: db, build: left, probe: cursor{src: right},
 		buildCol: lcol, probeCol: rcol,
-		buildNode:     n.Children[0],
-		buildSchema:   ls,
-		buildRowBytes: n.Children[0].RowBytes,
-		probeRowBytes: n.Children[1].RowBytes,
-		memPages:      b.Memory,
+		buildNode:   n.Children[0],
+		buildSchema: ls,
+		hashSizes:   newHashSizes(n, b),
 	}, joinSchema(ls, rs), nil
+}
+
+// hashSizes is what a hash join — serial or symmetric — knows of its
+// memory: both inputs' row widths and the grant it was activated under.
+type hashSizes struct {
+	buildRowBytes int
+	probeRowBytes int
+	memPages      float64
+}
+
+func newHashSizes(n *physical.Node, b *bindings.Bindings) hashSizes {
+	return hashSizes{n.Children[0].RowBytes, n.Children[1].RowBytes, b.Memory}
+}
+
+// buildFits fails a build side that no longer fits after a memory-shrink
+// event: the shrink revokes part of the grant the plan was promised, and
+// the simulated spill (graceSpill) models a build that was *planned* not
+// to fit, not one whose memory vanished mid-build.
+func (h hashSizes) buildFits(db *DB, buildRows int) error {
+	if scale := db.Faults.MemoryScale(); scale < 1 {
+		if buildPages, avail := pagesOf(h.buildRowBytes, buildRows), h.memPages*scale; buildPages > avail {
+			return fmt.Errorf("exec: hash build of %.0f pages exceeds memory grant shrunk to %.1f pages: %w",
+				buildPages, avail, qerr.ErrInsufficientMemory)
+		}
+	}
+	return nil
+}
+
+// graceSpill accounts the Grace-partitioning I/O the cost model predicts
+// when the build input does not fit in the memory available at run-time:
+// both inputs are written to partition files and read back. The engine
+// joins in memory regardless (the host has RAM to spare); the accountant
+// records what a memory-constrained system would have done.
+func (h hashSizes) graceSpill(acc *storage.Accountant, buildRows, probeRows int) {
+	if buildPages := pagesOf(h.buildRowBytes, buildRows); buildPages > h.memPages {
+		total := int64(buildPages + pagesOf(h.probeRowBytes, probeRows))
+		acc.Write(total)
+		acc.ReadSeq(total)
+	}
 }
 
 // hashJoinIter is the serial hash join. The build side is one flat table:
@@ -57,10 +94,7 @@ type hashJoinIter struct {
 	// for the cardinality guard consulted once the build fully drains.
 	buildNode   *physical.Node
 	buildSchema Schema
-
-	buildRowBytes int
-	probeRowBytes int
-	memPages      float64
+	hashSizes
 
 	rows        []storage.Row
 	head        map[int64]int32
@@ -113,15 +147,8 @@ func (it *hashJoinIter) Open() error {
 	if err := it.db.checkMat(it.buildNode, it.buildSchema, rows); err != nil {
 		return err
 	}
-	// A memory-shrink event revokes part of the grant the plan was
-	// promised; a build side that no longer fits cannot proceed (the
-	// simulated-spill accounting below models a build that was *planned*
-	// not to fit, not one whose memory vanished mid-build).
-	if scale := it.db.Faults.MemoryScale(); scale < 1 {
-		if buildPages, avail := pagesOf(it.buildRowBytes, len(rows)), it.memPages*scale; buildPages > avail {
-			return fmt.Errorf("exec: hash build of %.0f pages exceeds memory grant shrunk to %.1f pages: %w",
-				buildPages, avail, qerr.ErrInsufficientMemory)
-		}
+	if err := it.buildFits(it.db, len(rows)); err != nil {
+		return err
 	}
 	if err := it.probe.src.Open(); err != nil {
 		return err
@@ -153,8 +180,9 @@ func (it *hashJoinIter) NextBatch(dst []storage.Row) (int, error) {
 		}
 		var ok bool
 		if it.cur, ok, err = it.probe.next(); !ok {
-			if err == nil {
-				it.chargeSpill()
+			if err == nil && !it.spilled {
+				it.spilled = true
+				it.graceSpill(it.db.Acc, len(it.rows), it.probeLen)
 			}
 			break
 		}
@@ -172,25 +200,6 @@ func (it *hashJoinIter) NextBatch(dst []storage.Row) (int, error) {
 // memory footprint (the probe side streams).
 func (it *hashJoinIter) MemoryHighWater() int64 {
 	return int64(len(it.rows)) * int64(it.buildRowBytes)
-}
-
-// chargeSpill accounts the Grace-partitioning I/O the cost model predicts
-// when the build input does not fit in the memory available at run-time:
-// both inputs are written to partition files and read back. The engine
-// joins in memory regardless (the host has RAM to spare); the accountant
-// records what a memory-constrained system would have done.
-func (it *hashJoinIter) chargeSpill() {
-	if it.spilled {
-		return
-	}
-	it.spilled = true
-	buildPages := pagesOf(it.buildRowBytes, len(it.rows))
-	if buildPages > it.memPages {
-		probePages := pagesOf(it.probeRowBytes, it.probeLen)
-		total := int64(buildPages + probePages)
-		it.db.Acc.Write(total)
-		it.db.Acc.ReadSeq(total)
-	}
 }
 
 func (it *hashJoinIter) Close() error {

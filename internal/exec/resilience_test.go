@@ -223,32 +223,34 @@ func TestTransientFaultsAbsorbedByRetries(t *testing.T) {
 }
 
 // TestMemoryShrinkFailsHashBuild verifies a mid-query memory-shrink event
-// makes a no-longer-fitting hash build fail with ErrInsufficientMemory.
+// makes a no-longer-fitting hash build fail with ErrInsufficientMemory —
+// serially, where the build side fails as it finishes, and in parallel,
+// where the symmetric join fails at the end of its stream.
 func TestMemoryShrinkFailsHashBuild(t *testing.T) {
 	w := workload.New(11)
-	db := testDB(t, w)
-	db.Faults = storage.NewInjector(storage.FaultConfig{
-		Seed:                3,
-		MemShrinkAfterReads: 1,
-		MemShrinkFactor:     0.001,
-	})
-	// Force a hash join with a generous planned grant so the build "fits"
-	// at planning time but not after the shrink event.
+	base := testDB(t, w)
+	// A hash join with a generous planned grant, so the build "fits" at
+	// planning time but not after the shrink event.
 	n := 2
 	b := midBindings(n)
 	p := staticPlan(t, w, n)
 	if !hasOp(p, physical.HashJoin) {
-		t.Skip("chosen static plan has no hash join")
+		t.Fatal("chosen static plan has no hash join")
 	}
-	_, _, err := db.Run(p, b)
-	if err == nil {
-		t.Skip("build still fits after shrink; nothing to assert")
-	}
-	if !errors.Is(err, qerr.ErrInsufficientMemory) {
-		t.Fatalf("want ErrInsufficientMemory, got %v", err)
-	}
-	if !qerr.Retryable(err) {
-		t.Fatalf("memory shortfall should be retryable (with a downgrade): %v", err)
+	for _, dop := range []int{1, 2, 4} {
+		db := &DB{Catalog: base.Catalog, Store: base.Store, Indexes: base.Indexes, Acc: &storage.Accountant{},
+			Parallel: dop, Faults: storage.NewInjector(storage.FaultConfig{
+				Seed:                3,
+				MemShrinkAfterReads: 1,
+				MemShrinkFactor:     0.001,
+			})}
+		_, _, err := db.Run(p, b)
+		if !errors.Is(err, qerr.ErrInsufficientMemory) {
+			t.Fatalf("dop %d: want ErrInsufficientMemory, got %v", dop, err)
+		}
+		if !qerr.Retryable(err) {
+			t.Fatalf("dop %d: memory shortfall should be retryable (with a downgrade): %v", dop, err)
+		}
 	}
 }
 

@@ -33,7 +33,6 @@ import (
 
 	"dynplan/internal/bindings"
 	"dynplan/internal/cost"
-	"dynplan/internal/degrade"
 	"dynplan/internal/exec"
 	"dynplan/internal/governor"
 	"dynplan/internal/obs"
@@ -559,32 +558,31 @@ func retryStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecRes
 	}
 }
 
-// degradeStage is the graceful-degradation ladder (ISSUE 8): parallel
-// execution's answer to the paper's premise that a plan must adapt when
-// run-time conditions diverge from the ones it was chosen under. A fault
-// that escapes an exchange worker's own bounded retries has already
-// proven the partition un-runnable at the current width; before the
-// whole-query remedies above (memory downgrade, branch switch, full
-// retry) fire, the ladder re-runs the query narrower — halving the DOP
-// until it reaches serial — because a narrower run re-partitions the
-// data, re-reads poisoned pages through healed fault paths, and costs
-// strictly less to lose again.
+// degradeStage is the graceful-degradation ladder: parallel execution's
+// answer to the paper's premise that a plan must adapt when run-time
+// conditions diverge from the ones it was chosen under. A fault that
+// escapes an exchange worker's own bounded retries has already proven the
+// partition un-runnable at the current width; before the whole-query
+// remedies above (memory downgrade, branch switch, full retry) fire, the
+// ladder re-runs the query narrower — halving the DOP until it reaches
+// serial — because a narrower run re-partitions the data, re-reads
+// poisoned pages through healed fault paths, and costs strictly less to
+// lose again.
 //
-// The controller is built fresh per invocation, i.e. per whole-query
-// retry attempt, so a ladder never leaks descent across attempts; the
-// cap it imposes (st.degrade.cap) persists, so later attempts do not climb
-// back to a width that already failed. Faults the ladder cannot remedy
-// (see degrade.Decide) pass through untouched, preserving the Retry
-// stage's classification authority. Serial executions pass through in
-// one branch.
+// The rungs taken are counted per invocation, i.e. per whole-query retry
+// attempt, so a ladder never leaks descent across attempts; the cap it
+// imposes (st.degrade.cap) persists, so later attempts do not climb back
+// to a width that already failed. Faults the ladder cannot remedy (see
+// degradeRung) pass through untouched, preserving the Retry stage's
+// classification authority. Serial executions pass through in one branch.
 func degradeStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecResult, error) {
 	if !st.o.Parallel || (st.o.Degrade != nil && st.o.Degrade.Disabled) {
 		return next(ctx, st)
 	}
-	dc := degrade.NewController(degrade.Policy{})
+	var events []obs.DegradeEvent
 	if st.out != nil {
 		// Every rung counts, including those of a ladder that then fails.
-		defer func() { st.out.Degrade = append(st.out.Degrade, dc.Events()...) }()
+		defer func() { st.out.Degrade = append(st.out.Degrade, events...) }()
 	}
 	// Each post-decision re-run is wrapped in a rung span named after the
 	// ladder step it descends ("dop-halve dop=2"); the first run is not a
@@ -596,8 +594,8 @@ func degradeStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecR
 		rung.End()
 		st.trace.span = parent
 		if err == nil {
-			if ev := dc.Events(); len(ev) > 0 {
-				res.Degrade = ev
+			if len(events) > 0 {
+				res.Degrade = events
 			}
 			return res, nil
 		}
@@ -609,20 +607,50 @@ func degradeStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecR
 			// The caller's context ended; nothing narrower can run.
 			return nil, err
 		}
-		cap, ok := dc.Decide(err, st.degrade.lastDOP)
+		ev, ok := degradeRung(err, st.degrade.lastDOP, len(events)+1)
 		if !ok {
 			return nil, err
 		}
-		st.degrade.cap = cap
+		events = append(events, ev)
+		st.degrade.cap = ev.ToDOP
 		if st.trace.t != nil {
-			name := fmt.Sprintf("dop=%d", cap)
-			if ev := dc.Last(); ev != nil {
-				name = fmt.Sprintf("%s dop=%d", ev.Rung, cap)
-			}
-			rung = st.trace.t.Start(parent, name, obs.SpanRung)
+			rung = st.trace.t.Start(parent, fmt.Sprintf("%s dop=%d", ev.Rung, ev.ToDOP), obs.SpanRung)
 			st.trace.span = rung
 		}
 	}
+}
+
+// degradeRung decides the ladder's answer to one escalated failure of a
+// run at dop: the attempt-th rung — halve the DOP, or fall back to serial
+// once halving reaches 1 — and true, or false when the fault keeps
+// escalating. There is no rung below serial.
+//
+// The ladder declines faults another stage owns the remedy for:
+// cancellation and deadlines (nothing re-runs), admission rejections and
+// open breakers (the query never ran / the access path is poisoned),
+// insufficient memory (the retry stage's memory downgrade is the cure),
+// cardinality violations and watchdog stalls (re-optimization territory).
+// What remains — transient and permanent I/O faults and operator panics
+// that survived per-worker retry — is exactly what running narrower can
+// help: fewer workers touch fewer pages concurrently, and serial execution
+// re-reads every page through the healed fault path.
+func degradeRung(err error, dop, attempt int) (obs.DegradeEvent, bool) {
+	switch {
+	case err == nil, dop <= 1,
+		qerr.Canceled(err),
+		errors.Is(err, qerr.ErrAdmission),
+		errors.Is(err, qerr.ErrCircuitOpen),
+		errors.Is(err, qerr.ErrInsufficientMemory),
+		errors.Is(err, qerr.ErrCardinalityViolation),
+		errors.Is(err, qerr.ErrNoProgress):
+		return obs.DegradeEvent{}, false
+	}
+	ev := obs.DegradeEvent{Attempt: attempt, Rung: "dop-halve", FromDOP: dop, ToDOP: dop / 2,
+		Class: qerr.Class(err), Error: err.Error()}
+	if ev.ToDOP <= 1 {
+		ev.Rung, ev.ToDOP = "serial-fallback", 1
+	}
+	return ev, true
 }
 
 // reoptStage is run-time adaptation — mid-query re-optimization and the

@@ -449,9 +449,8 @@ func TestConstructionPoints(t *testing.T) {
 		// DOP is a grant-and-cost decision made in the run step, not a
 		// caller-side knob.
 		{"switching an execution parallel", regexp.MustCompile(`\.Par(allel)? = `), []string{"internal/exec/", "pipeline.go"}, true},
-		{"exchange/partition-join construction", regexp.MustCompile(`exchangeIter\{|symHashJoinIter\{`), []string{"internal/exec/"}, false},
-		// One ladder policy, one span-tree shape, one plan cache per database.
-		{"degradation controller construction", regexp.MustCompile(`degrade\.NewController`), []string{"internal/degrade/", "pipeline.go"}, false},
+		{"exchange/partition-join construction", regexp.MustCompile(`exchangeIter\{`), []string{"internal/exec/"}, false},
+		// One span-tree shape, one plan cache per database.
 		{"tracer construction", regexp.MustCompile(`obs\.NewTrace`), []string{"internal/obs/", "pipeline.go"}, true},
 		{"plan cache construction", regexp.MustCompile(`plancache\.New\(`), []string{"internal/plancache/", "pipeline.go"}, false},
 		// The observatory has one writer, the pipeline entry: no layer below
