@@ -37,7 +37,7 @@ func main() {
 	mem := flag.Float64("mem", 64, "memory pages available at run-time")
 	memUncertain := flag.Bool("mem-uncertain", false, "model memory as uncertain at compile-time")
 	execute := flag.Bool("execute", false, "execute the (chosen) plan on synthetic data")
-	memoDump := flag.Bool("memo", false, "dump the optimizer memo table")
+	opCounts := flag.Bool("memo", false, "print the plan's operator inventory: how many nodes use each operator")
 	seed := flag.Int64("seed", 11, "workload seed")
 	saveModule := flag.String("save", "", "write the plan's access module to this file")
 	loadModule := flag.String("load", "", "read the access module from this file instead of optimizing")
@@ -126,10 +126,10 @@ func main() {
 		st.Goals, st.Candidates, st.PrunedByBound, st.Elapsed)
 	fmt.Print(p.Explain())
 
-	if *memoDump {
-		fmt.Println("\nmemo table:")
-		// The memo is reachable through the internal result; re-derive a
-		// compact view from the plan instead of exposing internals here.
+	if *opCounts {
+		// The plan's operator inventory, not the optimizer's memo: one line
+		// per physical operator the plan uses, with its node count.
+		fmt.Println("\noperator inventory:")
 		for op, n := range p.Root().Operators() {
 			fmt.Printf("  %-20s %d\n", op, n)
 		}

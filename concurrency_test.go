@@ -233,9 +233,9 @@ func TestGovernedRejectionTaxonomy(t *testing.T) {
 
 // TestResilientBackoffMetadata pins the retry backoff contract: one
 // recorded pause per retry, each within the equal-jitter envelope of its
-// capped-exponential nominal value, the total summed on the result, every
-// pause traced as a decision, and the whole schedule reproducible from
-// JitterSeed.
+// capped-exponential nominal value and equal to the exchange workers'
+// schedule at worker 0, the total summed on the result, every pause traced
+// as a decision, and the whole schedule reproducible from JitterSeed.
 func TestResilientBackoffMetadata(t *testing.T) {
 	sys, q := resilChainSystem(t, 2)
 	dyn, err := sys.OptimizeDynamic(q, Uncertainty{})
@@ -280,6 +280,9 @@ func TestResilientBackoffMetadata(t *testing.T) {
 		}
 		if d < nominal/2 || d > nominal {
 			t.Errorf("backoff %d = %v outside equal-jitter envelope [%v, %v]", i, d, nominal/2, nominal)
+		}
+		if want := exec.Backoff(pol.Backoff, pol.MaxBackoff, pol.JitterSeed, 0, i+1); d != want {
+			t.Errorf("backoff %d = %v, want the shared schedule's %v", i, d, want)
 		}
 		sum += d
 	}

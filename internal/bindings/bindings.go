@@ -58,15 +58,6 @@ func (e *Env) Bind(variable string, r cost.Range) *Env {
 	return e
 }
 
-// Clone returns a deep copy.
-func (e *Env) Clone() *Env {
-	c := &Env{Sel: make(map[string]cost.Range, len(e.Sel)), Memory: e.Memory}
-	for k, v := range e.Sel {
-		c.Sel[k] = v
-	}
-	return c
-}
-
 // Vars returns the variable names in sorted order, for deterministic
 // iteration.
 func (e *Env) Vars() []string {
@@ -99,7 +90,7 @@ func (e *Env) IsPoint() bool {
 // Applications bind literal values; the harness and the plan start-up code
 // work in selectivities directly because the experiment predicates are
 // normalized range predicates ("attr <= ?v") whose selectivity is
-// value ÷ domain size. BindValue performs that conversion.
+// value ÷ domain size (Database.BindValue performs that conversion).
 type Bindings struct {
 	Sel    map[string]float64
 	Memory float64
@@ -114,24 +105,6 @@ func NewBindings(memoryPages float64) *Bindings {
 func (b *Bindings) BindSelectivity(variable string, sel float64) *Bindings {
 	if sel < 0 || sel > 1 {
 		panic(fmt.Sprintf("bindings: selectivity %g out of [0,1] for %q", sel, variable))
-	}
-	b.Sel[variable] = sel
-	return b
-}
-
-// BindValue records the literal bound to a host variable used in a range
-// predicate "attr <= ?v" over a uniform domain of the given size, deriving
-// the selectivity value ÷ domainSize (clamped to [0, 1]).
-func (b *Bindings) BindValue(variable string, value float64, domainSize int) *Bindings {
-	sel := 0.0
-	if domainSize > 0 {
-		sel = value / float64(domainSize)
-	}
-	if sel < 0 {
-		sel = 0
-	}
-	if sel > 1 {
-		sel = 1
 	}
 	b.Sel[variable] = sel
 	return b

@@ -36,15 +36,6 @@ func TestEnvIsPoint(t *testing.T) {
 	}
 }
 
-func TestEnvCloneIndependent(t *testing.T) {
-	env := NewEnv(cost.PointRange(64)).Bind("v", cost.PointRange(0.5))
-	c := env.Clone()
-	c.Bind("v", cost.PointRange(0.9))
-	if env.Selectivity("v") != cost.PointRange(0.5) {
-		t.Error("Clone shares the selectivity map")
-	}
-}
-
 func TestEnvVarsSorted(t *testing.T) {
 	env := NewEnv(cost.PointRange(64)).Bind("z", cost.PointRange(1)).Bind("a", cost.PointRange(1))
 	vars := env.Vars()
@@ -71,26 +62,6 @@ func TestBindSelectivityPanicsOutOfRange(t *testing.T) {
 		}
 	}()
 	NewBindings(64).BindSelectivity("v", 1.5)
-}
-
-func TestBindValueConversion(t *testing.T) {
-	b := NewBindings(64)
-	b.BindValue("v", 250, 1000)
-	if got := b.Sel["v"]; got != 0.25 {
-		t.Errorf("BindValue selectivity = %g, want 0.25", got)
-	}
-	b.BindValue("hi", 2000, 1000) // clamped
-	if got := b.Sel["hi"]; got != 1 {
-		t.Errorf("clamped selectivity = %g, want 1", got)
-	}
-	b.BindValue("lo", -5, 1000)
-	if got := b.Sel["lo"]; got != 0 {
-		t.Errorf("clamped selectivity = %g, want 0", got)
-	}
-	b.BindValue("z", 5, 0)
-	if got := b.Sel["z"]; got != 0 {
-		t.Errorf("zero-domain selectivity = %g, want 0", got)
-	}
 }
 
 func TestBindingsEnvAllPoints(t *testing.T) {

@@ -37,9 +37,6 @@ type Tree struct {
 	root  node
 	size  int
 	depth int
-	// deletions counts Delete calls; lazy deletion relaxes the occupancy
-	// invariants CheckInvariants enforces for insert-only trees.
-	deletions int
 }
 
 type node interface {
@@ -273,7 +270,7 @@ func (t *Tree) check(n node, depth int, lo, hi *int64, leaves *[]*leaf) (int, er
 		if len(v.keys) != len(v.rids) {
 			return 0, fmt.Errorf("btree: leaf with %d keys but %d rids", len(v.keys), len(v.rids))
 		}
-		if n != t.root && len(v.keys) == 0 && t.deletions == 0 {
+		if n != t.root && len(v.keys) == 0 {
 			return 0, fmt.Errorf("btree: empty non-root leaf")
 		}
 		for i, k := range v.keys {
@@ -300,9 +297,7 @@ func (t *Tree) check(n node, depth int, lo, hi *int64, leaves *[]*leaf) (int, er
 		if len(v.children) > t.order {
 			return 0, fmt.Errorf("btree: internal overflow: %d children, order %d", len(v.children), t.order)
 		}
-		if n != t.root && len(v.children) < (t.order+1)/2 && t.deletions == 0 {
-			// Lazy deletion may leave thin nodes; insert-only trees must
-			// satisfy the classic occupancy bound.
+		if n != t.root && len(v.children) < (t.order+1)/2 {
 			return 0, fmt.Errorf("btree: internal underflow: %d children, order %d", len(v.children), t.order)
 		}
 		total := 0

@@ -196,19 +196,6 @@ func (r *Relation) Pages() int {
 	return int(math.Ceil(float64(r.Cardinality) / float64(perPage)))
 }
 
-// PagesFor returns the number of pages needed for n records of this
-// relation's width; the cost model uses it for intermediate results.
-func (r *Relation) PagesFor(n float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	perPage := float64(PageBytes / r.RecordBytes)
-	if perPage < 1 {
-		perPage = 1
-	}
-	return math.Ceil(n / perPage)
-}
-
 // AttrsByName returns the attributes sorted by name, the order that keeps
 // the optimizer's output deterministic, computed once like QualifiedNames
 // (indexes come and go, so which carry a B-tree is read at use). Shared:

@@ -89,19 +89,6 @@ func TestPages(t *testing.T) {
 	}
 }
 
-func TestPagesFor(t *testing.T) {
-	r := NewRelation("R", 100, 512)
-	if got := r.PagesFor(10); got != 3 {
-		t.Errorf("PagesFor(10) = %g, want 3", got)
-	}
-	if got := r.PagesFor(0); got != 0 {
-		t.Errorf("PagesFor(0) = %g, want 0", got)
-	}
-	if got := r.PagesFor(-5); got != 0 {
-		t.Errorf("PagesFor(-5) = %g, want 0", got)
-	}
-}
-
 func TestAttributeLookup(t *testing.T) {
 	r := sampleRelation()
 	a, err := r.Attribute("a")

@@ -86,9 +86,6 @@ func Infinite() Cost {
 // cost is fully determined at compile-time.
 func (c Cost) IsPoint() bool { return c.Lo == c.Hi }
 
-// IsInfinite reports whether the cost is the unreachable sentinel.
-func (c Cost) IsInfinite() bool { return math.IsInf(c.Lo, 1) }
-
 // Valid reports whether the interval is well formed: no NaNs and Lo <= Hi.
 func (c Cost) Valid() bool {
 	return !math.IsNaN(c.Lo) && !math.IsNaN(c.Hi) && c.Lo <= c.Hi
@@ -110,16 +107,6 @@ func (c Cost) Compare(d Cost) Ordering {
 	default:
 		return Incomparable
 	}
-}
-
-// Dominates reports whether c is provably no more expensive than d for
-// every possible run-time binding, i.e. a plan with cost d can be pruned in
-// favor of one with cost c. Equal intervals do not dominate each other:
-// the paper's prototype retains equal-cost plans as alternatives (§3,
-// "handled in the most naive manner"), and the search engine offers
-// equal-cost pruning as a separate, explicit policy.
-func (c Cost) Dominates(d Cost) bool {
-	return c.Compare(d) == Less
 }
 
 // Add returns the interval sum c + d: lower and upper bounds add
@@ -152,34 +139,10 @@ func Min(costs ...Cost) Cost {
 	return m
 }
 
-// Max returns the bound-wise maximum, useful for tests and for computing
-// pessimistic envelopes.
-func Max(costs ...Cost) Cost {
-	if len(costs) == 0 {
-		return Cost{}
-	}
-	m := costs[0]
-	for _, c := range costs[1:] {
-		if c.Lo > m.Lo {
-			m.Lo = c.Lo
-		}
-		if c.Hi > m.Hi {
-			m.Hi = c.Hi
-		}
-	}
-	return m
-}
-
 // Contains reports whether the point v lies inside the interval. Every
 // actual run-time cost must lie inside the compile-time interval; tests use
 // this to validate the corner-evaluation of cost functions.
 func (c Cost) Contains(v float64) bool { return c.Lo <= v && v <= c.Hi }
-
-// ContainsInterval reports whether d lies entirely within c.
-func (c Cost) ContainsInterval(d Cost) bool { return c.Lo <= d.Lo && d.Hi <= c.Hi }
-
-// Width returns Hi - Lo, the compile-time uncertainty of the estimate.
-func (c Cost) Width() float64 { return c.Hi - c.Lo }
 
 // String formats the cost as a point ("1.25s") or an interval
 // ("[0.50s, 2.00s]").

@@ -31,9 +31,6 @@ func NewRange(lo, hi float64) Range {
 // IsPoint reports whether the parameter is fully bound.
 func (r Range) IsPoint() bool { return r.Lo == r.Hi }
 
-// Mid returns the midpoint, occasionally useful as an expected value.
-func (r Range) Mid() float64 { return (r.Lo + r.Hi) / 2 }
-
 // Mul returns the product range under the assumption that both operands
 // are non-negative, which holds for all parameters in this system
 // (cardinalities, selectivities, page counts).
@@ -46,26 +43,8 @@ func (r Range) MulScalar(f float64) Range {
 	return Range{Lo: r.Lo * f, Hi: r.Hi * f}
 }
 
-// Add returns the bound-wise sum.
-func (r Range) Add(s Range) Range {
-	return Range{Lo: r.Lo + s.Lo, Hi: r.Hi + s.Hi}
-}
-
-// DivScalar divides both bounds by a positive divisor.
-func (r Range) DivScalar(f float64) Range {
-	return Range{Lo: r.Lo / f, Hi: r.Hi / f}
-}
-
-// Clamp restricts the range to [lo, hi].
-func (r Range) Clamp(lo, hi float64) Range {
-	return Range{Lo: math.Min(math.Max(r.Lo, lo), hi), Hi: math.Min(math.Max(r.Hi, lo), hi)}
-}
-
 // Contains reports whether v lies within the range.
 func (r Range) Contains(v float64) bool { return r.Lo <= v && v <= r.Hi }
-
-// ContainsRange reports whether s lies entirely within r.
-func (r Range) ContainsRange(s Range) bool { return r.Lo <= s.Lo && s.Hi <= r.Hi }
 
 // Valid reports whether the range is well formed.
 func (r Range) Valid() bool {

@@ -20,9 +20,6 @@ func TestRangeBasics(t *testing.T) {
 	if r.IsPoint() {
 		t.Error("non-degenerate range reported as point")
 	}
-	if r.Mid() != 4 {
-		t.Errorf("Mid = %g, want 4", r.Mid())
-	}
 	if !PointRange(3).IsPoint() {
 		t.Error("PointRange must be a point")
 	}
@@ -61,38 +58,10 @@ func TestRangeMulSound(t *testing.T) {
 	}
 }
 
-func TestRangeAddSound(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	f := func(seed int64) bool {
-		rng.Seed(seed)
-		a, b := randRange(rng), randRange(rng)
-		pa := a.Lo + rng.Float64()*(a.Hi-a.Lo)
-		pb := b.Lo + rng.Float64()*(b.Hi-b.Lo)
-		return a.Add(b).Contains(pa + pb)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestRangeScalarOps(t *testing.T) {
 	r := NewRange(2, 4)
 	if got := r.MulScalar(3); got != (Range{6, 12}) {
 		t.Errorf("MulScalar = %v", got)
-	}
-	if got := r.DivScalar(2); got != (Range{1, 2}) {
-		t.Errorf("DivScalar = %v", got)
-	}
-}
-
-func TestRangeClamp(t *testing.T) {
-	r := NewRange(-1, 10).Clamp(0, 1)
-	if r != (Range{0, 1}) {
-		t.Errorf("Clamp = %v, want [0,1]", r)
-	}
-	r = NewRange(0.2, 0.4).Clamp(0, 1)
-	if r != (Range{0.2, 0.4}) {
-		t.Errorf("Clamp of interior range = %v", r)
 	}
 }
 
@@ -100,9 +69,6 @@ func TestRangeContains(t *testing.T) {
 	r := NewRange(1, 3)
 	if !r.Contains(1) || !r.Contains(3) || r.Contains(0.5) {
 		t.Error("Contains misbehaves")
-	}
-	if !r.ContainsRange(NewRange(1.5, 2)) || r.ContainsRange(NewRange(0, 2)) {
-		t.Error("ContainsRange misbehaves")
 	}
 }
 

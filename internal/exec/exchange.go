@@ -28,17 +28,15 @@ import (
 // account into the parent's shared atomic accountant one batch at a
 // time — so the execution's totals equal the serial totals
 // exactly, and the progress watchdog polling the shared accountant sees
-// parallel work advance. Collectors, buffer pools, and guard hooks are
-// deliberately not shared: obs.Counters and storage.BufferPool are
-// single-threaded by design, so worker subtrees run unmetered and
-// unpooled, and the exchange reports per-worker tallies itself
-// (obs.ExchangeStats).
+// parallel work advance. Collectors and guard hooks are deliberately
+// not shared: obs.Counters is single-threaded by design, so worker
+// subtrees run unmetered, and the exchange reports per-worker tallies
+// itself (obs.ExchangeStats).
 
 // workerClone returns a shallow copy of the DB for one worker goroutine:
 // shared immutable state (catalog, store, indexes, temps, fault injector,
 // context, the concurrency-safe wrap hook), a private accountant, and none
-// of the single-threaded hooks (collector, buffer pool, materialization
-// guards).
+// of the single-threaded hooks (collector, materialization guards).
 func (db *DB) workerClone() *DB {
 	return &DB{
 		Catalog:  db.Catalog,
@@ -99,26 +97,24 @@ func (p *WorkerRetryPolicy) withDefaults() WorkerRetryPolicy {
 	return out
 }
 
-// delay computes the pause before a worker's retry-th retry: the base
-// doubled per retry, capped, then equal-jittered to half its nominal
-// value plus a hash-derived remainder of (seed, worker, retry) — the same
-// scheme the whole-query retry stage uses, but with no rand.Rand state to
-// share across goroutines.
-func (p WorkerRetryPolicy) delay(worker, retry int) time.Duration {
-	if p.Backoff <= 0 {
+// Backoff is the pause before the retry-th retry (retry ≥ 1) of a retry
+// loop: base doubled per retry and capped at maxBackoff, then
+// equal-jittered to half its nominal value plus a remainder hashed from
+// (seed, worker, retry). Both retry loops share it — an exchange worker
+// passes its index, the whole-query retry stage passes 0 — so a schedule
+// reproduces under a fixed seed with no random state to share across
+// goroutines. A non-positive base retries immediately.
+func Backoff(base, maxBackoff time.Duration, seed int64, worker, retry int) time.Duration {
+	if base <= 0 {
 		return 0
 	}
-	shift := retry - 1
-	if shift > 16 {
-		shift = 16
-	}
-	d := p.Backoff << uint(shift)
-	if d > p.MaxBackoff {
-		d = p.MaxBackoff
+	d := base << uint(min(retry-1, 16))
+	if d > maxBackoff {
+		d = maxBackoff
 	}
 	half := int64(d / 2)
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%d|%d", p.JitterSeed, worker, retry)
+	fmt.Fprintf(h, "%d|%d|%d", seed, worker, retry)
 	u := float64(h.Sum64()>>11) / float64(1<<53)
 	return time.Duration(half + int64(u*float64(half+1)))
 }
@@ -219,7 +215,7 @@ func (w *exchangeWorker) run(out chan<- []storage.Row, stop <-chan struct{}, fol
 		// parallel books identical to the fault-free serial run.
 		w.db.Acc = &storage.Accountant{}
 		w.retries++
-		d := pol.delay(w.id, int(w.retries))
+		d := Backoff(pol.Backoff, pol.MaxBackoff, pol.JitterSeed, w.id, int(w.retries))
 		w.backoffs = append(w.backoffs, int64(d))
 		// The nominal, deterministic pause — the same figure the retry
 		// account reports — attributed as this worker's backoff wait.

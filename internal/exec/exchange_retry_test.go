@@ -40,10 +40,13 @@ func TestWorkerRetryPolicyDefaults(t *testing.T) {
 
 func TestWorkerRetryDelay(t *testing.T) {
 	p := (&WorkerRetryPolicy{Backoff: 100 * time.Microsecond, JitterSeed: 42}).withDefaults()
+	delay := func(worker, retry int) time.Duration {
+		return Backoff(p.Backoff, p.MaxBackoff, p.JitterSeed, worker, retry)
+	}
 	// Deterministic: the same (worker, retry) always pauses identically.
 	for worker := 0; worker < 4; worker++ {
 		for retry := 1; retry <= 8; retry++ {
-			a, b := p.delay(worker, retry), p.delay(worker, retry)
+			a, b := delay(worker, retry), delay(worker, retry)
 			if a != b {
 				t.Fatalf("delay(%d, %d) unstable: %v vs %v", worker, retry, a, b)
 			}
@@ -61,18 +64,17 @@ func TestWorkerRetryDelay(t *testing.T) {
 	// least two of the first four workers pause differently on retry 1.
 	distinct := map[time.Duration]bool{}
 	for worker := 0; worker < 4; worker++ {
-		distinct[p.delay(worker, 1)] = true
+		distinct[delay(worker, 1)] = true
 	}
 	if len(distinct) < 2 {
 		t.Error("all workers drew the identical first backoff; jitter is not per-worker")
 	}
 	// The exponent caps: a huge retry index must not overflow the shift.
-	if d := p.delay(0, 1000); d <= 0 || d > p.MaxBackoff {
+	if d := delay(0, 1000); d <= 0 || d > p.MaxBackoff {
 		t.Errorf("delay at retry 1000 = %v, want within (0, %v]", d, p.MaxBackoff)
 	}
 	// Zero backoff means immediate retry regardless of the retry index.
-	zero := WorkerRetryPolicy{MaxAttempts: 3, JitterSeed: 1}
-	if d := zero.delay(1, 3); d != 0 {
+	if d := Backoff(0, 0, 1, 1, 3); d != 0 {
 		t.Errorf("zero-backoff policy paused %v", d)
 	}
 }

@@ -63,14 +63,12 @@ type Iterator interface {
 }
 
 // DB bundles everything an execution needs: catalog for domain lookups,
-// the simulated store, the B-tree indexes, an I/O accountant, and an
-// optional buffer pool for unclustered fetches.
+// the simulated store, the B-tree indexes and an I/O accountant.
 type DB struct {
 	Catalog *catalog.Catalog
 	Store   *storage.Store
 	Indexes map[string]map[string]*btree.Tree
 	Acc     *storage.Accountant
-	Pool    *storage.BufferPool
 	// Temps holds run-time materialized results, keyed by temporary name
 	// (see Temp).
 	Temps map[string]*Temp
@@ -78,7 +76,7 @@ type DB struct {
 	// Ctx, when non-nil, is polled once per NextBatch call of every
 	// streaming operator; once it ends, the next poll stops execution with
 	// an error wrapping qerr.ErrCanceled or qerr.ErrDeadlineExceeded. Set
-	// it via RunContext or directly before Run.
+	// it before Run.
 	Ctx context.Context
 	// Faults, when non-nil, routes base-table page reads through the
 	// fault injector (in-memory temporaries are exempt). Injected
@@ -174,18 +172,6 @@ func (db *DB) pageRead(table string, page int32, seq bool) error {
 		db.Acc.ReadRand(1)
 	}
 	return db.Faults.PageRead(table, page, db.Acc)
-}
-
-// fetch retrieves a record by RID with accounting and fault injection.
-func (db *DB) fetch(t *storage.Table, rid storage.RID) (storage.Row, error) {
-	return t.FetchThrough(rid, db.Acc, db.Pool, db.Faults)
-}
-
-// RunContext is Run with a context: cancellation and deadline expiry
-// propagate into every operator's NextBatch calls.
-func (db *DB) RunContext(ctx context.Context, root *physical.Node, b *bindings.Bindings) ([]storage.Row, Schema, error) {
-	db.Ctx = ctx
-	return db.Run(root, b)
 }
 
 // Run executes a resolved plan under the bindings and returns all result

@@ -494,34 +494,6 @@ func TestHashJoinSpillAccounting(t *testing.T) {
 	}
 }
 
-// TestBufferPoolReducesIO: routing fetches through a pool cuts the
-// random-read count for repeated probes.
-func TestBufferPoolReducesIO(t *testing.T) {
-	w := workload.New(14)
-	store := w.LoadStore()
-	idx, err := w.BuildIndexes(store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel := w.Catalog.MustRelation("R1")
-	btreeScan := &physical.Node{Op: physical.BtreeScan, Rel: "R1", Attr: "a",
-		BaseCard: rel.Cardinality, RowBytes: 512}
-
-	without := &DB{Catalog: w.Catalog, Store: store, Indexes: idx, Acc: &storage.Accountant{}}
-	if _, _, err := without.Run(btreeScan, bindings.NewBindings(64)); err != nil {
-		t.Fatal(err)
-	}
-	with := &DB{Catalog: w.Catalog, Store: store, Indexes: idx, Acc: &storage.Accountant{},
-		Pool: storage.NewBufferPool(rel.Pages())}
-	if _, _, err := with.Run(btreeScan, bindings.NewBindings(64)); err != nil {
-		t.Fatal(err)
-	}
-	if with.Acc.RandPageReads() >= without.Acc.RandPageReads() {
-		t.Errorf("pool did not reduce I/O: %d vs %d",
-			with.Acc.RandPageReads(), without.Acc.RandPageReads())
-	}
-}
-
 func TestSchemaIndex(t *testing.T) {
 	s := Schema{"R.a", "R.b"}
 	if i, err := s.Index("R.b"); err != nil || i != 1 {

@@ -467,7 +467,7 @@ func (it *indexJoinIter) NextBatch(dst []storage.Row) (int, error) {
 	for n < len(dst) {
 		if it.ridPos < len(it.rids) {
 			var inner storage.Row
-			if inner, err = it.db.fetch(it.table, it.rids[it.ridPos]); err != nil {
+			if inner, err = it.table.Fetch(it.rids[it.ridPos], it.db.Acc, it.db.Faults); err != nil {
 				break
 			}
 			it.ridPos++

@@ -44,7 +44,8 @@ func TestCancelBeforeRun(t *testing.T) {
 	db := testDB(t, w)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := db.RunContext(ctx, staticPlan(t, w, 2), midBindings(2))
+	db.Ctx = ctx
+	_, _, err := db.Run(staticPlan(t, w, 2), midBindings(2))
 	if !errors.Is(err, qerr.ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
 	}
@@ -120,7 +121,8 @@ func TestDeadlineExceeded(t *testing.T) {
 	db := testDB(t, w)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
 	defer cancel()
-	_, _, err := db.RunContext(ctx, staticPlan(t, w, 1), midBindings(1))
+	db.Ctx = ctx
+	_, _, err := db.Run(staticPlan(t, w, 1), midBindings(1))
 	if !errors.Is(err, qerr.ErrDeadlineExceeded) {
 		t.Fatalf("want ErrDeadlineExceeded, got %v", err)
 	}

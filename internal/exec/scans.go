@@ -188,7 +188,7 @@ func (it *btreeScanIter) NextBatch(dst []storage.Row) (int, error) {
 	var err error
 	for n < len(dst) && it.pos < len(it.rids) {
 		var row storage.Row
-		if row, err = it.db.fetch(it.table, it.rids[it.pos]); err != nil {
+		if row, err = it.table.Fetch(it.rids[it.pos], it.db.Acc, it.db.Faults); err != nil {
 			break
 		}
 		it.pos++

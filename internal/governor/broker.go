@@ -102,33 +102,6 @@ func (b *Broker) Acquire(ctx context.Context, want, min float64) (float64, error
 	}
 }
 
-// TryAcquire is Acquire without waiting: it grants immediately or reports
-// ok=false.
-func (b *Broker) TryAcquire(want, min float64) (float64, bool) {
-	if want <= 0 {
-		return 0, true
-	}
-	if min <= 0 || min > want {
-		min = want
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	avail := b.total - b.outstanding
-	if avail < min {
-		return 0, false
-	}
-	grant := math.Min(want, avail)
-	b.outstanding += grant
-	b.grants++
-	if grant < want {
-		b.degraded++
-	}
-	if b.outstanding > b.highWater {
-		b.highWater = b.outstanding
-	}
-	return grant, true
-}
-
 // Release returns a grant to the pool and wakes waiters.
 func (b *Broker) Release(pages float64) {
 	if pages <= 0 {

@@ -324,27 +324,6 @@ func waitFor(t *testing.T, cond func() bool) {
 	t.Fatal("condition never became true")
 }
 
-func TestBrokerTryAcquire(t *testing.T) {
-	b := NewBroker(32)
-	pages, ok := b.TryAcquire(24, 8)
-	if !ok || pages != 24 {
-		t.Fatalf("TryAcquire = %v, %v", pages, ok)
-	}
-	// 8 pages remain: a request degrades to them, down to its floor.
-	pages, ok = b.TryAcquire(24, 8)
-	if !ok || pages != 8 {
-		t.Fatalf("degraded TryAcquire = %v, %v", pages, ok)
-	}
-	// Nothing left: no grant, and no blocking either.
-	if _, ok := b.TryAcquire(24, 8); ok {
-		t.Fatal("TryAcquire granted from an empty pool")
-	}
-	b.Release(32)
-	if b.Outstanding() != 0 {
-		t.Fatalf("Outstanding = %v after full release", b.Outstanding())
-	}
-}
-
 func TestGovernorResizePool(t *testing.T) {
 	g := New(Config{TotalPages: 64, MinGrantPages: 8, MaxConcurrent: 2, QueueTimeout: 50 * time.Millisecond})
 	g.ResizePool(16)

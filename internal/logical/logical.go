@@ -12,14 +12,14 @@
 //
 // Logical properties follow §2 of the paper: the schema of a sub-query is
 // the set of relations it covers, and its cardinality is an *interval*
-// (cost.Range) because selection selectivities may be unbound at
-// compile-time. Join predicate selectivities are computed from the catalog
-// as |L|·|R| ÷ max(domain sizes) (§6) and are always known.
+// because selection selectivities may be unbound at compile-time (the
+// physical layer's lowered program evaluates it). Join predicate
+// selectivities are computed from the catalog as |L|·|R| ÷ max(domain
+// sizes) (§6) and are always known.
 package logical
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"strings"
 
@@ -227,37 +227,6 @@ func (g Graph) Joined(l, r RelSet) bool {
 	return false
 }
 
-// Cardinality returns the cardinality interval of the sub-query covering
-// s under the environment env: the product of base cardinalities, the
-// selectivity ranges of the selections on members of s, and the (known)
-// selectivities of every join edge internal to s. This is the logical
-// property the cost model consumes.
-func (q *Query) Cardinality(s RelSet, env *bindings.Env) cost.Range {
-	card := cost.PointRange(1)
-	for _, i := range s.Members() {
-		card = card.MulScalar(float64(q.Rels[i].Rel.Cardinality))
-		if p := q.Rels[i].Pred; p != nil {
-			card = card.Mul(p.Selectivity(env))
-		}
-	}
-	for _, e := range q.Edges {
-		if e.Within(s) {
-			card = card.MulScalar(e.Selectivity())
-		}
-	}
-	return card
-}
-
-// BaseCardinality returns the cardinality interval of relation i after its
-// selection, under env.
-func (q *Query) BaseCardinality(i int, env *bindings.Env) cost.Range {
-	card := cost.PointRange(float64(q.Rels[i].Rel.Cardinality))
-	if p := q.Rels[i].Pred; p != nil {
-		card = card.Mul(p.Selectivity(env))
-	}
-	return card
-}
-
 // RowBytes returns the record width of the sub-query covering s: the sum
 // of the member relations' record widths (joins concatenate records).
 func (q *Query) RowBytes(s RelSet) int {
@@ -266,19 +235,6 @@ func (q *Query) RowBytes(s RelSet) int {
 		w += q.Rels[bits.TrailingZeros64(uint64(t))].Rel.RecordBytes
 	}
 	return w
-}
-
-// PagesFor returns the number of pages n records of the sub-query's width
-// occupy, the unit of the I/O cost formulas.
-func (q *Query) PagesFor(s RelSet, n float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	perPage := float64(catalog.PageBytes / q.RowBytes(s))
-	if perPage < 1 {
-		perPage = 1
-	}
-	return math.Ceil(n / perPage)
 }
 
 // Variables returns the host variables appearing in the query's selection

@@ -1,10 +1,8 @@
 package logical
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"dynplan/internal/bindings"
 	"dynplan/internal/catalog"
@@ -179,75 +177,10 @@ func TestEdgeSelectivity(t *testing.T) {
 	}
 }
 
-func TestCardinalityPointEnv(t *testing.T) {
-	q := chainQuery(2)
-	env := bindings.NewEnv(cost.PointRange(64)).
-		Bind("v1", cost.PointRange(0.5)).
-		Bind("v2", cost.PointRange(0.1))
-	// |A|=100 sel .5, |B|=200 sel .1, edge sel 1/100.
-	card := q.Cardinality(q.AllRels(), env)
-	want := 100.0 * 0.5 * 200 * 0.1 / 100
-	if !card.IsPoint() || card.Lo != want {
-		t.Errorf("cardinality = %v, want %g", card, want)
-	}
-}
-
-// TestCardinalityContainment: the interval cardinality under an uncertain
-// env contains the point cardinality of any binding within the env.
-func TestCardinalityContainment(t *testing.T) {
-	q := chainQuery(4)
-	uncertain := bindings.NewEnv(cost.PointRange(64))
-	for i := 0; i < 4; i++ {
-		uncertain.Bind(varName(i), cost.NewRange(0, 1))
-	}
-	rng := rand.New(rand.NewSource(8))
-	f := func(seed int64) bool {
-		rng.Seed(seed)
-		point := bindings.NewEnv(cost.PointRange(64))
-		for i := 0; i < 4; i++ {
-			point.Bind(varName(i), cost.PointRange(rng.Float64()))
-		}
-		for s := RelSet(1); s <= q.AllRels(); s++ {
-			if s&q.AllRels() != s || !q.Connected(s) {
-				continue
-			}
-			iv := q.Cardinality(s, uncertain)
-			pt := q.Cardinality(s, point)
-			if !iv.ContainsRange(pt) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestBaseCardinality(t *testing.T) {
-	q := chainQuery(2)
-	env := bindings.NewEnv(cost.PointRange(64)).Bind("v1", cost.PointRange(0.25))
-	if got := q.BaseCardinality(0, env); got != cost.PointRange(25) {
-		t.Errorf("BaseCardinality = %v", got)
-	}
-	// Relation without predicate.
-	q.Rels[0].Pred = nil
-	if got := q.BaseCardinality(0, env); got != cost.PointRange(100) {
-		t.Errorf("BaseCardinality without pred = %v", got)
-	}
-}
-
-func TestRowBytesAndPages(t *testing.T) {
+func TestRowBytes(t *testing.T) {
 	q := chainQuery(3)
 	if got := q.RowBytes(Bit(0) | Bit(1)); got != 1024 {
 		t.Errorf("RowBytes = %d", got)
-	}
-	// 1024-byte rows: 2 per 2048-byte page.
-	if got := q.PagesFor(Bit(0)|Bit(1), 5); got != 3 {
-		t.Errorf("PagesFor = %g", got)
-	}
-	if got := q.PagesFor(Bit(0), 0); got != 0 {
-		t.Errorf("PagesFor(0 rows) = %g", got)
 	}
 }
 

@@ -17,8 +17,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
-	"strings"
 
 	"dynplan/internal/cost"
 	"dynplan/internal/logical"
@@ -86,22 +84,3 @@ func (m *Memo) ExtraAlternatives() int {
 
 // Goals returns the memoized goals, in no particular order.
 func (m *Memo) Goals() []Goal { return slices.Collect(maps.Keys(m.winners)) }
-
-// Dump renders the memo contents for debugging and EXPLAIN-style output,
-// sorted by set size then goal string for determinism.
-func (m *Memo) Dump() string {
-	goals := m.Goals()
-	sort.Slice(goals, func(i, j int) bool {
-		if d := goals[i].Set.Count() - goals[j].Set.Count(); d != 0 {
-			return d < 0
-		}
-		return goals[i].String() < goals[j].String()
-	})
-	var b strings.Builder
-	for _, g := range goals {
-		w := m.winners[g]
-		fmt.Fprintf(&b, "%s: %s cost=%s alts=%d card=%s\n",
-			g, w.Plan.Op, w.Cost, w.Alternatives, w.Card)
-	}
-	return b.String()
-}

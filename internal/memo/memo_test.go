@@ -65,20 +65,6 @@ func TestStoreOverwriteKeepsOrder(t *testing.T) {
 	}
 }
 
-func TestDump(t *testing.T) {
-	m := New()
-	m.Store(Goal{Set: logical.Bit(0) | logical.Bit(1)}, winner(physical.HashJoin))
-	m.Store(Goal{Set: logical.Bit(0)}, winner(physical.FileScan))
-	out := m.Dump()
-	// Smaller sets print first.
-	if strings.Index(out, "File-Scan") > strings.Index(out, "Hash-Join") {
-		t.Errorf("Dump not ordered by set size:\n%s", out)
-	}
-	if !strings.Contains(out, "alts=1") {
-		t.Errorf("Dump lacks alternative counts:\n%s", out)
-	}
-}
-
 func TestGoalString(t *testing.T) {
 	g := Goal{Set: logical.Bit(1) | logical.Bit(3), Prop: physical.Prop{Order: "R.a"}}
 	s := g.String()

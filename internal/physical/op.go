@@ -80,9 +80,6 @@ func (o Op) String() string {
 	return fmt.Sprintf("Op(%d)", uint8(o))
 }
 
-// IsJoin reports whether the operator is one of the join algorithms.
-func (o Op) IsJoin() bool { return o == HashJoin || o == MergeJoin || o == IndexJoin }
-
 // IsScan reports whether the operator reads a base relation.
 func (o Op) IsScan() bool { return o == FileScan || o == BtreeScan || o == FilterBtreeScan }
 

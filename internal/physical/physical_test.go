@@ -49,9 +49,6 @@ func TestOpStrings(t *testing.T) {
 	if Op(99).String() != "Op(99)" {
 		t.Error("unknown op string")
 	}
-	if !HashJoin.IsJoin() || FileScan.IsJoin() {
-		t.Error("IsJoin misbehaves")
-	}
 	if !BtreeScan.IsScan() || Sort.IsScan() {
 		t.Error("IsScan misbehaves")
 	}

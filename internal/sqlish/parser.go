@@ -44,9 +44,8 @@ type Join struct {
 
 // parser consumes tokens with one-token lookahead.
 type parser struct {
-	lex  *lexer
-	tok  token
-	peek *token
+	lex *lexer
+	tok token
 }
 
 // Parse parses one statement.
@@ -66,27 +65,12 @@ func Parse(input string) (*Statement, error) {
 }
 
 func (p *parser) advance() error {
-	if p.peek != nil {
-		p.tok, p.peek = *p.peek, nil
-		return nil
-	}
 	t, err := p.lex.next()
 	if err != nil {
 		return err
 	}
 	p.tok = t
 	return nil
-}
-
-func (p *parser) peekTok() (token, error) {
-	if p.peek == nil {
-		t, err := p.lex.next()
-		if err != nil {
-			return token{}, err
-		}
-		p.peek = &t
-	}
-	return *p.peek, nil
 }
 
 func (p *parser) errf(format string, args ...any) error {

@@ -266,16 +266,3 @@ func (f *Injector) Reset() {
 	f.remaining = make(map[pageKey]int)
 	f.stats = FaultStats{}
 }
-
-// FetchThrough is Fetch routed through an optional fault injector: the
-// record access is charged as usual, then the injector may fail the read.
-func (t *Table) FetchThrough(rid RID, acc *Accountant, pool *BufferPool, f *Injector) (Row, error) {
-	row, err := t.Fetch(rid, acc, pool)
-	if err != nil {
-		return nil, err
-	}
-	if err := f.PageRead(t.name, rid.Page, acc); err != nil {
-		return nil, err
-	}
-	return row, nil
-}

@@ -125,23 +125,38 @@ func TestNilInjector(t *testing.T) {
 	}
 }
 
-func TestFetchThrough(t *testing.T) {
+// TestFetchInjectsFaults: Fetch charges one random read per call, then
+// the injector may fail it; a faulty page heals after its failure, a nil
+// injector injects nothing, and an invalid RID surfaces the storage error.
+func TestFetchInjectsFaults(t *testing.T) {
 	tab := NewTable("T", 512)
 	rid := tab.Append(Row{1, 2})
 	acc := &Accountant{}
 	f := NewInjector(FaultConfig{Seed: 1, TransientRate: 1})
-	if _, err := tab.FetchThrough(rid, acc, nil, f); !errors.Is(err, qerr.ErrTransientIO) {
+	if _, err := tab.Fetch(rid, acc, f); !errors.Is(err, qerr.ErrTransientIO) {
 		t.Fatalf("want injected fault, got %v", err)
 	}
-	row, err := tab.FetchThrough(rid, acc, nil, f) // healed
+	if acc.RandPageReads() < 1 {
+		t.Fatal("failed fetch charged no random read")
+	}
+	before := acc.RandPageReads()
+	row, err := tab.Fetch(rid, acc, f) // healed
 	if err != nil || row[0] != 1 {
 		t.Fatalf("healed fetch: %v %v", row, err)
 	}
-	if _, err := tab.FetchThrough(rid, acc, nil, nil); err != nil {
+	if _, err := tab.Fetch(rid, acc, nil); err != nil {
 		t.Fatalf("nil injector fetch: %v", err)
 	}
-	// Invalid RID surfaces the storage error, not an injected one.
-	if _, err := tab.FetchThrough(RID{Page: 99}, acc, nil, f); err == nil || errors.Is(err, qerr.ErrFaultInjected) {
+	if got := acc.RandPageReads() - before; got != 2 {
+		t.Errorf("two clean fetches charged %d random reads, want 2", got)
+	}
+	// Invalid RID surfaces the storage error, not an injected one, and
+	// charges nothing.
+	before = acc.RandPageReads()
+	if _, err := tab.Fetch(RID{Page: 99}, acc, f); err == nil || errors.Is(err, qerr.ErrFaultInjected) {
 		t.Errorf("invalid rid error mangled: %v", err)
+	}
+	if acc.RandPageReads() != before {
+		t.Errorf("invalid rid charged %d random reads", acc.RandPageReads()-before)
 	}
 }

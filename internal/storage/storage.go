@@ -100,16 +100,6 @@ func (a *Accountant) Reset() {
 	a.tuples.Store(0)
 }
 
-// Seconds converts the tally to simulated wall-clock time given per-unit
-// charges (seconds per sequential page, per random page, per page write,
-// per tuple).
-func (a *Accountant) Seconds(seqPage, randPage, write, tuple float64) float64 {
-	return float64(a.SeqPageReads())*seqPage +
-		float64(a.RandPageReads())*randPage +
-		float64(a.PageWrites())*write +
-		float64(a.TupleOps())*tuple
-}
-
 // String summarizes the tally.
 func (a *Accountant) String() string {
 	return fmt.Sprintf("seq=%d rand=%d write=%d tuples=%d",
@@ -154,9 +144,6 @@ func (t *Table) NumRows() int { return t.nrows }
 // NumPages returns the number of pages in the heap file.
 func (t *Table) NumPages() int { return len(t.pages) }
 
-// RowsPerPage returns the page capacity in rows.
-func (t *Table) RowsPerPage() int { return t.rowsPerPage }
-
 // Page returns the rows of page p in slot order, without charging I/O: a
 // page is finished when its slots are, so a sequential reader walks
 // p = 0 … NumPages()-1 by length alone. The slice and its rows belong to
@@ -173,20 +160,17 @@ func (t *Table) Get(rid RID) (Row, error) {
 }
 
 // Fetch retrieves the record at rid, charging one random page read to the
-// accountant (or a buffer-pool hit if a pool is supplied). This models
-// unclustered index access: one I/O per qualifying record, the paper's
-// B-tree-scan cost model.
-func (t *Table) Fetch(rid RID, acc *Accountant, pool *BufferPool) (Row, error) {
+// accountant, then lets the fault injector fail the read (a nil injector
+// injects nothing). This models unclustered index access: one I/O per
+// qualifying record, the paper's B-tree-scan cost model.
+func (t *Table) Fetch(rid RID, acc *Accountant, f *Injector) (Row, error) {
 	row, err := t.Get(rid)
 	if err != nil {
 		return nil, err
 	}
-	if pool != nil {
-		if !pool.Touch(t.name, rid.Page) {
-			acc.ReadRand(1)
-		}
-	} else {
-		acc.ReadRand(1)
+	acc.ReadRand(1)
+	if err := f.PageRead(t.name, rid.Page, acc); err != nil {
+		return nil, err
 	}
 	return row, nil
 }

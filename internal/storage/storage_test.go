@@ -13,10 +13,10 @@ func fill(t *Table, n int) {
 func TestTablePaging(t *testing.T) {
 	// 512-byte records: 4 rows per page.
 	tab := NewTable("R", 512)
-	if tab.RowsPerPage() != 4 {
-		t.Fatalf("RowsPerPage = %d, want 4", tab.RowsPerPage())
-	}
 	fill(tab, 10)
+	if got := len(tab.Page(0)); got != 4 {
+		t.Fatalf("rows on page 0 = %d, want 4", got)
+	}
 	if tab.NumRows() != 10 {
 		t.Errorf("NumRows = %d", tab.NumRows())
 	}
@@ -28,8 +28,8 @@ func TestTablePaging(t *testing.T) {
 func TestOversizedRecords(t *testing.T) {
 	tab := NewTable("wide", 4096)
 	fill(tab, 3)
-	if tab.RowsPerPage() != 1 || tab.NumPages() != 3 {
-		t.Errorf("oversized records: rpp=%d pages=%d", tab.RowsPerPage(), tab.NumPages())
+	if len(tab.Page(0)) != 1 || tab.NumPages() != 3 {
+		t.Errorf("oversized records: rows on page 0=%d pages=%d", len(tab.Page(0)), tab.NumPages())
 	}
 }
 
@@ -95,36 +95,12 @@ func TestFetchChargesRandomReads(t *testing.T) {
 	}
 }
 
-func TestFetchThroughPool(t *testing.T) {
-	tab := NewTable("R", 512)
-	fill(tab, 10)
-	var acc Accountant
-	pool := NewBufferPool(2)
-	// Two fetches of the same page: second is a hit, no I/O charged.
-	for i := 0; i < 2; i++ {
-		if _, err := tab.Fetch(RID{Page: 0, Slot: 0}, &acc, pool); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if acc.RandPageReads() != 1 {
-		t.Errorf("RandPageReads through pool = %d, want 1", acc.RandPageReads())
-	}
-	if pool.Hits() != 1 || pool.Misses() != 1 {
-		t.Errorf("pool hits=%d misses=%d", pool.Hits(), pool.Misses())
-	}
-}
-
-func TestAccountantSecondsAndString(t *testing.T) {
+func TestAccountantStringAndReset(t *testing.T) {
 	var acc Accountant
 	acc.ReadSeq(10)
 	acc.ReadRand(5)
 	acc.Write(2)
 	acc.Tuples(100)
-	got := acc.Seconds(0.001, 0.0025, 0.001, 0.00005)
-	want := 10*0.001 + 5*0.0025 + 2*0.001 + 100*0.00005
-	if diff := got - want; diff > 1e-12 || diff < -1e-12 {
-		t.Errorf("Seconds = %g, want %g", got, want)
-	}
 	if s := acc.String(); s != "seq=10 rand=5 write=2 tuples=100" {
 		t.Errorf("String = %q", s)
 	}

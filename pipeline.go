@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"maps"
 	"math/bits"
-	"math/rand"
 	"slices"
 	"time"
 
@@ -451,15 +450,13 @@ func breakerStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecR
 // (transient I/O: same plan; insufficient memory: downgrade the grant and
 // exclude the picked branches; permanent faults: exclude the picked
 // branches and charge the relation's circuit breaker). Retries pause
-// under capped exponential backoff with deterministic jitter; the jitter
-// source is seeded on the first retry — almost no query backs off, and
-// seeding costs more than the rest of the dispatch put together.
+// under the exchange workers' backoff schedule (exec.Backoff, as worker
+// 0): capped exponential growth with deterministic jitter.
 func retryStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecResult, error) {
 	pol := st.o.Policy.withDefaults()
 	r := &st.retry
 	inj := st.db.injector()
 	absorbedBase := inj.Stats().Absorbed
-	var rng *rand.Rand
 
 	for r.attempt = 1; ; r.attempt++ {
 		if err := qerr.FromContext(ctx.Err()); err != nil {
@@ -545,10 +542,7 @@ func retryStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecRes
 				response += fmt.Sprintf(" (fault charged to %s)", failedRel)
 			}
 		}
-		if rng == nil {
-			rng = rand.New(rand.NewSource(pol.JitterSeed))
-		}
-		d := backoffDelay(pol, rng, r.retries)
+		d := exec.Backoff(pol.Backoff, pol.MaxBackoff, pol.JitterSeed, 0, r.retries)
 		r.backoffs = append(r.backoffs, d)
 		r.trace = append(r.trace, obs.NewRetryTrace(r.attempt, class, response, d))
 		if err := sleepBackoff(ctx, d); err != nil {

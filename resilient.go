@@ -2,7 +2,6 @@ package dynplan
 
 import (
 	"context"
-	"math/rand"
 	"time"
 
 	"dynplan/internal/physical"
@@ -17,7 +16,7 @@ type RetryPolicy struct {
 	// Backoff is the base pause before the first retry, doubling each
 	// further retry up to MaxBackoff; zero retries immediately. Each pause
 	// is jittered (deterministically, from JitterSeed) to half its nominal
-	// value plus a random remainder, and respects the context.
+	// value plus a hashed remainder, and respects the context.
 	Backoff time.Duration
 	// MaxBackoff caps the exponential growth (default 32×Backoff).
 	MaxBackoff time.Duration
@@ -66,26 +65,6 @@ func (db *Database) recordPlanOutcome(chosen *physical.Node, failedRel string) (
 		}
 	})
 	return false
-}
-
-// backoffDelay computes the pause before the retry-th retry: the base
-// doubled per retry and capped at MaxBackoff, then jittered to half its
-// nominal value plus a seeded-random remainder — the standard "equal
-// jitter" scheme, deterministic under a fixed JitterSeed.
-func backoffDelay(pol RetryPolicy, rng *rand.Rand, retry int) time.Duration {
-	if pol.Backoff <= 0 {
-		return 0
-	}
-	shift := retry - 1
-	if shift > 16 {
-		shift = 16
-	}
-	d := pol.Backoff << uint(shift)
-	if d > pol.MaxBackoff {
-		d = pol.MaxBackoff
-	}
-	half := d / 2
-	return half + time.Duration(rng.Int63n(int64(half)+1))
 }
 
 // sleepBackoff pauses for d, honoring the context.
