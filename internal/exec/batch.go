@@ -38,20 +38,26 @@ func drain(it Iterator, rows []storage.Row) ([]storage.Row, error) {
 // cursor reads a join's streaming input a vector at a time and hands out
 // its rows one by one. The vector doubles from two rows up to batchRows:
 // an input that ends early — most of them, in a near-empty plan — never
-// paid for a full vector.
+// paid for a full vector. The first vector is the cursor's own.
 type cursor struct {
 	src   Iterator
 	batch []storage.Row
 	pos   int
+	first [2]storage.Row
 }
 
 // next returns the input's next row; ok is false at end of stream and on
 // error.
 func (c *cursor) next() (row storage.Row, ok bool, err error) {
 	if c.pos == len(c.batch) {
+		// A vector grows once it has handed rows out; past the end of the
+		// stream it is reused as it is.
 		buf := c.batch[:cap(c.batch)]
-		if len(buf) < batchRows {
-			buf = make([]storage.Row, min(max(2*len(buf), 2), batchRows))
+		switch {
+		case len(buf) == 0:
+			buf = c.first[:]
+		case c.pos > 0 && len(buf) < batchRows:
+			buf = make([]storage.Row, min(2*len(buf), batchRows))
 		}
 		n, err := c.src.NextBatch(buf)
 		if err != nil || n == 0 {

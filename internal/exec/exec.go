@@ -15,6 +15,9 @@
 // out the stored rows themselves, joins carve theirs from shared slabs,
 // and no operator copies or reuses a row it has read or returned. Run
 // copies the final result once, into one contiguous slab the caller owns.
+// Run also sets the plan up in one frame: one exact-sized slab per kind of
+// operator state (see frame), so the returned schema, when it is a join's,
+// is already the caller's; a scan's or a temporary's is copied.
 package exec
 
 import (
@@ -121,6 +124,8 @@ type DB struct {
 	// open.
 	Trace *obs.Trace
 	Span  *obs.Span
+
+	f frame // what Build carves from while Run compiles
 }
 
 // MatGuard observes materialization points as tuples finish flowing into
@@ -177,8 +182,10 @@ func (db *DB) pageRead(table string, page int32, seq bool) error {
 // Run executes a resolved plan under the bindings and returns all result
 // rows and the output schema. The plan must not contain choose-plan
 // operators; activate the access module first. The rows live in one
-// contiguous slab and the schema is a fresh slice: the caller owns both
-// and aliases no stored table data.
+// contiguous slab and the schema is the run's own: the caller owns both
+// and aliases no stored table data. The plan is set up in one frame (see
+// frame), where a join's schema lives; a scan's or a temporary's schema,
+// which the catalog or the temporary keeps, is copied.
 //
 // Run is the executor boundary: operator panics are recovered and
 // converted into errors wrapping qerr.ErrOperatorPanic, and every
@@ -187,14 +194,16 @@ func (db *DB) pageRead(table string, page int32, seq bool) error {
 func (db *DB) Run(root *physical.Node, b *bindings.Bindings) (rows []storage.Row, schema Schema, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			rows, schema = nil, nil
+			rows, schema, db.f = nil, nil, frame{}
 			err = fmt.Errorf("exec: recovered panic %v: %w", r, qerr.ErrOperatorPanic)
 		}
 	}()
 	if db.Ctx != nil && db.Ctx.Err() != nil {
 		return nil, nil, qerr.FromContext(context.Cause(db.Ctx))
 	}
+	db.f = db.newFrame(root)
 	it, schema, err := db.Build(root, b)
+	db.f = frame{} // nothing carves once the tree opens
 	if err != nil {
 		return nil, nil, err
 	}
@@ -212,20 +221,24 @@ func (db *DB) Run(root *physical.Node, b *bindings.Bindings) (rows []storage.Row
 	if err := it.Close(); err != nil {
 		return nil, nil, err
 	}
-	return detach(out), slices.Clone(schema), nil
+	if !ownsSchema(root) {
+		schema = slices.Clone(schema)
+	}
+	return detach(out), schema, nil
 }
 
 // Build compiles a resolved physical plan into an iterator tree and
 // returns its root. Every compiled operator runs under one opIter, which
 // names it in the errors it raises (see qerr.OpError) and meters it when a
 // collector is installed; the DB's Wrap hook, if any, decorates the
-// operator inside it.
+// operator inside it. Under Run, decorators and serial iterators are
+// carved from the run's frame.
 func (db *DB) Build(n *physical.Node, b *bindings.Bindings) (*opIter, Schema, error) {
 	it, schema, err := db.compile(n, b)
 	if err != nil {
 		return nil, nil, err
 	}
-	op := &opIter{db: db, inner: it, node: n}
+	op := carve(&db.f.ops, opIter{db: db, inner: it, node: n})
 	if db.Obs.Enabled() {
 		op.c = db.Obs.StatsFor(n)
 		op.mem, _ = it.(memReporter)
@@ -298,12 +311,6 @@ func (db *DB) relSchema(relName string) (Schema, error) {
 		return nil, err
 	}
 	return rel.QualifiedNames(), nil
-}
-
-// joinSchema is the schema of a join's output: the left input's columns,
-// then the right's.
-func joinSchema(l, r Schema) Schema {
-	return append(append(make(Schema, 0, len(l)+len(r)), l...), r...)
 }
 
 // predicate resolves a selection predicate "SelAttr <= ?Var" (or a bound

@@ -32,13 +32,13 @@ func (db *DB) buildHashJoin(n *physical.Node, b *bindings.Bindings) (Iterator, S
 	if err != nil {
 		return nil, nil, err
 	}
-	return &hashJoinIter{
+	return carve(&db.f.hashes, hashJoinIter{
 		db: db, build: left, probe: cursor{src: right},
 		buildCol: lcol, probeCol: rcol,
 		buildNode:   n.Children[0],
 		buildSchema: ls,
 		hashSizes:   newHashSizes(n, b),
-	}, joinSchema(ls, rs), nil
+	}), db.joinSchema(ls, rs), nil
 }
 
 // hashSizes is what a hash join — serial or symmetric — knows of its
@@ -237,11 +237,11 @@ func (db *DB) buildMergeJoin(n *physical.Node, b *bindings.Bindings) (Iterator, 
 	if err != nil {
 		return nil, nil, err
 	}
-	return &mergeJoinIter{
+	return carve(&db.f.merges, mergeJoinIter{
 		db:    db,
 		left:  mergeInput{it: left, col: lcol, side: "left"},
 		right: mergeInput{it: right, col: rcol, side: "right"},
-	}, joinSchema(ls, rs), nil
+	}), db.joinSchema(ls, rs), nil
 }
 
 // mergeJoinIter implements the standard sorted-merge equi-join with
@@ -406,9 +406,9 @@ func (db *DB) buildIndexJoin(n *physical.Node, b *bindings.Bindings) (Iterator, 
 	if err != nil {
 		return nil, nil, err
 	}
-	it := &indexJoinIter{
+	it := carve(&db.f.indexes, indexJoinIter{
 		db: db, outer: cursor{src: outer}, table: table, tree: tree, ocol: ocol, residCol: -1,
-	}
+	})
 	if n.SelAttr != "" {
 		col, limit, err := db.predicate(n.SelAttr, n.Var, n.FixedSel, innerSchema, b)
 		if err != nil {
@@ -416,7 +416,7 @@ func (db *DB) buildIndexJoin(n *physical.Node, b *bindings.Bindings) (Iterator, 
 		}
 		it.residCol, it.residLimit = col, limit
 	}
-	return it, joinSchema(os, innerSchema), nil
+	return it, db.joinSchema(os, innerSchema), nil
 }
 
 type indexJoinIter struct {
@@ -508,13 +508,13 @@ func (db *DB) buildSort(n *physical.Node, b *bindings.Bindings) (Iterator, Schem
 	if err != nil {
 		return nil, nil, err
 	}
-	return &sortIter{
+	return carve(&db.f.sorts, sortIter{
 		db: db, child: child, col: col,
 		childNode:   n.Children[0],
 		childSchema: schema,
 		rowBytes:    n.Children[0].RowBytes,
 		memPages:    b.Memory,
-	}, schema, nil
+	}), schema, nil
 }
 
 type sortIter struct {

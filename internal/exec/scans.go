@@ -19,7 +19,7 @@ func (db *DB) buildFileScan(n *physical.Node) (Iterator, Schema, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return &fileScanIter{db: db, table: table}, schema, nil
+	return carve(&db.f.files, fileScanIter{db: db, table: table}), schema, nil
 }
 
 type fileScanIter struct {
@@ -96,10 +96,10 @@ func (db *DB) buildBtreeScan(n *physical.Node) (Iterator, Schema, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return &btreeScanIter{
+	return carve(&db.f.btrees, btreeScanIter{
 		db: db, table: table, tree: tree,
 		lo: math.Inf(-1), hi: math.Inf(1),
-	}, schema, nil
+	}), schema, nil
 }
 
 // buildFilterBtreeScan compiles Filter-B-tree-Scan: an index range scan
@@ -121,10 +121,10 @@ func (db *DB) buildFilterBtreeScan(n *physical.Node, b *bindings.Bindings) (Iter
 	if err != nil {
 		return nil, nil, err
 	}
-	return &btreeScanIter{
+	return carve(&db.f.btrees, btreeScanIter{
 		db: db, table: table, tree: tree,
 		lo: math.Inf(-1), hi: limit, exclusiveHi: true,
-	}, schema, nil
+	}), schema, nil
 }
 
 // btreeScanIter drains an index range eagerly at Open (collecting RIDs,
@@ -213,7 +213,7 @@ func (db *DB) buildFilter(n *physical.Node, b *bindings.Bindings) (Iterator, Sch
 	if err != nil {
 		return nil, nil, err
 	}
-	return &filterIter{db: db, child: child, col: col, limit: limit}, schema, nil
+	return carve(&db.f.filters, filterIter{db: db, child: child, col: col, limit: limit}), schema, nil
 }
 
 type filterIter struct {

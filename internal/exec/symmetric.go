@@ -77,7 +77,7 @@ func (db *DB) buildSymmetricHashJoin(n *physical.Node, b *bindings.Bindings) (It
 		j.inputs[side], schemas[side] = it, s
 	}
 	ex := &exchangeIter{db: db, node: n, kind: "partition-join", setup: j.setup, done: j.done}
-	return ex, joinSchema(schemas[0], schemas[1]), nil
+	return ex, db.joinSchema(schemas[0], schemas[1]), nil
 }
 
 // partitionOf routes a join key to a partition. Plain modulo: key domains

@@ -150,7 +150,8 @@ func TestRunRecordRoundTrip(t *testing.T) {
 		Optimizer:    &OptimizerSpan{Goals: 6, Candidates: 20, ChoosePlansEmitted: 2, PlanNodes: 5},
 		Operators:    c.Tree(root),
 		Decisions: []ChoiceTrace{
-			NewChoice("Choose-Plan (2 alternatives)", []string{"Hash-Join", "Merge-Join"}, []float64{1.5, 2.5}, 0),
+			{Operator: "Choose-Plan (2 alternatives)", Alternatives: []string{"Hash-Join", "Merge-Join"},
+				Costs: []float64{1.5, 2.5}, Reason: string(AppendReason(nil, []float64{1.5, 2.5}, 0))},
 		},
 	}
 
@@ -231,13 +232,14 @@ func TestRenderSharedNodePrintedOnce(t *testing.T) {
 }
 
 func TestNewChoiceReasons(t *testing.T) {
-	tr := NewChoice("Choose-Plan (3 alternatives)",
-		[]string{"a", "b", "c"}, []float64{1.5, 2.5, 2}, 0)
-	if tr.Picked != 0 {
-		t.Errorf("Picked = %d", tr.Picked)
-	}
+	costs := []float64{1.5, 2.5, 2}
+	tr := ChoiceTrace{Operator: "Choose-Plan (3 alternatives)", Alternatives: []string{"a", "b", "c"},
+		Costs: costs, Reason: string(AppendReason(nil, costs, 0))}
 	if tr.Reason != "predicted 1.5s vs runner-up 2s" {
 		t.Errorf("Reason = %q", tr.Reason)
+	}
+	if got := string(AppendReason([]byte("x;"), costs[:1], 0)); got != "x;predicted 1.5s" {
+		t.Errorf("AppendReason without a runner-up = %q", got)
 	}
 
 	out := RenderDecisions([]ChoiceTrace{tr})

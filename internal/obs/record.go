@@ -3,19 +3,24 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"os"
 	"path/filepath"
 	"regexp"
 )
 
 // Digest returns a short stable hash of a plan's formatted shape, the
-// plan-identity key run records and the query log group executions by.
-func Digest(s string) string {
-	h := fnv.New64a()
-	_, _ = io.WriteString(h, s)
-	return fmt.Sprintf("%016x", h.Sum64())
+// plan-identity key run records and the query log group executions by:
+// FNV-1a 64 in 16 hex digits, of text or bytes alike (hashed in place).
+func Digest[T string | []byte](s T) string {
+	h := uint64(14695981039346656037)
+	for i := range len(s) {
+		h = (h ^ uint64(s[i])) * 1099511628211
+	}
+	var hex [16]byte
+	for i := range hex {
+		hex[len(hex)-1-i] = "0123456789abcdef"[h>>(4*i)&15]
+	}
+	return string(hex[:])
 }
 
 // RunRecord is the machine-readable outcome of one measured run: the

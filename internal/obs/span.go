@@ -87,29 +87,21 @@ type ChoiceTrace struct {
 	Reason string `json:"reason"`
 }
 
-// NewChoice builds a ChoiceTrace with a generated reason: the picked
-// branch's cost against the cheapest rejected branch.
-func NewChoice(operator string, alternatives []string, costs []float64, picked int) ChoiceTrace {
+// AppendReason appends to b why a decision picked costs[picked]: its cost
+// against the cheapest rejected branch's. Every activation explains each
+// choose-plan it resolves, so reasons are appended, not formatted.
+func AppendReason(b []byte, costs []float64, picked int) []byte {
 	runnerUp := -1
 	for i, c := range costs {
 		if i != picked && (runnerUp < 0 || c < costs[runnerUp]) {
 			runnerUp = i
 		}
 	}
-	// Every activation builds one reason per choose-plan it resolves, so
-	// it is appended into a stack buffer rather than formatted.
-	var buf [128]byte
-	b := appendSeconds(append(buf[:0], "predicted "...), costs[picked])
+	b = appendSeconds(append(b, "predicted "...), costs[picked])
 	if runnerUp >= 0 {
 		b = appendSeconds(append(b, " vs runner-up "...), costs[runnerUp])
 	}
-	return ChoiceTrace{
-		Operator:     operator,
-		Alternatives: alternatives,
-		Costs:        costs,
-		Picked:       picked,
-		Reason:       string(b),
-	}
+	return b
 }
 
 // appendSeconds appends v as fmt's "%.4gs" would print it (fmt formats

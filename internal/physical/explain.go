@@ -1,10 +1,6 @@
 package physical
 
-import (
-	"fmt"
-
-	"dynplan/internal/bindings"
-)
+import "dynplan/internal/bindings"
 
 // FormatWithCosts renders the DAG like Node.Format but annotates every
 // operator with its output-cardinality and cumulative-cost estimates
@@ -12,9 +8,6 @@ import (
 // point annotations for bound environments (EXPLAIN with costs).
 func (n *Node) FormatWithCosts(m *Model, env *bindings.Env) string {
 	p := mustLower(n)
-	res := m.EvaluateProgram(p, env)
-	return n.render(func(n *Node) string {
-		r := res[p.Index(n)]
-		return fmt.Sprintf("  [rows=%s cost=%s]", r.Card, r.Cost)
-	})
+	b, _ := n.render(nil, nil, 0, p, m.EvaluateProgram(p, env))
+	return string(b)
 }

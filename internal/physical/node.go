@@ -3,7 +3,7 @@ package physical
 import (
 	"fmt"
 	"slices"
-	"strings"
+	"strconv"
 )
 
 // Node is one operator of a physical plan. Plans are directed acyclic
@@ -183,87 +183,94 @@ func (n *Node) alternatives(memo map[*Node]float64) float64 {
 
 // Label renders the operator with its distinguishing detail ("File-Scan
 // R1", "Hash-Join R1.jh = R2.jl (build left)", …) — the name execution
-// errors are attributed to.
-func (n *Node) Label() string { return n.label() }
+// errors are attributed to. It renders into a stack buffer.
+func (n *Node) Label() string { return string(n.appendLabel(make([]byte, 0, 128))) }
 
-// label renders the node's own line for Format.
-func (n *Node) label() string {
+// appendLabel appends the node's own line for Format. Numbers print as
+// fmt's %d and %.3g would print them (fmt formats through strconv too).
+func (n *Node) appendLabel(b []byte) []byte {
 	switch n.Op {
 	case FileScan:
-		return fmt.Sprintf("File-Scan %s", n.Rel)
+		return cat(b, "File-Scan ", n.Rel)
 	case BtreeScan:
-		return fmt.Sprintf("B-tree-Scan %s.%s", n.Rel, n.Attr)
+		return cat(b, "B-tree-Scan ", n.Rel, ".", n.Attr)
 	case FilterBtreeScan:
-		if n.Var == "" {
-			return fmt.Sprintf("Filter-B-tree-Scan %s.%s (sel=%.3g)", n.Rel, n.Attr, n.FixedSel)
-		}
-		return fmt.Sprintf("Filter-B-tree-Scan %s.%s <= ?%s", n.Rel, n.Attr, n.Var)
+		return n.appendPredicate(cat(b, "Filter-B-tree-Scan ", n.Rel, ".", n.Attr))
 	case Filter:
-		if n.Var == "" {
-			return fmt.Sprintf("Filter %s (sel=%.3g)", n.SelAttr, n.FixedSel)
-		}
-		return fmt.Sprintf("Filter %s <= ?%s", n.SelAttr, n.Var)
+		return n.appendPredicate(cat(b, "Filter ", n.SelAttr))
 	case HashJoin:
-		return fmt.Sprintf("Hash-Join %s = %s (build left)", n.LeftAttr, n.RightAttr)
+		return cat(b, "Hash-Join ", n.LeftAttr, " = ", n.RightAttr, " (build left)")
 	case MergeJoin:
-		return fmt.Sprintf("Merge-Join %s = %s", n.LeftAttr, n.RightAttr)
+		return cat(b, "Merge-Join ", n.LeftAttr, " = ", n.RightAttr)
 	case IndexJoin:
-		s := fmt.Sprintf("Index-Join %s = %s (inner %s.%s)", n.LeftAttr, n.RightAttr, n.Rel, n.Attr)
+		b = cat(b, "Index-Join ", n.LeftAttr, " = ", n.RightAttr, " (inner ", n.Rel, ".", n.Attr, ")")
 		if n.Var != "" {
-			s += fmt.Sprintf(" residual %s <= ?%s", n.SelAttr, n.Var)
+			b = n.appendPredicate(cat(b, " residual ", n.SelAttr))
 		}
-		return s
+		return b
 	case Sort:
-		return fmt.Sprintf("Sort %s", n.Attr)
+		return cat(b, "Sort ", n.Attr)
 	case ChoosePlan:
-		return fmt.Sprintf("Choose-Plan (%d alternatives)", len(n.Children))
+		return cat(strconv.AppendInt(cat(b, "Choose-Plan ("), int64(len(n.Children)), 10), " alternatives)")
 	case TempScan:
-		return fmt.Sprintf("Temp-Scan %s (%d rows observed)", n.Rel, n.BaseCard)
+		return cat(strconv.AppendInt(cat(b, "Temp-Scan ", n.Rel, " ("), int64(n.BaseCard), 10), " rows observed)")
 	default:
-		return n.Op.String()
+		return cat(b, n.Op.String())
 	}
+}
+
+// appendPredicate appends a selection's bound: " <= ?var", or the known
+// selectivity of a bound predicate.
+func (n *Node) appendPredicate(b []byte) []byte {
+	if n.Var == "" {
+		return append(strconv.AppendFloat(cat(b, " (sel="), n.FixedSel, 'g', 3, 64), ')')
+	}
+	return cat(b, " <= ?", n.Var)
+}
+
+// cat appends the strings to b.
+func cat(b []byte, parts ...string) []byte {
+	for _, s := range parts {
+		b = append(b, s...)
+	}
+	return b
 }
 
 // Format renders the DAG as an indented tree. Shared subplans are printed
 // once and referenced by a stable id afterwards, so the output size stays
 // proportional to the DAG, not to the tree expansion.
-func (n *Node) Format() string { return n.render(nil) }
+func (n *Node) Format() string { return string(n.AppendFormat(make([]byte, 0, 4096))) }
 
-// render formats the DAG, appending annotate's text, when given, to every
-// operator's line.
-func (n *Node) render(annotate func(*Node) string) string {
-	var b strings.Builder
-	ids := make(map[*Node]int)
-	n.assignIDs(ids)
-	n.format(&b, 0, ids, make(map[*Node]bool), annotate)
-	return b.String()
+// AppendFormat appends the Format rendering of the DAG to b.
+func (n *Node) AppendFormat(b []byte) []byte {
+	b, _ = n.render(b, make([]*Node, 0, 64), 0, nil, nil)
+	return b
 }
 
-func (n *Node) assignIDs(ids map[*Node]int) {
-	if _, ok := ids[n]; ok {
-		return
+// render appends the subplan at n, indented to depth, to b, annotated with
+// the estimates res when p, the plan's lowering, is given. A node's id is
+// its position in seen, the nodes printed so far, plus one; a linear
+// search there beats hashing a resolved plan's few dozen nodes. The
+// slices pass by value and return, so a caller's stack buffers stay put.
+func (n *Node) render(b []byte, seen []*Node, depth int, p *Program, res []Result) ([]byte, []*Node) {
+	for range depth {
+		b = append(b, "  "...)
 	}
-	ids[n] = len(ids) + 1
+	b = append(b, '@')
+	if i := slices.Index(seen, n); i >= 0 {
+		return cat(strconv.AppendInt(b, int64(i+1), 10), " (shared ", n.Op.String(), ")\n"), seen
+	}
+	seen = append(seen, n)
+	b = n.appendLabel(append(strconv.AppendInt(b, int64(len(seen)), 10), ' '))
+	if p != nil {
+		r := res[p.Index(n)]
+		b = cat(b, "  [rows=", r.Card.String(), " cost=", r.Cost.String(), "]")
+	}
+	b = append(b, '\n')
 	for _, c := range n.Children {
-		c.assignIDs(ids)
+		b, seen = c.render(b, seen, depth+1, p, res)
 	}
-}
-
-func (n *Node) format(b *strings.Builder, depth int, ids map[*Node]int, printed map[*Node]bool, annotate func(*Node) string) {
-	indent := strings.Repeat("  ", depth)
-	if printed[n] {
-		fmt.Fprintf(b, "%s@%d (shared %s)\n", indent, ids[n], n.Op)
-		return
-	}
-	printed[n] = true
-	note := ""
-	if annotate != nil {
-		note = annotate(n)
-	}
-	fmt.Fprintf(b, "%s@%d %s%s\n", indent, ids[n], n.label(), note)
-	for _, c := range n.Children {
-		c.format(b, depth+1, ids, printed, annotate)
-	}
+	return b, seen
 }
 
 // Validate checks the structural invariants of a plan DAG — child counts

@@ -219,7 +219,9 @@ func compareGolden(t *testing.T, key string, want, got goldenModule) {
 
 // TestActivateAllocations pins the allocation count of the hot path: a
 // plain activation of the 10-relation module (925 nodes) allocates for its
-// report — the chosen spine, the picks, the trace — and nothing per node.
+// report — the chosen spine, the picks, the trace and its one reason
+// string — and nothing per node or per decision. It measures 7; the bound
+// leaves 3 for a draw whose report outgrows its slabs.
 func TestActivateAllocations(t *testing.T) {
 	mod := paperModule(t, 10)
 	b := bindings.NewGenerator(7, workload.Variables(10), true).Next()
@@ -228,8 +230,8 @@ func TestActivateAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 32 {
-		t.Errorf("plain activation of the 10-relation module: %.0f allocs, want <= 32", allocs)
+	if allocs > 10 {
+		t.Errorf("plain activation of the 10-relation module: %.0f allocs, want <= 10", allocs)
 	}
 }
 

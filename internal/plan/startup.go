@@ -159,6 +159,11 @@ type evaluator struct {
 	// both, copied into one slab.
 	decided, post []float64
 
+	// reasons holds the decisions' reasons back to back, each ending at
+	// its reasonEnds entry; run makes them one string the trace slices.
+	reasons    []byte
+	reasonEnds []int32
+
 	// What the report keeps: the picks and the trace, and the slabs the
 	// chosen plan's cloned spine and its child lists are cut from.
 	picked   []*physical.Node
@@ -170,10 +175,11 @@ type evaluator struct {
 func newEvaluator(p *program) *evaluator {
 	// What materializing collects is sized like the report's slabs — the
 	// chosen plan's nodes a few times r, its decisions' costs about r² —
-	// so a typical activation never grows it.
+	// so a typical activation never grows it. A reason is at most 48 bytes.
 	c := p.chunk()
-	scratch := make([]float64, 2*c+c*c)
-	return &evaluator{p: p, Eval: p.NewEval(), isUsed: make([]bool, len(p.Nodes)), used: make([]int32, 0, 3*c),
+	scratch, ints := make([]float64, 2*c+c*c), make([]int32, 4*c)
+	return &evaluator{p: p, Eval: p.NewEval(), isUsed: make([]bool, len(p.Nodes)),
+		used: ints[: 0 : 3*c], reasonEnds: ints[3*c : 3*c], reasons: make([]byte, 0, 48*c),
 		post: scratch[: 0 : 2*c], decided: scratch[2*c : 2*c]}
 }
 
@@ -190,16 +196,19 @@ func (e *evaluator) run(params physical.Params) *StartupReport {
 	e.params = params
 	clear(e.isUsed)
 	e.used, e.decided, e.post = e.used[:0], e.decided[:0], e.post[:0]
+	e.reasons, e.reasonEnds = e.reasons[:0], e.reasonEnds[:0]
 	p := e.p
 	p.Sweep(&e.params, &e.Eval)
 	chosen, _, cost := e.materialize(int32(len(p.Nodes) - 1))
 	// One slab holds the floats the report keeps: every decision's costs,
-	// then the chosen plan's cardinalities.
+	// then the chosen plan's cardinalities. One string holds the reasons.
 	slab := make([]float64, len(e.decided)+len(e.post))
 	copy(slab[copy(slab, e.decided):], e.post)
+	reasons, from := string(e.reasons), int32(0)
 	for k := range e.trace {
 		n := len(e.trace[k].Costs)
 		e.trace[k].Costs, slab = slab[:n:n], slab[n:]
+		e.trace[k].Reason, from = reasons[from:e.reasonEnds[k]], e.reasonEnds[k]
 	}
 	return &StartupReport{
 		Chosen:         chosen,
@@ -270,8 +279,12 @@ func (e *evaluator) decide(i int32) int32 {
 		e.picked = make([]*physical.Node, 0, chunk)
 	}
 	labels := e.p.choice(i)
-	// The trace's costs point into decided until run moves them.
-	e.trace = append(e.trace, obs.NewChoice(labels.operator, labels.alternatives, e.decided[from:], best))
+	// The trace's costs point into decided, and its reason is in reasons,
+	// until run moves both.
+	e.reasons = obs.AppendReason(e.reasons, e.decided[from:], best)
+	e.reasonEnds = append(e.reasonEnds, int32(len(e.reasons)))
+	e.trace = append(e.trace, obs.ChoiceTrace{Operator: labels.operator, Alternatives: labels.alternatives,
+		Costs: e.decided[from:], Picked: best})
 	e.picked = append(e.picked, e.p.Nodes[kids[best]])
 	return kids[best]
 }

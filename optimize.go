@@ -208,7 +208,8 @@ func (m *Module) Shrink() (*Module, error) {
 type Bindings struct {
 	// Selectivities maps each host variable to the selectivity its bound
 	// value implies. Use BindValue-style conversion (value ÷ domain) when
-	// working with literals.
+	// working with literals. Exec reads the map during the call and
+	// neither writes nor keeps it, so one map may serve concurrent calls.
 	Selectivities map[string]float64
 	// MemoryPages is the memory available to this invocation.
 	MemoryPages float64
@@ -219,19 +220,19 @@ type Bindings struct {
 // public entry point that takes Bindings converts exactly once and hands
 // the converted value down — so a selectivity outside [0, 1] or a memory
 // that is negative or not finite (NaN included) surfaces as
-// ErrInvalidBindings instead of reaching the cost model.
+// ErrInvalidBindings instead of reaching the cost model. The result aliases
+// the caller's map: nothing below writes or keeps a Sel map it was handed
+// (reopt.Controller.CorrectBindings copies before it corrects).
 func (b Bindings) internal() (*bindings.Bindings, error) {
 	if !(b.MemoryPages >= 0) || math.IsInf(b.MemoryPages, 1) { // also rejects NaN
 		return nil, fmt.Errorf("%w: memory of %g pages is not a finite, non-negative size", ErrInvalidBindings, b.MemoryPages)
 	}
-	ib := &bindings.Bindings{Sel: make(map[string]float64, len(b.Selectivities)), Memory: b.MemoryPages}
 	for v, s := range b.Selectivities {
 		if !(s >= 0 && s <= 1) { // also rejects NaN
 			return nil, fmt.Errorf("%w: selectivity %g for host variable %q is outside [0, 1]", ErrInvalidBindings, s, v)
 		}
-		ib.Sel[v] = s
 	}
-	return ib, nil
+	return &bindings.Bindings{Sel: b.Selectivities, Memory: b.MemoryPages}, nil
 }
 
 // Activation is the outcome of starting a plan: the chosen alternative

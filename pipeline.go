@@ -981,7 +981,7 @@ func runStage(ctx context.Context, st *execState, _ pipelineFunc) (*ExecResult, 
 		planCost = cost.Point(predicted)
 	}
 	out.Operators = collector.Tree(st.root)
-	out.PlanDigest = obs.Digest(st.root.Format())
+	out.PlanDigest = obs.Digest(st.root.AppendFormat(make([]byte, 0, 4096))) // Format's digest, on the stack
 	out.Calibration = obs.Calibrate(out.Operators, planCost.Lo, planCost.Hi, out.SimulatedSeconds(db.sys.params))
 	return out, nil
 }
