@@ -100,20 +100,21 @@ func (s *queryServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
+	// Cut the result to the rows echoed back before projecting it, so the
+	// projection copies those rows and no others.
+	maxRows := 10
+	if req.MaxRows != nil {
+		maxRows = *req.MaxRows
+	}
+	rowCount := len(res.Rows)
+	if maxRows >= 0 && rowCount > maxRows {
+		res.Rows = res.Rows[:maxRows]
+	}
 	if proj := p.Query().Projection(); len(proj) > 0 {
 		if res, err = res.Project(proj); err != nil {
 			httpError(w, http.StatusInternalServerError, err)
 			return
 		}
-	}
-
-	maxRows := 10
-	if req.MaxRows != nil {
-		maxRows = *req.MaxRows
-	}
-	rows := res.Rows
-	if maxRows >= 0 && len(rows) > maxRows {
-		rows = rows[:maxRows]
 	}
 	writeJSON(w, http.StatusOK, queryResponse{
 		Tenant:         res.Tenant,
@@ -121,8 +122,8 @@ func (s *queryServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		CacheHit:       res.PlanCacheHit,
 		PreparedReused: reused,
 		Columns:        res.Columns,
-		RowCount:       len(res.Rows),
-		Rows:           rows,
+		RowCount:       rowCount,
+		Rows:           res.Rows,
 		ElapsedMS:      float64(time.Since(start).Microseconds()) / 1000,
 	})
 }

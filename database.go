@@ -228,7 +228,9 @@ func (db *Database) BuildIndexes() error {
 
 // ExecResult carries an execution's output and its simulated-I/O account.
 type ExecResult struct {
-	// Rows are the result records; Columns names them ("R1.a", …).
+	// Rows are the result records; Columns names them ("R1.a", …). The
+	// caller owns the rows and may write into them: they alias no stored
+	// table data, no temporary and no other result.
 	Rows    [][]int64
 	Columns []string
 	// SeqPageReads, RandPageReads, PageWrites and TupleOps are the
@@ -331,7 +333,8 @@ func (r *ExecResult) SimulatedSeconds(p Params) float64 {
 
 // Project returns a copy of the result restricted (and reordered) to the
 // given qualified columns, implementing the logical Project operator of
-// the paper's algebra at the result boundary.
+// the paper's algebra at the result boundary. An empty column list
+// projects nothing away: Project returns the receiver itself, not a copy.
 func (r *ExecResult) Project(cols []string) (*ExecResult, error) {
 	if len(cols) == 0 {
 		return r, nil

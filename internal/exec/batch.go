@@ -100,7 +100,8 @@ func (s *slab) concat(a, b storage.Row) storage.Row {
 
 // detach copies rows into one contiguous slab and re-points them there,
 // capacity-clipped, so a caller owns its result outright: no row aliases a
-// stored table row or an operator's slab.
+// stored table row or a temporary's. Run calls it only for a result that
+// may hold such rows; a join's are the run's own already.
 func detach(rows []storage.Row) []storage.Row {
 	total := 0
 	for _, r := range rows {

@@ -13,11 +13,14 @@
 // paradigm of the Volcano system the optimizer generator belongs to with
 // a vector of rows per call instead of one. Rows are immutable: scans hand
 // out the stored rows themselves, joins carve theirs from shared slabs,
-// and no operator copies or reuses a row it has read or returned. Run
-// copies the final result once, into one contiguous slab the caller owns.
-// Run also sets the plan up in one frame: one exact-sized slab per kind of
-// operator state (see frame), so the returned schema, when it is a join's,
-// is already the caller's; a scan's or a temporary's is copied.
+// and no operator copies or reuses a row it has read or returned. The
+// caller owns what Run returns, and Run copies a result row at most once
+// to make it so: a join's rows, which its run built and nothing else
+// keeps, are returned as they are, under a Filter or a Sort too; only a
+// result of stored rows — a scan's or a temporary's — is copied, into one
+// contiguous slab. Run also sets the plan up in one frame: one exact-sized
+// slab per kind of operator state (see frame), so a join's schema is the
+// caller's as it is; a scan's or a temporary's is copied with its rows.
 package exec
 
 import (
@@ -181,11 +184,15 @@ func (db *DB) pageRead(table string, page int32, seq bool) error {
 
 // Run executes a resolved plan under the bindings and returns all result
 // rows and the output schema. The plan must not contain choose-plan
-// operators; activate the access module first. The rows live in one
-// contiguous slab and the schema is the run's own: the caller owns both
-// and aliases no stored table data. The plan is set up in one frame (see
-// frame), where a join's schema lives; a scan's or a temporary's schema,
-// which the catalog or the temporary keeps, is copied.
+// operators; activate the access module first. The caller owns the rows
+// and the schema, which alias no stored table data, no temporary and no
+// other run. When the plan outputs a join's rows (see ownsResult) they
+// and the join's schema, carved from the run's frame, are returned as
+// they are; otherwise the rows are stored ones and are copied once, into
+// one contiguous slab (see detach), and the schema, which the catalog or
+// the temporary keeps, is copied too. The header slice is sized exactly
+// when the root is a Sort, whose input is buffered once the tree opens;
+// a streaming root's grows as it drains.
 //
 // Run is the executor boundary: operator panics are recovered and
 // converted into errors wrapping qerr.ErrOperatorPanic, and every
@@ -214,17 +221,24 @@ func (db *DB) Run(root *physical.Node, b *bindings.Bindings) (rows []storage.Row
 	if err := it.Open(); err != nil {
 		return nil, nil, err
 	}
-	out, err := drain(it, nil)
+	var out []storage.Row
+	if s, ok := it.inner.(*sortIter); ok {
+		// A Sort has buffered its whole input by now: one header per row,
+		// and one spare for the end-of-stream call, or drain would double
+		// a full slice.
+		out = make([]storage.Row, 0, len(s.rows)+1)
+	}
+	out, err = drain(it, out)
 	if err != nil {
 		return nil, nil, err
 	}
 	if err := it.Close(); err != nil {
 		return nil, nil, err
 	}
-	if !ownsSchema(root) {
-		schema = slices.Clone(schema)
+	if !ownsResult(root) {
+		schema, out = slices.Clone(schema), detach(out)
 	}
-	return detach(out), schema, nil
+	return out, schema, nil
 }
 
 // Build compiles a resolved physical plan into an iterator tree and

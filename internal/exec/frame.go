@@ -113,10 +113,12 @@ func (db *DB) joinSchema(l, r Schema) Schema {
 	return append(append(s, l...), r...)
 }
 
-// ownsSchema reports whether a plan outputs a join's schema, which its run
-// built. A scan's schema is the catalog's and a Temp-Scan's the
-// temporary's; a Filter or a Sort passes its input's on.
-func ownsSchema(n *physical.Node) bool {
+// ownsResult reports whether a plan outputs a join's rows under a join's
+// schema, both of which its run built and nothing else keeps: a join
+// carves every output row afresh from its own slab. A scan hands out the
+// stored rows under the catalog's schema and a Temp-Scan the temporary's;
+// a Filter or a Sort passes its input's on.
+func ownsResult(n *physical.Node) bool {
 	for n.Op == physical.Filter || n.Op == physical.Sort {
 		n = n.Children[0]
 	}

@@ -948,7 +948,7 @@ func runStage(ctx context.Context, st *execState, _ pipelineFunc) (*ExecResult, 
 	}
 	out := &ExecResult{
 		Columns:              schema,
-		Rows:                 rows, // Run's own slab: the result owns it
+		Rows:                 rows, // the caller's: Run returned a join's rows as built, or copied stored ones
 		SeqPageReads:         acc.SeqPageReads(),
 		RandPageReads:        acc.RandPageReads(),
 		PageWrites:           acc.PageWrites(),
