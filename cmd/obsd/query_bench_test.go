@@ -5,20 +5,19 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 )
 
-// BenchmarkQueryHandler serves POST /query in-process through the handler
-// obsd serves, on the database the benchmark's obsd serves (-seed 7
-// -stale 1): the twelve http_service statements in turn, each under ten
-// seeded bindings, with the default max_rows. It reports what the handler
-// allocates per request — parse of the body, plan-cache hit, governed
-// execution, projection and the JSON reply — with no socket in the way,
-// so the handler can be profiled with -memprofile or -cpuprofile.
-func BenchmarkQueryHandler(b *testing.B) {
+// queryRig is the database the benchmark's obsd serves (-seed 7 -stale 1)
+// and the POST /query bodies of the twelve http_service statements, each
+// under ten seeded bindings with the default max_rows, every statement
+// already prepared: the service's steady state.
+func queryRig(tb testing.TB) (*daemon, [][]byte) {
+	tb.Helper()
 	d, err := newDaemon([]string{"-n", "0", "-stale", "1"})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	var bodies [][]byte
 	for si, s := range serviceStatements() {
@@ -27,19 +26,55 @@ func BenchmarkQueryHandler(b *testing.B) {
 			bodies = append(bodies, serviceBody(s, rng, nil))
 		}
 	}
-	// Warm the statement map and the plan cache: the service's steady
-	// state is every statement prepared.
 	for _, body := range bodies {
-		if rec := serve(d, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body))); rec.Code != http.StatusOK {
-			b.Fatalf("status %d: %s", rec.Code, rec.Body)
-		}
+		serveQuery(tb, d, body)
 	}
+	return d, bodies
+}
+
+// serveQuery serves one POST /query in-process and fails on a non-200.
+func serveQuery(tb testing.TB, d *daemon, body []byte) {
+	tb.Helper()
+	if rec := serve(d, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body))); rec.Code != http.StatusOK {
+		tb.Fatalf("status %d: %s", rec.Code, rec.Body)
+	}
+}
+
+// BenchmarkQueryHandler serves the rig's requests in turn through the
+// handler obsd serves. It reports what the handler allocates per request
+// — parse of the body, plan-cache hit, governed execution, projection and
+// the JSON reply — with no socket in the way, so the handler can be
+// profiled with -memprofile or -cpuprofile.
+func BenchmarkQueryHandler(b *testing.B) {
+	d, bodies := queryRig(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		body := bodies[i%len(bodies)]
-		if rec := serve(d, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body))); rec.Code != http.StatusOK {
-			b.Fatalf("status %d: %s", rec.Code, rec.Body)
-		}
+		serveQuery(b, d, bodies[i%len(bodies)])
+	}
+}
+
+// TestQueryHandlerBytes pins what the handler allocates per request over
+// the rig's requests, in bytes. The executor starts each buffer at the
+// start-up sweep's predicted rows and returns a root Sort's buffer as the
+// result: 85.6 KB per request. Growing every buffer from eight rows and
+// copying a sorted result's headers measured 118 KB, over the bound.
+// Skipped under the race detector, whose instrumentation allocates.
+func TestQueryHandlerBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	d, bodies := queryRig(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, body := range bodies {
+		serveQuery(t, d, body)
+	}
+	runtime.ReadMemStats(&after)
+	perRequest := (after.TotalAlloc - before.TotalAlloc) / uint64(len(bodies))
+	const bound = 93_000
+	t.Logf("%d requests, %d B per request (bound %d)", len(bodies), perRequest, bound)
+	if perRequest > bound {
+		t.Errorf("%d B per request, want <= %d", perRequest, bound)
 	}
 }

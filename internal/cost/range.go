@@ -31,18 +31,6 @@ func NewRange(lo, hi float64) Range {
 // IsPoint reports whether the parameter is fully bound.
 func (r Range) IsPoint() bool { return r.Lo == r.Hi }
 
-// Mul returns the product range under the assumption that both operands
-// are non-negative, which holds for all parameters in this system
-// (cardinalities, selectivities, page counts).
-func (r Range) Mul(s Range) Range {
-	return Range{Lo: r.Lo * s.Lo, Hi: r.Hi * s.Hi}
-}
-
-// MulScalar scales both bounds by a non-negative factor.
-func (r Range) MulScalar(f float64) Range {
-	return Range{Lo: r.Lo * f, Hi: r.Hi * f}
-}
-
 // Contains reports whether v lies within the range.
 func (r Range) Contains(v float64) bool { return r.Lo <= v && v <= r.Hi }
 

@@ -1,7 +1,7 @@
 package exec
 
 import (
-	"slices"
+	"math/bits"
 
 	"dynplan/internal/storage"
 )
@@ -12,20 +12,22 @@ import (
 // buffers only a few kilobytes per worker.
 const batchRows = 64
 
-// minBatch is the row count drains and join slabs start at; they grow
-// geometrically from it, so an operator that sees few rows — a near-empty
-// 10-way join has a dozen — allocates a few hundred bytes, not a full
-// vector.
+// minBatch is the row count drains and join slabs start at when nothing
+// predicts their size; they grow geometrically from it, so an operator
+// that sees few rows — a near-empty 10-way join has a dozen — allocates a
+// few hundred bytes, not a full vector.
 const minBatch = 8
 
 // drain appends the rest of the input's stream to rows. The input writes
-// straight into rows' spare capacity, which doubles from minBatch, so a
-// drain of n rows makes O(log n) calls and allocations. Rows produced by a
-// failing call are kept: they were read, and their work was charged.
+// straight into rows' spare capacity; a full rows moves to the next
+// capacity minBatch·2^k, whether it started at minBatch or at a
+// prediction (see startRows), so a drain of n rows makes O(log n) calls
+// and allocations. Rows produced by a failing call are kept: they were
+// read, and their work was charged.
 func drain(it Iterator, rows []storage.Row) ([]storage.Row, error) {
 	for {
 		if len(rows) == cap(rows) {
-			rows = slices.Grow(rows, max(minBatch, len(rows)))
+			rows = append(make([]storage.Row, 0, minBatch<<bits.Len(uint(len(rows)/minBatch))), rows...)
 		}
 		n, err := it.NextBatch(rows[len(rows):cap(rows)])
 		rows = rows[:len(rows)+n]

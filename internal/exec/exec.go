@@ -21,6 +21,10 @@
 // contiguous slab. Run also sets the plan up in one frame: one exact-sized
 // slab per kind of operator state (see frame), so a join's schema is the
 // caller's as it is; a scan's or a temporary's is copied with its rows.
+// The buffers that hold a whole input — a Sort's, a hash join's build
+// side, a streaming root's result — start at the start-up sweep's
+// predicted rows when the caller passes them (DB.Cards), and grow from
+// minBatch otherwise; a root Sort's buffer is returned as the result.
 package exec
 
 import (
@@ -128,6 +132,12 @@ type DB struct {
 	Trace *obs.Trace
 	Span  *obs.Span
 
+	// Cards, when set, are the plan's predicted rows per operator in
+	// post-order (plan.StartupReport.Cards); they size the next serial
+	// Run's buffers and nothing else (see startRows). Run clears them once
+	// the plan is built: no later Run or Materialize reads them.
+	Cards []float64
+
 	f frame // what Build carves from while Run compiles
 }
 
@@ -190,9 +200,9 @@ func (db *DB) pageRead(table string, page int32, seq bool) error {
 // and the join's schema, carved from the run's frame, are returned as
 // they are; otherwise the rows are stored ones and are copied once, into
 // one contiguous slab (see detach), and the schema, which the catalog or
-// the temporary keeps, is copied too. The header slice is sized exactly
-// when the root is a Sort, whose input is buffered once the tree opens;
-// a streaming root's grows as it drains.
+// the temporary keeps, is copied too. A root Sort's sorted buffer is
+// returned as it is; a streaming root's rows are drained into a slice
+// sized as startRows says.
 //
 // Run is the executor boundary: operator panics are recovered and
 // converted into errors wrapping qerr.ErrOperatorPanic, and every
@@ -201,16 +211,21 @@ func (db *DB) pageRead(table string, page int32, seq bool) error {
 func (db *DB) Run(root *physical.Node, b *bindings.Bindings) (rows []storage.Row, schema Schema, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			rows, schema, db.f = nil, nil, frame{}
+			rows, schema, db.f, db.Cards = nil, nil, frame{}, nil
 			err = fmt.Errorf("exec: recovered panic %v: %w", r, qerr.ErrOperatorPanic)
 		}
 	}()
 	if db.Ctx != nil && db.Ctx.Err() != nil {
+		db.Cards = nil
 		return nil, nil, qerr.FromContext(context.Cause(db.Ctx))
 	}
 	db.f = db.newFrame(root)
 	it, schema, err := db.Build(root, b)
-	db.f = frame{} // nothing carves once the tree opens
+	var out []storage.Row
+	if err == nil && root.Op != physical.Sort {
+		out = db.startRows(root, b) // sized to the root's prediction
+	}
+	db.f, db.Cards = frame{}, nil // nothing carves or predicts once the tree opens
 	if err != nil {
 		return nil, nil, err
 	}
@@ -221,12 +236,11 @@ func (db *DB) Run(root *physical.Node, b *bindings.Bindings) (rows []storage.Row
 	if err := it.Open(); err != nil {
 		return nil, nil, err
 	}
-	var out []storage.Row
 	if s, ok := it.inner.(*sortIter); ok {
-		// A Sort has buffered its whole input by now: one header per row,
-		// and one spare for the end-of-stream call, or drain would double
-		// a full slice.
-		out = make([]storage.Row, 0, len(s.rows)+1)
+		// A Sort has buffered and sorted its whole input by now, so its
+		// buffer is the result: the drain copies the rows onto themselves
+		// in the two calls the meters count.
+		out = s.rows[:0]
 	}
 	out, err = drain(it, out)
 	if err != nil {
@@ -252,6 +266,7 @@ func (db *DB) Build(n *physical.Node, b *bindings.Bindings) (*opIter, Schema, er
 	if err != nil {
 		return nil, nil, err
 	}
+	db.f.built++
 	op := carve(&db.f.ops, opIter{db: db, inner: it, node: n})
 	if db.Obs.Enabled() {
 		op.c = db.Obs.StatsFor(n)

@@ -1,13 +1,20 @@
 package exec
 
-import "dynplan/internal/physical"
+import (
+	"dynplan/internal/bindings"
+	"dynplan/internal/physical"
+	"dynplan/internal/storage"
+)
 
 // frame is one run's set-up memory: one exact-sized slab per kind — the
-// operator decorators, the iterators of each serial operator kind, the
-// names behind every join schema — counted by one walk of the plan. Only
-// the goroutine that calls Build carves: Run empties the frame before the
-// tree opens and worker clones start empty, so what exchange workers build
-// in their own goroutines is allocated one by one.
+// operator decorators, the iterators of each serial operator kind but the
+// Temp-Scan, the names behind every join schema — counted by one walk of
+// the plan. Only the goroutine that calls Build carves: Run empties the
+// frame before the tree opens and worker clones start empty, so what
+// exchange workers build in their own goroutines is allocated one by one.
+// So is a Temp-Scan, which only re-optimization splices in: its slab would
+// push every query's DB into the next size class. built is Build's
+// post-order cursor into DB.Cards.
 type frame struct {
 	ops     []opIter
 	files   []fileScanIter
@@ -17,15 +24,19 @@ type frame struct {
 	hashes  []hashJoinIter
 	merges  []mergeJoinIter
 	indexes []indexJoinIter
-	temps   []tempScanIter
 	names   []string
+	built   int
 }
 
 // newFrame sizes a frame for compiling root; a kind the plan lacks gets an
-// empty slab, which allocates nothing.
+// empty slab, which allocates nothing. It drops DB.Cards unless the run is
+// serial and they hold one prediction per operator count walks.
 func (db *DB) newFrame(root *physical.Node) frame {
 	var c census
 	db.count(root, &c)
+	if db.Parallel > 1 || len(db.Cards) != c.ops {
+		db.Cards = nil
+	}
 	return frame{
 		ops:     make([]opIter, c.ops),
 		files:   make([]fileScanIter, c.iters[physical.FileScan]),
@@ -35,9 +46,39 @@ func (db *DB) newFrame(root *physical.Node) frame {
 		hashes:  make([]hashJoinIter, c.iters[physical.HashJoin]),
 		merges:  make([]mergeJoinIter, c.iters[physical.MergeJoin]),
 		indexes: make([]indexJoinIter, c.iters[physical.IndexJoin]),
-		temps:   make([]tempScanIter, c.iters[physical.TempScan]),
 		names:   make([]string, c.names),
 	}
+}
+
+// startRows returns the buffer a drain of n, the operator Build finished
+// last, starts at: its predicted rows, scaled by stored, and a quarter
+// more (one row over the start doubles the buffer), at most the 24-byte
+// row headers b's grant holds; nil, growth from minBatch, for no
+// prediction, one of at most minBatch rows, or a start that small.
+func (db *DB) startRows(n *physical.Node, b *bindings.Bindings) []storage.Row {
+	if db.f.built > len(db.Cards) || !(db.Cards[db.f.built-1] > minBatch) {
+		return nil
+	}
+	rows := int(min(1.25*db.Cards[db.f.built-1]*db.stored(n)+1, b.Memory*storage.PageBytes/24))
+	if rows <= minBatch {
+		return nil
+	}
+	return make([]storage.Row, 0, rows)
+}
+
+// stored is the factor a stale catalog puts n's cardinality off by: the
+// product, over the relations n reads, of stored rows over costed rows.
+func (db *DB) stored(n *physical.Node) float64 {
+	f := 1.0
+	if n.Op.IsScan() || n.Op == physical.IndexJoin {
+		if t, err := db.Store.Table(n.Rel); err == nil && n.BaseCard > 0 {
+			f = float64(t.NumRows()) / float64(n.BaseCard)
+		}
+	}
+	for _, c := range n.Children {
+		f *= db.stored(c)
+	}
+	return f
 }
 
 // census counts decorators, serial iterators by operator and join names.
@@ -58,7 +99,6 @@ func (db *DB) count(n *physical.Node, c *census) (width int) {
 		}
 		return db.width(n.Rel)
 	case op == physical.TempScan:
-		c.iters[op]++
 		if t, ok := db.Temps[n.Rel]; ok {
 			return len(t.Schema)
 		}

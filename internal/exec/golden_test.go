@@ -143,9 +143,10 @@ func digestRows(schema Schema, rows []storage.Row) string {
 }
 
 // goldenExec runs one resolved plan on a fresh accountant at the given
-// degree of parallelism (1 = serial, metered).
-func goldenExec(base *DB, root *physical.Node, b *bindings.Bindings, dop int) goldenRun {
-	db := &DB{Catalog: base.Catalog, Store: base.Store, Indexes: base.Indexes, Acc: &storage.Accountant{}}
+// degree of parallelism (1 = serial, metered), with cards as its
+// predicted cardinalities.
+func goldenExec(base *DB, root *physical.Node, b *bindings.Bindings, dop int, cards []float64) goldenRun {
+	db := &DB{Catalog: base.Catalog, Store: base.Store, Indexes: base.Indexes, Acc: &storage.Accountant{}, Cards: cards}
 	if dop > 1 {
 		db.Parallel = dop
 	} else {
@@ -199,13 +200,13 @@ func TestExecGolden(t *testing.T) {
 				t.Fatalf("%s draw %d: %v", in.name, i, err)
 			}
 			for _, dop := range []int{1, 2, 4} {
-				got[fmt.Sprintf("%s/draw%02d/dop=%d", in.name, i, dop)] = goldenExec(base, rep.Chosen, b, dop)
+				got[fmt.Sprintf("%s/draw%02d/dop=%d", in.name, i, dop)] = goldenExec(base, rep.Chosen, b, dop, nil)
 			}
 		}
 	}
 	for name, p := range goldenPlans(w) {
 		for key, b := range goldenHandBindings() {
-			got[fmt.Sprintf("hand/%s/%s", name, key)] = goldenExec(base, p, b, 1)
+			got[fmt.Sprintf("hand/%s/%s", name, key)] = goldenExec(base, p, b, 1, nil)
 		}
 	}
 	checkGolden(t, goldenPath, got)

@@ -20,6 +20,7 @@ func (db *DB) buildHashJoin(n *physical.Node, b *bindings.Bindings) (Iterator, S
 	if err != nil {
 		return nil, nil, err
 	}
+	buildRows := db.startRows(n.Children[0], b) // sized to the build side's prediction
 	right, rs, err := db.Build(n.Children[1], b)
 	if err != nil {
 		return nil, nil, err
@@ -38,6 +39,7 @@ func (db *DB) buildHashJoin(n *physical.Node, b *bindings.Bindings) (Iterator, S
 		buildNode:   n.Children[0],
 		buildSchema: ls,
 		hashSizes:   newHashSizes(n, b),
+		rows:        buildRows,
 	}), db.joinSchema(ls, rs), nil
 }
 
@@ -514,6 +516,7 @@ func (db *DB) buildSort(n *physical.Node, b *bindings.Bindings) (Iterator, Schem
 		childSchema: schema,
 		rowBytes:    n.Children[0].RowBytes,
 		memPages:    b.Memory,
+		rows:        db.startRows(n.Children[0], b), // sized to the input's prediction
 	}), schema, nil
 }
 

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"dynplan/internal/bindings"
@@ -41,7 +42,10 @@ func storedDigest(t *testing.T, db *DB, rels ...string) string {
 // returns as built (joins, a Sort over one, a parallel join) — the test
 // writes into every returned row and schema entry, then re-runs the plan:
 // the re-run must return the rows of the first, and the stored tables and
-// the temporary must be unchanged.
+// the temporary must be unchanged. A root Sort hands Run its own buffer,
+// sized from the predictions when there are some, so a Sort over a scan
+// and one over a join also run with every operator predicted at 600 rows;
+// Run must clear the predictions once used.
 func TestRunResultIsOwned(t *testing.T) {
 	w := workload.New(11)
 	db := testDB(t, w)
@@ -66,24 +70,27 @@ func TestRunResultIsOwned(t *testing.T) {
 	}
 	hash := join(physical.HashJoin, filter("R1", "v1", scan("R1")), filter("R2", "v2", scan("R2")))
 	cases := []struct {
-		name  string
-		root  *physical.Node
-		dop   int
-		built bool // the run built the root's rows, so Run returns them uncopied
+		name   string
+		root   *physical.Node
+		dop    int
+		built  bool // the run built the root's rows, so Run returns them uncopied
+		hinted bool // every run gets predictions
 	}{
-		{"file-scan", scan("R1"), 1, false},
-		{"filter/file-scan", filter("R1", "v1", scan("R1")), 1, false},
-		{"btree-scan", &physical.Node{Op: physical.BtreeScan, Rel: "R1", Attr: "jh", BaseCard: card("R1"), RowBytes: 512}, 1, false},
-		{"sort/file-scan", srt("R1.jh", scan("R1")), 1, false},
-		{"temp-scan", &physical.Node{Op: physical.TempScan, Rel: "t1", RowBytes: 512}, 1, false},
-		{"parallel/file-scan", scan("R1"), 2, false},
-		{"hash-join", hash, 1, true},
+		{"file-scan", scan("R1"), 1, false, false},
+		{"filter/file-scan", filter("R1", "v1", scan("R1")), 1, false, false},
+		{"btree-scan", &physical.Node{Op: physical.BtreeScan, Rel: "R1", Attr: "jh", BaseCard: card("R1"), RowBytes: 512}, 1, false, false},
+		{"sort/file-scan", srt("R1.jh", scan("R1")), 1, false, false},
+		{"temp-scan", &physical.Node{Op: physical.TempScan, Rel: "t1", RowBytes: 512}, 1, false, false},
+		{"parallel/file-scan", scan("R1"), 2, false, false},
+		{"hash-join", hash, 1, true, false},
 		{"merge-join", join(physical.MergeJoin,
-			srt("R1.jh", filter("R1", "v1", scan("R1"))), srt("R2.jl", filter("R2", "v2", scan("R2")))), 1, true},
+			srt("R1.jh", filter("R1", "v1", scan("R1"))), srt("R2.jl", filter("R2", "v2", scan("R2")))), 1, true, false},
 		{"index-join", &physical.Node{Op: physical.IndexJoin, Rel: "R2", Attr: "jl", LeftAttr: "R1.jh", RightAttr: "R2.jl",
-			BaseCard: card("R2"), RowBytes: 1024, Children: []*physical.Node{filter("R1", "v1", scan("R1"))}}, 1, true},
-		{"sort/hash-join", srt("R2.a", hash), 1, true},
-		{"parallel/hash-join", hash, 2, true},
+			BaseCard: card("R2"), RowBytes: 1024, Children: []*physical.Node{filter("R1", "v1", scan("R1"))}}, 1, true, false},
+		{"sort/hash-join", srt("R2.a", hash), 1, true, false},
+		{"parallel/hash-join", hash, 2, true, false},
+		{"hinted/sort/file-scan", srt("R1.jh", scan("R1")), 1, false, true},
+		{"hinted/sort/hash-join", srt("R2.a", hash), 1, true, true},
 	}
 	stored := storedDigest(t, db, "R1", "R2")
 	for _, c := range cases {
@@ -93,9 +100,20 @@ func TestRunResultIsOwned(t *testing.T) {
 			}
 			db.Parallel = c.dop
 			defer func() { db.Parallel = 0 }()
+			predict := func() {
+				if c.hinted {
+					var n census
+					db.count(c.root, &n)
+					db.Cards = slices.Repeat([]float64{600}, n.ops)
+				}
+			}
+			predict()
 			rows, schema, err := db.Run(c.root, b)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if db.Cards != nil {
+				t.Error("Run left its predictions for the next run")
 			}
 			if len(rows) == 0 {
 				t.Fatal("no rows: nothing to write into")
@@ -109,6 +127,7 @@ func TestRunResultIsOwned(t *testing.T) {
 			for j := range schema {
 				schema[j] = fmt.Sprintf("overwritten%d", j)
 			}
+			predict()
 			again, schema2, err := db.Run(c.root, b)
 			if err != nil {
 				t.Fatal(err)

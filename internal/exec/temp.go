@@ -59,7 +59,7 @@ func (db *DB) buildTempScan(n *physical.Node) (Iterator, Schema, error) {
 	}
 	// Temporaries live in memory; the fault injector deliberately does not
 	// see their reads — injected page faults model base-table I/O.
-	return carve(&db.f.temps, tempScanIter{db: db, node: n, schema: temp.Schema, table: temp.Table, acc: db.Acc}), temp.Schema, nil
+	return &tempScanIter{db: db, node: n, schema: temp.Schema, table: temp.Table, acc: db.Acc}, temp.Schema, nil
 }
 
 type tempScanIter struct {

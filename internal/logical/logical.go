@@ -23,9 +23,7 @@ import (
 	"math/bits"
 	"strings"
 
-	"dynplan/internal/bindings"
 	"dynplan/internal/catalog"
-	"dynplan/internal/cost"
 )
 
 // RelSet is a bitset of base-relation positions within a query. Queries of
@@ -67,17 +65,6 @@ type SelPred struct {
 	Variable string
 	// FixedSel is the known selectivity of a bound predicate.
 	FixedSel float64
-}
-
-// Selectivity returns the predicate's selectivity range under env.
-func (p *SelPred) Selectivity(env *bindings.Env) cost.Range {
-	if p == nil {
-		return cost.PointRange(1)
-	}
-	if p.Variable == "" {
-		return cost.PointRange(p.FixedSel)
-	}
-	return env.Selectivity(p.Variable)
 }
 
 // String renders the predicate.
@@ -122,9 +109,6 @@ func (e JoinEdge) Selectivity() float64 {
 func (e JoinEdge) Connects(l, r RelSet) bool {
 	return (l.Has(e.Left) && r.Has(e.Right)) || (l.Has(e.Right) && r.Has(e.Left))
 }
-
-// Within reports whether both endpoints lie inside the set.
-func (e JoinEdge) Within(s RelSet) bool { return s.Has(e.Left) && s.Has(e.Right) }
 
 // Query is a normalized select-project-join query.
 type Query struct {

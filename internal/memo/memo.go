@@ -15,8 +15,6 @@ package memo
 
 import (
 	"fmt"
-	"maps"
-	"slices"
 
 	"dynplan/internal/cost"
 	"dynplan/internal/logical"
@@ -81,6 +79,3 @@ func (m *Memo) ExtraAlternatives() int {
 	}
 	return total
 }
-
-// Goals returns the memoized goals, in no particular order.
-func (m *Memo) Goals() []Goal { return slices.Collect(maps.Keys(m.winners)) }

@@ -56,9 +56,6 @@ func TestStoreOverwriteKeepsOrder(t *testing.T) {
 	if m.Len() != 1 {
 		t.Errorf("overwrite created duplicate: Len = %d", m.Len())
 	}
-	if len(m.Goals()) != 1 {
-		t.Errorf("Goals = %v", m.Goals())
-	}
 	w, _ := m.Lookup(g)
 	if w.Plan.Op != physical.BtreeScan {
 		t.Error("overwrite did not replace the winner")

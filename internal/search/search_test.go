@@ -443,8 +443,8 @@ func TestMemoRecordsChoosePlanWinner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, g := range res.Memo.Goals() {
-		if w, _ := res.Memo.Lookup(g); w.Plan.Op == physical.ChoosePlan {
+	for set := logical.RelSet(1); set <= q.AllRels(); set++ {
+		if w, ok := res.Memo.Lookup(memo.Goal{Set: set}); ok && w.Plan.Op == physical.ChoosePlan {
 			return
 		}
 	}

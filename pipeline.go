@@ -938,6 +938,9 @@ func runStage(ctx context.Context, st *execState, _ pipelineFunc) (*ExecResult, 
 			e.Par = pe
 		}
 	}
+	if rep := st.chosen(ib); rep != nil {
+		e.Cards = rep.Cards // start-up's predicted rows size the buffers
+	}
 	absorbedBefore := inj.Stats().Absorbed
 	rows, schema, err := e.Run(st.root, ib)
 	if st.out != nil {
@@ -1026,13 +1029,22 @@ func chooseDOP(db *Database, root *physical.Node, ib *bindings.Bindings, maxCap 
 	return dop, maxDOP, "grant", nil
 }
 
+// chosen returns the latest activation's report if it chose the plan about
+// to run under b: not for a static target, a re-planned or rewritten root.
+func (st *execState) chosen(b *bindings.Bindings) *plan.StartupReport {
+	if rep := st.retry.rep; rep != nil && rep.Chosen == st.root && st.retry.repB == b {
+		return rep
+	}
+	return nil
+}
+
 // predict attaches the cost model's predicted output cardinalities under
 // b to the resolved plan and returns the plan's predicted cost. The
 // activation that chose the plan under b has both already; any other plan
 // — a static target, a re-planned or rewritten root, bindings
 // re-optimization corrected — is lowered and swept once.
 func (st *execState) predict(c *obs.Collector, b *bindings.Bindings) (float64, error) {
-	if rep := st.retry.rep; rep != nil && rep.Chosen == st.root && st.retry.repB == b {
+	if rep := st.chosen(b); rep != nil {
 		c.Predict(rep.Cards)
 		return rep.ChosenCost, nil
 	}
