@@ -131,7 +131,8 @@ func (q *Query) Projection() []string { return append([]string(nil), q.projectio
 // Logical exposes the normalized logical form (advanced use).
 func (q *Query) Logical() *logical.Query { return q.q }
 
-// String renders the query algebraically.
+// String renders the query algebraically, for display only: it leaves
+// out join predicates and rounds literals (QueryDigest identifies it).
 func (q *Query) String() string { return q.q.String() }
 
 // Variables returns the host variables the query references.
@@ -141,13 +142,18 @@ func (q *Query) Variables() []string { return q.q.Variables() }
 // query. The join graph must be connected (cross products are not
 // enumerated, as in the paper's prototype).
 func (s *System) BuildQuery(spec QuerySpec) (*Query, error) {
-	lq := &logical.Query{}
-	for _, rs := range spec.Relations {
+	// The query's relations, edges and predicates are cut to size.
+	preds := make([]logical.SelPred, len(spec.Relations))
+	lq := &logical.Query{
+		Rels:  make([]logical.QRel, len(spec.Relations)),
+		Edges: make([]logical.JoinEdge, 0, len(spec.Joins)),
+	}
+	for i, rs := range spec.Relations {
 		rel, err := s.cat.Relation(rs.Name)
 		if err != nil {
 			return nil, err
 		}
-		qr := logical.QRel{Rel: rel}
+		lq.Rels[i].Rel = rel
 		if rs.Pred != nil {
 			attr, err := rel.Attribute(rs.Pred.Attr)
 			if err != nil {
@@ -156,9 +162,9 @@ func (s *System) BuildQuery(spec QuerySpec) (*Query, error) {
 			if rs.Pred.Variable == "" && (rs.Pred.Selectivity <= 0 || rs.Pred.Selectivity > 1) {
 				return nil, fmt.Errorf("dynplan: bound predicate on %s.%s needs a selectivity in (0, 1]", rs.Name, rs.Pred.Attr)
 			}
-			qr.Pred = &logical.SelPred{Attr: attr, Variable: rs.Pred.Variable, FixedSel: rs.Pred.Selectivity}
+			preds[i] = logical.SelPred{Attr: attr, Variable: rs.Pred.Variable, FixedSel: rs.Pred.Selectivity}
+			lq.Rels[i].Pred = &preds[i]
 		}
-		lq.Rels = append(lq.Rels, qr)
 	}
 	for _, js := range spec.Joins {
 		li := lq.RelIndex(js.LeftRel)

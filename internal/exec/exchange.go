@@ -3,7 +3,6 @@ package exec
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sync"
 	"time"
@@ -113,10 +112,20 @@ func Backoff(base, maxBackoff time.Duration, seed int64, worker, retry int) time
 		d = maxBackoff
 	}
 	half := int64(d / 2)
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%d|%d", seed, worker, retry)
-	u := float64(h.Sum64()>>11) / float64(1<<53)
+	h := mix64(uint64(seed))
+	h = mix64(h + 0x9e3779b97f4a7c15 + uint64(worker))
+	h = mix64(h + 0x9e3779b97f4a7c15 + uint64(retry))
+	u := float64(h>>11) / float64(1<<53)
 	return time.Duration(half + int64(u*float64(half+1)))
+}
+
+// mix64 is splitmix64's finalizer: every input bit flips about half the
+// output bits, so (seed, worker, retry) one apart hash to unrelated
+// fractions.
+func mix64(z uint64) uint64 {
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
 }
 
 // foldAccount adds src's charges since last into dst and returns the new

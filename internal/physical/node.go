@@ -184,11 +184,12 @@ func (n *Node) alternatives(memo map[*Node]float64) float64 {
 // Label renders the operator with its distinguishing detail ("File-Scan
 // R1", "Hash-Join R1.jh = R2.jl (build left)", …) — the name execution
 // errors are attributed to. It renders into a stack buffer.
-func (n *Node) Label() string { return string(n.appendLabel(make([]byte, 0, 128))) }
+func (n *Node) Label() string { return string(n.AppendLabel(make([]byte, 0, 128))) }
 
-// appendLabel appends the node's own line for Format. Numbers print as
-// fmt's %d and %.3g would print them (fmt formats through strconv too).
-func (n *Node) appendLabel(b []byte) []byte {
+// AppendLabel appends Label's text, the node's own line for Format.
+// Numbers print as fmt's %d and %.3g would print them (fmt formats
+// through strconv too).
+func (n *Node) AppendLabel(b []byte) []byte {
 	switch n.Op {
 	case FileScan:
 		return cat(b, "File-Scan ", n.Rel)
@@ -261,7 +262,7 @@ func (n *Node) render(b []byte, seen []*Node, depth int, p *Program, res []Resul
 		return cat(strconv.AppendInt(b, int64(i+1), 10), " (shared ", n.Op.String(), ")\n"), seen
 	}
 	seen = append(seen, n)
-	b = n.appendLabel(append(strconv.AppendInt(b, int64(len(seen)), 10), ' '))
+	b = n.AppendLabel(append(strconv.AppendInt(b, int64(len(seen)), 10), ' '))
 	if p != nil {
 		r := res[p.Index(n)]
 		b = cat(b, "  [rows=", r.Card.String(), " cost=", r.Cost.String(), "]")
@@ -277,7 +278,7 @@ func (n *Node) render(b []byte, seen []*Node, depth int, p *Program, res []Resul
 // per operator, presence of required fields, and positive widths — by
 // lowering it.
 func (n *Node) Validate() error {
-	_, err := Lower(n)
+	_, err := Lower(0, n)
 	return err
 }
 

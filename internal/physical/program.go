@@ -53,8 +53,13 @@ func NewProgram(capacity int) *Program {
 // Lower flattens the union of the DAGs under roots in one children-first
 // pass, validating every operator and giving a subplan the roots share
 // one index. Temp-Scans are accepted: run-time plans read temporaries.
-func Lower(roots ...*Node) (*Program, error) {
-	p := NewProgram(32)
+// capacity bounds the operators (a search's tally) so the program never
+// regrows; 0 starts it at room for 32.
+func Lower(capacity int, roots ...*Node) (*Program, error) {
+	if capacity <= 0 {
+		capacity = 32
+	}
+	p := NewProgram(capacity)
 	var visit func(n *Node) error
 	visit = func(n *Node) error {
 		if _, ok := p.index[n]; ok {
@@ -77,7 +82,7 @@ func Lower(roots ...*Node) (*Program, error) {
 
 // mustLower lowers a plan the caller guarantees is well formed.
 func mustLower(root *Node) *Program {
-	p, err := Lower(root)
+	p, err := Lower(0, root)
 	if err != nil {
 		panic(fmt.Sprintf("physical: cannot evaluate an invalid plan: %v", err))
 	}

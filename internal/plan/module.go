@@ -121,9 +121,10 @@ func (s *UsageStats) snapshot(nodes int) ([]int, int) {
 }
 
 // NewModule compiles a plan DAG into an access module: one pass lowers it
-// into the flat program, validating every operator on the way.
-func NewModule(root *physical.Node) (*AccessModule, error) {
-	p, err := lower(root)
+// into the flat program, validating every operator on the way. nodes
+// bounds the DAG's operators (search.Stats.Nodes), or is 0 if unknown.
+func NewModule(root *physical.Node, nodes int) (*AccessModule, error) {
+	p, err := lower(root, nodes)
 	if err != nil {
 		return nil, err
 	}

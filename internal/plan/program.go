@@ -39,9 +39,10 @@ func newProgram(pp *physical.Program) *program {
 	return p
 }
 
-// lower makes the DAG under root a module's program.
-func lower(root *physical.Node) (*program, error) {
-	pp, err := physical.Lower(root)
+// lower makes the DAG under root a module's program, with room for
+// capacity operators (see physical.Lower).
+func lower(root *physical.Node, capacity int) (*program, error) {
+	pp, err := physical.Lower(capacity, root)
 	if err == nil && slices.ContainsFunc(pp.Nodes, isTempScan) {
 		err = errTempScan
 	}
@@ -76,16 +77,28 @@ type choiceLabels struct {
 
 // choice returns the labels of choose-plan i, rendered the first time an
 // activation resolves it: operators never change, so every later trace
-// shares the strings (read-only). Activations racing on a first
-// resolution render equal labels, and either copy serves.
+// shares the strings (read-only). The operator and its alternatives are
+// rendered into one stack buffer and cut from one string. Activations
+// racing on a first resolution render equal labels, and either copy
+// serves.
 func (p *program) choice(i int32) *choiceLabels {
 	if l := p.labels[i].Load(); l != nil {
 		return l
 	}
 	kids := p.Inputs(i)
-	l := &choiceLabels{operator: p.Nodes[i].Label(), alternatives: make([]string, len(kids))}
-	for j, k := range kids {
-		l.alternatives[j] = p.Nodes[k].Label()
+	var buf [1024]byte
+	var endBuf [16]int
+	// ends[j] is where label j ends, the operator's first.
+	b, ends := p.Nodes[i].AppendLabel(buf[:0]), endBuf[:0]
+	for _, k := range kids {
+		ends = append(ends, len(b))
+		b = p.Nodes[k].AppendLabel(b)
+	}
+	ends = append(ends, len(b))
+	s := string(b)
+	l := &choiceLabels{operator: s[:ends[0]], alternatives: make([]string, len(kids))}
+	for j := range kids {
+		l.alternatives[j] = s[ends[j]:ends[j+1]]
 	}
 	p.labels[i].Store(l)
 	return l

@@ -21,8 +21,9 @@ import (
 	"sync"
 )
 
-// Key identifies one cached plan: the digest of the normalized query
-// text plus the catalog version it was compiled under.
+// Key identifies one cached plan: the digest of everything the plan
+// depends on in the query, plus the catalog version it was compiled
+// under.
 type Key struct {
 	Digest         string
 	CatalogVersion uint64

@@ -261,7 +261,7 @@ func (c *Controller) Guard(model *physical.Model, b *bindings.Bindings, root *ph
 	if degraded || root == nil {
 		return nil, nil
 	}
-	prog, err := physical.Lower(root)
+	prog, err := physical.Lower(0, root)
 	if err != nil {
 		return nil, fmt.Errorf("reopt: guarding: %w", err)
 	}
@@ -345,7 +345,7 @@ func (c *Controller) Observe(db *exec.DB, model *physical.Model, dag, root *phys
 			variants = append(variants, v)
 		}
 	}
-	prog, err := physical.Lower(variants...)
+	prog, err := physical.Lower(0, variants...)
 	if err != nil {
 		return fmt.Errorf("reopt: observing: %w", err)
 	}
@@ -464,7 +464,7 @@ func (c *Controller) Replan(ctx context.Context, b *bindings.Bindings) (*physica
 	if err != nil {
 		return nil, cost.Cost{}, fmt.Errorf("reopt: re-optimization failed: %w", err)
 	}
-	prog, err := physical.Lower(res.Plan)
+	prog, err := physical.Lower(res.Stats.Nodes(), res.Plan)
 	if err != nil {
 		return nil, cost.Cost{}, fmt.Errorf("reopt: re-optimized plan: %w", err)
 	}

@@ -263,7 +263,7 @@ func TestObserveEagerly(t *testing.T) {
 	defer c.Finish()
 	db := &exec.DB{Catalog: w.Catalog, Store: store, Indexes: idx, Acc: &storage.Accountant{}, Temps: c.Temps()}
 	resolve := func() *physical.Node {
-		prog, err := physical.Lower(dyn.Plan)
+		prog, err := physical.Lower(0, dyn.Plan)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -93,6 +93,16 @@ type Stats struct {
 	Elapsed time.Duration
 }
 
+// Nodes returns how many plan nodes the search built, costed candidates
+// and choose-plans: a bound on the plan's operators, for its lowering.
+func (s *Stats) Nodes() int {
+	n := s.ChoosePlans
+	for _, k := range s.CandidatesByOp {
+		n += k
+	}
+	return n
+}
+
 // Result is the outcome of an optimization: the (possibly dynamic) plan,
 // its cost interval, and the effort statistics. The machine-readable
 // optimizer span the observability layer exposes is assembled from them
@@ -329,7 +339,7 @@ func (o *Optimizer) sampledCompare(a, b *physical.Node) cost.Ordering {
 	if o.samples == nil {
 		o.samples = o.makeSamples(o.cfg.SampledDominance)
 	}
-	prog, err := physical.Lower(a, b)
+	prog, err := physical.Lower(0, a, b)
 	if err != nil {
 		// Candidates are well formed; an unlowerable pair proves nothing.
 		return cost.Incomparable
@@ -386,13 +396,22 @@ func (o *Optimizer) finish(survivors []candidatePlan) memo.Winner {
 		return memo.Winner{Plan: s.node, Cost: s.res.Cost, Card: s.res.Card, Alternatives: 1}
 	}
 	o.stats.ChoosePlans++
-	children := make([]*physical.Node, len(survivors))
+	// Up to four alternatives share the choose-plan's allocation.
+	b := new(struct {
+		node   physical.Node
+		inputs [4]*physical.Node
+	})
+	choose, children := &b.node, b.inputs[:0]
+	if len(survivors) > len(b.inputs) {
+		children = make([]*physical.Node, 0, len(survivors))
+	}
 	o.results = o.results[:0]
-	for i, s := range survivors {
-		children[i] = s.node
+	for _, s := range survivors {
+		children = append(children, s.node)
 		o.results = append(o.results, s.res)
 	}
-	choose := &physical.Node{
+	children = children[:len(children):len(children)]
+	*choose = physical.Node{
 		Op:       physical.ChoosePlan,
 		RowBytes: children[0].RowBytes,
 		Children: children,

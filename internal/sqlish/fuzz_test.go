@@ -23,6 +23,10 @@ func FuzzParse(f *testing.F) {
 		"select * from r where r.a <= ?" + strings.Repeat("v", 300),
 		"SELECT \x00 FROM r",
 		"select * from r where r.a <= 999999999999999999999999",
+		"SeLeCt * FrOm r, s WhErE r.a <= ?v AnD r.b = s.c OrDeR bY r.a",
+		"SELECT * FROM from",
+		"SELECT * FROM r, FROM",
+		"SELECT Order.a FROM r",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -38,6 +42,13 @@ func FuzzParse(f *testing.F) {
 		}
 		if len(st.Relations) == 0 {
 			t.Error("successful parse with no relations")
+		}
+		for _, r := range st.Relations {
+			for _, kw := range reserved {
+				if strings.EqualFold(r, kw) {
+					t.Errorf("keyword %q parsed as a relation name", r)
+				}
+			}
 		}
 		for _, c := range st.Columns {
 			if c.Rel == "" || c.Attr == "" {

@@ -44,13 +44,13 @@ type Join struct {
 
 // parser consumes tokens with one-token lookahead.
 type parser struct {
-	lex *lexer
+	lex lexer
 	tok token
 }
 
 // Parse parses one statement.
 func Parse(input string) (*Statement, error) {
-	p := &parser{lex: &lexer{input: input}}
+	p := &parser{lex: lexer{input: input}}
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
@@ -97,7 +97,17 @@ func (p *parser) expectKeyword(kw string) error {
 }
 
 func (p *parser) statement() (*Statement, error) {
-	st := &Statement{}
+	// The lists start with room for four entries, in one allocation.
+	b := &struct {
+		st    Statement
+		cols  [4]Column
+		rels  [4]string
+		sels  [4]Selection
+		joins [4]Join
+		order Column
+	}{}
+	st := &b.st
+	st.Columns, st.Relations, st.Selections, st.Joins = b.cols[:0], b.rels[:0], b.sels[:0], b.joins[:0]
 	if err := p.expectKeyword("select"); err != nil {
 		return nil, err
 	}
@@ -165,15 +175,20 @@ func (p *parser) statement() (*Statement, error) {
 		if err != nil {
 			return nil, err
 		}
-		st.OrderBy = &col
+		b.order = col
+		st.OrderBy = &b.order
 	}
 	return st, nil
 }
 
+// reserved are the keywords, which cannot name a relation or a column.
+var reserved = [...]string{"select", "from", "where", "and", "order", "by"}
+
 func (p *parser) isReserved(s string) bool {
-	switch strings.ToLower(s) {
-	case "select", "from", "where", "and", "order", "by":
-		return true
+	for _, kw := range reserved {
+		if strings.EqualFold(s, kw) {
+			return true
+		}
 	}
 	return false
 }

@@ -145,7 +145,7 @@ func (p *Plan) Root() *physical.Node { return p.res.Plan }
 // cost interval, the band the workload observatory's plan-level
 // calibration verdict checks observed executions against.
 func (p *Plan) Module() (*Module, error) {
-	m, err := plan.NewModule(p.res.Plan)
+	m, err := plan.NewModule(p.res.Plan, p.res.Stats.Nodes())
 	if err != nil {
 		return nil, err
 	}

@@ -2,7 +2,9 @@ package dynplan
 
 import (
 	"fmt"
+	"slices"
 
+	"dynplan/internal/catalog"
 	"dynplan/internal/sqlish"
 )
 
@@ -23,85 +25,86 @@ func (s *System) Parse(query string) (*Query, error) {
 		return nil, err
 	}
 
-	spec := QuerySpec{}
-	relIndex := make(map[string]int)
-	for _, name := range st.Relations {
-		if _, dup := relIndex[name]; dup {
+	// A statement is small: linear search finds relations, and the spec
+	// and its predicates are cut to size.
+	spec := QuerySpec{Relations: make([]RelSpec, len(st.Relations)), Joins: make([]JoinSpec, len(st.Joins))}
+	for i, name := range st.Relations {
+		if slices.Contains(st.Relations[:i], name) {
 			return nil, fmt.Errorf("dynplan: relation %q listed twice in FROM (self joins are not supported)", name)
 		}
-		relIndex[name] = len(spec.Relations)
-		spec.Relations = append(spec.Relations, RelSpec{Name: name})
+		spec.Relations[i].Name = name
 	}
 
-	checkCol := func(c sqlish.Column) error {
-		i, ok := relIndex[c.Rel]
-		if !ok {
-			return fmt.Errorf("dynplan: column %s references a relation not in FROM", c)
+	// column resolves a column reference to its catalog attribute and the
+	// position of its relation in FROM.
+	column := func(c sqlish.Column) (*catalog.Attribute, int, error) {
+		i := slices.Index(st.Relations, c.Rel)
+		if i < 0 {
+			return nil, 0, fmt.Errorf("dynplan: column %s references a relation not in FROM", c)
 		}
-		rel, err := s.cat.Relation(spec.Relations[i].Name)
+		rel, err := s.cat.Relation(c.Rel)
 		if err != nil {
-			return err
+			return nil, 0, err
 		}
-		if _, err := rel.Attribute(c.Attr); err != nil {
-			return err
-		}
-		return nil
+		attr, err := rel.Attribute(c.Attr)
+		return attr, i, err
 	}
 
-	for _, sel := range st.Selections {
-		if err := checkCol(sel.Col); err != nil {
+	preds := make([]Pred, len(st.Selections))
+	for k, sel := range st.Selections {
+		attr, i, err := column(sel.Col)
+		if err != nil {
 			return nil, err
 		}
-		i := relIndex[sel.Col.Rel]
 		if spec.Relations[i].Pred != nil {
 			return nil, fmt.Errorf("dynplan: relation %q has more than one selection predicate (one per relation, as in the paper's prototype)", sel.Col.Rel)
 		}
-		pred := &Pred{Attr: sel.Col.Attr}
+		pred := &preds[k]
+		pred.Attr = sel.Col.Attr
 		if sel.Variable != "" {
 			pred.Variable = sel.Variable
 		} else {
-			rel := s.cat.MustRelation(sel.Col.Rel)
-			attr := rel.MustAttribute(sel.Col.Attr)
 			selectivity := sel.Literal / float64(attr.DomainSize)
 			if selectivity <= 0 {
 				return nil, fmt.Errorf("dynplan: literal predicate %s <= %g selects nothing", sel.Col, sel.Literal)
 			}
-			if selectivity > 1 {
-				selectivity = 1
-			}
-			pred.Selectivity = selectivity
+			pred.Selectivity = min(selectivity, 1)
 		}
 		spec.Relations[i].Pred = pred
 	}
 
-	for _, j := range st.Joins {
-		if err := checkCol(j.Left); err != nil {
+	for k, j := range st.Joins {
+		if _, _, err := column(j.Left); err != nil {
 			return nil, err
 		}
-		if err := checkCol(j.Right); err != nil {
+		if _, _, err := column(j.Right); err != nil {
 			return nil, err
 		}
-		spec.Joins = append(spec.Joins, JoinSpec{
+		spec.Joins[k] = JoinSpec{
 			LeftRel: j.Left.Rel, LeftAttr: j.Left.Attr,
 			RightRel: j.Right.Rel, RightAttr: j.Right.Attr,
-		})
+		}
 	}
 
 	q, err := s.BuildQuery(spec)
 	if err != nil {
 		return nil, err
 	}
+	// The catalog holds every qualified name: no string is built here.
 	if st.OrderBy != nil {
-		if err := checkCol(*st.OrderBy); err != nil {
+		attr, _, err := column(*st.OrderBy)
+		if err != nil {
 			return nil, err
 		}
-		q.orderBy = st.OrderBy.String()
+		q.orderBy = attr.QualifiedName()
 	}
-	for _, c := range st.Columns {
-		if err := checkCol(c); err != nil {
+	q.projection = make([]string, len(st.Columns)) // none for SELECT *
+	for k, c := range st.Columns {
+		attr, _, err := column(c)
+		if err != nil {
 			return nil, err
 		}
-		q.projection = append(q.projection, c.String())
+		q.projection[k] = attr.QualifiedName()
 	}
 	return q, nil
 }

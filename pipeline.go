@@ -1017,7 +1017,7 @@ func chooseDOP(db *Database, root *physical.Node, ib *bindings.Bindings, maxCap 
 	if dop <= 1 {
 		return 1, maxDOP, "grant-limited", nil
 	}
-	prog, err := physical.Lower(root)
+	prog, err := physical.Lower(0, root)
 	if err != nil {
 		return 0, 0, "", fmt.Errorf("dynplan: pricing parallel execution: %w", err)
 	}
@@ -1048,7 +1048,7 @@ func (st *execState) predict(c *obs.Collector, b *bindings.Bindings) (float64, e
 		c.Predict(rep.Cards)
 		return rep.ChosenCost, nil
 	}
-	prog, err := physical.Lower(st.root)
+	prog, err := physical.Lower(0, st.root)
 	if err != nil {
 		return 0, fmt.Errorf("dynplan: predicting cardinalities: %w", err)
 	}

@@ -6,7 +6,7 @@ package dynplan
 // processing — activation of the stored dynamic plan under the current
 // host-variable bindings. Prepare generalizes that to a multi-tenant
 // online system: compiled modules live in the database's shared plan
-// cache, keyed on (normalized query digest, catalog version), so the
+// cache, keyed on (query digest, catalog version), so the
 // first execution of a statement — by any tenant — pays the full
 // optimization and every later one re-activates the shared immutable
 // artifact. An Analyze pass bumps the catalog version and thereby
@@ -14,7 +14,8 @@ package dynplan
 
 import (
 	"context"
-	"strings"
+	"encoding/binary"
+	"math"
 
 	"dynplan/internal/obs"
 	"dynplan/internal/plancache"
@@ -45,13 +46,37 @@ func (db *Database) Prepare(q *Query) (*PreparedQuery, error) {
 }
 
 // QueryDigest returns the stable digest prepared statements are cached
-// under: a hash of the normalized query text plus the order-by and
-// projection clauses (they change the plan, so they must split cache
-// entries).
+// under: a hash of everything the compiled plan depends on — the
+// relations in order, each selection's attribute, variable and exact
+// literal selectivity, each join edge, the order-by and the projection.
 func QueryDigest(q *Query) string {
-	return obs.Digest(q.String() +
-		"|order=" + q.OrderBy() +
-		"|proj=" + strings.Join(q.Projection(), ","))
+	var buf [512]byte // the identity of a query over a dozen relations fits
+	b := binary.AppendUvarint(buf[:0], uint64(len(q.q.Rels)))
+	for _, r := range q.q.Rels {
+		b = appendField(b, r.Rel.Name)
+		if p := r.Pred; p != nil {
+			b = appendField(appendField(append(b, 1), p.Attr.Name), p.Variable)
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p.FixedSel))
+		} else {
+			b = append(b, 0)
+		}
+	}
+	b = binary.AppendUvarint(b, uint64(len(q.q.Edges)))
+	for _, e := range q.q.Edges {
+		b = binary.AppendUvarint(binary.AppendUvarint(b, uint64(e.Left)), uint64(e.Right))
+		b = appendField(appendField(b, e.LeftAttr.Name), e.RightAttr.Name)
+	}
+	b = appendField(b, q.orderBy)
+	for _, c := range q.projection {
+		b = appendField(b, c)
+	}
+	return obs.Digest(b)
+}
+
+// appendField appends s behind its length, so no two field sequences
+// encode alike.
+func appendField(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
 // Digest returns the plan-cache digest the prepared query executes
