@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"dynplan/internal/workload"
@@ -153,20 +154,128 @@ func TestQueryDigestCoversQuery(t *testing.T) {
 	}
 }
 
+// TestEdgeSpellingsShareAPlan: an edge's orientation is immaterial to
+// the plan, so R.k = S.k and S.k = R.k share one plan-cache entry, and a
+// statement's edges spelled the other way round run the cached plan.
+func TestEdgeSpellingsShareAPlan(t *testing.T) {
+	sys, db := paperDatabase(t)
+	b := chainBindings(1, 3, 0.2)
+	var digests []string
+	for _, sql := range []string{
+		"SELECT * FROM R1, R2, R3 WHERE R1.a <= ?v1 AND R2.a <= ?v2 AND R3.a <= ?v3 AND R1.jh = R2.jl AND R2.jh = R3.jl",
+		"SELECT * FROM R1, R2, R3 WHERE R1.a <= ?v1 AND R2.a <= ?v2 AND R3.a <= ?v3 AND R2.jl = R1.jh AND R3.jl = R2.jh",
+	} {
+		q, err := sys.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := db.Prepare(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := p.Exec(context.Background(), b, ExecOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		digests = append(digests, res.PlanDigest)
+	}
+	if got, want := db.PlanCacheStats(), (PlanCacheStats{Hits: 3, Misses: 1}); got != want {
+		t.Errorf("plan cache %+v, want %+v: the two spellings compiled apart", got, want)
+	}
+	if digests[0] != digests[1] {
+		t.Errorf("the spellings ran different plans: %s and %s", digests[0], digests[1])
+	}
+}
+
+// TestConcurrentColdCompiles: searches running at once each borrow their
+// own pooled arena and return plans of their own. Goroutines prepare
+// distinct chain statements two at a time against a plan cache too small
+// to keep them all, so most preparations are cold compiles, and then run
+// both: each run's plan digest must equal the one a serial pass produced.
+func TestConcurrentColdCompiles(t *testing.T) {
+	sys, db := paperDatabase(t)
+	ctx := context.Background()
+	var texts []string
+	for n := 2; n <= 5; n++ {
+		for lo := 1; lo <= 3; lo++ {
+			texts = append(texts, chainText(lo, n, false, false), chainText(lo, n, true, false))
+		}
+	}
+	prepare := func(i int) (*PreparedQuery, error) {
+		q, err := sys.Parse(texts[i])
+		if err != nil {
+			return nil, err
+		}
+		return db.Prepare(q)
+	}
+	run := func(p *PreparedQuery, i int) (string, error) {
+		lo, n := 1+i/2%3, 2+i/6
+		res, err := p.Exec(ctx, chainBindings(lo, n, 0.05), ExecOptions{})
+		if err != nil {
+			return "", err
+		}
+		return res.PlanDigest, nil
+	}
+	want := make([]string, len(texts))
+	for i := range texts {
+		p, err := prepare(i)
+		if err == nil {
+			want[i], err = run(p, i)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.SetPlanCacheCapacity(8)
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range len(texts) {
+				pair := [2]int{(k*5 + g*7) % len(texts), (k*5 + g*7 + 1) % len(texts)}
+				var prepared [2]*PreparedQuery
+				for j, i := range pair {
+					var err error
+					if prepared[j], err = prepare(i); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				for j, i := range pair {
+					got, err := run(prepared[j], i)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if got != want[i] {
+						t.Errorf("%q ran plan %s, serially %s", texts[i], got, want[i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if st := db.PlanCacheStats(); st.Misses < uint64(len(texts)) {
+		t.Errorf("plan cache %+v: the statements were not compiled cold", st)
+	}
+}
+
 // TestColdPrepareAllocations pins what a cold statement allocates: parse,
 // a plan-cache miss (key, search, lowering) and the first execution of
 // the fresh module, on §6 chains of 2, 4 and 7 relations. The bounds are
-// a quarter above the readings (135, 231 and 554 allocations); before
-// the key, the parse, the lowering and the choice labels were cut to
-// size they were 175, 336 and 769. The reading subtracts what installing
-// the empty cache that makes each run a miss allocates.
+// a quarter above the readings (106, 117 and 142 allocations); before
+// the search built its candidates in a pooled arena they were 135, 231
+// and 554. The reading subtracts what installing the empty cache that
+// makes each run a miss allocates.
 func TestColdPrepareAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	sys, db := paperDatabase(t)
 	ctx := context.Background()
-	for _, c := range []struct{ relations, bound int }{{2, 169}, {4, 289}, {7, 693}} {
+	for _, c := range []struct{ relations, bound int }{{2, 132}, {4, 146}, {7, 177}} {
 		text, b := chainText(1, c.relations, false, false), chainBindings(1, c.relations, 0.05)
 		fresh := func() { db.SetPlanCacheCapacity(64) }
 		cold := func() {
@@ -195,15 +304,15 @@ func TestColdPrepareAllocations(t *testing.T) {
 // TestPlanCacheRetainedBytes pins the heap a full plan cache keeps alive:
 // 64 chain statements over the §6 catalog (2–7 relations, with and
 // without ORDER BY) prepared on a fresh database, measured as the live
-// heap's growth across the preparations, the least of three runs (1 381
-// KiB). The bound is the reading when the lowering grew its arrays by
-// doubling (1 407 KiB): reserving the search's tally of built nodes up
-// front must not keep more alive than regrowing did.
+// heap's growth across the preparations, the least of three runs (1 216
+// KiB). The bound is 2 % above the reading. Before a plan was compacted
+// into one exact slab and a module dropped its pointer index, the reading
+// was 1 391 KiB under a bound of 1 407.
 func TestPlanCacheRetainedBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	const bound = 1407 << 10
+	const bound = 1240 << 10
 	var texts []string
 	for n := 2; n <= 7 && len(texts) < 64; n++ {
 		for lo := 1; lo+n-1 <= 10 && len(texts) < 64; lo++ {

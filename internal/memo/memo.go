@@ -35,18 +35,19 @@ func (g Goal) String() string {
 // Winner is the result of optimizing one goal: a single plan node — a
 // concrete operator, or a choose-plan over the goal's surviving
 // incomparable alternatives — together with its cost interval and output
-// cardinality. Alternatives records how many plans survived pruning (1
-// for a fully determined winner).
+// cardinality.
 type Winner struct {
-	Plan         *physical.Node
-	Cost         cost.Cost
-	Card         cost.Range
-	Alternatives int
+	Plan *physical.Node
+	Cost cost.Cost
+	Card cost.Range
 }
 
 // Memo is the goal table.
 type Memo struct {
 	winners map[Goal]Winner
+	// goals lists the stored goals, so Reset costs what the search stored
+	// rather than what the table once grew to.
+	goals []Goal
 }
 
 // New returns an empty memo.
@@ -61,21 +62,20 @@ func (m *Memo) Lookup(g Goal) (Winner, bool) {
 }
 
 // Store memoizes the winner for a goal.
-func (m *Memo) Store(g Goal, w Winner) { m.winners[g] = w }
+func (m *Memo) Store(g Goal, w Winner) {
+	m.winners[g] = w
+	m.goals = append(m.goals, g)
+}
 
 // Len returns the number of memoized goals.
 func (m *Memo) Len() int { return len(m.winners) }
 
-// ExtraAlternatives returns the number of plans retained beyond the first
-// across all goals — the mutually incomparable (or tied) survivors that
-// choose-plan operators carry into the dynamic plan. Zero for a fully
-// determined (static) optimization.
-func (m *Memo) ExtraAlternatives() int {
-	total := 0
-	for _, w := range m.winners {
-		if w.Alternatives > 1 {
-			total += w.Alternatives - 1
-		}
+// Reset empties the memo, keeping its table's room for the next search.
+// It deletes the stored goals one by one: clearing the table would cost
+// its capacity, which a small search after a large one has not used.
+func (m *Memo) Reset() {
+	for _, g := range m.goals {
+		delete(m.winners, g)
 	}
-	return total
+	m.goals = m.goals[:0]
 }

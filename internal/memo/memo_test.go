@@ -11,10 +11,9 @@ import (
 
 func winner(op physical.Op) Winner {
 	return Winner{
-		Plan:         &physical.Node{Op: op, Rel: "R", BaseCard: 1, RowBytes: 512},
-		Cost:         cost.Point(1),
-		Card:         cost.PointRange(1),
-		Alternatives: 1,
+		Plan: &physical.Node{Op: op, Rel: "R", BaseCard: 1, RowBytes: 512},
+		Cost: cost.Point(1),
+		Card: cost.PointRange(1),
 	}
 }
 

@@ -53,8 +53,8 @@ func NewProgram(capacity int) *Program {
 // Lower flattens the union of the DAGs under roots in one children-first
 // pass, validating every operator and giving a subplan the roots share
 // one index. Temp-Scans are accepted: run-time plans read temporaries.
-// capacity bounds the operators (a search's tally) so the program never
-// regrows; 0 starts it at room for 32.
+// capacity bounds the operators (a search result's Stats.Nodes, exact)
+// so the program never regrows; 0 starts it at room for 32.
 func Lower(capacity int, roots ...*Node) (*Program, error) {
 	if capacity <= 0 {
 		capacity = 32
@@ -110,13 +110,21 @@ func (p *Program) Add(n *Node) error {
 // Inputs returns the indices of node i's inputs.
 func (p *Program) Inputs(i int32) []int32 { return p.kids[p.kidOff[i]:p.kidOff[i+1]] }
 
-// Index returns n's position, or -1 when the program does not hold it.
+// Index returns n's position, or -1 when the program does not hold it;
+// after DropIndex, by a scan over Nodes.
 func (p *Program) Index(n *Node) int32 {
+	if p.index == nil {
+		return int32(slices.Index(p.Nodes, n))
+	}
 	if i, ok := p.index[n]; ok {
 		return i
 	}
 	return -1
 }
+
+// DropIndex frees the pointer index of a program no operator will be
+// added to, for one kept long and rarely asked for a node's position.
+func (p *Program) DropIndex() { p.index = nil }
 
 // Seal finishes a program once its last operator is in, lowering every
 // operator into its row.

@@ -27,8 +27,11 @@ type program struct {
 
 var errTempScan = errors.New("plan contains a Temp-Scan operator; temporaries exist only at run-time and cannot be serialized")
 
-// newProgram makes a lowered DAG a module's program.
+// newProgram makes a lowered DAG a module's program. A module maps a
+// node to its index only on a restricted activation, so it scans rather
+// than keep the pointer index alive.
 func newProgram(pp *physical.Program) *program {
+	pp.DropIndex()
 	p := &program{Program: pp, labels: make([]atomic.Pointer[choiceLabels], len(pp.Nodes))}
 	for _, n := range pp.Nodes {
 		if n.Rel != "" && !slices.Contains(p.rels, n.Rel) {

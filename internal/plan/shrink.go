@@ -48,7 +48,7 @@ func (m *AccessModule) Shrink(stats *UsageStats) (*AccessModule, error) {
 			}
 		}
 	}
-	root, err := p.prune(func(n *physical.Node) bool { return unused[p.Index(n)] })
+	root, err := p.prune(func(i int, _ *physical.Node) bool { return unused[i] })
 	if err != nil {
 		return nil, fmt.Errorf("plan: used choose-plan with no used alternatives: %w", err)
 	}

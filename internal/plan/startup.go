@@ -292,7 +292,7 @@ func (e *evaluator) decide(i int32) int32 {
 // restrict is activation's cold path: it prunes what opt avoids or lacks
 // an index from the untouched DAG and lowers the rest on the spot.
 func (p *program) restrict(opt StartupOptions) (*program, error) {
-	pruned, err := p.prune(func(n *physical.Node) bool {
+	pruned, err := p.prune(func(_ int, n *physical.Node) bool {
 		if opt.Avoid != nil && opt.Avoid(n) {
 			return true
 		}
@@ -317,11 +317,11 @@ func (p *program) restrict(opt StartupOptions) (*program, error) {
 // keep their surviving alternatives, collapsing when one remains; any
 // other operator with a dropped input is itself dropped. It returns
 // ErrInfeasible when no complete plan survives.
-func (p *program) prune(drop func(*physical.Node) bool) (*physical.Node, error) {
+func (p *program) prune(drop func(int, *physical.Node) bool) (*physical.Node, error) {
 	out := make([]*physical.Node, len(p.Nodes)) // by index; nil: dropped
 nodes:
 	for i, n := range p.Nodes {
-		if drop(n) {
+		if drop(i, n) {
 			continue
 		}
 		kept := make([]*physical.Node, 0, len(n.Children))

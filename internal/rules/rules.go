@@ -25,7 +25,7 @@ import (
 // Candidate describes one way to implement a goal before its inputs have
 // been optimized: an operator template and the child goals it consumes.
 // Candidates are plain values; nothing is allocated until the search
-// builds one.
+// builds one, and then in its arena.
 type Candidate struct {
 	// op is the operator Build returns, less its inputs.
 	op physical.Node
@@ -43,28 +43,15 @@ type Candidate struct {
 func (c *Candidate) Inputs() []memo.Goal { return c.inputs[:c.n] }
 
 // Build returns the candidate's operator (sub)tree on top of the child
-// plans, one per input. A node is allocated together with its input
-// array, so a built candidate costs one allocation; the children are
+// plans, one per input, cut from the search's arena; the children are
 // copied, not retained.
-func (c *Candidate) Build(children ...*physical.Node) *physical.Node {
+func (c *Candidate) Build(a *physical.Arena, children ...*physical.Node) *physical.Node {
+	n := a.New(c.op, children...)
 	if p := c.filter; p != nil {
-		b := &struct {
-			filter, scan physical.Node
-			input        [1]*physical.Node
-		}{scan: c.op}
-		b.input[0] = &b.scan
-		b.filter = physical.Node{Op: physical.Filter, SelAttr: p.Attr.QualifiedName(), Var: p.Variable,
-			FixedSel: p.FixedSel, RowBytes: c.op.RowBytes, Children: b.input[:]}
-		return &b.filter
+		return a.New(physical.Node{Op: physical.Filter, SelAttr: p.Attr.QualifiedName(), Var: p.Variable,
+			FixedSel: p.FixedSel, RowBytes: c.op.RowBytes}, n)
 	}
-	b := &struct {
-		node   physical.Node
-		inputs [2]*physical.Node
-	}{node: c.op}
-	if k := copy(b.inputs[:], children); k > 0 {
-		b.node.Children = b.inputs[:k:k]
-	}
-	return &b.node
+	return n
 }
 
 // Desc labels the candidate's operator ("Hash-Join R1.jh = R2.jl (build

@@ -52,7 +52,7 @@ func build(c Candidate, q *logical.Query) *physical.Node {
 			BaseCard: 10, RowBytes: q.RowBytes(in.Set),
 		}
 	}
-	return c.Build(children...)
+	return c.Build(new(physical.Arena), children...)
 }
 
 func TestLeafCandidatesUnordered(t *testing.T) {

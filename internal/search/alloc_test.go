@@ -14,17 +14,17 @@ import (
 // TestOptimizeAllocations pins what a cold compile allocates: Optimize
 // plus the module lowering, on the 4- and 7-relation chains of the §6
 // catalog under the dynamic environment a prepared statement compiles in.
-// The bounds are a quarter above the readings (143 and 449 allocations)
-// since the lowering reserves the search's tally of built nodes and a
-// choose-plan shares one allocation with its inputs; before, the readings
-// were 154 and 472 under bounds of 454 and 1 968.
+// The bounds are a quarter above the readings (29 and 37 allocations)
+// since the search builds its candidates in a pooled arena and keeps only
+// the compacted plan; before, the readings were 143 and 449 under bounds
+// of 179 and 561.
 func TestOptimizeAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	w := workload.New(11)
 	cfg := search.Config{Params: physical.DefaultParams()}
-	for _, c := range []struct{ relations, bound int }{{4, 179}, {7, 561}} {
+	for _, c := range []struct{ relations, bound int }{{4, 36}, {7, 46}} {
 		q := window(w, 1, c.relations)
 		env := runtimeopt.DynamicEnv(q, cfg, false)
 		allocs := testing.AllocsPerRun(20, func() {

@@ -78,7 +78,7 @@ func record(t *testing.T, res *search.Result, err error) goldenResult {
 		Nodes:             res.Plan.CountNodes(),
 		ChoosePlanNodes:   res.Plan.CountChoosePlans(),
 		Alternatives:      fbits(res.Plan.Alternatives()),
-		ExtraAlternatives: res.Memo.ExtraAlternatives(),
+		ExtraAlternatives: st.KeptIncomparable,
 		Module:            digest(mod.Bytes()),
 		Goals:             st.Goals,
 		Candidates:        st.Candidates,

@@ -82,6 +82,10 @@ type Stats struct {
 	// PrunedSampled counts candidates dropped by the sampled-dominance
 	// heuristic.
 	PrunedSampled int
+	// KeptIncomparable is the number of plans kept beyond the first across
+	// all goals: the mutually incomparable (or tied) survivors choose-plan
+	// operators carry. Zero for a fully determined (static) optimization.
+	KeptIncomparable int
 	// Comparisons is the number of interval cost comparisons performed.
 	Comparisons int
 	// CandidatesByOp histograms the fully costed candidates by their root
@@ -91,17 +95,13 @@ type Stats struct {
 	ChoosePlans int
 	// Elapsed is the wall-clock optimization time (the paper's a and e).
 	Elapsed time.Duration
+	// nodes counts the returned plan's distinct operators.
+	nodes int
 }
 
-// Nodes returns how many plan nodes the search built, costed candidates
-// and choose-plans: a bound on the plan's operators, for its lowering.
-func (s *Stats) Nodes() int {
-	n := s.ChoosePlans
-	for _, k := range s.CandidatesByOp {
-		n += k
-	}
-	return n
-}
+// Nodes returns the number of distinct operators in the returned plan:
+// the exact room its lowering reserves.
+func (s *Stats) Nodes() int { return s.nodes }
 
 // Result is the outcome of an optimization: the (possibly dynamic) plan,
 // its cost interval, and the effort statistics. The machine-readable
@@ -111,31 +111,30 @@ type Result struct {
 	Plan  *physical.Node
 	Cost  cost.Cost
 	Card  cost.Range
-	Memo  *memo.Memo
 	Stats Stats
 
 	spanOnce sync.Once
 	span     *obs.OptimizerSpan
 }
 
-// Span returns the optimizer span: the memo's size, the enumeration and
+// Span returns the optimizer span: the goals solved, the enumeration and
 // pruning tallies, the produced plan's shape and predicted cost interval.
 // It is assembled on the first call — walking the plan costs as much as a
 // small optimization — and shared by every later (or concurrent) caller.
 func (r *Result) Span() *obs.OptimizerSpan {
 	r.spanOnce.Do(func() {
 		r.span = &obs.OptimizerSpan{
-			Goals:               r.Memo.Len(),
+			Goals:               r.Stats.Goals,
 			Candidates:          r.Stats.Candidates,
 			PrunedByBound:       r.Stats.PrunedByBound,
 			PrunedDominated:     r.Stats.PrunedDominated,
 			PrunedEqual:         r.Stats.PrunedEqual,
 			PrunedSampled:       r.Stats.PrunedSampled,
-			KeptIncomparable:    r.Memo.ExtraAlternatives(),
+			KeptIncomparable:    r.Stats.KeptIncomparable,
 			Comparisons:         r.Stats.Comparisons,
 			ChoosePlansEmitted:  r.Stats.ChoosePlans,
 			PlanChoosePlans:     r.Plan.CountChoosePlans(),
-			PlanNodes:           r.Plan.CountNodes(),
+			PlanNodes:           r.Stats.Nodes(),
 			EncodedAlternatives: r.Plan.Alternatives(),
 			CostLo:              r.Cost.Lo,
 			CostHi:              r.Cost.Hi,
@@ -150,21 +149,34 @@ type Optimizer struct {
 	env   *bindings.Env
 	cfg   Config
 	rules rules.Rules
-	memo  *memo.Memo
 	stats Stats
 	// built counts the costed candidates by root operator, the tallies
 	// Stats.CandidatesByOp reports.
 	built [physical.TempScan + 1]int
+	// samples are the fixed parameter settings of the sampled-dominance
+	// heuristic.
+	samples []*bindings.Bindings
+	*scratch
+}
+
+// scratch is a search's working memory, recycled through scratches: the
+// arena every candidate is built in, the memo, and the survivor stacks.
+// Nothing in it outlives the search that borrows it, since Optimize
+// returns a compacted copy of its plan.
+type scratch struct {
+	arena physical.Arena
+	memo  *memo.Memo
 	// survivors is a stack of the goals in progress' survivor sets: a goal
 	// owns the entries from the length it found to the top, and the goals
 	// it recurses into push above that and pop back before it resumes.
 	survivors []candidatePlan
-	// results is finish's scratch for the survivors' results.
-	results []physical.Result
-	// samples are the fixed parameter settings of the sampled-dominance
-	// heuristic.
-	samples []*bindings.Bindings
+	// children and results are finish's scratch for the survivors' plans
+	// and results.
+	children []*physical.Node
+	results  []physical.Result
 }
+
+var scratches = sync.Pool{New: func() any { return &scratch{memo: memo.New()} }}
 
 // Optimize builds the optimal — or optimally adaptable, when parameters
 // are unbound — plan for the query under the environment. With an
@@ -186,17 +198,19 @@ func Optimize(q *logical.Query, env *bindings.Env, cfg Config) (*Result, error) 
 		cfg.PruneEqualCost = true
 	}
 	start := time.Now()
-	o := &Optimizer{
-		env:   env,
-		cfg:   cfg,
-		rules: rules.New(q),
-		memo:  memo.New(),
-	}
+	o := &Optimizer{env: env, cfg: cfg, rules: rules.New(q), scratch: scratches.Get().(*scratch)}
+	defer func() {
+		o.memo.Reset()
+		o.arena.Reset()
+		o.survivors = o.survivors[:0] // a failed search leaves its stack
+		scratches.Put(o.scratch)
+	}()
 	root := memo.Goal{Set: q.AllRels(), Prop: physical.Prop{Order: cfg.FinalOrder}}
 	w, err := o.optimizeGoal(root)
 	if err != nil {
 		return nil, err
 	}
+	w.Plan, o.stats.nodes = o.arena.Compact(w.Plan)
 	o.stats.Goals = o.memo.Len()
 	o.stats.CandidatesByOp = make(map[physical.Op]int)
 	for op, n := range o.built {
@@ -205,7 +219,7 @@ func Optimize(q *logical.Query, env *bindings.Env, cfg Config) (*Result, error) 
 		}
 	}
 	o.stats.Elapsed = time.Since(start)
-	return &Result{Plan: w.Plan, Cost: w.Cost, Card: w.Card, Memo: o.memo, Stats: o.stats}, nil
+	return &Result{Plan: w.Plan, Cost: w.Cost, Card: w.Card, Stats: o.stats}, nil
 }
 
 // candidatePlan is a fully costed candidate awaiting the pruning pass.
@@ -250,7 +264,7 @@ cands:
 				continue cands
 			}
 		}
-		node := cand.Build(winners[:len(inputs)]...)
+		node := cand.Build(&o.arena, winners[:len(inputs)]...)
 		in := kids[:len(inputs)]
 		if len(inputs) == 0 && len(node.Children) == 1 {
 			// An access path's Filter sits over its own fresh scan.
@@ -393,29 +407,16 @@ func (o *Optimizer) makeSamples(k int) []*bindings.Bindings {
 func (o *Optimizer) finish(survivors []candidatePlan) memo.Winner {
 	if len(survivors) == 1 {
 		s := survivors[0]
-		return memo.Winner{Plan: s.node, Cost: s.res.Cost, Card: s.res.Card, Alternatives: 1}
+		return memo.Winner{Plan: s.node, Cost: s.res.Cost, Card: s.res.Card}
 	}
 	o.stats.ChoosePlans++
-	// Up to four alternatives share the choose-plan's allocation.
-	b := new(struct {
-		node   physical.Node
-		inputs [4]*physical.Node
-	})
-	choose, children := &b.node, b.inputs[:0]
-	if len(survivors) > len(b.inputs) {
-		children = make([]*physical.Node, 0, len(survivors))
-	}
-	o.results = o.results[:0]
+	o.stats.KeptIncomparable += len(survivors) - 1
+	o.children, o.results = o.children[:0], o.results[:0]
 	for _, s := range survivors {
-		children = append(children, s.node)
+		o.children = append(o.children, s.node)
 		o.results = append(o.results, s.res)
 	}
-	children = children[:len(children):len(children)]
-	*choose = physical.Node{
-		Op:       physical.ChoosePlan,
-		RowBytes: children[0].RowBytes,
-		Children: children,
-	}
+	choose := o.arena.New(physical.Node{Op: physical.ChoosePlan, RowBytes: o.children[0].RowBytes}, o.children...)
 	res := physical.EvaluateNode(&o.cfg.Params, choose, o.env, o.results)
-	return memo.Winner{Plan: choose, Cost: res.Cost, Card: res.Card, Alternatives: len(survivors)}
+	return memo.Winner{Plan: choose, Cost: res.Cost, Card: res.Card}
 }

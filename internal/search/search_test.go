@@ -63,7 +63,7 @@ func allPlans(q *logical.Query, g memo.Goal, cache map[memo.Goal][]*physical.Nod
 	var out []*physical.Node
 	for c := range rules.New(q).Candidates(g.Set, g.Prop) {
 		if len(c.Inputs()) == 0 {
-			out = append(out, c.Build())
+			out = append(out, c.Build(new(physical.Arena)))
 			continue
 		}
 		childPlans := make([][]*physical.Node, len(c.Inputs()))
@@ -77,7 +77,7 @@ func allPlans(q *logical.Query, g memo.Goal, cache map[memo.Goal][]*physical.Nod
 			for i, k := range idx {
 				children[i] = childPlans[i][k]
 			}
-			out = append(out, c.Build(children...))
+			out = append(out, c.Build(new(physical.Arena), children...))
 			p := len(idx) - 1
 			for p >= 0 {
 				idx[p]++
@@ -307,8 +307,19 @@ func TestStatsConsistency(t *testing.T) {
 	if st.Elapsed <= 0 {
 		t.Error("elapsed time not recorded")
 	}
-	if res.Memo.Len() != st.Goals {
-		t.Error("memo size disagrees with goal count")
+	if n := res.Plan.CountNodes(); st.Nodes() != n {
+		t.Errorf("stats report %d plan nodes, plan has %d", st.Nodes(), n)
+	}
+	// Every choose-plan in the plan is some goal's winner, so the plan
+	// carries at most the alternatives the goals kept.
+	extra := 0
+	res.Plan.Walk(func(n *physical.Node) {
+		if n.Op == physical.ChoosePlan {
+			extra += len(n.Children) - 1
+		}
+	})
+	if extra == 0 || extra > st.KeptIncomparable {
+		t.Errorf("plan's choose-plans carry %d extra alternatives, goals kept %d", extra, st.KeptIncomparable)
 	}
 }
 
@@ -436,19 +447,18 @@ func TestDynamicPlanGrowsWithUncertainty(t *testing.T) {
 }
 
 // TestMemoRecordsChoosePlanWinner: dynamic optimization memoizes the
-// incomparable alternatives of some goal as a choose-plan winner.
+// incomparable alternatives of some goal as a choose-plan winner, which
+// the plan consumes.
 func TestMemoRecordsChoosePlanWinner(t *testing.T) {
 	q := paperishQuery(2)
 	res, err := Optimize(q, dynamicEnv(q), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for set := logical.RelSet(1); set <= q.AllRels(); set++ {
-		if w, ok := res.Memo.Lookup(memo.Goal{Set: set}); ok && w.Plan.Op == physical.ChoosePlan {
-			return
-		}
+	if res.Stats.KeptIncomparable == 0 || res.Plan.CountChoosePlans() == 0 {
+		t.Errorf("no goal kept a choose-plan winner: %d extra alternatives, %d choose-plans in the plan",
+			res.Stats.KeptIncomparable, res.Plan.CountChoosePlans())
 	}
-	t.Errorf("none of the %d memo winners is a choose-plan", res.Memo.Len())
 }
 
 func close(a, b float64) bool {

@@ -49,6 +49,7 @@ func (db *Database) Prepare(q *Query) (*PreparedQuery, error) {
 // under: a hash of everything the compiled plan depends on — the
 // relations in order, each selection's attribute, variable and exact
 // literal selectivity, each join edge, the order-by and the projection.
+// An edge's orientation is not part of it.
 func QueryDigest(q *Query) string {
 	var buf [512]byte // the identity of a query over a dozen relations fits
 	b := binary.AppendUvarint(buf[:0], uint64(len(q.q.Rels)))
@@ -63,6 +64,11 @@ func QueryDigest(q *Query) string {
 	}
 	b = binary.AppendUvarint(b, uint64(len(q.q.Edges)))
 	for _, e := range q.q.Edges {
+		// The lower relation first: R.k = S.k and S.k = R.k are one edge
+		// to every consumer, so the two spellings share one entry.
+		if e.Left > e.Right {
+			e.Left, e.Right, e.LeftAttr, e.RightAttr = e.Right, e.Left, e.RightAttr, e.LeftAttr
+		}
 		b = binary.AppendUvarint(binary.AppendUvarint(b, uint64(e.Left)), uint64(e.Right))
 		b = appendField(appendField(b, e.LeftAttr.Name), e.RightAttr.Name)
 	}

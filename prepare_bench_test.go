@@ -2,6 +2,7 @@ package dynplan
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"dynplan/internal/harness"
@@ -30,6 +31,35 @@ func BenchmarkPreparedActivation(b *testing.B) {
 		if !res.PlanCacheHit {
 			b.Fatal("steady-state prepared execution missed the plan cache")
 		}
+	}
+}
+
+// BenchmarkColdPrepare measures a cold statement on §6 chains of 2, 4
+// and 7 relations: parse, a plan-cache miss (key, search, lowering) and
+// the fresh module's first execution. Each iteration installs an empty
+// cache, which the allocation figures include.
+func BenchmarkColdPrepare(b *testing.B) {
+	sys, db := paperDatabase(b)
+	ctx := context.Background()
+	for _, n := range []int{2, 4, 7} {
+		text, bind := chainText(1, n, false, false), chainBindings(1, n, 0.05)
+		b.Run(fmt.Sprintf("relations=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				db.SetPlanCacheCapacity(64)
+				q, err := sys.Parse(text)
+				if err != nil {
+					b.Fatal(err)
+				}
+				p, err := db.Prepare(q)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := p.Exec(ctx, bind, ExecOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
