@@ -11,12 +11,6 @@ import (
 // errSkew rejects non-positive skew exponents.
 var errSkew = errors.New("dynplan: skew must be positive")
 
-func newDeterministicRand(seed int64) *rand.Rand {
-	return rand.New(rand.NewSource(seed))
-}
-
-func powFloat(u, e float64) float64 { return math.Pow(u, e) }
-
 // GenerateSkewedData fills the catalog relations like GenerateData but
 // draws every attribute named "a" (the convention of the experiment
 // schema) from a skewed distribution: values ⌊domain · u^skew⌋, so a
@@ -26,7 +20,7 @@ func (db *Database) GenerateSkewedData(seed int64, skew float64, skewedAttr stri
 	if skew <= 0 {
 		return errSkew
 	}
-	rng := newDeterministicRand(seed)
+	rng := rand.New(rand.NewSource(seed))
 	for _, rel := range db.sys.cat.Relations() {
 		t := storage.NewTable(rel.Name, rel.RecordBytes)
 		for i := 0; i < rel.Cardinality; i++ {
@@ -34,7 +28,7 @@ func (db *Database) GenerateSkewedData(seed int64, skew float64, skewedAttr stri
 			for j, a := range rel.Attrs {
 				u := rng.Float64()
 				if a.Name == skewedAttr && skew != 1 {
-					u = powFloat(u, skew)
+					u = math.Pow(u, skew)
 				}
 				v := int64(u * float64(a.DomainSize))
 				if v >= int64(a.DomainSize) {

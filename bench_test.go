@@ -65,7 +65,7 @@ func benchSetup(tb testing.TB) *benchEnv {
 			if err != nil {
 				panic(err)
 			}
-			mod, err := plan.NewModule(dy.Plan, dy.Stats.Nodes())
+			mod, err := plan.NewModule(dy.Plan, dy.Stats.Nodes(), dy.Stats.Edges())
 			if err != nil {
 				panic(err)
 			}
@@ -376,7 +376,7 @@ func BenchmarkAblationEqualCostRetention(b *testing.B) {
 func BenchmarkAblationPlanShrinking(b *testing.B) {
 	e := benchSetup(b)
 	dyn := e.dynamic[6]
-	fresh, err := plan.NewModule(dyn.Plan, dyn.Stats.Nodes())
+	fresh, err := plan.NewModule(dyn.Plan, dyn.Stats.Nodes(), dyn.Stats.Edges())
 	if err != nil {
 		b.Fatal(err)
 	}

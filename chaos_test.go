@@ -108,7 +108,7 @@ func TestChaosSoak(t *testing.T) {
 	// Transient faults only: every admitted query must recover via the
 	// resilient executor; permanent-fault steering has its own tests.
 	db.InjectFaults(FaultConfig{Seed: 7, TransientRate: 0.15})
-	defer db.ClearFaults()
+	defer db.faults.Store(nil)
 
 	rep, err := harness.Soak(context.Background(), harness.ChaosConfig{
 		Seed:       1,
@@ -116,7 +116,7 @@ func TestChaosSoak(t *testing.T) {
 		Iterations: iterations,
 		Queries:    queries,
 		Shrink: func(f float64) {
-			db.ResizeMemoryPool(poolStart - f*(poolStart-poolFloor))
+			db.gov.ResizePool(poolStart - f*(poolStart-poolFloor))
 		},
 		Rejected: func(err error) bool {
 			return errors.Is(err, ErrAdmission) || IsCanceled(err)
@@ -131,8 +131,8 @@ func TestChaosSoak(t *testing.T) {
 	if got := rep.Succeeded + rep.Rejected; got != workers*iterations {
 		t.Errorf("accounted executions = %d, want %d", got, workers*iterations)
 	}
-	t.Logf("%s; faults injected: %d", rep, db.FaultStats().Injected)
-	if db.FaultStats().Injected == 0 {
+	t.Logf("%s; faults injected: %d", rep, db.injector().Stats().Injected)
+	if db.injector().Stats().Injected == 0 {
 		t.Error("no faults were injected; the soak is vacuous")
 	}
 
@@ -223,7 +223,7 @@ func TestChaosSoakSheds(t *testing.T) {
 	// one-deep queue the eight workers must overlap and the governor must
 	// shed — regardless of how fast the machine runs the query itself.
 	db.InjectFaults(FaultConfig{Seed: 11, TransientRate: 0.3})
-	defer db.ClearFaults()
+	defer db.faults.Store(nil)
 
 	rep, err := harness.Soak(context.Background(), harness.ChaosConfig{
 		Seed:       3,
@@ -303,9 +303,10 @@ func TestChaosSoakReopt(t *testing.T) {
 
 	// The watchdog rides along generously armed: real progress is being
 	// made, so it must never fire — its goroutines must only start and
-	// stop cleanly under the full concurrent load.
+	// stop cleanly under the full concurrent load. The caller's context
+	// bounds each query's total time, retries included.
 	rp := func() *ReoptPolicy {
-		return &ReoptPolicy{Query: q, Deadline: 30 * time.Second, NoProgressTimeout: 10 * time.Second}
+		return &ReoptPolicy{Query: q, NoProgressTimeout: 10 * time.Second}
 	}
 	pol := func(seed int64) RetryPolicy {
 		return RetryPolicy{MaxAttempts: 80, Backoff: 100 * time.Microsecond, MaxBackoff: time.Millisecond, JitterSeed: seed}
@@ -324,6 +325,8 @@ func TestChaosSoakReopt(t *testing.T) {
 			Name:      "switch-mix",
 			Reference: strings.Join(canonical(refMod), "\n"),
 			Run: func(ctx context.Context, seed int64) (string, error) {
+				ctx, cancel := context.WithTimeout(ctx, 30*time.Second)
+				defer cancel()
 				res, err := db.Exec(ctx, mod, b, ExecOptions{
 					Governed: true, Resilient: true, Policy: pol(seed), Reopt: rp(),
 				})
@@ -339,6 +342,8 @@ func TestChaosSoakReopt(t *testing.T) {
 			Name:      "eager-mix",
 			Reference: strings.Join(canonical(refMod), "\n"),
 			Run: func(ctx context.Context, seed int64) (string, error) {
+				ctx, cancel := context.WithTimeout(ctx, 30*time.Second)
+				defer cancel()
 				res, err := db.Exec(ctx, mod, b, ExecOptions{
 					Governed: true, Resilient: true, Policy: pol(seed), Reopt: rp(), Adaptive: true,
 				})
@@ -352,6 +357,8 @@ func TestChaosSoakReopt(t *testing.T) {
 			Name:      "replan-mix",
 			Reference: strings.Join(canonical(refPlan), "\n"),
 			Run: func(ctx context.Context, seed int64) (string, error) {
+				ctx, cancel := context.WithTimeout(ctx, 30*time.Second)
+				defer cancel()
 				// The plain stack has no Retry stage, so this mix retries
 				// transient faults itself — they heal after a bounded number
 				// of touches. Each attempt still re-plans from scratch.
@@ -382,7 +389,7 @@ func TestChaosSoakReopt(t *testing.T) {
 	})
 	defer db.ClearGovernor()
 	db.InjectFaults(FaultConfig{Seed: 11, TransientRate: 0.1})
-	defer db.ClearFaults()
+	defer db.faults.Store(nil)
 
 	rep, err := harness.Soak(context.Background(), harness.ChaosConfig{
 		Seed:       3,
@@ -399,8 +406,8 @@ func TestChaosSoakReopt(t *testing.T) {
 	if err := rep.Err(); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("%s; faults injected: %d", rep, db.FaultStats().Injected)
-	if db.FaultStats().Injected == 0 {
+	t.Logf("%s; faults injected: %d", rep, db.injector().Stats().Injected)
+	if db.injector().Stats().Injected == 0 {
 		t.Error("no faults were injected; the soak is vacuous")
 	}
 

@@ -97,12 +97,12 @@ func TestQueryDigestCoversQuery(t *testing.T) {
 		{"join edge", "SELECT * FROM R, S, T WHERE R.k = S.k AND S.k = T.k", "SELECT * FROM R, S, T WHERE R.k = S.k AND R.k = T.k"},
 		{"literal", "SELECT * FROM R WHERE R.a <= 50000", "SELECT * FROM R WHERE R.a <= 50049"},
 	} {
-		if QueryDigest(parse(c.a)) == QueryDigest(parse(c.b)) {
+		if queryDigest(parse(c.a)) == queryDigest(parse(c.b)) {
 			t.Errorf("%s: %q and %q share a digest", c.name, c.a, c.b)
 		}
 	}
 	const text = "SELECT R.a FROM R, S WHERE R.a <= ?x AND R.k = S.k ORDER BY R.a"
-	if QueryDigest(parse(text)) != QueryDigest(parse(text)) {
+	if queryDigest(parse(text)) != queryDigest(parse(text)) {
 		t.Errorf("%q digests differently when parsed twice", text)
 	}
 
@@ -226,7 +226,7 @@ func TestConcurrentColdCompiles(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	db.SetPlanCacheCapacity(8)
+	db.planCache = newPlanCache(8)
 	var wg sync.WaitGroup
 	for g := range 4 {
 		wg.Add(1)
@@ -277,7 +277,7 @@ func TestColdPrepareAllocations(t *testing.T) {
 	ctx := context.Background()
 	for _, c := range []struct{ relations, bound int }{{2, 132}, {4, 146}, {7, 177}} {
 		text, b := chainText(1, c.relations, false, false), chainBindings(1, c.relations, 0.05)
-		fresh := func() { db.SetPlanCacheCapacity(64) }
+		fresh := func() { db.planCache = newPlanCache(64) }
 		cold := func() {
 			fresh()
 			q, err := sys.Parse(text)

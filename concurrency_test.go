@@ -74,7 +74,7 @@ func TestConcurrentQueriesOneDatabase(t *testing.T) {
 	}
 
 	db.InjectFaults(configs[0])
-	defer db.ClearFaults()
+	defer db.faults.Store(nil)
 
 	const workers, iters = 4, 6
 	errCh := make(chan error, workers*iters)
@@ -262,7 +262,7 @@ func TestResilientBackoffMetadata(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		db.ClearFaults()
+		db.faults.Store(nil)
 		return res
 	}
 	res := run()
@@ -356,20 +356,20 @@ func TestCircuitBreakerLifecycle(t *testing.T) {
 	if !strings.Contains(tripped.Error(), "C1") {
 		t.Errorf("circuit-open error does not name the relation: %v", tripped)
 	}
-	if trips := db.BreakerTrips(); trips["C1"] != 1 {
+	if trips := db.breaker.Trips(); trips["C1"] != 1 {
 		t.Errorf("BreakerTrips = %v, want C1:1", trips)
 	}
 
 	// The blocked execution above counted the (cooldown=1) step, so the
 	// circuit is now half-open: with the fault gone, the probe must pass
 	// and close the circuit for good.
-	db.ClearFaults()
+	db.faults.Store(nil)
 	for i := 0; i < 2; i++ {
 		if _, err := db.Exec(context.Background(), mod, b, ExecOptions{Resilient: true}); err != nil {
 			t.Fatalf("post-cooldown execution %d failed: %v", i, err)
 		}
 	}
-	if trips := db.BreakerTrips(); trips["C1"] != 1 {
+	if trips := db.breaker.Trips(); trips["C1"] != 1 {
 		t.Errorf("closed circuit re-tripped: %v", trips)
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"dynplan/internal/obs"
 	"dynplan/internal/physical"
 	"dynplan/internal/plancache"
-	"dynplan/internal/stats"
 	"dynplan/internal/storage"
 )
 
@@ -26,21 +25,19 @@ import (
 // resource governor are internally synchronized. Loading (Insert,
 // GenerateData, BuildIndexes) must complete before queries start.
 type Database struct {
-	sys        *System
-	store      *storage.Store
-	indexes    map[string]map[string]*btree.Tree
-	loaded     map[string]bool
-	histograms map[string]map[string]*stats.Histogram
+	sys     *System
+	store   *storage.Store
+	indexes map[string]map[string]*btree.Tree
+	loaded  map[string]bool
 	// statsMu orders statistics refreshes against statistics readers:
-	// Analyze (which rewrites catalog cardinalities and the histogram
-	// maps mid-service) takes the write side; plan compilation for the
-	// plan cache and the selectivity estimators take the read side, so a
-	// prepared statement re-optimizing concurrently with an Analyze pass
-	// sees either the old statistics or the new, never a mix.
+	// Analyze (which rewrites catalog cardinalities mid-service) takes the
+	// write side and plan compilation for the plan cache the read side, so
+	// a prepared statement re-optimizing concurrently with an Analyze pass
+	// sees either the old cardinalities or the new, never a mix.
 	statsMu sync.RWMutex
 	// faults holds the installed fault injector; atomic because
-	// InjectFaults/ClearFaults may race with in-flight executions, which
-	// snapshot the pointer once and use that injector throughout.
+	// InjectFaults may race with in-flight executions, which snapshot the
+	// pointer once and use that injector throughout.
 	faults atomic.Pointer[storage.Injector]
 	// observing is the caller's EnableObservability switch for
 	// per-operator metrics; each execution collects into its own window, so
@@ -77,31 +74,21 @@ type Database struct {
 // page reads; see Database.InjectFaults. The zero value injects nothing.
 type FaultConfig = storage.FaultConfig
 
-// FaultStats summarizes what the installed fault injector has done.
-type FaultStats = storage.FaultStats
-
 // InjectFaults installs a deterministic fault injector: base-table page
 // reads fail according to the config (transient or permanent, decided per
 // page by a hash of the seed, so runs are reproducible), failed reads are
 // charged simulated latency, and a memory-shrink event can revoke part of
 // the memory grant mid-query. Injected failures wrap ErrFaultInjected
 // plus ErrTransientIO or ErrPermanentIO. Subsequent executions run
-// through the injector until ClearFaults.
+// through the injector until the next InjectFaults replaces it.
 func (db *Database) InjectFaults(cfg FaultConfig) {
 	db.faults.Store(storage.NewInjector(cfg))
 }
 
-// ClearFaults removes the fault injector.
-func (db *Database) ClearFaults() { db.faults.Store(nil) }
-
 // injector returns the currently installed fault injector (nil when none);
-// executions snapshot it once so a concurrent InjectFaults/ClearFaults
-// cannot change the substrate mid-query.
+// executions snapshot it once so a concurrent InjectFaults cannot change
+// the substrate mid-query.
 func (db *Database) injector() *storage.Injector { return db.faults.Load() }
-
-// FaultStats returns a snapshot of the injector's counters; the zero
-// value when no injector is installed.
-func (db *Database) FaultStats() FaultStats { return db.injector().Stats() }
 
 // RelationPages returns the number of heap pages a loaded relation
 // occupies — the figure per-worker fault targeting combines with
@@ -137,26 +124,12 @@ func (s *System) OpenDatabase() *Database {
 	return db
 }
 
-// CatalogVersion returns the database's current statistics epoch; Analyze
-// bumps it, and the plan cache keys on it, so plans compiled under stale
-// statistics are never served again.
-func (db *Database) CatalogVersion() uint64 { return db.catalogVersion.Load() }
-
 // PlanCacheStats returns the shared plan cache's hit/miss/eviction
 // counters.
 func (db *Database) PlanCacheStats() PlanCacheStats { return db.planCache.Stats() }
 
 // PlanCacheStats is a point-in-time snapshot of the plan cache counters.
 type PlanCacheStats = plancache.Stats
-
-// SetPlanCacheCapacity replaces the plan cache with an empty one bounded
-// at the given capacity (minimum 1; default 64). Call it before
-// preparing statements — cached modules and the cache's counters are
-// discarded, though outstanding PreparedQuery handles keep working and
-// repopulate the new cache on their next execution.
-func (db *Database) SetPlanCacheCapacity(capacity int) {
-	db.planCache = newPlanCache(capacity)
-}
 
 // Insert appends rows to a relation; each row must list the attribute
 // values in schema order.

@@ -87,7 +87,7 @@ func TestWorkerRetryAbsorbsTransientFault(t *testing.T) {
 	// Main run on a fresh injector (the control healed the page): the
 	// defaults absorb the fault inside the worker.
 	db.InjectFaults(cfg)
-	defer db.ClearFaults()
+	defer db.faults.Store(nil)
 	res, err := db.Exec(context.Background(), root, b, ExecOptions{Parallel: true})
 	if err != nil {
 		t.Fatalf("worker retry did not absorb the fault on page %d: %v", mid, err)
@@ -125,7 +125,7 @@ func TestWorkerRetryAbsorbsTransientFault(t *testing.T) {
 	if !retried {
 		t.Error("no exchange carries the worker-retry account")
 	}
-	if inj := db.FaultStats().Injected; inj < 1 {
+	if inj := db.injector().Stats().Injected; inj < 1 {
 		t.Errorf("injected=%d; the scenario is vacuous", inj)
 	}
 }
@@ -161,7 +161,7 @@ func TestWorkerRetryDeterministicBackoff(t *testing.T) {
 	}
 	first := account()
 	second := account()
-	db.ClearFaults()
+	db.faults.Store(nil)
 	if first != second {
 		t.Errorf("retry accounts diverge across identical runs:\n%s\n--\n%s", first, second)
 	}
@@ -196,7 +196,7 @@ func TestDegradeLadderPermanentFault(t *testing.T) {
 	// execution narrows.
 	cfg.MaxInjected = 2
 	db.InjectFaults(cfg)
-	defer db.ClearFaults()
+	defer db.faults.Store(nil)
 
 	res, err := db.Exec(context.Background(), root, b, ExecOptions{Parallel: true})
 	if err != nil {
@@ -262,7 +262,7 @@ func TestWorkerBackoffCancellation(t *testing.T) {
 	cfg.TransientRate = 1
 	cfg.Persistence = 1 << 20 // the fault never heals: the worker keeps backing off
 	db.InjectFaults(cfg)
-	defer db.ClearFaults()
+	defer db.faults.Store(nil)
 	// A backoff far beyond the test budget: only the cancel can end it.
 	pol := &WorkerRetryPolicy{MaxAttempts: 1 << 20, Backoff: time.Hour, MaxBackoff: time.Hour}
 
@@ -386,7 +386,7 @@ func workerFaultSoak(t *testing.T, seed int64, rate float64) {
 
 	before := harness.StableGoroutines()
 	db.InjectFaults(FaultConfig{Seed: seed, TransientRate: rate})
-	defer db.ClearFaults()
+	defer db.faults.Store(nil)
 
 	rep, err := harness.Soak(context.Background(), harness.ChaosConfig{
 		Seed:       seed,
@@ -400,7 +400,7 @@ func workerFaultSoak(t *testing.T, seed int64, rate float64) {
 	if err := rep.Err(); err != nil {
 		t.Fatal(err)
 	}
-	stats := db.FaultStats()
+	stats := db.injector().Stats()
 	t.Logf("%s; seed=%d rate=%v; faults injected: %d", rep, seed, rate, stats.Injected)
 	if rate > 0 && stats.Injected == 0 {
 		t.Error("no faults were injected; the soak is vacuous")

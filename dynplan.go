@@ -18,22 +18,6 @@ type System struct {
 	cfg    search.Config
 }
 
-// Option customizes a System.
-type Option func(*System)
-
-// WithParams overrides the cost-model constants (defaults reproduce the
-// paper's experimental environment; see Params).
-func WithParams(p Params) Option {
-	return func(s *System) { s.params = physical.Params(p) }
-}
-
-// WithEqualCostPruning makes the dynamic-plan search keep only one of a
-// set of exactly-equal-cost alternatives. The paper's prototype retains
-// them all (§3); this option is the ablation knob.
-func WithEqualCostPruning() Option {
-	return func(s *System) { s.cfg.PruneEqualCost = true }
-}
-
 // Params re-exports the cost-model constants; see the fields of
 // internal/physical.Params for documentation.
 type Params = physical.Params
@@ -43,11 +27,8 @@ type Params = physical.Params
 func DefaultParams() Params { return physical.DefaultParams() }
 
 // New creates an empty system.
-func New(opts ...Option) *System {
+func New() *System {
 	s := &System{cat: catalog.New(), params: physical.DefaultParams()}
-	for _, o := range opts {
-		o(s)
-	}
 	s.cfg.Params = s.params
 	return s
 }
@@ -128,11 +109,8 @@ func (q *Query) OrderBy() string { return q.orderBy }
 // Projection returns the projected output columns (nil = all).
 func (q *Query) Projection() []string { return append([]string(nil), q.projection...) }
 
-// Logical exposes the normalized logical form (advanced use).
-func (q *Query) Logical() *logical.Query { return q.q }
-
 // String renders the query algebraically, for display only: it leaves
-// out join predicates and rounds literals (QueryDigest identifies it).
+// out join predicates and rounds literals (queryDigest identifies it).
 func (q *Query) String() string { return q.q.String() }
 
 // Variables returns the host variables the query references.

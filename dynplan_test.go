@@ -283,18 +283,6 @@ func TestShrinkThroughAPI(t *testing.T) {
 	}
 }
 
-func TestOptions(t *testing.T) {
-	params := DefaultParams()
-	params.DefaultSelectivity = 0.2
-	sys := New(WithParams(params), WithEqualCostPruning())
-	if sys.params.DefaultSelectivity != 0.2 {
-		t.Error("WithParams ignored")
-	}
-	if !sys.cfg.PruneEqualCost {
-		t.Error("WithEqualCostPruning ignored")
-	}
-}
-
 func TestCostIntervalString(t *testing.T) {
 	c := CostInterval{Lo: 1, Hi: 1}
 	if c.String() != "1s" {
@@ -323,7 +311,7 @@ func TestPlanIntrospection(t *testing.T) {
 	if dyn.Root() == nil {
 		t.Error("Root is nil")
 	}
-	if q.Logical() == nil || !strings.Contains(q.String(), "⋈") {
+	if q.q == nil || !strings.Contains(q.String(), "⋈") {
 		t.Error("query introspection degenerate")
 	}
 }
@@ -340,30 +328,10 @@ func TestActivationString(t *testing.T) {
 	if !strings.Contains(act.String(), "decisions") {
 		t.Errorf("Activation.String = %q", act.String())
 	}
-	if act.StartupSeconds() <= 0 || act.MeasuredCPU() <= 0 {
+	if act.report.TotalStartupSeconds() <= 0 || act.report.MeasuredCPU <= 0 {
 		t.Error("activation timing not recorded")
 	}
 	if act.Decisions() < 1 || act.NodesEvaluated() < dyn.NodeCount() {
 		t.Error("activation accounting degenerate")
-	}
-}
-
-func TestExplainWithCosts(t *testing.T) {
-	sys := newTestSystem(t)
-	q := figure2Query(t, sys)
-	dyn, err := sys.OptimizeDynamic(q, Uncertainty{Memory: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Compile-time view: interval annotations.
-	out := dyn.ExplainWithCosts(nil)
-	if !strings.Contains(out, "rows=") || !strings.Contains(out, "cost=[") {
-		t.Errorf("compile-time explain lacks interval annotations:\n%s", out)
-	}
-	// Bound view: point annotations.
-	b := Bindings{Selectivities: map[string]float64{"v": 0.3}, MemoryPages: 64}
-	out = dyn.ExplainWithCosts(&b)
-	if !strings.Contains(out, "rows=") || strings.Contains(out, "cost=[") {
-		t.Errorf("bound explain should have point annotations:\n%s", out)
 	}
 }

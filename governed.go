@@ -79,13 +79,6 @@ func (db *Database) SetGovernor(cfg GovernorConfig) {
 	db.breaker = governor.NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
 }
 
-// ClearGovernor removes the governor and circuit breaker; Governed
-// executions revert to their ungoverned behaviour.
-func (db *Database) ClearGovernor() {
-	db.gov = nil
-	db.breaker = nil
-}
-
 // GovernorStats returns a snapshot of the governor's admission, queue,
 // shed, and grant-broker counters; the zero value when no governor is
 // installed.
@@ -94,29 +87,4 @@ func (db *Database) GovernorStats() GovernorStats {
 		return GovernorStats{}
 	}
 	return db.gov.Stats()
-}
-
-// OutstandingGrantPages returns the pages currently granted and not yet
-// released — zero whenever no governed query is in flight, the invariant
-// the chaos harness asserts.
-func (db *Database) OutstandingGrantPages() float64 {
-	if db.gov == nil {
-		return 0
-	}
-	return db.gov.Broker().Outstanding()
-}
-
-// ResizeMemoryPool changes the grant pool size at run-time — the knob a
-// shrinking-memory scenario turns. Outstanding grants are unaffected; new
-// grants see the reduced pool.
-func (db *Database) ResizeMemoryPool(totalPages float64) {
-	if db.gov != nil {
-		db.gov.ResizePool(totalPages)
-	}
-}
-
-// BreakerTrips returns how many times each relation's circuit has opened;
-// empty when no breaker is installed or none has tripped.
-func (db *Database) BreakerTrips() map[string]int64 {
-	return db.breaker.Trips()
 }

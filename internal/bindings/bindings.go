@@ -90,7 +90,7 @@ func (e *Env) IsPoint() bool {
 // Applications bind literal values; the harness and the plan start-up code
 // work in selectivities directly because the experiment predicates are
 // normalized range predicates ("attr <= ?v") whose selectivity is
-// value ÷ domain size (Database.BindValue performs that conversion).
+// value ÷ domain size.
 type Bindings struct {
 	Sel    map[string]float64
 	Memory float64

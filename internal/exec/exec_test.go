@@ -172,7 +172,7 @@ func TestAllDynamicAlternativesAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mod, err := plan.NewModule(res.Plan, res.Stats.Nodes())
+		mod, err := plan.NewModule(res.Plan, res.Stats.Nodes(), res.Stats.Edges())
 		if err != nil {
 			t.Fatal(err)
 		}

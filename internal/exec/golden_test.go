@@ -59,7 +59,7 @@ func goldenInputs(t *testing.T, w *workload.Workload) []goldenInput {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mod, err := plan.NewModule(res.Plan, res.Stats.Nodes())
+		mod, err := plan.NewModule(res.Plan, res.Stats.Nodes(), res.Stats.Edges())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -119,7 +119,7 @@ func TestCancelMidScan(t *testing.T) {
 func TestDeadlineExceeded(t *testing.T) {
 	w := workload.New(11)
 	db := testDB(t, w)
-	ctx, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
+	ctx, cancel := context.WithTimeout(context.Background(), -time.Second) // already expired
 	defer cancel()
 	db.Ctx = ctx
 	_, _, err := db.Run(staticPlan(t, w, 1), midBindings(1))

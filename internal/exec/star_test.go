@@ -82,7 +82,7 @@ func TestStarQueriesEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("star %d dynamic: %v", n, err)
 		}
-		mod, err := plan.NewModule(dyn.Plan, dyn.Stats.Nodes())
+		mod, err := plan.NewModule(dyn.Plan, dyn.Stats.Nodes(), dyn.Stats.Edges())
 		if err != nil {
 			t.Fatal(err)
 		}

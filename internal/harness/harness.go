@@ -200,12 +200,12 @@ func RunQuery(w *workload.Workload, spec workload.QuerySpec, memUncertain bool, 
 	pt.DynamicAlternatives = dynamic.Plan.Alternatives()
 	pt.LogicalAlternatives = q.LogicalAlternatives(q.AllRels())
 
-	module, err := plan.NewModule(dynamic.Plan, dynamic.Stats.Nodes())
+	module, err := plan.NewModule(dynamic.Plan, dynamic.Stats.Nodes(), dynamic.Stats.Edges())
 	if err != nil {
 		return nil, fmt.Errorf("harness: building access module: %w", err)
 	}
 	pt.StartupIOSim = module.ReadTime(params)
-	staticModule, err := plan.NewModule(static.Plan, static.Stats.Nodes())
+	staticModule, err := plan.NewModule(static.Plan, static.Stats.Nodes(), static.Stats.Edges())
 	if err != nil {
 		return nil, fmt.Errorf("harness: building static access module: %w", err)
 	}

@@ -43,7 +43,7 @@ func RunSweep(cfg Config, relations int, steps int) ([]*SweepPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	module, err := plan.NewModule(dynamic.Plan, dynamic.Stats.Nodes())
+	module, err := plan.NewModule(dynamic.Plan, dynamic.Stats.Nodes(), dynamic.Stats.Edges())
 	if err != nil {
 		return nil, err
 	}

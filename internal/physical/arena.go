@@ -68,10 +68,11 @@ func (a *Arena) Reset() {
 
 // Compact copies the DAG under root, children first, into one exact-sized
 // slab of nodes and one of child pointers, preserving every shared
-// subplan, and returns the copy's root and its node count. The copy
-// points nowhere into the arena. The arena's nodes are left forwarded,
-// so Compact is the last use of them before Reset.
-func (a *Arena) Compact(root *Node) (*Node, int) {
+// subplan, and returns the copy's root, its node count and how many
+// inputs those nodes list. The copy points nowhere into the arena. The
+// arena's nodes are left forwarded, so Compact is the last use of them
+// before Reset.
+func (a *Arena) Compact(root *Node) (*Node, int, int) {
 	a.order = a.order[:0]
 	edges := a.collect(root)
 	slab, kids := make([]Node, len(a.order)), make([]*Node, edges)
@@ -87,7 +88,7 @@ func (a *Arena) Compact(root *Node) (*Node, int) {
 			n.Children, kids = in, kids[k:]
 		}
 	}
-	return &slab[len(slab)-1], len(slab)
+	return &slab[len(slab)-1], len(slab), edges
 }
 
 // collect appends the DAG under n to order, children first and once

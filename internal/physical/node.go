@@ -244,16 +244,15 @@ func (n *Node) Format() string { return string(n.AppendFormat(make([]byte, 0, 40
 
 // AppendFormat appends the Format rendering of the DAG to b.
 func (n *Node) AppendFormat(b []byte) []byte {
-	b, _ = n.render(b, make([]*Node, 0, 64), 0, nil, nil)
+	b, _ = n.render(b, make([]*Node, 0, 64), 0)
 	return b
 }
 
-// render appends the subplan at n, indented to depth, to b, annotated with
-// the estimates res when p, the plan's lowering, is given. A node's id is
+// render appends the subplan at n, indented to depth, to b. A node's id is
 // its position in seen, the nodes printed so far, plus one; a linear
 // search there beats hashing a resolved plan's few dozen nodes. The
 // slices pass by value and return, so a caller's stack buffers stay put.
-func (n *Node) render(b []byte, seen []*Node, depth int, p *Program, res []Result) ([]byte, []*Node) {
+func (n *Node) render(b []byte, seen []*Node, depth int) ([]byte, []*Node) {
 	for range depth {
 		b = append(b, "  "...)
 	}
@@ -262,14 +261,9 @@ func (n *Node) render(b []byte, seen []*Node, depth int, p *Program, res []Resul
 		return cat(strconv.AppendInt(b, int64(i+1), 10), " (shared ", n.Op.String(), ")\n"), seen
 	}
 	seen = append(seen, n)
-	b = n.AppendLabel(append(strconv.AppendInt(b, int64(len(seen)), 10), ' '))
-	if p != nil {
-		r := res[p.Index(n)]
-		b = cat(b, "  [rows=", r.Card.String(), " cost=", r.Cost.String(), "]")
-	}
-	b = append(b, '\n')
+	b = append(n.AppendLabel(append(strconv.AppendInt(b, int64(len(seen)), 10), ' ')), '\n')
 	for _, c := range n.Children {
-		b, seen = c.render(b, seen, depth+1, p, res)
+		b, seen = c.render(b, seen, depth+1)
 	}
 	return b, seen
 }
@@ -278,7 +272,7 @@ func (n *Node) render(b []byte, seen []*Node, depth int, p *Program, res []Resul
 // per operator, presence of required fields, and positive widths — by
 // lowering it.
 func (n *Node) Validate() error {
-	_, err := Lower(0, n)
+	_, err := Lower(0, 0, n)
 	return err
 }
 

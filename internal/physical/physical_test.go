@@ -316,7 +316,7 @@ func TestLowerSharesSubplans(t *testing.T) {
 	a := &Node{Op: Sort, Attr: "R.a", RowBytes: 512, Children: []*Node{shared}}
 	b := &Node{Op: Sort, Attr: "R.b", RowBytes: 512, Children: []*Node{shared}}
 	root := &Node{Op: ChoosePlan, RowBytes: 512, Children: []*Node{a, b}}
-	p, err := Lower(0, root)
+	p, err := Lower(0, 0, root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestLowerSharesSubplans(t *testing.T) {
 	if ia, ib := p.Index(a), p.Index(b); !slices.Equal(p.Inputs(ia), p.Inputs(ib)) {
 		t.Errorf("the sorts' inputs lower to %v and %v, want one index", p.Inputs(ia), p.Inputs(ib))
 	}
-	both, err := Lower(0, a, b)
+	both, err := Lower(0, 0, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}

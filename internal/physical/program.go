@@ -38,14 +38,18 @@ type row struct {
 	in              [2]uint16
 }
 
-// NewProgram returns an empty program with room for capacity operators,
-// for callers that add operators one at a time and then Seal.
-func NewProgram(capacity int) *Program {
+// NewProgram returns an empty program with room for nodes operators
+// listing edges inputs in all (two per operator when edges is 0), for
+// callers that add operators one at a time and then Seal.
+func NewProgram(nodes, edges int) *Program {
+	if edges <= 0 {
+		edges = 2 * nodes
+	}
 	return &Program{
-		Nodes:  make([]*Node, 0, capacity),
-		kidOff: append(make([]int32, 0, capacity+1), 0),
-		kids:   make([]int32, 0, 2*capacity),
-		index:  make(map[*Node]int32, capacity),
+		Nodes:  make([]*Node, 0, nodes),
+		kidOff: append(make([]int32, 0, nodes+1), 0),
+		kids:   make([]int32, 0, edges),
+		index:  make(map[*Node]int32, nodes),
 		Vars:   make([]string, 0, 8),
 	}
 }
@@ -53,13 +57,14 @@ func NewProgram(capacity int) *Program {
 // Lower flattens the union of the DAGs under roots in one children-first
 // pass, validating every operator and giving a subplan the roots share
 // one index. Temp-Scans are accepted: run-time plans read temporaries.
-// capacity bounds the operators (a search result's Stats.Nodes, exact)
-// so the program never regrows; 0 starts it at room for 32.
-func Lower(capacity int, roots ...*Node) (*Program, error) {
-	if capacity <= 0 {
-		capacity = 32
+// nodes and edges bound the operators and the inputs they list (a search
+// result's Stats.Nodes and Stats.Edges, exact) so the program never
+// regrows; 0 starts it at room for 32 operators with two inputs each.
+func Lower(nodes, edges int, roots ...*Node) (*Program, error) {
+	if nodes <= 0 {
+		nodes = 32
 	}
-	p := NewProgram(capacity)
+	p := NewProgram(nodes, edges)
 	var visit func(n *Node) error
 	visit = func(n *Node) error {
 		if _, ok := p.index[n]; ok {
@@ -82,7 +87,7 @@ func Lower(capacity int, roots ...*Node) (*Program, error) {
 
 // mustLower lowers a plan the caller guarantees is well formed.
 func mustLower(root *Node) *Program {
-	p, err := Lower(0, root)
+	p, err := Lower(0, 0, root)
 	if err != nil {
 		panic(fmt.Sprintf("physical: cannot evaluate an invalid plan: %v", err))
 	}

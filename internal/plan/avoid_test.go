@@ -13,7 +13,7 @@ import (
 // fails mid-query.
 func TestActivateAvoidsPickedBranches(t *testing.T) {
 	res := dynamicPlan(t, 2)
-	mod, err := NewModule(res.Plan, res.Stats.Nodes())
+	mod, err := NewModule(res.Plan, res.Stats.Nodes(), res.Stats.Edges())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestActivateAvoidsPickedBranches(t *testing.T) {
 // plan.
 func TestActivateAvoidEverythingInfeasible(t *testing.T) {
 	res := dynamicPlan(t, 2)
-	mod, err := NewModule(res.Plan, res.Stats.Nodes())
+	mod, err := NewModule(res.Plan, res.Stats.Nodes(), res.Stats.Edges())
 	if err != nil {
 		t.Fatal(err)
 	}

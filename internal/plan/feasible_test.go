@@ -38,7 +38,7 @@ func allIndexes(root *physical.Node) indexSet {
 
 func TestValidationNoopWhenAllIndexesExist(t *testing.T) {
 	res := dynamicPlan(t, 3)
-	mod, err := NewModule(res.Plan, res.Stats.Nodes())
+	mod, err := NewModule(res.Plan, res.Stats.Nodes(), res.Stats.Edges())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestValidationNoopWhenAllIndexesExist(t *testing.T) {
 // access path makes the choose-plan fall back to a feasible alternative.
 func TestDynamicPlanSurvivesIndexDrop(t *testing.T) {
 	res := dynamicPlan(t, 2)
-	mod, err := NewModule(res.Plan, res.Stats.Nodes())
+	mod, err := NewModule(res.Plan, res.Stats.Nodes(), res.Stats.Edges())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestStaticPlanFailsOnIndexDrop(t *testing.T) {
 	if !strings.Contains(res.Plan.Format(), "B-tree") {
 		t.Skip("static plan does not use an index")
 	}
-	mod, err := NewModule(res.Plan, res.Stats.Nodes())
+	mod, err := NewModule(res.Plan, res.Stats.Nodes(), res.Stats.Edges())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestStaticPlanFailsOnIndexDrop(t *testing.T) {
 // for the other relations untouched.
 func TestPartialIndexDrop(t *testing.T) {
 	res := dynamicPlan(t, 3)
-	mod, err := NewModule(res.Plan, res.Stats.Nodes())
+	mod, err := NewModule(res.Plan, res.Stats.Nodes(), res.Stats.Edges())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func FuzzLoad(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		mod, err := NewModule(res, 0)
+		mod, err := NewModule(res, 0, 0)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func FuzzLoad(f *testing.F) {
 		if err := mod.Root().Validate(); err != nil {
 			t.Errorf("Load accepted an invalid plan: %v", err)
 		}
-		again, err := NewModule(mod.Root(), 0)
+		again, err := NewModule(mod.Root(), 0, 0)
 		if err != nil {
 			t.Errorf("accepted module does not re-encode: %v", err)
 			return

@@ -145,7 +145,7 @@ func paperModule(t testing.TB, relations int) *AccessModule {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mod, err := NewModule(res.Plan, res.Stats.Nodes())
+	mod, err := NewModule(res.Plan, res.Stats.Nodes(), res.Stats.Edges())
 	if err != nil {
 		t.Fatal(err)
 	}

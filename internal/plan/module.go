@@ -83,16 +83,6 @@ type UsageStats struct {
 // NewUsageStats returns an empty usage accumulator.
 func NewUsageStats() *UsageStats { return &UsageStats{} }
 
-// Activations returns how many activations have been recorded.
-func (s *UsageStats) Activations() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.activations
-}
-
 // record folds one activation's used-node set (distinct indices into a
 // module of the given size) into the accumulator.
 func (s *UsageStats) record(used []int32, nodes int) {
@@ -121,10 +111,11 @@ func (s *UsageStats) snapshot(nodes int) ([]int, int) {
 }
 
 // NewModule compiles a plan DAG into an access module: one pass lowers it
-// into the flat program, validating every operator on the way. nodes
-// bounds the DAG's operators (search.Stats.Nodes), or is 0 if unknown.
-func NewModule(root *physical.Node, nodes int) (*AccessModule, error) {
-	p, err := lower(root, nodes)
+// into the flat program, validating every operator on the way. nodes and
+// edges bound the DAG's operators and the inputs they list
+// (search.Stats.Nodes and Edges), or are 0 if unknown.
+func NewModule(root *physical.Node, nodes, edges int) (*AccessModule, error) {
+	p, err := lower(root, nodes, edges)
 	if err != nil {
 		return nil, err
 	}
@@ -276,7 +267,7 @@ func decode(raw []byte) (*program, error) {
 	if count > (len(raw)-r.off)/minNodeBytes+1 {
 		return nil, fmt.Errorf("plan: node count %d exceeds module size", count)
 	}
-	p := physical.NewProgram(count)
+	p := physical.NewProgram(count, 0)
 	slab := make([]physical.Node, count)
 	consumed := make([]bool, count)
 	var inputs []*physical.Node

@@ -93,7 +93,7 @@ func parallelCases(t *testing.T) map[string]parallelCase {
 // one parallel pass per DOP over its cardinalities.
 func parallelCosts(t *testing.T, name string, c parallelCase) parallelRow {
 	params := physical.DefaultParams()
-	prog, err := physical.Lower(0, c.root)
+	prog, err := physical.Lower(0, 0, c.root)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}

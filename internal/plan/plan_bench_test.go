@@ -13,12 +13,12 @@ func BenchmarkModuleEncodeDecode(b *testing.B) {
 	res := dynamicPlanB(b, 6)
 	b.Run("encode", func(b *testing.B) {
 		for b.Loop() {
-			if _, err := NewModule(res.Plan, res.Stats.Nodes()); err != nil {
+			if _, err := NewModule(res.Plan, res.Stats.Nodes(), res.Stats.Edges()); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	mod, err := NewModule(res.Plan, res.Stats.Nodes())
+	mod, err := NewModule(res.Plan, res.Stats.Nodes(), res.Stats.Edges())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func BenchmarkModuleEncodeDecode(b *testing.B) {
 // BenchmarkActivation measures the start-up decision procedure.
 func BenchmarkActivation(b *testing.B) {
 	res := dynamicPlanB(b, 6)
-	mod, err := NewModule(res.Plan, res.Stats.Nodes())
+	mod, err := NewModule(res.Plan, res.Stats.Nodes(), res.Stats.Edges())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func BenchmarkActivation(b *testing.B) {
 // BenchmarkShrink measures the §4 self-replacement.
 func BenchmarkShrink(b *testing.B) {
 	res := dynamicPlanB(b, 6)
-	mod, err := NewModule(res.Plan, res.Stats.Nodes())
+	mod, err := NewModule(res.Plan, res.Stats.Nodes(), res.Stats.Edges())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func bindingsFor(n int, sel, mem float64) *bindings.Bindings {
 func TestModuleRoundTrip(t *testing.T) {
 	for _, n := range []int{1, 2, 4} {
 		res := dynamicPlan(t, n)
-		mod, err := NewModule(res.Plan, res.Stats.Nodes())
+		mod, err := NewModule(res.Plan, res.Stats.Nodes(), res.Stats.Edges())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func TestModuleRoundTrip(t *testing.T) {
 
 func TestModuleSharingPreserved(t *testing.T) {
 	res := dynamicPlan(t, 3)
-	mod, err := NewModule(res.Plan, res.Stats.Nodes())
+	mod, err := NewModule(res.Plan, res.Stats.Nodes(), res.Stats.Edges())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 	// Truncated real module.
 	res := dynamicPlan(t, 2)
-	mod, err := NewModule(res.Plan, res.Stats.Nodes())
+	mod, err := NewModule(res.Plan, res.Stats.Nodes(), res.Stats.Edges())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 
 func TestNewModuleRejectsInvalidPlan(t *testing.T) {
 	bad := &physical.Node{Op: physical.FileScan, RowBytes: 512} // no relation
-	if _, err := NewModule(bad, 0); err == nil {
+	if _, err := NewModule(bad, 0, 0); err == nil {
 		t.Error("invalid plan accepted")
 	}
 }
@@ -143,7 +143,7 @@ func TestNewModuleRejectsInvalidPlan(t *testing.T) {
 func TestActivateChoosesOptimalAlternative(t *testing.T) {
 	res := dynamicPlan(t, 2)
 	q := chain(2)
-	mod, err := NewModule(res.Plan, res.Stats.Nodes())
+	mod, err := NewModule(res.Plan, res.Stats.Nodes(), res.Stats.Edges())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestActivateChoosesOptimalAlternative(t *testing.T) {
 
 func TestActivateReportsAccounting(t *testing.T) {
 	res := dynamicPlan(t, 4)
-	mod, err := NewModule(res.Plan, res.Stats.Nodes())
+	mod, err := NewModule(res.Plan, res.Stats.Nodes(), res.Stats.Edges())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,14 +205,14 @@ func TestActivateReportsAccounting(t *testing.T) {
 	if rep.MeasuredCPU <= 0 {
 		t.Error("measured CPU not recorded")
 	}
-	if stats.Activations() != 1 {
-		t.Errorf("activations = %d", stats.Activations())
+	if _, n := stats.snapshot(mod.NodeCount()); n != 1 {
+		t.Errorf("activations = %d", n)
 	}
 }
 
 func TestActivateRejectsUnboundVariables(t *testing.T) {
 	res := dynamicPlan(t, 2)
-	mod, err := NewModule(res.Plan, res.Stats.Nodes())
+	mod, err := NewModule(res.Plan, res.Stats.Nodes(), res.Stats.Edges())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestActivateRejectsUnboundVariables(t *testing.T) {
 
 func TestShrinkRemovesUnusedAlternatives(t *testing.T) {
 	res := dynamicPlan(t, 4)
-	mod, err := NewModule(res.Plan, res.Stats.Nodes())
+	mod, err := NewModule(res.Plan, res.Stats.Nodes(), res.Stats.Edges())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestShrinkOnStaticModule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mod, err := NewModule(res.Plan, res.Stats.Nodes())
+	mod, err := NewModule(res.Plan, res.Stats.Nodes(), res.Stats.Edges())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestStaticModuleActivation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mod, err := NewModule(res.Plan, res.Stats.Nodes())
+	mod, err := NewModule(res.Plan, res.Stats.Nodes(), res.Stats.Edges())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,8 +319,8 @@ func TestStaticModuleActivation(t *testing.T) {
 func TestReadTimeScalesWithNodes(t *testing.T) {
 	res1 := dynamicPlan(t, 1)
 	res4 := dynamicPlan(t, 4)
-	m1, _ := NewModule(res1.Plan, res1.Stats.Nodes())
-	m4, _ := NewModule(res4.Plan, res4.Stats.Nodes())
+	m1, _ := NewModule(res1.Plan, res1.Stats.Nodes(), res1.Stats.Edges())
+	m4, _ := NewModule(res4.Plan, res4.Stats.Nodes(), res4.Stats.Edges())
 	p := physical.DefaultParams()
 	if m4.ReadTime(p) <= m1.ReadTime(p) {
 		t.Error("bigger module must take longer to read")
@@ -333,7 +333,7 @@ func TestReadTimeScalesWithNodes(t *testing.T) {
 
 func TestUsageFractionEmptyModule(t *testing.T) {
 	res := dynamicPlan(t, 1)
-	mod, _ := NewModule(res.Plan, res.Stats.Nodes())
+	mod, _ := NewModule(res.Plan, res.Stats.Nodes(), res.Stats.Edges())
 	if mod.UsageFraction(NewUsageStats()) != 0 {
 		t.Error("fresh module must report zero usage")
 	}
@@ -343,7 +343,7 @@ func TestUsageFractionEmptyModule(t *testing.T) {
 // a choose-plan node.
 func TestResolvedTreeClean(t *testing.T) {
 	res := dynamicPlan(t, 3)
-	mod, _ := NewModule(res.Plan, res.Stats.Nodes())
+	mod, _ := NewModule(res.Plan, res.Stats.Nodes(), res.Stats.Edges())
 	rep, err := mod.Activate(bindingsFor(3, 0.5, 64), StartupOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -367,7 +367,7 @@ func TestResolvedTreeClean(t *testing.T) {
 
 func TestCostEnvelopeContainsChosen(t *testing.T) {
 	res := dynamicPlan(t, 3)
-	mod, _ := NewModule(res.Plan, res.Stats.Nodes())
+	mod, _ := NewModule(res.Plan, res.Stats.Nodes(), res.Stats.Edges())
 	rng := rand.New(rand.NewSource(23))
 	for i := 0; i < 20; i++ {
 		b := bindingsFor(3, rng.Float64(), 16+rng.Float64()*96)
@@ -390,7 +390,7 @@ func TestEncodeDecodeEveryField(t *testing.T) {
 			{Op: physical.FileScan, Rel: "R", BaseCard: 10, RowBytes: 512},
 		},
 	}
-	mod, err := NewModule(n, 0)
+	mod, err := NewModule(n, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

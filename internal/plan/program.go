@@ -42,10 +42,10 @@ func newProgram(pp *physical.Program) *program {
 	return p
 }
 
-// lower makes the DAG under root a module's program, with room for
-// capacity operators (see physical.Lower).
-func lower(root *physical.Node, capacity int) (*program, error) {
-	pp, err := physical.Lower(capacity, root)
+// lower makes the DAG under root a module's program, with room for nodes
+// operators listing edges inputs (see physical.Lower).
+func lower(root *physical.Node, nodes, edges int) (*program, error) {
+	pp, err := physical.Lower(nodes, edges, root)
 	if err == nil && slices.ContainsFunc(pp.Nodes, isTempScan) {
 		err = errTempScan
 	}

@@ -52,5 +52,5 @@ func (m *AccessModule) Shrink(stats *UsageStats) (*AccessModule, error) {
 	if err != nil {
 		return nil, fmt.Errorf("plan: used choose-plan with no used alternatives: %w", err)
 	}
-	return NewModule(root, 0)
+	return NewModule(root, 0, 0)
 }

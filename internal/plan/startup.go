@@ -308,7 +308,7 @@ func (p *program) restrict(opt StartupOptions) (*program, error) {
 	if err != nil {
 		return nil, err
 	}
-	return lower(pruned, 0)
+	return lower(pruned, 0, 0)
 }
 
 // prune rebuilds the plan DAG without the nodes the predicate drops (and

@@ -88,9 +88,6 @@ type Policy struct {
 	// the plan re-decided, one relation per attempt. The relation count
 	// bounds the attempts instead of MaxAttempts.
 	Eager bool
-
-	// Deadline, when positive, bounds the query's total execution time.
-	Deadline time.Duration
 	// NoProgressTimeout, when positive, cancels the query when no tuples
 	// advance for that long — the query is stuck, not slow.
 	NoProgressTimeout time.Duration
@@ -261,7 +258,7 @@ func (c *Controller) Guard(model *physical.Model, b *bindings.Bindings, root *ph
 	if degraded || root == nil {
 		return nil, nil
 	}
-	prog, err := physical.Lower(0, root)
+	prog, err := physical.Lower(0, 0, root)
 	if err != nil {
 		return nil, fmt.Errorf("reopt: guarding: %w", err)
 	}
@@ -345,7 +342,7 @@ func (c *Controller) Observe(db *exec.DB, model *physical.Model, dag, root *phys
 			variants = append(variants, v)
 		}
 	}
-	prog, err := physical.Lower(0, variants...)
+	prog, err := physical.Lower(0, 0, variants...)
 	if err != nil {
 		return fmt.Errorf("reopt: observing: %w", err)
 	}
@@ -464,7 +461,7 @@ func (c *Controller) Replan(ctx context.Context, b *bindings.Bindings) (*physica
 	if err != nil {
 		return nil, cost.Cost{}, fmt.Errorf("reopt: re-optimization failed: %w", err)
 	}
-	prog, err := physical.Lower(res.Stats.Nodes(), res.Plan)
+	prog, err := physical.Lower(res.Stats.Nodes(), res.Stats.Edges(), res.Plan)
 	if err != nil {
 		return nil, cost.Cost{}, fmt.Errorf("reopt: re-optimized plan: %w", err)
 	}

@@ -91,25 +91,6 @@ func TestWatchdogDisabled(t *testing.T) {
 	stop()
 }
 
-// TestDeadlineCause pins the typed deadline: the expired context's cause
-// must wrap qerr.ErrDeadlineExceeded, and a zero deadline must return the
-// context unchanged.
-func TestDeadlineCause(t *testing.T) {
-	c := NewController(Policy{Deadline: 10 * time.Millisecond})
-	ctx, cancel := c.WithDeadline(context.Background())
-	defer cancel()
-	<-ctx.Done()
-	if cause := context.Cause(ctx); !errors.Is(cause, qerr.ErrDeadlineExceeded) {
-		t.Errorf("deadline cause = %v, want ErrDeadlineExceeded", cause)
-	}
-	parent := context.Background()
-	ctx2, cancel2 := NewController(Policy{}).WithDeadline(parent)
-	defer cancel2()
-	if ctx2 != parent {
-		t.Error("zero deadline wrapped the context")
-	}
-}
-
 // TestReplanCanceledContext pins cancellation during re-planning: a
 // canceled context aborts Replan with a typed error before any optimizer
 // work runs.
@@ -263,7 +244,7 @@ func TestObserveEagerly(t *testing.T) {
 	defer c.Finish()
 	db := &exec.DB{Catalog: w.Catalog, Store: store, Indexes: idx, Acc: &storage.Accountant{}, Temps: c.Temps()}
 	resolve := func() *physical.Node {
-		prog, err := physical.Lower(0, dyn.Plan)
+		prog, err := physical.Lower(0, 0, dyn.Plan)
 		if err != nil {
 			t.Fatal(err)
 		}

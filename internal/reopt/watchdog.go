@@ -10,19 +10,6 @@ import (
 	"dynplan/internal/storage"
 )
 
-// WithDeadline applies the policy's per-query deadline to ctx. The cause
-// wraps qerr.ErrDeadlineExceeded, so the executor's cancellation check
-// surfaces a typed error without any extra classification. A zero deadline
-// returns ctx unchanged with a no-op cancel.
-func (c *Controller) WithDeadline(ctx context.Context) (context.Context, context.CancelFunc) {
-	d := c.pol.Deadline
-	if d <= 0 {
-		return ctx, func() {}
-	}
-	cause := fmt.Errorf("%w: mid-query deadline %v elapsed", qerr.ErrDeadlineExceeded, d)
-	return context.WithDeadlineCause(ctx, time.Now().Add(d), cause)
-}
-
 // StartWatchdog starts the progress watchdog over one execution attempt:
 // a goroutine polls the accountant's tuple counter (progress measured in
 // tuples advanced, not wall time — a slow query advances, a stuck one does

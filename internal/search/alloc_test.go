@@ -32,13 +32,43 @@ func TestOptimizeAllocations(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := plan.NewModule(res.Plan, res.Stats.Nodes()); err != nil {
+			if _, err := plan.NewModule(res.Plan, res.Stats.Nodes(), res.Stats.Edges()); err != nil {
 				t.Fatal(err)
 			}
 		})
 		t.Logf("%d relations: %.0f allocs (bound %d)", c.relations, allocs, c.bound)
 		if int(allocs) > c.bound {
 			t.Errorf("%d relations: %.0f allocs, want <= %d", c.relations, allocs, c.bound)
+		}
+	}
+}
+
+// TestLoweringReservesExactly: a search result carries how many operators
+// its plan has and how many inputs they list, so lowering a §6 chain
+// (2–10 relations, memory bound or uncertain) fills both reservations
+// exactly and never regrows them. A choose-plan lists more than two
+// inputs, so two per operator was both too little and too much.
+func TestLoweringReservesExactly(t *testing.T) {
+	w := workload.New(11)
+	cfg := search.Config{Params: physical.DefaultParams()}
+	for n := 2; n <= 10; n++ {
+		for _, mem := range []bool{false, true} {
+			q := w.Query(n)
+			res, err := search.Optimize(q, runtimeopt.DynamicEnv(q, cfg, mem), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := physical.Lower(res.Stats.Nodes(), res.Stats.Edges(), res.Plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The root's inputs are the program's last, so their slack is
+			// what the input reservation has left.
+			in := p.Inputs(int32(len(p.Nodes) - 1))
+			if cap(p.Nodes) != len(p.Nodes) || cap(in) != len(in) {
+				t.Errorf("%d relations (memory uncertain %v): %d operators in room for %d, %d spare inputs",
+					n, mem, len(p.Nodes), cap(p.Nodes), cap(in)-len(in))
+			}
 		}
 	}
 }
@@ -70,7 +100,7 @@ func TestColdModuleBytes(t *testing.T) {
 		}
 		r := testing.Benchmark(func(tb *testing.B) {
 			for tb.Loop() {
-				mod, err := plan.NewModule(res.Plan, res.Stats.Nodes())
+				mod, err := plan.NewModule(res.Plan, res.Stats.Nodes(), res.Stats.Edges())
 				if err != nil {
 					tb.Fatal(err)
 				}

@@ -59,7 +59,7 @@ func record(t *testing.T, res *search.Result, err error) goldenResult {
 	if err != nil {
 		return goldenResult{Err: err.Error()}
 	}
-	mod, err := plan.NewModule(res.Plan, res.Stats.Nodes())
+	mod, err := plan.NewModule(res.Plan, res.Stats.Nodes(), res.Stats.Edges())
 	if err != nil {
 		t.Fatal(err)
 	}

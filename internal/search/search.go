@@ -95,13 +95,18 @@ type Stats struct {
 	ChoosePlans int
 	// Elapsed is the wall-clock optimization time (the paper's a and e).
 	Elapsed time.Duration
-	// nodes counts the returned plan's distinct operators.
-	nodes int
+	// nodes counts the returned plan's distinct operators and edges the
+	// inputs they list.
+	nodes, edges int
 }
 
 // Nodes returns the number of distinct operators in the returned plan:
 // the exact room its lowering reserves.
 func (s *Stats) Nodes() int { return s.nodes }
+
+// Edges returns how many inputs the returned plan's distinct operators
+// list: the exact room its lowering reserves for them.
+func (s *Stats) Edges() int { return s.edges }
 
 // Result is the outcome of an optimization: the (possibly dynamic) plan,
 // its cost interval, and the effort statistics. The machine-readable
@@ -210,7 +215,7 @@ func Optimize(q *logical.Query, env *bindings.Env, cfg Config) (*Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	w.Plan, o.stats.nodes = o.arena.Compact(w.Plan)
+	w.Plan, o.stats.nodes, o.stats.edges = o.arena.Compact(w.Plan)
 	o.stats.Goals = o.memo.Len()
 	o.stats.CandidatesByOp = make(map[physical.Op]int)
 	for op, n := range o.built {
@@ -353,7 +358,7 @@ func (o *Optimizer) sampledCompare(a, b *physical.Node) cost.Ordering {
 	if o.samples == nil {
 		o.samples = o.makeSamples(o.cfg.SampledDominance)
 	}
-	prog, err := physical.Lower(0, a, b)
+	prog, err := physical.Lower(0, 0, a, b)
 	if err != nil {
 		// Candidates are well formed; an unlowerable pair proves nothing.
 		return cost.Incomparable

@@ -118,7 +118,7 @@ func resolveAt(t *testing.T, model *physical.Model, n *physical.Node, env *bindi
 	for v, r := range env.Sel {
 		b.Sel[v] = r.Lo
 	}
-	prog, err := physical.Lower(0, n)
+	prog, err := physical.Lower(0, 0, n)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func TestMetricsKeys(t *testing.T) {
 	// Failure: a traced anonymous query whose every page read fails.
 	e.db.InjectFaults(FaultConfig{Seed: 1, PermanentRate: 1})
 	_, err = e.db.Exec(ctx, e.static, e.binds, ExecOptions{Trace: true})
-	e.db.ClearFaults()
+	e.db.faults.Store(nil)
 	if err == nil {
 		t.Fatal("query over permanently faulted pages succeeded")
 	}

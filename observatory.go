@@ -36,7 +36,7 @@ type (
 // comparing each operator's predicted cardinality interval and the plan's
 // predicted cost interval against observed actuals (the paper's §5
 // correctness condition, checked on real executions). It implies
-// per-operator collection (see Observing). Inspect the registry via
+// per-operator collection (see EnableObservability). Inspect the registry via
 // MetricsSnapshot, Calibration, RecentQueries, or serve it over HTTP with
 // Handler. Re-enabling installs a fresh registry, discarding prior
 // aggregates. When disabled (the default), a query notes nothing and
@@ -77,14 +77,6 @@ func (db *Database) Calibration() []CalibrationReport {
 // first, up to max entries (all when max <= 0); nil while disabled.
 func (db *Database) RecentQueries(max int) []*RunRecord {
 	return db.metrics.Load().RecentQueries(max)
-}
-
-// RecentTraces returns the observatory's retained query span trees,
-// oldest first, up to max entries (all when max <= 0); nil while the
-// observatory is disabled. Populated only while tracing is also on
-// (EnableTracing or ExecOptions.Trace).
-func (db *Database) RecentTraces(max int) []*TraceRecord {
-	return db.metrics.Load().RecentTraces(max)
 }
 
 // Handler serves the observatory over HTTP: /metrics (JSON snapshot, the

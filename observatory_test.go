@@ -93,7 +93,7 @@ func TestObservatoryStaleCatalogFlagsViolation(t *testing.T) {
 	// Analyze is the remedy: it refreshes the catalog cardinality from the
 	// stored rows, so a re-optimized plan predicts over the truth and the
 	// violation on S disappears.
-	if err := db.Analyze(10); err != nil {
+	if err := db.Analyze(); err != nil {
 		t.Fatal(err)
 	}
 	p2, err := sys.OptimizeStatic(q)
@@ -339,7 +339,7 @@ func TestFailedQueryKeepsItsAccount(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.db.InjectFaults(FaultConfig{Seed: 1, PermanentRate: 1})
-	defer e.db.ClearFaults()
+	defer e.db.faults.Store(nil)
 
 	const attempts = 3
 	_, err = p.Exec(context.Background(), e.binds, ExecOptions{
@@ -381,26 +381,27 @@ func TestFailedQueryKeepsItsAccount(t *testing.T) {
 // collection the caller asked for.
 func TestObservatoryKeepsCallerObservability(t *testing.T) {
 	e := newObsEnv(t)
+	collects := func() bool {
+		t.Helper()
+		res, err := e.db.Exec(context.Background(), e.static, e.binds, ExecOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Operators != nil
+	}
 	e.db.EnableObservatory()
-	if !e.db.Observing() {
+	if !collects() {
 		t.Error("the enabled observatory does not imply per-operator collection")
 	}
 	e.db.DisableObservatory()
-	if e.db.Observing() {
-		t.Error("collection still reported on after the observatory alone was disabled")
+	if collects() {
+		t.Error("collection still on after the observatory alone was disabled")
 	}
 
 	e.db.EnableObservability()
 	e.db.EnableObservatory()
 	e.db.DisableObservatory()
-	if !e.db.Observing() {
-		t.Error("DisableObservatory switched off the caller's EnableObservability")
-	}
-	res, err := e.db.Exec(context.Background(), e.static, e.binds, ExecOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Operators == nil {
+	if !collects() {
 		t.Error("no stats tree after EnableObservability → EnableObservatory → DisableObservatory")
 	}
 }

@@ -48,13 +48,6 @@ type (
 // ExecOptions.Trace.
 func (db *Database) EnableTracing() { db.tracing.Store(true) }
 
-// DisableTracing turns span tracing back off; in-flight queries finish
-// their traces.
-func (db *Database) DisableTracing() { db.tracing.Store(false) }
-
-// TracingEnabled reports whether database-wide span tracing is on.
-func (db *Database) TracingEnabled() bool { return db.tracing.Load() }
-
 // nextTraceID issues the next deterministic trace identifier; the
 // sequence is per database, so a run's Nth traced query is always
 // t<N> zero-padded.
@@ -70,15 +63,6 @@ func (db *Database) nextTraceID() string {
 // (the default) the hooks reduce to one nil check per compiled operator
 // and allocate nothing.
 func (db *Database) EnableObservability() { db.observing.Store(true) }
-
-// DisableObservability turns collection off; executions stop populating
-// per-operator stats.
-func (db *Database) DisableObservability() { db.observing.Store(false) }
-
-// Observing reports whether per-operator metrics collection is on: the
-// caller enabled it (EnableObservability), or the workload observatory is
-// enabled, which implies it.
-func (db *Database) Observing() bool { return db.observing.Load() || db.metrics.Load() != nil }
 
 // ExplainAnalyze renders the executed plan annotated with the observed
 // per-operator metrics — rows produced, page I/O, tuple work, wall and

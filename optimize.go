@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"time"
 
 	"dynplan/internal/bindings"
-	"dynplan/internal/cost"
 	"dynplan/internal/obs"
 	"dynplan/internal/physical"
 	"dynplan/internal/plan"
@@ -95,38 +93,6 @@ func (p *Plan) IsDynamic() bool { return p.ChoosePlanCount() > 0 }
 // are printed once and referenced afterwards.
 func (p *Plan) Explain() string { return p.res.Plan.Format() }
 
-// ExplainWithCosts renders the plan with per-operator cardinality and
-// cumulative cost annotations. With nil bindings the compile-time
-// intervals are shown; with bindings, the point estimates of that
-// invocation (invalid bindings render as their error).
-func (p *Plan) ExplainWithCosts(b *Bindings) string {
-	model := physical.NewModel(p.sys.params)
-	var env *bindings.Env
-	if b != nil {
-		ib, err := b.internal()
-		if err != nil {
-			return err.Error() + "\n"
-		}
-		env = ib.Env()
-	} else {
-		// Reconstruct the compile-time view: every referenced variable is
-		// maximally uncertain, memory spans the configured range.
-		env = runtimeEnvForPlan(p)
-	}
-	return p.res.Plan.FormatWithCosts(model, env)
-}
-
-// runtimeEnvForPlan builds the maximal-uncertainty environment the plan
-// was (at most) optimized under.
-func runtimeEnvForPlan(p *Plan) *bindings.Env {
-	params := p.sys.params
-	env := bindings.NewEnv(cost.NewRange(params.MemoryLo, params.MemoryHi))
-	for _, v := range p.res.Plan.Variables() {
-		env.Bind(v, cost.NewRange(0, 1))
-	}
-	return env
-}
-
 // Stats returns the search-effort statistics of the optimization.
 func (p *Plan) Stats() search.Stats { return p.res.Stats }
 
@@ -145,7 +111,7 @@ func (p *Plan) Root() *physical.Node { return p.res.Plan }
 // cost interval, the band the workload observatory's plan-level
 // calibration verdict checks observed executions against.
 func (p *Plan) Module() (*Module, error) {
-	m, err := plan.NewModule(p.res.Plan, p.res.Stats.Nodes())
+	m, err := plan.NewModule(p.res.Plan, p.res.Stats.Nodes(), p.res.Stats.Edges())
 	if err != nil {
 		return nil, err
 	}
@@ -188,10 +154,6 @@ func (m *Module) Variables() []string { return slices.Clone(m.mod.Variables()) }
 // activation so far.
 func (m *Module) UsageFraction() float64 { return m.mod.UsageFraction(m.stats) }
 
-// Activations returns how many activations have been recorded against
-// this module wrapper.
-func (m *Module) Activations() int { return m.stats.Activations() }
-
 // Shrink applies the self-shrinking heuristic of §4: a new module
 // containing only the components past activations have used, with fresh
 // usage statistics.
@@ -207,9 +169,10 @@ func (m *Module) Shrink() (*Module, error) {
 // invoked.
 type Bindings struct {
 	// Selectivities maps each host variable to the selectivity its bound
-	// value implies. Use BindValue-style conversion (value ÷ domain) when
-	// working with literals. Exec reads the map during the call and
-	// neither writes nor keeps it, so one map may serve concurrent calls.
+	// value implies; for a literal on an attribute that is value ÷ domain
+	// size, the conversion Parse applies. Exec reads the map during the
+	// call and neither writes nor keeps it, so one map may serve
+	// concurrent calls.
 	Selectivities map[string]float64
 	// MemoryPages is the memory available to this invocation.
 	MemoryPages float64
@@ -348,13 +311,6 @@ func (a *Activation) ExplainDecisions() string { return obs.RenderDecisions(a.re
 // NodesEvaluated returns how many distinct plan nodes had their cost
 // functions evaluated during start-up.
 func (a *Activation) NodesEvaluated() int { return a.report.NodesEvaluated }
-
-// StartupSeconds returns the simulated start-up expense (module I/O plus
-// decision CPU) under the paper's hardware model.
-func (a *Activation) StartupSeconds() float64 { return a.report.TotalStartupSeconds() }
-
-// MeasuredCPU returns the real time the activation took on this host.
-func (a *Activation) MeasuredCPU() time.Duration { return a.report.MeasuredCPU }
 
 // String summarizes the activation.
 func (a *Activation) String() string {

@@ -108,7 +108,7 @@ func parallelJoinsRecord(tb testing.TB) *obs.RunRecord {
 	// (serial) and symmetric (parallel); the largest partition's memory
 	// high-water is the streaming join's footprint.
 	db.EnableObservability()
-	defer db.DisableObservability()
+	defer db.observing.Store(false)
 	join := &physical.Node{
 		Op: physical.HashJoin, LeftAttr: "C1.jh", RightAttr: "C2.jl",
 		EdgeSel: 1.0 / 64, RowBytes: 1024,

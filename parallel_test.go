@@ -368,7 +368,7 @@ func TestParallelChaosSoak(t *testing.T) {
 
 	before := harness.StableGoroutines()
 	db.InjectFaults(FaultConfig{Seed: 7, TransientRate: 0.12})
-	defer db.ClearFaults()
+	defer db.faults.Store(nil)
 
 	rep, err := harness.Soak(context.Background(), harness.ChaosConfig{
 		Seed:       3,
@@ -382,8 +382,8 @@ func TestParallelChaosSoak(t *testing.T) {
 	if err := rep.Err(); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("%s; faults injected: %d", rep, db.FaultStats().Injected)
-	if db.FaultStats().Injected == 0 {
+	t.Logf("%s; faults injected: %d", rep, db.injector().Stats().Injected)
+	if db.injector().Stats().Injected == 0 {
 		t.Error("no faults were injected; the soak is vacuous")
 	}
 	if leaked := lc.Leaked(); len(leaked) > 0 {

@@ -38,7 +38,7 @@ func TestParseToQuery(t *testing.T) {
 		t.Errorf("Projection = %v", p)
 	}
 	// dept.size <= 30 over domain 100 => fixed selectivity 0.3.
-	lq := q.Logical()
+	lq := q.q
 	deptIdx := lq.RelIndex("dept")
 	if pred := lq.Rels[deptIdx].Pred; pred == nil || pred.FixedSel != 0.3 {
 		t.Errorf("literal predicate = %+v", lq.Rels[deptIdx].Pred)
@@ -147,7 +147,7 @@ func TestParseLiteralClamp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pred := q.Logical().Rels[0].Pred; pred.FixedSel != 1 {
+	if pred := q.q.Rels[0].Pred; pred.FixedSel != 1 {
 		t.Errorf("clamped selectivity = %g", pred.FixedSel)
 	}
 }

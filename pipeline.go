@@ -686,13 +686,12 @@ func reoptStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecRes
 		MaxAttempts:       pol.MaxAttempts,
 		MaxPlanningTime:   pol.MaxPlanningTime,
 		Eager:             st.o.Adaptive,
-		Deadline:          pol.Deadline,
 		NoProgressTimeout: pol.NoProgressTimeout,
 		Trace:             st.trace.t,
 		Span:              st.trace.span,
 	}
 	if pol.Query != nil {
-		rp.Query = pol.Query.Logical()
+		rp.Query = pol.Query.q
 		rp.Config.FinalOrder = pol.Query.OrderBy()
 	}
 	rc := reopt.NewController(rp)
@@ -712,8 +711,6 @@ func reoptStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecRes
 			}
 		}
 	}()
-	dctx, cancel := rc.WithDeadline(ctx)
-	defer cancel()
 	// One accountant spans every attempt: the result must account the
 	// violated attempt's partial work and the spool writes, not just the
 	// final plan's — the benchmarks report re-optimization's *net* benefit.
@@ -731,7 +728,7 @@ func reoptStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecRes
 			asp = st.trace.t.Start(parent, fmt.Sprintf("reopt-attempt-%d", attempt), obs.SpanAttempt)
 			st.trace.span = asp
 		}
-		attemptCtx, stopWatchdog := rc.StartWatchdog(dctx, st.reopt.acc)
+		attemptCtx, stopWatchdog := rc.StartWatchdog(ctx, st.reopt.acc)
 		res, err := next(attemptCtx, st)
 		stopWatchdog()
 		asp.End()
@@ -750,7 +747,7 @@ func reoptStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecRes
 		case reopt.RemedySwitch:
 			rc.NoteSwitch(v, "re-activating surviving alternatives under corrected bindings")
 		case reopt.RemedyReplan:
-			forced, pc, rerr := rc.Replan(dctx, st.b)
+			forced, pc, rerr := rc.Replan(ctx, st.b)
 			if rerr != nil {
 				return nil, rerr
 			}
@@ -1017,7 +1014,7 @@ func chooseDOP(db *Database, root *physical.Node, ib *bindings.Bindings, maxCap 
 	if dop <= 1 {
 		return 1, maxDOP, "grant-limited", nil
 	}
-	prog, err := physical.Lower(0, root)
+	prog, err := physical.Lower(0, 0, root)
 	if err != nil {
 		return 0, 0, "", fmt.Errorf("dynplan: pricing parallel execution: %w", err)
 	}
@@ -1048,7 +1045,7 @@ func (st *execState) predict(c *obs.Collector, b *bindings.Bindings) (float64, e
 		c.Predict(rep.Cards)
 		return rep.ChosenCost, nil
 	}
-	prog, err := physical.Lower(0, st.root)
+	prog, err := physical.Lower(0, 0, st.root)
 	if err != nil {
 		return 0, fmt.Errorf("dynplan: predicting cardinalities: %w", err)
 	}

@@ -47,7 +47,7 @@ func TestExecPipelineSoak(t *testing.T) {
 		db.EnableObservatory()
 		defer db.DisableObservatory()
 		db.InjectFaults(FaultConfig{Seed: 11, TransientRate: 0.2})
-		defer db.ClearFaults()
+		defer db.faults.Store(nil)
 
 		var wg sync.WaitGroup
 		errs := make(chan error, workers*iters)
@@ -80,7 +80,7 @@ func TestExecPipelineSoak(t *testing.T) {
 		for err := range errs {
 			t.Error(err)
 		}
-		if db.FaultStats().Injected == 0 {
+		if db.injector().Stats().Injected == 0 {
 			t.Error("no faults were injected; the soak is vacuous")
 		}
 		snap := db.MetricsSnapshot()
@@ -165,7 +165,7 @@ func TestExecPipelineSoak(t *testing.T) {
 		db.EnableObservatory()
 		defer db.DisableObservatory()
 		db.InjectFaults(FaultConfig{Seed: 9, PermanentRate: 1})
-		defer db.ClearFaults()
+		defer db.faults.Store(nil)
 
 		binds := resilBindings(1, 0.5, 64)
 		total := workers * iters
@@ -237,7 +237,7 @@ func TestExecPipelineSoak(t *testing.T) {
 		if tripped == nil {
 			t.Fatal("circuit never opened")
 		}
-		if trips := db.BreakerTrips(); trips["C1"] != 1 {
+		if trips := db.breaker.Trips(); trips["C1"] != 1 {
 			t.Errorf("BreakerTrips = %v, want C1:1", trips)
 		}
 
@@ -245,7 +245,7 @@ func TestExecPipelineSoak(t *testing.T) {
 		// circuit: blocked executions count cooldown steps, the half-open
 		// probe passes, the circuit closes, and everyone converges on
 		// success. Race-clean convergence is the point.
-		db.ClearFaults()
+		db.faults.Store(nil)
 		var wg sync.WaitGroup
 		fails := make(chan error, workers)
 		for w := 0; w < workers; w++ {
@@ -274,7 +274,7 @@ func TestExecPipelineSoak(t *testing.T) {
 		for err := range fails {
 			t.Errorf("client never recovered after the circuit healed: %v", err)
 		}
-		if trips := db.BreakerTrips(); trips["C1"] != 1 {
+		if trips := db.breaker.Trips(); trips["C1"] != 1 {
 			t.Errorf("healed circuit re-tripped: %v", trips)
 		}
 	})

@@ -38,19 +38,19 @@ type PreparedQuery struct {
 // pipeline at the Activate stage on every Exec — compile once, activate
 // per binding set.
 func (db *Database) Prepare(q *Query) (*PreparedQuery, error) {
-	p := &PreparedQuery{db: db, q: q, digest: QueryDigest(q)}
+	p := &PreparedQuery{db: db, q: q, digest: queryDigest(q)}
 	if _, _, _, err := p.module(); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-// QueryDigest returns the stable digest prepared statements are cached
+// queryDigest returns the stable digest prepared statements are cached
 // under: a hash of everything the compiled plan depends on — the
 // relations in order, each selection's attribute, variable and exact
 // literal selectivity, each join edge, the order-by and the projection.
 // An edge's orientation is not part of it.
-func QueryDigest(q *Query) string {
+func queryDigest(q *Query) string {
 	var buf [512]byte // the identity of a query over a dozen relations fits
 	b := binary.AppendUvarint(buf[:0], uint64(len(q.q.Rels)))
 	for _, r := range q.q.Rels {
@@ -84,10 +84,6 @@ func QueryDigest(q *Query) string {
 func appendField(b []byte, s string) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
-
-// Digest returns the plan-cache digest the prepared query executes
-// under.
-func (p *PreparedQuery) Digest() string { return p.digest }
 
 // Query returns the underlying query.
 func (p *PreparedQuery) Query() *Query { return p.q }

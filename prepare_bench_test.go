@@ -46,7 +46,7 @@ func BenchmarkColdPrepare(b *testing.B) {
 		b.Run(fmt.Sprintf("relations=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				db.SetPlanCacheCapacity(64)
+				db.planCache = newPlanCache(64)
 				q, err := sys.Parse(text)
 				if err != nil {
 					b.Fatal(err)

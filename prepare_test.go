@@ -69,7 +69,7 @@ func TestPreparedMatchesColdCompile(t *testing.T) {
 func TestPlanCacheSizeOneEviction(t *testing.T) {
 	sys, q1 := resilChainSystem(t, 3)
 	db := resilDatabase(t, sys)
-	db.SetPlanCacheCapacity(1)
+	db.planCache = newPlanCache(1)
 
 	// A second, digest-distinct statement over the same tables.
 	q2, err := sys.BuildQuery(QuerySpec{
@@ -78,7 +78,7 @@ func TestPlanCacheSizeOneEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if QueryDigest(q1) == QueryDigest(q2) {
+	if queryDigest(q1) == queryDigest(q2) {
 		t.Fatal("test queries share a digest")
 	}
 	p1, err := db.Prepare(q1)
@@ -158,11 +158,11 @@ func TestAnalyzeInvalidatesPreparedPlans(t *testing.T) {
 		t.Error("pre-Analyze execution should hit the Prepare-warmed cache")
 	}
 
-	v0 := db.CatalogVersion()
-	if err := db.Analyze(64); err != nil {
+	v0 := db.catalogVersion.Load()
+	if err := db.Analyze(); err != nil {
 		t.Fatal(err)
 	}
-	if v1 := db.CatalogVersion(); v1 != v0+1 {
+	if v1 := db.catalogVersion.Load(); v1 != v0+1 {
 		t.Fatalf("CatalogVersion after Analyze = %d, want %d", v1, v0+1)
 	}
 
@@ -211,13 +211,13 @@ func TestQueryDigestSplitsOnClauses(t *testing.T) {
 	same := parse("SELECT * FROM emp WHERE emp.salary <= ?limit")
 	ordered := parse("SELECT * FROM emp WHERE emp.salary <= ?limit ORDER BY emp.dept")
 	projected := parse("SELECT emp.dept FROM emp WHERE emp.salary <= ?limit")
-	if QueryDigest(base) != QueryDigest(same) {
+	if queryDigest(base) != queryDigest(same) {
 		t.Error("identical statements digest differently")
 	}
-	if QueryDigest(base) == QueryDigest(ordered) {
+	if queryDigest(base) == queryDigest(ordered) {
 		t.Error("ORDER BY did not split the digest")
 	}
-	if QueryDigest(base) == QueryDigest(projected) {
+	if queryDigest(base) == queryDigest(projected) {
 		t.Error("projection did not split the digest")
 	}
 }
@@ -236,8 +236,8 @@ func TestPreparedSharesOneCompilation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p1.Digest() != p2.Digest() {
-		t.Fatalf("digests differ: %s vs %s", p1.Digest(), p2.Digest())
+	if p1.digest != p2.digest {
+		t.Fatalf("digests differ: %s vs %s", p1.digest, p2.digest)
 	}
 	b := resilBindings(3, 0.3, 64)
 	for i, p := range []*PreparedQuery{p1, p2} {

@@ -144,7 +144,7 @@ func TestReoptStaleCatalogSwitch(t *testing.T) {
 	}
 
 	db.EnableObservability()
-	defer db.DisableObservability()
+	defer db.observing.Store(false)
 	db.EnableObservatory()
 	defer db.DisableObservatory()
 
@@ -343,10 +343,10 @@ func TestReoptAdaptiveCombined(t *testing.T) {
 	}
 }
 
-// TestReoptDeadlineExceededMidQuery arms the per-query deadline and makes
-// the build-side scan pathologically slow; the query must die with a
-// typed ErrDeadlineExceeded, and a governed run must release its grant
-// and ticket on the failure path.
+// TestReoptDeadlineExceededMidQuery gives the caller's context a deadline
+// and makes the build-side scan pathologically slow; the query must die
+// with a typed ErrDeadlineExceeded, and a governed run must release its
+// grant and ticket on the failure path.
 func TestReoptDeadlineExceededMidQuery(t *testing.T) {
 	sys, q, db := reoptStaleDB(t, 3, "C2", 4)
 	p, err := sys.OptimizeStatic(q)
@@ -358,9 +358,11 @@ func TestReoptDeadlineExceededMidQuery(t *testing.T) {
 	defer db.ClearGovernor()
 	b := resilBindings(3, 0.5, 64)
 
-	_, err = db.Exec(context.Background(), p, b, ExecOptions{
+	ctx, cancel := context.WithTimeout(context.Background(), 40*time.Millisecond)
+	defer cancel()
+	_, err = db.Exec(ctx, p, b, ExecOptions{
 		Governed: true,
-		Reopt:    &ReoptPolicy{Query: q, Deadline: 40 * time.Millisecond},
+		Reopt:    &ReoptPolicy{Query: q},
 	})
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
@@ -417,13 +419,15 @@ func TestReoptCancellationMidQuery(t *testing.T) {
 	defer db.DisableObservatory()
 	b := resilBindings(3, 0.5, 64)
 
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, stop := context.WithTimeout(context.Background(), 5*time.Second)
+	defer stop()
+	ctx, cancel := context.WithCancel(ctx)
 	go func() {
 		time.Sleep(30 * time.Millisecond)
 		cancel()
 	}()
 	_, err = db.Exec(ctx, p, b, ExecOptions{
-		Reopt: &ReoptPolicy{Query: q, Deadline: 5 * time.Second, NoProgressTimeout: 5 * time.Second},
+		Reopt: &ReoptPolicy{Query: q, NoProgressTimeout: 5 * time.Second},
 	})
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)

@@ -132,7 +132,7 @@ func TestResilientFaultEquivalence(t *testing.T) {
 		if !reflect.DeepEqual(faulty.Columns, clean.Columns) {
 			t.Fatalf("n=%d: faulty run schema differs from fault-free run", n)
 		}
-		st := db.FaultStats()
+		st := db.injector().Stats()
 		if st.Injected == 0 {
 			t.Fatalf("n=%d: no faults were injected (reads=%d); the scenario is vacuous", n, st.Reads)
 		}
@@ -315,7 +315,7 @@ func TestAbsorbedFaultsMetadata(t *testing.T) {
 		t.Fatalf("in-place retries should have absorbed every transient fault: %v", err)
 	}
 	if res.FaultsAbsorbed == 0 {
-		t.Fatalf("no absorbed faults recorded (stats: %+v)", db.FaultStats())
+		t.Fatalf("no absorbed faults recorded (stats: %+v)", db.injector().Stats())
 	}
 	if res.Retries != 0 {
 		t.Errorf("plain execution must not report plan-level retries, got %d", res.Retries)

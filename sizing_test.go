@@ -77,7 +77,7 @@ func staleExecBytes(t *testing.T, factor int, sel float64) uint64 {
 		var stale *Database
 		sys, q, stale = reoptStaleDB(t, 3, "C2", -factor)
 		db = resilDatabase(t, sys)
-		if err := stale.Analyze(8); err != nil {
+		if err := stale.Analyze(); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -175,7 +175,7 @@ func TestPreparedMultiTenantSoak(t *testing.T) {
 					// through the recompile without wrong answers.
 					if done.Add(1) == tenants*workersPer*iters/2 {
 						analyzeOnce.Do(func() {
-							if err := e.db.Analyze(64); err != nil {
+							if err := e.db.Analyze(); err != nil {
 								t.Errorf("mid-soak Analyze: %v", err)
 							}
 						})
@@ -190,7 +190,7 @@ func TestPreparedMultiTenantSoak(t *testing.T) {
 	if got := done.Load(); got != total {
 		t.Fatalf("soak ran %d executions, want %d", got, total)
 	}
-	if v := e.db.CatalogVersion(); v != 2 {
+	if v := e.db.catalogVersion.Load(); v != 2 {
 		t.Errorf("catalog version after mid-soak Analyze = %d, want 2", v)
 	}
 

@@ -281,7 +281,7 @@ func TestTraceDeterministicIDs(t *testing.T) {
 		t.Fatalf("untraced query: err=%v TraceID=%q, want no trace", err, res.TraceID)
 	}
 	db.EnableTracing()
-	defer db.DisableTracing()
+	defer db.tracing.Store(false)
 	res, err := db.Exec(context.Background(), p, b, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)

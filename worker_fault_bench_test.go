@@ -83,11 +83,11 @@ func newWorkerFaultRig(tb testing.TB) *workerFaultRig {
 	// Fault-free baseline reads through a routing, zero-rate injector.
 	baseline := func(opts ExecOptions) int64 {
 		r.db.InjectFaults(FaultConfig{Seed: 5, TargetRel: "C1", TargetPageLo: r.lo, TargetPageHi: r.lo + 1})
-		defer r.db.ClearFaults()
+		defer r.db.faults.Store(nil)
 		if _, err := r.db.Exec(ctx, r.root, r.bind, opts); err != nil {
 			tb.Fatal(err)
 		}
-		return r.db.FaultStats().Reads
+		return r.db.injector().Stats().Reads
 	}
 	r.workerBase = baseline(r.workerOpts)
 	r.wholeBase = baseline(r.wholeOpts)
@@ -98,15 +98,15 @@ func newWorkerFaultRig(tb testing.TB) *workerFaultRig {
 // returns the result and its re-reads over the fault-free baseline.
 func (r *workerFaultRig) workerArm(tb testing.TB) (*ExecResult, int64) {
 	r.db.InjectFaults(r.cfg)
-	defer r.db.ClearFaults()
+	defer r.db.faults.Store(nil)
 	res, err := r.db.Exec(context.Background(), r.root, r.bind, r.workerOpts)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if st := r.db.FaultStats(); st.Injected == 0 {
+	if st := r.db.injector().Stats(); st.Injected == 0 {
 		tb.Fatal("no fault injected; the recovery measurement is vacuous")
 	}
-	return res, r.db.FaultStats().Reads - r.workerBase
+	return res, r.db.injector().Stats().Reads - r.workerBase
 }
 
 // wholeArm runs the query under the fault, restarting it whole until it
@@ -114,11 +114,11 @@ func (r *workerFaultRig) workerArm(tb testing.TB) (*ExecResult, int64) {
 // baseline, and the attempts it took.
 func (r *workerFaultRig) wholeArm(tb testing.TB) (*ExecResult, int64, int) {
 	r.db.InjectFaults(r.cfg)
-	defer r.db.ClearFaults()
+	defer r.db.faults.Store(nil)
 	for attempt := 1; ; attempt++ {
 		res, err := r.db.Exec(context.Background(), r.root, r.bind, r.wholeOpts)
 		if err == nil {
-			return res, r.db.FaultStats().Reads - r.wholeBase, attempt
+			return res, r.db.injector().Stats().Reads - r.wholeBase, attempt
 		}
 		if attempt >= 10 {
 			tb.Fatalf("whole-query restart loop exhausted: %v", err)
