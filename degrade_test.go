@@ -57,8 +57,8 @@ func midPageFault(t *testing.T, db *Database) (FaultConfig, int32) {
 // absorbed inside that worker's own fault domain — the query completes
 // with rows and accountant books identical to the fault-free serial run,
 // no whole-query retry fires, and the ladder never steps. The control
-// run proves the isolation is load-bearing: with worker retry and the
-// ladder both disabled, the same single fault kills the whole query.
+// run proves the isolation is load-bearing: with worker retry disabled,
+// the same single fault escapes the worker and reaches the ladder.
 func TestWorkerRetryAbsorbsTransientFault(t *testing.T) {
 	sys, _ := resilChainSystem(t, 2)
 	db := resilDatabase(t, sys)
@@ -72,16 +72,16 @@ func TestWorkerRetryAbsorbsTransientFault(t *testing.T) {
 	cfg, mid := midPageFault(t, db)
 	cfg.TransientRate = 1 // the one targeted page always carries the fault
 
-	// Control: worker retry off, ladder off. The single transient fault
-	// must abort the whole query — otherwise the main run proves nothing.
+	// Control: worker retry off. The single transient fault must escape
+	// the worker and reach the degradation ladder — otherwise the main run
+	// proves nothing.
 	db.InjectFaults(cfg)
-	_, err = db.Exec(context.Background(), root, b, ExecOptions{
+	ctl, err := db.Exec(context.Background(), root, b, ExecOptions{
 		Parallel:    true,
 		WorkerRetry: &WorkerRetryPolicy{MaxAttempts: 1},
-		Degrade:     &DegradePolicy{Disabled: true},
 	})
-	if !errors.Is(err, ErrTransientIO) || !errors.Is(err, ErrFaultInjected) {
-		t.Fatalf("control run with isolation disabled: err=%v, want the injected transient fault", err)
+	if err != nil || len(ctl.Degrade) == 0 || ctl.Degrade[0].Class != "transient-io" {
+		t.Fatalf("control run with isolation disabled: err=%v, want the injected transient fault to reach the ladder", err)
 	}
 
 	// Main run on a fresh injector (the control healed the page): the
@@ -272,7 +272,6 @@ func TestWorkerBackoffCancellation(t *testing.T) {
 		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 		_, err := db.Exec(ctx, root, b, ExecOptions{
 			Parallel: true, Governed: governed, WorkerRetry: pol,
-			Degrade: &DegradePolicy{Disabled: true},
 		})
 		cancel()
 		elapsed := time.Since(start)

@@ -13,9 +13,8 @@ import (
 // System is a database instance from the optimizer's point of view: a
 // catalog with statistics, cost-model parameters, and search settings.
 type System struct {
-	cat    *catalog.Catalog
-	params physical.Params
-	cfg    search.Config
+	cat *catalog.Catalog
+	cfg search.Config
 }
 
 // Params re-exports the cost-model constants; see the fields of
@@ -28,8 +27,8 @@ func DefaultParams() Params { return physical.DefaultParams() }
 
 // New creates an empty system.
 func New() *System {
-	s := &System{cat: catalog.New(), params: physical.DefaultParams()}
-	s.cfg.Params = s.params
+	s := &System{cat: catalog.New()}
+	s.cfg.Params = physical.DefaultParams()
 	return s
 }
 

@@ -7,7 +7,7 @@
 // estimates that are badly wrong (the data is skewed; the estimates
 // assume uniformity). Start-up-time decisions trust the estimates and
 // pick an index-join chain that explodes; with ExecOptions.Adaptive the
-// execution pipeline's Reopt stage materializes each base input before the
+// execution pipeline's Remedy stage materializes each base input before the
 // first tuple, observes its actual cardinality, corrects the estimates,
 // and only then decides the joins.
 package main

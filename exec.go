@@ -26,7 +26,7 @@ type ExecOptions struct {
 	// below b.MemoryPages, runs under the governor's per-query deadline,
 	// and releases its grant on every exit path; the result's Admission
 	// field reports the negotiation. Without an installed governor the
-	// admission stages pass through unchanged.
+	// Admit stage passes through unchanged.
 	Governed bool
 	// Resilient enables the retrying fallback executor — the run-time
 	// payoff of carrying alternatives in the plan. Requires a *Module
@@ -78,7 +78,7 @@ type ExecOptions struct {
 	// orders, algorithms, build sides) resolve. That makes the execution
 	// robust to selectivity estimation error at the price of
 	// materialization I/O, charged to the result's account. It is the eager
-	// trigger of the Reopt stage — observe before the first tuple instead
+	// trigger of re-optimization — observe before the first tuple instead
 	// of waiting for a guard to trip — so the result's Reopt field carries
 	// what was learned (TempsCreated, ObservedSelectivities, one event pair
 	// per relation), and it composes with every other option. A dynamic
@@ -97,7 +97,10 @@ type ExecOptions struct {
 	// serial execution — degree of parallelism is a costed alternative,
 	// selected the way low-memory choose-plan branches are. Answers are
 	// digest-identical to serial execution. The result's Parallel field
-	// reports the selection.
+	// reports the selection. A fault that escapes the workers' own retries
+	// (WorkerRetry) re-runs the query narrower — halving the DOP down to
+	// serial — before a Resilient retry fires; the result's Degrade field
+	// lists the steps.
 	Parallel bool
 	// MaxDOP caps the worker count Parallel may choose; 0 selects the
 	// default of 4.
@@ -109,12 +112,6 @@ type ExecOptions struct {
 	// MaxAttempts 1 disables worker retry, making every worker fault
 	// escalate immediately.
 	WorkerRetry *WorkerRetryPolicy
-	// Degrade parameterizes the graceful-degradation ladder that catches
-	// faults escalating past worker retry: halve the DOP and re-run,
-	// down to serial, before the whole-query remedies fire. Nil enables
-	// the ladder with defaults; Degrade.Disabled turns it off. Only
-	// meaningful with Parallel.
-	Degrade *DegradePolicy
 	// Tenant names the identity the query runs under. The governor's
 	// per-tenant admission slots and grant quotas key on it (see
 	// GovernorConfig.TenantSlots), and it rides the result, the /queries
@@ -129,8 +126,8 @@ type ExecOptions struct {
 	cacheHit bool
 	// Trace builds an end-to-end span tree for this query regardless of
 	// the database-wide EnableTracing switch: one span per pipeline stage,
-	// reopt attempt, degradation rung, and exchange worker, with wait
-	// states attributed. The result's TraceID and Trace fields carry it,
+	// remedy-loop run, replan, and exchange worker, with wait states
+	// attributed. The result's TraceID and Trace fields carry it,
 	// and the observatory's /traces ring retains it when enabled.
 	Trace bool
 }
@@ -138,14 +135,6 @@ type ExecOptions struct {
 // WorkerRetryPolicy bounds the per-worker retry loop inside exchange
 // operators; see ExecOptions.WorkerRetry.
 type WorkerRetryPolicy = exec.WorkerRetryPolicy
-
-// DegradePolicy parameterizes the degradation ladder above parallel
-// execution; see ExecOptions.Degrade.
-type DegradePolicy struct {
-	// Disabled turns the ladder off: faults that escape worker retry
-	// escalate straight to the whole-query remedies at full width.
-	Disabled bool
-}
 
 // Exec is the execution entry point: it runs query q — a *Plan, *Module,
 // *Activation, or resolved plan node — under the bindings, through the

@@ -117,19 +117,6 @@ func (b *Broker) Release(pages float64) {
 	b.mu.Unlock()
 }
 
-// Resize changes the pool size — the knob a shrinking-memory chaos run
-// turns. Outstanding grants are unaffected; a shrink below the current
-// outstanding total only delays new grants until releases catch up.
-func (b *Broker) Resize(total float64) {
-	if total < 0 {
-		total = 0
-	}
-	b.mu.Lock()
-	b.total = total
-	b.wakeLocked()
-	b.mu.Unlock()
-}
-
 // wakeLocked broadcasts to every waiter; the caller holds the mutex.
 func (b *Broker) wakeLocked() {
 	close(b.waitCh)

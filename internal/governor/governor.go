@@ -461,9 +461,6 @@ func (t *Ticket) Release() {
 	})
 }
 
-// ResizePool changes the grant pool size; see Broker.Resize.
-func (g *Governor) ResizePool(totalPages float64) { g.broker.Resize(totalPages) }
-
 // Broker exposes the grant broker (for invariant checks in tests and the
 // chaos harness).
 func (g *Governor) Broker() *Broker { return g.broker }

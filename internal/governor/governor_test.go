@@ -86,25 +86,6 @@ func TestBrokerGrantWaitTimeoutIsAdmission(t *testing.T) {
 	}
 }
 
-func TestBrokerResizeWakesWaiters(t *testing.T) {
-	b := NewBroker(4)
-	done := make(chan error, 1)
-	go func() {
-		_, err := b.Acquire(context.Background(), 8, 8)
-		done <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
-	b.Resize(32)
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("waiter never woke after resize")
-	}
-}
-
 func TestGovernorShedsWhenQueueFull(t *testing.T) {
 	g := New(Config{TotalPages: 1024, MaxConcurrent: 1, MaxQueued: 1, QueueTimeout: time.Minute})
 	ctx := context.Background()
@@ -322,22 +303,6 @@ func waitFor(t *testing.T, cond func() bool) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatal("condition never became true")
-}
-
-func TestGovernorResizePool(t *testing.T) {
-	g := New(Config{TotalPages: 64, MinGrantPages: 8, MaxConcurrent: 2, QueueTimeout: 50 * time.Millisecond})
-	g.ResizePool(16)
-	tk, _, err := g.Acquire(context.Background(), 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tk.Release()
-	if tk.Pages != 16 || !tk.Degraded {
-		t.Fatalf("grant after shrink = %v (degraded=%v), want 16 degraded", tk.Pages, tk.Degraded)
-	}
-	if got := g.Broker().Stats().TotalPages; got != 16 {
-		t.Fatalf("pool total = %v after resize", got)
-	}
 }
 
 func TestTenantGateBoundsConcurrency(t *testing.T) {

@@ -43,11 +43,6 @@ type ChaosConfig struct {
 	Iterations int
 	// Queries is the workload mix; each iteration draws one uniformly.
 	Queries []ChaosQuery
-	// Shrink, when set, is invoked by worker 0 before each of its
-	// iterations with the fraction of its run completed (0 ≤ f < 1) — the
-	// hook a shrinking-memory scenario uses to ratchet the grant pool down
-	// while the other workers keep querying.
-	Shrink func(fraction float64)
 	// Rejected classifies an execution error as an acceptable rejection
 	// (admission shed, deadline) rather than a failure. Rejections are
 	// counted but not failed on; a nil hook accepts no rejections.
@@ -103,8 +98,7 @@ func (r *ChaosReport) Err() error {
 
 // Soak drives the chaos workload: Workers goroutines each issue
 // Iterations randomized queries concurrently, verifying every admitted
-// result against its reference digest while the Shrink hook squeezes the
-// system. It returns the tally; call ChaosReport.Err for the verdict.
+// result against its reference digest. It returns the tally; call ChaosReport.Err for the verdict.
 func Soak(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Queries) == 0 {
@@ -121,9 +115,6 @@ func Soak(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(worker)))
 			for i := 0; i < cfg.Iterations; i++ {
-				if worker == 0 && cfg.Shrink != nil {
-					cfg.Shrink(float64(i) / float64(cfg.Iterations))
-				}
 				q := cfg.Queries[rng.Intn(len(cfg.Queries))]
 				digest, err := q.Run(ctx, rng.Int63())
 				mu.Lock()

@@ -36,13 +36,11 @@ func TestSoakClassification(t *testing.T) {
 			Run:       func(context.Context, int64) (string, error) { return "", boom },
 		},
 	}
-	var shrinks int
 	rep, err := Soak(context.Background(), ChaosConfig{
 		Seed:       1,
 		Workers:    4,
 		Iterations: 8,
 		Queries:    queries,
-		Shrink:     func(f float64) { shrinks++; _ = f },
 		Rejected:   func(err error) bool { return errors.Is(err, rejected) },
 	})
 	if err != nil {
@@ -53,9 +51,6 @@ func TestSoakClassification(t *testing.T) {
 	}
 	if rep.Succeeded == 0 || rep.Rejected == 0 || rep.Failed == 0 {
 		t.Errorf("all outcomes should occur over 32 draws: %s", rep)
-	}
-	if shrinks != 8 {
-		t.Errorf("shrink hook ran %d times, want once per worker-0 iteration (8)", shrinks)
 	}
 	if len(rep.Mismatches) == 0 || !strings.Contains(rep.Mismatches[0], "mismatch") {
 		t.Errorf("mismatches = %v", rep.Mismatches)

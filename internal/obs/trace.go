@@ -10,9 +10,8 @@ import (
 // This file is the end-to-end span tracer: the per-query answer to "where
 // did this query's wall-clock go". Where the Collector meters operators
 // and the Registry aggregates across queries, a Trace is one query's
-// hierarchical timeline — a span per pipeline stage, per re-optimization
-// attempt and replan, per degradation rung, and per parallel exchange
-// worker — with the time a stage spent *waiting* (admission queue, grant
+// hierarchical timeline — a span per pipeline stage, per run of the remedy
+// loop, per replan, and per parallel exchange worker — with the time a stage spent *waiting* (admission queue, grant
 // negotiation, retry/worker backoff sleep, exchange blocked-on-channel,
 // replan planning) attributed explicitly, so
 //
@@ -34,12 +33,11 @@ import (
 const (
 	// SpanStage is one pipeline stage (Record, Admit, …, Run).
 	SpanStage = "stage"
-	// SpanAttempt is one re-optimization attempt under the Reopt stage.
+	// SpanAttempt is one run of the stages below the Remedy stage: the
+	// first, and each re-optimized, narrowed or retried re-run.
 	SpanAttempt = "attempt"
 	// SpanReplan is a mid-query re-plan between two attempts.
 	SpanReplan = "replan"
-	// SpanRung is one degradation-ladder re-run at a narrowed DOP.
-	SpanRung = "rung"
 	// SpanExchange is a parallel exchange operator's open-to-close life.
 	SpanExchange = "exchange"
 	// SpanWorker is one exchange worker goroutine.
@@ -53,7 +51,7 @@ const (
 	WaitAdmissionQueue = "admission-queue"
 	// WaitGrant is time spent negotiating the memory grant.
 	WaitGrant = "grant"
-	// WaitRetryBackoff is the Retry stage's backoff sleep between attempts.
+	// WaitRetryBackoff is the retry remedy's backoff sleep between attempts.
 	WaitRetryBackoff = "retry-backoff"
 	// WaitWorkerBackoff is an exchange worker's pause before a partition
 	// retry (nominal, from the deterministic retry policy).

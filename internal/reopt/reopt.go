@@ -251,7 +251,7 @@ type guard struct {
 // cost model's predicted cardinality under b, corrected by what has been
 // observed. A degraded controller returns nil: the decision to finish the
 // current plan must not be re-litigated by the plan it decided to finish.
-func (c *Controller) Guard(model *physical.Model, b *bindings.Bindings, root *physical.Node, db *exec.DB) (exec.MatGuard, error) {
+func (c *Controller) Guard(b *bindings.Bindings, root *physical.Node, db *exec.DB) (exec.MatGuard, error) {
 	c.mu.Lock()
 	degraded := c.degraded
 	c.mu.Unlock()
@@ -262,7 +262,7 @@ func (c *Controller) Guard(model *physical.Model, b *bindings.Bindings, root *ph
 	if err != nil {
 		return nil, fmt.Errorf("reopt: guarding: %w", err)
 	}
-	e := prog.At(&model.P, c.CorrectBindings(b))
+	e := prog.At(&c.pol.Params, c.CorrectBindings(b))
 	bands := make(map[*physical.Node]bandInfo)
 	// rels[i] is the single base relation node i's subtree reads, or ""
 	// when the subtree is disqualified: it reads several relations, or it
@@ -326,7 +326,7 @@ func (g *guard) CheckMat(n *physical.Node, count int, schema exec.Schema, rows f
 // remedy re-decides the plan around the observed cardinality. Index-join
 // inners are probed, never scanned, and stay unobserved. Observe returns
 // nil when the policy is lazy or nothing is left to observe.
-func (c *Controller) Observe(db *exec.DB, model *physical.Model, dag, root *physical.Node, b *bindings.Bindings) error {
+func (c *Controller) Observe(db *exec.DB, dag, root *physical.Node, b *bindings.Bindings) error {
 	if !c.pol.Eager {
 		return nil
 	}
@@ -346,7 +346,7 @@ func (c *Controller) Observe(db *exec.DB, model *physical.Model, dag, root *phys
 	if err != nil {
 		return fmt.Errorf("reopt: observing: %w", err)
 	}
-	e := prog.At(&model.P, c.CorrectBindings(b))
+	e := prog.At(&c.pol.Params, c.CorrectBindings(b))
 	best := int32(-1)
 	var bestRel string
 	for _, v := range variants {
@@ -359,7 +359,7 @@ func (c *Controller) Observe(db *exec.DB, model *physical.Model, dag, root *phys
 	if best < 0 || !c.armed(bestRel) {
 		return nil
 	}
-	chosen, card := prog.Resolve(&model.P, &e, best)
+	chosen, card := prog.Resolve(&c.pol.Params, &e, best)
 	_, count, err := db.Materialize(tempName(bestRel), chosen, b)
 	if err != nil {
 		return fmt.Errorf("reopt: observing %s: %w", bestRel, err)

@@ -252,12 +252,12 @@ func TestObserveEagerly(t *testing.T) {
 		chosen, _ := prog.Resolve(&model.P, &e, int32(len(prog.Nodes)-1))
 		return c.Rewrite(chosen)
 	}
-	if err := NewController(Policy{}).Observe(db, model, dyn.Plan, resolve(), b); err != nil {
+	if err := NewController(Policy{}).Observe(db, dyn.Plan, resolve(), b); err != nil {
 		t.Fatalf("lazy controller observed: %v", err)
 	}
 	observed := 0
 	for {
-		err := c.Observe(db, model, dyn.Plan, resolve(), b)
+		err := c.Observe(db, dyn.Plan, resolve(), b)
 		if err == nil {
 			break
 		}

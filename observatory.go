@@ -103,19 +103,19 @@ func (st *execState) outcome(res *ExecResult, err error, trace *obs.TraceRecord)
 		o.Shed = true
 		return o
 	}
-	o.Retries = int64(st.retry.retries)
-	for _, d := range st.retry.backoffs {
+	o.Retries = int64(st.remedy.retries)
+	for _, d := range st.remedy.backoffs {
 		o.BackoffNanos += d.Nanoseconds()
 	}
-	if t := st.admit.ticket; t != nil {
+	if t := st.ticket; t != nil {
 		o.QueueWaitNanos = t.Wait.Nanoseconds()
 	}
 	if err != nil {
 		o.Failed = true
 		o.Log = &obs.RunRecord{
 			Name:              "query",
-			Retries:           st.retry.retries,
-			Backoffs:          len(st.retry.backoffs),
+			Retries:           st.remedy.retries,
+			Backoffs:          len(st.remedy.backoffs),
 			BackoffTotalNanos: o.BackoffNanos,
 			Reopt:             o.Reopt,
 			Degrade:           o.Degrade,
@@ -128,7 +128,7 @@ func (st *execState) outcome(res *ExecResult, err error, trace *obs.TraceRecord)
 		o.PagesRead = res.SeqPageReads + res.RandPageReads
 		o.Rows = int64(len(res.Rows))
 		o.Parallel, o.Operators, o.Calibration = res.Parallel, res.Operators, res.Calibration
-		o.Log = res.RunRecordFor("query", "", st.db.sys.params)
+		o.Log = res.RunRecordFor("query", "", st.db.sys.cfg.Params)
 	}
 	o.Log.WallNanos = o.WallNanos
 	o.Log.UnixNanos = time.Now().UnixNano()

@@ -219,7 +219,7 @@ func (m *Module) activate(b Bindings, opts plan.StartupOptions) (*Activation, er
 	if err != nil {
 		return nil, err
 	}
-	opts.Params, opts.Usage = m.sys.params, m.stats
+	opts.Params, opts.Usage = m.sys.cfg.Params, m.stats
 	rep, err := m.mod.Activate(ib, opts)
 	if err != nil {
 		return nil, err

@@ -2,17 +2,17 @@ package dynplan
 
 // The execution pipeline: Database.Exec routes every query through the one
 // stack of composable stages assembled here, so admission, memory grants,
-// breaker consultation, retry/backoff, choose-plan activation, execution,
-// and workload recording exist exactly once. The paper's start-up-time
+// the remedies for a failed run, choose-plan activation, execution, and
+// workload recording exist exactly once. The paper's start-up-time
 // processing (§4) is the Activate stage: the memory binding it resolves
-// choose-plans against is whatever the Grant stage actually obtained, not
-// what the caller asked for.
+// choose-plans against is whatever the Admit stage's grant actually
+// obtained, not what the caller asked for.
 //
 // A stage is a middleware function over the shared per-query execState;
 // the innermost stage runs the resolved plan. There is one stack, composed
 // once at package init in the canonical order
 //
-//	Record → Admit → Grant → Breaker → Retry → Degrade → Reopt → Activate → Run
+//	Record → Admit → Remedy → Activate → Run
 //
 // and each stage decides from the query's state whether it takes part
 // (the stages table). The observatory has one writer: stages only note
@@ -62,9 +62,8 @@ func (e *PipelineError) Unwrap() error { return ErrPipeline }
 
 // execState is one query's mutable state, threaded through every stage of
 // the stack. Exactly one of module (resolved per attempt by Activate) or
-// root (pre-resolved) identifies the plan. Fields a
-// single stage (or a tightly coupled pair) owns live in that stage's
-// sub-struct, embedded by value so the whole state stays one allocation.
+// root (pre-resolved) identifies the plan. Sub-structs are embedded by
+// value so the whole state stays one allocation.
 type execState struct {
 	db *Database
 	// o is the caller's options, held by value: the stages read their
@@ -86,14 +85,15 @@ type execState struct {
 	// b is the caller's bindings, validated and converted once at the Exec
 	// boundary. b.Memory is the memory the next activation and execution
 	// run under — initially the caller's MemoryPages, rewritten by the
-	// Grant stage (the broker's grant) and the Retry stage (downgrades).
+	// Admit stage (the broker's grant) and the retry remedy (downgrades).
 	b *bindings.Bindings
+	// ticket is the Admit stage's memory grant; nil when no governor
+	// admitted the query.
+	ticket *governor.Ticket
 
-	admit   admitState
-	retry   retryState
-	degrade degradeState
-	reopt   reoptState
-	trace   traceState
+	remedy remedyState
+	reopt  reoptState
+	trace  traceState
 
 	// out is the query's account for the workload observatory: the facts
 	// each stage notes (executions, start-up time, breaker trips, re-opt
@@ -103,21 +103,14 @@ type execState struct {
 	out *obs.Outcome
 }
 
-// admitState belongs to the Admit/Grant pair: the governor snapshot and
-// claimed slot (Admit), and the memory claim (Grant).
-type admitState struct {
-	gov    *governor.Governor
-	adm    *governor.Admission
-	ticket *governor.Ticket
-}
-
-// retryState is the recovery account of the Breaker/Retry pair and the
-// Activate stage they steer.
-type retryState struct {
-	// blocked is the Breaker stage's snapshot of open-circuit relations.
+// remedyState is the recovery account of the Remedy stage and the
+// Activate and Run stages it steers.
+type remedyState struct {
+	// blocked is the snapshot of open-circuit relations a Resilient query
+	// takes at entry.
 	blocked map[string]bool
-	// avoid marks plan nodes failed attempts have poisoned; written by
-	// Retry on the first exclusion, consumed by Activate.
+	// avoid marks plan nodes failed attempts have poisoned; written by the
+	// retry remedy on the first exclusion, consumed by Activate.
 	avoid map[*physical.Node]bool
 	// rep is the latest activation's report and repB the bindings it
 	// decided under; firstPicked and branchSwitched track choose-plan
@@ -126,16 +119,21 @@ type retryState struct {
 	repB           *bindings.Bindings
 	firstPicked    []*physical.Node
 	branchSwitched bool
-	// attempt counts executions (1-based inside Retry); retries,
-	// backoffs, and trace accumulate the recovery account.
+	// attempt counts whole-query attempts (1-based inside Remedy);
+	// retries, backoffs, and trace accumulate the recovery account.
 	attempt  int
 	retries  int
 	backoffs []time.Duration
 	trace    []obs.ChoiceTrace
+	// dopCap is the DOP ceiling the degradation ladder has imposed (0:
+	// none); lastDOP is the DOP the most recent execution actually ran
+	// with — the rung the ladder steps down from.
+	dopCap  int
+	lastDOP int
 }
 
 // exclude poisons the picked branches for later activations.
-func (r *retryState) exclude(picked []*physical.Node) {
+func (r *remedyState) exclude(picked []*physical.Node) {
 	if r.avoid == nil {
 		r.avoid = make(map[*physical.Node]bool, len(picked))
 	}
@@ -144,18 +142,11 @@ func (r *retryState) exclude(picked []*physical.Node) {
 	}
 }
 
-// degradeState belongs to the Degrade stage: cap is the DOP ceiling the
-// ladder has imposed (0: none); lastDOP is the DOP the most recent
-// execution actually ran with — the rung the ladder steps down from.
-type degradeState struct {
-	cap     int
-	lastDOP int
-}
-
-// reoptState belongs to the Reopt stage, live for one invocation of it.
+// reoptState is the live re-optimization controller of a Reopt or
+// Adaptive query, armed afresh for every narrowed or retried run.
 type reoptState struct {
-	// rc is the stage's controller, consumed by Activate for corrected
-	// bindings and by Run for guards and temps.
+	// rc is the controller, consumed by Activate for corrected bindings
+	// and by Run for guards and temps.
 	rc *reopt.Controller
 	// skipActivate makes Activate pass through: a re-planned or degraded
 	// root is already resolved and must not be overwritten by the module.
@@ -180,12 +171,12 @@ type traceState struct {
 type pipelineFunc func(ctx context.Context, st *execState) (*ExecResult, error)
 
 // stageFunc is one composable stage: do work, call next (zero or more
-// times — Retry calls it per attempt), decorate the result.
+// times — Remedy calls it per run), decorate the result.
 type stageFunc func(ctx context.Context, st *execState, next pipelineFunc) (*ExecResult, error)
 
-// stageAbort wraps an error that must not be retried or reclassified by
-// outer stages (an activation refusal rather than a run failure); the
-// pipeline entry unwraps it before the caller sees it.
+// stageAbort wraps an error no remedy may answer (an activation refusal
+// rather than a run failure); the pipeline entry unwraps it before the
+// caller sees it.
 type stageAbort struct{ err error }
 
 func (a *stageAbort) Error() string { return a.err.Error() }
@@ -193,16 +184,14 @@ func (a *stageAbort) Unwrap() error { return a.err }
 
 // need is a set of query properties; a stage takes part in a query that
 // has every property the stage needs. Participation is data rather than a
-// predicate call per stage so that stepping over the six stages a plain
-// query sits out costs less than running the three it takes
-// (BenchmarkExecPipelineOverhead).
+// predicate call per stage so that stepping over the stages a plain query
+// sits out costs less than running them (BenchmarkExecPipelineOverhead).
 type need uint8
 
 const (
-	needGoverned  need = 1 << iota // ExecOptions.Governed
-	needResilient                  // ExecOptions.Resilient
-	needReopt                      // ExecOptions.Reopt is set, or Adaptive
-	needModule                     // the target is a *Module
+	needGoverned need = 1 << iota // ExecOptions.Governed
+	needRemedy                    // Resilient, Parallel, Reopt or Adaptive
+	needModule                    // the target is a *Module
 )
 
 // properties derives the query's property set from its options and target.
@@ -211,11 +200,8 @@ func (st *execState) properties() need {
 	if st.o.Governed {
 		has |= needGoverned
 	}
-	if st.o.Resilient {
-		has |= needResilient
-	}
-	if st.o.Reopt != nil || st.o.Adaptive {
-		has |= needReopt
+	if st.o.Resilient || st.o.Parallel || st.o.Reopt != nil || st.o.Adaptive {
+		has |= needRemedy
 	}
 	if st.module != nil {
 		has |= needModule
@@ -225,10 +211,9 @@ func (st *execState) properties() need {
 
 // stages is the canonical stack, outermost first — the only one there is.
 // The options select *which stages take part*, never which stack runs, and
-// order and pairing are facts of this table: Record is outermost (exactly
-// one layer records each query), Admit/Grant and Breaker/Retry need the
-// same property each (a slot never exists without a grant), and Retry sits
-// above the Activate stage it re-enters.
+// order is a fact of this table: Record is outermost (exactly one layer
+// records each query), and Remedy sits above the Activate stage it
+// re-enters.
 var stages = [...]struct {
 	name  string
 	needs need
@@ -236,21 +221,12 @@ var stages = [...]struct {
 }{
 	// Time the query and stamp its identity on the result.
 	{"Record", 0, recordStage},
-	// Claim an execution slot from the governor, then draw the memory
-	// grant that becomes the binding every later stage sees.
+	// Claim an execution slot and the memory grant that becomes the
+	// binding every later stage sees.
 	{"Admit", needGoverned, admitStage},
-	{"Grant", needGoverned, grantStage},
-	// Snapshot open circuits, then classify failures / downgrade / exclude
-	// branches / back off and re-enter the stages below.
-	{"Breaker", needResilient, breakerStage},
-	{"Retry", needResilient, retryStage},
-	// The DOP ladder: below Retry (each whole-query attempt gets a fresh
-	// ladder), above Reopt/Activate (a narrower re-run re-resolves the
-	// plan). It takes part in every query and passes through serial ones.
-	{"Degrade", 0, degradeStage},
-	// Cardinality guards and the progress watchdog: below Retry (a retry
-	// gets a fresh budget), above Activate (a switch re-enters start-up).
-	{"Reopt", needReopt, reoptStage},
+	// Run the stages below and answer each failure: re-optimize, narrow
+	// the DOP, or retry the whole query.
+	{"Remedy", needRemedy, remedyStage},
 	// Start-up-time processing (§4) of a module target.
 	{"Activate", needModule, activateStage},
 	// Execute the resolved plan.
@@ -259,8 +235,8 @@ var stages = [...]struct {
 
 // participants[p] is the set of stages (bit i: row i) that take part in a
 // query with property set p — the stages table read once, at package init,
-// for each of the sixteen property sets.
-var participants [1 << 4]uint16
+// for each of the eight property sets.
+var participants [1 << 3]uint16
 
 // stack[i] is the continuation "the stages from row i on", composed once
 // at package init; stack[0] is the whole pipeline and the last entry, the
@@ -368,11 +344,12 @@ func recordStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecRe
 	return res, err
 }
 
-// admitStage claims an execution slot from the governor; without an
-// installed governor the stage (and its Grant partner) pass through, so a
-// Governed query degrades to its ungoverned behaviour unchanged. The
-// governor is snapshotted once, so a concurrent ClearGovernor cannot
-// split the Admit/Grant pair across two governors.
+// admitStage claims an execution slot from the governor, then the memory
+// grant: the broker may degrade it below the request, and the grant
+// becomes the memory binding activation resolves choose-plans against
+// (§6.2's graceful degradation). Without an installed governor the stage
+// passes through. The ticket is released on every exit path;
+// AdmissionStats report the negotiation on success.
 func admitStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecResult, error) {
 	gov := st.db.gov
 	if gov == nil {
@@ -385,29 +362,12 @@ func admitStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecRes
 	adm, err := gov.AdmitTenant(ctx, st.o.Tenant)
 	if st.trace.span != nil {
 		st.trace.span.AddWait(obs.WaitAdmissionQueue, time.Since(t0).Nanoseconds())
+		t0 = time.Now()
 	}
 	if err != nil {
 		return nil, err
 	}
-	st.admit.gov = gov
-	st.admit.adm = adm
-	return next(ctx, st)
-}
-
-// grantStage draws the memory grant for the admitted query: the broker
-// may degrade it below the request, and the grant — not the caller's
-// number — becomes the memory binding activation resolves choose-plans
-// against (§6.2's graceful degradation). The ticket is released on every
-// exit path; AdmissionStats report the negotiation on success.
-func grantStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecResult, error) {
-	if st.admit.adm == nil {
-		return next(ctx, st)
-	}
-	var t0 time.Time
-	if st.trace.span != nil {
-		t0 = time.Now()
-	}
-	ticket, qctx, err := st.admit.adm.Grant(ctx, st.b.Memory)
+	ticket, qctx, err := adm.Grant(ctx, st.b.Memory)
 	if st.trace.span != nil {
 		st.trace.span.AddWait(obs.WaitGrant, time.Since(t0).Nanoseconds())
 	}
@@ -415,13 +375,13 @@ func grantStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecRes
 		return nil, err
 	}
 	defer ticket.Release()
-	st.admit.ticket = ticket
+	st.ticket = ticket
 	st.b.Memory = ticket.Pages
 	res, err := next(qctx, st)
 	if err != nil {
 		return nil, err
 	}
-	s := st.admit.gov.Stats()
+	s := gov.Stats()
 	res.Admission = &obs.AdmissionStats{
 		RequestedPages: ticket.Requested,
 		GrantedPages:   ticket.Pages,
@@ -433,185 +393,229 @@ func grantStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecRes
 	return res, nil
 }
 
-// breakerStage snapshots which of the module's relations currently have
-// open circuits; they sit outside the choice set for this whole
-// execution, and consulting the breaker counts one cooldown step per
-// blocked relation.
-func breakerStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecResult, error) {
-	if st.module != nil {
-		st.retry.blocked = st.db.breaker.BlockedSet(st.module.mod.Relations())
-	}
-	return next(ctx, st)
-}
-
-// retryStage is the retrying fallback executor — the run-time payoff of
-// carrying alternatives in the plan. Each attempt re-enters the Activate
-// stage below it; a failure's classification decides the recovery
-// (transient I/O: same plan; insufficient memory: downgrade the grant and
-// exclude the picked branches; permanent faults: exclude the picked
-// branches and charge the relation's circuit breaker). Retries pause
-// under the exchange workers' backoff schedule (exec.Backoff, as worker
-// 0): capped exponential growth with deterministic jitter.
-func retryStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecResult, error) {
-	pol := st.o.Policy.withDefaults()
-	r := &st.retry
-	inj := st.db.injector()
-	absorbedBase := inj.Stats().Absorbed
-
-	for r.attempt = 1; ; r.attempt++ {
+// remedyStage is the one remedy loop — the paper's deferred decision (§4,
+// §7) taken again once a run has shown what the first one missed. It runs
+// the stages below, one attempt span per run, and hands each failure to the
+// first remedy that owns it:
+//
+//   - re-optimize (Reopt or Adaptive): the live controller answers a
+//     cardinality violation (see reoptimize); a failed re-plan falls
+//     through to the remedies below.
+//   - narrow (Parallel): a fault that escaped the exchange workers' own
+//     retries re-runs the query at half the DOP, down to serial
+//     (degradeRung).
+//   - retry (Resilient): the failure's class decides the recovery (see
+//     retry).
+//
+// A narrowed or retried run gets a fresh re-optimization controller. A
+// retry also starts a fresh ladder, but the DOP cap stays, so a later
+// attempt does not climb back to a width that already failed.
+func remedyStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecResult, error) {
+	r := &st.remedy
+	var pol RetryPolicy
+	var inj *storage.Injector
+	var absorbedBase int64
+	if st.o.Resilient {
+		if st.module != nil {
+			// Open circuits sit outside the choice set for the whole
+			// execution; consulting the breaker counts one cooldown step per
+			// blocked relation.
+			r.blocked = st.db.breaker.BlockedSet(st.module.mod.Relations())
+		}
 		if err := qerr.FromContext(ctx.Err()); err != nil {
 			return nil, err
 		}
-		res, err := next(ctx, st)
+		pol = st.o.Policy.withDefaults()
+		inj = st.db.injector()
+		absorbedBase = inj.Stats().Absorbed
+	}
+	var ladder []obs.DegradeEvent
+	defer st.finishReopt()
+	st.armReopt()
+	parent := st.trace.span
+	r.attempt = 1
+	for run := 1; ; run++ {
+		var asp *obs.Span
+		if st.trace.t != nil {
+			asp = st.trace.t.Start(parent, fmt.Sprintf("attempt-%d", run), obs.SpanAttempt)
+			st.trace.span = asp
+		}
+		runCtx, stopWatchdog := ctx, func() {}
+		if rc := st.reopt.rc; rc != nil {
+			// The watchdog snapshots the tuple counter at each run's start,
+			// so accumulation across runs never masks a stall.
+			runCtx, stopWatchdog = rc.StartWatchdog(ctx, st.reopt.acc)
+		}
+		res, err := next(runCtx, st)
+		stopWatchdog()
+		asp.End()
+		st.trace.span = parent
 		if err == nil {
-			st.db.recordPlanOutcome(st.root, "")
-			res.Retries = r.retries
-			res.BranchSwitched = r.branchSwitched
-			res.FaultsAbsorbed = inj.Stats().Absorbed - absorbedBase
-			res.EffectiveMemoryPages = st.b.Memory * inj.MemoryScale()
-			res.Backoffs = r.backoffs
-			res.BackoffTotal = 0
-			for _, d := range r.backoffs {
-				res.BackoffTotal += d
+			if rc := st.reopt.rc; rc != nil {
+				res.Reopt = rc.Account()
 			}
-			if r.rep != nil {
-				// The successful attempt's start-up decision trace, followed
-				// by the recovery decisions that led to it.
-				res.Decisions = append(r.rep.Trace, r.trace...)
+			if len(ladder) > 0 {
+				res.Degrade = ladder
+			}
+			if st.o.Resilient {
+				st.db.recordPlanOutcome(st.root, "")
+				res.Retries = r.retries
+				res.BranchSwitched = r.branchSwitched
+				res.FaultsAbsorbed = inj.Stats().Absorbed - absorbedBase
+				res.EffectiveMemoryPages = st.b.Memory * inj.MemoryScale()
+				res.Backoffs = r.backoffs
+				for _, d := range r.backoffs {
+					res.BackoffTotal += d
+				}
+				if r.rep != nil {
+					// The successful attempt's start-up decision trace,
+					// followed by the recovery decisions that led to it.
+					res.Decisions = append(r.rep.Trace, r.trace...)
+				}
 			}
 			return res, nil
 		}
 		var abort *stageAbort
 		if errors.As(err, &abort) {
 			// Activation refused (infeasible, circuit-open, unbound
-			// variables): not a run failure, nothing to classify or retry.
+			// variables): not a run failure, nothing to remedy.
 			return nil, err
 		}
-		if qerr.Canceled(err) {
+		var v *reopt.Violation
+		if st.reopt.rc != nil && errors.As(err, &v) {
+			if err = st.reoptimize(ctx, v); err == nil {
+				continue
+			}
+		}
+		if st.o.Parallel && ctx.Err() == nil {
+			if ev, ok := degradeRung(err, r.lastDOP, len(ladder)+1); ok {
+				ladder = append(ladder, ev)
+				if st.out != nil {
+					// Every rung counts, including those of a ladder that fails.
+					st.out.Degrade = append(st.out.Degrade, ev)
+				}
+				r.dopCap = ev.ToDOP
+				st.armReopt()
+				continue
+			}
+		}
+		if !st.o.Resilient {
 			return nil, err
 		}
-		// Charge the failing relation's circuit breaker before deciding
-		// whether to retry, so breakers learn from final attempts and from
-		// plans with no alternatives too.
-		failedRel := ""
-		if rel := qerr.Relation(err); rel != "" && !qerr.Retryable(err) {
-			failedRel = rel
-			if st.db.recordPlanOutcome(nil, rel) && st.out != nil {
-				st.out.BreakerTrips++
-			}
-		}
-		if r.attempt >= pol.MaxAttempts {
-			return nil, fmt.Errorf("dynplan: resilient execution gave up after %d attempts: %w", r.attempt, err)
-		}
-		r.retries++
-		var picked []*physical.Node
-		if r.rep != nil {
-			picked = r.rep.Picked
-		}
-		var class, response string
-		switch {
-		case errors.Is(err, qerr.ErrInsufficientMemory):
-			class = "insufficient memory"
-			if scale := inj.MemoryScale(); scale < 1 {
-				// Acknowledge the shrink event: the next activation plans
-				// for the memory actually available, so the executor must
-				// not discount it a second time.
-				st.b.Memory *= scale
-				inj.RestoreMemory()
-			} else {
-				st.b.Memory *= memoryDowngrade
-			}
-			r.exclude(picked)
-			response = fmt.Sprintf("downgraded grant to %.3g pages, excluding picked branches", st.b.Memory)
-		case errors.Is(err, qerr.ErrTransientIO):
-			// Retry the same plan: the fault-injection substrate heals
-			// transient faults after a bounded number of touches, so the
-			// retry gets strictly past the page it tripped on.
-			class = "transient I/O"
-			response = "retrying the same plan"
-		default:
-			// Permanent fault, operator panic, or an unclassified failure:
-			// only a different branch can help.
-			if len(picked) == 0 {
-				return nil, fmt.Errorf("dynplan: execution failed with no alternative branches to fall back to: %w", err)
-			}
-			r.exclude(picked)
-			class = "permanent fault"
-			response = "excluding picked branches"
-			if failedRel != "" {
-				response += fmt.Sprintf(" (fault charged to %s)", failedRel)
-			}
-		}
-		d := exec.Backoff(pol.Backoff, pol.MaxBackoff, pol.JitterSeed, 0, r.retries)
-		r.backoffs = append(r.backoffs, d)
-		r.trace = append(r.trace, obs.NewRetryTrace(r.attempt, class, response, d))
-		if err := sleepBackoff(ctx, d); err != nil {
+		if err := st.retry(ctx, pol, inj, err); err != nil {
 			return nil, err
 		}
-		st.trace.span.AddWait(obs.WaitRetryBackoff, d.Nanoseconds())
+		ladder = nil
+		r.attempt++
+		st.armReopt()
 	}
 }
 
-// degradeStage is the graceful-degradation ladder: parallel execution's
-// answer to the paper's premise that a plan must adapt when run-time
-// conditions diverge from the ones it was chosen under. A fault that
-// escapes an exchange worker's own bounded retries has already proven the
-// partition un-runnable at the current width; before the whole-query
-// remedies above (memory downgrade, branch switch, full retry) fire, the
-// ladder re-runs the query narrower — halving the DOP until it reaches
-// serial — because a narrower run re-partitions the data, re-reads
-// poisoned pages through healed fault paths, and costs strictly less to
-// lose again.
-//
-// The rungs taken are counted per invocation, i.e. per whole-query retry
-// attempt, so a ladder never leaks descent across attempts; the cap it
-// imposes (st.degrade.cap) persists, so later attempts do not climb back
-// to a width that already failed. Faults the ladder cannot remedy (see
-// degradeRung) pass through untouched, preserving the Retry stage's
-// classification authority. Serial executions pass through in one branch.
-func degradeStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecResult, error) {
-	if !st.o.Parallel || (st.o.Degrade != nil && st.o.Degrade.Disabled) {
-		return next(ctx, st)
+// reoptimize answers a cardinality violation with the live controller's
+// remedy, then the query runs again: switch (re-enter Activate under the
+// observed selectivities, temporaries spliced in), re-plan (re-enter the
+// optimizer with each temporary as a base relation; Activate passes
+// through), or, budget exhausted, finish the current plan over the
+// temporaries with guards disarmed. It returns the re-plan's error.
+func (st *execState) reoptimize(ctx context.Context, v *reopt.Violation) error {
+	rc := st.reopt.rc
+	canSwitch := st.module != nil && !st.reopt.skipActivate
+	canReplan := st.o.Reopt != nil && st.o.Reopt.Query != nil
+	switch rc.Decide(v, canSwitch, canReplan) {
+	case reopt.RemedySwitch:
+		rc.NoteSwitch(v, "re-activating surviving alternatives under corrected bindings")
+	case reopt.RemedyReplan:
+		forced, pc, err := rc.Replan(ctx, st.b)
+		if err != nil {
+			return err
+		}
+		st.root = forced
+		st.planCost = pc
+		st.reopt.skipActivate = true
+		if st.o.cacheKey != nil {
+			// The cached module's estimates just forced a re-plan; drop the
+			// entry so the next prepared execution compiles against the
+			// corrected picture instead of re-tripping the guard.
+			st.db.planCache.Invalidate(*st.o.cacheKey)
+		}
+	default:
+		st.root = rc.DegradeRoot(st.root, "re-optimization budget exhausted; finishing the current plan")
+		st.reopt.skipActivate = true
 	}
-	var events []obs.DegradeEvent
-	if st.out != nil {
-		// Every rung counts, including those of a ladder that then fails.
-		defer func() { st.out.Degrade = append(st.out.Degrade, events...) }()
+	return nil
+}
+
+// retry prepares the whole-query retry after a failed attempt: it charges
+// the failing relation's circuit breaker, then lets the failure's class
+// decide the recovery (transient I/O: same plan; insufficient memory:
+// downgrade the grant and exclude the picked branches; permanent faults:
+// exclude the picked branches), and sleeps the exchange workers' backoff
+// schedule (exec.Backoff, as worker 0). A non-nil return is final.
+func (st *execState) retry(ctx context.Context, pol RetryPolicy, inj *storage.Injector, err error) error {
+	r := &st.remedy
+	if qerr.Canceled(err) {
+		return err
 	}
-	// Each post-decision re-run is wrapped in a rung span named after the
-	// ladder step it descends ("dop-halve dop=2"); the first run is not a
-	// rung and stays directly under the Degrade span.
-	parent := st.trace.span
-	var rung *obs.Span
-	for {
-		res, err := next(ctx, st)
-		rung.End()
-		st.trace.span = parent
-		if err == nil {
-			if len(events) > 0 {
-				res.Degrade = events
-			}
-			return res, nil
-		}
-		var abort *stageAbort
-		if errors.As(err, &abort) {
-			return nil, err
-		}
-		if ctx.Err() != nil {
-			// The caller's context ended; nothing narrower can run.
-			return nil, err
-		}
-		ev, ok := degradeRung(err, st.degrade.lastDOP, len(events)+1)
-		if !ok {
-			return nil, err
-		}
-		events = append(events, ev)
-		st.degrade.cap = ev.ToDOP
-		if st.trace.t != nil {
-			rung = st.trace.t.Start(parent, fmt.Sprintf("%s dop=%d", ev.Rung, ev.ToDOP), obs.SpanRung)
-			st.trace.span = rung
+	// Charge the failing relation's circuit breaker before deciding whether
+	// to retry, so breakers learn from final attempts and from plans with no
+	// alternatives too.
+	failedRel := ""
+	if rel := qerr.Relation(err); rel != "" && !qerr.Retryable(err) {
+		failedRel = rel
+		if st.db.recordPlanOutcome(nil, rel) && st.out != nil {
+			st.out.BreakerTrips++
 		}
 	}
+	if r.attempt >= pol.MaxAttempts {
+		return fmt.Errorf("dynplan: resilient execution gave up after %d attempts: %w", r.attempt, err)
+	}
+	r.retries++
+	var picked []*physical.Node
+	if r.rep != nil {
+		picked = r.rep.Picked
+	}
+	var class, response string
+	switch {
+	case errors.Is(err, qerr.ErrInsufficientMemory):
+		class = "insufficient memory"
+		if scale := inj.MemoryScale(); scale < 1 {
+			// Acknowledge the shrink event: the next activation plans for the
+			// memory actually available, so the executor must not discount
+			// it a second time.
+			st.b.Memory *= scale
+			inj.RestoreMemory()
+		} else {
+			st.b.Memory *= memoryDowngrade
+		}
+		r.exclude(picked)
+		response = fmt.Sprintf("downgraded grant to %.3g pages, excluding picked branches", st.b.Memory)
+	case errors.Is(err, qerr.ErrTransientIO):
+		// Retry the same plan: the fault-injection substrate heals transient
+		// faults after a bounded number of touches, so the retry gets
+		// strictly past the page it tripped on.
+		class = "transient I/O"
+		response = "retrying the same plan"
+	default:
+		// Permanent fault, operator panic, or an unclassified failure: only
+		// a different branch can help.
+		if len(picked) == 0 {
+			return fmt.Errorf("dynplan: execution failed with no alternative branches to fall back to: %w", err)
+		}
+		r.exclude(picked)
+		class = "permanent fault"
+		response = "excluding picked branches"
+		if failedRel != "" {
+			response += fmt.Sprintf(" (fault charged to %s)", failedRel)
+		}
+	}
+	d := exec.Backoff(pol.Backoff, pol.MaxBackoff, pol.JitterSeed, 0, r.retries)
+	r.backoffs = append(r.backoffs, d)
+	r.trace = append(r.trace, obs.NewRetryTrace(r.attempt, class, response, d))
+	if err := sleepBackoff(ctx, d); err != nil {
+		return err
+	}
+	st.trace.span.AddWait(obs.WaitRetryBackoff, d.Nanoseconds())
+	return qerr.FromContext(ctx.Err())
 }
 
 // degradeRung decides the ladder's answer to one escalated failure of a
@@ -619,10 +623,10 @@ func degradeStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecR
 // once halving reaches 1 — and true, or false when the fault keeps
 // escalating. There is no rung below serial.
 //
-// The ladder declines faults another stage owns the remedy for:
+// The ladder declines faults another remedy owns, or none does:
 // cancellation and deadlines (nothing re-runs), admission rejections and
 // open breakers (the query never ran / the access path is poisoned),
-// insufficient memory (the retry stage's memory downgrade is the cure),
+// insufficient memory (the retry's memory downgrade is the cure),
 // cardinality violations and watchdog stalls (re-optimization territory).
 // What remains — transient and permanent I/O faults and operator panics
 // that survived per-worker retry — is exactly what running narrower can
@@ -647,42 +651,22 @@ func degradeRung(err error, dop, attempt int) (obs.DegradeEvent, bool) {
 	return ev, true
 }
 
-// reoptStage is run-time adaptation — mid-query re-optimization and the
-// paper's §7 run-time decisions, one loop. Per invocation (i.e. per retry
-// attempt above it) it creates one controller owning the re-opt budget and
-// the spooled temporaries, arms the per-query deadline, and loops: run the
-// plan under a progress watchdog with cardinality guards armed; on a guard
-// violation, remedy and re-run. What differs between the two is only when
-// the observation is forced: ExecOptions.Reopt waits for a materialization
-// the plan needed anyway to miss its band; ExecOptions.Adaptive evaluates
-// each base relation the resolved plan scans into a temporary before the
-// first tuple, one per attempt, so the remedy decides every join over
-// observed cardinalities. The remedies escalate —
-//
-//   - switch: re-enter the Activate stage below, which re-resolves the
-//     dynamic plan's choose-plans under the observed (corrected)
-//     selectivities and splices the temporaries in;
-//   - replan: re-enter the optimizer with each temporary registered as a
-//     base relation of its observed cardinality, then run the fresh plan
-//     (Activate passes through — the root is already resolved);
-//   - degrade: budget exhausted; finish the current plan over the
-//     temporaries with guards disarmed.
-//
-// The temporaries are released exactly once on every path by the deferred
-// Finish. Non-violation errors pass through untouched, so the Retry stage
-// above keeps its classification authority.
-func reoptStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecResult, error) {
-	// A previous controller (an earlier retry attempt) may have left a
-	// re-planned or degraded root referencing temporaries it released;
-	// re-entering Activate below re-resolves the module onto live state.
-	st.reopt.skipActivate = false
+// armReopt gives a Reopt or Adaptive query a fresh controller, owning the
+// re-opt budget and temporaries of a run and the re-runs that answer its
+// violations. One accountant spans those runs, so the result accounts the
+// violated runs' work and the spool writes, not just the final plan's.
+func (st *execState) armReopt() {
+	st.finishReopt()
+	if st.o.Reopt == nil && !st.o.Adaptive {
+		return
+	}
 	var pol ReoptPolicy
 	if st.o.Reopt != nil {
 		pol = *st.o.Reopt
 	}
 	rp := reopt.Policy{
 		Config:            st.db.sys.cfg,
-		Params:            st.db.sys.params,
+		Params:            st.db.sys.cfg.Params,
 		MaxAttempts:       pol.MaxAttempts,
 		MaxPlanningTime:   pol.MaxPlanningTime,
 		Eager:             st.o.Adaptive,
@@ -694,75 +678,27 @@ func reoptStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecRes
 		rp.Query = pol.Query.q
 		rp.Config.FinalOrder = pol.Query.OrderBy()
 	}
-	rc := reopt.NewController(rp)
-	st.reopt.rc = rc
-	defer func() {
-		st.reopt.rc = nil
-		st.reopt.acc = nil
-		rc.Finish()
-		if o := st.out; o != nil {
-			// The temp ledger counts releases where they happen, at Finish.
-			created, released := rc.TempBalance()
-			o.TempsCreated += int64(created)
-			o.TempsReleased += int64(released)
-			if a := rc.Account(); a != nil {
-				o.Reopt = append(o.Reopt, a.Events...)
-				o.Stalls += int64(a.Stalls)
-			}
-		}
-	}()
-	// One accountant spans every attempt: the result must account the
-	// violated attempt's partial work and the spool writes, not just the
-	// final plan's — the benchmarks report re-optimization's *net* benefit.
-	// The watchdog snapshots the tuple counter at each attempt's start, so
-	// accumulation never masks a stall.
-	st.reopt.acc = &storage.Accountant{}
-	// Every execution attempt gets its own span under the Reopt stage, so
-	// Activate/Run appear exactly once per attempt and the attempts (and
-	// the replans between them — spans the controller opens) read off the
-	// tree in order.
-	parent := st.trace.span
-	for attempt := 1; ; attempt++ {
-		var asp *obs.Span
-		if st.trace.t != nil {
-			asp = st.trace.t.Start(parent, fmt.Sprintf("reopt-attempt-%d", attempt), obs.SpanAttempt)
-			st.trace.span = asp
-		}
-		attemptCtx, stopWatchdog := rc.StartWatchdog(ctx, st.reopt.acc)
-		res, err := next(attemptCtx, st)
-		stopWatchdog()
-		asp.End()
-		st.trace.span = parent
-		if err == nil {
-			res.Reopt = rc.Account()
-			return res, nil
-		}
-		var v *reopt.Violation
-		if !errors.As(err, &v) {
-			return nil, err
-		}
-		canSwitch := st.module != nil && !st.reopt.skipActivate
-		canReplan := rp.Query != nil
-		switch rc.Decide(v, canSwitch, canReplan) {
-		case reopt.RemedySwitch:
-			rc.NoteSwitch(v, "re-activating surviving alternatives under corrected bindings")
-		case reopt.RemedyReplan:
-			forced, pc, rerr := rc.Replan(ctx, st.b)
-			if rerr != nil {
-				return nil, rerr
-			}
-			st.root = forced
-			st.planCost = pc
-			st.reopt.skipActivate = true
-			if st.o.cacheKey != nil {
-				// The cached module's estimates just forced a re-plan; drop
-				// the entry so the next prepared execution compiles against
-				// the corrected picture instead of re-tripping the guard.
-				st.db.planCache.Invalidate(*st.o.cacheKey)
-			}
-		default:
-			st.root = rc.DegradeRoot(st.root, "re-optimization budget exhausted; finishing the current plan")
-			st.reopt.skipActivate = true
+	// skipActivate resets: a previous controller's re-planned or degraded
+	// root references temporaries it released.
+	st.reopt = reoptState{rc: reopt.NewController(rp), acc: &storage.Accountant{}}
+}
+
+// finishReopt releases the live controller's temporaries and notes its
+// account on the query's outcome.
+func (st *execState) finishReopt() {
+	rc := st.reopt.rc
+	if rc == nil {
+		return
+	}
+	st.reopt = reoptState{}
+	rc.Finish()
+	if o := st.out; o != nil {
+		created, released := rc.TempBalance()
+		o.TempsCreated += int64(created)
+		o.TempsReleased += int64(released)
+		if a := rc.Account(); a != nil {
+			o.Reopt = append(o.Reopt, a.Events...)
+			o.Stalls += int64(a.Stalls)
 		}
 	}
 }
@@ -776,12 +712,12 @@ func reoptStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecRes
 // ErrCircuitOpen rather than re-probing a poisoned access path.
 func activateStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecResult, error) {
 	if st.reopt.skipActivate {
-		// The Reopt stage installed a re-planned or degraded root that is
+		// Re-optimization installed a re-planned or degraded root that is
 		// already resolved; activation would overwrite it.
 		return next(ctx, st)
 	}
-	r := &st.retry
-	opts := plan.StartupOptions{Params: st.db.sys.params, Usage: st.module.stats}
+	r := &st.remedy
+	opts := plan.StartupOptions{Params: st.db.sys.cfg.Params, Usage: st.module.stats}
 	if len(r.avoid) > 0 || len(r.blocked) > 0 {
 		avoid, blocked := r.avoid, r.blocked
 		opts.Avoid = func(n *physical.Node) bool {
@@ -838,8 +774,9 @@ func activateStage(ctx context.Context, st *execState, next pipelineFunc) (*Exec
 	st.planCost = st.module.mod.PlanCost()
 	res, err := next(ctx, st)
 	if err == nil && len(res.Decisions) == 0 {
-		// Attach the start-up decision trace; a Retry stage above replaces
-		// this with the full trace-plus-recovery account.
+		// Attach the start-up decision trace; the Remedy stage of a
+		// Resilient query replaces this with the full trace-plus-recovery
+		// account.
 		res.Decisions = rep.Trace
 	}
 	return res, err
@@ -887,24 +824,23 @@ func runStage(ctx context.Context, st *execState, _ pipelineFunc) (*ExecResult, 
 	e.Ctx, e.Trace, e.Span = ctx, st.trace.t, st.trace.span
 	ib, mem := st.b, st.b.Memory
 	if rc := st.reopt.rc; rc != nil {
-		// The Reopt stage's temporaries, eager observation, and cardinality
-		// guards. Variants to observe and guard bands are priced under the
+		// The re-optimization controller's temporaries, eager observation,
+		// and cardinality guards. Variants to observe and guard bands are priced under the
 		// corrected bindings; every execution runs under the caller's
 		// bindings, untouched.
 		e.Temps = rc.Temps()
-		model := physical.NewModel(db.sys.params)
 		// Eager observation picks access paths among the module's variants —
 		// unless failed attempts have poisoned some of them: the activated
 		// plan already avoids those, so then only its own scans are offered.
 		dag := st.root
-		if st.module != nil && len(st.retry.avoid) == 0 {
+		if st.module != nil && len(st.remedy.avoid) == 0 {
 			dag = st.module.mod.Root()
 		}
-		if err := rc.Observe(e, model, dag, st.root, ib); err != nil {
+		if err := rc.Observe(e, dag, st.root, ib); err != nil {
 			return nil, err
 		}
 		var err error
-		if e.Guards, err = rc.Guard(model, ib, st.root, e); err != nil {
+		if e.Guards, err = rc.Guard(ib, st.root, e); err != nil {
 			return nil, err
 		}
 	}
@@ -921,13 +857,13 @@ func runStage(ctx context.Context, st *execState, _ pipelineFunc) (*ExecResult, 
 		if dop, maxDOP, parReason, err = chooseDOP(db, st.root, ib, st.o.MaxDOP); err != nil {
 			return nil, err
 		}
-		if cap := st.degrade.cap; cap > 0 && dop > cap {
+		if cap := st.remedy.dopCap; cap > 0 && dop > cap {
 			// The degradation ladder has capped the width: a fault already
 			// escaped per-worker retry at the wider DOP this query ran with.
 			dop = cap
 			parReason = "degraded"
 		}
-		st.degrade.lastDOP = dop
+		st.remedy.lastDOP = dop
 		pe = &obs.ParallelExec{}
 		if dop > 1 {
 			e.Parallel = dop
@@ -982,7 +918,7 @@ func runStage(ctx context.Context, st *execState, _ pipelineFunc) (*ExecResult, 
 	}
 	out.Operators = collector.Tree(st.root)
 	out.PlanDigest = obs.Digest(st.root.AppendFormat(make([]byte, 0, 4096))) // Format's digest, on the stack
-	out.Calibration = obs.Calibrate(out.Operators, planCost.Lo, planCost.Hi, out.SimulatedSeconds(db.sys.params))
+	out.Calibration = obs.Calibrate(out.Operators, planCost.Lo, planCost.Hi, out.SimulatedSeconds(db.sys.cfg.Params))
 	return out, nil
 }
 
@@ -1018,7 +954,7 @@ func chooseDOP(db *Database, root *physical.Node, ib *bindings.Bindings, maxCap 
 	if err != nil {
 		return 0, 0, "", fmt.Errorf("dynplan: pricing parallel execution: %w", err)
 	}
-	p := &db.sys.params
+	p := &db.sys.cfg.Params
 	e := prog.At(p, ib)
 	if prog.ParallelCost(p, &e, dop) >= e.Cost[len(e.Cost)-1] {
 		return 1, maxDOP, "cost", nil
@@ -1029,7 +965,7 @@ func chooseDOP(db *Database, root *physical.Node, ib *bindings.Bindings, maxCap 
 // chosen returns the latest activation's report if it chose the plan about
 // to run under b: not for a static target, a re-planned or rewritten root.
 func (st *execState) chosen(b *bindings.Bindings) *plan.StartupReport {
-	if rep := st.retry.rep; rep != nil && rep.Chosen == st.root && st.retry.repB == b {
+	if rep := st.remedy.rep; rep != nil && rep.Chosen == st.root && st.remedy.repB == b {
 		return rep
 	}
 	return nil
@@ -1049,7 +985,7 @@ func (st *execState) predict(c *obs.Collector, b *bindings.Bindings) (float64, e
 	if err != nil {
 		return 0, fmt.Errorf("dynplan: predicting cardinalities: %w", err)
 	}
-	e := prog.At(&st.db.sys.params, b)
+	e := prog.At(&st.db.sys.cfg.Params, b)
 	c.Predict(e.Card)
 	return e.Cost[len(e.Cost)-1], nil
 }

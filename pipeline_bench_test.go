@@ -10,7 +10,7 @@ import (
 
 // BenchmarkExecPipelineOverhead pins the dispatch cost of the unified
 // execution pipeline: the price every query pays for the one-stack design
-// is the composed-closure walk from db.Exec over all nine stages to the
+// is the composed-closure walk from db.Exec over the five stages to the
 // terminal Run stage. The Run stage is stubbed out, so the benchmark
 // measures pure stage dispatch; the "plain" case runs with the
 // observatory disabled, the path whose zero allocations the
@@ -33,9 +33,9 @@ func BenchmarkExecPipelineOverhead(b *testing.B) {
 	})
 
 	// Governed + Resilient without an installed governor or a module:
-	// Admit and Grant pass through, Breaker finds nothing to block, Retry
-	// sets up its policy, Activate sits out — the worst-case dispatch a
-	// query pays before any real work. The per-query state is the one
+	// Admit passes through, Remedy sets up its retry policy and runs once,
+	// Activate sits out — the worst-case dispatch a query pays before any
+	// real work. The per-query state is the one
 	// allocation.
 	b.Run("governed", func(b *testing.B) {
 		b.ReportAllocs()

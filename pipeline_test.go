@@ -38,10 +38,10 @@ func execMatrix(t *testing.T, e *obsEnv) []execCase {
 	}
 	reopt := &ReoptPolicy{Query: e.q}
 	resolved := []execCase{
-		{"", nil, ExecOptions{}, "Record Degrade Run"},
-		{"/governed", nil, ExecOptions{Governed: true}, "Record Admit Grant Degrade Run"},
-		{"/reopt", nil, ExecOptions{Reopt: reopt}, "Record Degrade Reopt Run"},
-		{"/governed+reopt", nil, ExecOptions{Governed: true, Reopt: reopt}, "Record Admit Grant Degrade Reopt Run"},
+		{"", nil, ExecOptions{}, "Record Run"},
+		{"/governed", nil, ExecOptions{Governed: true}, "Record Admit Run"},
+		{"/reopt", nil, ExecOptions{Reopt: reopt}, "Record Remedy Run"},
+		{"/governed+reopt", nil, ExecOptions{Governed: true, Reopt: reopt}, "Record Admit Remedy Run"},
 	}
 	var cases []execCase
 	for _, tgt := range []struct {
@@ -54,23 +54,23 @@ func execMatrix(t *testing.T, e *obsEnv) []execCase {
 	}
 	return append(cases,
 		execCase{"module", e.mod, ExecOptions{},
-			"Record Degrade Activate Run"},
+			"Record Activate Run"},
 		execCase{"module/governed", e.mod, ExecOptions{Governed: true},
-			"Record Admit Grant Degrade Activate Run"},
+			"Record Admit Activate Run"},
 		execCase{"module/resilient", e.mod, ExecOptions{Resilient: true},
-			"Record Breaker Retry Degrade Activate Run"},
+			"Record Remedy Activate Run"},
 		execCase{"module/governed+resilient", e.mod, ExecOptions{Governed: true, Resilient: true},
-			"Record Admit Grant Breaker Retry Degrade Activate Run"},
+			"Record Admit Remedy Activate Run"},
 		execCase{"module/reopt", e.mod, ExecOptions{Reopt: reopt},
-			"Record Degrade Reopt Activate Run"},
+			"Record Remedy Activate Run"},
 		execCase{"module/governed+reopt", e.mod, ExecOptions{Governed: true, Reopt: reopt},
-			"Record Admit Grant Degrade Reopt Activate Run"},
+			"Record Admit Remedy Activate Run"},
 		execCase{"module/resilient+reopt", e.mod, ExecOptions{Resilient: true, Reopt: reopt},
-			"Record Breaker Retry Degrade Reopt Activate Run"},
+			"Record Remedy Activate Run"},
 		execCase{"module/governed+resilient+reopt", e.mod, ExecOptions{Governed: true, Resilient: true, Reopt: reopt},
-			"Record Admit Grant Breaker Retry Degrade Reopt Activate Run"},
+			"Record Admit Remedy Activate Run"},
 		execCase{"plan/adaptive", e.dyn, ExecOptions{Adaptive: true},
-			"Record Degrade Reopt Activate Run"},
+			"Record Remedy Activate Run"},
 	)
 }
 

@@ -97,7 +97,7 @@ func TestPredictionsMatchModel(t *testing.T) {
 					b.Sel[v] = s
 				}
 			}
-			model := physical.NewModel(db.sys.params)
+			model := physical.NewModel(db.sys.cfg.Params)
 			matchPredictions(t, model, b.Env(), root, res.Operators)
 		})
 	}

@@ -106,7 +106,7 @@ func TestTraceGovernedParallelReopt(t *testing.T) {
 	if len(attempts) < 1 {
 		t.Fatalf("no re-opt attempt spans in %v", names)
 	}
-	wantHead := []string{"Record", "Admit", "Grant", "Breaker", "Retry", "Degrade", "Reopt"}
+	wantHead := []string{"Record", "Admit", "Remedy"}
 	if len(names) != len(wantHead)+2*len(attempts) {
 		t.Fatalf("stage spans = %v, want %v then Activate+Run per attempt (%d attempts)",
 			names, wantHead, len(attempts))
@@ -169,7 +169,7 @@ func TestTraceGovernedParallelReopt(t *testing.T) {
 	if snap.Traces < 1 {
 		t.Errorf("snapshot traces = %d, want >= 1", snap.Traces)
 	}
-	for _, stage := range []string{"Record", "Run", "Reopt"} {
+	for _, stage := range []string{"Record", "Run", "Remedy"} {
 		h, ok := snap.StageLatency[stage]
 		if !ok || h.Count < 1 {
 			t.Errorf("stage latency histogram for %q missing or empty: %+v", stage, snap.StageLatency)

@@ -78,7 +78,6 @@ func newWorkerFaultRig(tb testing.TB) *workerFaultRig {
 	// floor needs exact integers.
 	r.wholeOpts = ExecOptions{
 		WorkerRetry: &WorkerRetryPolicy{MaxAttempts: 1}, // off: first fault escalates
-		Degrade:     &DegradePolicy{Disabled: true},
 	}
 	// Fault-free baseline reads through a routing, zero-rate injector.
 	baseline := func(opts ExecOptions) int64 {
