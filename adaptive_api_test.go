@@ -221,8 +221,8 @@ func TestSingleRelationAdaptive(t *testing.T) {
 	}
 }
 
-// TestAdaptiveComposes: run-time decisions are the eager trigger of the
-// Reopt stage, so they compose with every other option and with module
+// TestAdaptiveComposes: run-time decisions are the eager trigger of
+// re-optimization in the Remedy stage, so they compose with every other option and with module
 // targets — the combinations validation used to reject. Each returns the
 // plain run's rows and leaves grants, tickets and temporaries balanced.
 func TestAdaptiveComposes(t *testing.T) {

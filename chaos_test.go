@@ -355,7 +355,7 @@ func TestChaosSoakReopt(t *testing.T) {
 			Run: func(ctx context.Context, seed int64) (string, error) {
 				ctx, cancel := context.WithTimeout(ctx, 30*time.Second)
 				defer cancel()
-				// The plain stack has no Retry stage, so this mix retries
+				// Without Resilient nothing retries a query, so this mix retries
 				// transient faults itself — they heal after a bounded number
 				// of touches. Each attempt still re-plans from scratch.
 				for {

@@ -19,7 +19,7 @@ func TestAnalyzeDemo(t *testing.T) {
 // error is real, run-time decisions win by at least 2x from three
 // relations on, and the adaptive account stays within 10 % of (or below)
 // what the separate internal/adaptive engine charged for the same rows
-// before it was folded into the Reopt stage.
+// before it became re-optimization's eager trigger.
 func TestRunAdaptiveExperiment(t *testing.T) {
 	points, err := adaptiveSeries(11)
 	if err != nil {

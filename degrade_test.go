@@ -15,9 +15,9 @@ import (
 )
 
 // degradeJoinPlan hand-builds the two-relation Hash-Join plan the
-// fault-domain tests run: under a 96-page grant it compiles to the
-// symmetric streaming join with partitioned parallel file scans beneath,
-// so the C1 heap pages split into per-worker fault domains whose ranges
+// fault-domain tests run: under a 96-page grant it compiles to a serial
+// hash join over partitioned parallel file scans, so the C1 heap pages
+// split into per-worker fault domains whose ranges
 // storage.PartitionPageRange predicts exactly.
 func degradeJoinPlan() *physical.Node {
 	return &physical.Node{
@@ -477,7 +477,7 @@ func TestDegradeRungDescent(t *testing.T) {
 
 // TestDegradeRungDeclines pins the ownership boundaries: the ladder answers
 // escalated execution faults — notably I/O — and declines the ones other
-// stages own. Memory pressure belongs to the retry stage's grant
+// remedies own. Memory pressure belongs to the retry remedy's grant
 // downgrade, cardinality and stall faults to re-optimization, cancellation
 // and admission verdicts to nobody.
 func TestDegradeRungDeclines(t *testing.T) {

@@ -92,9 +92,9 @@ type ExecOptions struct {
 	Reopt *ReoptPolicy
 	// Parallel enables intra-query parallelism: at activation the memory
 	// grant sets the worker count (one worker per 16 granted pages, capped
-	// by MaxDOP), and the plan runs with partitioned parallel scans and
-	// symmetric streaming hash joins when the cost model prices that below
-	// serial execution — degree of parallelism is a costed alternative,
+	// by MaxDOP), and the plan runs with partitioned parallel scans beneath
+	// its serial joins when the cost model prices that below serial
+	// execution — degree of parallelism is a costed alternative,
 	// selected the way low-memory choose-plan branches are. Answers are
 	// digest-identical to serial execution. The result's Parallel field
 	// reports the selection. A fault that escapes the workers' own retries

@@ -15,12 +15,12 @@ import (
 )
 
 // This file is the intra-query parallelism layer: exchange operators that
-// split a base-relation scan — or a hash join's key space (symmetric.go) —
-// into DOP partitioned workers and gather their streams back into one
-// Volcano iterator. The consumer side stays a plain Iterator — parents
-// never know their input is parallel — which is what lets choose-plan
-// activation, re-optimization guards, and the retry/breaker stages compose
-// with parallel execution unchanged.
+// split a base-relation scan into DOP partitioned workers and gather their
+// streams back into one Volcano iterator; every operator above the scans,
+// joins included, runs serial over the gathered streams. The consumer side
+// stays a plain Iterator — parents never know their input is parallel —
+// which is what lets choose-plan activation, re-optimization guards, and
+// the Remedy stage compose with parallel execution unchanged.
 //
 // Isolation model: every worker goroutine runs over its own shallow DB
 // clone (workerClone) with a private accountant, and folds its I/O
@@ -32,26 +32,13 @@ import (
 // subtrees run unmetered, and the exchange reports per-worker tallies
 // itself (obs.ExchangeStats).
 
-// workerClone returns a shallow copy of the DB for one worker goroutine:
-// shared immutable state (catalog, store, indexes, temps, fault injector,
-// context, the concurrency-safe wrap hook), a private accountant, and none
-// of the single-threaded hooks (collector, materialization guards).
+// workerClone returns the DB one worker goroutine's scan partition runs
+// over: a private accountant, and the shared context, fault injector and
+// retry policy — all a partitioned scan reads. Workers build no operators,
+// so the catalog, store and every single-threaded hook (collector,
+// materialization guards) stay behind.
 func (db *DB) workerClone() *DB {
-	return &DB{
-		Catalog:  db.Catalog,
-		Store:    db.Store,
-		Indexes:  db.Indexes,
-		Acc:      &storage.Accountant{},
-		Temps:    db.Temps,
-		Ctx:      db.Ctx,
-		Faults:   db.Faults,
-		Wrap:     db.Wrap, // the leak checker is concurrency-safe
-		Parallel: db.Parallel,
-		Retry:    db.Retry,
-		Par:      db.Par,
-		Trace:    db.Trace, // the tracer is mutex-guarded
-		Span:     db.Span,
-	}
+	return &DB{Acc: &storage.Accountant{}, Ctx: db.Ctx, Faults: db.Faults, Retry: db.Retry}
 }
 
 // WorkerRetryPolicy bounds the per-worker retry loop: each exchange worker
@@ -100,9 +87,9 @@ func (p *WorkerRetryPolicy) withDefaults() WorkerRetryPolicy {
 // loop: base doubled per retry and capped at maxBackoff, then
 // equal-jittered to half its nominal value plus a remainder hashed from
 // (seed, worker, retry). Both retry loops share it — an exchange worker
-// passes its index, the whole-query retry stage passes 0 — so a schedule
-// reproduces under a fixed seed with no random state to share across
-// goroutines. A non-positive base retries immediately.
+// passes its index, the Remedy stage's whole-query retry passes 0 — so a
+// schedule reproduces under a fixed seed with no random state to share
+// across goroutines. A non-positive base retries immediately.
 func Backoff(base, maxBackoff time.Duration, seed int64, worker, retry int) time.Duration {
 	if base <= 0 {
 		return 0
@@ -176,10 +163,6 @@ type exchangeWorker struct {
 	// delivered are a prefix, and the tallies must not be cross-checked
 	// against a complete partition.
 	torn bool
-	// oneShot makes the worker single-attempt whatever the retry policy:
-	// its iterator reads a stream that cannot be re-read (a join
-	// partition's queue).
-	oneShot bool
 	// span is this worker's trace span (nil when tracing is off): it
 	// covers the goroutine's whole life and carries the backoff sleeps as
 	// worker-backoff waits.
@@ -213,7 +196,7 @@ func (w *exchangeWorker) run(out chan<- []storage.Row, stop <-chan struct{}, fol
 	pol := w.db.Retry.withDefaults()
 	for attempt := 1; ; attempt++ {
 		err := w.attempt(out, stop, fold)
-		if err == nil || w.torn || w.oneShot || !qerr.Retryable(err) || attempt >= pol.MaxAttempts {
+		if err == nil || w.torn || !qerr.Retryable(err) || attempt >= pol.MaxAttempts {
 			w.err = err
 			return
 		}
@@ -306,20 +289,16 @@ func (w *exchangeWorker) attempt(out chan<- []storage.Row, stop <-chan struct{},
 	return err
 }
 
-// counters converts the worker's folded account into a per-worker tally,
-// with the buffered-memory high-water of an iterator that buffers rows.
+// counters converts the worker's folded account into a per-worker tally;
+// a scan partition buffers no rows, so it reports no memory.
 func (w *exchangeWorker) counters() obs.Counters {
-	c := obs.Counters{
+	return obs.Counters{
 		Rows:          w.rows,
 		SeqPageReads:  w.folded.SeqPageReads,
 		RandPageReads: w.folded.RandPageReads,
 		PageWrites:    w.folded.PageWrites,
 		TupleOps:      w.folded.TupleOps,
 	}
-	if m, ok := w.it.(memReporter); ok {
-		c.MemBytes = m.MemoryHighWater()
-	}
-	return c
 }
 
 // exchangeIter is the gather side of a partitioned parallel operator: at
@@ -333,14 +312,8 @@ type exchangeIter struct {
 	db   *DB
 	node *physical.Node
 	kind string
-	// setup builds the workers. It gets the exchange's stop channel and
-	// wait group, so producers feeding the workers (the symmetric join's
-	// distributors) can start there and be waited out with them.
-	setup func(stop <-chan struct{}, wg *sync.WaitGroup) ([]*exchangeWorker, error)
-	// done, when set, runs once at the end of an unordered stream, after
-	// every goroutine has exited, with the first worker error; what it
-	// returns ends the stream.
-	done func(workerErr error) error
+	// setup builds the workers.
+	setup func() ([]*exchangeWorker, error)
 	// ordered selects concatenating gather (worker 0's whole stream, then
 	// worker 1's, …) instead of arrival-order interleaving.
 	ordered bool
@@ -351,8 +324,6 @@ type exchangeIter struct {
 	wg      *sync.WaitGroup
 	started bool
 	closed  bool
-	ended   bool // unordered mode: the stream has ended with endErr
-	endErr  error
 
 	widx      int // ordered mode: the worker currently being drained
 	cur       []storage.Row
@@ -370,12 +341,8 @@ func (ex *exchangeIter) openSpans() {
 	if ex.db.Trace == nil {
 		return
 	}
-	// A join exchange names its operator, a scan exchange its relation.
 	name := ex.kind
-	switch {
-	case ex.node.Op == physical.HashJoin:
-		name += " " + ex.node.Op.String()
-	case ex.node.Rel != "":
+	if ex.node.Rel != "" {
 		name += " " + ex.node.Rel
 	}
 	ex.span = ex.db.Trace.Start(ex.db.Span, name, obs.SpanExchange)
@@ -394,13 +361,12 @@ func (ex *exchangeIter) Open() error {
 	}
 	ex.stop = make(chan struct{})
 	ex.wg = &sync.WaitGroup{}
-	ws, err := ex.setup(ex.stop, ex.wg)
+	ws, err := ex.setup()
 	if err != nil {
 		return err
 	}
 	ex.workers = ws
 	ex.started, ex.closed = true, false
-	ex.ended, ex.endErr = false, nil
 	ex.widx, ex.cur, ex.pos = 0, nil, 0
 	ex.batches, ex.waitNanos = 0, 0
 	ex.openSpans()
@@ -461,33 +427,15 @@ func (ex *exchangeIter) fetch() ([]storage.Row, error) {
 	b, ok := <-ex.merged
 	ex.waitNanos += time.Since(start).Nanoseconds()
 	if !ok {
-		if !ex.ended {
-			ex.ended = true
-			for _, w := range ex.workers {
-				if w.err != nil {
-					ex.endErr = w.err
-					break
-				}
-			}
-			if ex.done != nil {
-				ex.endErr = ex.done(ex.endErr)
+		for _, w := range ex.workers {
+			if w.err != nil {
+				return nil, w.err
 			}
 		}
-		return nil, ex.endErr
+		return nil, nil
 	}
 	ex.batches++
 	return b, nil
-}
-
-// MemoryHighWater reports the busiest worker's buffered bytes.
-func (ex *exchangeIter) MemoryHighWater() int64 {
-	var hw int64
-	for _, w := range ex.workers {
-		if m, ok := w.it.(memReporter); ok {
-			hw = max(hw, m.MemoryHighWater())
-		}
-	}
-	return hw
 }
 
 func (ex *exchangeIter) NextBatch(dst []storage.Row) (int, error) {
@@ -582,7 +530,7 @@ func (db *DB) buildParallelFileScan(scan, filter *physical.Node, b *bindings.Bin
 	dop := db.Parallel
 	ex := &exchangeIter{
 		db: db, node: node, kind: "gather",
-		setup: func(<-chan struct{}, *sync.WaitGroup) ([]*exchangeWorker, error) {
+		setup: func() ([]*exchangeWorker, error) {
 			pages := table.NumPages()
 			ws := make([]*exchangeWorker, dop)
 			for i := 0; i < dop; i++ {
@@ -634,7 +582,7 @@ func (db *DB) buildParallelBtreeScan(n *physical.Node, b *bindings.Bindings, fil
 	dop := db.Parallel
 	ex := &exchangeIter{
 		db: db, node: n, kind: "ordered-gather", ordered: true,
-		setup: func(<-chan struct{}, *sync.WaitGroup) ([]*exchangeWorker, error) {
+		setup: func() ([]*exchangeWorker, error) {
 			drain := &btreeScanIter{
 				db: db, table: table, tree: tree,
 				lo: lo, hi: hi, exclusiveHi: exclusive,

@@ -110,10 +110,9 @@ type DB struct {
 
 	// Parallel, when > 1, is the degree of parallelism: base-relation
 	// scans compile into partitioned exchange operators with Parallel
-	// workers each, and hash joins into the symmetric streaming variant
-	// with Parallel partitions (see exchange.go and symmetric.go). The
-	// zero value compiles the serial operators, byte-identical to a build
-	// without this field.
+	// workers each (see exchange.go); every other operator runs serial
+	// over them. The zero value compiles the serial operators,
+	// byte-identical to a build without this field.
 	Parallel int
 	// Retry bounds the per-worker retry loop each exchange worker runs its
 	// partition under: a retryable fault re-runs only that partition (see
@@ -310,14 +309,6 @@ func (db *DB) compile(n *physical.Node, b *bindings.Bindings) (Iterator, Schema,
 	case physical.Sort:
 		return db.buildSort(n, b)
 	case physical.HashJoin:
-		// The symmetric streaming join has no single build-side
-		// materialization point, so when re-optimization guards are armed
-		// the serial join runs instead — guard semantics (and their
-		// spool-and-switch remedies) stay exactly as the re-opt layer
-		// expects, parallel or not.
-		if db.Parallel > 1 && db.Guards == nil {
-			return db.buildSymmetricHashJoin(n, b)
-		}
 		return db.buildHashJoin(n, b)
 	case physical.MergeJoin:
 		return db.buildMergeJoin(n, b)

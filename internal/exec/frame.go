@@ -108,9 +108,6 @@ func (db *DB) count(n *physical.Node, c *census) (width int) {
 	case op == physical.Filter, op == physical.Sort:
 		c.iters[op]++
 		return db.count(n.Children[0], c)
-	case op == physical.HashJoin && par && db.Guards == nil:
-		var clones census // the symmetric join's inputs compile under worker clones
-		width = db.count(n.Children[0], &clones) + db.count(n.Children[1], &clones)
 	case op == physical.HashJoin, op == physical.MergeJoin:
 		c.iters[op]++
 		width = db.count(n.Children[0], c) + db.count(n.Children[1], c)

@@ -36,32 +36,22 @@ func (db *DB) buildHashJoin(n *physical.Node, b *bindings.Bindings) (Iterator, S
 	return carve(&db.f.hashes, hashJoinIter{
 		db: db, build: left, probe: cursor{src: right},
 		buildCol: lcol, probeCol: rcol,
-		buildNode:   n.Children[0],
-		buildSchema: ls,
-		hashSizes:   newHashSizes(n, b),
-		rows:        buildRows,
+		buildNode:     n.Children[0],
+		buildSchema:   ls,
+		buildRowBytes: n.Children[0].RowBytes,
+		probeRowBytes: n.Children[1].RowBytes,
+		memPages:      b.Memory,
+		rows:          buildRows,
 	}), db.joinSchema(ls, rs), nil
-}
-
-// hashSizes is what a hash join — serial or symmetric — knows of its
-// memory: both inputs' row widths and the grant it was activated under.
-type hashSizes struct {
-	buildRowBytes int
-	probeRowBytes int
-	memPages      float64
-}
-
-func newHashSizes(n *physical.Node, b *bindings.Bindings) hashSizes {
-	return hashSizes{n.Children[0].RowBytes, n.Children[1].RowBytes, b.Memory}
 }
 
 // buildFits fails a build side that no longer fits after a memory-shrink
 // event: the shrink revokes part of the grant the plan was promised, and
 // the simulated spill (graceSpill) models a build that was *planned* not
 // to fit, not one whose memory vanished mid-build.
-func (h hashSizes) buildFits(db *DB, buildRows int) error {
-	if scale := db.Faults.MemoryScale(); scale < 1 {
-		if buildPages, avail := pagesOf(h.buildRowBytes, buildRows), h.memPages*scale; buildPages > avail {
+func (it *hashJoinIter) buildFits() error {
+	if scale := it.db.Faults.MemoryScale(); scale < 1 {
+		if buildPages, avail := pagesOf(it.buildRowBytes, len(it.rows)), it.memPages*scale; buildPages > avail {
 			return fmt.Errorf("exec: hash build of %.0f pages exceeds memory grant shrunk to %.1f pages: %w",
 				buildPages, avail, qerr.ErrInsufficientMemory)
 		}
@@ -74,11 +64,11 @@ func (h hashSizes) buildFits(db *DB, buildRows int) error {
 // both inputs are written to partition files and read back. The engine
 // joins in memory regardless (the host has RAM to spare); the accountant
 // records what a memory-constrained system would have done.
-func (h hashSizes) graceSpill(acc *storage.Accountant, buildRows, probeRows int) {
-	if buildPages := pagesOf(h.buildRowBytes, buildRows); buildPages > h.memPages {
-		total := int64(buildPages + pagesOf(h.probeRowBytes, probeRows))
-		acc.Write(total)
-		acc.ReadSeq(total)
+func (it *hashJoinIter) graceSpill() {
+	if buildPages := pagesOf(it.buildRowBytes, len(it.rows)); buildPages > it.memPages {
+		total := int64(buildPages + pagesOf(it.probeRowBytes, it.probeLen))
+		it.db.Acc.Write(total)
+		it.db.Acc.ReadSeq(total)
 	}
 }
 
@@ -96,7 +86,11 @@ type hashJoinIter struct {
 	// for the cardinality guard consulted once the build fully drains.
 	buildNode   *physical.Node
 	buildSchema Schema
-	hashSizes
+	// buildRowBytes and probeRowBytes are the inputs' row widths and
+	// memPages the grant the join was activated under.
+	buildRowBytes int
+	probeRowBytes int
+	memPages      float64
 
 	rows        []storage.Row
 	head        map[int64]int32
@@ -149,7 +143,7 @@ func (it *hashJoinIter) Open() error {
 	if err := it.db.checkMat(it.buildNode, it.buildSchema, rows); err != nil {
 		return err
 	}
-	if err := it.buildFits(it.db, len(rows)); err != nil {
+	if err := it.buildFits(); err != nil {
 		return err
 	}
 	if err := it.probe.src.Open(); err != nil {
@@ -184,7 +178,7 @@ func (it *hashJoinIter) NextBatch(dst []storage.Row) (int, error) {
 		if it.cur, ok, err = it.probe.next(); !ok {
 			if err == nil && !it.spilled {
 				it.spilled = true
-				it.graceSpill(it.db.Acc, len(it.rows), it.probeLen)
+				it.graceSpill()
 			}
 			break
 		}

@@ -225,9 +225,8 @@ func TestTransientFaultsAbsorbedByRetries(t *testing.T) {
 }
 
 // TestMemoryShrinkFailsHashBuild verifies a mid-query memory-shrink event
-// makes a no-longer-fitting hash build fail with ErrInsufficientMemory —
-// serially, where the build side fails as it finishes, and in parallel,
-// where the symmetric join fails at the end of its stream.
+// makes a no-longer-fitting hash build fail with ErrInsufficientMemory as
+// the build side finishes — over serial scans and over partitioned ones.
 func TestMemoryShrinkFailsHashBuild(t *testing.T) {
 	w := workload.New(11)
 	base := testDB(t, w)

@@ -21,9 +21,8 @@ type ExchangeStats struct {
 	Op  string `json:"op"`
 	Rel string `json:"rel,omitempty"`
 	// Kind is the exchange flavor: "gather" (unordered merge of
-	// partitioned heap-scan workers), "ordered-gather" (concatenating
-	// merge preserving index order), or "partition-join" (the symmetric
-	// hash join's per-partition workers).
+	// partitioned heap-scan workers) or "ordered-gather" (concatenating
+	// merge of B-tree scan workers, preserving index order).
 	Kind    string `json:"kind"`
 	Batches int64  `json:"batches,omitempty"`
 	// GatherWaitNanos is real time the consumer spent blocked on worker
@@ -76,18 +75,16 @@ func (e ExchangeStats) WorkerSeconds(r CostRates) []float64 {
 	return out
 }
 
-// key orders exchanges deterministically for rendering and aggregation:
-// exchanges can close on concurrent worker goroutines, so recording
-// order is not stable run to run.
+// key orders exchanges for rendering and aggregation by what they are,
+// not by the order the plan happened to close them in.
 func (e ExchangeStats) key() string {
 	return e.Kind + "|" + e.Op + "|" + e.Rel
 }
 
-// ParallelExec collects exchange reports for one execution. Exchanges
-// close on whatever goroutine drains them (the symmetric join closes its
-// child exchanges from its distributors), so Record is mutex-guarded and
-// nil-safe — a serial execution holds a nil collector and pays one
-// pointer check.
+// ParallelExec collects exchange reports for one execution. Record is
+// mutex-guarded, so the collector does not depend on which goroutine
+// closes an exchange, and nil-safe — a serial execution holds a nil
+// collector and pays one pointer check.
 type ParallelExec struct {
 	mu        sync.Mutex
 	exchanges []ExchangeStats

@@ -87,7 +87,7 @@ type Span struct {
 }
 
 // traceArenaSpans sizes the per-trace span arena: enough for the deepest
-// stock stack (9 stages) plus a realistic retry/reopt/parallel episode
+// stock stack (5 stages) plus a realistic retry/reopt/parallel episode
 // without touching the heap again.
 const traceArenaSpans = 48
 

@@ -8,9 +8,9 @@ package physical
 // exactly how low-memory choose-plan branches are already selected.
 //
 // The model mirrors the executor's compile dispatch (exec.DB.compile):
-// base-relation scans and hash joins partition DOP ways, a Filter
-// directly above a File-Scan is pushed into the scan partitions, and
-// everything else runs serial. A partitioned operator's own cost divides
+// base-relation scans partition DOP ways, a Filter directly above a
+// File-Scan is pushed into the scan partitions, and everything else —
+// joins included — runs serial over its (possibly parallel) inputs. A partitioned operator's own cost divides
 // by DOP; each exchange adds a startup charge per worker and a transfer
 // charge per row crossing the boundary.
 
@@ -57,13 +57,6 @@ func (p *Program) ParallelCost(params *Params, e *Eval, dop int) float64 {
 			} else {
 				par[i] = p.own(params, e, i) + par[k]
 			}
-
-		case HashJoin:
-			// Symmetric partition join: both inputs are hash-routed to DOP
-			// partition workers, so the join's own work divides; both input
-			// streams and the output cross exchange boundaries.
-			crossing := e.Card[kids[0]] + e.Card[kids[1]] + e.Card[i]
-			par[i] = p.own(params, e, i)/d + exchange(crossing) + par[kids[0]] + par[kids[1]]
 
 		default:
 			// Serial operator over (possibly) parallel inputs.

@@ -108,8 +108,9 @@ func parallelCosts(t *testing.T, name string, c parallelCase) parallelRow {
 
 // TestParallelGolden pins the parallel cost model, the DOP gate's input:
 // the table in testdata was recorded (with -update) by the map-memoized
-// interval evaluator the parallel pass replaced, and every plan must
-// price bit for bit as it did then.
+// interval evaluator the parallel pass replaced, and re-recorded when
+// Hash-Join stopped partitioning (only plans holding one moved); every
+// plan must price bit for bit as recorded.
 func TestParallelGolden(t *testing.T) {
 	got := make(map[string]parallelRow)
 	for name, c := range parallelCases(t) {

@@ -93,7 +93,7 @@ type Policy struct {
 	NoProgressTimeout time.Duration
 
 	// Trace and Span, when set, hang a "replan" span (with its planning
-	// time attributed as a wait state) off the query's re-opt stage span
+	// time attributed as a wait state) off the query's Remedy stage span
 	// for every re-planning pass. Nil disables.
 	Trace *obs.Trace
 	Span  *obs.Span
@@ -141,8 +141,8 @@ func (r Remedy) String() string {
 
 // Violation is the typed error a tripped cardinality guard raises. It
 // unwraps to qerr.ErrCardinalityViolation, and the executor's operator
-// attribution wraps it in a qerr.OpError on the way out, so callers without
-// a re-opt stage still get a fully classified failure.
+// attribution wraps it in a qerr.OpError on the way out, so callers that did
+// not arm re-optimization still get a fully classified failure.
 type Violation struct {
 	// Node is the plan node whose materialization tripped the guard.
 	Node *physical.Node
@@ -178,7 +178,7 @@ type tripInfo struct {
 // Controller owns one query's re-optimization state: the policy and
 // budget, the spooled temporaries, the per-relation trips and observed
 // selectivities, and the decision trace. It is created per execution
-// attempt by the pipeline's re-opt stage and must be finished exactly once
+// attempt by the pipeline's Remedy stage and must be finished exactly once
 // (Finish releases the temporaries; it is idempotent). All methods are safe
 // for concurrent use — guards run on the executor goroutine while the
 // watchdog runs on its own.

@@ -85,8 +85,8 @@ func TestInjectedFaultClassification(t *testing.T) {
 	}
 	// The memory-shrink event injects no read error; operators that no
 	// longer fit surface qerr.ErrInsufficientMemory themselves. Its
-	// classification rides the same taxonomy: retryable (the retry stage
-	// downgrades the grant), never ladder territory.
+	// classification rides the same taxonomy: retryable (the Remedy stage's
+	// retry downgrades the grant), never ladder territory.
 	if !qerr.Retryable(qerr.ErrInsufficientMemory) {
 		t.Error("insufficient-memory must stay retryable: the grant downgrade is its cure")
 	}

@@ -7,16 +7,32 @@ import (
 	"testing"
 
 	"dynplan/internal/obs"
-	"dynplan/internal/physical"
 )
 
 // BenchmarkParallelJoins measures what intra-query parallelism buys: the
-// 3-relation chain query at a 96-page grant, serial versus DOP 2 and 4.
-// The parallel-joins record prices the same runs in simulated time.
+// 3-relation chain query at a 96-page grant, serial versus DOP 2 and 4,
+// and the same chain with every cardinality and join domain scaled ×10 and
+// ×100 (about 12 k and 120 k result rows) at a 2 048-page grant. The
+// parallel-joins record prices the unscaled runs in simulated time.
 func BenchmarkParallelJoins(b *testing.B) {
 	db, p, bind := parallelJoinsRig(b)
-	ctx := context.Background()
+	benchSerialVsDOP(b, db, p, bind)
+	for _, scale := range []int{10, 100} {
+		b.Run(fmt.Sprintf("x%d", scale), func(b *testing.B) {
+			sys, q := scaledChainSystem(b, 3, scale)
+			p, err := sys.OptimizeStatic(q)
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchSerialVsDOP(b, resilDatabase(b, sys), p, resilBindings(3, 0.5, 2048))
+		})
+	}
+}
 
+// benchSerialVsDOP runs p serial and at DOP 2 and 4, one sub-benchmark
+// each.
+func benchSerialVsDOP(b *testing.B, db *Database, p *Plan, bind Bindings) {
+	ctx := context.Background()
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := db.Exec(ctx, p, bind, ExecOptions{}); err != nil {
@@ -47,13 +63,11 @@ func parallelJoinsRig(tb testing.TB) (*Database, *Plan, Bindings) {
 }
 
 // parallelJoinsRecord is the parallel-joins record: the simulated
-// critical-path speedup of the chain query at DOP 2 and 4, plus a
-// hand-built Hash-Join pitting the symmetric streaming join against the
-// serial materializing one for per-partition peak memory. Every metric
+// critical-path speedup of the chain query at DOP 2 and 4. Every metric
 // derives from deterministic page and tuple counters (partitioning is by
-// page range, RID chunk, and key hash, all seeded). The builder fails if
-// DOP 4 does not reach a 1.5x simulated speedup or the answers diverge —
-// the acceptance criteria of the parallel execution layer.
+// page range and RID chunk). The builder fails if DOP 4 does not reach a
+// 1.5x simulated speedup or the answers diverge — the acceptance criteria
+// of the parallel execution layer.
 func parallelJoinsRecord(tb testing.TB) *obs.RunRecord {
 	db, p, bind := parallelJoinsRig(tb)
 	ctx := context.Background()
@@ -71,7 +85,7 @@ func parallelJoinsRecord(tb testing.TB) *obs.RunRecord {
 	want := strings.Join(canonical(serial), "\n")
 	serialSim := serial.SimulatedSeconds(params)
 	rec := &obs.RunRecord{
-		Query: "3-relation chain join at a 96-page grant: serial vs DOP 2 and 4, plus symmetric vs materializing hash join",
+		Query: "3-relation chain join at a 96-page grant: serial vs DOP 2 and 4",
 		Metrics: map[string]float64{
 			"rows":              float64(len(serial.Rows)),
 			"serial-sim-cost-s": serialSim,
@@ -103,46 +117,5 @@ func parallelJoinsRecord(tb testing.TB) *obs.RunRecord {
 	if speedup := rec.Metrics["sim-speedup-dop4"]; speedup < 1.5 {
 		tb.Fatalf("DOP 4 simulated speedup %.2fx below the 1.5x acceptance floor", speedup)
 	}
-
-	// The streaming-join story: the same Hash-Join run materializing
-	// (serial) and symmetric (parallel); the largest partition's memory
-	// high-water is the streaming join's footprint.
-	db.EnableObservability()
-	defer db.observing.Store(false)
-	join := &physical.Node{
-		Op: physical.HashJoin, LeftAttr: "C1.jh", RightAttr: "C2.jl",
-		EdgeSel: 1.0 / 64, RowBytes: 1024,
-		Children: []*physical.Node{
-			{Op: physical.FileScan, Rel: "C1", BaseCard: 270, RowBytes: 512},
-			{Op: physical.FileScan, Rel: "C2", BaseCard: 340, RowBytes: 512},
-		},
-	}
-	jb := Bindings{MemoryPages: 96}
-	sref, err := db.Exec(context.Background(), join, jb, ExecOptions{})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	pres, err := db.Exec(ctx, join, jb, ExecOptions{Parallel: true})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if strings.Join(canonical(pres), "\n") != strings.Join(canonical(sref), "\n") {
-		tb.Fatal("symmetric join rows diverge from materializing join")
-	}
-	if pres.Parallel == nil || pres.Parallel.DOP <= 1 {
-		tb.Fatalf("hash-join plan did not run parallel: %+v", pres.Parallel)
-	}
-	serialPeak := sref.Operators.Total().MemBytes
-	parPeak := pres.Operators.Total().MemBytes
-	if serialPeak == 0 || parPeak == 0 {
-		tb.Fatalf("missing memory high-water (serial=%d parallel=%d)", serialPeak, parPeak)
-	}
-	if parPeak >= serialPeak {
-		tb.Fatalf("per-partition peak %d bytes >= serial build %d bytes: partitioning bought nothing",
-			parPeak, serialPeak)
-	}
-	rec.Metrics["join-serial-peak-mem-bytes"] = float64(serialPeak)
-	rec.Metrics["join-parallel-peak-mem-bytes"] = float64(parPeak)
-	rec.Metrics["join-peak-mem-reduction"] = float64(serialPeak) / float64(parPeak)
 	return rec
 }

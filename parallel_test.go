@@ -9,7 +9,6 @@ import (
 
 	"dynplan/internal/exec"
 	"dynplan/internal/harness"
-	"dynplan/internal/obs"
 	"dynplan/internal/physical"
 )
 
@@ -163,15 +162,15 @@ func TestParallelDOPReasons(t *testing.T) {
 	}
 }
 
-// TestParallelSymmetricJoinEquivalence pits the symmetric streaming hash
-// join directly against the serial materializing one on the same
-// hand-built Hash-Join plan: identical rows, identical tuple charges, a
-// partition-join exchange with every worker account folded in, and a
-// per-partition memory high-water below the serial build table's
-// footprint — the streaming join's point.
-func TestParallelSymmetricJoinEquivalence(t *testing.T) {
+// TestParallelHashJoinEquivalence runs a Hash-Join plan at DOP 2 and 4:
+// the join runs serial over partitioned scans, so it returns the serial
+// rows and charges the serial tuples and pages; every exchange gathers one
+// scan's DOP workers, and the join itself is metered on the plan's own
+// goroutine with the serial result's row count.
+func TestParallelHashJoinEquivalence(t *testing.T) {
 	sys, _ := resilChainSystem(t, 2)
 	db := resilDatabase(t, sys)
+	db.EnableObservability()
 	root := &physical.Node{
 		Op: physical.HashJoin, LeftAttr: "C1.jh", RightAttr: "C2.jl",
 		EdgeSel: 1.0 / 64, RowBytes: 1024,
@@ -188,50 +187,44 @@ func TestParallelSymmetricJoinEquivalence(t *testing.T) {
 	if len(ref.Rows) == 0 {
 		t.Fatal("join produced no rows; the scenario is vacuous")
 	}
-	res, err := db.Exec(context.Background(), root, b, ExecOptions{Parallel: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Parallel == nil || res.Parallel.DOP <= 1 {
-		t.Fatalf("join plan did not run parallel: %+v", res.Parallel)
-	}
-	if got, want := strings.Join(canonical(res), "\n"), strings.Join(canonical(ref), "\n"); got != want {
-		t.Error("symmetric join rows diverge from materializing join")
-	}
-	if res.TupleOps != ref.TupleOps {
-		t.Errorf("symmetric join tuple charges %d != serial %d", res.TupleOps, ref.TupleOps)
-	}
-	var join *obs.ExchangeStats
-	for i := range res.Parallel.Exchanges {
-		if res.Parallel.Exchanges[i].Kind == "partition-join" {
-			join = &res.Parallel.Exchanges[i]
+	want := strings.Join(canonical(ref), "\n")
+	for _, dop := range []int{2, 4} {
+		res, err := db.Exec(context.Background(), root, b, ExecOptions{Parallel: true, MaxDOP: dop})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if join == nil {
-		t.Fatalf("no partition-join exchange recorded: %+v", res.Parallel.Exchanges)
-	}
-	if len(join.Workers) != res.Parallel.DOP {
-		t.Errorf("partition-join has %d workers, want DOP=%d", len(join.Workers), res.Parallel.DOP)
-	}
-	if join.Rows() != int64(len(ref.Rows)) {
-		t.Errorf("partition workers emitted %d rows, want %d", join.Rows(), len(ref.Rows))
-	}
-	// Streaming build: the largest partition's high-water must undercut
-	// the serial join's full build table (both sides tabled, so compare
-	// against both sides' bytes summed — still a strict win at DOP ≥ 4).
-	serialBuildBytes := int64(270+340) * 512
-	var peak int64
-	for _, w := range join.Workers {
-		if w.MemBytes > peak {
-			peak = w.MemBytes
+		if res.Parallel == nil || res.Parallel.DOP != dop {
+			t.Fatalf("dop %d: join plan ran with %+v", dop, res.Parallel)
 		}
-	}
-	if peak == 0 {
-		t.Error("partition workers report no memory high-water")
-	}
-	if peak >= serialBuildBytes {
-		t.Errorf("per-partition high-water %d bytes >= both inputs' %d bytes: partitioning bought nothing",
-			peak, serialBuildBytes)
+		if strings.Join(canonical(res), "\n") != want {
+			t.Errorf("dop %d: rows diverge from the serial run", dop)
+		}
+		if res.TupleOps != ref.TupleOps || res.SeqPageReads != ref.SeqPageReads ||
+			res.RandPageReads != ref.RandPageReads || res.PageWrites != ref.PageWrites {
+			t.Errorf("dop %d: account tuples=%d seq=%d rand=%d write=%d, serial %d/%d/%d/%d", dop,
+				res.TupleOps, res.SeqPageReads, res.RandPageReads, res.PageWrites,
+				ref.TupleOps, ref.SeqPageReads, ref.RandPageReads, ref.PageWrites)
+		}
+		join := res.Operators
+		if join == nil || join.Op != physical.HashJoin.String() || join.Counters.Rows != int64(len(ref.Rows)) {
+			t.Fatalf("dop %d: root operator %+v, want a serial Hash-Join of %d rows", dop, join, len(ref.Rows))
+		}
+		if len(res.Parallel.Exchanges) != len(join.Children) {
+			t.Fatalf("dop %d: %d exchanges, want one per scan: %+v", dop, len(res.Parallel.Exchanges), res.Parallel.Exchanges)
+		}
+		for _, ex := range res.Parallel.Exchanges {
+			if ex.Kind != "gather" && ex.Kind != "ordered-gather" {
+				t.Errorf("dop %d: exchange kind %q over %s(%s), want a scan gather", dop, ex.Kind, ex.Op, ex.Rel)
+			}
+			if len(ex.Workers) != dop {
+				t.Errorf("dop %d: exchange over %s has %d workers", dop, ex.Rel, len(ex.Workers))
+			}
+			for _, in := range join.Children {
+				if in.Rel == ex.Rel && in.Counters.Rows != ex.Rows() {
+					t.Errorf("dop %d: %s scan fed the join %d rows, its workers gathered %d", dop, ex.Rel, in.Counters.Rows, ex.Rows())
+				}
+			}
+		}
 	}
 }
 

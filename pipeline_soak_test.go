@@ -14,10 +14,10 @@ import (
 )
 
 // TestExecPipelineSoak drives the unified db.Exec entry point through the
-// four hard paths of the stage stacks — transient faults absorbed by the
-// retry stage, admission sheds, retry exhaustion, and an open circuit
-// breaker — concurrently, so `go test -race` checks the pipeline's shared
-// state (pre-compiled stacks, governor snapshots, observatory recording)
+// four hard paths of the stage table — transient faults absorbed by the
+// Remedy stage's retry, admission sheds, retry exhaustion, and an open
+// circuit breaker — concurrently, so `go test -race` checks the pipeline's
+// shared state (the stage table, governor snapshots, observatory recording)
 // under contention. Each subtest uses a fresh system and database.
 func TestExecPipelineSoak(t *testing.T) {
 	const workers = 6

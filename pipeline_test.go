@@ -311,7 +311,7 @@ func TestExecResultFieldUniformity(t *testing.T) {
 		"Backoffs":             {def: expectZero},
 		"BackoffTotal":         {def: expectZero},
 		"EffectiveMemoryPages": {def: expectSet},
-		// Admission stats exist exactly on the stacks with a Grant stage.
+		// Admission stats exist exactly on the stacks with an Admit stage.
 		"Admission": {def: expectZero, overrides: map[string]fieldExpectation{
 			"Governed": expectSet, "GovernedPlan": expectSet,
 		}},
@@ -324,7 +324,7 @@ func TestExecResultFieldUniformity(t *testing.T) {
 		"Decisions": {def: expectZero, overrides: map[string]fieldExpectation{
 			"Module": moduleTrace, "Resilient": moduleTrace, "Governed": moduleTrace, "Adaptive": moduleTrace,
 		}},
-		// Only the Adaptive run arms the Reopt stage (and observes, so its
+		// Only the Adaptive run arms re-optimization (and observes, so its
 		// account is never nil); with a fresh catalog no lazy guard would
 		// trip anyway.
 		"Reopt": {def: expectZero, overrides: map[string]fieldExpectation{"Adaptive": expectSet}},
@@ -443,13 +443,12 @@ func TestConstructionPoints(t *testing.T) {
 		allowed     []string
 		testsExempt bool
 	}{
-		// Guards are armed and controllers built only by the Reopt stage.
+		// Guards are armed and controllers built only by the Remedy stage.
 		{"re-optimization controller construction", regexp.MustCompile(`reopt\.NewController`), []string{"internal/reopt/", "pipeline.go"}, true},
 		{"cardinality guard arming", regexp.MustCompile(`\.Guards = `), []string{"internal/exec/", "pipeline.go"}, true},
 		// DOP is a grant-and-cost decision made in the run step, not a
 		// caller-side knob.
 		{"switching an execution parallel", regexp.MustCompile(`\.Par(allel)? = `), []string{"internal/exec/", "pipeline.go"}, true},
-		{"exchange/partition-join construction", regexp.MustCompile(`exchangeIter\{`), []string{"internal/exec/"}, false},
 		// One span-tree shape, one plan cache per database.
 		{"tracer construction", regexp.MustCompile(`obs\.NewTrace`), []string{"internal/obs/", "pipeline.go"}, true},
 		{"plan cache construction", regexp.MustCompile(`plancache\.New\(`), []string{"internal/plancache/", "pipeline.go"}, false},

@@ -14,14 +14,22 @@ import (
 // paper's experiment harness, plus the chain query over it.
 func resilChainSystem(t testing.TB, n int) (*System, *Query) {
 	t.Helper()
+	return scaledChainSystem(t, n, 1)
+}
+
+// scaledChainSystem is resilChainSystem's chain with every cardinality
+// and both join domains multiplied by scale, so each join's output grows
+// by scale too.
+func scaledChainSystem(t testing.TB, n, scale int) (*System, *Query) {
+	t.Helper()
 	sys := New()
 	spec := QuerySpec{}
 	for i := 1; i <= n; i++ {
 		name := fmt.Sprintf("C%d", i)
-		sys.MustCreateRelation(name, 200+i*70, 512,
+		sys.MustCreateRelation(name, (200+i*70)*scale, 512,
 			Attr{Name: "a", DomainSize: 150 + i*40, BTree: true},
-			Attr{Name: "jl", DomainSize: 40 + i*9, BTree: true},
-			Attr{Name: "jh", DomainSize: 50 + i*7, BTree: true},
+			Attr{Name: "jl", DomainSize: (40 + i*9) * scale, BTree: true},
+			Attr{Name: "jh", DomainSize: (50 + i*7) * scale, BTree: true},
 		)
 		spec.Relations = append(spec.Relations, RelSpec{
 			Name: name, Pred: &Pred{Attr: "a", Variable: fmt.Sprintf("v%d", i)},

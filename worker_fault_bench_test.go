@@ -70,8 +70,8 @@ func newWorkerFaultRig(tb testing.TB) *workerFaultRig {
 		WorkerRetry: &WorkerRetryPolicy{MaxAttempts: 3, Backoff: time.Nanosecond},
 	}
 	// The whole-query arm re-runs the entire query on failure — the
-	// recovery the engine's Retry stage performs, driven here as a restart
-	// loop because the stage itself needs a *Module to steer alternatives
+	// recovery the Remedy stage's retry performs, driven here as a restart
+	// loop because the retry itself needs a *Module to steer alternatives
 	// and this plan is a bare tree. It runs serial: page order is then
 	// deterministic, where a parallel attempt's partial read count would
 	// depend on how far the other workers got before teardown, and the
