@@ -57,7 +57,7 @@ func BenchmarkQueryHandler(b *testing.B) {
 // TestQueryHandlerBytes pins what the handler allocates per request over
 // the rig's requests, in bytes. The executor starts each buffer at the
 // start-up sweep's predicted rows and returns a root Sort's buffer as the
-// result: 85.6 KB per request. Growing every buffer from eight rows and
+// result: 85–86 KB per request. Growing every buffer from eight rows and
 // copying a sorted result's headers measured 118 KB, over the bound.
 // Skipped under the race detector, whose instrumentation allocates.
 func TestQueryHandlerBytes(t *testing.T) {

@@ -92,34 +92,27 @@ func (t *Tree) Insert(key int64, rid storage.RID) {
 
 // Search returns the RIDs stored under key, in insertion order, or nil.
 func (t *Tree) Search(key int64) []storage.RID {
-	var out []storage.RID
-	t.Range(key, key, func(_ int64, rid storage.RID) bool {
-		out = append(out, rid)
-		return true
-	})
-	return out
+	return t.AppendRange(nil, key, key)
 }
 
-// Range visits every entry with lo <= key <= hi in key order (entries with
-// equal keys in insertion order). The yield function returns false to stop
-// the scan.
-func (t *Tree) Range(lo, hi int64, yield func(key int64, rid storage.RID) bool) {
+// AppendRange appends to dst the RIDs of every entry with lo <= key <= hi,
+// in key order (entries with equal keys in insertion order), and returns
+// the extended slice. Each leaf's qualifying entries are one contiguous
+// run, appended in one step.
+func (t *Tree) AppendRange(dst []storage.RID, lo, hi int64) []storage.RID {
 	if lo > hi {
-		return
+		return dst
 	}
-	l, i := t.seek(lo)
-	for l != nil {
-		for ; i < len(l.keys); i++ {
-			if l.keys[i] > hi {
-				return
-			}
-			if !yield(l.keys[i], l.rids[i]) {
-				return
-			}
+	for l, i := t.seek(lo); l != nil; l, i = l.next, 0 {
+		// The run ends at the first key above hi; when that key lies in
+		// this leaf, no later leaf can qualify.
+		j := i + sort.Search(len(l.keys)-i, func(j int) bool { return l.keys[i+j] > hi })
+		dst = append(dst, l.rids[i:j]...)
+		if j < len(l.keys) {
+			break
 		}
-		l = l.next
-		i = 0
 	}
+	return dst
 }
 
 // Ascend visits every entry in key order.

@@ -37,13 +37,10 @@ func BenchmarkSearch(b *testing.B) {
 func BenchmarkRangeScan(b *testing.B) {
 	tr := benchTree(100000)
 	rng := rand.New(rand.NewSource(4))
+	var rids []storage.RID
 	for b.Loop() {
 		lo := int64(rng.Intn(90000))
-		count := 0
-		tr.Range(lo, lo+1000, func(int64, storage.RID) bool {
-			count++
-			return true
-		})
+		rids = tr.AppendRange(rids[:0], lo, lo+1000)
 	}
 }
 

@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -86,17 +87,13 @@ func TestAgainstReference(t *testing.T) {
 					want = append(want, e.rid)
 				}
 			}
-			var got []storage.RID
-			tr.Range(lo, hi, func(_ int64, r storage.RID) bool {
-				got = append(got, r)
-				return true
-			})
+			got := tr.AppendRange(nil, lo, hi)
 			if len(got) != len(want) {
-				t.Fatalf("trial %d: Range(%d,%d) returned %d rids, want %d", trial, lo, hi, len(got), len(want))
+				t.Fatalf("trial %d: AppendRange(%d,%d) returned %d rids, want %d", trial, lo, hi, len(got), len(want))
 			}
 			for i := range got {
 				if got[i] != want[i] {
-					t.Fatalf("trial %d: Range(%d,%d)[%d] = %v, want %v", trial, lo, hi, i, got[i], want[i])
+					t.Fatalf("trial %d: AppendRange(%d,%d)[%d] = %v, want %v", trial, lo, hi, i, got[i], want[i])
 				}
 			}
 		}
@@ -134,23 +131,30 @@ func TestInvariantsQuick(t *testing.T) {
 	}
 }
 
-func TestRangeEarlyStop(t *testing.T) {
-	tr := New(6)
+// TestAppendRangeBounds checks that AppendRange keeps what dst already
+// holds, stops at hi inside a leaf and across leaf boundaries, and appends
+// nothing for an inverted or empty range.
+func TestAppendRangeBounds(t *testing.T) {
+	tr := New(6) // leaves of at most five entries: ranges span many leaves
 	for i := 0; i < 100; i++ {
 		tr.Insert(int64(i), rid(i))
 	}
-	seen := 0
-	tr.Range(0, 99, func(int64, storage.RID) bool {
-		seen++
-		return seen < 5
-	})
-	if seen != 5 {
-		t.Errorf("early stop visited %d entries, want 5", seen)
+	prefix := []storage.RID{rid(999)}
+	got := tr.AppendRange(prefix, 3, 41)
+	if len(got) != 1+39 || got[0] != rid(999) {
+		t.Fatalf("AppendRange(prefix, 3, 41) = %d rids starting %v, want the prefix and 39 more", len(got), got[0])
 	}
-	tr.Range(50, 10, func(int64, storage.RID) bool {
-		t.Error("inverted range must visit nothing")
-		return false
-	})
+	for i, r := range got[1:] {
+		if r != rid(3+i) {
+			t.Fatalf("AppendRange(prefix, 3, 41)[%d] = %v, want %v", 1+i, r, rid(3+i))
+		}
+	}
+	if got := tr.AppendRange(prefix, 50, 10); len(got) != 1 {
+		t.Errorf("inverted range appended %d rids", len(got)-1)
+	}
+	if got := tr.AppendRange(nil, 100, 200); got != nil {
+		t.Errorf("range past the last key = %v, want nil", got)
+	}
 }
 
 func TestAscendEarlyStop(t *testing.T) {
@@ -180,25 +184,26 @@ func TestMinimumOrderClamped(t *testing.T) {
 
 func TestNegativeAndExtremeKeys(t *testing.T) {
 	tr := New(5)
-	keys := []int64{-1 << 40, -7, 0, 7, 1 << 40}
+	keys := []int64{math.MinInt64, -1 << 40, -7, 0, 7, 1 << 40, math.MaxInt64}
 	for i, k := range keys {
 		tr.Insert(k, rid(i))
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	var got []int64
-	tr.Range(-1<<62, 1<<62, func(k int64, _ storage.RID) bool {
-		got = append(got, k)
-		return true
-	})
+	// keys is ascending, so the full range returns the rids in insertion
+	// order.
+	got := tr.AppendRange(nil, math.MinInt64, math.MaxInt64)
 	if len(got) != len(keys) {
-		t.Fatalf("full range returned %d keys, want %d", len(got), len(keys))
+		t.Fatalf("full range returned %d rids, want %d", len(got), len(keys))
 	}
-	for i := 1; i < len(got); i++ {
-		if got[i-1] > got[i] {
-			t.Fatal("range output not sorted")
+	for i, r := range got {
+		if r != rid(i) {
+			t.Fatalf("full range [%d] = %v, want %v", i, r, rid(i))
 		}
+	}
+	if got := tr.AppendRange(nil, -1<<62, 1<<62); len(got) != len(keys)-2 {
+		t.Errorf("range without the extremes returned %d rids, want %d", len(got), len(keys)-2)
 	}
 }
 

@@ -41,8 +41,8 @@ func sortedChain(w *workload.Workload) (root *physical.Node, read int) {
 // doubling of each buffer that grows (the drains' row headers, the joins'
 // input vectors and output slabs), and one per further slab chunk. Nothing
 // is allocated per row or per page, so the same bound holds at both
-// selectivities though the result grows seventyfold. The runs measure 39
-// and 60 allocations; the constant leaves the larger run 15 under its
+// selectivities though the result grows seventyfold. The runs measure 30
+// and 52 allocations; the constant leaves the larger run 23 under its
 // bound.
 func TestRunAllocations(t *testing.T) {
 	if raceEnabled {
@@ -74,10 +74,12 @@ func TestRunAllocations(t *testing.T) {
 // TestRunBytes pins what a run of the sorted chain at selectivity 1.0
 // allocates, in bytes, without predictions. Run returns the joins' rows
 // as built, in the root Sort's own buffer, so no byte goes to copying the
-// result or to a slice that holds it: the run measures 209 KB. Copying
-// the sorted headers into a slice sized to the sort measured 234 KB, and
-// also copying the 489 rows into one slab and draining them into a
-// doubling slice measured 303 KB, both over the bound.
+// result or to a slice that holds it, and the hash joins' tables are one
+// []int32 each: the run measures 194 KB, and the bound leaves it 9 % of
+// headroom. With a Go map per hash table the run measured 209 KB, over the
+// bound; on those tables, copying the sorted headers into a slice sized
+// to the sort cost 25 KB more, and also copying the 489 rows into one
+// slab and draining them into a doubling slice 94 KB more.
 func TestRunBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -101,7 +103,7 @@ func TestRunBytes(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
-	const bound = 227_000
+	const bound = 212_000
 	t.Logf("%d rows returned, %d B per run (bound %d)", len(rows), perRun, bound)
 	if perRun > bound {
 		t.Errorf("%d B per run, want <= %d", perRun, bound)

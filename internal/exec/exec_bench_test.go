@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"dynplan/internal/bindings"
@@ -96,6 +98,36 @@ func BenchmarkExternalSort(b *testing.B) {
 	for b.Loop() {
 		if _, _, err := db.Run(srt, binds); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSortEnforcer times the Sort enforcer's kernel, sortRows, on 10²,
+// 10³ and 10⁴ shuffled rows whose keys are distinct or drawn from eight
+// values. Every iteration first restores the shuffled order.
+func BenchmarkSortEnforcer(b *testing.B) {
+	for _, keys := range []struct {
+		name   string
+		domain int64 // 0: every key distinct
+	}{{"distinct", 0}, {"duplicates", 8}} {
+		for _, n := range []int{100, 1000, 10000} {
+			rng := rand.New(rand.NewSource(int64(n)))
+			input := make([]storage.Row, n)
+			for i := range input {
+				k := int64(i)
+				if keys.domain > 0 {
+					k = rng.Int63n(keys.domain)
+				}
+				input[i] = storage.Row{k, int64(i)}
+			}
+			rng.Shuffle(n, func(i, j int) { input[i], input[j] = input[j], input[i] })
+			rows := make([]storage.Row, n)
+			b.Run(fmt.Sprintf("%s/%d", keys.name, n), func(b *testing.B) {
+				for b.Loop() {
+					copy(rows, input)
+					sortRows(rows, 0)
+				}
+			})
 		}
 	}
 }

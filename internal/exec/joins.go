@@ -1,9 +1,10 @@
 package exec
 
 import (
-	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
+	"sync"
 
 	"dynplan/internal/bindings"
 	"dynplan/internal/btree"
@@ -72,10 +73,9 @@ func (it *hashJoinIter) graceSpill() {
 	}
 }
 
-// hashJoinIter is the serial hash join. The build side is one flat table:
-// the build rows in arrival order, the first row of every key in head, and
-// each row's successor with the same key in next — so a probe row meets
-// its matches in build-insertion order without a slice per key.
+// hashJoinIter is the serial hash join. The build side is a joinTable
+// over the build rows in arrival order, so a probe row meets its matches
+// in build-insertion order without a slice per key.
 type hashJoinIter struct {
 	db       *DB
 	build    Iterator
@@ -93,8 +93,7 @@ type hashJoinIter struct {
 	memPages      float64
 
 	rows        []storage.Row
-	head        map[int64]int32
-	next        []int32
+	table       joinTable
 	buildClosed bool
 
 	// probe reads the probe side; cur is the probe row being joined and
@@ -123,19 +122,7 @@ func (it *hashJoinIter) Open() error {
 		return err
 	}
 	it.buildClosed = true
-	// Link the rows back to front, so every chain starts at its key's
-	// first row and runs in insertion order.
-	it.head = make(map[int64]int32, len(rows))
-	it.next = slices.Grow(it.next[:0], len(rows))[:len(rows)]
-	for i := len(rows) - 1; i >= 0; i-- {
-		k := rows[i][it.buildCol]
-		if h, ok := it.head[k]; ok {
-			it.next[i] = h
-		} else {
-			it.next[i] = -1
-		}
-		it.head[k] = int32(i)
-	}
+	it.table.build(rows, it.buildCol)
 	// The build side is a materialization point: its true cardinality is
 	// now known, so the guard can compare it against the predicted band
 	// before the probe side spends any work. The rows are in arrival
@@ -171,7 +158,7 @@ func (it *hashJoinIter) NextBatch(dst []storage.Row) (int, error) {
 		if it.match >= 0 {
 			dst[n] = it.out.concat(it.rows[it.match], it.cur)
 			n++
-			it.match = it.next[it.match]
+			it.match = it.table.next[it.match]
 			continue
 		}
 		var ok bool
@@ -184,9 +171,7 @@ func (it *hashJoinIter) NextBatch(dst []storage.Row) (int, error) {
 		}
 		probed++
 		it.probeLen++
-		if h, ok := it.head[it.cur[it.probeCol]]; ok {
-			it.match = h
-		}
+		it.match = it.table.lookup(it.cur[it.probeCol])
 	}
 	it.db.Acc.Tuples(int64(probed + n))
 	return n, err
@@ -199,7 +184,7 @@ func (it *hashJoinIter) MemoryHighWater() int64 {
 }
 
 func (it *hashJoinIter) Close() error {
-	it.rows, it.head, it.next = nil, nil, nil
+	it.rows, it.table = nil, joinTable{}
 	it.probe.release()
 	var buildErr error
 	if !it.buildClosed {
@@ -213,6 +198,62 @@ func (it *hashJoinIter) Close() error {
 		return buildErr
 	}
 	return probeErr
+}
+
+// joinTable is a hash join's build side: an open-addressed table from
+// key to the key's first build row, and each row's successor with the same
+// key. Both live in one pointer-free []int32 — next (one entry per build
+// row) followed by slots (a power of two, at least twice the build rows) —
+// so building it takes no write barrier and the GC has nothing to scan. A
+// slot holds a row index + 1, 0 meaning empty; a key's home slot is the top
+// bits of its Fibonacci hash, and a collision probes linearly onward.
+type joinTable struct {
+	rows  []storage.Row
+	col   int
+	next  []int32 // next[i] is the row after i with the same key, or -1
+	slots []int32
+	shift uint // 64 − log2(len(slots))
+}
+
+// fibonacci is 2^64 divided by the golden ratio, rounded to odd: the
+// multiplier of Fibonacci hashing, which spreads consecutive keys over the
+// top bits of the product.
+const fibonacci = 0x9E3779B97F4A7C15
+
+// home returns the slot a key hashes to.
+func (t *joinTable) home(k int64) uint64 { return uint64(k) * fibonacci >> t.shift }
+
+// build indexes rows by column col. The rows are linked back to front, so
+// every chain starts at its key's first row and runs in insertion order.
+func (t *joinTable) build(rows []storage.Row, col int) {
+	n := len(rows)
+	logSlots := bits.Len(uint(max(2*n-1, 1)))
+	buf := make([]int32, n+1<<logSlots)
+	t.rows, t.col, t.shift = rows, col, uint(64-logSlots)
+	t.next, t.slots = buf[:n:n], buf[n:]
+	mask := uint64(len(t.slots) - 1)
+	for i := n - 1; i >= 0; i-- {
+		k := rows[i][col]
+		s := t.home(k)
+		for t.slots[s] != 0 && rows[t.slots[s]-1][col] != k {
+			s = (s + 1) & mask
+		}
+		t.next[i] = t.slots[s] - 1 // -1 when the slot was empty
+		t.slots[s] = int32(i + 1)
+	}
+}
+
+// lookup returns the first build row with key k, or -1.
+func (t *joinTable) lookup(k int64) int32 {
+	mask := uint64(len(t.slots) - 1)
+	for s := t.home(k); ; s = (s + 1) & mask {
+		switch e := t.slots[s]; {
+		case e == 0:
+			return -1
+		case t.rows[e-1][t.col] == k:
+			return e - 1
+		}
+	}
 }
 
 // buildMergeJoin compiles Merge-Join over two sorted inputs.
@@ -442,12 +483,6 @@ func (it *indexJoinIter) Open() error {
 	return nil
 }
 
-// appendRID collects one index match of the current outer row.
-func (it *indexJoinIter) appendRID(_ int64, rid storage.RID) bool {
-	it.rids = append(it.rids, rid)
-	return true
-}
-
 // NextBatch fills dst with joined rows, carved from the join's slab. One
 // tuple charge per outer row and one per fetched inner record, qualifying
 // or not, as the per-row join charged.
@@ -480,8 +515,7 @@ func (it *indexJoinIter) NextBatch(dst []storage.Row) (int, error) {
 			break
 		}
 		work++
-		it.rids, it.ridPos = it.rids[:0], 0
-		it.tree.Range(it.cur[it.ocol], it.cur[it.ocol], it.appendRID)
+		it.rids, it.ridPos = it.tree.AppendRange(it.rids[:0], it.cur[it.ocol], it.cur[it.ocol]), 0
 	}
 	it.db.Acc.Tuples(int64(work))
 	return n, err
@@ -514,6 +548,8 @@ func (db *DB) buildSort(n *physical.Node, b *bindings.Bindings) (Iterator, Schem
 	}), schema, nil
 }
 
+// sortIter is the Sort enforcer. It buffers its whole input and orders
+// it stably by one column with sortRows.
 type sortIter struct {
 	db    *DB
 	child Iterator
@@ -561,7 +597,7 @@ func (it *sortIter) Open() error {
 	if len(rows) > it.maxRows {
 		it.maxRows = len(rows)
 	}
-	slices.SortStableFunc(rows, func(a, b storage.Row) int { return cmp.Compare(a[it.col], b[it.col]) })
+	sortRows(rows, it.col)
 	// Charge external-sort I/O when the input would not fit in memory:
 	// run generation plus merge passes, write + read each (mirroring the
 	// cost model's formula).
@@ -617,4 +653,59 @@ func (it *sortIter) Close() error {
 		return it.child.Close()
 	}
 	return nil
+}
+
+// sortKey is one row's sort key and its position in the input.
+type sortKey struct {
+	key int64
+	pos int32
+}
+
+// sortKeys recycles sortRows' key buffers across sorts.
+var sortKeys = sync.Pool{New: func() any { return new([]sortKey) }}
+
+// sortRows orders rows by column col, stably. It sorts pointer-free
+// (key, position) pairs — ordered by key, then position, which is the
+// stable order — and then permutes the rows into that order by following
+// its cycles, so a row header moves once instead of at every swap of an
+// in-place stable sort, and the sort itself takes no write barrier.
+func sortRows(rows []storage.Row, col int) {
+	if len(rows) < 2 {
+		return
+	}
+	buf := sortKeys.Get().(*[]sortKey)
+	keys := slices.Grow((*buf)[:0], len(rows))[:len(rows)]
+	for i, r := range rows {
+		keys[i] = sortKey{r[col], int32(i)}
+	}
+	slices.SortFunc(keys, func(a, b sortKey) int {
+		if a.key != b.key {
+			if a.key < b.key {
+				return -1
+			}
+			return 1
+		}
+		return int(a.pos - b.pos)
+	})
+	// rows[i] takes the row at keys[i].pos. Walk each cycle of that
+	// permutation once, marking a visited position with -1.
+	for start := range keys {
+		if keys[start].pos < 0 {
+			continue
+		}
+		first := rows[start]
+		i := start
+		for {
+			from := int(keys[i].pos)
+			keys[i].pos = -1
+			if from == start {
+				rows[i] = first
+				break
+			}
+			rows[i] = rows[from]
+			i = from
+		}
+	}
+	*buf = keys[:0]
+	sortKeys.Put(buf)
 }

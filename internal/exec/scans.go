@@ -155,7 +155,6 @@ func (it *btreeScanIter) Open() error {
 		it.pos = 0
 		return nil
 	}
-	it.rids = it.rids[:0]
 	it.pos = 0
 	loKey := int64(math.MinInt64)
 	if !math.IsInf(it.lo, -1) {
@@ -169,13 +168,7 @@ func (it *btreeScanIter) Open() error {
 			hiKey = int64(math.Floor(it.hi))
 		}
 	}
-	if hiKey < loKey {
-		return nil
-	}
-	it.tree.Range(loKey, hiKey, func(_ int64, rid storage.RID) bool {
-		it.rids = append(it.rids, rid)
-		return true
-	})
+	it.rids = it.tree.AppendRange(it.rids[:0], loKey, hiKey)
 	return nil
 }
 
