@@ -20,14 +20,14 @@ const minBatch = 8
 
 // drain appends the rest of the input's stream to rows. The input writes
 // straight into rows' spare capacity; a full rows moves to the next
-// capacity minBatch·2^k, whether it started at minBatch or at a
-// prediction (see startRows), so a drain of n rows makes O(log n) calls
-// and allocations. Rows produced by a failing call are kept: they were
-// read, and their work was charged.
-func drain(it Iterator, rows []storage.Row) ([]storage.Row, error) {
+// capacity minBatch·2^k, drawn from sc, whether it started at minBatch or
+// at a prediction (see startRows), so a drain of n rows makes O(log n)
+// calls and allocations. Rows produced by a failing call are kept: they
+// were read, and their work was charged.
+func drain(it Iterator, rows []storage.Row, sc *scratch) ([]storage.Row, error) {
 	for {
 		if len(rows) == cap(rows) {
-			rows = append(make([]storage.Row, 0, minBatch<<bits.Len(uint(len(rows)/minBatch))), rows...)
+			rows = append(draw(sc, rowShelf, minBatch<<bits.Len(uint(len(rows)/minBatch)))[:0], rows...)
 		}
 		n, err := it.NextBatch(rows[len(rows):cap(rows)])
 		rows = rows[:len(rows)+n]
@@ -43,6 +43,7 @@ func drain(it Iterator, rows []storage.Row) ([]storage.Row, error) {
 // paid for a full vector. The first vector is the cursor's own.
 type cursor struct {
 	src   Iterator
+	sc    *scratch // draws the other vectors
 	batch []storage.Row
 	pos   int
 	first [2]storage.Row
@@ -59,7 +60,7 @@ func (c *cursor) next() (row storage.Row, ok bool, err error) {
 		case len(buf) == 0:
 			buf = c.first[:]
 		case c.pos > 0 && len(buf) < batchRows:
-			buf = make([]storage.Row, min(2*len(buf), batchRows))
+			buf = draw(c.sc, rowShelf, min(2*len(buf), batchRows))
 		}
 		n, err := c.src.NextBatch(buf)
 		if err != nil || n == 0 {
@@ -78,11 +79,12 @@ func (c *cursor) release() { c.batch, c.pos = nil, 0 }
 // slabRows caps a slab chunk, in rows.
 const slabRows = 512
 
-// slab carves join output rows out of shared chunks: one allocation holds
-// many rows. Chunks double from minBatch rows up to slabRows, and a carved
-// row is never written again — rows are immutable, so a chunk is simply
-// abandoned to its rows once full.
+// slab carves join output rows out of shared chunks, drawn from sc: one
+// allocation holds many rows. Chunks double from minBatch rows up to
+// slabRows, and a carved row is never written again — rows are immutable,
+// so a chunk is simply abandoned to its rows once full.
 type slab struct {
+	sc    *scratch
 	free  []int64
 	chunk int // rows in the next chunk
 }
@@ -92,7 +94,7 @@ func (s *slab) concat(a, b storage.Row) storage.Row {
 	n := len(a) + len(b)
 	if len(s.free) < n {
 		s.chunk = min(max(2*s.chunk, minBatch), slabRows)
-		s.free = make([]int64, s.chunk*n)
+		s.free = draw(s.sc, chunkShelf, s.chunk*n)
 	}
 	r := s.free[:n:n]
 	s.free = s.free[n:]

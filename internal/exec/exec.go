@@ -11,20 +11,19 @@
 //
 // Each operator is an Iterator (Open / NextBatch / Close), the execution
 // paradigm of the Volcano system the optimizer generator belongs to with
-// a vector of rows per call instead of one. Rows are immutable: scans hand
-// out the stored rows themselves, joins carve theirs from shared slabs,
-// and no operator copies or reuses a row it has read or returned. The
-// caller owns what Run returns, and Run copies a result row at most once
-// to make it so: a join's rows, which its run built and nothing else
-// keeps, are returned as they are, under a Filter or a Sort too; only a
-// result of stored rows — a scan's or a temporary's — is copied, into one
-// contiguous slab. Run also sets the plan up in one frame: one exact-sized
-// slab per kind of operator state (see frame), so a join's schema is the
-// caller's as it is; a scan's or a temporary's is copied with its rows.
-// The buffers that hold a whole input — a Sort's, a hash join's build
-// side, a streaming root's result — start at the start-up sweep's
-// predicted rows when the caller passes them (DB.Cards), and grow from
-// minBatch otherwise; a root Sort's buffer is returned as the result.
+// a vector of rows per call instead of one. Rows are immutable while a
+// run lasts: scans hand out the stored rows themselves, joins carve theirs
+// from shared slabs, and no operator copies or reuses a row it has read or
+// returned. A run's memory has two lifetimes. What the caller keeps is
+// allocated afresh: a join's rows, carved from the result join's own slab,
+// are returned as they are, under a Filter or a Sort too, with the join's
+// schema; a result of stored rows — a scan's or a temporary's — is copied
+// once, into one contiguous slab, with its schema; the buffer holding the
+// result is the root drain's or a root Sort's. Everything else dies with
+// the tree and comes from a pooled scratch (see scratch), the frame's
+// slabs too (see frame). The buffers that hold a whole input start at the
+// start-up sweep's predicted rows when the caller passes them (DB.Cards),
+// and grow from minBatch otherwise.
 package exec
 
 import (
@@ -137,7 +136,7 @@ type DB struct {
 	// the plan is built: no later Run or Materialize reads them.
 	Cards []float64
 
-	f frame // what Build carves from while Run compiles
+	sc *scratch // the run's scratch; Build makes one of its own outside Run
 }
 
 // MatGuard observes materialization points as tuples finish flowing into
@@ -208,23 +207,30 @@ func (db *DB) pageRead(table string, page int32, seq bool) error {
 // iterator opened is closed even when Open or NextBatch fails
 // mid-pipeline.
 func (db *DB) Run(root *physical.Node, b *bindings.Bindings) (rows []storage.Row, schema Schema, err error) {
+	sc := scratches.Get().(*scratch)
+	db.sc = sc
 	defer func() {
+		db.sc = nil
 		if r := recover(); r != nil {
-			rows, schema, db.f, db.Cards = nil, nil, frame{}, nil
+			// The scratch is dropped: what still points into it is unknown.
+			rows, schema, db.Cards = nil, nil, nil
 			err = fmt.Errorf("exec: recovered panic %v: %w", r, qerr.ErrOperatorPanic)
+			return
 		}
+		sc.release()
+		scratches.Put(sc)
 	}()
 	if db.Ctx != nil && db.Ctx.Err() != nil {
 		db.Cards = nil
 		return nil, nil, qerr.FromContext(context.Cause(db.Ctx))
 	}
-	db.f = db.newFrame(root)
+	sc.f = db.newFrame(root)
 	it, schema, err := db.Build(root, b)
 	var out []storage.Row
 	if err == nil && root.Op != physical.Sort {
-		out = db.startRows(root, b) // sized to the root's prediction
+		out = db.startRows(root, b, nil) // sized to the root's prediction
 	}
-	db.f, db.Cards = frame{}, nil // nothing carves or predicts once the tree opens
+	sc.f, db.Cards = frame{}, nil // nothing carves or predicts once the tree opens
 	if err != nil {
 		return nil, nil, err
 	}
@@ -241,7 +247,7 @@ func (db *DB) Run(root *physical.Node, b *bindings.Bindings) (rows []storage.Row
 		// in the two calls the meters count.
 		out = s.rows[:0]
 	}
-	out, err = drain(it, out)
+	out, err = drain(it, out, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -261,12 +267,15 @@ func (db *DB) Run(root *physical.Node, b *bindings.Bindings) (rows []storage.Row
 // operator inside it. Under Run, decorators and serial iterators are
 // carved from the run's frame.
 func (db *DB) Build(n *physical.Node, b *bindings.Bindings) (*opIter, Schema, error) {
+	if db.sc == nil {
+		db.sc = new(scratch) // outside Run
+	}
 	it, schema, err := db.compile(n, b)
 	if err != nil {
 		return nil, nil, err
 	}
-	db.f.built++
-	op := carve(&db.f.ops, opIter{db: db, inner: it, node: n})
+	db.sc.f.built++
+	op := carve(&db.sc.f.ops, opIter{db: db, inner: it, node: n})
 	if db.Obs.Enabled() {
 		op.c = db.Obs.StatsFor(n)
 		op.mem, _ = it.(memReporter)

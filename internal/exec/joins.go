@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sync"
 
 	"dynplan/internal/bindings"
 	"dynplan/internal/btree"
@@ -21,7 +20,7 @@ func (db *DB) buildHashJoin(n *physical.Node, b *bindings.Bindings) (Iterator, S
 	if err != nil {
 		return nil, nil, err
 	}
-	buildRows := db.startRows(n.Children[0], b) // sized to the build side's prediction
+	buildRows := db.startRows(n.Children[0], b, db.sc) // sized to the build side's prediction
 	right, rs, err := db.Build(n.Children[1], b)
 	if err != nil {
 		return nil, nil, err
@@ -34,8 +33,8 @@ func (db *DB) buildHashJoin(n *physical.Node, b *bindings.Bindings) (Iterator, S
 	if err != nil {
 		return nil, nil, err
 	}
-	return carve(&db.f.hashes, hashJoinIter{
-		db: db, build: left, probe: cursor{src: right},
+	return carve(&db.sc.f.hashes, hashJoinIter{
+		db: db, sc: db.sc, build: left, probe: cursor{src: right, sc: db.sc},
 		buildCol: lcol, probeCol: rcol,
 		buildNode:     n.Children[0],
 		buildSchema:   ls,
@@ -43,6 +42,7 @@ func (db *DB) buildHashJoin(n *physical.Node, b *bindings.Bindings) (Iterator, S
 		probeRowBytes: n.Children[1].RowBytes,
 		memPages:      b.Memory,
 		rows:          buildRows,
+		out:           db.joinSlab(n),
 	}), db.joinSchema(ls, rs), nil
 }
 
@@ -78,6 +78,7 @@ func (it *hashJoinIter) graceSpill() {
 // in build-insertion order without a slice per key.
 type hashJoinIter struct {
 	db       *DB
+	sc       *scratch // draws the build rows, the table and the probe vectors
 	build    Iterator
 	buildCol int
 	probeCol int
@@ -112,7 +113,7 @@ func (it *hashJoinIter) Open() error {
 	if err := it.build.Open(); err != nil {
 		return err
 	}
-	rows, err := drain(it.build, it.rows[:0])
+	rows, err := drain(it.build, it.rows[:0], it.sc)
 	it.rows = rows
 	it.db.Acc.Tuples(int64(len(rows)))
 	if err != nil {
@@ -122,7 +123,7 @@ func (it *hashJoinIter) Open() error {
 		return err
 	}
 	it.buildClosed = true
-	it.table.build(rows, it.buildCol)
+	it.table.build(rows, it.buildCol, it.sc)
 	// The build side is a materialization point: its true cardinality is
 	// now known, so the guard can compare it against the predicted band
 	// before the probe side spends any work. The rows are in arrival
@@ -223,12 +224,12 @@ const fibonacci = 0x9E3779B97F4A7C15
 // home returns the slot a key hashes to.
 func (t *joinTable) home(k int64) uint64 { return uint64(k) * fibonacci >> t.shift }
 
-// build indexes rows by column col. The rows are linked back to front, so
-// every chain starts at its key's first row and runs in insertion order.
-func (t *joinTable) build(rows []storage.Row, col int) {
+// build indexes rows by column col in a buffer from sc, linked back to
+// front, so every chain starts at its key's first row and runs in order.
+func (t *joinTable) build(rows []storage.Row, col int, sc *scratch) {
 	n := len(rows)
 	logSlots := bits.Len(uint(max(2*n-1, 1)))
-	buf := make([]int32, n+1<<logSlots)
+	buf := draw(sc, tableShelf, n+1<<logSlots)
 	t.rows, t.col, t.shift = rows, col, uint(64-logSlots)
 	t.next, t.slots = buf[:n:n], buf[n:]
 	mask := uint64(len(t.slots) - 1)
@@ -274,10 +275,11 @@ func (db *DB) buildMergeJoin(n *physical.Node, b *bindings.Bindings) (Iterator, 
 	if err != nil {
 		return nil, nil, err
 	}
-	return carve(&db.f.merges, mergeJoinIter{
+	return carve(&db.sc.f.merges, mergeJoinIter{
 		db:    db,
 		left:  mergeInput{it: left, col: lcol, side: "left"},
 		right: mergeInput{it: right, col: rcol, side: "right"},
+		out:   db.joinSlab(n),
 	}), db.joinSchema(ls, rs), nil
 }
 
@@ -443,8 +445,9 @@ func (db *DB) buildIndexJoin(n *physical.Node, b *bindings.Bindings) (Iterator, 
 	if err != nil {
 		return nil, nil, err
 	}
-	it := carve(&db.f.indexes, indexJoinIter{
-		db: db, outer: cursor{src: outer}, table: table, tree: tree, ocol: ocol, residCol: -1,
+	it := carve(&db.sc.f.indexes, indexJoinIter{
+		db: db, outer: cursor{src: outer, sc: db.sc}, table: table, tree: tree, ocol: ocol, residCol: -1,
+		out: db.joinSlab(n),
 	})
 	if n.SelAttr != "" {
 		col, limit, err := db.predicate(n.SelAttr, n.Var, n.FixedSel, innerSchema, b)
@@ -538,13 +541,17 @@ func (db *DB) buildSort(n *physical.Node, b *bindings.Bindings) (Iterator, Schem
 	if err != nil {
 		return nil, nil, err
 	}
-	return carve(&db.f.sorts, sortIter{
-		db: db, child: child, col: col,
+	sc := db.sc
+	if n == db.sc.f.root {
+		sc = nil // a root Sort's buffer is the result
+	}
+	return carve(&db.sc.f.sorts, sortIter{
+		db: db, sc: sc, child: child, col: col,
 		childNode:   n.Children[0],
 		childSchema: schema,
 		rowBytes:    n.Children[0].RowBytes,
 		memPages:    b.Memory,
-		rows:        db.startRows(n.Children[0], b), // sized to the input's prediction
+		rows:        db.startRows(n.Children[0], b, sc), // sized to the input's prediction
 	}), schema, nil
 }
 
@@ -552,6 +559,7 @@ func (db *DB) buildSort(n *physical.Node, b *bindings.Bindings) (Iterator, Schem
 // it stably by one column with sortRows.
 type sortIter struct {
 	db    *DB
+	sc    *scratch // draws the buffer
 	child Iterator
 	col   int
 	// childNode and childSchema identify the materialized input subtree
@@ -577,7 +585,7 @@ func (it *sortIter) Open() error {
 	if err := it.child.Open(); err != nil {
 		return err
 	}
-	rows, err := drain(it.child, it.rows[:0])
+	rows, err := drain(it.child, it.rows[:0], it.sc)
 	it.rows, it.pos = rows, 0
 	it.db.Acc.Tuples(int64(len(rows)))
 	if err != nil {
@@ -597,7 +605,7 @@ func (it *sortIter) Open() error {
 	if len(rows) > it.maxRows {
 		it.maxRows = len(rows)
 	}
-	sortRows(rows, it.col)
+	sortRows(rows, it.col, it.db.sc)
 	// Charge external-sort I/O when the input would not fit in memory:
 	// run generation plus merge passes, write + read each (mirroring the
 	// cost model's formula).
@@ -661,20 +669,16 @@ type sortKey struct {
 	pos int32
 }
 
-// sortKeys recycles sortRows' key buffers across sorts.
-var sortKeys = sync.Pool{New: func() any { return new([]sortKey) }}
-
 // sortRows orders rows by column col, stably. It sorts pointer-free
-// (key, position) pairs — ordered by key, then position, which is the
+// (key, position) pairs from sc — by key, then position, which is the
 // stable order — and then permutes the rows into that order by following
 // its cycles, so a row header moves once instead of at every swap of an
 // in-place stable sort, and the sort itself takes no write barrier.
-func sortRows(rows []storage.Row, col int) {
+func sortRows(rows []storage.Row, col int, sc *scratch) {
 	if len(rows) < 2 {
 		return
 	}
-	buf := sortKeys.Get().(*[]sortKey)
-	keys := slices.Grow((*buf)[:0], len(rows))[:len(rows)]
+	keys := draw(sc, keyShelf, len(rows))
 	for i, r := range rows {
 		keys[i] = sortKey{r[col], int32(i)}
 	}
@@ -706,6 +710,4 @@ func sortRows(rows []storage.Row, col int) {
 			i = from
 		}
 	}
-	*buf = keys[:0]
-	sortKeys.Put(buf)
 }

@@ -32,7 +32,7 @@ func checkKernels(t *testing.T, keys []int64) {
 	rows := kernelRows(keys)
 
 	var table joinTable
-	table.build(rows, 0)
+	table.build(rows, 0, nil)
 	// Lookups end at an empty slot, so the table must keep some empty.
 	if s := len(table.slots); s < 2*len(rows) || s&(s-1) != 0 {
 		t.Fatalf("%d build rows: %d slots, want a power of two at least twice the rows", len(rows), s)
@@ -59,7 +59,7 @@ func checkKernels(t *testing.T, keys []int64) {
 	}
 
 	got, want := slices.Clone(rows), slices.Clone(rows)
-	sortRows(got, 0)
+	sortRows(got, 0, nil)
 	slices.SortStableFunc(want, func(a, b storage.Row) int { return cmp.Compare(a[0], b[0]) })
 	for i := range want {
 		if &got[i][0] != &want[i][0] {
@@ -73,7 +73,7 @@ func checkKernels(t *testing.T, keys []int64) {
 // n rows.
 func tableShape(n int) (shift uint, slots int) {
 	var table joinTable
-	table.build(kernelRows(make([]int64, n)), 0)
+	table.build(kernelRows(make([]int64, n)), 0, nil)
 	return table.shift, len(table.slots)
 }
 
@@ -119,7 +119,7 @@ func TestJoinAndSortKernels(t *testing.T) {
 		// hashes to slot home.
 		homeAll := func(keys []int64, home uint64) {
 			var table joinTable
-			table.build(kernelRows(keys), 0)
+			table.build(kernelRows(keys), 0, nil)
 			for _, k := range keys {
 				if h := table.home(k); h != home {
 					t.Fatalf("key %d homes at slot %d, want %d", k, h, home)

@@ -19,7 +19,7 @@ func (db *DB) buildFileScan(n *physical.Node) (Iterator, Schema, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return carve(&db.f.files, fileScanIter{db: db, table: table}), schema, nil
+	return carve(&db.sc.f.files, fileScanIter{db: db, table: table}), schema, nil
 }
 
 type fileScanIter struct {
@@ -96,7 +96,7 @@ func (db *DB) buildBtreeScan(n *physical.Node) (Iterator, Schema, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return carve(&db.f.btrees, btreeScanIter{
+	return carve(&db.sc.f.btrees, btreeScanIter{
 		db: db, table: table, tree: tree,
 		lo: math.Inf(-1), hi: math.Inf(1),
 	}), schema, nil
@@ -121,7 +121,7 @@ func (db *DB) buildFilterBtreeScan(n *physical.Node, b *bindings.Bindings) (Iter
 	if err != nil {
 		return nil, nil, err
 	}
-	return carve(&db.f.btrees, btreeScanIter{
+	return carve(&db.sc.f.btrees, btreeScanIter{
 		db: db, table: table, tree: tree,
 		lo: math.Inf(-1), hi: limit, exclusiveHi: true,
 	}), schema, nil
@@ -206,7 +206,7 @@ func (db *DB) buildFilter(n *physical.Node, b *bindings.Bindings) (Iterator, Sch
 	if err != nil {
 		return nil, nil, err
 	}
-	return carve(&db.f.filters, filterIter{db: db, child: child, col: col, limit: limit}), schema, nil
+	return carve(&db.sc.f.filters, filterIter{db: db, child: child, col: col, limit: limit}), schema, nil
 }
 
 type filterIter struct {
@@ -221,7 +221,8 @@ func (it *filterIter) Open() error { return it.child.Open() }
 // NextBatch reads an input vector straight into dst and compacts the
 // qualifying rows to its front, one tuple charge per input row; an input
 // vector with no qualifying row is followed by the next. Reading at most
-// len(dst) input rows keeps every qualifying row it reads.
+// len(dst) input rows keeps every qualifying row it reads; compaction
+// stores a row header only once a row before it was dropped.
 func (it *filterIter) NextBatch(dst []storage.Row) (int, error) {
 	for {
 		m, err := it.child.NextBatch(dst)
@@ -229,7 +230,10 @@ func (it *filterIter) NextBatch(dst []storage.Row) (int, error) {
 			it.db.Acc.Tuples(int64(m))
 		}
 		n := 0
-		for _, row := range dst[:m] {
+		for n < m && float64(dst[n][it.col]) < it.limit {
+			n++
+		}
+		for _, row := range dst[min(n+1, m):m] {
 			if float64(row[it.col]) < it.limit {
 				dst[n] = row
 				n++
