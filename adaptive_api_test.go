@@ -245,9 +245,8 @@ func TestAdaptiveComposes(t *testing.T) {
 		{"governed", e.dyn, ExecOptions{Adaptive: true, Governed: true}},
 		{"resilient", e.mod, ExecOptions{Adaptive: true, Resilient: true}},
 		{"reopt", e.dyn, ExecOptions{Adaptive: true, Reopt: &ReoptPolicy{Query: e.q}}},
-		{"parallel", e.dyn, ExecOptions{Adaptive: true, Parallel: true}},
 		{"everything", e.mod, ExecOptions{Adaptive: true, Governed: true, Resilient: true,
-			Reopt: &ReoptPolicy{Query: e.q}, Parallel: true, Trace: true}},
+			Reopt: &ReoptPolicy{Query: e.q}, Trace: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			res, err := e.db.Exec(ctx, tc.target, e.binds, tc.o)
@@ -262,9 +261,6 @@ func TestAdaptiveComposes(t *testing.T) {
 			}
 			if (res.Admission != nil) != tc.o.Governed {
 				t.Errorf("admission account present = %v, governed = %v", res.Admission != nil, tc.o.Governed)
-			}
-			if (res.Parallel != nil) != tc.o.Parallel {
-				t.Errorf("parallel account present = %v, parallel = %v", res.Parallel != nil, tc.o.Parallel)
 			}
 			if res.Operators == nil || res.PlanDigest == "" || len(res.Calibration) == 0 {
 				t.Error("adaptive run is not metered, digested and calibrated like every other run")

@@ -1,15 +1,14 @@
-// The benchmark ledger: the nine committed BENCH_<name>.json run records,
+// The benchmark ledger: the seven committed BENCH_<name>.json run records,
 // the machine-readable counterpart of the paper's §6 figures (4, 6 and 7)
-// and of the layers built on them (stage dispatch, span tracing, parallel
-// joins, worker-fault recovery, the plan cache, mid-query re-optimization).
+// and of the layers built on them (stage dispatch, span tracing, the plan
+// cache, mid-query re-optimization).
 //
 // Every record is computed deterministically — simulated costs, node
 // counts, decisions, page and tuple counters, no wall-clock figure — so
-// TestBenchLedger rebuilds all nine on every `go test` and requires each
+// TestBenchLedger rebuilds all seven on every `go test` and requires each
 // to match its committed copy byte for byte: a changed, missing or extra
 // record fails. The builders also enforce the acceptance floors their
-// layers promise (parallel speedup, worker-fault re-reads, plan-cache
-// advantage). After an intentional behaviour change, refresh the records
+// layers promise (the plan-cache advantage). After an intentional behaviour change, refresh the records
 // with:
 //
 //	go test -run TestBenchLedger -update .
@@ -41,8 +40,6 @@ var ledger = []struct {
 	{"figure7-startup", figure7Record},
 	{"exec-pipeline-overhead", execPipelineRecord},
 	{"trace-overhead", traceOverheadRecord},
-	{"parallel-joins", parallelJoinsRecord},
-	{"worker-faults", workerFaultsRecord},
 	{"plan-cache", planCacheRecord},
 	{"reopt-stale-catalog", reoptStaleCatalogRecord},
 }

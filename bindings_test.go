@@ -10,8 +10,8 @@ import (
 
 // TestSharedBindingsUnchanged checks that executions only read the
 // caller's Selectivities map, which Exec aliases instead of copying:
-// after a plain, an Adaptive, a re-optimizing, a Resilient and a Parallel
-// execution — the first two correct selectivities mid-query — the map is
+// after a plain, an Adaptive, a re-optimizing and a Resilient execution —
+// the first two correct selectivities mid-query — the map is
 // unchanged, and 16 goroutines sharing one Bindings value all get the
 // plain execution's rows.
 func TestSharedBindingsUnchanged(t *testing.T) {
@@ -35,7 +35,6 @@ func TestSharedBindingsUnchanged(t *testing.T) {
 		{"adaptive", ExecOptions{Adaptive: true}},
 		{"reopt", ExecOptions{Reopt: &ReoptPolicy{}}},
 		{"resilient", ExecOptions{Resilient: true}},
-		{"parallel", ExecOptions{Parallel: true, MaxDOP: 4}},
 	}
 	var truth []string
 	for _, c := range cases {

@@ -137,25 +137,6 @@ func TestReoptLane(t *testing.T) {
 	}
 }
 
-// TestFaultLane: with -worker-faults the parallel workload hits transient
-// faults in one scan partition of E1; worker retries absorb every one,
-// and the recovery shows in /metrics.
-func TestFaultLane(t *testing.T) {
-	d := boot(t, "-n", "30", "-interval", "0", "-worker-faults", "0.3")
-
-	var m dynplan.MetricsSnapshot
-	getJSON(t, d, "/metrics", &m)
-	if m.Errors != 0 || m.Queries < 30 {
-		t.Errorf("errors %d, queries %d: want 0 and >= 30", m.Errors, m.Queries)
-	}
-	if m.ParallelQueries < 1 || m.WorkerRetries < 1 {
-		t.Errorf("parallel queries %d, worker retries %d: want both >= 1", m.ParallelQueries, m.WorkerRetries)
-	}
-	if m.WorkerRetryBackoff.Count < m.WorkerRetries {
-		t.Errorf("backoff histogram count %d < %d worker retries", m.WorkerRetryBackoff.Count, m.WorkerRetries)
-	}
-}
-
 // TestTraceLane: with -reopt -trace every query builds a span tree; the
 // trees in /traces are complete and reconcile, /queries cross-references
 // them, and /metrics carries the per-stage latency histograms.

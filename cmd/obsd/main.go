@@ -13,7 +13,7 @@
 //
 // Usage:
 //
-//	obsd [-addr :8344] [-seed 7] [-n 200] [-interval 50ms] [-stale 4] [-reopt] [-worker-faults 0] [-trace] [-profile]
+//	obsd [-addr :8344] [-seed 7] [-n 200] [-interval 50ms] [-stale 4] [-reopt] [-trace] [-profile]
 //
 // The demo database is the 3-way chain join the repository's experiments
 // use (E1 ⋈ E2 ⋈ E3, each with a selection on a host variable), executed
@@ -23,17 +23,11 @@
 // calibration table has a genuine offender to flag. -reopt arms mid-query
 // re-optimization on every workload query: the stale relation trips a
 // cardinality guard mid-flight and the remedy (switch or re-plan) lands
-// in the /queries trace ring and the /metrics reopt counters.
-// -worker-faults arms per-worker fault injection at the given transient
-// rate, confined to one parallel scan partition of E1, and switches the
-// workload to parallel execution: worker retries absorb the faults and
-// the recovery shows up live in the worker_retries / dop_degrades
-// counters, the worker-retry backoff histogram, and the degrade events
-// in /queries. -trace turns on end-to-end span tracing, populating
-// /traces with each query's span tree and /metrics with per-stage
-// latency histograms. -profile additionally mounts the runtime
-// profiler (/debug/pprof/...) and expvar (/debug/vars) next to the
-// observatory endpoints. With -n 0 the server starts with an empty
+// in the /queries trace ring and the /metrics reopt counters. -trace
+// turns on end-to-end span tracing, populating /traces with each query's
+// span tree and /metrics with per-stage latency histograms. -profile
+// additionally mounts the runtime profiler (/debug/pprof/...) and expvar
+// (/debug/vars) next to the observatory endpoints. With -n 0 the server starts with an empty
 // registry; otherwise it keeps serving after the workload finishes so
 // the endpoints can be inspected at leisure.
 package main
@@ -90,8 +84,6 @@ func newDaemon(args []string) (*daemon, error) {
 	interval := fs.Duration("interval", 50*time.Millisecond, "pause between workload queries")
 	stale := fs.Float64("stale", 4, "staleness factor applied to E1's real cardinality")
 	reopt := fs.Bool("reopt", false, "arm mid-query re-optimization on every workload query")
-	workerFaults := fs.Float64("worker-faults", 0,
-		"transient-fault rate injected into one parallel scan partition of E1; > 0 runs the workload parallel")
 	trace := fs.Bool("trace", false, "turn on end-to-end span tracing (/traces, per-stage latency histograms)")
 	profile := fs.Bool("profile", false, "mount net/http/pprof under /debug/pprof/ and expvar under /debug/vars")
 	_ = fs.Parse(args) // ExitOnError: a bad command line never returns
@@ -108,11 +100,6 @@ func newDaemon(args []string) (*daemon, error) {
 		TenantSlots:   2,
 		TenantPages:   128,
 	})
-	if *workerFaults > 0 {
-		if err := armWorkerFaults(db, *seed, *workerFaults); err != nil {
-			return nil, err
-		}
-	}
 	if *trace {
 		db.EnableTracing()
 	}
@@ -132,7 +119,7 @@ func newDaemon(args []string) (*daemon, error) {
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		mux.Handle("/debug/vars", expvar.Handler())
 	}
-	workload := func() error { return runWorkload(db, mod, rp, *seed, *n, *interval, *workerFaults > 0) }
+	workload := func() error { return runWorkload(db, mod, rp, *seed, *n, *interval) }
 	return &daemon{addr: *addr, db: db, handler: mux, workload: workload}, nil
 }
 
@@ -194,40 +181,10 @@ func demoDatabase(seed int64, staleness float64) (*dynplan.Database, *dynplan.Sy
 	return db, sys, mod, q, nil
 }
 
-// armWorkerFaults installs transient-fault injection confined to one
-// parallel scan partition of E1 — the middle worker's page range at the
-// demo's default DOP — so each fault lands inside a single exchange
-// worker's fault domain and the per-worker retry absorbs it.
-func armWorkerFaults(db *dynplan.Database, seed int64, rate float64) error {
-	pages, err := db.RelationPages("E1")
-	if err != nil {
-		return err
-	}
-	const dop = 2 // the DOP a 96-page grant funds on the demo joins
-	lo, hi := dynplan.PartitionPageRange(pages, dop, dop/2)
-	// Poison a small slice of the partition, not all of it: each worker
-	// retry heals one page, so the faulty pages per domain must stay well
-	// inside the retry budget for the absorption to be visible.
-	if hi > lo+8 {
-		hi = lo + 8
-	}
-	db.InjectFaults(dynplan.FaultConfig{
-		Seed:          seed,
-		TransientRate: rate,
-		TargetRel:     "E1",
-		TargetPageLo:  lo,
-		TargetPageHi:  hi,
-	})
-	log.Printf("obsd: worker faults armed: E1 pages [%d, %d) transient at %g", lo, hi, rate)
-	return nil
-}
-
 // runWorkload drives n governed executions with varied selectivities and
 // memory, the traffic the endpoints report on. A non-nil re-optimization
-// policy arms the cardinality guards on every query; parallel switches
-// the workload to parallel execution so exchange workers (and their
-// retry fault domains) carry the scans.
-func runWorkload(db *dynplan.Database, mod *dynplan.Module, rp *dynplan.ReoptPolicy, seed int64, n int, interval time.Duration, parallel bool) error {
+// policy arms the cardinality guards on every query.
+func runWorkload(db *dynplan.Database, mod *dynplan.Module, rp *dynplan.ReoptPolicy, seed int64, n int, interval time.Duration) error {
 	rng := rand.New(rand.NewSource(seed))
 	sels := []float64{0.05, 0.1, 0.25, 0.5, 0.8}
 	mems := []float64{32, 64, 96}
@@ -244,13 +201,6 @@ func runWorkload(db *dynplan.Database, mod *dynplan.Module, rp *dynplan.ReoptPol
 			Governed:  true,
 			Resilient: true,
 			Reopt:     rp,
-			Parallel:  parallel,
-		}
-		if parallel {
-			// A deeper worker-retry budget than the default 3: the armed
-			// fault slice can hold several faulty pages, and each retry
-			// heals exactly one.
-			opts.WorkerRetry = &dynplan.WorkerRetryPolicy{MaxAttempts: 10}
 		}
 		if _, err := db.Exec(context.Background(), mod, b, opts); err != nil {
 			return err

@@ -61,11 +61,11 @@ func TestConcurrentQueriesOneDatabase(t *testing.T) {
 	for _, cfg := range configs {
 		inj := storage.NewInjector(cfg)
 		for _, rel := range []string{"C1", "C2", "C3"} {
-			pages, err := db.RelationPages(rel)
+			table, err := db.store.Table(rel)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for p := range pages {
+			for p := range table.NumPages() {
 				if inj.PageRead(rel, int32(p), nil) != nil {
 					maxAttempts++
 				}
@@ -233,8 +233,8 @@ func TestGovernedRejectionTaxonomy(t *testing.T) {
 
 // TestResilientBackoffMetadata pins the retry backoff contract: one
 // recorded pause per retry, each within the equal-jitter envelope of its
-// capped-exponential nominal value and equal to the exchange workers'
-// schedule at worker 0, the total summed on the result, every pause traced
+// capped-exponential nominal value and equal to the policy's backoff
+// schedule, the total summed on the result, every pause traced
 // as a decision, and the whole schedule reproducible from JitterSeed.
 func TestResilientBackoffMetadata(t *testing.T) {
 	sys, q := resilChainSystem(t, 2)
@@ -281,8 +281,8 @@ func TestResilientBackoffMetadata(t *testing.T) {
 		if d < nominal/2 || d > nominal {
 			t.Errorf("backoff %d = %v outside equal-jitter envelope [%v, %v]", i, d, nominal/2, nominal)
 		}
-		if want := exec.Backoff(pol.Backoff, pol.MaxBackoff, pol.JitterSeed, 0, i+1); d != want {
-			t.Errorf("backoff %d = %v, want the shared schedule's %v", i, d, want)
+		if want := backoff(pol.Backoff, pol.MaxBackoff, pol.JitterSeed, i+1); d != want {
+			t.Errorf("backoff %d = %v, want the policy's schedule %v", i, d, want)
 		}
 		sum += d
 	}

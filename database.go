@@ -90,25 +90,6 @@ func (db *Database) InjectFaults(cfg FaultConfig) {
 // the substrate mid-query.
 func (db *Database) injector() *storage.Injector { return db.faults.Load() }
 
-// RelationPages returns the number of heap pages a loaded relation
-// occupies — the figure per-worker fault targeting combines with
-// storage.PartitionPageRange to poison exactly one scan partition.
-func (db *Database) RelationPages(name string) (int, error) {
-	t, err := db.store.Table(name)
-	if err != nil {
-		return 0, err
-	}
-	return t.NumPages(), nil
-}
-
-// PartitionPageRange returns worker k's page range [lo, hi) when numPages
-// pages split into dop contiguous partitions — the same arithmetic the
-// parallel scan uses, re-exported for targeting fault injection at one
-// worker's fault domain.
-func PartitionPageRange(numPages, dop, k int) (lo, hi int32) {
-	return storage.PartitionPageRange(numPages, dop, k)
-}
-
 // OpenDatabase creates an empty database for the system's catalog. Load
 // rows with Insert (or GenerateData) and call BuildIndexes before
 // executing plans that use B-trees.
@@ -261,19 +242,6 @@ type ExecResult struct {
 	// neither option was set.
 	Reopt *ReoptAccount
 
-	// Parallel carries the intra-query parallelism account when the query
-	// ran with ExecOptions.Parallel: the DOP the grant funded, why serial
-	// was kept when it was, and per-worker tallies of every exchange.
-	// Nil on every non-parallel path.
-	Parallel *obs.ParallelStats
-
-	// Degrade lists the degradation-ladder steps the execution descended
-	// before succeeding — DOP halvings and the serial fallback, each with
-	// the escalated fault that forced it. Empty when no fault escaped
-	// per-worker retry (the overwhelmingly common case) and on every
-	// non-parallel path.
-	Degrade []DegradeEvent
-
 	// Tenant is the identity the query ran under (ExecOptions.Tenant or
 	// the prepared-statement front end's tenant header); empty for
 	// anonymous executions. PlanCacheHit reports that the executed module
@@ -284,16 +252,12 @@ type ExecResult struct {
 
 	// TraceID identifies the query's span tree and Trace carries it, when
 	// tracing was enabled (EnableTracing or ExecOptions.Trace): one span
-	// per pipeline stage, remedy-loop run, replan, and exchange worker,
-	// with explicit wait-state attribution. Render it with
-	// Trace.Render(), or fetch it later from /traces by TraceID.
+	// per pipeline stage, remedy-loop run, and replan, with explicit
+	// wait-state attribution. Render it with Trace.Render(), or fetch it
+	// later from /traces by TraceID.
 	TraceID string
 	Trace   *obs.TraceRecord
 }
-
-// DegradeEvent is one rung of the graceful-degradation ladder; see
-// ExecResult.Degrade.
-type DegradeEvent = obs.DegradeEvent
 
 // SimulatedSeconds converts the account to simulated execution time under
 // the system's cost-model constants.

@@ -42,8 +42,8 @@
 // part — admission and memory grants (Governed), retrying fallback onto
 // surviving alternatives (Resilient), mid-query re-optimization (Reopt,
 // or Adaptive for §7's observe-before-deciding trigger of the same loop),
-// parallelism, tracing. Database.Prepare returns a handle whose Exec
-// enters the same pipeline with a module from the shared plan cache.
+// tracing. Database.Prepare returns a handle whose Exec enters the same
+// pipeline with a module from the shared plan cache.
 //
 // See the examples directory for runnable programs: quickstart (the
 // paper's Figure 1 scenario), embeddedquery (Figure 2: hash-join

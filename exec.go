@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 
-	"dynplan/internal/exec"
 	"dynplan/internal/physical"
 	"dynplan/internal/plancache"
 )
@@ -90,28 +89,6 @@ type ExecOptions struct {
 	// violation, a per-query deadline, and the progress watchdog (see
 	// ReoptPolicy).
 	Reopt *ReoptPolicy
-	// Parallel enables intra-query parallelism: at activation the memory
-	// grant sets the worker count (one worker per 16 granted pages, capped
-	// by MaxDOP), and the plan runs with partitioned parallel scans beneath
-	// its serial joins when the cost model prices that below serial
-	// execution — degree of parallelism is a costed alternative,
-	// selected the way low-memory choose-plan branches are. Answers are
-	// digest-identical to serial execution. The result's Parallel field
-	// reports the selection. A fault that escapes the workers' own retries
-	// (WorkerRetry) re-runs the query narrower — halving the DOP down to
-	// serial — before a Resilient retry fires; the result's Degrade field
-	// lists the steps.
-	Parallel bool
-	// MaxDOP caps the worker count Parallel may choose; 0 selects the
-	// default of 4.
-	MaxDOP int
-	// WorkerRetry bounds the per-worker retry loop each exchange worker
-	// runs its partition under when Parallel is set: a retryable fault
-	// re-runs only that worker's partition, invisibly to the other
-	// workers. Nil selects the defaults (3 attempts, 100µs base backoff);
-	// MaxAttempts 1 disables worker retry, making every worker fault
-	// escalate immediately.
-	WorkerRetry *WorkerRetryPolicy
 	// Tenant names the identity the query runs under. The governor's
 	// per-tenant admission slots and grant quotas key on it (see
 	// GovernorConfig.TenantSlots), and it rides the result, the /queries
@@ -126,15 +103,11 @@ type ExecOptions struct {
 	cacheHit bool
 	// Trace builds an end-to-end span tree for this query regardless of
 	// the database-wide EnableTracing switch: one span per pipeline stage,
-	// remedy-loop run, replan, and exchange worker, with wait states
-	// attributed. The result's TraceID and Trace fields carry it,
-	// and the observatory's /traces ring retains it when enabled.
+	// remedy-loop run, and replan, with wait states attributed. The
+	// result's TraceID and Trace fields carry it, and the observatory's
+	// /traces ring retains it when enabled.
 	Trace bool
 }
-
-// WorkerRetryPolicy bounds the per-worker retry loop inside exchange
-// operators; see ExecOptions.WorkerRetry.
-type WorkerRetryPolicy = exec.WorkerRetryPolicy
 
 // Exec is the execution entry point: it runs query q — a *Plan, *Module,
 // *Activation, or resolved plan node — under the bindings, through the

@@ -7,9 +7,8 @@ import (
 )
 
 // batchRows is the vector length streaming operators settle at: large
-// enough to amortize per-call metering, cancellation polling, and channel
-// traffic across the exchange operators, small enough that an exchange
-// buffers only a few kilobytes per worker.
+// enough to amortize per-call metering and cancellation polling, small
+// enough that a batch of row headers stays a couple of kilobytes.
 const batchRows = 64
 
 // minBatch is the row count drains and join slabs start at when nothing

@@ -107,29 +107,6 @@ type DB struct {
 	// costs one pointer check per materialization.
 	Guards MatGuard
 
-	// Parallel, when > 1, is the degree of parallelism: base-relation
-	// scans compile into partitioned exchange operators with Parallel
-	// workers each (see exchange.go); every other operator runs serial
-	// over them. The zero value compiles the serial operators,
-	// byte-identical to a build without this field.
-	Parallel int
-	// Retry bounds the per-worker retry loop each exchange worker runs its
-	// partition under: a retryable fault re-runs only that partition (see
-	// WorkerRetryPolicy). Nil selects the defaults; it only applies when
-	// Parallel > 1.
-	Retry *WorkerRetryPolicy
-	// Par, when non-nil, collects per-exchange worker tallies for the
-	// execution's ParallelStats; nil-safe like Obs.
-	Par *obs.ParallelExec
-	// Trace, when non-nil, is the query's span tracer and Span the open
-	// parent span (the pipeline's Run stage): exchange operators hang one
-	// concurrent span per exchange and per worker goroutine under it,
-	// with backoff sleeps and blocked-on-channel time attributed as wait
-	// states. Nil (the default) costs one pointer check per exchange
-	// open.
-	Trace *obs.Trace
-	Span  *obs.Span
-
 	// Cards, when set, are the plan's predicted rows per operator in
 	// post-order (plan.StartupReport.Cards); they size the next serial
 	// Run's buffers and nothing else (see startRows). Run clears them once
@@ -293,27 +270,12 @@ func (db *DB) compile(n *physical.Node, b *bindings.Bindings) (Iterator, Schema,
 	}
 	switch n.Op {
 	case physical.FileScan:
-		if db.Parallel > 1 {
-			return db.buildParallelFileScan(n, nil, b)
-		}
 		return db.buildFileScan(n)
 	case physical.BtreeScan:
-		if db.Parallel > 1 {
-			return db.buildParallelBtreeScan(n, b, false)
-		}
 		return db.buildBtreeScan(n)
 	case physical.FilterBtreeScan:
-		if db.Parallel > 1 {
-			return db.buildParallelBtreeScan(n, b, true)
-		}
 		return db.buildFilterBtreeScan(n, b)
 	case physical.Filter:
-		if db.Parallel > 1 && n.Children[0].Op == physical.FileScan {
-			// Push the selection into the scan partitions: each worker
-			// filters its own pages, so only qualifying rows cross the
-			// exchange.
-			return db.buildParallelFileScan(n.Children[0], n, b)
-		}
 		return db.buildFilter(n, b)
 	case physical.Sort:
 		return db.buildSort(n, b)

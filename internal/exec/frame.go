@@ -12,10 +12,9 @@ import (
 // frame is one run's set-up memory: one exact-sized slab per kind — the
 // operator decorators, the iterators of each serial operator kind but the
 // Temp-Scan, the names behind every join schema — counted by one walk of
-// the plan. Only Run's goroutine carves, until the tree opens; exchange
-// workers' scans and a Temp-Scan, which only re-optimization splices in,
-// are allocated one by one. The names are the caller's, the other slabs
-// the scratch's. built is Build's post-order cursor into DB.Cards; root
+// the plan. Only Run's goroutine carves, until the tree opens; a
+// Temp-Scan, which only re-optimization splices in, is allocated on its
+// own. The names are the caller's, the other slabs the scratch's. built is Build's post-order cursor into DB.Cards; root
 // and result are the run's root and the join ownsResult walks down to.
 type frame struct {
 	ops          []opIter
@@ -33,12 +32,11 @@ type frame struct {
 
 // newFrame sizes a frame for compiling root from the slabs of the run's
 // scratch; a kind the plan lacks gets an empty slab. It drops DB.Cards
-// unless the run is serial and they hold one prediction per operator
-// count walks.
+// unless they hold one prediction per operator count walks.
 func (db *DB) newFrame(root *physical.Node) frame {
 	var c census
 	db.count(root, &c)
-	if db.Parallel > 1 || len(db.Cards) != c.ops {
+	if len(db.Cards) != c.ops {
 		db.Cards = nil
 	}
 	s := &db.sc.slabs
@@ -217,20 +215,15 @@ type census struct {
 // and returns the width of the subtree's schema.
 func (db *DB) count(n *physical.Node, c *census) (width int) {
 	c.ops++
-	par := db.Parallel > 1
 	switch op := n.Op; {
 	case op.IsScan():
-		if !par {
-			c.iters[op]++
-		}
+		c.iters[op]++
 		return db.width(n.Rel)
 	case op == physical.TempScan:
 		if t, ok := db.Temps[n.Rel]; ok {
 			return len(t.Schema)
 		}
 		return 0
-	case op == physical.Filter && par && n.Children[0].Op == physical.FileScan:
-		return db.width(n.Children[0].Rel) // pushed into the scan's workers
 	case op == physical.Filter, op == physical.Sort:
 		c.iters[op]++
 		return db.count(n.Children[0], c)

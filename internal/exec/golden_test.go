@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -29,9 +28,8 @@ var updateGolden = flag.Bool("update", false, "rewrite the testdata golden table
 const goldenPath = "testdata/exec_golden.json"
 
 // goldenRun is what one execution reports, reduced to exact values: the
-// result by digest (in delivery order for serial runs, as a sorted
-// multiset for parallel ones), the account by its four counters, and —
-// serial runs only — every operator's own tally in plan preorder.
+// result by digest in delivery order, the account by its four counters,
+// and every operator's own tally in plan preorder.
 type goldenRun struct {
 	Err     string   `json:"err,omitempty"`
 	Rows    int      `json:"rows"`
@@ -142,28 +140,16 @@ func digestRows(schema Schema, rows []storage.Row) string {
 	return fmt.Sprintf("%x", h.Sum(nil))[:24]
 }
 
-// goldenExec runs one resolved plan on a fresh accountant at the given
-// degree of parallelism (1 = serial, metered), with cards as its
-// predicted cardinalities.
-func goldenExec(base *DB, root *physical.Node, b *bindings.Bindings, dop int, cards []float64) goldenRun {
-	db := &DB{Catalog: base.Catalog, Store: base.Store, Indexes: base.Indexes, Acc: &storage.Accountant{}, Cards: cards}
-	if dop > 1 {
-		db.Parallel = dop
-	} else {
-		db.Obs = obs.NewCollector()
-	}
+// goldenExec runs one resolved plan, metered, on a fresh accountant, with
+// cards as its predicted cardinalities.
+func goldenExec(base *DB, root *physical.Node, b *bindings.Bindings, cards []float64) goldenRun {
+	db := &DB{Catalog: base.Catalog, Store: base.Store, Indexes: base.Indexes, Acc: &storage.Accountant{},
+		Obs: obs.NewCollector(), Cards: cards}
 	rows, schema, err := db.Run(root, b)
 	if err != nil {
 		return goldenRun{Err: err.Error()}
 	}
 	run := goldenRun{Rows: len(rows), Account: db.Acc.String()}
-	if dop > 1 {
-		sorted := make([]storage.Row, len(rows))
-		copy(sorted, rows)
-		sort.Slice(sorted, func(i, j int) bool { return slices.Compare(sorted[i], sorted[j]) < 0 })
-		run.Digest = digestRows(schema, sorted)
-		return run
-	}
 	run.Digest = digestRows(schema, rows)
 	seen := make(map[*obs.PlanStats]bool)
 	var walk func(s *obs.PlanStats)
@@ -186,8 +172,8 @@ func goldenExec(base *DB, root *physical.Node, b *bindings.Bindings, dop int, ca
 // TestExecGolden is the differential guard of the executor: the table in
 // testdata is recorded (with -update) by the executor as it stood before
 // its latest rewrite, and every run of the current one must reproduce it
-// exactly — the same rows in the same order, the same account, the same
-// per-operator tallies, and the same multiset and account at DOP 2 and 4.
+// exactly — the same rows in the same order, the same account and the
+// same per-operator tallies.
 // Refresh it only for an intended behaviour change, and say so.
 func TestExecGolden(t *testing.T) {
 	w := workload.New(11)
@@ -199,14 +185,12 @@ func TestExecGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s draw %d: %v", in.name, i, err)
 			}
-			for _, dop := range []int{1, 2, 4} {
-				got[fmt.Sprintf("%s/draw%02d/dop=%d", in.name, i, dop)] = goldenExec(base, rep.Chosen, b, dop, nil)
-			}
+			got[fmt.Sprintf("%s/draw%02d", in.name, i)] = goldenExec(base, rep.Chosen, b, nil)
 		}
 	}
 	for name, p := range goldenPlans(w) {
 		for key, b := range goldenHandBindings() {
-			got[fmt.Sprintf("hand/%s/%s", name, key)] = goldenExec(base, p, b, 1, nil)
+			got[fmt.Sprintf("hand/%s/%s", name, key)] = goldenExec(base, p, b, nil)
 		}
 	}
 	checkGolden(t, goldenPath, got)

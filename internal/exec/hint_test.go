@@ -30,17 +30,17 @@ func actualCards(base *DB, root *physical.Node, b *bindings.Bindings) []float64 
 }
 
 // TestHintsAreInvisible pins that DB.Cards size buffers and nothing else.
-// Every plan of the executor's golden table, and one DOP 2 run, executes
-// without predictions and then with them exact, a tenth and ten times the
-// actual rows, and one short. Every hinted run must return the unhinted
-// run's rows in the same order (as a multiset at DOP 2) under the same
-// schema, with the same account and the same per-operator tallies.
+// Every plan of the executor's golden table executes without predictions
+// and then with them exact, a tenth and ten times the actual rows, and one
+// short. Every hinted run must return the unhinted run's rows in the same
+// order under the same schema, with the same account and the same
+// per-operator tallies.
 func TestHintsAreInvisible(t *testing.T) {
 	w := workload.New(11)
 	base := testDB(t, w)
-	check := func(name string, root *physical.Node, b *bindings.Bindings, dop int) {
+	check := func(name string, root *physical.Node, b *bindings.Bindings) {
 		t.Helper()
-		want := goldenExec(base, root, b, dop, nil)
+		want := goldenExec(base, root, b, nil)
 		exact := actualCards(base, root, b)
 		scaled := func(f float64) []float64 {
 			out := make([]float64, len(exact))
@@ -53,30 +53,23 @@ func TestHintsAreInvisible(t *testing.T) {
 			name  string
 			cards []float64
 		}{{"exact", exact}, {"x0.1", scaled(0.1)}, {"x10", scaled(10)}, {"one short", exact[1:]}} {
-			if got := goldenExec(base, root, b, dop, h.cards); fmt.Sprint(got) != fmt.Sprint(want) {
+			if got := goldenExec(base, root, b, h.cards); fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Errorf("%s, %s predictions:\n got %+v\nwant %+v", name, h.name, got, want)
 			}
 		}
 	}
-	inputs := goldenInputs(t, w)
-	for _, in := range inputs {
+	for _, in := range goldenInputs(t, w) {
 		for i, b := range in.draws {
 			rep, err := in.mod.Activate(b, plan.StartupOptions{})
 			if err != nil {
 				t.Fatalf("%s draw %d: %v", in.name, i, err)
 			}
-			check(fmt.Sprintf("%s/draw%02d", in.name, i), rep.Chosen, b, 1)
+			check(fmt.Sprintf("%s/draw%02d", in.name, i), rep.Chosen, b)
 		}
 	}
 	for name, p := range goldenPlans(w) {
 		for key, b := range goldenHandBindings() {
-			check(fmt.Sprintf("hand/%s/%s", name, key), p, b, 1)
+			check(fmt.Sprintf("hand/%s/%s", name, key), p, b)
 		}
 	}
-	last := inputs[len(inputs)-1]
-	rep, err := last.mod.Activate(last.draws[0], plan.StartupOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check(last.name+"/draw00/dop=2", rep.Chosen, last.draws[0], 2)
 }

@@ -46,15 +46,14 @@ func storedDigest(t *testing.T, db *DB, rels ...string) string {
 type ownedRoot struct {
 	name   string
 	root   *physical.Node
-	dop    int
 	built  bool
 	hinted bool
 }
 
 // ownedRoots materializes the temporary t1 into db and returns every kind
 // of root: the ones whose rows Run copies because they are stored rows
-// (scans, a Sort or a Filter over one, a Temp-Scan, a parallel scan) and
-// the ones it returns as built (joins, a Sort over one, a parallel join).
+// (scans, a Sort or a Filter over one, a Temp-Scan) and the ones it
+// returns as built (joins, a Sort over one).
 // A root Sort hands Run its own buffer, sized from the predictions when
 // there are some, so a Sort over a scan and one over a join also run with
 // every operator predicted at 600 rows.
@@ -77,21 +76,19 @@ func ownedRoots(w *workload.Workload, db *DB, b *bindings.Bindings) ([]ownedRoot
 	}
 	hash := join(physical.HashJoin, filter("R1", "v1", scan("R1")), filter("R2", "v2", scan("R2")))
 	return []ownedRoot{
-		{"file-scan", scan("R1"), 1, false, false},
-		{"filter/file-scan", filter("R1", "v1", scan("R1")), 1, false, false},
-		{"btree-scan", &physical.Node{Op: physical.BtreeScan, Rel: "R1", Attr: "jh", BaseCard: card("R1"), RowBytes: 512}, 1, false, false},
-		{"sort/file-scan", srt("R1.jh", scan("R1")), 1, false, false},
-		{"temp-scan", &physical.Node{Op: physical.TempScan, Rel: "t1", RowBytes: 512}, 1, false, false},
-		{"parallel/file-scan", scan("R1"), 2, false, false},
-		{"hash-join", hash, 1, true, false},
+		{"file-scan", scan("R1"), false, false},
+		{"filter/file-scan", filter("R1", "v1", scan("R1")), false, false},
+		{"btree-scan", &physical.Node{Op: physical.BtreeScan, Rel: "R1", Attr: "jh", BaseCard: card("R1"), RowBytes: 512}, false, false},
+		{"sort/file-scan", srt("R1.jh", scan("R1")), false, false},
+		{"temp-scan", &physical.Node{Op: physical.TempScan, Rel: "t1", RowBytes: 512}, false, false},
+		{"hash-join", hash, true, false},
 		{"merge-join", join(physical.MergeJoin,
-			srt("R1.jh", filter("R1", "v1", scan("R1"))), srt("R2.jl", filter("R2", "v2", scan("R2")))), 1, true, false},
+			srt("R1.jh", filter("R1", "v1", scan("R1"))), srt("R2.jl", filter("R2", "v2", scan("R2")))), true, false},
 		{"index-join", &physical.Node{Op: physical.IndexJoin, Rel: "R2", Attr: "jl", LeftAttr: "R1.jh", RightAttr: "R2.jl",
-			BaseCard: card("R2"), RowBytes: 1024, Children: []*physical.Node{filter("R1", "v1", scan("R1"))}}, 1, true, false},
-		{"sort/hash-join", srt("R2.a", hash), 1, true, false},
-		{"parallel/hash-join", hash, 2, true, false},
-		{"hinted/sort/file-scan", srt("R1.jh", scan("R1")), 1, false, true},
-		{"hinted/sort/hash-join", srt("R2.a", hash), 1, true, true},
+			BaseCard: card("R2"), RowBytes: 1024, Children: []*physical.Node{filter("R1", "v1", scan("R1"))}}, true, false},
+		{"sort/hash-join", srt("R2.a", hash), true, false},
+		{"hinted/sort/file-scan", srt("R1.jh", scan("R1")), false, true},
+		{"hinted/sort/hash-join", srt("R2.a", hash), true, true},
 	}, nil
 }
 
@@ -103,11 +100,8 @@ func ownedBindings() *bindings.Bindings {
 	return b
 }
 
-// runOwned runs one root as its case says: at its DOP, with predictions
-// when hinted.
+// runOwned runs one root as its case says: with predictions when hinted.
 func runOwned(db *DB, c ownedRoot, b *bindings.Bindings) ([]storage.Row, Schema, error) {
-	db.Parallel = c.dop
-	defer func() { db.Parallel = 0 }()
 	if c.hinted {
 		var n census
 		db.count(c.root, &n)

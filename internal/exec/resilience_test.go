@@ -226,7 +226,7 @@ func TestTransientFaultsAbsorbedByRetries(t *testing.T) {
 
 // TestMemoryShrinkFailsHashBuild verifies a mid-query memory-shrink event
 // makes a no-longer-fitting hash build fail with ErrInsufficientMemory as
-// the build side finishes — over serial scans and over partitioned ones.
+// the build side finishes.
 func TestMemoryShrinkFailsHashBuild(t *testing.T) {
 	w := workload.New(11)
 	base := testDB(t, w)
@@ -238,20 +238,18 @@ func TestMemoryShrinkFailsHashBuild(t *testing.T) {
 	if !hasOp(p, physical.HashJoin) {
 		t.Fatal("chosen static plan has no hash join")
 	}
-	for _, dop := range []int{1, 2, 4} {
-		db := &DB{Catalog: base.Catalog, Store: base.Store, Indexes: base.Indexes, Acc: &storage.Accountant{},
-			Parallel: dop, Faults: storage.NewInjector(storage.FaultConfig{
-				Seed:                3,
-				MemShrinkAfterReads: 1,
-				MemShrinkFactor:     0.001,
-			})}
-		_, _, err := db.Run(p, b)
-		if !errors.Is(err, qerr.ErrInsufficientMemory) {
-			t.Fatalf("dop %d: want ErrInsufficientMemory, got %v", dop, err)
-		}
-		if !qerr.Retryable(err) {
-			t.Fatalf("dop %d: memory shortfall should be retryable (with a downgrade): %v", dop, err)
-		}
+	db := &DB{Catalog: base.Catalog, Store: base.Store, Indexes: base.Indexes, Acc: &storage.Accountant{},
+		Faults: storage.NewInjector(storage.FaultConfig{
+			Seed:                3,
+			MemShrinkAfterReads: 1,
+			MemShrinkFactor:     0.001,
+		})}
+	_, _, err := db.Run(p, b)
+	if !errors.Is(err, qerr.ErrInsufficientMemory) {
+		t.Fatalf("want ErrInsufficientMemory, got %v", err)
+	}
+	if !qerr.Retryable(err) {
+		t.Fatalf("memory shortfall should be retryable (with a downgrade): %v", err)
 	}
 }
 

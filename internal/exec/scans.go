@@ -25,25 +25,12 @@ func (db *DB) buildFileScan(n *physical.Node) (Iterator, Schema, error) {
 type fileScanIter struct {
 	db    *DB
 	table *storage.Table
-	// lo and hi bound the scanned page range [lo, hi); hi == 0 means the
-	// whole table. Partitioned parallel scans give each worker an explicit
-	// contiguous range, so together the workers read every page exactly
-	// once.
-	lo, hi int
-	page   int
-	slot   int
-}
-
-// limit returns the first page past this scan's range.
-func (it *fileScanIter) limit() int {
-	if it.hi > 0 {
-		return it.hi
-	}
-	return it.table.NumPages()
+	page  int
+	slot  int
 }
 
 func (it *fileScanIter) Open() error {
-	it.page, it.slot = it.lo, 0
+	it.page, it.slot = 0, 0
 	return nil
 }
 
@@ -57,7 +44,7 @@ func (it *fileScanIter) NextBatch(dst []storage.Row) (int, error) {
 	}
 	n := 0
 	var err error
-	for n < len(dst) && it.page < it.limit() {
+	for n < len(dst) && it.page < it.table.NumPages() {
 		rows := it.table.Page(it.page)
 		if it.slot == len(rows) {
 			it.page++
@@ -139,22 +126,12 @@ type btreeScanIter struct {
 	// exclusiveHi makes the upper bound strict ("attr < hi"), the
 	// predicate form bound selectivities translate to.
 	exclusiveHi bool
-	// preset, when non-nil, is a pre-drained RID list this iterator
-	// fetches instead of draining the tree itself: partitioned parallel
-	// B-tree scans drain the range once and hand each worker a contiguous
-	// chunk, preserving the index order across the concatenated workers.
-	preset []storage.RID
 
 	rids []storage.RID
 	pos  int
 }
 
 func (it *btreeScanIter) Open() error {
-	if it.preset != nil {
-		it.rids = it.preset
-		it.pos = 0
-		return nil
-	}
 	it.pos = 0
 	loKey := int64(math.MinInt64)
 	if !math.IsInf(it.lo, -1) {

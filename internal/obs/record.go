@@ -62,9 +62,6 @@ type RunRecord struct {
 	// Reopt lists the mid-query re-optimization decisions the execution
 	// took (guard violations and the remedies chosen).
 	Reopt []ReoptEvent `json:"reopt,omitempty"`
-	// Degrade lists the degradation-ladder steps the execution descended
-	// (DOP halvings and the serial fallback).
-	Degrade []DegradeEvent `json:"degrade,omitempty"`
 	// WallNanos is the query's end-to-end latency; UnixNanos stamps when
 	// the record was logged; Error carries the failure text for failed
 	// runs in the query log.

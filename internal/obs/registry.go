@@ -162,18 +162,6 @@ type RegistrySnapshot struct {
 	ReoptTempsCreated  int64 `json:"reopt_temps_created,omitempty"`
 	ReoptTempsReleased int64 `json:"reopt_temps_released,omitempty"`
 
-	// ParallelQueries counts queries that ran with DOP > 1;
-	// ParallelExchanges the exchange operators they ran; WorkerRetries the
-	// partition re-runs exchange workers absorbed inside their own fault
-	// domain. DopDegrades and SerialFallbacks count the degradation
-	// ladder's rungs — DOP halvings and drops to serial — including those
-	// of ladders that ultimately failed.
-	ParallelQueries   int64 `json:"parallel_queries,omitempty"`
-	ParallelExchanges int64 `json:"parallel_exchanges,omitempty"`
-	WorkerRetries     int64 `json:"worker_retries,omitempty"`
-	DopDegrades       int64 `json:"dop_degrades,omitempty"`
-	SerialFallbacks   int64 `json:"serial_fallbacks,omitempty"`
-
 	// PlanCacheHits, PlanCacheMisses, and PlanCacheEvictions are the shared
 	// plan cache's counters: hits are prepared executions served a cached
 	// compiled module (paying only start-up-time activation), misses paid
@@ -183,29 +171,23 @@ type RegistrySnapshot struct {
 	PlanCacheEvictions int64 `json:"plan_cache_evictions,omitempty"`
 
 	// PoolPages is the governor's grant-pool size; WorstQError the largest
-	// q-error any calibration verdict has reported; PartitionSkewMax the
-	// worst partition skew any parallel exchange has shown.
-	PoolPages        float64 `json:"pool_pages,omitempty"`
-	WorstQError      float64 `json:"worst_q_error,omitempty"`
-	PartitionSkewMax float64 `json:"partition_skew_max,omitempty"`
+	// q-error any calibration verdict has reported.
+	PoolPages   float64 `json:"pool_pages,omitempty"`
+	WorstQError float64 `json:"worst_q_error,omitempty"`
 
 	// LatencyNanos, QueueWaitNanos, and BackoffNanos are per-query
 	// nanosecond histograms; PagesRead and RowsOut a successful query's I/O
 	// volume and result size; ReplanNanos the optimizer time mid-query
-	// replans spent; ExchangeWait the time parallel gathers spent blocked
-	// on worker batches; WorkerRetryBackoff the nominal pause before each
-	// worker-retry attempt (deterministic, from the retry policy — not
-	// measured). Activation is a query's total start-up-time processing
-	// (choose-plan resolution) — the cost a plan-cache hit still pays.
-	LatencyNanos       Histogram `json:"latency_ns"`
-	QueueWaitNanos     Histogram `json:"queue_wait_ns"`
-	BackoffNanos       Histogram `json:"backoff_ns"`
-	PagesRead          Histogram `json:"pages_read"`
-	RowsOut            Histogram `json:"rows_out"`
-	ReplanNanos        Histogram `json:"replan_ns,omitempty"`
-	ExchangeWait       Histogram `json:"exchange_wait_ns,omitempty"`
-	WorkerRetryBackoff Histogram `json:"worker_retry_backoff_ns,omitempty"`
-	Activation         Histogram `json:"activation_ns"`
+	// replans spent. Activation is a query's total start-up-time
+	// processing (choose-plan resolution) — the cost a plan-cache hit
+	// still pays.
+	LatencyNanos   Histogram `json:"latency_ns"`
+	QueueWaitNanos Histogram `json:"queue_wait_ns"`
+	BackoffNanos   Histogram `json:"backoff_ns"`
+	PagesRead      Histogram `json:"pages_read"`
+	RowsOut        Histogram `json:"rows_out"`
+	ReplanNanos    Histogram `json:"replan_ns,omitempty"`
+	Activation     Histogram `json:"activation_ns"`
 
 	// Traces counts finished query traces; StageLatency holds one latency
 	// histogram per pipeline stage, fed by their spans.
@@ -239,17 +221,15 @@ type Outcome struct {
 	// ActivationNanos is the total start-up time of a query that Activated.
 	Activated       bool
 	ActivationNanos int64
-	// Reopt and Degrade are every attempt's re-optimization and
-	// degradation-ladder events; Stalls the watchdog trips; TempsCreated
-	// and TempsReleased the re-optimization controllers' temp ledger.
+	// Reopt is every attempt's re-optimization events; Stalls the
+	// watchdog trips; TempsCreated and TempsReleased the re-optimization
+	// controllers' temp ledger.
 	Reopt                               []ReoptEvent
-	Degrade                             []DegradeEvent
 	Stalls, TempsCreated, TempsReleased int64
 	// PagesRead and Rows are a successful query's I/O volume and result
-	// size; Parallel, Operators and Calibration its parallelism account,
-	// stats tree and calibration verdicts.
+	// size; Operators and Calibration its stats tree and calibration
+	// verdicts.
 	PagesRead, Rows int64
-	Parallel        *ParallelStats
 	Operators       *PlanStats
 	Calibration     []CalibrationVerdict
 	// Log is the query's /queries record (nil for a shed); Trace its sealed
@@ -305,14 +285,6 @@ func (r *Registry) Record(o *Outcome) {
 			m.ReplanNanos.Record(e.PlanningNanos)
 		}
 	}
-	for _, e := range o.Degrade {
-		switch e.Rung {
-		case "dop-halve":
-			m.DopDegrades++
-		case "serial-fallback":
-			m.SerialFallbacks++
-		}
-	}
 	if o.Activated {
 		m.Activation.Record(o.ActivationNanos)
 	}
@@ -359,18 +331,6 @@ func (r *Registry) Record(o *Outcome) {
 	} else {
 		m.PagesRead.Record(o.PagesRead)
 		m.RowsOut.Record(o.Rows)
-	}
-	if p := o.Parallel; p != nil && p.DOP > 1 {
-		m.ParallelQueries++
-		m.ParallelExchanges += int64(len(p.Exchanges))
-		m.PartitionSkewMax = max(m.PartitionSkewMax, p.MaxSkew())
-		m.WorkerRetries += p.WorkerRetries
-		for _, e := range p.Exchanges {
-			m.ExchangeWait.Record(e.GatherWaitNanos)
-			for _, ns := range e.RetryBackoffNanos {
-				m.WorkerRetryBackoff.Record(ns)
-			}
-		}
 	}
 	if o.Operators != nil {
 		var seen [32]*PlanStats
@@ -449,7 +409,7 @@ func (r *Registry) Snapshot() *RegistrySnapshot {
 	s.Tenants = maps.Clone(r.m.Tenants)
 	r.mu.Unlock()
 	for _, h := range []*Histogram{&s.LatencyNanos, &s.QueueWaitNanos, &s.BackoffNanos,
-		&s.PagesRead, &s.RowsOut, &s.ReplanNanos, &s.ExchangeWait, &s.WorkerRetryBackoff, &s.Activation} {
+		&s.PagesRead, &s.RowsOut, &s.ReplanNanos, &s.Activation} {
 		h.seal()
 	}
 	for k, h := range s.StageLatency {

@@ -129,8 +129,7 @@ func TestRegistryRecordQuery(t *testing.T) {
 	r := NewRegistry()
 	r.Record(&Outcome{Tenant: "a", WallNanos: 1000, Rows: 5, PagesRead: 12, Retries: 1, BackoffNanos: 50, Executions: 2})
 	r.Record(&Outcome{Tenant: "a", WallNanos: 9000, Failed: true, Retries: 2, BackoffNanos: 70, Executions: 3,
-		Reopt:   []ReoptEvent{{Stage: "violation"}, {Stage: "replan", PlanningNanos: 5}},
-		Degrade: []DegradeEvent{{Rung: "dop-halve"}, {Rung: "serial-fallback"}}})
+		Reopt: []ReoptEvent{{Stage: "violation"}, {Stage: "replan", PlanningNanos: 5}}})
 	r.Record(&Outcome{Tenant: "b", Shed: true})
 	s := r.Snapshot()
 	if s.Queries != 2 || s.Errors != 1 || s.Sheds != 1 || s.Retries != 3 || s.Executions != 5 {
@@ -144,7 +143,7 @@ func TestRegistryRecordQuery(t *testing.T) {
 	if s.PagesRead.Count != 1 || s.PagesRead.Sum != 12 || s.RowsOut.Sum != 5 {
 		t.Fatalf("pages_read %+v rows_out %+v", s.PagesRead, s.RowsOut)
 	}
-	if s.Reopts != 1 || s.ReoptReplans != 1 || s.ReplanNanos.Count != 1 || s.DopDegrades != 1 || s.SerialFallbacks != 1 {
+	if s.Reopts != 1 || s.ReoptReplans != 1 || s.ReplanNanos.Count != 1 {
 		t.Fatalf("event counters %+v", s)
 	}
 	if a, b := s.Tenants["a"], s.Tenants["b"]; a.Queries != 2 || a.Errors != 1 || a.QueueWait.Count != 2 || b.Queries != 0 || b.Sheds != 1 {

@@ -11,9 +11,9 @@ import (
 // did this query's wall-clock go". Where the Collector meters operators
 // and the Registry aggregates across queries, a Trace is one query's
 // hierarchical timeline — a span per pipeline stage, per run of the remedy
-// loop, per replan, and per parallel exchange worker — with the time a stage spent *waiting* (admission queue, grant
-// negotiation, retry/worker backoff sleep, exchange blocked-on-channel,
-// replan planning) attributed explicitly, so
+// loop, and per replan — with the time a stage spent *waiting* (admission
+// queue, grant negotiation, retry backoff sleep, replan planning)
+// attributed explicitly, so
 //
 //	sum(child spans) + attributed waits ≈ span duration
 //
@@ -34,14 +34,10 @@ const (
 	// SpanStage is one pipeline stage (Record, Admit, …, Run).
 	SpanStage = "stage"
 	// SpanAttempt is one run of the stages below the Remedy stage: the
-	// first, and each re-optimized, narrowed or retried re-run.
+	// first, and each re-optimized or retried re-run.
 	SpanAttempt = "attempt"
 	// SpanReplan is a mid-query re-plan between two attempts.
 	SpanReplan = "replan"
-	// SpanExchange is a parallel exchange operator's open-to-close life.
-	SpanExchange = "exchange"
-	// SpanWorker is one exchange worker goroutine.
-	SpanWorker = "worker"
 )
 
 // Wait-state kinds: the explicit attributions that close the gap between
@@ -53,11 +49,6 @@ const (
 	WaitGrant = "grant"
 	// WaitRetryBackoff is the retry remedy's backoff sleep between attempts.
 	WaitRetryBackoff = "retry-backoff"
-	// WaitWorkerBackoff is an exchange worker's pause before a partition
-	// retry (nominal, from the deterministic retry policy).
-	WaitWorkerBackoff = "worker-backoff"
-	// WaitExchangeChannel is consumer time blocked on worker batches.
-	WaitExchangeChannel = "exchange-channel"
 	// WaitReplanPlanning is optimizer time inside a mid-query re-plan.
 	WaitReplanPlanning = "replan-planning"
 )
@@ -69,17 +60,12 @@ type WaitState struct {
 }
 
 // Span is one node of a trace's tree. Offsets are nanoseconds since the
-// trace started, so a serialized tree is self-contained. Concurrent marks
-// spans that overlap their siblings in time (exchange operators and their
-// workers); reconciliation sums only non-concurrent children, since
-// concurrent ones share the parent's wall-clock rather than partitioning
-// it.
+// trace started, so a serialized tree is self-contained.
 type Span struct {
 	Name          string      `json:"name"`
 	Kind          string      `json:"kind"`
 	StartNanos    int64       `json:"start_ns"`
 	DurationNanos int64       `json:"duration_ns"`
-	Concurrent    bool        `json:"concurrent,omitempty"`
 	Waits         []WaitState `json:"waits,omitempty"`
 	Children      []*Span     `json:"children,omitempty"`
 
@@ -87,13 +73,13 @@ type Span struct {
 }
 
 // traceArenaSpans sizes the per-trace span arena: enough for the deepest
-// stock stack (5 stages) plus a realistic retry/reopt/parallel episode
+// stock stack (5 stages) plus a realistic retry/reopt episode
 // without touching the heap again.
 const traceArenaSpans = 48
 
 // Trace is one query's span tree under construction. All mutation goes
-// through the trace's mutex, so exchange worker goroutines can open,
-// annotate, and close their spans concurrently with the query goroutine.
+// through the trace's mutex, so a span may be opened, annotated, and
+// closed from any goroutine.
 type Trace struct {
 	id    string
 	start time.Time
@@ -120,9 +106,8 @@ func (t *Trace) ID() string {
 
 // Start opens a span under parent. A nil parent attaches to the root —
 // the first span started becomes the root itself. Nil-safe: a nil trace
-// returns a nil span, on which End, AddWait, and MarkConcurrent are
-// no-ops, so call sites need no branches beyond the trace check they
-// already make.
+// returns a nil span, on which End and AddWait are no-ops, so call sites
+// need no branches beyond the trace check they already make.
 func (t *Trace) Start(parent *Span, name, kind string) *Span {
 	if t == nil {
 		return nil
@@ -185,17 +170,6 @@ func (s *Span) AddWait(kind string, nanos int64) {
 	s.Waits = append(s.Waits, WaitState{Kind: kind, Nanos: nanos})
 }
 
-// MarkConcurrent flags the span as overlapping its siblings in time, so
-// reconciliation skips it when summing children against the parent.
-func (s *Span) MarkConcurrent() {
-	if s == nil || s.t == nil {
-		return
-	}
-	s.t.mu.Lock()
-	s.Concurrent = true
-	s.t.mu.Unlock()
-}
-
 // WaitNanos sums the span's attributed waits.
 func (s *Span) WaitNanos() int64 {
 	if s == nil {
@@ -208,26 +182,24 @@ func (s *Span) WaitNanos() int64 {
 	return n
 }
 
-// ChildNanos sums the durations of the span's non-concurrent children —
-// the part of this span's wall-clock its children partition among
-// themselves.
+// ChildNanos sums the durations of the span's children — the part of
+// this span's wall-clock its children partition among themselves.
 func (s *Span) ChildNanos() int64 {
 	if s == nil {
 		return 0
 	}
 	var n int64
 	for _, c := range s.Children {
-		if !c.Concurrent && c.DurationNanos > 0 {
+		if c.DurationNanos > 0 {
 			n += c.DurationNanos
 		}
 	}
 	return n
 }
 
-// SelfNanos is the span's duration not explained by non-concurrent
-// children or attributed waits: its own work (for leaves and for spans
-// whose children all run concurrently, like Run over exchanges) or
-// unattributed overhead (for pure wrapper spans).
+// SelfNanos is the span's duration not explained by children or
+// attributed waits: its own work (for leaves) or unattributed overhead
+// (for wrapper spans).
 func (s *Span) SelfNanos() int64 {
 	if s == nil {
 		return 0
@@ -286,12 +258,11 @@ func (t *Trace) Finish(err error) *TraceRecord {
 	return rec
 }
 
-// Unattributed sums, over every span that has non-concurrent children,
-// the positive self time — the wall-clock the trace fails to attribute to
-// a child span or an explicit wait. Leaves and concurrency fan-out points
-// (whose self time is genuine work) are excluded, so this is the
-// tracer's own accounting error, the quantity the reconciliation tests
-// bound.
+// Unattributed sums, over every span that has children, the positive
+// self time — the wall-clock the trace fails to attribute to a child span
+// or an explicit wait. Leaves (whose self time is genuine work) are
+// excluded, so this is the tracer's own accounting error, the quantity
+// the reconciliation tests bound.
 func (r *TraceRecord) Unattributed() int64 {
 	if r == nil || r.Root == nil {
 		return 0
@@ -310,7 +281,7 @@ func (r *TraceRecord) Unattributed() int64 {
 
 // Render formats the trace as an indented tree for EXPLAIN ANALYZE and
 // the README transcript: one line per span with duration, self time, and
-// waits, concurrent spans marked with ∥.
+// waits.
 func (r *TraceRecord) Render() string {
 	if r == nil || r.Root == nil {
 		return ""
@@ -324,11 +295,8 @@ func (r *TraceRecord) Render() string {
 	var walk func(s *Span, depth int)
 	walk = func(s *Span, depth int) {
 		sb.WriteString(strings.Repeat("  ", depth+1))
-		if s.Concurrent {
-			sb.WriteString("∥ ")
-		}
 		fmt.Fprintf(&sb, "%-10s %s", s.Name, fmtNanos(s.DurationNanos))
-		if self := s.SelfNanos(); len(s.Children) > 0 && self > 0 && !onlyConcurrentChildren(s) {
+		if self := s.SelfNanos(); len(s.Children) > 0 && self > 0 {
 			fmt.Fprintf(&sb, " (self %s)", fmtNanos(self))
 		}
 		for _, w := range s.Waits {
@@ -341,15 +309,6 @@ func (r *TraceRecord) Render() string {
 	}
 	walk(r.Root, 0)
 	return sb.String()
-}
-
-func onlyConcurrentChildren(s *Span) bool {
-	for _, c := range s.Children {
-		if !c.Concurrent {
-			return false
-		}
-	}
-	return len(s.Children) > 0
 }
 
 // fmtNanos renders a nanosecond count at µs resolution, the scale stage

@@ -101,7 +101,6 @@ func TestNilTraceAndSpanAreSafe(t *testing.T) {
 	// All span methods no-op on nil.
 	s.End()
 	s.AddWait(WaitGrant, 5)
-	s.MarkConcurrent()
 	s.Walk(func(*Span) { t.Fatal("nil span walked") })
 	if s.WaitNanos() != 0 || s.ChildNanos() != 0 || s.SelfNanos() != 0 {
 		t.Fatal("nil span reports time")
@@ -112,73 +111,19 @@ func TestNilTraceAndSpanAreSafe(t *testing.T) {
 	}
 }
 
-func TestTraceConcurrentChildrenExcludedFromReconciliation(t *testing.T) {
-	tr := NewTrace("t1")
-	root := tr.Start(nil, "Run", SpanStage)
-	ex := tr.Start(root, "gather E1", SpanExchange)
-	ex.MarkConcurrent()
-	for i := 0; i < 2; i++ {
-		w := tr.Start(ex, fmt.Sprintf("worker-%d", i), SpanWorker)
-		w.MarkConcurrent()
-		w.End()
-	}
-	ex.End()
-	root.End()
-	tr.Finish(nil)
-	if root.ChildNanos() != 0 {
-		t.Fatalf("concurrent exchange counted as sequential child time: %d", root.ChildNanos())
-	}
-	if ex.ChildNanos() != 0 {
-		t.Fatalf("concurrent workers counted as sequential child time: %d", ex.ChildNanos())
-	}
-}
-
-func TestTraceConcurrentSpanMutation(t *testing.T) {
-	// Worker goroutines open, annotate, and close spans while the query
-	// goroutine keeps building the chain — the tracer's lock must keep the
-	// tree consistent (run under -race in CI).
-	tr := NewTrace("t1")
-	root := tr.Start(nil, "Run", SpanStage)
-	ex := tr.Start(root, "gather", SpanExchange)
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			w := tr.Start(ex, fmt.Sprintf("worker-%d", i), SpanWorker)
-			w.MarkConcurrent()
-			w.AddWait(WaitWorkerBackoff, int64(i+1))
-			w.End()
-		}(i)
-	}
-	wg.Wait()
-	ex.End()
-	root.End()
-	rec := tr.Finish(nil)
-	if len(ex.Children) != 8 {
-		t.Fatalf("worker spans = %d, want 8", len(ex.Children))
-	}
-	names := map[string]bool{}
-	rec.Root.Walk(func(s *Span) { names[s.Name] = true })
-	if len(names) != 10 {
-		t.Fatalf("distinct spans = %d, want 10", len(names))
-	}
-}
-
 func TestTraceRecordRenderAndJSON(t *testing.T) {
 	tr := NewTrace("t00000007")
 	root := tr.Start(nil, "Record", SpanStage)
-	run := tr.Start(root, "Run", SpanStage)
-	ex := tr.Start(run, "gather E1", SpanExchange)
-	ex.MarkConcurrent()
-	ex.AddWait(WaitExchangeChannel, 1500)
-	ex.End()
+	run := tr.Start(root, "Remedy", SpanStage)
+	rp := tr.Start(run, "replan-1", SpanReplan)
+	rp.AddWait(WaitReplanPlanning, 1500)
+	rp.End()
 	run.End()
 	root.End()
 	rec := tr.Finish(nil)
 
 	out := rec.Render()
-	for _, want := range []string{"TRACE t00000007", "Record", "Run", "∥ gather E1", "[exchange-channel"} {
+	for _, want := range []string{"TRACE t00000007", "Record", "Remedy", "replan-1", "[replan-planning"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}
@@ -196,7 +141,7 @@ func TestTraceRecordRenderAndJSON(t *testing.T) {
 	if back.ID != rec.ID || back.Root == nil || len(back.Root.Children) != 1 {
 		t.Fatalf("round-trip lost the tree: %+v", back)
 	}
-	if back.Root.Children[0].Children[0].Kind != SpanExchange {
+	if back.Root.Children[0].Children[0].Kind != SpanReplan {
 		t.Fatalf("round-trip lost span kinds")
 	}
 }

@@ -44,16 +44,6 @@ type Params struct {
 	// z ≈ b ≈ 0.1 s, identical for static and dynamic plans.
 	ActivationTime float64
 
-	// ExchangeStartupTime is the per-worker cost of starting (and joining)
-	// one partition of an exchange operator — the parallel analogue of the
-	// per-node start-up charge of §4. ExchangeTupleTime is the per-row
-	// transfer cost across an exchange boundary (batching amortizes it
-	// well below TupleCPUTime). Together they are why the parallel
-	// alternative prices higher than serial for tiny inputs, letting
-	// least-expected-cost selection fall back to serial execution.
-	ExchangeStartupTime float64
-	ExchangeTupleTime   float64
-
 	// DefaultSelectivity is the point estimate static optimization
 	// substitutes for an unbound predicate (§6: 0.05).
 	DefaultSelectivity float64
@@ -68,22 +58,20 @@ type Params struct {
 // DefaultParams returns the calibrated experimental constants.
 func DefaultParams() Params {
 	return Params{
-		SeqPageTime:         float64(catalog.PageBytes) / 2e6, // 2 MB/s
-		RandIOTime:          0.0035,
-		TupleCPUTime:        50e-6,
-		CompareCPUTime:      10e-6,
-		BtreeProbeIOs:       5,
-		ChooseOverhead:      0.0004,
-		StartupNodeTime:     0.0004,
-		NodeBytes:           128,
-		DiskBandwidth:       2e6,
-		ActivationTime:      0.1,
-		ExchangeStartupTime: 0.0005,
-		ExchangeTupleTime:   5e-6,
-		DefaultSelectivity:  0.05,
-		ExpectedMemory:      64,
-		MemoryLo:            16,
-		MemoryHi:            112,
+		SeqPageTime:        float64(catalog.PageBytes) / 2e6, // 2 MB/s
+		RandIOTime:         0.0035,
+		TupleCPUTime:       50e-6,
+		CompareCPUTime:     10e-6,
+		BtreeProbeIOs:      5,
+		ChooseOverhead:     0.0004,
+		StartupNodeTime:    0.0004,
+		NodeBytes:          128,
+		DiskBandwidth:      2e6,
+		ActivationTime:     0.1,
+		DefaultSelectivity: 0.05,
+		ExpectedMemory:     64,
+		MemoryLo:           16,
+		MemoryHi:           112,
 	}
 }
 

@@ -89,39 +89,6 @@ func Retryable(err error) bool {
 	return errors.Is(err, ErrTransientIO) || errors.Is(err, ErrInsufficientMemory)
 }
 
-// Class names the taxonomy class an error falls into — the stable label
-// degradation events and diagnostics carry. The checks run most-specific
-// first, so an error wrapping several sentinels (an injected fault wraps
-// ErrFaultInjected and its transient/permanent kind) reports its kind.
-func Class(err error) string {
-	switch {
-	case err == nil:
-		return ""
-	case errors.Is(err, ErrCanceled):
-		return "canceled"
-	case errors.Is(err, ErrDeadlineExceeded):
-		return "deadline"
-	case errors.Is(err, ErrNoProgress):
-		return "no-progress"
-	case errors.Is(err, ErrCardinalityViolation):
-		return "cardinality"
-	case errors.Is(err, ErrInsufficientMemory):
-		return "insufficient-memory"
-	case errors.Is(err, ErrTransientIO):
-		return "transient-io"
-	case errors.Is(err, ErrPermanentIO):
-		return "permanent-io"
-	case errors.Is(err, ErrOperatorPanic):
-		return "operator-panic"
-	case errors.Is(err, ErrAdmission):
-		return "admission"
-	case errors.Is(err, ErrCircuitOpen):
-		return "circuit-open"
-	default:
-		return "unclassified"
-	}
-}
-
 // Canceled reports whether the error stems from context cancellation or
 // expiry, directly or wrapped.
 func Canceled(err error) bool {

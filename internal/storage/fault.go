@@ -58,23 +58,6 @@ type FaultConfig struct {
 	// failures; further reads pass. Use it to bound fault density in long
 	// sweeps.
 	MaxInjected int64
-	// TargetRel, when non-empty, confines injection to that relation's
-	// pages; reads of every other relation always pass. Combined with the
-	// page bounds below it poisons exactly one scan partition — the
-	// per-worker targeting the parallel fault-domain tests aim with.
-	TargetRel string
-	// TargetPageLo and TargetPageHi bound the poisoned page range
-	// [TargetPageLo, TargetPageHi) within TargetRel; a TargetPageHi of 0
-	// leaves the range unbounded above. Ignored when TargetRel is empty.
-	TargetPageLo, TargetPageHi int32
-}
-
-// PartitionPageRange returns worker k's page range [lo, hi) when numPages
-// pages are split into dop contiguous partitions — the same arithmetic
-// the exchange operators use to partition a heap scan, exported so fault
-// injection can target exactly one worker's pages.
-func PartitionPageRange(numPages, dop, k int) (lo, hi int32) {
-	return int32(numPages * k / dop), int32(numPages * (k + 1) / dop)
 }
 
 // FaultStats summarizes what an Injector has done.
@@ -172,12 +155,6 @@ func (f *Injector) PageRead(table string, page int32, acc *Accountant) error {
 
 // readLocked is one read attempt; the caller holds the mutex.
 func (f *Injector) readLocked(table string, page int32, acc *Accountant) error {
-	if f.cfg.TargetRel != "" {
-		if table != f.cfg.TargetRel || page < f.cfg.TargetPageLo ||
-			(f.cfg.TargetPageHi > 0 && page >= f.cfg.TargetPageHi) {
-			return nil
-		}
-	}
 	k := pageKey{table: table, page: page}
 	rem, touched := f.remaining[k]
 	if !touched {

@@ -33,7 +33,8 @@ type RID struct {
 }
 
 // Accountant tallies the simulated I/O and CPU work of an execution. All
-// counters are atomic so parallel operators could share one accountant.
+// counters are atomic so the re-optimization watchdog can poll the tuple
+// counter while the query runs.
 type Accountant struct {
 	seqPageReads  atomic.Int64
 	randPageReads atomic.Int64

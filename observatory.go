@@ -94,7 +94,7 @@ func (db *Database) Handler() http.Handler {
 // governor refused it, so it never started and counts apart from
 // queries), a failure, or a result — and its /queries record. A failed
 // query keeps everything it noted: its retries and backoff, its tenant
-// and plan-cache verdict, its re-optimization and degradation events.
+// and plan-cache verdict, its re-optimization events.
 func (st *execState) outcome(res *ExecResult, err error, trace *obs.TraceRecord) *obs.Outcome {
 	o := st.out
 	o.Tenant = st.o.Tenant
@@ -118,7 +118,6 @@ func (st *execState) outcome(res *ExecResult, err error, trace *obs.TraceRecord)
 			Backoffs:          len(st.remedy.backoffs),
 			BackoffTotalNanos: o.BackoffNanos,
 			Reopt:             o.Reopt,
-			Degrade:           o.Degrade,
 			Error:             err.Error(),
 			TraceID:           st.trace.t.ID(),
 			Tenant:            st.o.Tenant,
@@ -127,7 +126,7 @@ func (st *execState) outcome(res *ExecResult, err error, trace *obs.TraceRecord)
 	} else {
 		o.PagesRead = res.SeqPageReads + res.RandPageReads
 		o.Rows = int64(len(res.Rows))
-		o.Parallel, o.Operators, o.Calibration = res.Parallel, res.Operators, res.Calibration
+		o.Operators, o.Calibration = res.Operators, res.Calibration
 		o.Log = res.RunRecordFor("query", "", st.db.sys.cfg.Params)
 	}
 	o.Log.WallNanos = o.WallNanos

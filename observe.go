@@ -27,8 +27,8 @@ type (
 	// the unit the CI benchmark pipeline diffs (BENCH_<name>.json).
 	RunRecord = obs.RunRecord
 	// TraceRecord is one query's finished span tree: a span per pipeline
-	// stage, reopt attempt, degradation rung, and exchange worker, with
-	// wait states attributed (see ExecResult.Trace and /traces).
+	// stage, remedy-loop run, and replan, with wait states attributed (see
+	// ExecResult.Trace and /traces).
 	TraceRecord = obs.TraceRecord
 	// TraceSpan is one node of a trace's span tree.
 	TraceSpan = obs.Span
@@ -36,9 +36,8 @@ type (
 
 // EnableTracing turns on end-to-end span tracing for every subsequent
 // execution: each query builds a hierarchical span tree over its pipeline
-// stages — with re-optimization attempts, degradation rungs, parallel
-// exchange workers, and explicit wait-state attribution (admission queue,
-// grant negotiation, backoff sleeps, exchange channel waits, replan
+// stages — with remedy-loop runs, replans, and explicit wait-state
+// attribution (admission queue, grant negotiation, backoff sleeps, replan
 // planning time) — carried on ExecResult.Trace under a deterministic
 // TraceID. When the workload observatory is also enabled, finished traces
 // land in its bounded ring and are served by the /traces endpoint, and
@@ -112,10 +111,6 @@ func (r *ExecResult) ExplainAnalyze(p Params) string {
 	if r.Reopt != nil {
 		out += obs.RenderReoptEvents(r.Reopt.Events)
 	}
-	out += obs.RenderDegrade(r.Degrade)
-	for _, line := range obs.RenderParallel(r.Parallel) {
-		out += line + "\n"
-	}
 	if r.Trace != nil {
 		// The per-stage latency breakdown: the span tree with durations,
 		// self times, and attributed waits per pipeline stage.
@@ -175,13 +170,6 @@ func (r *ExecResult) RunRecordFor(name, query string, p Params) *RunRecord {
 	if r.Reopt != nil {
 		rec.Reopt = r.Reopt.Events
 		rec.Metrics["reopt-attempts"] = float64(r.Reopt.Attempts)
-	}
-	if len(r.Degrade) > 0 {
-		rec.Degrade = r.Degrade
-		rec.Metrics["degrade-steps"] = float64(len(r.Degrade))
-	}
-	if r.Parallel != nil && r.Parallel.WorkerRetries > 0 {
-		rec.Metrics["worker-retries"] = float64(r.Parallel.WorkerRetries)
 	}
 	return rec
 }

@@ -97,8 +97,8 @@ type execState struct {
 
 	// out is the query's account for the workload observatory: the facts
 	// each stage notes (executions, start-up time, breaker trips, re-opt
-	// and degrade events, the temp ledger) accumulated across attempts and
-	// kept on error paths. Nil while the observatory is disabled, which
+	// events, the temp ledger) accumulated across attempts and kept on
+	// error paths. Nil while the observatory is disabled, which
 	// makes every noting site one nil check.
 	out *obs.Outcome
 }
@@ -125,11 +125,6 @@ type remedyState struct {
 	retries  int
 	backoffs []time.Duration
 	trace    []obs.ChoiceTrace
-	// dopCap is the DOP ceiling the degradation ladder has imposed (0:
-	// none); lastDOP is the DOP the most recent execution actually ran
-	// with — the rung the ladder steps down from.
-	dopCap  int
-	lastDOP int
 }
 
 // exclude poisons the picked branches for later activations.
@@ -159,8 +154,7 @@ type reoptState struct {
 // traceState is the span tracer: t is nil when tracing is off (the
 // disabled fast path is that one pointer comparison) and span the
 // innermost open stage span, the parent each stage hangs its children and
-// wait states under. Only the query's own goroutine moves span; worker
-// goroutines receive their parent span by value.
+// wait states under.
 type traceState struct {
 	t    *obs.Trace
 	span *obs.Span
@@ -190,7 +184,7 @@ type need uint8
 
 const (
 	needGoverned need = 1 << iota // ExecOptions.Governed
-	needRemedy                    // Resilient, Parallel, Reopt or Adaptive
+	needRemedy                    // Resilient, Reopt or Adaptive
 	needModule                    // the target is a *Module
 )
 
@@ -200,7 +194,7 @@ func (st *execState) properties() need {
 	if st.o.Governed {
 		has |= needGoverned
 	}
-	if st.o.Resilient || st.o.Parallel || st.o.Reopt != nil || st.o.Adaptive {
+	if st.o.Resilient || st.o.Reopt != nil || st.o.Adaptive {
 		has |= needRemedy
 	}
 	if st.module != nil {
@@ -224,8 +218,8 @@ var stages = [...]struct {
 	// Claim an execution slot and the memory grant that becomes the
 	// binding every later stage sees.
 	{"Admit", needGoverned, admitStage},
-	// Run the stages below and answer each failure: re-optimize, narrow
-	// the DOP, or retry the whole query.
+	// Run the stages below and answer each failure: re-optimize, or retry
+	// the whole query.
 	{"Remedy", needRemedy, remedyStage},
 	// Start-up-time processing (§4) of a module target.
 	{"Activate", needModule, activateStage},
@@ -400,16 +394,11 @@ func admitStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecRes
 //
 //   - re-optimize (Reopt or Adaptive): the live controller answers a
 //     cardinality violation (see reoptimize); a failed re-plan falls
-//     through to the remedies below.
-//   - narrow (Parallel): a fault that escaped the exchange workers' own
-//     retries re-runs the query at half the DOP, down to serial
-//     (degradeRung).
+//     through to the retry.
 //   - retry (Resilient): the failure's class decides the recovery (see
 //     retry).
 //
-// A narrowed or retried run gets a fresh re-optimization controller. A
-// retry also starts a fresh ladder, but the DOP cap stays, so a later
-// attempt does not climb back to a width that already failed.
+// A retried run gets a fresh re-optimization controller.
 func remedyStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecResult, error) {
 	r := &st.remedy
 	var pol RetryPolicy
@@ -429,7 +418,6 @@ func remedyStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecRe
 		inj = st.db.injector()
 		absorbedBase = inj.Stats().Absorbed
 	}
-	var ladder []obs.DegradeEvent
 	defer st.finishReopt()
 	st.armReopt()
 	parent := st.trace.span
@@ -453,9 +441,6 @@ func remedyStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecRe
 		if err == nil {
 			if rc := st.reopt.rc; rc != nil {
 				res.Reopt = rc.Account()
-			}
-			if len(ladder) > 0 {
-				res.Degrade = ladder
 			}
 			if st.o.Resilient {
 				st.db.recordPlanOutcome(st.root, "")
@@ -487,25 +472,12 @@ func remedyStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecRe
 				continue
 			}
 		}
-		if st.o.Parallel && ctx.Err() == nil {
-			if ev, ok := degradeRung(err, r.lastDOP, len(ladder)+1); ok {
-				ladder = append(ladder, ev)
-				if st.out != nil {
-					// Every rung counts, including those of a ladder that fails.
-					st.out.Degrade = append(st.out.Degrade, ev)
-				}
-				r.dopCap = ev.ToDOP
-				st.armReopt()
-				continue
-			}
-		}
 		if !st.o.Resilient {
 			return nil, err
 		}
 		if err := st.retry(ctx, pol, inj, err); err != nil {
 			return nil, err
 		}
-		ladder = nil
 		r.attempt++
 		st.armReopt()
 	}
@@ -549,8 +521,8 @@ func (st *execState) reoptimize(ctx context.Context, v *reopt.Violation) error {
 // the failing relation's circuit breaker, then lets the failure's class
 // decide the recovery (transient I/O: same plan; insufficient memory:
 // downgrade the grant and exclude the picked branches; permanent faults:
-// exclude the picked branches), and sleeps the exchange workers' backoff
-// schedule (exec.Backoff, as worker 0). A non-nil return is final.
+// exclude the picked branches), and sleeps the policy's backoff. A
+// non-nil return is final.
 func (st *execState) retry(ctx context.Context, pol RetryPolicy, inj *storage.Injector, err error) error {
 	r := &st.remedy
 	if qerr.Canceled(err) {
@@ -608,7 +580,7 @@ func (st *execState) retry(ctx context.Context, pol RetryPolicy, inj *storage.In
 			response += fmt.Sprintf(" (fault charged to %s)", failedRel)
 		}
 	}
-	d := exec.Backoff(pol.Backoff, pol.MaxBackoff, pol.JitterSeed, 0, r.retries)
+	d := backoff(pol.Backoff, pol.MaxBackoff, pol.JitterSeed, r.retries)
 	r.backoffs = append(r.backoffs, d)
 	r.trace = append(r.trace, obs.NewRetryTrace(r.attempt, class, response, d))
 	if err := sleepBackoff(ctx, d); err != nil {
@@ -618,37 +590,33 @@ func (st *execState) retry(ctx context.Context, pol RetryPolicy, inj *storage.In
 	return qerr.FromContext(ctx.Err())
 }
 
-// degradeRung decides the ladder's answer to one escalated failure of a
-// run at dop: the attempt-th rung — halve the DOP, or fall back to serial
-// once halving reaches 1 — and true, or false when the fault keeps
-// escalating. There is no rung below serial.
-//
-// The ladder declines faults another remedy owns, or none does:
-// cancellation and deadlines (nothing re-runs), admission rejections and
-// open breakers (the query never ran / the access path is poisoned),
-// insufficient memory (the retry's memory downgrade is the cure),
-// cardinality violations and watchdog stalls (re-optimization territory).
-// What remains — transient and permanent I/O faults and operator panics
-// that survived per-worker retry — is exactly what running narrower can
-// help: fewer workers touch fewer pages concurrently, and serial execution
-// re-reads every page through the healed fault path.
-func degradeRung(err error, dop, attempt int) (obs.DegradeEvent, bool) {
-	switch {
-	case err == nil, dop <= 1,
-		qerr.Canceled(err),
-		errors.Is(err, qerr.ErrAdmission),
-		errors.Is(err, qerr.ErrCircuitOpen),
-		errors.Is(err, qerr.ErrInsufficientMemory),
-		errors.Is(err, qerr.ErrCardinalityViolation),
-		errors.Is(err, qerr.ErrNoProgress):
-		return obs.DegradeEvent{}, false
+// backoff is the pause before the retry-th retry (retry ≥ 1): base
+// doubled per retry and capped at maxBackoff, then equal-jittered to half
+// its nominal value plus a remainder hashed from (seed, retry), so a
+// schedule reproduces under a fixed seed with no random state. A
+// non-positive base retries immediately.
+func backoff(base, maxBackoff time.Duration, seed int64, retry int) time.Duration {
+	if base <= 0 {
+		return 0
 	}
-	ev := obs.DegradeEvent{Attempt: attempt, Rung: "dop-halve", FromDOP: dop, ToDOP: dop / 2,
-		Class: qerr.Class(err), Error: err.Error()}
-	if ev.ToDOP <= 1 {
-		ev.Rung, ev.ToDOP = "serial-fallback", 1
+	d := base << uint(min(retry-1, 16))
+	if d > maxBackoff {
+		d = maxBackoff
 	}
-	return ev, true
+	half := int64(d / 2)
+	h := mix64(uint64(seed))
+	h = mix64(h + 0x9e3779b97f4a7c15) // stream 0's step, kept so recorded schedules reproduce
+	h = mix64(h + 0x9e3779b97f4a7c15 + uint64(retry))
+	u := float64(h>>11) / float64(1<<53)
+	return time.Duration(half + int64(u*float64(half+1)))
+}
+
+// mix64 is splitmix64's finalizer: every input bit flips about half the
+// output bits, so (seed, retry) one apart hash to unrelated fractions.
+func mix64(z uint64) uint64 {
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
 }
 
 // armReopt gives a Reopt or Adaptive query a fresh controller, owning the
@@ -802,9 +770,7 @@ func (db *Database) engine(acc *storage.Accountant, inj *storage.Injector, colle
 // it under the context, and assembles the base ExecResult — I/O account,
 // per-operator stats tree, plan digest, and interval-calibration verdicts.
 // Every attempt that runs the plan notes one execution for the
-// observatory (an attempt spent observing does not). The DOP decision
-// lives here rather than in a stage of its own: it is part of resolving
-// the plan against the grant, exactly like choose-plan resolution.
+// observatory (an attempt spent observing does not).
 func runStage(ctx context.Context, st *execState, _ pipelineFunc) (*ExecResult, error) {
 	db := st.db
 	acc := st.reopt.acc
@@ -821,7 +787,7 @@ func runStage(ctx context.Context, st *execState, _ pipelineFunc) (*ExecResult, 
 	}
 	inj := db.injector()
 	e := db.engine(acc, inj, collector)
-	e.Ctx, e.Trace, e.Span = ctx, st.trace.t, st.trace.span
+	e.Ctx = ctx
 	ib, mem := st.b, st.b.Memory
 	if rc := st.reopt.rc; rc != nil {
 		// The re-optimization controller's temporaries, eager observation,
@@ -844,33 +810,6 @@ func runStage(ctx context.Context, st *execState, _ pipelineFunc) (*ExecResult, 
 			return nil, err
 		}
 	}
-	var pe *obs.ParallelExec
-	var dop, maxDOP int
-	var parReason string
-	if st.o.Parallel {
-		// The DOP decision is start-up-time processing in miniature: the
-		// grant funds the worker count, and the cost model must price the
-		// parallel plan below serial before any goroutine spawns — degree
-		// of parallelism as a least-expected-cost alternative, exactly how
-		// low-memory choose-plan branches are selected.
-		var err error
-		if dop, maxDOP, parReason, err = chooseDOP(db, st.root, ib, st.o.MaxDOP); err != nil {
-			return nil, err
-		}
-		if cap := st.remedy.dopCap; cap > 0 && dop > cap {
-			// The degradation ladder has capped the width: a fault already
-			// escaped per-worker retry at the wider DOP this query ran with.
-			dop = cap
-			parReason = "degraded"
-		}
-		st.remedy.lastDOP = dop
-		pe = &obs.ParallelExec{}
-		if dop > 1 {
-			e.Parallel = dop
-			e.Retry = st.o.WorkerRetry
-			e.Par = pe
-		}
-	}
 	if rep := st.chosen(ib); rep != nil {
 		e.Cards = rep.Cards // start-up's predicted rows size the buffers
 	}
@@ -891,9 +830,6 @@ func runStage(ctx context.Context, st *execState, _ pipelineFunc) (*ExecResult, 
 		TupleOps:             acc.TupleOps(),
 		FaultsAbsorbed:       inj.Stats().Absorbed - absorbedBefore,
 		EffectiveMemoryPages: mem * inj.MemoryScale(),
-	}
-	if pe != nil {
-		out.Parallel = pe.Stats(dop, maxDOP, mem, mem/float64(max(dop, 1)), parReason)
 	}
 	if st.out == nil {
 		out.Operators = collector.Tree(st.root)
@@ -920,46 +856,6 @@ func runStage(ctx context.Context, st *execState, _ pipelineFunc) (*ExecResult, 
 	out.PlanDigest = obs.Digest(st.root.AppendFormat(make([]byte, 0, 4096))) // Format's digest, on the stack
 	out.Calibration = obs.Calibrate(out.Operators, planCost.Lo, planCost.Hi, out.SimulatedSeconds(db.sys.cfg.Params))
 	return out, nil
-}
-
-// The grant funds parallelism: one worker per parallelPartitionPages
-// granted pages, so a degraded grant throttles the worker count down to
-// serial the same way it steers choose-plan onto low-memory branches
-// (§6.2's graceful degradation applied to DOP). parallelMaxDOPDefault
-// caps the count when ExecOptions.MaxDOP is zero.
-const (
-	parallelPartitionPages = 16
-	parallelMaxDOPDefault  = 4
-)
-
-// chooseDOP selects the degree of parallelism for a resolved plan. Two
-// gates must pass: the memory grant must fund at least two workers
-// (reason "grant-limited" otherwise), and the cost model must price the
-// dop-way parallel execution below serial (reason "cost" otherwise) —
-// exchange startup and per-row transfer charges make serial cheaper for
-// tiny inputs. When both pass, the reason is "grant".
-func chooseDOP(db *Database, root *physical.Node, ib *bindings.Bindings, maxCap int) (dop, maxDOP int, reason string, err error) {
-	maxDOP = maxCap
-	if maxDOP <= 0 {
-		maxDOP = parallelMaxDOPDefault
-	}
-	dop = int(ib.Memory / parallelPartitionPages)
-	if dop > maxDOP {
-		dop = maxDOP
-	}
-	if dop <= 1 {
-		return 1, maxDOP, "grant-limited", nil
-	}
-	prog, err := physical.Lower(0, 0, root)
-	if err != nil {
-		return 0, 0, "", fmt.Errorf("dynplan: pricing parallel execution: %w", err)
-	}
-	p := &db.sys.cfg.Params
-	e := prog.At(p, ib)
-	if prog.ParallelCost(p, &e, dop) >= e.Cost[len(e.Cost)-1] {
-		return 1, maxDOP, "cost", nil
-	}
-	return dop, maxDOP, "grant", nil
 }
 
 // chosen returns the latest activation's report if it chose the plan about

@@ -328,11 +328,6 @@ func TestExecResultFieldUniformity(t *testing.T) {
 		// account is never nil); with a fresh catalog no lazy guard would
 		// trip anyway.
 		"Reopt": {def: expectZero, overrides: map[string]fieldExpectation{"Adaptive": expectSet}},
-		// Likewise no run here passes ExecOptions.Parallel, so the
-		// parallelism account must stay uniformly nil — and with no
-		// parallel execution the degradation ladder can take no step.
-		"Parallel": {def: expectZero},
-		"Degrade":  {def: expectZero},
 		// No run here sets ExecOptions.Tenant or executes a prepared
 		// statement, so the tenancy and plan-cache provenance must stay
 		// uniformly zero.
@@ -446,9 +441,6 @@ func TestConstructionPoints(t *testing.T) {
 		// Guards are armed and controllers built only by the Remedy stage.
 		{"re-optimization controller construction", regexp.MustCompile(`reopt\.NewController`), []string{"internal/reopt/", "pipeline.go"}, true},
 		{"cardinality guard arming", regexp.MustCompile(`\.Guards = `), []string{"internal/exec/", "pipeline.go"}, true},
-		// DOP is a grant-and-cost decision made in the run step, not a
-		// caller-side knob.
-		{"switching an execution parallel", regexp.MustCompile(`\.Par(allel)? = `), []string{"internal/exec/", "pipeline.go"}, true},
 		// One span-tree shape, one plan cache per database.
 		{"tracer construction", regexp.MustCompile(`obs\.NewTrace`), []string{"internal/obs/", "pipeline.go"}, true},
 		{"plan cache construction", regexp.MustCompile(`plancache\.New\(`), []string{"internal/plancache/", "pipeline.go"}, false},

@@ -15,9 +15,9 @@ import (
 // operator of an observed run, whichever source produced it: the
 // activation's report for a module target, one sweep of the resolved plan
 // otherwise — a static plan, a re-optimized run whose bindings the
-// observed selectivities corrected, a parallel run. Each band must equal,
-// bit for bit, the interval model's evaluation of that operator's subplan
-// at the run's bindings.
+// observed selectivities corrected. Each band must equal, bit for bit,
+// the interval model's evaluation of that operator's subplan at the run's
+// bindings.
 func TestPredictionsMatchModel(t *testing.T) {
 	sys, q := resilChainSystem(t, 3)
 	dyn, err := sys.OptimizeDynamic(q, Uncertainty{})
@@ -59,13 +59,6 @@ func TestPredictionsMatchModel(t *testing.T) {
 			check: func(t *testing.T, res *ExecResult) {
 				if res.Reopt == nil || !res.Reopt.Switched || len(res.Reopt.ObservedSelectivities) == 0 {
 					t.Fatalf("no switch under corrected bindings: %+v", res.Reopt)
-				}
-			}},
-		{name: "parallel", db: fresh, target: mod, b: resilBindings(3, 0.5, 96),
-			opts: ExecOptions{Parallel: true},
-			check: func(t *testing.T, res *ExecResult) {
-				if res.Parallel == nil || res.Parallel.DOP < 2 {
-					t.Fatalf("ran serial: %+v", res.Parallel)
 				}
 			}},
 	} {

@@ -115,8 +115,7 @@ func (p *PreparedQuery) module() (*Module, bool, plancache.Key, error) {
 // Exec runs the prepared query under the bindings, entering the
 // execution pipeline at the Activate stage with the cache-resolved
 // module — every option (governance, resilience, re-optimization,
-// parallelism, tracing) composes exactly as with Database.Exec on a
-// module target. The result's PlanCacheHit and Tenant fields report the
+// tracing) composes exactly as with Database.Exec on a module target. The result's PlanCacheHit and Tenant fields report the
 // cache verdict and the identity the query ran under.
 func (p *PreparedQuery) Exec(ctx context.Context, b Bindings, o ExecOptions) (*ExecResult, error) {
 	mod, hit, key, err := p.module()
