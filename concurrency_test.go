@@ -16,7 +16,7 @@ import (
 
 // TestConcurrentQueriesOneDatabase is the -race regression for sharing one
 // Database: several goroutines execute resilient queries concurrently —
-// with observability on, iterators leak-checked, and another goroutine
+// traced, with observability on, iterators leak-checked, and another goroutine
 // hot-swapping the fault injector under them — and every execution must
 // return exactly its fault-free reference rows with its own operator
 // stats window.
@@ -85,7 +85,7 @@ func TestConcurrentQueriesOneDatabase(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				m := mixes[(w+i)%len(mixes)]
-				res, err := db.Exec(context.Background(), mod, m.b, ExecOptions{Resilient: true, Policy: RetryPolicy{MaxAttempts: maxAttempts}})
+				res, err := db.Exec(context.Background(), mod, m.b, ExecOptions{Resilient: true, Policy: RetryPolicy{MaxAttempts: maxAttempts}, Trace: true})
 				if err != nil {
 					errCh <- fmt.Errorf("worker %d iter %d: %w", w, i, err)
 					return

@@ -46,10 +46,6 @@ var (
 	// band. With a ReoptPolicy active it is remedied mid-flight and never
 	// surfaces; without one it fails the query, typed.
 	ErrCardinalityViolation = qerr.ErrCardinalityViolation
-	// ErrNoProgress reports that the progress watchdog observed no tuples
-	// advancing for longer than ReoptPolicy.NoProgressTimeout: the query
-	// was stuck, not slow.
-	ErrNoProgress = qerr.ErrNoProgress
 )
 
 // ErrInvalidBindings reports bindings the caller supplied that no

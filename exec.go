@@ -85,9 +85,8 @@ type ExecOptions struct {
 	// target without alternatives is observed once and finished as is.
 	Adaptive bool
 	// Reopt enables mid-query re-optimization: cardinality guards at
-	// materialization points, safe plan switching / re-planning on a
-	// violation, a per-query deadline, and the progress watchdog (see
-	// ReoptPolicy).
+	// materialization points and safe plan switching / re-planning on a
+	// violation (see ReoptPolicy). The caller's context bounds its time.
 	Reopt *ReoptPolicy
 	// Tenant names the identity the query runs under. The governor's
 	// per-tenant admission slots and grant quotas key on it (see

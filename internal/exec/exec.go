@@ -140,10 +140,10 @@ func (db *DB) checkMat(n *physical.Node, schema Schema, rows []storage.Row) erro
 }
 
 // checkCancel polls the context — a non-blocking receive on its Done
-// channel; on expiry it returns an error wrapping qerr.ErrCanceled or
-// qerr.ErrDeadlineExceeded — or the cancellation cause itself when one was
-// attached (the progress watchdog cancels with typed qerr causes that must
-// survive to the re-optimization layer).
+// channel; on expiry it returns the context's cause through
+// qerr.FromContext: an error wrapping qerr.ErrCanceled or
+// qerr.ErrDeadlineExceeded, or a cause the caller attached with
+// context.WithCancelCause.
 func (db *DB) checkCancel() error {
 	if db.Ctx == nil {
 		return nil

@@ -17,7 +17,9 @@ import (
 //	... run plans ...
 //	if leaked := lc.Leaked(); len(leaked) > 0 { ... }
 //
-// It is safe for concurrent use.
+// One checker may be shared by concurrent queries; each iterator it wraps
+// belongs to the query that compiled it, so Leaked must run after those
+// queries return.
 type LeakChecker struct {
 	mu    sync.Mutex
 	iters []*leakIter
@@ -42,11 +44,9 @@ func (lc *LeakChecker) Leaked() []string {
 	defer lc.mu.Unlock()
 	var out []string
 	for _, w := range lc.iters {
-		w.mu.Lock()
 		if w.opens > 0 && !w.closed {
 			out = append(out, fmt.Sprintf("%s (opened %d times, never closed)", w.op, w.opens))
 		}
-		w.mu.Unlock()
 	}
 	return out
 }
@@ -58,28 +58,18 @@ func (lc *LeakChecker) Wrapped() int {
 	return len(lc.iters)
 }
 
-// Reset forgets every tracked iterator.
-func (lc *LeakChecker) Reset() {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	lc.iters = nil
-}
-
 // leakIter records the open/close lifecycle of one iterator instance.
 type leakIter struct {
 	inner Iterator
 	op    string
 
-	mu     sync.Mutex
 	opens  int
 	closed bool
 }
 
 func (w *leakIter) Open() error {
-	w.mu.Lock()
 	w.opens++
 	w.closed = false
-	w.mu.Unlock()
 	return w.inner.Open()
 }
 
@@ -88,8 +78,6 @@ func (w *leakIter) NextBatch(dst []storage.Row) (int, error) {
 }
 
 func (w *leakIter) Close() error {
-	w.mu.Lock()
 	w.closed = true
-	w.mu.Unlock()
 	return w.inner.Close()
 }

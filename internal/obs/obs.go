@@ -22,7 +22,6 @@ package obs
 
 import (
 	"fmt"
-	"sync"
 
 	"dynplan/internal/physical"
 )
@@ -99,11 +98,11 @@ func (c Counters) SimulatedSeconds(r CostRates) float64 {
 }
 
 // Collector gathers per-operator counters for one execution, keyed by plan
-// node. The zero of observability is a nil *Collector: every method is
-// nil-safe, so callers hold a plain pointer field and never branch beyond
-// the nil check the methods perform themselves.
+// node. Each execution makes its own, and only the goroutine running that
+// execution touches it. The zero of observability is a nil *Collector:
+// every method is nil-safe, so callers hold a plain pointer field and never
+// branch beyond the nil check the methods perform themselves.
 type Collector struct {
-	mu    sync.Mutex
 	stats map[*physical.Node]*Counters
 	// cards are the predicted output cardinalities of the plan Tree
 	// describes, one per distinct operator in post-order.
@@ -124,8 +123,6 @@ func (c *Collector) Predict(cards []float64) {
 	if c == nil {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.cards = cards
 }
 
@@ -138,8 +135,6 @@ func (c *Collector) StatsFor(n *physical.Node) *Counters {
 	if c == nil {
 		return nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	s, ok := c.stats[n]
 	if !ok {
 		s = &Counters{}
@@ -174,8 +169,6 @@ func (c *Collector) Tree(root *physical.Node) *PlanStats {
 	if c == nil || root == nil {
 		return nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	memo := make(map[*physical.Node]*PlanStats)
 	preds := make([]Prediction, 0, len(c.cards))
 	return c.tree(root, memo, &preds)

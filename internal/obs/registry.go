@@ -149,8 +149,7 @@ type RegistrySnapshot struct {
 
 	// Reopts counts mid-query guard violations the re-optimization stage
 	// handled; ReoptSwitches, ReoptReplans, and ReoptDegrades split them by
-	// the remedy chosen. WatchdogStalls counts progress-watchdog
-	// no-progress cancellations. ReoptTempsCreated and ReoptTempsReleased
+	// the remedy chosen. ReoptTempsCreated and ReoptTempsReleased
 	// tally the temporaries the re-optimization controllers spooled and
 	// released (at their Finish); they are equal once no query is in
 	// flight — the leak check error paths are audited against.
@@ -158,7 +157,6 @@ type RegistrySnapshot struct {
 	ReoptSwitches      int64 `json:"reopt_switches,omitempty"`
 	ReoptReplans       int64 `json:"reopt_replans,omitempty"`
 	ReoptDegrades      int64 `json:"reopt_degrades,omitempty"`
-	WatchdogStalls     int64 `json:"watchdog_stalls,omitempty"`
 	ReoptTempsCreated  int64 `json:"reopt_temps_created,omitempty"`
 	ReoptTempsReleased int64 `json:"reopt_temps_released,omitempty"`
 
@@ -221,11 +219,10 @@ type Outcome struct {
 	// ActivationNanos is the total start-up time of a query that Activated.
 	Activated       bool
 	ActivationNanos int64
-	// Reopt is every attempt's re-optimization events; Stalls the
-	// watchdog trips; TempsCreated and TempsReleased the re-optimization
-	// controllers' temp ledger.
-	Reopt                               []ReoptEvent
-	Stalls, TempsCreated, TempsReleased int64
+	// Reopt is every attempt's re-optimization events; TempsCreated and
+	// TempsReleased the re-optimization controllers' temp ledger.
+	Reopt                       []ReoptEvent
+	TempsCreated, TempsReleased int64
 	// PagesRead and Rows are a successful query's I/O volume and result
 	// size; Operators and Calibration its stats tree and calibration
 	// verdicts.
@@ -267,7 +264,6 @@ func (r *Registry) Record(o *Outcome) {
 	m := &r.m
 	m.Executions += o.Executions
 	m.BreakerTrips += o.BreakerTrips
-	m.WatchdogStalls += o.Stalls
 	m.ReoptTempsCreated += o.TempsCreated
 	m.ReoptTempsReleased += o.TempsReleased
 	for _, e := range o.Reopt {

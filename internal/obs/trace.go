@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -77,14 +76,13 @@ type Span struct {
 // without touching the heap again.
 const traceArenaSpans = 48
 
-// Trace is one query's span tree under construction. All mutation goes
-// through the trace's mutex, so a span may be opened, annotated, and
-// closed from any goroutine.
+// Trace is one query's span tree under construction. It has one owner,
+// the goroutine that runs the query: every span is opened, annotated and
+// closed there, and the tree is handed off only once Finish seals it.
 type Trace struct {
 	id    string
 	start time.Time
 
-	mu    sync.Mutex
 	arena []Span
 	root  *Span
 }
@@ -113,8 +111,6 @@ func (t *Trace) Start(parent *Span, name, kind string) *Span {
 		return nil
 	}
 	now := time.Since(t.start).Nanoseconds()
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	var s *Span
 	if len(t.arena) < cap(t.arena) {
 		t.arena = t.arena[:len(t.arena)+1]
@@ -144,12 +140,9 @@ func (s *Span) End() {
 	if s == nil || s.t == nil {
 		return
 	}
-	now := time.Since(s.t.start).Nanoseconds()
-	s.t.mu.Lock()
 	if s.DurationNanos < 0 {
-		s.DurationNanos = now - s.StartNanos
+		s.DurationNanos = time.Since(s.t.start).Nanoseconds() - s.StartNanos
 	}
-	s.t.mu.Unlock()
 }
 
 // AddWait attributes nanos of wait time of the given kind to the span,
@@ -159,8 +152,6 @@ func (s *Span) AddWait(kind string, nanos int64) {
 	if s == nil || s.t == nil || nanos <= 0 {
 		return
 	}
-	s.t.mu.Lock()
-	defer s.t.mu.Unlock()
 	for i := range s.Waits {
 		if s.Waits[i].Kind == kind {
 			s.Waits[i].Nanos += nanos
@@ -236,8 +227,6 @@ func (t *Trace) Finish(err error) *TraceRecord {
 		return nil
 	}
 	wall := time.Since(t.start).Nanoseconds()
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	var closeOpen func(s *Span)
 	closeOpen = func(s *Span) {
 		if s == nil {

@@ -74,11 +74,6 @@ var (
 	// re-plan, or degrade); it surfaces to callers only when no re-opt
 	// policy is active to remedy it.
 	ErrCardinalityViolation = errors.New("qerr: cardinality outside predicted band")
-	// ErrNoProgress reports that the progress watchdog observed no tuples
-	// advancing for longer than the configured no-progress timeout: the
-	// query is stuck, not slow. Unlike a deadline it is attributed to the
-	// operator that was polled when the stall was detected.
-	ErrNoProgress = errors.New("qerr: no progress")
 )
 
 // Retryable reports whether re-executing can plausibly succeed: transient

@@ -42,16 +42,14 @@
 // every join decision is made over observed cardinalities. Both raise the
 // same Violation and are remedied by the same escalation.
 //
-// A progress watchdog (watchdog.go) guards the time axis the same way the
-// bands guard the cardinality axis: a per-query deadline and a no-progress
-// timeout measured in tuples advanced, both surfacing as typed qerr errors.
+// The time axis is the caller's: a context deadline bounds a slow query,
+// and the executor surfaces it as a typed qerr error.
 package reopt
 
 import (
 	"context"
 	"fmt"
 	"maps"
-	"sync"
 	"time"
 
 	"dynplan/internal/bindings"
@@ -88,9 +86,6 @@ type Policy struct {
 	// the plan re-decided, one relation per attempt. The relation count
 	// bounds the attempts instead of MaxAttempts.
 	Eager bool
-	// NoProgressTimeout, when positive, cancels the query when no tuples
-	// advance for that long — the query is stuck, not slow.
-	NoProgressTimeout time.Duration
 
 	// Trace and Span, when set, hang a "replan" span (with its planning
 	// time attributed as a wait state) off the query's Remedy stage span
@@ -179,13 +174,11 @@ type tripInfo struct {
 // budget, the spooled temporaries, the per-relation trips and observed
 // selectivities, and the decision trace. It is created per execution
 // attempt by the pipeline's Remedy stage and must be finished exactly once
-// (Finish releases the temporaries; it is idempotent). All methods are safe
-// for concurrent use — guards run on the executor goroutine while the
-// watchdog runs on its own.
+// (Finish releases the temporaries; it is idempotent). A controller has one
+// owner: the goroutine that runs the query, guards included.
 type Controller struct {
 	pol Policy
 
-	mu        sync.Mutex
 	temps     map[string]*exec.Temp
 	trips     map[string]tripInfo
 	overrides map[string]float64
@@ -195,7 +188,6 @@ type Controller struct {
 	planning  time.Duration
 	created   int
 	released  int
-	stalls    int
 	switched  bool
 	replanned bool
 	degraded  bool
@@ -252,10 +244,7 @@ type guard struct {
 // observed. A degraded controller returns nil: the decision to finish the
 // current plan must not be re-litigated by the plan it decided to finish.
 func (c *Controller) Guard(b *bindings.Bindings, root *physical.Node, db *exec.DB) (exec.MatGuard, error) {
-	c.mu.Lock()
-	degraded := c.degraded
-	c.mu.Unlock()
-	if degraded || root == nil {
+	if c.degraded || root == nil {
 		return nil, nil
 	}
 	prog, err := physical.Lower(0, 0, root)
@@ -374,8 +363,6 @@ func tempName(rel string) string { return "reopt_" + rel }
 // tripped does not trip again — its temporary already carries the truth,
 // and the plan reading it is the remedy, not a new problem.
 func (c *Controller) armed(rel string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	_, dup := c.trips[rel]
 	return !dup && !c.degraded && !c.finished
 }
@@ -384,8 +371,6 @@ func (c *Controller) armed(rel string) bool {
 // order under tempName — corrects the relation's selectivity estimate, and
 // raises the violation.
 func (c *Controller) trip(n *physical.Node, b bandInfo, count int, order string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.created++
 	c.trips[b.rel] = tripInfo{temp: tempName(b.rel), observed: count, rowBytes: n.RowBytes, order: order}
 	if b.variable != "" && b.baseCard > 0 {
@@ -402,8 +387,6 @@ func (c *Controller) trip(n *physical.Node, b bandInfo, count int, order string)
 // logical query is available, degrade when neither — or when the budget
 // (attempts or cumulative planning time) is exhausted.
 func (c *Controller) Decide(v *Violation, canSwitch, canReplan bool) Remedy {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.attempts++
 	c.events = append(c.events, fill(obs.ReoptEvent{Stage: "violation", Attempt: c.attempts}, v))
 	// A relation trips at most once, so eager observation is bounded by the
@@ -422,8 +405,6 @@ func (c *Controller) Decide(v *Violation, canSwitch, canReplan bool) Remedy {
 
 // NoteSwitch records that the switch remedy was taken.
 func (c *Controller) NoteSwitch(v *Violation, note string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.switched = true
 	c.events = append(c.events, fill(obs.ReoptEvent{Stage: "switch", Attempt: c.attempts, Note: note}, v))
 }
@@ -455,9 +436,7 @@ func (c *Controller) Replan(ctx context.Context, b *bindings.Bindings) (*physica
 	elapsed := time.Since(start)
 	sp.AddWait(obs.WaitReplanPlanning, elapsed.Nanoseconds())
 	sp.End()
-	c.mu.Lock()
 	c.planning += elapsed
-	c.mu.Unlock()
 	if err != nil {
 		return nil, cost.Cost{}, fmt.Errorf("reopt: re-optimization failed: %w", err)
 	}
@@ -468,7 +447,6 @@ func (c *Controller) Replan(ctx context.Context, b *bindings.Bindings) (*physica
 	e := prog.At(&c.pol.Params, corrected)
 	chosen, _ := prog.Resolve(&c.pol.Params, &e, int32(len(prog.Nodes)-1))
 	forced := c.rewriteScans(chosen)
-	c.mu.Lock()
 	c.replanned = true
 	c.events = append(c.events, fill(obs.ReoptEvent{
 		Stage:         "replan",
@@ -476,16 +454,7 @@ func (c *Controller) Replan(ctx context.Context, b *bindings.Bindings) (*physica
 		PlanningNanos: elapsed.Nanoseconds(),
 		Note:          fmt.Sprintf("re-optimized with %d temp(s) as base relations", len(c.trips)),
 	}, c.lastTrip))
-	c.mu.Unlock()
 	return forced, res.Cost, nil
-}
-
-// snapshotTrips copies the tripped relations, for a rewrite that must not
-// hold the lock.
-func (c *Controller) snapshotTrips() map[string]tripInfo {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return maps.Clone(c.trips)
 }
 
 // deriveQuery clones the logical query with every tripped relation replaced
@@ -495,7 +464,6 @@ func (c *Controller) snapshotTrips() map[string]tripInfo {
 // spooled rows) and the B-tree flags (a temporary has no indexes), so the
 // optimizer can only plan a sequential read of the truth.
 func (c *Controller) deriveQuery() (*logical.Query, error) {
-	trips := c.snapshotTrips()
 	src := c.pol.Query
 	dq := &logical.Query{
 		Rels:  make([]logical.QRel, len(src.Rels)),
@@ -503,7 +471,7 @@ func (c *Controller) deriveQuery() (*logical.Query, error) {
 	}
 	attrMap := make(map[*catalog.Attribute]*catalog.Attribute)
 	for i, qr := range src.Rels {
-		ti, tripped := trips[qr.Rel.Name]
+		ti, tripped := c.trips[qr.Rel.Name]
 		if !tripped {
 			dq.Rels[i] = qr
 			continue
@@ -538,13 +506,12 @@ func (c *Controller) deriveQuery() (*logical.Query, error) {
 // sequential and unordered; no Sort wrapping is needed here — any order
 // the new plan needs it plans explicitly.
 func (c *Controller) rewriteScans(root *physical.Node) *physical.Node {
-	trips := c.snapshotTrips()
 	replace := make(map[*physical.Node]*physical.Node)
 	root.Walk(func(n *physical.Node) {
 		if !n.Op.IsScan() {
 			return
 		}
-		if ti, ok := trips[n.Rel]; ok {
+		if ti, ok := c.trips[n.Rel]; ok {
 			replace[n] = &physical.Node{
 				Op:       physical.TempScan,
 				Rel:      ti.temp,
@@ -566,13 +533,12 @@ func (c *Controller) rewriteScans(root *physical.Node) *physical.Node {
 // row order is a materialization accident (hash-table flattening), an
 // eagerly observed one keeps the order of the access path that filled it.
 func (c *Controller) Rewrite(root *physical.Node) *physical.Node {
-	trips := c.snapshotTrips()
-	if len(trips) == 0 || root == nil {
+	if len(c.trips) == 0 || root == nil {
 		return root
 	}
 	replace := make(map[*physical.Node]*physical.Node)
 	for _, base := range baseSubplans(root) {
-		ti, ok := trips[baseRelation(base)]
+		ti, ok := c.trips[baseRelation(base)]
 		if !ok {
 			continue
 		}
@@ -605,8 +571,6 @@ func (c *Controller) Rewrite(root *physical.Node) *physical.Node {
 // and the plan runs to completion.
 func (c *Controller) DegradeRoot(root *physical.Node, note string) *physical.Node {
 	rewritten := c.Rewrite(root)
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.degraded = true
 	c.events = append(c.events, fill(obs.ReoptEvent{Stage: "degrade", Attempt: c.attempts, Note: note}, c.lastTrip))
 	return rewritten
@@ -618,8 +582,6 @@ func (c *Controller) DegradeRoot(root *physical.Node, note string) *physical.Nod
 // literal is selectivity × domain, and moving it would change the query's
 // answer, not its plan.
 func (c *Controller) CorrectBindings(b *bindings.Bindings) *bindings.Bindings {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if len(c.overrides) == 0 {
 		return b
 	}
@@ -639,8 +601,6 @@ func (c *Controller) Temps() map[string]*exec.Temp { return c.temps }
 // it, and every path (success, typed error, panic recovery) must release
 // exactly once.
 func (c *Controller) Finish() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.finished {
 		return
 	}
@@ -660,11 +620,9 @@ type Account struct {
 	Replanned bool `json:"replanned,omitempty"`
 	Degraded  bool `json:"degraded,omitempty"`
 	// TempsCreated counts the spooled temporaries; PlanningNanos the
-	// cumulative optimizer time re-planning spent; Stalls the watchdog's
-	// no-progress trips.
+	// cumulative optimizer time re-planning spent.
 	TempsCreated  int   `json:"temps_created,omitempty"`
 	PlanningNanos int64 `json:"planning_ns,omitempty"`
-	Stalls        int   `json:"stalls,omitempty"`
 	// ObservedSelectivities maps the host variable of every tripped
 	// relation's predicate to the selectivity actually observed in the
 	// data — the corrections all later cost evaluations ran under.
@@ -674,9 +632,7 @@ type Account struct {
 // Account returns the controller's summary, or nil when nothing happened —
 // the common case must cost an ExecResult nothing.
 func (c *Controller) Account() *Account {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.events) == 0 && c.attempts == 0 && c.stalls == 0 {
+	if len(c.events) == 0 && c.attempts == 0 {
 		return nil
 	}
 	return &Account{
@@ -687,7 +643,6 @@ func (c *Controller) Account() *Account {
 		Degraded:      c.degraded,
 		TempsCreated:  c.created,
 		PlanningNanos: c.planning.Nanoseconds(),
-		Stalls:        c.stalls,
 
 		ObservedSelectivities: maps.Clone(c.overrides),
 	}
@@ -695,8 +650,6 @@ func (c *Controller) Account() *Account {
 
 // TempBalance reports the created/released tally, for leak audits.
 func (c *Controller) TempBalance() (created, released int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.created, c.released
 }
 

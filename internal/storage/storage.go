@@ -10,10 +10,7 @@
 // partitioning and run generation.
 package storage
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // PageBytes mirrors catalog.PageBytes; storage is independent of the
 // catalog package so the execution substrate can be reused on its own.
@@ -32,39 +29,39 @@ type RID struct {
 	Slot int32
 }
 
-// Accountant tallies the simulated I/O and CPU work of an execution. All
-// counters are atomic so the re-optimization watchdog can poll the tuple
-// counter while the query runs.
+// Accountant tallies the simulated I/O and CPU work of an execution. It
+// has one owner, the goroutine that runs the execution; the zero value is
+// an empty tally.
 type Accountant struct {
-	seqPageReads  atomic.Int64
-	randPageReads atomic.Int64
-	pageWrites    atomic.Int64
-	tuples        atomic.Int64
+	seqPageReads  int64
+	randPageReads int64
+	pageWrites    int64
+	tuples        int64
 }
 
 // ReadSeq charges n sequential page reads.
-func (a *Accountant) ReadSeq(n int64) { a.seqPageReads.Add(n) }
+func (a *Accountant) ReadSeq(n int64) { a.seqPageReads += n }
 
 // ReadRand charges n random page reads.
-func (a *Accountant) ReadRand(n int64) { a.randPageReads.Add(n) }
+func (a *Accountant) ReadRand(n int64) { a.randPageReads += n }
 
 // Write charges n page writes.
-func (a *Accountant) Write(n int64) { a.pageWrites.Add(n) }
+func (a *Accountant) Write(n int64) { a.pageWrites += n }
 
 // Tuples charges n units of per-tuple CPU work.
-func (a *Accountant) Tuples(n int64) { a.tuples.Add(n) }
+func (a *Accountant) Tuples(n int64) { a.tuples += n }
 
 // SeqPageReads returns the sequential page reads charged so far.
-func (a *Accountant) SeqPageReads() int64 { return a.seqPageReads.Load() }
+func (a *Accountant) SeqPageReads() int64 { return a.seqPageReads }
 
 // RandPageReads returns the random page reads charged so far.
-func (a *Accountant) RandPageReads() int64 { return a.randPageReads.Load() }
+func (a *Accountant) RandPageReads() int64 { return a.randPageReads }
 
 // PageWrites returns the page writes charged so far.
-func (a *Accountant) PageWrites() int64 { return a.pageWrites.Load() }
+func (a *Accountant) PageWrites() int64 { return a.pageWrites }
 
 // TupleOps returns the per-tuple CPU operations charged so far.
-func (a *Accountant) TupleOps() int64 { return a.tuples.Load() }
+func (a *Accountant) TupleOps() int64 { return a.tuples }
 
 // AccountSnapshot is a point-in-time copy of an accountant's counters,
 // used to attribute deltas of work to an interval (the metering iterators
@@ -91,14 +88,6 @@ func (s AccountSnapshot) Sub(earlier AccountSnapshot) AccountSnapshot {
 		PageWrites:    s.PageWrites - earlier.PageWrites,
 		TupleOps:      s.TupleOps - earlier.TupleOps,
 	}
-}
-
-// Reset zeroes all counters.
-func (a *Accountant) Reset() {
-	a.seqPageReads.Store(0)
-	a.randPageReads.Store(0)
-	a.pageWrites.Store(0)
-	a.tuples.Store(0)
 }
 
 // String summarizes the tally.

@@ -146,8 +146,8 @@ type reoptState struct {
 	// skipActivate makes Activate pass through: a re-planned or degraded
 	// root is already resolved and must not be overwritten by the module.
 	skipActivate bool
-	// acc is the accountant the Run stage must use — the progress watchdog
-	// polls its tuple counter.
+	// acc is the accountant the Run stage must use: one tally spans the
+	// violated runs, the spool writes and the final plan.
 	acc *storage.Accountant
 }
 
@@ -428,14 +428,7 @@ func remedyStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecRe
 			asp = st.trace.t.Start(parent, fmt.Sprintf("attempt-%d", run), obs.SpanAttempt)
 			st.trace.span = asp
 		}
-		runCtx, stopWatchdog := ctx, func() {}
-		if rc := st.reopt.rc; rc != nil {
-			// The watchdog snapshots the tuple counter at each run's start,
-			// so accumulation across runs never masks a stall.
-			runCtx, stopWatchdog = rc.StartWatchdog(ctx, st.reopt.acc)
-		}
-		res, err := next(runCtx, st)
-		stopWatchdog()
+		res, err := next(ctx, st)
 		asp.End()
 		st.trace.span = parent
 		if err == nil {
@@ -633,14 +626,13 @@ func (st *execState) armReopt() {
 		pol = *st.o.Reopt
 	}
 	rp := reopt.Policy{
-		Config:            st.db.sys.cfg,
-		Params:            st.db.sys.cfg.Params,
-		MaxAttempts:       pol.MaxAttempts,
-		MaxPlanningTime:   pol.MaxPlanningTime,
-		Eager:             st.o.Adaptive,
-		NoProgressTimeout: pol.NoProgressTimeout,
-		Trace:             st.trace.t,
-		Span:              st.trace.span,
+		Config:          st.db.sys.cfg,
+		Params:          st.db.sys.cfg.Params,
+		MaxAttempts:     pol.MaxAttempts,
+		MaxPlanningTime: pol.MaxPlanningTime,
+		Eager:           st.o.Adaptive,
+		Trace:           st.trace.t,
+		Span:            st.trace.span,
 	}
 	if pol.Query != nil {
 		rp.Query = pol.Query.q
@@ -666,7 +658,6 @@ func (st *execState) finishReopt() {
 		o.TempsReleased += int64(released)
 		if a := rc.Account(); a != nil {
 			o.Reopt = append(o.Reopt, a.Events...)
-			o.Stalls += int64(a.Stalls)
 		}
 	}
 }
@@ -780,7 +771,7 @@ func runStage(ctx context.Context, st *execState, _ pipelineFunc) (*ExecResult, 
 	// Each execution collects into its own fresh window: the stats tree
 	// describes this run, and concurrent executions of the same plan never
 	// share counters. The injector pointer is snapshotted once, so a
-	// concurrent InjectFaults/ClearFaults cannot swap it mid-query.
+	// concurrent InjectFaults cannot swap it mid-query.
 	var collector *obs.Collector
 	if db.observing.Load() || st.out != nil {
 		collector = obs.NewCollector()

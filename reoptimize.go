@@ -28,10 +28,6 @@ type ReoptPolicy struct {
 	// MaxPlanningTime bounds the cumulative optimizer time re-planning may
 	// spend (default 250ms).
 	MaxPlanningTime time.Duration
-	// NoProgressTimeout, when positive, arms the progress watchdog: when
-	// no tuples advance for this long the query is canceled with
-	// ErrNoProgress — stuck, not slow.
-	NoProgressTimeout time.Duration
 }
 
 // ReoptAccount is the per-query re-optimization summary an ExecResult
