@@ -102,7 +102,6 @@ func TestChaosSoak(t *testing.T) {
 		MaxConcurrent: maxConc,
 		MaxQueued:     4,
 		QueueTimeout:  250 * time.Millisecond,
-		Deadline:      10 * time.Second,
 	})
 	// Transient faults only: every admitted query must recover via the
 	// resilient executor; permanent-fault steering has its own tests.
@@ -379,7 +378,6 @@ func TestChaosSoakReopt(t *testing.T) {
 		MaxConcurrent: 6,
 		MaxQueued:     8,
 		QueueTimeout:  time.Second,
-		Deadline:      30 * time.Second,
 	})
 	defer db.ClearGovernor()
 	db.InjectFaults(FaultConfig{Seed: 11, TransientRate: 0.1})

@@ -149,7 +149,7 @@ func TestGovernedRejectionTaxonomy(t *testing.T) {
 	})
 
 	// Occupy the only execution slot directly.
-	hog, _, err := db.gov.Acquire(context.Background(), 8)
+	hog, err := db.gov.Acquire(context.Background(), "", 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,8 +22,8 @@ type ExecOptions struct {
 	// grant broker (SetGovernor); the grant, not the bindings' request,
 	// feeds choose-plan resolution. The query waits for admission (bounded
 	// queue, load shedding with ErrAdmission), may receive a grant degraded
-	// below b.MemoryPages, runs under the governor's per-query deadline,
-	// and releases its grant on every exit path; the result's Admission
+	// below b.MemoryPages, and releases its grant on every exit path; the
+	// caller's context bounds it as any other query. The result's Admission
 	// field reports the negotiation. Without an installed governor the
 	// Admit stage passes through unchanged.
 	Governed bool

@@ -11,5 +11,5 @@ func (db *Database) OutstandingGrantPages() float64 {
 	if db.gov == nil {
 		return 0
 	}
-	return db.gov.Broker().Outstanding()
+	return db.gov.Broker().Stats().OutstandingPages
 }

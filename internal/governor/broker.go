@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"time"
 
 	"dynplan/internal/qerr"
 )
@@ -24,7 +25,9 @@ type Broker struct {
 	mu          sync.Mutex
 	total       float64
 	outstanding float64
-	waitCh      chan struct{} // closed and replaced on every release/resize
+	// waitCh is made by the first waiter and closed by the next release;
+	// nil while nobody waits.
+	waitCh chan struct{}
 
 	// counters
 	grants    int64
@@ -50,22 +53,24 @@ func NewBroker(total float64) *Broker {
 	if total < 0 {
 		total = 0
 	}
-	return &Broker{total: total, waitCh: make(chan struct{})}
+	return &Broker{total: total}
 }
 
-// Acquire grants between min and want pages, waiting until the pool can
-// cover at least min. It returns the granted page count. The context
-// bounds the wait: on expiry the error wraps qerr.ErrAdmission (and the
-// context's own classification), and nothing is granted. want <= 0 is a
-// zero grant that always succeeds; min is clamped into (0, want].
-func (b *Broker) Acquire(ctx context.Context, want, min float64) (float64, error) {
+// Acquire grants between min and want pages, waiting up to timeout until
+// the pool can cover at least min; the timer starts only when it has to
+// wait. It returns the granted page count. An expired wait fails with an
+// error wrapping qerr.ErrAdmission, a load-shedding decision; a context
+// that ends first fails with the qerr context taxonomy. Either way nothing
+// is granted. want <= 0 is a zero grant that always succeeds; min is
+// clamped into (0, want].
+func (b *Broker) Acquire(ctx context.Context, want, min float64, timeout time.Duration) (float64, error) {
 	if want <= 0 {
 		return 0, nil
 	}
 	if min <= 0 || min > want {
 		min = want
 	}
-	waited := false
+	var timer *time.Timer
 	b.mu.Lock()
 	for {
 		avail := b.total - b.outstanding
@@ -76,8 +81,9 @@ func (b *Broker) Acquire(ctx context.Context, want, min float64) (float64, error
 			if grant < want {
 				b.degraded++
 			}
-			if waited {
+			if timer != nil {
 				b.waits++
+				timer.Stop()
 			}
 			if b.outstanding > b.highWater {
 				b.highWater = b.outstanding
@@ -85,24 +91,28 @@ func (b *Broker) Acquire(ctx context.Context, want, min float64) (float64, error
 			b.mu.Unlock()
 			return grant, nil
 		}
+		if b.waitCh == nil {
+			b.waitCh = make(chan struct{})
+		}
 		ch := b.waitCh
 		b.mu.Unlock()
-		waited = true
+		if timer == nil {
+			timer = time.NewTimer(timeout)
+		}
 		select {
 		case <-ctx.Done():
-			// Deliberately not the qerr context taxonomy: a grant-wait
-			// timeout is a load-shedding decision (ErrAdmission), not a
-			// cancellation of a running query. The caller distinguishes a
-			// genuinely canceled parent context itself.
-			return 0, fmt.Errorf("governor: grant wait for %.0f pages (floor %.0f) expired: %w (%v)",
-				want, min, qerr.ErrAdmission, ctx.Err())
+			timer.Stop()
+			return 0, qerr.FromContext(ctx.Err())
+		case <-timer.C:
+			return 0, fmt.Errorf("governor: grant wait for %.0f pages (floor %.0f) exceeded %v: %w",
+				want, min, timeout, qerr.ErrAdmission)
 		case <-ch:
 		}
 		b.mu.Lock()
 	}
 }
 
-// Release returns a grant to the pool and wakes waiters.
+// Release returns a grant to the pool and wakes every waiter.
 func (b *Broker) Release(pages float64) {
 	if pages <= 0 {
 		return
@@ -113,21 +123,11 @@ func (b *Broker) Release(pages float64) {
 		// Over-release is a caller bug; clamp so the pool never inflates.
 		b.outstanding = 0
 	}
-	b.wakeLocked()
+	if b.waitCh != nil {
+		close(b.waitCh)
+		b.waitCh = nil
+	}
 	b.mu.Unlock()
-}
-
-// wakeLocked broadcasts to every waiter; the caller holds the mutex.
-func (b *Broker) wakeLocked() {
-	close(b.waitCh)
-	b.waitCh = make(chan struct{})
-}
-
-// Outstanding returns the pages currently granted and not released.
-func (b *Broker) Outstanding() float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.outstanding
 }
 
 // Stats returns a snapshot of the broker's counters.

@@ -1,7 +1,7 @@
 // Package governor is the concurrency-safe resource governor that sits
 // between the database and the executor: a memory grant broker, admission
-// control with a bounded queue and load shedding, per-query deadlines, and
-// a per-relation circuit breaker.
+// control with a bounded queue and load shedding, and a per-relation
+// circuit breaker.
 //
 // The paper's dynamic plans defer the memory binding to start-up-time
 // (§4); choose-plan operators exist precisely so a plan can degrade
@@ -16,6 +16,7 @@ package governor
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -40,14 +41,11 @@ type Config struct {
 	// the executing set before further arrivals are shed (default
 	// 2×MaxConcurrent).
 	MaxQueued int
-	// QueueTimeout bounds the wait for an execution slot and, separately,
-	// the wait for a memory grant; on expiry the query is shed with an
-	// error wrapping qerr.ErrAdmission (default 1s).
+	// QueueTimeout bounds each wait of an acquisition separately: at the
+	// tenant gate, for an execution slot, for a memory grant. On expiry
+	// the query is shed with an error wrapping qerr.ErrAdmission (default
+	// 1s).
 	QueueTimeout time.Duration
-	// Deadline, when positive, is the per-query execution deadline applied
-	// to the context returned by Acquire; expiry surfaces as
-	// qerr.ErrDeadlineExceeded through the usual context plumbing.
-	Deadline time.Duration
 	// TenantSlots, when positive, caps how many queries any single tenant
 	// may have past admission at once. The tenant gate sits *before* the
 	// global slot queue: a flooding tenant's excess arrivals wait on (or
@@ -61,6 +59,12 @@ type Config struct {
 	// is shed with qerr.ErrAdmission rather than letting one tenant drain
 	// the shared pool.
 	TenantPages float64
+	// BreakerThreshold is how many consecutive permanent faults on one
+	// relation open its circuit (default 3); BreakerCooldown is how many
+	// executions the open circuit blocks before half-opening for a probe
+	// (default 8). They configure NewBreaker.
+	BreakerThreshold int
+	BreakerCooldown  int
 }
 
 func (c Config) withDefaults() Config {
@@ -198,42 +202,35 @@ type Ticket struct {
 	Pages float64
 	// Requested is what the query asked for.
 	Requested float64
-	// Wait is the time spent queued before admission (slot plus grant).
-	Wait time.Duration
+	// Wait is the time spent queued before admission: tenant gate, slot
+	// queue and grant. SlotWait is its part up to the claimed slot.
+	Wait, SlotWait time.Duration
 	// Degraded reports Pages < Requested.
 	Degraded bool
 
-	g      *Governor
-	ts     *tenantState
-	cancel context.CancelFunc
-	once   sync.Once
+	g    *Governor
+	ts   *tenantState
+	once sync.Once
 }
 
-// Admission is a claimed execution slot awaiting its memory grant — the
-// intermediate state between the governor's two gates. Call Grant exactly
-// once; it consumes the admission (returning the slot on failure), so an
-// abandoned Admission leaks its slot.
-type Admission struct {
-	g     *Governor
-	ts    *tenantState
-	began time.Time
-}
-
-// Admit claims an execution slot for an anonymous query; see AdmitTenant.
-func (g *Governor) Admit(ctx context.Context) (*Admission, error) {
-	return g.AdmitTenant(ctx, "")
-}
-
-// AdmitTenant claims an execution slot under a tenant identity. With a
-// per-tenant slot cap configured (Config.TenantSlots) and a non-empty
-// tenant, the tenant's own gate is passed first — bounded by
-// QueueTimeout — so a tenant flooding arrivals queues against itself and
-// never fills the shared admission queue; only gate holders compete for
-// the global slots. Shedding at either gate fails with an error wrapping
-// qerr.ErrAdmission; context cancellation surfaces through the qerr
-// taxonomy. The returned Admission carries the claims into Grant, which
-// completes the acquisition.
-func (g *Governor) AdmitTenant(ctx context.Context, tenant string) (*Admission, error) {
+// Acquire admits a query under a tenant identity ("" for none) and grants
+// it memory, passing three gates in order:
+//
+//   - the tenant gate: with Config.TenantSlots set and a non-empty tenant,
+//     one of the tenant's own tokens, so a tenant flooding arrivals queues
+//     against itself and never fills the shared queue;
+//   - the slot queue: a shared execution slot, joining the bounded queue
+//     when none is free and shed at once when the queue is full;
+//   - the grant: up to wantPages (MinGrantPages when wantPages <= 0),
+//     clamped to the tenant's remaining quota, which the broker may degrade
+//     down to MinGrantPages under pressure.
+//
+// Each wait is bounded by QueueTimeout. A shed at any gate fails with an
+// error wrapping qerr.ErrAdmission and hands back what the query held; a
+// caller context that ends surfaces through the qerr taxonomy and is never
+// counted as a shed. On success the caller must Release the ticket when
+// the query finishes.
+func (g *Governor) Acquire(ctx context.Context, tenant string, wantPages float64) (*Ticket, error) {
 	if err := qerr.FromContext(ctx.Err()); err != nil {
 		return nil, err
 	}
@@ -244,195 +241,151 @@ func (g *Governor) AdmitTenant(ctx context.Context, tenant string) (*Admission, 
 		ts = g.tenantFor(tenant)
 	}
 	if ts != nil && ts.gate != nil {
-		select {
-		case <-ts.gate:
-		default:
-			timer := time.NewTimer(g.cfg.QueueTimeout)
-			select {
-			case <-ts.gate:
-				timer.Stop()
-			case <-timer.C:
-				g.mu.Lock()
-				ts.shedGate++
-				g.shedTimeout++
-				g.mu.Unlock()
-				return nil, fmt.Errorf("governor: tenant %q gate wait exceeded %v (%d slots per tenant): %w",
-					tenant, g.cfg.QueueTimeout, g.cfg.TenantSlots, qerr.ErrAdmission)
-			case <-ctx.Done():
-				timer.Stop()
-				return nil, qerr.FromContext(ctx.Err())
+		if err := g.take(ctx, ts.gate); err != nil {
+			if qerr.Canceled(err) {
+				return nil, err
 			}
-		}
-	}
-	adm, err := g.admit(ctx, began)
-	if err != nil {
-		if ts != nil {
-			if ts.gate != nil {
-				ts.gate <- struct{}{}
-			}
-			if !qerr.Canceled(err) {
-				g.mu.Lock()
-				ts.shedTimeout++
-				g.mu.Unlock()
-			}
-		}
-		return nil, err
-	}
-	adm.ts = ts
-	return adm, nil
-}
-
-// admit claims a shared execution slot (the global gate behind the
-// per-tenant ones); began anchors the ticket's total wait.
-func (g *Governor) admit(ctx context.Context, began time.Time) (*Admission, error) {
-	// Admission: try for a free slot; join the bounded queue otherwise.
-	select {
-	case <-g.slots:
-	default:
-		g.mu.Lock()
-		if g.queued >= g.cfg.MaxQueued {
-			g.shedQueueFull++
+			g.mu.Lock()
+			ts.shedGate++
+			g.shedTimeout++
 			g.mu.Unlock()
-			return nil, fmt.Errorf("governor: admission queue full (%d waiting, %d running): %w",
-				g.cfg.MaxQueued, g.cfg.MaxConcurrent, qerr.ErrAdmission)
+			return nil, fmt.Errorf("governor: tenant %q gate wait exceeded %v (%d slots per tenant): %w",
+				tenant, g.cfg.QueueTimeout, g.cfg.TenantSlots, qerr.ErrAdmission)
 		}
-		g.queued++
-		if g.queued > g.queueHighWater {
-			g.queueHighWater = g.queued
-		}
-		g.mu.Unlock()
-
-		timer := time.NewTimer(g.cfg.QueueTimeout)
-		var err error
-		select {
-		case <-g.slots:
-		case <-timer.C:
-			err = fmt.Errorf("governor: queue wait exceeded %v: %w", g.cfg.QueueTimeout, qerr.ErrAdmission)
-		case <-ctx.Done():
-			err = qerr.FromContext(ctx.Err())
-		}
-		timer.Stop()
-		g.mu.Lock()
-		g.queued--
-		if err != nil {
-			if !qerr.Canceled(err) {
-				g.shedTimeout++
-			}
-			g.mu.Unlock()
-			return nil, err
-		}
-		g.mu.Unlock()
 	}
-	return &Admission{g: g, began: began}, nil
-}
+	if err := g.claimSlot(ctx); err != nil {
+		return nil, g.abandon(ts, false, err)
+	}
+	slotWait := time.Since(began)
 
-// Grant draws the admitted query's memory grant — up to wantPages, which
-// the broker may degrade down to MinGrantPages under pressure — and
-// returns the ticket plus a derived context carrying the per-query
-// deadline, if the governor has one. On failure the slot is returned and
-// the query counts as shed (unless the caller's context ended, which is a
-// cancellation, not a load-shedding decision). The ticket's Wait spans
-// both gates: slot wait plus grant wait. On success the caller must
-// Release the ticket when the query finishes.
-func (a *Admission) Grant(ctx context.Context, wantPages float64) (*Ticket, context.Context, error) {
-	g := a.g
-	// Memory grant, under its own wait budget: slot holders release pages
-	// as they finish, so a bounded wait here cannot deadlock.
 	want := wantPages
 	if want <= 0 {
 		want = g.cfg.MinGrantPages
 	}
 	requested := want
-	if a.ts != nil && g.cfg.TenantPages > 0 {
+	if ts != nil && g.cfg.TenantPages > 0 {
 		// The tenant quota clamps the request before the broker sees it: a
 		// tenant holding most of its quota gets degraded grants, and one
 		// whose remainder cannot fund the floor is shed — the shared pool
 		// stays available to the other tenants.
 		g.mu.Lock()
-		avail := g.cfg.TenantPages - a.ts.outstanding
+		avail := g.cfg.TenantPages - ts.outstanding
 		g.mu.Unlock()
-		floor := g.cfg.MinGrantPages
-		if floor > want {
-			floor = want
+		if avail < min(g.cfg.MinGrantPages, want) {
+			return nil, g.abandon(ts, true, fmt.Errorf("governor: tenant grant quota exhausted (%.4g of %.4g pages outstanding): %w",
+				g.cfg.TenantPages-avail, g.cfg.TenantPages, qerr.ErrAdmission))
 		}
-		if avail < floor {
-			a.release()
-			g.mu.Lock()
-			a.ts.shedTimeout++
-			g.shedTimeout++
-			g.mu.Unlock()
-			return nil, nil, fmt.Errorf("governor: tenant grant quota exhausted (%.4g of %.4g pages outstanding): %w",
-				g.cfg.TenantPages-avail, g.cfg.TenantPages, qerr.ErrAdmission)
-		}
-		if want > avail {
-			want = avail
-		}
+		want = min(want, avail)
 	}
-	grantCtx, grantCancel := context.WithTimeout(ctx, g.cfg.QueueTimeout)
-	pages, err := g.broker.Acquire(grantCtx, want, g.cfg.MinGrantPages)
-	grantCancel()
+	// Slot holders release pages as they finish, so a bounded grant wait
+	// cannot deadlock.
+	pages, err := g.broker.Acquire(ctx, want, g.cfg.MinGrantPages, g.cfg.QueueTimeout)
 	if err != nil {
-		a.release()
-		if cerr := qerr.FromContext(ctx.Err()); cerr != nil {
-			return nil, nil, cerr
-		}
-		g.mu.Lock()
-		g.shedTimeout++
-		if a.ts != nil {
-			a.ts.shedTimeout++
-		}
-		g.mu.Unlock()
-		return nil, nil, err
+		return nil, g.abandon(ts, true, err)
 	}
 
-	wait := time.Since(a.began)
+	wait := time.Since(began)
 	g.mu.Lock()
 	g.inFlight++
 	g.admitted++
 	g.queueWaitTotal += wait
-	if a.ts != nil {
-		a.ts.inFlight++
-		a.ts.admitted++
-		a.ts.outstanding += pages
-		a.ts.queueWaitTotal += wait
+	if ts != nil {
+		ts.inFlight++
+		ts.admitted++
+		ts.outstanding += pages
+		ts.queueWaitTotal += wait
 	}
 	g.mu.Unlock()
-
-	qctx := ctx
-	var cancel context.CancelFunc
-	if g.cfg.Deadline > 0 {
-		qctx, cancel = context.WithTimeout(ctx, g.cfg.Deadline)
-	}
 	return &Ticket{
 		Pages:     pages,
 		Requested: requested,
 		Wait:      wait,
+		SlotWait:  slotWait,
 		Degraded:  pages < requested,
 		g:         g,
-		ts:        a.ts,
-		cancel:    cancel,
-	}, qctx, nil
+		ts:        ts,
+	}, nil
 }
 
-// release returns the admission's shared slot and tenant gate token — the
-// failure path out of Grant.
-func (a *Admission) release() {
-	a.g.slots <- struct{}{}
-	if a.ts != nil && a.ts.gate != nil {
-		a.ts.gate <- struct{}{}
+// claimSlot takes a shared execution slot, joining the bounded queue when
+// none is free. It counts its own sheds: a full queue, an expired wait.
+func (g *Governor) claimSlot(ctx context.Context) error {
+	select {
+	case <-g.slots:
+		return nil
+	default:
+	}
+	g.mu.Lock()
+	if g.queued >= g.cfg.MaxQueued {
+		g.shedQueueFull++
+		g.mu.Unlock()
+		return fmt.Errorf("governor: admission queue full (%d waiting, %d running): %w",
+			g.cfg.MaxQueued, g.cfg.MaxConcurrent, qerr.ErrAdmission)
+	}
+	g.queued++
+	g.queueHighWater = max(g.queueHighWater, g.queued)
+	g.mu.Unlock()
+
+	err := g.take(ctx, g.slots)
+	g.mu.Lock()
+	g.queued--
+	if err != nil && !qerr.Canceled(err) {
+		g.shedTimeout++
+		err = fmt.Errorf("governor: queue wait exceeded %v: %w", g.cfg.QueueTimeout, qerr.ErrAdmission)
+	}
+	g.mu.Unlock()
+	return err
+}
+
+// take receives a token from ch, waiting at most QueueTimeout; the timer
+// starts only when it has to wait. It returns nil on success, the qerr
+// context error when ctx ends first, and errWaitExpired when the wait runs
+// out.
+func (g *Governor) take(ctx context.Context, ch chan struct{}) error {
+	select {
+	case <-ch:
+		return nil
+	default:
+	}
+	timer := time.NewTimer(g.cfg.QueueTimeout)
+	defer timer.Stop()
+	select {
+	case <-ch:
+		return nil
+	case <-ctx.Done():
+		return qerr.FromContext(ctx.Err())
+	case <-timer.C:
+		return errWaitExpired
 	}
 }
 
-// Acquire admits a query and grants it memory in one call — Admit then
-// Grant. Rejections at either gate fail with an error wrapping
-// qerr.ErrAdmission; context cancellation with the qerr context taxonomy.
-// On success the caller must Release the ticket when the query finishes.
-func (g *Governor) Acquire(ctx context.Context, wantPages float64) (*Ticket, context.Context, error) {
-	adm, err := g.Admit(ctx)
-	if err != nil {
-		return nil, nil, err
+// errWaitExpired is take's timeout; callers replace it with a message
+// naming the gate.
+var errWaitExpired = errors.New("governor: wait expired")
+
+// abandon undoes an acquisition that failed past the tenant gate: it hands
+// back the shared slot when held and the tenant's gate token, and counts
+// the shed against the tenant and, for a failed grant, the governor (the
+// slot queue counts its own) — unless the caller's context ended, which is
+// a cancellation, not a load-shedding decision. It returns err.
+func (g *Governor) abandon(ts *tenantState, slotHeld bool, err error) error {
+	if slotHeld {
+		g.slots <- struct{}{}
 	}
-	return adm.Grant(ctx, wantPages)
+	if ts != nil && ts.gate != nil {
+		ts.gate <- struct{}{}
+	}
+	if !qerr.Canceled(err) {
+		g.mu.Lock()
+		if slotHeld {
+			g.shedTimeout++
+		}
+		if ts != nil {
+			ts.shedTimeout++
+		}
+		g.mu.Unlock()
+	}
+	return err
 }
 
 // Release returns the ticket's grant and slot; it is idempotent.
@@ -441,9 +394,6 @@ func (t *Ticket) Release() {
 		return
 	}
 	t.once.Do(func() {
-		if t.cancel != nil {
-			t.cancel()
-		}
 		t.g.broker.Release(t.Pages)
 		t.g.slots <- struct{}{}
 		if t.ts != nil && t.ts.gate != nil {

@@ -14,12 +14,12 @@ func TestBrokerGrantAndDegrade(t *testing.T) {
 	b := NewBroker(100)
 	ctx := context.Background()
 
-	g1, err := b.Acquire(ctx, 64, 8)
+	g1, err := b.Acquire(ctx, 64, 8, time.Minute)
 	if err != nil || g1 != 64 {
 		t.Fatalf("first grant = %v, %v; want 64", g1, err)
 	}
 	// 36 pages remain: a 64-page request is degraded, not blocked.
-	g2, err := b.Acquire(ctx, 64, 8)
+	g2, err := b.Acquire(ctx, 64, 8, time.Minute)
 	if err != nil || g2 != 36 {
 		t.Fatalf("degraded grant = %v, %v; want 36", g2, err)
 	}
@@ -29,7 +29,7 @@ func TestBrokerGrantAndDegrade(t *testing.T) {
 	}
 	b.Release(g1)
 	b.Release(g2)
-	if out := b.Outstanding(); out != 0 {
+	if out := b.Stats().OutstandingPages; out != 0 {
 		t.Fatalf("outstanding after release = %v, want 0", out)
 	}
 }
@@ -37,7 +37,7 @@ func TestBrokerGrantAndDegrade(t *testing.T) {
 func TestBrokerWaitsBelowFloorAndWakes(t *testing.T) {
 	b := NewBroker(16)
 	ctx := context.Background()
-	g1, err := b.Acquire(ctx, 12, 8)
+	g1, err := b.Acquire(ctx, 12, 8, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestBrokerWaitsBelowFloorAndWakes(t *testing.T) {
 	// until the release below.
 	done := make(chan float64, 1)
 	go func() {
-		g, err := b.Acquire(ctx, 8, 8)
+		g, err := b.Acquire(ctx, 8, 8, time.Minute)
 		if err != nil {
 			t.Error(err)
 		}
@@ -72,16 +72,14 @@ func TestBrokerWaitsBelowFloorAndWakes(t *testing.T) {
 
 func TestBrokerGrantWaitTimeoutIsAdmission(t *testing.T) {
 	b := NewBroker(4)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	_, err := b.Acquire(ctx, 64, 8)
+	_, err := b.Acquire(context.Background(), 64, 8, 10*time.Millisecond)
 	if !errors.Is(err, qerr.ErrAdmission) {
 		t.Fatalf("grant timeout error = %v, want ErrAdmission", err)
 	}
 	if qerr.Canceled(err) {
 		t.Fatalf("grant timeout must not classify as cancellation: %v", err)
 	}
-	if out := b.Outstanding(); out != 0 {
+	if out := b.Stats().OutstandingPages; out != 0 {
 		t.Fatalf("outstanding after failed acquire = %v", out)
 	}
 }
@@ -90,14 +88,14 @@ func TestGovernorShedsWhenQueueFull(t *testing.T) {
 	g := New(Config{TotalPages: 1024, MaxConcurrent: 1, MaxQueued: 1, QueueTimeout: time.Minute})
 	ctx := context.Background()
 
-	t1, _, err := g.Acquire(ctx, 16)
+	t1, err := g.Acquire(ctx, "", 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// One query may queue…
 	queued := make(chan *Ticket, 1)
 	go func() {
-		t2, _, err := g.Acquire(ctx, 16)
+		t2, err := g.Acquire(ctx, "", 16)
 		if err != nil {
 			t.Error(err)
 		}
@@ -105,7 +103,7 @@ func TestGovernorShedsWhenQueueFull(t *testing.T) {
 	}()
 	waitFor(t, func() bool { return g.Stats().Queued == 1 })
 	// …the next arrival is shed immediately with the typed error.
-	_, _, err = g.Acquire(ctx, 16)
+	_, err = g.Acquire(ctx, "", 16)
 	if !errors.Is(err, qerr.ErrAdmission) {
 		t.Fatalf("queue-full error = %v, want ErrAdmission", err)
 	}
@@ -124,12 +122,12 @@ func TestGovernorShedsWhenQueueFull(t *testing.T) {
 
 func TestGovernorQueueTimeoutSheds(t *testing.T) {
 	g := New(Config{TotalPages: 1024, MaxConcurrent: 1, MaxQueued: 4, QueueTimeout: 15 * time.Millisecond})
-	t1, _, err := g.Acquire(context.Background(), 16)
+	t1, err := g.Acquire(context.Background(), "", 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer t1.Release()
-	_, _, err = g.Acquire(context.Background(), 16)
+	_, err = g.Acquire(context.Background(), "", 16)
 	if !errors.Is(err, qerr.ErrAdmission) {
 		t.Fatalf("queue-timeout error = %v, want ErrAdmission", err)
 	}
@@ -140,7 +138,7 @@ func TestGovernorQueueTimeoutSheds(t *testing.T) {
 
 func TestGovernorCancellationIsNotShedding(t *testing.T) {
 	g := New(Config{TotalPages: 64, MaxConcurrent: 1, MaxQueued: 4, QueueTimeout: time.Minute})
-	t1, _, err := g.Acquire(context.Background(), 16)
+	t1, err := g.Acquire(context.Background(), "", 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +146,7 @@ func TestGovernorCancellationIsNotShedding(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := g.Acquire(ctx, 16)
+		_, err := g.Acquire(ctx, "", 16)
 		done <- err
 	}()
 	waitFor(t, func() bool { return g.Stats().Queued == 1 })
@@ -166,26 +164,6 @@ func TestGovernorCancellationIsNotShedding(t *testing.T) {
 	}
 }
 
-func TestGovernorDeadlineContext(t *testing.T) {
-	g := New(Config{TotalPages: 64, MaxConcurrent: 2, Deadline: 10 * time.Millisecond})
-	tk, qctx, err := g.Acquire(context.Background(), 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tk.Release()
-	dl, ok := qctx.Deadline()
-	if !ok {
-		t.Fatal("governed context has no deadline")
-	}
-	if until := time.Until(dl); until > 10*time.Millisecond {
-		t.Fatalf("deadline too far out: %v", until)
-	}
-	<-qctx.Done()
-	if err := qerr.FromContext(qctx.Err()); !errors.Is(err, qerr.ErrDeadlineExceeded) {
-		t.Fatalf("expired governed context = %v", err)
-	}
-}
-
 func TestGovernorConcurrentSoak(t *testing.T) {
 	g := New(Config{TotalPages: 128, MinGrantPages: 8, MaxConcurrent: 4, MaxQueued: 4, QueueTimeout: 2 * time.Second})
 	var wg sync.WaitGroup
@@ -195,7 +173,7 @@ func TestGovernorConcurrentSoak(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tk, _, err := g.Acquire(context.Background(), 48)
+			tk, err := g.Acquire(context.Background(), "", 48)
 			if err != nil {
 				if !errors.Is(err, qerr.ErrAdmission) {
 					t.Errorf("unexpected acquire error: %v", err)
@@ -310,36 +288,24 @@ func TestTenantGateBoundsConcurrency(t *testing.T) {
 		TenantSlots: 2, QueueTimeout: 25 * time.Millisecond})
 	ctx := context.Background()
 
-	a1, err := g.AdmitTenant(ctx, "a")
+	t1, err := g.Acquire(ctx, "a", 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := g.AdmitTenant(ctx, "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t1, _, err := a1.Grant(ctx, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t2, _, err := a2.Grant(ctx, 16)
+	t2, err := g.Acquire(ctx, "a", 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Tenant a holds both of its slots: its third arrival waits at the
 	// tenant gate — never reaching the shared queue — and sheds on
 	// timeout with the typed error.
-	if _, err := g.AdmitTenant(ctx, "a"); !errors.Is(err, qerr.ErrAdmission) {
+	if _, err := g.Acquire(ctx, "a", 16); !errors.Is(err, qerr.ErrAdmission) {
 		t.Fatalf("third tenant-a admission error = %v, want ErrAdmission", err)
 	}
 	// Another tenant is untouched by a's saturation.
-	b1, err := g.AdmitTenant(ctx, "b")
+	tb, err := g.Acquire(ctx, "b", 16)
 	if err != nil {
 		t.Fatalf("tenant b admission while a floods: %v", err)
-	}
-	tb, _, err := b1.Grant(ctx, 16)
-	if err != nil {
-		t.Fatal(err)
 	}
 	t1.Release()
 	t2.Release()
@@ -366,31 +332,19 @@ func TestTenantQuotaClampsAndSheds(t *testing.T) {
 		MaxQueued: 8, TenantSlots: 4, TenantPages: 25, QueueTimeout: time.Minute})
 	ctx := context.Background()
 
-	a1, err := g.AdmitTenant(ctx, "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t1, _, err := a1.Grant(ctx, 20)
+	t1, err := g.Acquire(ctx, "a", 20)
 	if err != nil || t1.Pages != 20 {
 		t.Fatalf("first grant = %+v, %v; want 20 pages", t1, err)
 	}
 	// 5 quota pages remain — below the 10-page floor: the request is
 	// shed, not granted a useless sliver, and the slot is returned.
-	a2, err := g.AdmitTenant(ctx, "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := a2.Grant(ctx, 20); !errors.Is(err, qerr.ErrAdmission) {
+	if _, err := g.Acquire(ctx, "a", 20); !errors.Is(err, qerr.ErrAdmission) {
 		t.Fatalf("over-quota grant error = %v, want ErrAdmission", err)
 	}
 	t1.Release()
 	// With the quota free again, an oversized request is clamped to the
 	// quota and marked degraded.
-	a3, err := g.AdmitTenant(ctx, "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t3, _, err := a3.Grant(ctx, 40)
+	t3, err := g.Acquire(ctx, "a", 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +370,7 @@ func TestAnonymousQueriesBypassTenantGate(t *testing.T) {
 	ctx := context.Background()
 	var tickets []*Ticket
 	for i := 0; i < 3; i++ {
-		tk, _, err := g.Acquire(ctx, 16)
+		tk, err := g.Acquire(ctx, "", 16)
 		if err != nil {
 			t.Fatalf("anonymous acquire %d: %v", i, err)
 		}

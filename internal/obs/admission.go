@@ -7,9 +7,8 @@ import (
 
 // AdmissionStats is the resource-governor account of one governed
 // execution: what the query asked for, what the grant broker actually
-// gave it, how long it queued, and the governor's cumulative shed
-// counters at completion. It rides on ExecResult so EXPLAIN ANALYZE and
-// run records can show the contention a query ran under.
+// gave it, and how long it queued. It rides on ExecResult so EXPLAIN
+// ANALYZE and run records can show the contention a query ran under.
 type AdmissionStats struct {
 	// RequestedPages and GrantedPages are the memory grant negotiation;
 	// Degraded reports GrantedPages < RequestedPages — the case where the
@@ -21,10 +20,6 @@ type AdmissionStats struct {
 	// QueueWaitNanos is the time spent waiting for an execution slot and a
 	// memory grant before start-up processing began.
 	QueueWaitNanos int64 `json:"queue_wait_ns"`
-	// ShedQueueFull and ShedTimeout are the governor's cumulative
-	// load-shedding counters when this execution completed.
-	ShedQueueFull int64 `json:"shed_queue_full"`
-	ShedTimeout   int64 `json:"shed_timeout"`
 }
 
 // Render formats the admission account as one line.
@@ -36,10 +31,6 @@ func (a *AdmissionStats) Render() string {
 		a.GrantedPages, a.RequestedPages, time.Duration(a.QueueWaitNanos).Round(time.Microsecond))
 	if a.Degraded {
 		s += " (degraded)"
-	}
-	if a.ShedQueueFull+a.ShedTimeout > 0 {
-		s += fmt.Sprintf("; governor shed %d (queue-full %d, timeout %d)",
-			a.ShedQueueFull+a.ShedTimeout, a.ShedQueueFull, a.ShedTimeout)
 	}
 	return s + "\n"
 }

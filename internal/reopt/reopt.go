@@ -648,6 +648,10 @@ func (c *Controller) Account() *Account {
 	}
 }
 
+// Events returns the decision trace, in order. The slice is the
+// controller's own: copy it to keep it past the controller.
+func (c *Controller) Events() []obs.ReoptEvent { return c.events }
+
 // TempBalance reports the created/released tally, for leak audits.
 func (c *Controller) TempBalance() (created, released int) {
 	return c.created, c.released

@@ -111,19 +111,31 @@ func (p *Plan) Root() *physical.Node { return p.res.Plan }
 // cost interval, the band the workload observatory's plan-level
 // calibration verdict checks observed executions against.
 func (p *Plan) Module() (*Module, error) {
+	m, err := p.module()
+	if err != nil {
+		return nil, err
+	}
+	m.stats = plan.NewUsageStats()
+	return m, nil
+}
+
+// module serializes the plan without a usage accumulator: its activations
+// record nothing, which suits a module no caller can ask for its usage.
+func (p *Plan) module() (*Module, error) {
 	m, err := plan.NewModule(p.res.Plan, p.res.Stats.Nodes(), p.res.Stats.Edges())
 	if err != nil {
 		return nil, err
 	}
 	m.SetPlanCost(p.res.Cost)
-	return &Module{sys: p.sys, mod: m, stats: plan.NewUsageStats()}, nil
+	return &Module{sys: p.sys, mod: m}, nil
 }
 
 // Module is a serialized plan plus its usage statistics. The compiled
 // access module inside is immutable and concurrently shareable (the plan
 // cache hands one compiled module to many executions); the per-module
 // usage statistics that drive the §4 shrinking heuristic live in a
-// separate accumulator owned by this wrapper.
+// separate accumulator owned by this wrapper. A plan-cache module has
+// none: PreparedQuery never hands it out, so nobody could read it.
 type Module struct {
 	sys   *System
 	mod   *plan.AccessModule

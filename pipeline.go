@@ -338,12 +338,12 @@ func recordStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecRe
 	return res, err
 }
 
-// admitStage claims an execution slot from the governor, then the memory
-// grant: the broker may degrade it below the request, and the grant
-// becomes the memory binding activation resolves choose-plans against
-// (§6.2's graceful degradation). Without an installed governor the stage
-// passes through. The ticket is released on every exit path;
-// AdmissionStats report the negotiation on success.
+// admitStage passes the governor's one gate: the tenant's, a shared
+// execution slot, then the memory grant. The broker may degrade the grant
+// below the request, and the grant becomes the memory binding activation
+// resolves choose-plans against (§6.2's graceful degradation). Without an
+// installed governor the stage passes through. The ticket is released on
+// every exit path; AdmissionStats report the negotiation on success.
 func admitStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecResult, error) {
 	gov := st.db.gov
 	if gov == nil {
@@ -353,36 +353,30 @@ func admitStage(ctx context.Context, st *execState, next pipelineFunc) (*ExecRes
 	if st.trace.span != nil {
 		t0 = time.Now()
 	}
-	adm, err := gov.AdmitTenant(ctx, st.o.Tenant)
-	if st.trace.span != nil {
-		st.trace.span.AddWait(obs.WaitAdmissionQueue, time.Since(t0).Nanoseconds())
-		t0 = time.Now()
-	}
+	ticket, err := gov.Acquire(ctx, st.o.Tenant, st.b.Memory)
 	if err != nil {
+		// A shed query's whole wait is charged to the queue.
+		if st.trace.span != nil {
+			st.trace.span.AddWait(obs.WaitAdmissionQueue, time.Since(t0).Nanoseconds())
+		}
 		return nil, err
 	}
-	ticket, qctx, err := adm.Grant(ctx, st.b.Memory)
 	if st.trace.span != nil {
-		st.trace.span.AddWait(obs.WaitGrant, time.Since(t0).Nanoseconds())
-	}
-	if err != nil {
-		return nil, err
+		st.trace.span.AddWait(obs.WaitAdmissionQueue, ticket.SlotWait.Nanoseconds())
+		st.trace.span.AddWait(obs.WaitGrant, (ticket.Wait - ticket.SlotWait).Nanoseconds())
 	}
 	defer ticket.Release()
 	st.ticket = ticket
 	st.b.Memory = ticket.Pages
-	res, err := next(qctx, st)
+	res, err := next(ctx, st)
 	if err != nil {
 		return nil, err
 	}
-	s := gov.Stats()
 	res.Admission = &obs.AdmissionStats{
 		RequestedPages: ticket.Requested,
 		GrantedPages:   ticket.Pages,
 		Degraded:       ticket.Degraded,
 		QueueWaitNanos: ticket.Wait.Nanoseconds(),
-		ShedQueueFull:  s.ShedQueueFull,
-		ShedTimeout:    s.ShedTimeout,
 	}
 	return res, nil
 }
@@ -656,9 +650,7 @@ func (st *execState) finishReopt() {
 		created, released := rc.TempBalance()
 		o.TempsCreated += int64(created)
 		o.TempsReleased += int64(released)
-		if a := rc.Account(); a != nil {
-			o.Reopt = append(o.Reopt, a.Events...)
-		}
+		o.Reopt = append(o.Reopt, rc.Events()...)
 	}
 }
 

@@ -49,6 +49,38 @@ func BenchmarkExecPipelineOverhead(b *testing.B) {
 	})
 }
 
+// TestGovernedQueryAllocations pins what the governor adds to a query
+// over the stubbed Run stage: at most the ticket and the admission
+// account beyond the same query ungoverned, anonymous or tenant-tagged.
+// The governor is shaped like obsd's.
+func TestGovernedQueryAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pin")
+	}
+	db := New().OpenDatabase()
+	stubRunStage(t)
+	db.SetGovernor(GovernorConfig{TotalPages: 256, MinGrantPages: 16, MaxConcurrent: 4,
+		TenantSlots: 2, TenantPages: 128})
+	ctx := context.Background()
+	binds := bindings.NewBindings(64)
+	allocs := func(o ExecOptions) float64 {
+		return testing.AllocsPerRun(200, func() {
+			st := &execState{db: db, o: o, b: binds}
+			if _, err := st.exec(ctx); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, tenant := range []string{"", "tenant-a"} {
+		plain := allocs(ExecOptions{Tenant: tenant})
+		governed := allocs(ExecOptions{Governed: true, Tenant: tenant})
+		if governed-plain > 2 {
+			t.Errorf("tenant %q: a governed query allocates %v objects, %v more than ungoverned; want at most 2",
+				tenant, governed, governed-plain)
+		}
+	}
+}
+
 // execPipelineRecord is the exec-pipeline-overhead record: the size of
 // the stage table and the allocations of one plain (untraced,
 // observatory-off) dispatch over a stubbed Run stage. Structural: drift

@@ -104,7 +104,7 @@ func (p *PreparedQuery) module() (*Module, bool, plancache.Key, error) {
 		if err != nil {
 			return nil, err
 		}
-		return dyn.Module()
+		return dyn.module()
 	})
 	if err != nil {
 		return nil, false, key, err
