@@ -272,7 +272,7 @@ func TestChaosSoakSheds(t *testing.T) {
 // digest of its unconstrained, re-opt-free reference; every spooled
 // temporary must be released exactly once (the registry's temp ledger
 // balances); and no goroutine may outlive the soak. Every mix is traced, so
-// under -race the soak also checks that each query's spans, collector and
+// under -race the soak also checks that each query's spans, stats tree and
 // re-optimization controller stay on the goroutine that runs it.
 func TestChaosSoakReopt(t *testing.T) {
 	iterations := 20

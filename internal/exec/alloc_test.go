@@ -55,12 +55,12 @@ func TestRunAllocations(t *testing.T) {
 	for _, sel := range []float64{0.2, 1.0} {
 		b := bindings.NewBindings(64)
 		b.BindSelectivity("v", sel)
-		rows, _, err := db.Run(root, b)
+		rows, _, _, err := db.Run(root, b)
 		if err != nil {
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(20, func() {
-			if _, _, err := db.Run(root, b); err != nil {
+			if _, _, _, err := db.Run(root, b); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -94,7 +94,7 @@ func TestRunBytes(t *testing.T) {
 	// another P than the last one misses the scratch that run put back,
 	// and one run in twenty allocating its own adds 11 %.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	rows, _, err := db.Run(root, b)
+	rows, _, _, err := db.Run(root, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestRunBytes(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for range runs {
-		if _, _, err := db.Run(root, b); err != nil {
+		if _, _, _, err := db.Run(root, b); err != nil {
 			t.Fatal(err)
 		}
 	}

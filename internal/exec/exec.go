@@ -94,11 +94,11 @@ type DB struct {
 	// Wrap, when non-nil, decorates every compiled iterator (inside its
 	// operator decorator); the leak-checking test wrapper uses it.
 	Wrap func(it Iterator, n *physical.Node) Iterator
-	// Obs, when non-nil, meters every compiled operator: rows, NextBatch
-	// calls, inclusive page/tuple/fault/wall deltas, and buffered-memory
-	// high-water, keyed by plan node. A nil Obs (the default) costs one
-	// pointer check per protocol call.
-	Obs *obs.Collector
+	// Meter, when set, makes Run meter every compiled operator — rows,
+	// NextBatch calls, inclusive page/tuple/fault/wall deltas, and
+	// buffered-memory high-water — into the stats tree it returns. Unset
+	// (the default), metering costs one nil check per protocol call.
+	Meter bool
 	// Guards, when non-nil, is consulted at every materialization point —
 	// a hash-join build fully drained, a sort input fully buffered, a
 	// temporary fully loaded — with the materialized subtree's plan node
@@ -179,18 +179,23 @@ func (db *DB) pageRead(table string, page int32, seq bool) error {
 // returned as it is; a streaming root's rows are drained into a slice
 // sized as startRows says.
 //
+// With db.Meter set, stats are the run's stats tree as one slab, the
+// caller's: every operator's PlanStats in post-order — an operator's
+// inputs, left to right, before it, the order of DB.Cards — so the root's
+// are last. Unmetered, or on an error, stats are nil.
+//
 // Run is the executor boundary: operator panics are recovered and
 // converted into errors wrapping qerr.ErrOperatorPanic, and every
 // iterator opened is closed even when Open or NextBatch fails
 // mid-pipeline.
-func (db *DB) Run(root *physical.Node, b *bindings.Bindings) (rows []storage.Row, schema Schema, err error) {
+func (db *DB) Run(root *physical.Node, b *bindings.Bindings) (rows []storage.Row, schema Schema, stats []obs.PlanStats, err error) {
 	sc := scratches.Get().(*scratch)
 	db.sc = sc
 	defer func() {
 		db.sc = nil
 		if r := recover(); r != nil {
 			// The scratch is dropped: what still points into it is unknown.
-			rows, schema, db.Cards = nil, nil, nil
+			rows, schema, stats, db.Cards = nil, nil, nil, nil
 			err = fmt.Errorf("exec: recovered panic %v: %w", r, qerr.ErrOperatorPanic)
 			return
 		}
@@ -199,9 +204,10 @@ func (db *DB) Run(root *physical.Node, b *bindings.Bindings) (rows []storage.Row
 	}()
 	if db.Ctx != nil && db.Ctx.Err() != nil {
 		db.Cards = nil
-		return nil, nil, qerr.FromContext(context.Cause(db.Ctx))
+		return nil, nil, nil, qerr.FromContext(context.Cause(db.Ctx))
 	}
 	sc.f = db.newFrame(root)
+	stats = sc.f.stats // Build carves it whole
 	it, schema, err := db.Build(root, b)
 	var out []storage.Row
 	if err == nil && root.Op != physical.Sort {
@@ -209,14 +215,14 @@ func (db *DB) Run(root *physical.Node, b *bindings.Bindings) (rows []storage.Row
 	}
 	sc.f, db.Cards = frame{}, nil // nothing carves or predicts once the tree opens
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	// Close unconditionally: if Open or NextBatch failed mid-pipeline the
 	// iterator tree may be partially open, and every operator's Close is
 	// idempotent and safe on a partially opened tree.
 	defer it.Close()
 	if err := it.Open(); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	if s, ok := it.inner.(*sortIter); ok {
 		// A Sort has buffered and sorted its whole input by now, so its
@@ -226,23 +232,23 @@ func (db *DB) Run(root *physical.Node, b *bindings.Bindings) (rows []storage.Row
 	}
 	out, err = drain(it, out, nil)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	if err := it.Close(); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	if !ownsResult(root) {
 		schema, out = slices.Clone(schema), detach(out)
 	}
-	return out, schema, nil
+	return out, schema, stats, nil
 }
 
 // Build compiles a resolved physical plan into an iterator tree and
 // returns its root. Every compiled operator runs under one opIter, which
-// names it in the errors it raises (see qerr.OpError) and meters it when a
-// collector is installed; the DB's Wrap hook, if any, decorates the
-// operator inside it. Under Run, decorators and serial iterators are
-// carved from the run's frame.
+// names it in the errors it raises (see qerr.OpError) and, with db.Meter
+// set, meters it; the DB's Wrap hook, if any, decorates the operator
+// inside it. Under Run, decorators, serial iterators and stats are carved
+// from the run's frame.
 func (db *DB) Build(n *physical.Node, b *bindings.Bindings) (*opIter, Schema, error) {
 	if db.sc == nil {
 		db.sc = new(scratch) // outside Run
@@ -253,14 +259,36 @@ func (db *DB) Build(n *physical.Node, b *bindings.Bindings) (*opIter, Schema, er
 	}
 	db.sc.f.built++
 	op := carve(&db.sc.f.ops, opIter{db: db, inner: it, node: n})
-	if db.Obs.Enabled() {
-		op.c = db.Obs.StatsFor(n)
+	if db.Meter {
+		op.c = db.meter(n)
 		op.mem, _ = it.(memReporter)
 	}
 	if db.Wrap != nil {
 		op.inner = db.Wrap(it, n)
 	}
 	return op, schema, nil
+}
+
+// meter carves n's stats from the frame, labelled, and returns their
+// counters. n's inputs finished last, so their stats top the frame's open
+// stack: they become n's Children, and n's stats take their place.
+func (db *DB) meter(n *physical.Node) *obs.Counters {
+	f, labels := &db.sc.f, &db.sc.labels
+	start := labels.Len()
+	var buf [128]byte
+	labels.Write(n.AppendLabel(buf[:0]))
+	s := carve(&f.stats, obs.PlanStats{Op: n.Op.String(), Label: labels.String()[start:], Rel: n.Rel})
+	if k := len(n.Children); k > 0 {
+		if len(f.kids) < k {
+			f.kids = make([]*obs.PlanStats, k)
+		}
+		s.Children, f.kids = f.kids[:k:k], f.kids[k:]
+		top := len(f.open) - k
+		copy(s.Children, f.open[top:])
+		f.open = f.open[:top]
+	}
+	f.open = append(f.open, s)
+	return &s.Counters
 }
 
 // compile dispatches on the operator.

@@ -49,7 +49,7 @@ func BenchmarkJoinAlgorithms(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			rows := 0
 			for b.Loop() {
-				out, _, err := db.Run(p, binds)
+				out, _, _, err := db.Run(p, binds)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -78,7 +78,7 @@ func BenchmarkScans(b *testing.B) {
 	for name, p := range plans {
 		b.Run(name, func(b *testing.B) {
 			for b.Loop() {
-				if _, _, err := db.Run(p, binds); err != nil {
+				if _, _, _, err := db.Run(p, binds); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -96,7 +96,7 @@ func BenchmarkExternalSort(b *testing.B) {
 			{Op: physical.FileScan, Rel: "R5", BaseCard: rel.Cardinality, RowBytes: 512},
 		}}
 	for b.Loop() {
-		if _, _, err := db.Run(srt, binds); err != nil {
+		if _, _, _, err := db.Run(srt, binds); err != nil {
 			b.Fatal(err)
 		}
 	}

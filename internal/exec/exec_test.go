@@ -147,7 +147,7 @@ func TestStaticPlansMatchReference(t *testing.T) {
 		}
 		for trial := 0; trial < 3; trial++ {
 			b := chainBindings(n, rng)
-			rows, schema, err := db.Run(res.Plan, b)
+			rows, schema, _, err := db.Run(res.Plan, b)
 			if err != nil {
 				t.Fatalf("n=%d: %v", n, err)
 			}
@@ -190,7 +190,7 @@ func TestAllDynamicAlternativesAgree(t *testing.T) {
 				t.Fatal(err)
 			}
 			distinctPlans[rep.Chosen.Format()] = true
-			rows, schema, err := db.Run(rep.Chosen, b)
+			rows, schema, _, err := db.Run(rep.Chosen, b)
 			if err != nil {
 				t.Fatalf("n=%d: %v\nplan:\n%s", n, err, rep.Chosen.Format())
 			}
@@ -240,7 +240,7 @@ func TestEveryAlternativeExecutes(t *testing.T) {
 	_ = model
 	for i, alt := range res.Plan.Children {
 		exe := resolveAll(alt)
-		rows, schema, err := db.Run(exe, b)
+		rows, schema, _, err := db.Run(exe, b)
 		if err != nil {
 			t.Fatalf("alternative %d: %v\n%s", i, err, exe.Format())
 		}
@@ -274,7 +274,7 @@ func TestScanEquivalence(t *testing.T) {
 
 	var results []string
 	for _, p := range []*physical.Node{filterFile, filterBtree, fbs} {
-		rows, schema, err := db.Run(p, b)
+		rows, schema, _, err := db.Run(p, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -291,7 +291,7 @@ func TestBtreeScanDeliversOrder(t *testing.T) {
 	db := testDB(t, w)
 	rel := w.Catalog.MustRelation("R2")
 	btree := &physical.Node{Op: physical.BtreeScan, Rel: "R2", Attr: "a", BaseCard: rel.Cardinality, RowBytes: 512}
-	rows, schema, err := db.Run(btree, bindings.NewBindings(64))
+	rows, schema, _, err := db.Run(btree, bindings.NewBindings(64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestJoinAlgorithmEquivalence(t *testing.T) {
 	var results []string
 	var counts []int
 	for _, p := range []*physical.Node{hash, merge, index} {
-		rows, schema, err := db.Run(p, b)
+		rows, schema, _, err := db.Run(p, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -362,7 +362,7 @@ func TestMergeJoinDetectsUnsortedInput(t *testing.T) {
 	scan2 := &physical.Node{Op: physical.FileScan, Rel: "R2", BaseCard: r2.Cardinality, RowBytes: 512}
 	merge := &physical.Node{Op: physical.MergeJoin, LeftAttr: "R1.jh", RightAttr: "R2.jl",
 		EdgeSel: 0.01, RowBytes: 1024, Children: []*physical.Node{scan1, scan2}}
-	_, _, err := db.Run(merge, bindings.NewBindings(64))
+	_, _, _, err := db.Run(merge, bindings.NewBindings(64))
 	if err == nil || !strings.Contains(err.Error(), "not sorted") {
 		t.Errorf("unsorted merge join input: err = %v", err)
 	}
@@ -374,7 +374,7 @@ func TestSortOperator(t *testing.T) {
 	rel := w.Catalog.MustRelation("R3")
 	scan := &physical.Node{Op: physical.FileScan, Rel: "R3", BaseCard: rel.Cardinality, RowBytes: 512}
 	srt := &physical.Node{Op: physical.Sort, Attr: "R3.jh", RowBytes: 512, Children: []*physical.Node{scan}}
-	rows, schema, err := db.Run(srt, bindings.NewBindings(64))
+	rows, schema, _, err := db.Run(srt, bindings.NewBindings(64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,23 +397,23 @@ func TestExecutionErrors(t *testing.T) {
 	// Unresolved choose-plan.
 	scan := &physical.Node{Op: physical.FileScan, Rel: "R1", BaseCard: 1, RowBytes: 512}
 	cp := &physical.Node{Op: physical.ChoosePlan, RowBytes: 512, Children: []*physical.Node{scan, scan}}
-	if _, _, err := db.Run(cp, b); err == nil || !strings.Contains(err.Error(), "Choose-Plan") {
+	if _, _, _, err := db.Run(cp, b); err == nil || !strings.Contains(err.Error(), "Choose-Plan") {
 		t.Errorf("choose-plan execution: %v", err)
 	}
 	// Unknown relation.
 	bad := &physical.Node{Op: physical.FileScan, Rel: "nope", BaseCard: 1, RowBytes: 512}
-	if _, _, err := db.Run(bad, b); err == nil {
+	if _, _, _, err := db.Run(bad, b); err == nil {
 		t.Error("unknown relation accepted")
 	}
 	// Missing index.
 	noIdx := &physical.Node{Op: physical.BtreeScan, Rel: "R1", Attr: "zzz", BaseCard: 1, RowBytes: 512}
-	if _, _, err := db.Run(noIdx, b); err == nil {
+	if _, _, _, err := db.Run(noIdx, b); err == nil {
 		t.Error("missing index accepted")
 	}
 	// Unbound host variable.
 	f := &physical.Node{Op: physical.Filter, SelAttr: "R1.a", Var: "ghost", RowBytes: 512,
 		Children: []*physical.Node{scan}}
-	if _, _, err := db.Run(f, b); err == nil {
+	if _, _, _, err := db.Run(f, b); err == nil {
 		t.Error("unbound variable accepted")
 	}
 	// Unqualified predicate attribute.
@@ -421,11 +421,11 @@ func TestExecutionErrors(t *testing.T) {
 		Children: []*physical.Node{scan}}
 	b2 := bindings.NewBindings(64)
 	b2.BindSelectivity("v", 0.5)
-	if _, _, err := db.Run(f2, b2); err == nil {
+	if _, _, _, err := db.Run(f2, b2); err == nil {
 		t.Error("unqualified predicate attribute accepted")
 	}
 	// Unknown operator.
-	if _, _, err := db.Run(&physical.Node{Op: physical.Op(88), RowBytes: 512}, b); err == nil {
+	if _, _, _, err := db.Run(&physical.Node{Op: physical.Op(88), RowBytes: 512}, b); err == nil {
 		t.Error("unknown operator accepted")
 	}
 }
@@ -442,7 +442,7 @@ func TestAccountingShapes(t *testing.T) {
 	run := func(p *physical.Node) *storage.Accountant {
 		acc := &storage.Accountant{}
 		db2 := &DB{Catalog: db.Catalog, Store: db.Store, Indexes: db.Indexes, Acc: acc}
-		if _, _, err := db2.Run(p, b); err != nil {
+		if _, _, _, err := db2.Run(p, b); err != nil {
 			t.Fatal(err)
 		}
 		return acc
@@ -481,7 +481,7 @@ func TestHashJoinSpillAccounting(t *testing.T) {
 	run := func(mem float64) int64 {
 		acc := &storage.Accountant{}
 		db2 := &DB{Catalog: db.Catalog, Store: db.Store, Indexes: db.Indexes, Acc: acc}
-		if _, _, err := db2.Run(join, bindings.NewBindings(mem)); err != nil {
+		if _, _, _, err := db2.Run(join, bindings.NewBindings(mem)); err != nil {
 			t.Fatal(err)
 		}
 		return acc.PageWrites()

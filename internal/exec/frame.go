@@ -1,21 +1,26 @@
 package exec
 
 import (
+	"strings"
 	"sync"
 	"unsafe"
 
 	"dynplan/internal/bindings"
+	"dynplan/internal/obs"
 	"dynplan/internal/physical"
 	"dynplan/internal/storage"
 )
 
 // frame is one run's set-up memory: one exact-sized slab per kind — the
 // operator decorators, the iterators of each serial operator kind but the
-// Temp-Scan, the names behind every join schema — counted by one walk of
-// the plan. Only Run's goroutine carves, until the tree opens; a
-// Temp-Scan, which only re-optimization splices in, is allocated on its
-// own. The names are the caller's, the other slabs the scratch's. built is Build's post-order cursor into DB.Cards; root
-// and result are the run's root and the join ownsResult walks down to.
+// Temp-Scan, the names behind every join schema and, metered, the stats
+// and the Children behind them — counted by one walk of the plan. Only
+// Run's goroutine carves, until the tree opens; a Temp-Scan, which only
+// re-optimization splices in, is allocated on its own. The names, stats
+// and kids are the caller's, the other slabs the scratch's; open is the
+// stack of stats whose operator's parent Build has not finished. built is
+// Build's post-order cursor into DB.Cards; root and result are the run's
+// root and the join ownsResult walks down to.
 type frame struct {
 	ops          []opIter
 	files        []fileScanIter
@@ -26,6 +31,8 @@ type frame struct {
 	merges       []mergeJoinIter
 	indexes      []indexJoinIter
 	names        []string
+	stats        []obs.PlanStats
+	kids, open   []*obs.PlanStats
 	built        int
 	root, result *physical.Node
 }
@@ -40,7 +47,7 @@ func (db *DB) newFrame(root *physical.Node) frame {
 		db.Cards = nil
 	}
 	s := &db.sc.slabs
-	return frame{
+	f := frame{
 		ops:     reuse(&s.ops, c.ops),
 		files:   reuse(&s.files, c.iters[physical.FileScan]),
 		btrees:  reuse(&s.btrees, c.iters[physical.BtreeScan]+c.iters[physical.FilterBtreeScan]),
@@ -53,6 +60,13 @@ func (db *DB) newFrame(root *physical.Node) frame {
 		root:    root,
 		result:  resultJoin(root),
 	}
+	if db.Meter {
+		// A tree's operators are all inputs of one other, but the root.
+		f.stats, f.kids = make([]obs.PlanStats, c.ops), make([]*obs.PlanStats, c.ops-1)
+		f.open = reuse(&s.open, c.ops)[:0]
+		db.sc.labels.Grow(c.labels)
+	}
+	return f
 }
 
 // reuse returns the first n elements of *slab, grown to n if shorter.
@@ -70,8 +84,9 @@ func reuse[T any](slab *[]T, n int) []T {
 // it back after the tree closes, for later runs to reuse. Only Run's
 // goroutine draws; a Build outside Run draws from one never released.
 type scratch struct {
-	f      frame // what Build carves from while Run compiles
-	slabs  frame // f's slabs at full length, kept across runs
+	f      frame           // what Build carves from while Run compiles
+	slabs  frame           // f's slabs at full length, kept across runs
+	labels strings.Builder // the stats' labels: the caller's buffer
 	rows   shelf[storage.Row]
 	chunks shelf[int64]
 	tables shelf[int32] // zeroed: drawn parts are wiped on release
@@ -98,6 +113,8 @@ func (s *scratch) release() {
 	clear(s.slabs.hashes)
 	clear(s.slabs.merges)
 	clear(s.slabs.indexes)
+	clear(s.slabs.open)
+	s.labels.Reset()
 	budget := scratchBytes
 	s.rows.release(&budget, true)
 	s.tables.release(&budget, true)
@@ -205,16 +222,21 @@ func (db *DB) stored(n *physical.Node) float64 {
 	return f
 }
 
-// census counts decorators, serial iterators by operator and join names.
+// census counts decorators, serial iterators by operator, join names
+// and, metered, the bytes of the stats' labels.
 type census struct {
-	ops, names int
-	iters      [physical.TempScan + 1]int
+	ops, names, labels int
+	iters              [physical.TempScan + 1]int
 }
 
 // count walks the subtree compile builds for n, mirroring its dispatch,
 // and returns the width of the subtree's schema.
 func (db *DB) count(n *physical.Node, c *census) (width int) {
 	c.ops++
+	if db.Meter {
+		var buf [128]byte
+		c.labels += len(n.AppendLabel(buf[:0]))
+	}
 	switch op := n.Op; {
 	case op.IsScan():
 		c.iters[op]++

@@ -144,20 +144,15 @@ func digestRows(schema Schema, rows []storage.Row) string {
 // cards as its predicted cardinalities.
 func goldenExec(base *DB, root *physical.Node, b *bindings.Bindings, cards []float64) goldenRun {
 	db := &DB{Catalog: base.Catalog, Store: base.Store, Indexes: base.Indexes, Acc: &storage.Accountant{},
-		Obs: obs.NewCollector(), Cards: cards}
-	rows, schema, err := db.Run(root, b)
+		Meter: true, Cards: cards}
+	rows, schema, stats, err := db.Run(root, b)
 	if err != nil {
 		return goldenRun{Err: err.Error()}
 	}
 	run := goldenRun{Rows: len(rows), Account: db.Acc.String()}
 	run.Digest = digestRows(schema, rows)
-	seen := make(map[*obs.PlanStats]bool)
 	var walk func(s *obs.PlanStats)
 	walk = func(s *obs.PlanStats) {
-		if seen[s] {
-			return
-		}
-		seen[s] = true
 		c := s.Counters
 		run.Ops = append(run.Ops, fmt.Sprintf("%s %s rows=%d tuples=%d seq=%d rand=%d write=%d",
 			s.Op, s.Rel, c.Rows, c.TupleOps, c.SeqPageReads, c.RandPageReads, c.PageWrites))
@@ -165,7 +160,7 @@ func goldenExec(base *DB, root *physical.Node, b *bindings.Bindings, cards []flo
 			walk(ch)
 		}
 	}
-	walk(db.Obs.Tree(root))
+	walk(&stats[len(stats)-1])
 	return run
 }
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"dynplan/internal/bindings"
-	"dynplan/internal/obs"
 	"dynplan/internal/physical"
 	"dynplan/internal/plan"
 	"dynplan/internal/storage"
@@ -13,19 +12,19 @@ import (
 )
 
 // actualCards runs root once, metered, and returns every operator's output
-// rows in post-order: what a start-up sweep that is never wrong predicts.
-func actualCards(base *DB, root *physical.Node, b *bindings.Bindings) []float64 {
-	db := &DB{Catalog: base.Catalog, Store: base.Store, Indexes: base.Indexes, Acc: &storage.Accountant{}, Obs: obs.NewCollector()}
-	db.Run(root, b) // a failed run's tallies predict as well as any
-	var cards []float64
-	var walk func(n *physical.Node)
-	walk = func(n *physical.Node) {
-		for _, c := range n.Children {
-			walk(c)
-		}
-		cards = append(cards, float64(db.Obs.StatsFor(n).Rows))
+// rows in post-order, the order of the stats slab: what a start-up sweep
+// that is never wrong predicts.
+func actualCards(t *testing.T, base *DB, root *physical.Node, b *bindings.Bindings) []float64 {
+	t.Helper()
+	db := &DB{Catalog: base.Catalog, Store: base.Store, Indexes: base.Indexes, Acc: &storage.Accountant{}, Meter: true}
+	_, _, stats, err := db.Run(root, b)
+	if err != nil {
+		t.Fatal(err)
 	}
-	walk(root)
+	cards := make([]float64, len(stats))
+	for i, s := range stats {
+		cards[i] = float64(s.Counters.Rows)
+	}
 	return cards
 }
 
@@ -41,7 +40,7 @@ func TestHintsAreInvisible(t *testing.T) {
 	check := func(name string, root *physical.Node, b *bindings.Bindings) {
 		t.Helper()
 		want := goldenExec(base, root, b, nil)
-		exact := actualCards(base, root, b)
+		exact := actualCards(t, base, root, b)
 		scaled := func(f float64) []float64 {
 			out := make([]float64, len(exact))
 			for i, c := range exact {

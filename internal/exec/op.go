@@ -25,15 +25,15 @@ type memReporter interface {
 // existing OpError — which is the operator closest to the actual fault.
 // The node's label is rendered only then, on the error path.
 //
-// With a collector installed, every protocol call is metered: one
-// accountant snapshot, injector read, and clock read around each call,
-// charging the deltas — inclusive of the operator's inputs — to the
-// node's counters. Without one, metering costs one nil check per call.
+// Metered, every protocol call is: one accountant snapshot, injector
+// read, and clock read around each call, charging the deltas — inclusive
+// of the operator's inputs — to the operator's counters in the run's stats
+// tree. Unmetered, metering costs one nil check per call.
 type opIter struct {
 	db    *DB
 	inner Iterator
 	node  *physical.Node
-	c     *obs.Counters // nil when no collector is installed
+	c     *obs.Counters // nil unless metered
 	mem   memReporter
 }
 

@@ -107,7 +107,8 @@ func runOwned(db *DB, c ownedRoot, b *bindings.Bindings) ([]storage.Row, Schema,
 		db.count(c.root, &n)
 		db.Cards = slices.Repeat([]float64{600}, n.ops)
 	}
-	return db.Run(c.root, b)
+	rows, schema, _, err := db.Run(c.root, b)
+	return rows, schema, err
 }
 
 // TestRunResultIsOwned pins Run's ownership contract: the caller owns the
@@ -238,7 +239,7 @@ func spooledWeak(base *DB, chain *physical.Node, b *bindings.Bindings) (weak.Poi
 	p := weak.Make(&tmp.Table.Page(0)[0][0])
 	join := &physical.Node{Op: physical.HashJoin, LeftAttr: "R1.jh", RightAttr: "R2.jl", RowBytes: 1024,
 		Children: []*physical.Node{{Op: physical.TempScan, Rel: "w", RowBytes: 512}, chain.Children[0].Children[1]}}
-	_, _, err = db.Run(join, b)
+	_, _, _, err = db.Run(join, b)
 	return p, err
 }
 
@@ -287,7 +288,7 @@ func TestRecycledRunsNeverAlias(t *testing.T) {
 	t.Run("spooled", func(t *testing.T) {
 		db := siblingDB(base)
 		db.Guards = spoolGuard{db: db, at: chain.Children[0]}
-		if _, _, err := db.Run(chain, at(1.0)); err != nil {
+		if _, _, _, err := db.Run(chain, at(1.0)); err != nil {
 			t.Fatal(err)
 		}
 		spool, ok := db.Temps["spool"]
@@ -298,7 +299,7 @@ func TestRecycledRunsNeverAlias(t *testing.T) {
 		db.Guards = nil
 		for i := range 50 {
 			sel := 0.1 + 0.2*float64(i%5)
-			if _, _, err := db.Run(chain, at(sel)); err != nil {
+			if _, _, _, err := db.Run(chain, at(sel)); err != nil {
 				t.Fatal(err)
 			}
 			if got := storedDigest(t, db); got != want {
@@ -309,7 +310,7 @@ func TestRecycledRunsNeverAlias(t *testing.T) {
 
 	t.Run("panicked", func(t *testing.T) {
 		db := siblingDB(base)
-		rows, schema, err := db.Run(chain, at(0.6))
+		rows, schema, _, err := db.Run(chain, at(0.6))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -321,12 +322,12 @@ func TestRecycledRunsNeverAlias(t *testing.T) {
 			}
 			return it
 		}
-		if _, _, err := db.Run(chain, at(0.6)); !errors.Is(err, qerr.ErrOperatorPanic) {
+		if _, _, _, err := db.Run(chain, at(0.6)); !errors.Is(err, qerr.ErrOperatorPanic) {
 			t.Fatalf("want ErrOperatorPanic, got %v", err)
 		}
 		db.Wrap = nil
 		for range 3 {
-			rows, schema, err := db.Run(chain, at(0.6))
+			rows, schema, _, err := db.Run(chain, at(0.6))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -45,7 +45,7 @@ func TestCancelBeforeRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	db.Ctx = ctx
-	_, _, err := db.Run(staticPlan(t, w, 2), midBindings(2))
+	_, _, _, err := db.Run(staticPlan(t, w, 2), midBindings(2))
 	if !errors.Is(err, qerr.ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
 	}
@@ -122,7 +122,7 @@ func TestDeadlineExceeded(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), -time.Second) // already expired
 	defer cancel()
 	db.Ctx = ctx
-	_, _, err := db.Run(staticPlan(t, w, 1), midBindings(1))
+	_, _, _, err := db.Run(staticPlan(t, w, 1), midBindings(1))
 	if !errors.Is(err, qerr.ErrDeadlineExceeded) {
 		t.Fatalf("want ErrDeadlineExceeded, got %v", err)
 	}
@@ -142,7 +142,7 @@ func TestPanicRecovered(t *testing.T) {
 	db.Wrap = func(it Iterator, n *physical.Node) Iterator {
 		return panicIter{}
 	}
-	_, _, err := db.Run(staticPlan(t, w, 1), midBindings(1))
+	_, _, _, err := db.Run(staticPlan(t, w, 1), midBindings(1))
 	if !errors.Is(err, qerr.ErrOperatorPanic) {
 		t.Fatalf("want ErrOperatorPanic, got %v", err)
 	}
@@ -166,7 +166,7 @@ func TestTransientFaultSurfacesTyped(t *testing.T) {
 		Seed:          7,
 		TransientRate: 0.5,
 	})
-	_, _, err := db.Run(staticPlan(t, w, 2), midBindings(2))
+	_, _, _, err := db.Run(staticPlan(t, w, 2), midBindings(2))
 	if err == nil {
 		t.Fatal("expected an injected fault to surface")
 	}
@@ -198,7 +198,7 @@ func TestTransientFaultsAbsorbedByRetries(t *testing.T) {
 		db := testDB(t, w)
 		b := midBindings(n)
 		p := staticPlan(t, w, n)
-		cleanRows, schema, err := db.Run(p, b)
+		cleanRows, schema, _, err := db.Run(p, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +207,7 @@ func TestTransientFaultsAbsorbedByRetries(t *testing.T) {
 			TransientRate: 0.10,
 			ReadRetries:   3,
 		})
-		faultyRows, fschema, err := db.Run(p, b)
+		faultyRows, fschema, _, err := db.Run(p, b)
 		if err != nil {
 			t.Fatalf("n=%d: faults not absorbed: %v", n, err)
 		}
@@ -244,7 +244,7 @@ func TestMemoryShrinkFailsHashBuild(t *testing.T) {
 			MemShrinkAfterReads: 1,
 			MemShrinkFactor:     0.001,
 		})}
-	_, _, err := db.Run(p, b)
+	_, _, _, err := db.Run(p, b)
 	if !errors.Is(err, qerr.ErrInsufficientMemory) {
 		t.Fatalf("want ErrInsufficientMemory, got %v", err)
 	}

@@ -93,7 +93,7 @@ func TestStarQueriesEndToEnd(t *testing.T) {
 			}
 			want := starReference(w, db, n, b)
 
-			rowsS, schemaS, err := db.Run(static.Plan, b)
+			rowsS, schemaS, _, err := db.Run(static.Plan, b)
 			if err != nil {
 				t.Fatalf("star %d static exec: %v", n, err)
 			}
@@ -105,7 +105,7 @@ func TestStarQueriesEndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rowsD, schemaD, err := db.Run(rep.Chosen, b)
+			rowsD, schemaD, _, err := db.Run(rep.Chosen, b)
 			if err != nil {
 				t.Fatalf("star %d dynamic exec: %v\nplan:\n%s", n, err, rep.Chosen.Format())
 			}

@@ -43,7 +43,7 @@ func (db *DB) AddTemp(name string, schema Schema, rows []storage.Row, rowBytes i
 // Materialize executes a subplan and spools its result into a temporary,
 // returning the temp and the observed cardinality.
 func (db *DB) Materialize(name string, n *physical.Node, b *bindings.Bindings) (*Temp, int, error) {
-	rows, schema, err := db.Run(n, b)
+	rows, schema, _, err := db.Run(n, b)
 	if err != nil {
 		return nil, 0, err
 	}

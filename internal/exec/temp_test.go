@@ -38,7 +38,7 @@ func TestMaterializeAndTempScan(t *testing.T) {
 
 	// The temp scan returns exactly the materialized rows.
 	scan := &physical.Node{Op: physical.TempScan, Rel: "t1", BaseCard: observed, RowBytes: 512}
-	rows, schema, err := db.Run(scan, b)
+	rows, schema, _, err := db.Run(scan, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestMaterializeAndTempScan(t *testing.T) {
 			scan,
 			{Op: physical.FileScan, Rel: "R2", BaseCard: r2.Cardinality, RowBytes: 512},
 		}}
-	joined, jschema, err := db.Run(join, b)
+	joined, jschema, _, err := db.Run(join, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestTempScanUnknownTemp(t *testing.T) {
 	w := workload.New(16)
 	db := testDB(t, w)
 	scan := &physical.Node{Op: physical.TempScan, Rel: "ghost", BaseCard: 1, RowBytes: 512}
-	if _, _, err := db.Run(scan, bindings.NewBindings(64)); err == nil || !strings.Contains(err.Error(), "unknown temporary") {
+	if _, _, _, err := db.Run(scan, bindings.NewBindings(64)); err == nil || !strings.Contains(err.Error(), "unknown temporary") {
 		t.Errorf("unknown temp: err = %v", err)
 	}
 }
@@ -94,7 +94,7 @@ func TestTempScanOrderPreserved(t *testing.T) {
 	rows := []storage.Row{{5}, {3}, {9}, {1}}
 	db.AddTemp("seq", Schema{"t.k"}, rows, 512)
 	scan := &physical.Node{Op: physical.TempScan, Rel: "seq", BaseCard: 4, RowBytes: 512}
-	got, _, err := db.Run(scan, bindings.NewBindings(64))
+	got, _, _, err := db.Run(scan, bindings.NewBindings(64))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,8 @@ type BrokerStats struct {
 	// HighWaterPages is the largest OutstandingPages ever observed.
 	HighWaterPages float64
 	// Grants counts grants issued; Degraded those issued below the
-	// requested size; Waits the acquisitions that had to block for pages.
+	// requested size; Waits the acquisitions that had to block for pages,
+	// counted as they block.
 	Grants, Degraded, Waits int64
 }
 
@@ -82,7 +83,6 @@ func (b *Broker) Acquire(ctx context.Context, want, min float64, timeout time.Du
 				b.degraded++
 			}
 			if timer != nil {
-				b.waits++
 				timer.Stop()
 			}
 			if b.outstanding > b.highWater {
@@ -94,11 +94,12 @@ func (b *Broker) Acquire(ctx context.Context, want, min float64, timeout time.Du
 		if b.waitCh == nil {
 			b.waitCh = make(chan struct{})
 		}
-		ch := b.waitCh
-		b.mu.Unlock()
 		if timer == nil {
+			b.waits++
 			timer = time.NewTimer(timeout)
 		}
+		ch := b.waitCh
+		b.mu.Unlock()
 		select {
 		case <-ctx.Done():
 			timer.Stop()

@@ -263,24 +263,35 @@ func (g *Governor) Acquire(ctx context.Context, tenant string, wantPages float64
 		want = g.cfg.MinGrantPages
 	}
 	requested := want
+	var reserved float64 // charged to the tenant's quota before the grant
 	if ts != nil && g.cfg.TenantPages > 0 {
 		// The tenant quota clamps the request before the broker sees it: a
 		// tenant holding most of its quota gets degraded grants, and one
 		// whose remainder cannot fund the floor is shed — the shared pool
-		// stays available to the other tenants.
+		// stays available to the other tenants. The clamped request is
+		// reserved as the quota is read, so a concurrent query of the
+		// tenant sees it spent while this one waits for its grant.
 		g.mu.Lock()
 		avail := g.cfg.TenantPages - ts.outstanding
-		g.mu.Unlock()
 		if avail < min(g.cfg.MinGrantPages, want) {
+			g.mu.Unlock()
 			return nil, g.abandon(ts, true, fmt.Errorf("governor: tenant grant quota exhausted (%.4g of %.4g pages outstanding): %w",
 				g.cfg.TenantPages-avail, g.cfg.TenantPages, qerr.ErrAdmission))
 		}
 		want = min(want, avail)
+		reserved = want
+		ts.outstanding += reserved
+		g.mu.Unlock()
 	}
 	// Slot holders release pages as they finish, so a bounded grant wait
 	// cannot deadlock.
 	pages, err := g.broker.Acquire(ctx, want, g.cfg.MinGrantPages, g.cfg.QueueTimeout)
 	if err != nil {
+		if reserved > 0 {
+			g.mu.Lock()
+			ts.outstanding -= reserved
+			g.mu.Unlock()
+		}
 		return nil, g.abandon(ts, true, err)
 	}
 
@@ -292,7 +303,7 @@ func (g *Governor) Acquire(ctx context.Context, tenant string, wantPages float64
 	if ts != nil {
 		ts.inFlight++
 		ts.admitted++
-		ts.outstanding += pages
+		ts.outstanding += pages - reserved // the grant settles the reservation
 		ts.queueWaitTotal += wait
 	}
 	g.mu.Unlock()

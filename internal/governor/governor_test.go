@@ -383,3 +383,66 @@ func TestAnonymousQueriesBypassTenantGate(t *testing.T) {
 		t.Fatalf("anonymous traffic created tenant accounts: %+v", s.Tenants)
 	}
 }
+
+// TestTenantQuotaHoldsUnderConcurrentGrants pins that the tenant quota is
+// read and charged in one step: tenant a's second request, arriving while
+// its first waits for pages, must see the first's pages as spent. Were
+// they charged only at the grant, both would be granted the full quota
+// once the holder releases.
+func TestTenantQuotaHoldsUnderConcurrentGrants(t *testing.T) {
+	g := New(Config{TotalPages: 256, MinGrantPages: 16, MaxConcurrent: 4,
+		TenantSlots: 2, TenantPages: 128, QueueTimeout: time.Minute})
+	ctx := context.Background()
+	holder, err := g.Acquire(ctx, "", 256) // anonymous: no quota
+	if err != nil || holder.Pages != 256 {
+		t.Fatalf("holder grant = %+v, %v; want 256 pages", holder, err)
+	}
+	type result struct {
+		ticket *Ticket
+		err    error
+	}
+	results := make(chan result, 2)
+	acquire := func() {
+		tk, err := g.Acquire(ctx, "a", 128)
+		results <- result{tk, err}
+	}
+	// waitFor polls until cond holds or a result arrives.
+	var got []result
+	waitFor := func(cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for !cond() {
+			select {
+			case r := <-results:
+				got = append(got, r)
+			case <-time.After(time.Millisecond):
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("acquisitions neither blocked nor returned")
+			}
+		}
+	}
+	go acquire()
+	waitFor(func() bool { return g.Stats().Broker.Waits >= 1 })
+	go acquire()
+	waitFor(func() bool { return len(got) >= 1 || g.Stats().Broker.Waits >= 2 })
+	holder.Release()
+	for len(got) < 2 {
+		got = append(got, <-results)
+	}
+	var granted float64
+	for _, r := range got {
+		if r.err == nil {
+			granted += r.ticket.Pages
+			defer r.ticket.Release()
+		} else if !errors.Is(r.err, qerr.ErrAdmission) {
+			t.Errorf("acquisition failed with %v, want ErrAdmission", r.err)
+		}
+	}
+	if granted > 128 {
+		t.Errorf("tenant a was granted %v pages, quota 128", granted)
+	}
+	if p := g.Stats().Tenants["a"].OutstandingPages; p != granted {
+		t.Errorf("tenant a outstanding %v, granted %v", p, granted)
+	}
+}

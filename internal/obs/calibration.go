@@ -81,50 +81,24 @@ func (b BandCheck) Verdict(actual float64) (qerror float64, violation bool) {
 }
 
 // Calibrate walks an execution's stats tree and produces the calibration
-// verdicts: one cardinality verdict per distinct operator carrying a
-// Prediction (also annotating the node's QError/Violation fields, so
+// verdicts: one cardinality verdict per operator carrying a Prediction, in
+// pre-order (also annotating the node's QError/Violation fields, so
 // EXPLAIN ANALYZE can render them), plus one plan-level cost verdict when
-// a predicted cost interval is supplied (planHi > 0). actualCost is the
-// execution's observed simulated cost in seconds. Nil-safe on a nil tree.
-func Calibrate(tree *PlanStats, planLo, planHi, actualCost float64) []CalibrationVerdict {
-	if tree == nil {
+// a predicted cost interval is supplied (planHi > 0). ops is the tree's
+// post-order slab, root last, as the executor returns it; actualCost is
+// the execution's observed simulated cost in seconds. Nil on no operators.
+func Calibrate(ops []PlanStats, planLo, planHi, actualCost float64) []CalibrationVerdict {
+	if len(ops) == 0 {
 		return nil
 	}
-	// At most one verdict per distinct node plus the plan's: sized once.
-	verdicts := make([]CalibrationVerdict, 0, tree.NodeCount()+1)
-	seen := make(map[*PlanStats]bool)
-	var walk func(s *PlanStats)
-	walk = func(s *PlanStats) {
-		if seen[s] {
-			return
-		}
-		seen[s] = true
-		if p := s.Predicted; p != nil {
-			qe, viol := BandCheck{Lo: p.CardLo, Hi: p.CardHi}.Verdict(float64(s.Counters.Rows))
-			s.QError = qe
-			s.Violation = viol
-			verdicts = append(verdicts, CalibrationVerdict{
-				Kind:        "cardinality",
-				Op:          s.Op,
-				Rel:         s.Rel,
-				Label:       s.Label,
-				PredictedLo: p.CardLo,
-				PredictedHi: p.CardHi,
-				Actual:      float64(s.Counters.Rows),
-				QError:      qe,
-				Violation:   viol,
-			})
-		}
-		for _, ch := range s.Children {
-			walk(ch)
-		}
-	}
-	walk(tree)
+	root := &ops[len(ops)-1]
+	// At most one verdict per operator plus the plan's: sized once.
+	verdicts := root.calibrate(make([]CalibrationVerdict, 0, len(ops)+1))
 	if planHi > 0 {
 		qe, viol := BandCheck{Lo: planLo, Hi: planHi}.Verdict(actualCost)
 		verdicts = append(verdicts, CalibrationVerdict{
 			Kind:        "cost",
-			Op:          tree.Op,
+			Op:          root.Op,
 			Label:       "plan",
 			PredictedLo: planLo,
 			PredictedHi: planHi,
@@ -132,6 +106,30 @@ func Calibrate(tree *PlanStats, planLo, planHi, actualCost float64) []Calibratio
 			QError:      qe,
 			Violation:   viol,
 		})
+	}
+	return verdicts
+}
+
+// calibrate appends the cardinality verdicts of s's subtree, s first.
+func (s *PlanStats) calibrate(verdicts []CalibrationVerdict) []CalibrationVerdict {
+	if p := s.Predicted; p != nil {
+		qe, viol := BandCheck{Lo: p.CardLo, Hi: p.CardHi}.Verdict(float64(s.Counters.Rows))
+		s.QError = qe
+		s.Violation = viol
+		verdicts = append(verdicts, CalibrationVerdict{
+			Kind:        "cardinality",
+			Op:          s.Op,
+			Rel:         s.Rel,
+			Label:       s.Label,
+			PredictedLo: p.CardLo,
+			PredictedHi: p.CardHi,
+			Actual:      float64(s.Counters.Rows),
+			QError:      qe,
+			Violation:   viol,
+		})
+	}
+	for _, ch := range s.Children {
+		verdicts = ch.calibrate(verdicts)
 	}
 	return verdicts
 }

@@ -13,18 +13,14 @@
 // direction needs: mid-query statistics collection presupposes per-operator
 // counters that are free when disabled.
 //
-// The package is dependency-free beyond the standard library and
-// internal/physical (for plan-node identity), and every Collector method is
-// safe on a nil receiver: a disabled collector is a nil pointer, so the
-// executor's fast path is a single pointer comparison and allocates
-// nothing (see TestDisabledCollectorAllocatesNothing).
+// The package is dependency-free beyond the standard library. It defines
+// the per-operator tally and the stats tree; the executor fills them in:
+// a metered run carves every operator's PlanStats from one post-order
+// slab and returns it, and an unmetered operator's counter pointer is nil,
+// so its fast path is a single pointer comparison and allocates nothing.
 package obs
 
-import (
-	"fmt"
-
-	"dynplan/internal/physical"
-)
+import "fmt"
 
 // Counters is the per-operator tally a metered iterator accumulates.
 // Page, tuple, fault, and wall-time counters are inclusive: they cover the
@@ -97,56 +93,11 @@ func (c Counters) SimulatedSeconds(r CostRates) float64 {
 		float64(c.TupleOps)*r.Tuple
 }
 
-// Collector gathers per-operator counters for one execution, keyed by plan
-// node. Each execution makes its own, and only the goroutine running that
-// execution touches it. The zero of observability is a nil *Collector:
-// every method is nil-safe, so callers hold a plain pointer field and never
-// branch beyond the nil check the methods perform themselves.
-type Collector struct {
-	stats map[*physical.Node]*Counters
-	// cards are the predicted output cardinalities of the plan Tree
-	// describes, one per distinct operator in post-order.
-	cards []float64
-}
-
-// NewCollector returns an empty, enabled collector.
-func NewCollector() *Collector {
-	return &Collector{stats: make(map[*physical.Node]*Counters)}
-}
-
-// Predict attaches the cost model's predicted output cardinalities to the
-// plan Tree describes, so the stats tree can be calibrated against them
-// after execution: one per distinct operator, in post-order — an
-// operator's inputs, left to right, before it, which is the order of the
-// plan's lowered program. No-op on a nil collector.
-func (c *Collector) Predict(cards []float64) {
-	if c == nil {
-		return
-	}
-	c.cards = cards
-}
-
-// Enabled reports whether the collector is collecting; false on nil.
-func (c *Collector) Enabled() bool { return c != nil }
-
-// StatsFor returns the counter struct for a plan node, creating it on
-// first use. It returns nil on a nil collector — the disabled fast path.
-func (c *Collector) StatsFor(n *physical.Node) *Counters {
-	if c == nil {
-		return nil
-	}
-	s, ok := c.stats[n]
-	if !ok {
-		s = &Counters{}
-		c.stats[n] = s
-	}
-	return s
-}
-
 // PlanStats is one node of the stats tree that parallels the executed
 // physical plan: the operator's label, its counters, and its inputs. It is
 // both the EXPLAIN ANALYZE model and the plan-shape section of a JSON run
-// record.
+// record. An executed plan is a tree, so every node has one parent and is
+// visited once by a plain recursive walk.
 type PlanStats struct {
 	Op       string   `json:"op"`
 	Label    string   `json:"label"`
@@ -154,93 +105,13 @@ type PlanStats struct {
 	// Rel names the base relation the operator reads, when it reads one —
 	// the key the workload registry aggregates per-relation metrics under.
 	Rel string `json:"rel,omitempty"`
-	// Predicted is the cardinality predicted via Collector.Predict; QError
-	// and Violation are filled in by Calibrate after execution.
+	// Predicted is the cost model's predicted cardinality, which the
+	// pipeline attaches after the run; QError and Violation are filled in
+	// by Calibrate.
 	Predicted *Prediction  `json:"predicted,omitempty"`
 	QError    float64      `json:"q_error,omitempty"`
 	Violation bool         `json:"violation,omitempty"`
 	Children  []*PlanStats `json:"children,omitempty"`
-}
-
-// Tree builds the stats tree for the plan rooted at root from the
-// collected counters. Nodes the execution never compiled report zero
-// counters. It returns nil on a nil collector.
-func (c *Collector) Tree(root *physical.Node) *PlanStats {
-	if c == nil || root == nil {
-		return nil
-	}
-	memo := make(map[*physical.Node]*PlanStats)
-	preds := make([]Prediction, 0, len(c.cards))
-	return c.tree(root, memo, &preds)
-}
-
-// tree builds the stats of n's subplan, attaching the predictions in
-// post-order; preds never outgrows its capacity, so they stay in place.
-func (c *Collector) tree(n *physical.Node, memo map[*physical.Node]*PlanStats, preds *[]Prediction) *PlanStats {
-	if s, ok := memo[n]; ok {
-		return s
-	}
-	s := &PlanStats{Op: n.Op.String(), Label: n.Label(), Rel: n.Rel, Children: make([]*PlanStats, 0, len(n.Children))}
-	memo[n] = s
-	if cnt := c.stats[n]; cnt != nil {
-		s.Counters = *cnt
-	}
-	for _, ch := range n.Children {
-		s.Children = append(s.Children, c.tree(ch, memo, preds))
-	}
-	if k := len(*preds); k < len(c.cards) {
-		*preds = append(*preds, Prediction{CardLo: c.cards[k], CardHi: c.cards[k]})
-		s.Predicted = &(*preds)[k]
-	}
-	return s
-}
-
-// Total returns the execution-wide tally: the root's counters, whose I/O,
-// tuple, fault, and wall figures are inclusive of the whole tree and whose
-// Rows is the result cardinality. MemBytes is widened to the largest
-// high-water mark anywhere in the tree (buffering operators below the root
-// hold the real memory).
-func (s *PlanStats) Total() Counters {
-	if s == nil {
-		return Counters{}
-	}
-	total := s.Counters
-	seen := make(map[*PlanStats]bool)
-	var walk func(p *PlanStats)
-	walk = func(p *PlanStats) {
-		if seen[p] {
-			return
-		}
-		seen[p] = true
-		if p.Counters.MemBytes > total.MemBytes {
-			total.MemBytes = p.Counters.MemBytes
-		}
-		for _, ch := range p.Children {
-			walk(ch)
-		}
-	}
-	walk(s)
-	return total
-}
-
-// NodeCount returns the number of distinct nodes in the stats tree.
-func (s *PlanStats) NodeCount() int {
-	if s == nil {
-		return 0
-	}
-	seen := make(map[*PlanStats]bool)
-	var walk func(p *PlanStats)
-	walk = func(p *PlanStats) {
-		if seen[p] {
-			return
-		}
-		seen[p] = true
-		for _, ch := range p.Children {
-			walk(ch)
-		}
-	}
-	walk(s)
-	return len(seen)
 }
 
 // formatBytes renders a byte count compactly.

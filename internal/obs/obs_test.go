@@ -8,8 +8,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"dynplan/internal/physical"
 )
 
 func TestCountersAdd(t *testing.T) {
@@ -40,106 +38,37 @@ func TestSimulatedSeconds(t *testing.T) {
 	}
 }
 
-// chainPlan builds scan(R) ⋈ scan(S) ⋈ scan(T) as a physical tree.
-func chainPlan() (*physical.Node, *physical.Node, *physical.Node, *physical.Node, *physical.Node) {
-	r := &physical.Node{Op: physical.FileScan, Rel: "R"}
-	s := &physical.Node{Op: physical.FileScan, Rel: "S"}
-	tt := &physical.Node{Op: physical.FileScan, Rel: "T"}
-	j1 := &physical.Node{Op: physical.HashJoin, LeftAttr: "R.j", RightAttr: "S.j", Children: []*physical.Node{r, s}}
-	j2 := &physical.Node{Op: physical.HashJoin, LeftAttr: "S.k", RightAttr: "T.k", Children: []*physical.Node{j1, tt}}
-	return j2, j1, r, s, tt
+// chainStats builds the stats tree of (R ⋈ S) ⋈ T as the executor returns
+// it, one post-order slab with the root last, with the given counters per
+// operator in that order.
+func chainStats(c ...Counters) []PlanStats {
+	ops := []PlanStats{
+		{Op: "File-Scan", Label: "File-Scan R", Rel: "R"},
+		{Op: "File-Scan", Label: "File-Scan S", Rel: "S"},
+		{Op: "Hash-Join", Label: "Hash-Join R.j = S.j (build left)"},
+		{Op: "File-Scan", Label: "File-Scan T", Rel: "T"},
+		{Op: "Hash-Join", Label: "Hash-Join S.k = T.k (build left)"},
+	}
+	ops[2].Children = []*PlanStats{&ops[0], &ops[1]}
+	ops[4].Children = []*PlanStats{&ops[2], &ops[3]}
+	for i := range c {
+		ops[i].Counters = c[i]
+	}
+	return ops
 }
 
-func TestCollectorTreeMirrorsPlanShape(t *testing.T) {
-	root, j1, r, s, tt := chainPlan()
-	c := NewCollector()
-	c.StatsFor(r).Add(Counters{Rows: 100, SeqPageReads: 10})
-	c.StatsFor(s).Add(Counters{Rows: 50, SeqPageReads: 5})
-	c.StatsFor(tt).Add(Counters{Rows: 20, SeqPageReads: 2})
-	c.StatsFor(j1).Add(Counters{Rows: 30, SeqPageReads: 15, MemBytes: 1 << 20})
-	c.StatsFor(root).Add(Counters{Rows: 7, SeqPageReads: 17})
-
-	tree := c.Tree(root)
-	if tree == nil {
-		t.Fatal("Tree returned nil on an enabled collector")
+// countStats returns the number of nodes of a stats tree.
+func countStats(s *PlanStats) int {
+	n := 1
+	for _, c := range s.Children {
+		n += countStats(c)
 	}
-	if tree.NodeCount() != root.CountNodes() {
-		t.Errorf("stats tree has %d nodes, plan has %d", tree.NodeCount(), root.CountNodes())
-	}
-	// Shape: root joins (j1, T); j1 joins (R, S).
-	if len(tree.Children) != 2 || len(tree.Children[0].Children) != 2 {
-		t.Fatalf("stats tree does not mirror the plan shape: %+v", tree)
-	}
-	if tree.Counters.Rows != 7 {
-		t.Errorf("root rows = %d, want 7", tree.Counters.Rows)
-	}
-	if got := tree.Children[0].Counters.MemBytes; got != 1<<20 {
-		t.Errorf("j1 mem = %d, want %d", got, 1<<20)
-	}
-	if got := tree.Children[0].Children[0].Counters.Rows; got != 100 {
-		t.Errorf("scan R rows = %d, want 100", got)
-	}
-
-	// Total: root's inclusive counters with tree-wide MemBytes high-water.
-	total := tree.Total()
-	if total.Rows != 7 || total.SeqPageReads != 17 || total.MemBytes != 1<<20 {
-		t.Errorf("Total = %+v", total)
-	}
-}
-
-func TestCollectorTreeSharedSubplan(t *testing.T) {
-	// A DAG: the same scan feeds both join inputs. The stats tree must
-	// preserve the sharing (one PlanStats node referenced twice).
-	r := &physical.Node{Op: physical.FileScan, Rel: "R"}
-	join := &physical.Node{Op: physical.HashJoin, LeftAttr: "R.j", RightAttr: "R.j",
-		Children: []*physical.Node{r, r}}
-	c := NewCollector()
-	c.StatsFor(r).Add(Counters{Rows: 10})
-	tree := c.Tree(join)
-	if tree.Children[0] != tree.Children[1] {
-		t.Error("shared plan node mapped to distinct stats nodes")
-	}
-	if tree.NodeCount() != 2 {
-		t.Errorf("NodeCount = %d, want 2", tree.NodeCount())
-	}
-}
-
-func TestNilCollectorIsSafe(t *testing.T) {
-	var c *Collector
-	if c.Enabled() {
-		t.Error("nil collector reports Enabled")
-	}
-	if c.StatsFor(&physical.Node{Op: physical.FileScan, Rel: "R"}) != nil {
-		t.Error("nil collector returned a counter struct")
-	}
-	if c.Tree(&physical.Node{Op: physical.FileScan, Rel: "R"}) != nil {
-		t.Error("nil collector returned a stats tree")
-	}
-}
-
-// TestDisabledCollectorAllocatesNothing pins the zero-overhead contract:
-// the disabled (nil) collector's fast path performs no allocation.
-func TestDisabledCollectorAllocatesNothing(t *testing.T) {
-	var c *Collector
-	n := &physical.Node{Op: physical.FileScan, Rel: "R"}
-	allocs := testing.AllocsPerRun(1000, func() {
-		if c.Enabled() {
-			t.Fatal("unreachable")
-		}
-		_ = c.StatsFor(n)
-		_ = c.Tree(n)
-	})
-	if allocs != 0 {
-		t.Errorf("disabled collector allocated %.1f times per run, want 0", allocs)
-	}
+	return n
 }
 
 func TestRunRecordRoundTrip(t *testing.T) {
-	root, _, r, s, tt := chainPlan()
-	c := NewCollector()
-	for _, n := range []*physical.Node{root, r, s, tt} {
-		c.StatsFor(n).Add(Counters{Rows: 3, SeqPageReads: 2, WallNanos: 10})
-	}
+	scan := Counters{Rows: 3, SeqPageReads: 2, WallNanos: 10}
+	ops := chainStats(scan, scan, Counters{}, scan, scan)
 	rec := &RunRecord{
 		Name:  "roundtrip-test",
 		Query: "R join S join T",
@@ -148,7 +77,7 @@ func TestRunRecordRoundTrip(t *testing.T) {
 		},
 		SimCostTotal: 1.25,
 		Optimizer:    &OptimizerSpan{Goals: 6, Candidates: 20, ChoosePlansEmitted: 2, PlanNodes: 5},
-		Operators:    c.Tree(root),
+		Operators:    &ops[len(ops)-1],
 		Decisions: []ChoiceTrace{
 			{Operator: "Choose-Plan (2 alternatives)", Alternatives: []string{"Hash-Join", "Merge-Join"},
 				Costs: []float64{1.5, 2.5}, Reason: string(AppendReason(nil, []float64{1.5, 2.5}, 0))},
@@ -187,9 +116,9 @@ func TestRunRecordRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(back.Decisions, rec.Decisions) {
 		t.Errorf("round trip lost decisions: %+v", back.Decisions)
 	}
-	if back.Operators.NodeCount() != rec.Operators.NodeCount() {
+	if countStats(back.Operators) != countStats(rec.Operators) {
 		t.Errorf("round trip lost operator tree: %d nodes, want %d",
-			back.Operators.NodeCount(), rec.Operators.NodeCount())
+			countStats(back.Operators), countStats(rec.Operators))
 	}
 	if back.Operators.Counters != rec.Operators.Counters {
 		t.Errorf("round trip lost root counters: %+v", back.Operators.Counters)
@@ -206,28 +135,21 @@ func TestRunRecordFilenameRejectsUnsafeNames(t *testing.T) {
 }
 
 func TestRenderContainsPerOperatorFigures(t *testing.T) {
-	root, j1, r, _, _ := chainPlan()
-	c := NewCollector()
-	c.StatsFor(r).Add(Counters{Rows: 100, NextCalls: 101, SeqPageReads: 10, WallNanos: 5000})
-	c.StatsFor(j1).Add(Counters{Rows: 30, NextCalls: 31, SeqPageReads: 15, WallNanos: 9000, MemBytes: 2048})
-	c.StatsFor(root).Add(Counters{Rows: 7, NextCalls: 8, SeqPageReads: 17, WallNanos: 12000})
-	out := c.Tree(root).Render(CostRates{SeqPage: 0.008})
+	ops := chainStats(
+		Counters{Rows: 100, NextCalls: 101, SeqPageReads: 10, WallNanos: 5000},
+		Counters{}, // S
+		Counters{Rows: 30, NextCalls: 31, SeqPageReads: 15, WallNanos: 9000, MemBytes: 2048},
+		Counters{}, // T
+		Counters{Rows: 7, NextCalls: 8, SeqPageReads: 17, WallNanos: 12000})
+	out := ops[len(ops)-1].Render(CostRates{SeqPage: 0.008})
 	for _, want := range []string{"Hash-Join", "File-Scan R", "rows=100", "seq=15", "mem=2.0KB"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Render output missing %q:\n%s", want, out)
 		}
 	}
-}
-
-func TestRenderSharedNodePrintedOnce(t *testing.T) {
-	r := &physical.Node{Op: physical.FileScan, Rel: "R"}
-	join := &physical.Node{Op: physical.HashJoin, LeftAttr: "R.j", RightAttr: "R.j",
-		Children: []*physical.Node{r, r}}
-	c := NewCollector()
-	c.StatsFor(r).Add(Counters{Rows: 10})
-	out := c.Tree(join).Render(CostRates{})
-	if got := strings.Count(out, "shared, shown above"); got != 1 {
-		t.Errorf("shared subplan marker appears %d times, want 1:\n%s", got, out)
+	// Pre-order: each operator's line before its inputs'.
+	if i, j := strings.Index(out, "Hash-Join S.k"), strings.Index(out, "File-Scan R"); i < 0 || j < i {
+		t.Errorf("Render output not in pre-order:\n%s", out)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"maps"
 	"math"
 	"math/bits"
-	"slices"
 	"sort"
 	"sync"
 )
@@ -14,8 +13,8 @@ import (
 // counters and log-bucketed histograms over the whole workload, keyed by
 // operator kind, base relation, pipeline stage and tenant, plus the
 // interval-calibration table and the recent-query and trace rings the HTTP
-// endpoints serve. Where the Collector is a per-execution window (one
-// query, one stats tree), the Registry is the workload.
+// endpoints serve. Where a stats tree is a per-execution window (one
+// query, metered by the executor), the Registry is the workload.
 //
 // The registry has one writer. While a query runs, the pipeline's stages
 // note the facts they compute anyway on the query's own state; when it is
@@ -111,7 +110,7 @@ type OpAggregate struct {
 	// ran (one per plan node per execution).
 	Executions int64 `json:"executions"`
 	// Counters is the summed per-operator tally; MemBytes widens to the
-	// largest high-water mark seen.
+	// largest high-water mark observed.
 	Counters Counters `json:"counters"`
 }
 
@@ -329,8 +328,7 @@ func (r *Registry) Record(o *Outcome) {
 		m.RowsOut.Record(o.Rows)
 	}
 	if o.Operators != nil {
-		var seen [32]*PlanStats
-		m.foldOps(o.Operators, seen[:0])
+		m.foldOps(o.Operators)
 	}
 	for _, v := range o.Calibration {
 		key := calibKey{Kind: v.Kind, Op: v.Op, Rel: v.Rel}
@@ -362,23 +360,16 @@ func recordInto(hs map[string]Histogram, key string, v int64) map[string]Histogr
 	return hs
 }
 
-// foldOps charges each distinct node of a stats tree once to its operator
-// kind and, when it reads a base relation, to that relation. seen lists
-// the nodes already charged; a plan has few enough nodes that a linear
-// scan beats a map.
-func (m *RegistrySnapshot) foldOps(s *PlanStats, seen []*PlanStats) []*PlanStats {
-	if slices.Contains(seen, s) {
-		return seen
-	}
-	seen = append(seen, s)
+// foldOps charges each node of a stats tree to its operator kind and,
+// when it reads a base relation, to that relation.
+func (m *RegistrySnapshot) foldOps(s *PlanStats) {
 	m.Operators = aggInto(m.Operators, s.Op, s.Counters)
 	if s.Rel != "" {
 		m.Relations = aggInto(m.Relations, s.Rel, s.Counters)
 	}
 	for _, ch := range s.Children {
-		seen = m.foldOps(ch, seen)
+		m.foldOps(ch)
 	}
-	return seen
 }
 
 func aggInto(aggs map[string]OpAggregate, key string, c Counters) map[string]OpAggregate {

@@ -157,16 +157,18 @@ func TestRegistryRecordQuery(t *testing.T) {
 
 func TestRegistryRecordOperators(t *testing.T) {
 	r := NewRegistry()
-	shared := &PlanStats{Op: "file-scan", Rel: "E1", Counters: Counters{Rows: 7, SeqPageReads: 3}}
 	tree := &PlanStats{
 		Op:       "nl-join",
 		Counters: Counters{Rows: 2},
-		Children: []*PlanStats{shared, shared}, // shared node charged once
+		Children: []*PlanStats{
+			{Op: "file-scan", Rel: "E1", Counters: Counters{Rows: 7, SeqPageReads: 3}},
+			{Op: "btree-scan", Rel: "E2", Counters: Counters{Rows: 5, RandPageReads: 4}},
+		},
 	}
 	r.Record(&Outcome{Operators: tree})
 	s := r.Snapshot()
 	if s.Operators["file-scan"].Executions != 1 {
-		t.Fatalf("shared scan charged %d times, want 1", s.Operators["file-scan"].Executions)
+		t.Fatalf("scan charged %d times, want 1", s.Operators["file-scan"].Executions)
 	}
 	if s.Operators["nl-join"].Counters.Rows != 2 {
 		t.Fatalf("join rows = %d", s.Operators["nl-join"].Counters.Rows)
@@ -200,13 +202,14 @@ func TestQErrorVerdicts(t *testing.T) {
 }
 
 func TestCalibrateTreeAndPlanCost(t *testing.T) {
-	scan := &PlanStats{
+	ops := []PlanStats{{ // post-order: the scan, then its parent
 		Op: "file-scan", Rel: "E1",
 		Counters:  Counters{Rows: 400},
 		Predicted: &Prediction{CardLo: 50, CardHi: 100},
-	}
-	root := &PlanStats{Op: "select", Counters: Counters{Rows: 400}, Children: []*PlanStats{scan}}
-	verdicts := Calibrate(root, 1.0, 2.0, 8.0)
+	}, {Op: "select", Counters: Counters{Rows: 400}}}
+	scan := &ops[0]
+	ops[1].Children = []*PlanStats{scan}
+	verdicts := Calibrate(ops, 1.0, 2.0, 8.0)
 	if len(verdicts) != 2 {
 		t.Fatalf("got %d verdicts, want 2 (one cardinality, one cost)", len(verdicts))
 	}

@@ -13,18 +13,12 @@ import (
 // of the operator's inputs; rows are the operator's own output.
 func (s *PlanStats) Render(r CostRates) string {
 	var b strings.Builder
-	seen := make(map[*PlanStats]bool)
-	s.render(&b, 0, r, seen)
+	s.render(&b, 0, r)
 	return b.String()
 }
 
-func (s *PlanStats) render(b *strings.Builder, depth int, r CostRates, seen map[*PlanStats]bool) {
+func (s *PlanStats) render(b *strings.Builder, depth int, r CostRates) {
 	indent := strings.Repeat("  ", depth)
-	if seen[s] {
-		fmt.Fprintf(b, "%s%s (shared, shown above)\n", indent, s.Label)
-		return
-	}
-	seen[s] = true
 	c := s.Counters
 	fmt.Fprintf(b, "%s%s\n", indent, s.Label)
 	fmt.Fprintf(b, "%s  (rows=%d next=%d seq=%d rand=%d write=%d tuples=%d wall=%s sim=%.4gs",
@@ -47,6 +41,6 @@ func (s *PlanStats) render(b *strings.Builder, depth int, r CostRates, seen map[
 	}
 	b.WriteString(")\n")
 	for _, ch := range s.Children {
-		ch.render(b, depth+1, r, seen)
+		ch.render(b, depth+1, r)
 	}
 }

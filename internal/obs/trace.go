@@ -7,7 +7,7 @@ import (
 )
 
 // This file is the end-to-end span tracer: the per-query answer to "where
-// did this query's wall-clock go". Where the Collector meters operators
+// did this query's wall-clock go". Where a stats tree meters operators
 // and the Registry aggregates across queries, a Trace is one query's
 // hierarchical timeline — a span per pipeline stage, per run of the remedy
 // loop, and per replan — with the time a stage spent *waiting* (admission
@@ -19,7 +19,7 @@ import (
 // holds at every level of the tree and unexplained wall-clock is visible
 // as a span's self time.
 //
-// Like the Collector and the Registry, the disabled state is a nil
+// Like the Registry, the disabled state is a nil
 // *Trace: every method is safe on a nil receiver, and the pipeline's
 // disabled fast path stays one pointer comparison with zero allocations
 // (pinned by the exec-pipeline-overhead and trace-overhead ledger

@@ -216,7 +216,7 @@ func TestObserveEagerly(t *testing.T) {
 		}
 	}
 	// The spliced plan runs, and reads only temporaries.
-	if _, _, err := db.Run(final, b); err != nil {
+	if _, _, _, err := db.Run(final, b); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -91,10 +91,18 @@ func TestExplainAnalyzeThreeWayChainJoin(t *testing.T) {
 	if res.Operators == nil {
 		t.Fatal("execution under observability produced no stats tree")
 	}
-	if got, want := res.Operators.NodeCount(), e.static.NodeCount(); got != want {
+	var count func(s *PlanStats) int
+	count = func(s *PlanStats) int {
+		n := 1
+		for _, c := range s.Children {
+			n += count(c)
+		}
+		return n
+	}
+	if got, want := count(res.Operators), e.static.NodeCount(); got != want {
 		t.Errorf("stats tree has %d nodes, plan has %d", got, want)
 	}
-	total := res.Operators.Total()
+	total := res.Operators.Counters // the root's are inclusive of the tree
 	if total.Rows != int64(len(res.Rows)) {
 		t.Errorf("stats root rows %d != result rows %d", total.Rows, len(res.Rows))
 	}
@@ -120,7 +128,7 @@ func TestExplainAnalyzeThreeWayChainJoin(t *testing.T) {
 	}
 }
 
-// TestObservabilityDisabledByDefault pins the default: no collector, no
+// TestObservabilityDisabledByDefault pins the default: no metering, no
 // stats tree, and ExplainAnalyze says why.
 func TestObservabilityDisabledByDefault(t *testing.T) {
 	e := newObsEnv(t)
@@ -318,7 +326,7 @@ func TestRunRecordFromExecution(t *testing.T) {
 
 // TestObservedExecutionMatchesUnobserved pins the invariant that metering
 // is read-only: the same plan under the same bindings returns the same
-// rows and the same I/O account with and without the collector.
+// rows and the same I/O account with and without metering.
 func TestObservedExecutionMatchesUnobserved(t *testing.T) {
 	e := newObsEnv(t)
 	plain, err := e.db.Exec(context.Background(), e.static, e.binds, ExecOptions{})

@@ -734,16 +734,16 @@ func activateStage(ctx context.Context, st *execState, next pipelineFunc) (*Exec
 }
 
 // engine assembles the executor over the database's storage substrate for
-// one execution, with that execution's own accountant, injector snapshot,
-// and metrics window.
-func (db *Database) engine(acc *storage.Accountant, inj *storage.Injector, collector *obs.Collector) *exec.DB {
+// one execution, with that execution's own accountant and injector
+// snapshot, metered when meter is set.
+func (db *Database) engine(acc *storage.Accountant, inj *storage.Injector, meter bool) *exec.DB {
 	return &exec.DB{
 		Catalog: db.sys.cat,
 		Store:   db.store,
 		Indexes: db.indexes,
 		Acc:     acc,
 		Faults:  inj,
-		Obs:     collector,
+		Meter:   meter,
 		Wrap:    db.wrap,
 	}
 }
@@ -760,16 +760,12 @@ func runStage(ctx context.Context, st *execState, _ pipelineFunc) (*ExecResult, 
 	if acc == nil {
 		acc = &storage.Accountant{}
 	}
-	// Each execution collects into its own fresh window: the stats tree
-	// describes this run, and concurrent executions of the same plan never
-	// share counters. The injector pointer is snapshotted once, so a
-	// concurrent InjectFaults cannot swap it mid-query.
-	var collector *obs.Collector
-	if db.observing.Load() || st.out != nil {
-		collector = obs.NewCollector()
-	}
+	// A metered run returns its own stats tree: it describes this run, and
+	// concurrent executions of the same plan never share counters. The
+	// injector pointer is snapshotted once, so a concurrent InjectFaults
+	// cannot swap it mid-query.
 	inj := db.injector()
-	e := db.engine(acc, inj, collector)
+	e := db.engine(acc, inj, db.observing.Load() || st.out != nil)
 	e.Ctx = ctx
 	ib, mem := st.b, st.b.Memory
 	if rc := st.reopt.rc; rc != nil {
@@ -797,7 +793,7 @@ func runStage(ctx context.Context, st *execState, _ pipelineFunc) (*ExecResult, 
 		e.Cards = rep.Cards // start-up's predicted rows size the buffers
 	}
 	absorbedBefore := inj.Stats().Absorbed
-	rows, schema, err := e.Run(st.root, ib)
+	rows, schema, ops, err := e.Run(st.root, ib)
 	if st.out != nil {
 		st.out.Executions++
 	}
@@ -814,8 +810,10 @@ func runStage(ctx context.Context, st *execState, _ pipelineFunc) (*ExecResult, 
 		FaultsAbsorbed:       inj.Stats().Absorbed - absorbedBefore,
 		EffectiveMemoryPages: mem * inj.MemoryScale(),
 	}
+	if len(ops) > 0 {
+		out.Operators = &ops[len(ops)-1] // the root's, last in post-order
+	}
 	if st.out == nil {
-		out.Operators = collector.Tree(st.root)
 		return out, nil
 	}
 	// Annotate the resolved tree with the cost model's predicted
@@ -827,7 +825,7 @@ func runStage(ctx context.Context, st *execState, _ pipelineFunc) (*ExecResult, 
 	if rc := st.reopt.rc; rc != nil {
 		pb = rc.CorrectBindings(ib)
 	}
-	predicted, err := st.predict(collector, pb)
+	predicted, err := st.predict(ops, pb)
 	if err != nil {
 		return nil, err
 	}
@@ -835,9 +833,8 @@ func runStage(ctx context.Context, st *execState, _ pipelineFunc) (*ExecResult, 
 	if planCost.Hi <= 0 {
 		planCost = cost.Point(predicted)
 	}
-	out.Operators = collector.Tree(st.root)
 	out.PlanDigest = obs.Digest(st.root.AppendFormat(make([]byte, 0, 4096))) // Format's digest, on the stack
-	out.Calibration = obs.Calibrate(out.Operators, planCost.Lo, planCost.Hi, out.SimulatedSeconds(db.sys.cfg.Params))
+	out.Calibration = obs.Calibrate(ops, planCost.Lo, planCost.Hi, out.SimulatedSeconds(db.sys.cfg.Params))
 	return out, nil
 }
 
@@ -851,13 +848,13 @@ func (st *execState) chosen(b *bindings.Bindings) *plan.StartupReport {
 }
 
 // predict attaches the cost model's predicted output cardinalities under
-// b to the resolved plan and returns the plan's predicted cost. The
-// activation that chose the plan under b has both already; any other plan
-// — a static target, a re-planned or rewritten root, bindings
+// b to the resolved plan's stats, ops, and returns the plan's predicted
+// cost. The activation that chose the plan under b has both already; any
+// other plan — a static target, a re-planned or rewritten root, bindings
 // re-optimization corrected — is lowered and swept once.
-func (st *execState) predict(c *obs.Collector, b *bindings.Bindings) (float64, error) {
+func (st *execState) predict(ops []obs.PlanStats, b *bindings.Bindings) (float64, error) {
 	if rep := st.chosen(b); rep != nil {
-		c.Predict(rep.Cards)
+		attach(ops, rep.Cards)
 		return rep.ChosenCost, nil
 	}
 	prog, err := physical.Lower(0, 0, st.root)
@@ -865,6 +862,21 @@ func (st *execState) predict(c *obs.Collector, b *bindings.Bindings) (float64, e
 		return 0, fmt.Errorf("dynplan: predicting cardinalities: %w", err)
 	}
 	e := prog.At(&st.db.sys.cfg.Params, b)
-	c.Predict(e.Card)
+	attach(ops, e.Card)
 	return e.Cost[len(e.Cost)-1], nil
+}
+
+// attach gives each operator's stats its predicted cardinality by index:
+// both are in post-order. A plan that shares a subplan lowers it once but
+// is metered once per occurrence, so it has fewer predictions than stats
+// and gets none.
+func attach(ops []obs.PlanStats, cards []float64) {
+	if len(cards) != len(ops) {
+		return
+	}
+	preds := make([]obs.Prediction, len(cards))
+	for i, c := range cards {
+		preds[i] = obs.Prediction{CardLo: c, CardHi: c}
+		ops[i].Predicted = &preds[i]
+	}
 }
