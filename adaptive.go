@@ -22,9 +22,9 @@ func (db *Database) GenerateSkewedData(seed int64, skew float64, skewedAttr stri
 	}
 	rng := rand.New(rand.NewSource(seed))
 	for _, rel := range db.sys.cat.Relations() {
-		t := storage.NewTable(rel.Name, rel.RecordBytes)
+		rows := make([]int64, rel.Cardinality*len(rel.Attrs))
 		for i := 0; i < rel.Cardinality; i++ {
-			row := make(storage.Row, len(rel.Attrs))
+			row := rows[i*len(rel.Attrs) : (i+1)*len(rel.Attrs)]
 			for j, a := range rel.Attrs {
 				u := rng.Float64()
 				if a.Name == skewedAttr && skew != 1 {
@@ -36,9 +36,8 @@ func (db *Database) GenerateSkewedData(seed int64, skew float64, skewedAttr stri
 				}
 				row[j] = v
 			}
-			t.Append(row)
 		}
-		db.store.AddTable(t)
+		db.store.AddTable(storage.NewTable(rel.Name, len(rel.Attrs), rel.RecordBytes, rows))
 		db.loaded[rel.Name] = true
 	}
 	return nil

@@ -112,8 +112,8 @@ func (db *Database) PlanCacheStats() PlanCacheStats { return db.planCache.Stats(
 // PlanCacheStats is a point-in-time snapshot of the plan cache counters.
 type PlanCacheStats = plancache.Stats
 
-// Insert appends rows to a relation; each row must list the attribute
-// values in schema order.
+// Insert appends copies of rows to a relation; each row must list the
+// attribute values in schema order. The caller may reuse a row's slice.
 func (db *Database) Insert(relName string, rows ...[]int64) error {
 	rel, err := db.sys.cat.Relation(relName)
 	if err != nil {
@@ -121,7 +121,7 @@ func (db *Database) Insert(relName string, rows ...[]int64) error {
 	}
 	t, err := db.store.Table(relName)
 	if err != nil {
-		t = storage.NewTable(relName, rel.RecordBytes)
+		t = storage.NewTable(relName, len(rel.Attrs), rel.RecordBytes, nil)
 		db.store.AddTable(t)
 	}
 	for _, r := range rows {
@@ -129,7 +129,7 @@ func (db *Database) Insert(relName string, rows ...[]int64) error {
 			return fmt.Errorf("dynplan: row width %d does not match relation %s (%d attributes)",
 				len(r), relName, len(rel.Attrs))
 		}
-		t.Append(storage.Row(r))
+		t.Append(r)
 	}
 	db.loaded[relName] = true
 	return nil
@@ -142,15 +142,13 @@ func (db *Database) Insert(relName string, rows ...[]int64) error {
 func (db *Database) GenerateData(seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
 	for _, rel := range db.sys.cat.Relations() {
-		t := storage.NewTable(rel.Name, rel.RecordBytes)
-		for i := 0; i < rel.Cardinality; i++ {
-			row := make(storage.Row, len(rel.Attrs))
+		rows := make([]int64, rel.Cardinality*len(rel.Attrs))
+		for i := range rel.Cardinality {
 			for j, a := range rel.Attrs {
-				row[j] = int64(rng.Intn(a.DomainSize))
+				rows[i*len(rel.Attrs)+j] = int64(rng.Intn(a.DomainSize))
 			}
-			t.Append(row)
 		}
-		db.store.AddTable(t)
+		db.store.AddTable(storage.NewTable(rel.Name, len(rel.Attrs), rel.RecordBytes, rows))
 		db.loaded[rel.Name] = true
 	}
 	return nil

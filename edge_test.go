@@ -1,9 +1,12 @@
 package dynplan
 
 import (
+	"cmp"
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -90,6 +93,56 @@ func TestSingleRowRelations(t *testing.T) {
 	}
 	if len(res.Rows) != 1 {
 		t.Errorf("1x1 join returned %d rows", len(res.Rows))
+	}
+}
+
+// TestInsertCopiesRows checks that Insert stores copies: a caller that
+// reuses one buffer for every row it inserts reads back each row as it
+// was, through a scan and through a selection on the indexed attribute.
+func TestInsertCopiesRows(t *testing.T) {
+	sys := New()
+	sys.MustCreateRelation("r", 2, 512, Attr{Name: "a", DomainSize: 4, BTree: true})
+	db := sys.OpenDatabase()
+	buf := []int64{1}
+	if err := db.Insert("r", buf); err != nil {
+		t.Fatal(err)
+	}
+	buf[0] = 3
+	if err := db.Insert("r", buf); err != nil {
+		t.Fatal(err)
+	}
+	buf[0] = 2
+	if err := db.BuildIndexes(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		pred *Pred
+		sel  float64
+		want string
+	}{
+		{nil, 0, "[[1] [3]]"},
+		{&Pred{Attr: "a", Variable: "v"}, 0.5, "[[1]]"}, // a < 2
+	} {
+		q, err := sys.BuildQuery(QuerySpec{Relations: []RelSpec{{Name: "r", Pred: c.pred}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := sys.OptimizeStatic(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := Bindings{MemoryPages: 64}
+		if c.pred != nil {
+			b.Selectivities = map[string]float64{"v": c.sel}
+		}
+		res, err := db.Exec(context.Background(), plan, b, ExecOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		slices.SortFunc(res.Rows, func(x, y []int64) int { return cmp.Compare(x[0], y[0]) })
+		if got := fmt.Sprint(res.Rows); got != c.want {
+			t.Errorf("selection %v: rows %s, want %s", c.pred, got, c.want)
+		}
 	}
 }
 

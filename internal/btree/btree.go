@@ -321,12 +321,11 @@ func (t *Tree) check(n node, depth int, lo, hi *int64, leaves *[]*leaf) (int, er
 // (row[attrIdx], rid).
 func Build(t *storage.Table, attrIdx int, order int) *Tree {
 	tree := New(order)
-	// A page walk without charging I/O: index construction is outside the
-	// measured query path.
-	for page := 0; page < t.NumPages(); page++ {
-		for slot, row := range t.Page(page) {
-			tree.Insert(row[attrIdx], storage.RID{Page: int32(page), Slot: int32(slot)})
-		}
+	// A walk in storage order without charging I/O: index construction is
+	// outside the measured query path.
+	vals, w := t.Values(), t.Width()
+	for pos := range t.NumRows() {
+		tree.Insert(vals[pos*w+attrIdx], t.RID(pos))
 	}
 	return tree
 }

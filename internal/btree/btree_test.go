@@ -208,7 +208,7 @@ func TestNegativeAndExtremeKeys(t *testing.T) {
 }
 
 func TestBuildFromTable(t *testing.T) {
-	table := storage.NewTable("R", 512)
+	table := storage.NewTable("R", 2, 512, nil)
 	for i := 0; i < 300; i++ {
 		table.Append(storage.Row{int64(i % 37), int64(i)})
 	}

@@ -11,25 +11,25 @@
 //
 // Each operator is an Iterator (Open / NextBatch / Close), the execution
 // paradigm of the Volcano system the optimizer generator belongs to with
-// a vector of rows per call instead of one. Rows are immutable while a
-// run lasts: scans hand out the stored rows themselves, joins carve theirs
-// from shared slabs, and no operator copies or reuses a row it has read or
-// returned. A run's memory has two lifetimes. What the caller keeps is
-// allocated afresh: a join's rows, carved from the result join's own slab,
-// are returned as they are, under a Filter or a Sort too, with the join's
-// schema; a result of stored rows — a scan's or a temporary's — is copied
-// once, into one contiguous slab, with its schema; the buffer holding the
-// result is the root drain's or a root Sort's. Everything else dies with
-// the tree and comes from a pooled scratch (see scratch), the frame's
-// slabs too (see frame). The buffers that hold a whole input start at the
-// start-up sweep's predicted rows when the caller passes them (DB.Cards),
-// and grow from minBatch otherwise.
+// a vector of tuples per call instead of one row. Tuples are late
+// materialized: a tuple is one int32 row position per source under the
+// operator — each base relation or temporary it reads, in the order the
+// plan's leaves appear — so every vector is a flat, pointer-free []int32
+// and no operator copies a value while the tree runs. Stored rows live in
+// one flat []int64 per table, and an operator reads a key or a predicate
+// value through one accessor, column.at: the position times the row
+// width, plus the column. Only Run copies values: once the root's stream
+// is drained, the result's values, source by source, go into one exact
+// []int64 that the caller's rows are views of (see materialize). Every
+// buffer a run drops comes from a pooled scratch that holds no pointer
+// (see scratch), the frame's slabs too (see frame). The buffers that hold
+// a whole input start at the start-up sweep's predicted rows when the
+// caller passes them (DB.Cards), and grow from minBatch otherwise.
 package exec
 
 import (
 	"context"
 	"fmt"
-	"slices"
 	"strings"
 
 	"dynplan/internal/bindings"
@@ -59,14 +59,14 @@ func (s Schema) Index(name string) (int, error) {
 type Iterator interface {
 	// Open prepares the iterator (building hash tables, sorting, …).
 	Open() error
-	// NextBatch fills dst (len(dst) ≥ 1) with up to len(dst) rows and
-	// returns how many it wrote. Only 0 with a nil error is end of
-	// stream; a short vector is not. After an error the stream is over,
-	// and n counts the rows written before the failure. Returned rows are
-	// immutable and stay valid for good — the operator never modifies or
-	// reuses them — so a consumer may keep them without copying; dst
-	// itself belongs to the caller.
-	NextBatch(dst []storage.Row) (int, error)
+	// NextBatch fills dst with up to len(dst)/k tuples, k the number of
+	// sources under the operator (len(opIter.tabs); len(dst) ≥ k), tuple
+	// i at dst[i*k:(i+1)*k], and returns how many it wrote. Only 0 with a
+	// nil error is end of stream; a short vector is not. After an error
+	// the stream is over, and n counts the tuples written before the
+	// failure. A tuple's positions name stored rows, which stay valid for
+	// good; dst belongs to the caller.
+	NextBatch(dst []int32) (int, error)
 	// Close releases resources. Close is idempotent.
 	Close() error
 }
@@ -123,20 +123,25 @@ type DB struct {
 type MatGuard interface {
 	// CheckMat is called when the materialization rooted at plan node n
 	// has fully drained: count rows of the given schema were buffered.
-	// rows returns the buffered rows, in arrival order; the guard calls it
-	// only when it decides to act (e.g. to register the materialized
-	// result as a temporary), and only during the call. A non-nil error
-	// aborts the execution.
-	CheckMat(n *physical.Node, count int, schema Schema, rows func() []storage.Row) error
+	// rows returns the buffered rows' values, flat, row after row in
+	// arrival order, for the guard to keep (e.g. as a temporary's rows);
+	// the guard calls it only when it decides to act, and only during the
+	// call. A non-nil error aborts the execution. The schema is the run's:
+	// a guard that keeps it copies it.
+	CheckMat(n *physical.Node, count int, schema Schema, rows func() []int64) error
 }
 
 // checkMat consults the guard hook at a materialization point over the
-// buffered rows; nil-safe, and allocation-free without a guard.
-func (db *DB) checkMat(n *physical.Node, schema Schema, rows []storage.Row) error {
+// buffered tuples, each one position per table of tabs; nil-safe, and
+// allocation-free without a guard.
+func (db *DB) checkMat(n *physical.Node, schema Schema, tuples []int32, tabs []*storage.Table) error {
 	if db.Guards == nil || n == nil {
 		return nil
 	}
-	return db.Guards.CheckMat(n, len(rows), schema, func() []storage.Row { return rows })
+	return db.Guards.CheckMat(n, len(tuples)/len(tabs), schema, func() []int64 {
+		vals, _ := materialize(tuples, tabs, false)
+		return vals
+	})
 }
 
 // checkCancel polls the context — a non-blocking receive on its Done
@@ -171,13 +176,9 @@ func (db *DB) pageRead(table string, page int32, seq bool) error {
 // rows and the output schema. The plan must not contain choose-plan
 // operators; activate the access module first. The caller owns the rows
 // and the schema, which alias no stored table data, no temporary and no
-// other run. When the plan outputs a join's rows (see ownsResult) they
-// and the join's schema, carved from the run's frame, are returned as
-// they are; otherwise the rows are stored ones and are copied once, into
-// one contiguous slab (see detach), and the schema, which the catalog or
-// the temporary keeps, is copied too. A root Sort's sorted buffer is
-// returned as it is; a streaming root's rows are drained into a slice
-// sized as startRows says.
+// other run: the rows are views of one exact []int64 the run's values
+// were copied into, and the schema is the run's own. An empty result has
+// nil rows.
 //
 // With db.Meter set, stats are the run's stats tree as one slab, the
 // caller's: every operator's PlanStats in post-order — an operator's
@@ -189,13 +190,20 @@ func (db *DB) pageRead(table string, page int32, seq bool) error {
 // iterator opened is closed even when Open or NextBatch fails
 // mid-pipeline.
 func (db *DB) Run(root *physical.Node, b *bindings.Bindings) (rows []storage.Row, schema Schema, stats []obs.PlanStats, err error) {
+	_, rows, schema, stats, err = db.run(root, b, true)
+	return rows, schema, stats, err
+}
+
+// run is Run that returns the result's values flat, row after row, and
+// their row views only with views set.
+func (db *DB) run(root *physical.Node, b *bindings.Bindings, views bool) (vals []int64, rows []storage.Row, schema Schema, stats []obs.PlanStats, err error) {
 	sc := scratches.Get().(*scratch)
 	db.sc = sc
 	defer func() {
 		db.sc = nil
 		if r := recover(); r != nil {
 			// The scratch is dropped: what still points into it is unknown.
-			rows, schema, stats, db.Cards = nil, nil, nil, nil
+			vals, rows, schema, stats, db.Cards = nil, nil, nil, nil, nil
 			err = fmt.Errorf("exec: recovered panic %v: %w", r, qerr.ErrOperatorPanic)
 			return
 		}
@@ -204,61 +212,64 @@ func (db *DB) Run(root *physical.Node, b *bindings.Bindings) (rows []storage.Row
 	}()
 	if db.Ctx != nil && db.Ctx.Err() != nil {
 		db.Cards = nil
-		return nil, nil, nil, qerr.FromContext(context.Cause(db.Ctx))
+		return nil, nil, nil, nil, qerr.FromContext(context.Cause(db.Ctx))
 	}
 	sc.f = db.newFrame(root)
 	stats = sc.f.stats // Build carves it whole
 	it, schema, err := db.Build(root, b)
-	var out []storage.Row
+	var out []int32
 	if err == nil && root.Op != physical.Sort {
-		out = db.startRows(root, b, nil) // sized to the root's prediction
+		out = db.startRows(root, len(it.tabs), b) // sized to the root's prediction
 	}
 	sc.f, db.Cards = frame{}, nil // nothing carves or predicts once the tree opens
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, nil, err
 	}
 	// Close unconditionally: if Open or NextBatch failed mid-pipeline the
 	// iterator tree may be partially open, and every operator's Close is
 	// idempotent and safe on a partially opened tree.
 	defer it.Close()
 	if err := it.Open(); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, nil, err
 	}
+	k := len(it.tabs)
 	if s, ok := it.inner.(*sortIter); ok {
-		// A Sort has buffered and sorted its whole input by now, so its
-		// buffer is the result: the drain copies the rows onto themselves
-		// in the two calls the meters count.
-		out = s.rows[:0]
+		// A Sort has buffered and sorted its whole input by now: a buffer
+		// of exactly its tuples drains it in the two calls the meters
+		// count.
+		out = draw(sc, intShelf, len(s.order)*k)[:0]
 	}
-	out, err = drain(it, out, nil)
+	out, err = drain(it, k, out, sc)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, nil, err
 	}
 	if err := it.Close(); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, nil, err
 	}
-	if !ownsResult(root) {
-		schema, out = slices.Clone(schema), detach(out)
-	}
-	return out, schema, stats, nil
+	vals, rows = materialize(out, it.tabs, views)
+	return vals, rows, schema, stats, nil
 }
 
 // Build compiles a resolved physical plan into an iterator tree and
-// returns its root. Every compiled operator runs under one opIter, which
-// names it in the errors it raises (see qerr.OpError) and, with db.Meter
-// set, meters it; the DB's Wrap hook, if any, decorates the operator
-// inside it. Under Run, decorators, serial iterators and stats are carved
-// from the run's frame.
+// returns its root and schema. The root's tabs are the tables its tuples'
+// positions point into, one per source: a scan's or a Temp-Scan's own,
+// a join's its inputs' in order. Every compiled operator runs under one
+// opIter, which names it in the errors it raises (see qerr.OpError) and,
+// with db.Meter set, meters it; the DB's Wrap hook, if any, decorates the
+// operator inside it. Under Run, decorators, serial iterators, the
+// sources, the schema's names and stats are carved from the run's frame.
 func (db *DB) Build(n *physical.Node, b *bindings.Bindings) (*opIter, Schema, error) {
 	if db.sc == nil {
 		db.sc = new(scratch) // outside Run
 	}
-	it, schema, err := db.compile(n, b)
+	f := &db.sc.f
+	srcs, names := len(f.srcs), len(f.names)
+	it, err := db.compile(n, b)
 	if err != nil {
 		return nil, nil, err
 	}
-	db.sc.f.built++
-	op := carve(&db.sc.f.ops, opIter{db: db, inner: it, node: n})
+	f.built++
+	op := carve(&f.ops, opIter{db: db, inner: it, node: n, tabs: f.srcs[srcs:len(f.srcs):len(f.srcs)]})
 	if db.Meter {
 		op.c = db.meter(n)
 		op.mem, _ = it.(memReporter)
@@ -266,7 +277,16 @@ func (db *DB) Build(n *physical.Node, b *bindings.Bindings) (*opIter, Schema, er
 	if db.Wrap != nil {
 		op.inner = db.Wrap(it, n)
 	}
-	return op, schema, nil
+	return op, f.names[names:len(f.names):len(f.names)], nil
+}
+
+// source appends a leaf's table and its columns to the frame: the tuples
+// of every operator above the leaf hold one position into t, and their
+// schemas hold its columns, in leaf order.
+func (db *DB) source(t *storage.Table, schema Schema) {
+	f := &db.sc.f
+	f.srcs = append(f.srcs, t)
+	f.names = append(f.names, schema...)
 }
 
 // meter carves n's stats from the frame, labelled, and returns their
@@ -292,7 +312,7 @@ func (db *DB) meter(n *physical.Node) *obs.Counters {
 }
 
 // compile dispatches on the operator.
-func (db *DB) compile(n *physical.Node, b *bindings.Bindings) (Iterator, Schema, error) {
+func (db *DB) compile(n *physical.Node, b *bindings.Bindings) (Iterator, error) {
 	if db.Acc == nil {
 		db.Acc = &storage.Accountant{}
 	}
@@ -316,9 +336,9 @@ func (db *DB) compile(n *physical.Node, b *bindings.Bindings) (Iterator, Schema,
 	case physical.TempScan:
 		return db.buildTempScan(n)
 	case physical.ChoosePlan:
-		return nil, nil, fmt.Errorf("exec: plan contains an unresolved Choose-Plan; activate the access module first")
+		return nil, fmt.Errorf("exec: plan contains an unresolved Choose-Plan; activate the access module first")
 	default:
-		return nil, nil, fmt.Errorf("exec: unknown operator %v", n.Op)
+		return nil, fmt.Errorf("exec: unknown operator %v", n.Op)
 	}
 }
 

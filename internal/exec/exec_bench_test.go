@@ -102,11 +102,10 @@ func BenchmarkExternalSort(b *testing.B) {
 	}
 }
 
-// BenchmarkSortEnforcer times the Sort enforcer's kernel, sortRows, on 10²,
-// 10³ and 10⁴ shuffled rows whose keys are distinct or drawn from eight
-// values. Every iteration first restores the shuffled order; the key
-// buffer comes from one scratch, released after each sort as a run's end
-// releases it.
+// BenchmarkSortEnforcer times the Sort enforcer's kernel, sortOrder, on
+// 10², 10³ and 10⁴ shuffled keys, distinct or drawn from eight values.
+// Its buffers come from one scratch, released after each sort as a run's
+// end releases it.
 func BenchmarkSortEnforcer(b *testing.B) {
 	for _, keys := range []struct {
 		name   string
@@ -114,21 +113,18 @@ func BenchmarkSortEnforcer(b *testing.B) {
 	}{{"distinct", 0}, {"duplicates", 8}} {
 		for _, n := range []int{100, 1000, 10000} {
 			rng := rand.New(rand.NewSource(int64(n)))
-			input := make([]storage.Row, n)
+			input := make([]int64, n)
 			for i := range input {
-				k := int64(i)
+				input[i] = int64(i)
 				if keys.domain > 0 {
-					k = rng.Int63n(keys.domain)
+					input[i] = rng.Int63n(keys.domain)
 				}
-				input[i] = storage.Row{k, int64(i)}
 			}
 			rng.Shuffle(n, func(i, j int) { input[i], input[j] = input[j], input[i] })
-			rows := make([]storage.Row, n)
 			b.Run(fmt.Sprintf("%s/%d", keys.name, n), func(b *testing.B) {
 				sc := new(scratch)
 				for b.Loop() {
-					copy(rows, input)
-					sortRows(rows, 0, sc)
+					sortOrder(input, sc)
 					sc.release()
 				}
 			})

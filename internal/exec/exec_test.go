@@ -31,15 +31,15 @@ func testDB(t *testing.T, w *workload.Workload) *DB {
 // between two inspections of the context: every NextBatch call polls.
 const pollEvery = 1
 
-// Next steps a built plan one row at a time — a one-row NextBatch — for
-// tests that observe the stream row by row.
-func (o *opIter) Next() (storage.Row, bool, error) {
-	var one [1]storage.Row
-	n, err := o.NextBatch(one[:])
+// Next steps a built plan one tuple at a time — a one-tuple NextBatch —
+// for tests that observe the stream tuple by tuple.
+func (o *opIter) Next() ([]int32, bool, error) {
+	one := make([]int32, len(o.tabs))
+	n, err := o.NextBatch(one)
 	if err != nil || n == 0 {
 		return nil, false, err
 	}
-	return one[0], true, nil
+	return one, true, nil
 }
 
 // concat is a join result row built by hand.
@@ -95,13 +95,11 @@ func reference(w *workload.Workload, db *DB, n int, b *bindings.Bindings) string
 			schema = append(schema, a.QualifiedName())
 		}
 		var filtered []storage.Row
-		var acc storage.Accountant
-		table.Scan(&acc, func(r storage.Row) bool {
-			if float64(r[aIdx]) < limit {
+		for pos := range table.NumRows() {
+			if r := table.Row(pos); float64(r[aIdx]) < limit {
 				filtered = append(filtered, r)
 			}
-			return true
-		})
+		}
 		if i == 1 {
 			cur = rowset{schema: schema, rows: filtered}
 			continue

@@ -1,6 +1,9 @@
 package exec
 
 import (
+	"cmp"
+	"math/bits"
+	"slices"
 	"strings"
 	"sync"
 	"unsafe"
@@ -13,28 +16,29 @@ import (
 
 // frame is one run's set-up memory: one exact-sized slab per kind — the
 // operator decorators, the iterators of each serial operator kind but the
-// Temp-Scan, the names behind every join schema and, metered, the stats
-// and the Children behind them — counted by one walk of the plan. Only
-// Run's goroutine carves, until the tree opens; a Temp-Scan, which only
-// re-optimization splices in, is allocated on its own. The names, stats
-// and kids are the caller's, the other slabs the scratch's; open is the
-// stack of stats whose operator's parent Build has not finished. built is
-// Build's post-order cursor into DB.Cards; root and result are the run's
-// root and the join ownsResult walks down to.
+// Temp-Scan, the sources (the tables the plan's leaves read, in leaf
+// order), the names of their columns and, metered, the stats and the
+// Children behind them — counted by one walk of the plan. Only Run's
+// goroutine carves, until the tree opens; a Temp-Scan, which only
+// re-optimization splices in, is allocated on its own. srcs and names are
+// appended to, so every operator's sources and schema are one stretch of
+// them; the names, stats and kids are the caller's, the other slabs the
+// scratch's. open is the stack of stats whose operator's parent Build has
+// not finished, and built is Build's post-order cursor into DB.Cards.
 type frame struct {
-	ops          []opIter
-	files        []fileScanIter
-	btrees       []btreeScanIter
-	filters      []filterIter
-	sorts        []sortIter
-	hashes       []hashJoinIter
-	merges       []mergeJoinIter
-	indexes      []indexJoinIter
-	names        []string
-	stats        []obs.PlanStats
-	kids, open   []*obs.PlanStats
-	built        int
-	root, result *physical.Node
+	ops        []opIter
+	files      []fileScanIter
+	btrees     []btreeScanIter
+	filters    []filterIter
+	sorts      []sortIter
+	hashes     []hashJoinIter
+	merges     []mergeJoinIter
+	indexes    []indexJoinIter
+	srcs       []*storage.Table
+	names      []string
+	stats      []obs.PlanStats
+	kids, open []*obs.PlanStats
+	built      int
 }
 
 // newFrame sizes a frame for compiling root from the slabs of the run's
@@ -46,6 +50,7 @@ func (db *DB) newFrame(root *physical.Node) frame {
 	if len(db.Cards) != c.ops {
 		db.Cards = nil
 	}
+	db.sc.carved = c
 	s := &db.sc.slabs
 	f := frame{
 		ops:     reuse(&s.ops, c.ops),
@@ -56,9 +61,8 @@ func (db *DB) newFrame(root *physical.Node) frame {
 		hashes:  reuse(&s.hashes, c.iters[physical.HashJoin]),
 		merges:  reuse(&s.merges, c.iters[physical.MergeJoin]),
 		indexes: reuse(&s.indexes, c.iters[physical.IndexJoin]),
-		names:   make([]string, c.names),
-		root:    root,
-		result:  resultJoin(root),
+		srcs:    reuse(&s.srcs, c.srcs)[:0],
+		names:   make([]string, 0, c.names),
 	}
 	if db.Meter {
 		// A tree's operators are all inputs of one other, but the root.
@@ -78,19 +82,22 @@ func reuse[T any](slab *[]T, n int) []T {
 }
 
 // scratch is the memory a run drops once its tree closes: the frame's
-// slabs, hash-join build buffers, non-root Sort buffers, join input
-// vectors, hash tables, sort keys and, without guards, the slab chunks of
-// every join but the result join. Run takes one from scratches and puts
-// it back after the tree closes, for later runs to reuse. Only Run's
-// goroutine draws; a Build outside Run draws from one never released.
+// slabs and every buffer a run draws — tuple vectors, hash-join build
+// tuples, keys and tables, Sort buffers, keys and orders, and the root's
+// drain. No buffer on a shelf holds a pointer, so drawing one, filling it
+// and keeping it pooled costs the garbage collector nothing. Run takes
+// one from scratches and puts it back after the tree closes, for later
+// runs to reuse. Only Run's goroutine draws; a Build outside Run draws
+// from one never released.
 type scratch struct {
 	f      frame           // what Build carves from while Run compiles
 	slabs  frame           // f's slabs at full length, kept across runs
 	labels strings.Builder // the stats' labels: the caller's buffer
-	rows   shelf[storage.Row]
-	chunks shelf[int64]
-	tables shelf[int32] // zeroed: drawn parts are wiped on release
-	keys   shelf[sortKey]
+	carved census          // what the run's frame counted: how far it carves into each slab
+	ints   shelf[int32]    // tuple vectors, join tables, sort orders
+	keys   shelf[int64]    // build and sort keys
+	packed shelf[uint64]   // packed sort keys
+	pairs  shelf[sortKey]  // sort keys too wide to pack
 }
 
 // scratches holds the scratches no run is using.
@@ -101,35 +108,29 @@ var scratches = sync.Pool{New: func() any { return new(scratch) }}
 // megabytes, would otherwise stay pinned in the pool for every later run.
 const scratchBytes = 1 << 20
 
-// release wipes what the run drew that holds pointers, so a pooled scratch
-// keeps no rows, tables or plan nodes alive, and frees it for the next
-// run. The frame's slabs, a few KiB for any plan, are always kept.
+// release frees what the run drew for the next run. The frame's slabs, a
+// few KiB for any plan, are always kept, and what the run carved of them
+// is wiped, so a pooled scratch keeps no plan node, table or iterator
+// alive.
 func (s *scratch) release() {
-	clear(s.slabs.ops)
-	clear(s.slabs.files)
-	clear(s.slabs.btrees)
-	clear(s.slabs.filters)
-	clear(s.slabs.sorts)
-	clear(s.slabs.hashes)
-	clear(s.slabs.merges)
-	clear(s.slabs.indexes)
-	clear(s.slabs.open)
+	c, sl := &s.carved, &s.slabs
+	clear(sl.ops[:c.ops])
+	clear(sl.files[:c.iters[physical.FileScan]])
+	clear(sl.btrees[:c.iters[physical.BtreeScan]+c.iters[physical.FilterBtreeScan]])
+	clear(sl.filters[:c.iters[physical.Filter]])
+	clear(sl.sorts[:c.iters[physical.Sort]])
+	clear(sl.hashes[:c.iters[physical.HashJoin]])
+	clear(sl.merges[:c.iters[physical.MergeJoin]])
+	clear(sl.indexes[:c.iters[physical.IndexJoin]])
+	clear(sl.srcs[:c.srcs])
+	clear(sl.open[:min(c.ops, len(sl.open))])
+	*c = census{}
 	s.labels.Reset()
 	budget := scratchBytes
-	s.rows.release(&budget, true)
-	s.tables.release(&budget, true)
-	s.chunks.release(&budget, false)
-	s.keys.release(&budget, false)
-}
-
-// joinSlab returns the scratch's slab for the join at n, or a slab of its
-// own for rows that outlive the run: the result join's, and under guards
-// any join's, which a guard's AddTemp may keep.
-func (db *DB) joinSlab(n *physical.Node) slab {
-	if n == db.sc.f.result || db.Guards != nil {
-		return slab{}
-	}
-	return slab{sc: db.sc}
+	s.ints.release(&budget)
+	s.keys.release(&budget)
+	s.packed.release(&budget)
+	s.pairs.release(&budget)
 }
 
 // draw returns n elements from the shelf of s that on picks, or new ones,
@@ -141,62 +142,76 @@ func draw[T any](s *scratch, on func(*scratch) *shelf[T], n int) []T {
 	return on(s).get(n)
 }
 
-func rowShelf(s *scratch) *shelf[storage.Row] { return &s.rows }
-func chunkShelf(s *scratch) *shelf[int64]     { return &s.chunks }
-func tableShelf(s *scratch) *shelf[int32]     { return &s.tables }
-func keyShelf(s *scratch) *shelf[sortKey]     { return &s.keys }
+func intShelf(s *scratch) *shelf[int32]     { return &s.ints }
+func keyShelf(s *scratch) *shelf[int64]     { return &s.keys }
+func packedShelf(s *scratch) *shelf[uint64] { return &s.packed }
+func pairShelf(s *scratch) *shelf[sortKey]  { return &s.pairs }
 
-// shelf is a scratch's buffers of one element type: the free ones, and
-// the ones the run has drawn.
-type shelf[T any] struct{ free, used [][]T }
+// shelf is a scratch's buffers of one element type, smallest first, and
+// which of them the run has drawn. Every buffer holds a power of two
+// elements, so runs whose sizes differ a little share buffers and the
+// shelf stays short. A buffer stays in its slot of bufs from the run that
+// made it until a release drops it, so drawing and releasing in a warm
+// scratch writes no pointer.
+type shelf[T any] struct {
+	bufs  [][]T
+	drawn []bool // drawn[i]: the run has bufs[i]
+}
 
 // get draws a buffer of n elements, capacity-clipped: the smallest free
 // one that holds them, or a new one.
 func (sh *shelf[T]) get(n int) []T {
-	best := -1
-	for i, b := range sh.free {
-		if cap(b) >= n && (best < 0 || cap(b) < cap(sh.free[best])) {
-			best = i
-		}
+	i := sh.search(n)
+	for ; i < len(sh.bufs) && sh.drawn[i]; i++ {
 	}
-	var b []T
-	if last := len(sh.free) - 1; best >= 0 {
-		b, sh.free[best], sh.free[last] = sh.free[best], sh.free[last], nil
-		sh.free = sh.free[:last]
-	} else {
-		b = make([]T, n)
+	if i == len(sh.bufs) {
+		size := 1 << bits.Len(uint(max(n, 1)-1))
+		i = sh.search(size)
+		sh.bufs, sh.drawn = slices.Insert(sh.bufs, i, make([]T, size)), slices.Insert(sh.drawn, i, false)
 	}
-	sh.used = append(sh.used, b[:n]) // the run writes no further
-	return b[:n:n]
+	sh.drawn[i] = true
+	return sh.bufs[i][:n:n]
 }
 
-// release frees the run's buffers, wiped if wipe is set. They, then the
-// free ones, are kept while they fit in budget bytes: recent runs' first.
-func (sh *shelf[T]) release(budget *int, wipe bool) {
+// search returns the index of the first buffer that holds n elements.
+func (sh *shelf[T]) search(n int) int {
+	i, _ := slices.BinarySearchFunc(sh.bufs, n, func(b []T, n int) int { return cmp.Compare(cap(b), n) })
+	return i
+}
+
+// release frees the run's buffers. They, then the free ones, are kept
+// while they fit in budget bytes: recent runs' first.
+func (sh *shelf[T]) release(budget *int) {
 	size := int(unsafe.Sizeof(*new(T)))
-	kept := sh.used[:0]
-	for i, list := range [2][][]T{sh.used, sh.free} {
-		for _, b := range list {
-			if wipe && i == 0 {
-				clear(b)
+	kept := 0
+	for _, drawn := range [2]bool{true, false} {
+		for i, b := range sh.bufs {
+			if sh.drawn[i] != drawn {
+				continue
 			}
 			if c := cap(b) * size; c <= *budget {
 				*budget -= c
-				kept = append(kept, b)
+				kept++
+			} else {
+				sh.bufs[i] = nil
 			}
 		}
 	}
-	clear(sh.used[min(len(kept), len(sh.used)):])
-	clear(sh.free)
-	sh.free, sh.used = kept, sh.free[:0]
+	if kept < len(sh.bufs) {
+		sh.bufs = slices.DeleteFunc(sh.bufs, func(b []T) bool { return b == nil })
+	}
+	clear(sh.drawn)
+	sh.drawn = sh.drawn[:len(sh.bufs)]
 }
 
 // startRows returns the buffer a drain of n, the operator Build finished
-// last, starts at, drawn from sc: its predicted rows, scaled by stored,
-// and a quarter more (one row over the start doubles the buffer), at most
-// the 24-byte row headers b's grant holds; nil, growth from minBatch, for
-// no prediction, one of at most minBatch rows, or a start that small.
-func (db *DB) startRows(n *physical.Node, b *bindings.Bindings, sc *scratch) []storage.Row {
+// last, starts at, for tuples of k positions, drawn from the run's
+// scratch: n's predicted rows, scaled by stored, and a quarter more (one
+// row over the start doubles the buffer), at most b's grant over 24 bytes
+// a row — the cap the vectors' lengths were fixed under; nil, growth from
+// minBatch, for no prediction, one of at most minBatch rows, or a start
+// that small.
+func (db *DB) startRows(n *physical.Node, k int, b *bindings.Bindings) []int32 {
 	if db.sc.f.built > len(db.Cards) || !(db.Cards[db.sc.f.built-1] > minBatch) {
 		return nil
 	}
@@ -204,7 +219,7 @@ func (db *DB) startRows(n *physical.Node, b *bindings.Bindings, sc *scratch) []s
 	if rows <= minBatch {
 		return nil
 	}
-	return draw(sc, rowShelf, rows)[:0]
+	return draw(db.sc, intShelf, rows*k)[:0]
 }
 
 // stored is the factor a stale catalog puts n's cardinality off by: the
@@ -222,16 +237,15 @@ func (db *DB) stored(n *physical.Node) float64 {
 	return f
 }
 
-// census counts decorators, serial iterators by operator, join names
-// and, metered, the bytes of the stats' labels.
+// census counts decorators, serial iterators by operator, sources, their
+// columns and, metered, the bytes of the stats' labels.
 type census struct {
-	ops, names, labels int
-	iters              [physical.TempScan + 1]int
+	ops, srcs, names, labels int
+	iters                    [physical.TempScan + 1]int
 }
 
-// count walks the subtree compile builds for n, mirroring its dispatch,
-// and returns the width of the subtree's schema.
-func (db *DB) count(n *physical.Node, c *census) (width int) {
+// count walks the subtree compile builds for n, mirroring its dispatch.
+func (db *DB) count(n *physical.Node, c *census) {
 	c.ops++
 	if db.Meter {
 		var buf [128]byte
@@ -240,26 +254,26 @@ func (db *DB) count(n *physical.Node, c *census) (width int) {
 	switch op := n.Op; {
 	case op.IsScan():
 		c.iters[op]++
-		return db.width(n.Rel)
+		c.srcs++
+		c.names += db.width(n.Rel)
 	case op == physical.TempScan:
+		c.srcs++
 		if t, ok := db.Temps[n.Rel]; ok {
-			return len(t.Schema)
+			c.names += len(t.Schema)
 		}
-		return 0
 	case op == physical.Filter, op == physical.Sort:
 		c.iters[op]++
-		return db.count(n.Children[0], c)
+		db.count(n.Children[0], c)
 	case op == physical.HashJoin, op == physical.MergeJoin:
 		c.iters[op]++
-		width = db.count(n.Children[0], c) + db.count(n.Children[1], c)
+		db.count(n.Children[0], c)
+		db.count(n.Children[1], c)
 	case op == physical.IndexJoin:
 		c.iters[op]++
-		width = db.count(n.Children[0], c) + db.width(n.Rel)
-	default:
-		return 0
+		db.count(n.Children[0], c)
+		c.srcs++
+		c.names += db.width(n.Rel)
 	}
-	c.names += width
-	return width
 }
 
 // width is the number of columns of a base relation.
@@ -277,35 +291,4 @@ func carve[T any](s *[]T, v T) *T {
 	p := &(*s)[0]
 	*p, *s = v, (*s)[1:]
 	return p
-}
-
-// joinSchema is the schema of a join's output, carved from the frame: the
-// left input's columns, then the right's.
-func (db *DB) joinSchema(l, r Schema) Schema {
-	n := len(l) + len(r)
-	f := &db.sc.f
-	if len(f.names) < n {
-		f.names = make(Schema, n)
-	}
-	s := f.names[:0:n]
-	f.names = f.names[n:]
-	return append(append(s, l...), r...)
-}
-
-// ownsResult reports whether a plan outputs a join's rows under a join's
-// schema, both of which its run built and nothing else keeps: a join
-// carves every output row afresh from its own slab. A scan hands out the
-// stored rows under the catalog's schema and a Temp-Scan the temporary's;
-// a Filter or a Sort passes its input's on.
-func ownsResult(n *physical.Node) bool { return resultJoin(n) != nil }
-
-// resultJoin returns the join whose rows a plan outputs, or nil.
-func resultJoin(n *physical.Node) *physical.Node {
-	for n.Op == physical.Filter || n.Op == physical.Sort {
-		n = n.Children[0]
-	}
-	if n.Op == physical.HashJoin || n.Op == physical.MergeJoin || n.Op == physical.IndexJoin {
-		return n
-	}
-	return nil
 }

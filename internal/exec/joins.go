@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -15,35 +16,37 @@ import (
 // buildHashJoin compiles Hash-Join: the left input is the build side (the
 // convention the optimizer's commutativity rule exploits to consider both
 // build orders), the right input probes.
-func (db *DB) buildHashJoin(n *physical.Node, b *bindings.Bindings) (Iterator, Schema, error) {
+func (db *DB) buildHashJoin(n *physical.Node, b *bindings.Bindings) (Iterator, error) {
 	left, ls, err := db.Build(n.Children[0], b)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	buildRows := db.startRows(n.Children[0], b, db.sc) // sized to the build side's prediction
+	buildRows := db.startRows(n.Children[0], len(left.tabs), b) // sized to the build side's prediction
 	right, rs, err := db.Build(n.Children[1], b)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	lcol, err := ls.Index(n.LeftAttr)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	rcol, err := rs.Index(n.RightAttr)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
+	kb, kp := len(left.tabs), len(right.tabs)
 	return carve(&db.sc.f.hashes, hashJoinIter{
-		db: db, sc: db.sc, build: left, probe: cursor{src: right, sc: db.sc},
-		buildCol: lcol, probeCol: rcol,
+		db: db, sc: db.sc, build: left, probe: cursor{src: right, sc: db.sc, k: kp},
+		buildKey: columnAt(left.tabs, lcol), probeKey: columnAt(right.tabs, rcol),
+		kb: kb, k: kb + kp,
 		buildNode:     n.Children[0],
 		buildSchema:   ls,
+		buildTabs:     left.tabs,
 		buildRowBytes: n.Children[0].RowBytes,
 		probeRowBytes: n.Children[1].RowBytes,
 		memPages:      b.Memory,
 		rows:          buildRows,
-		out:           db.joinSlab(n),
-	}), db.joinSchema(ls, rs), nil
+	}), nil
 }
 
 // buildFits fails a build side that no longer fits after a memory-shrink
@@ -52,7 +55,7 @@ func (db *DB) buildHashJoin(n *physical.Node, b *bindings.Bindings) (Iterator, S
 // to fit, not one whose memory vanished mid-build.
 func (it *hashJoinIter) buildFits() error {
 	if scale := it.db.Faults.MemoryScale(); scale < 1 {
-		if buildPages, avail := pagesOf(it.buildRowBytes, len(it.rows)), it.memPages*scale; buildPages > avail {
+		if buildPages, avail := pagesOf(it.buildRowBytes, len(it.keys)), it.memPages*scale; buildPages > avail {
 			return fmt.Errorf("exec: hash build of %.0f pages exceeds memory grant shrunk to %.1f pages: %w",
 				buildPages, avail, qerr.ErrInsufficientMemory)
 		}
@@ -66,44 +69,48 @@ func (it *hashJoinIter) buildFits() error {
 // joins in memory regardless (the host has RAM to spare); the accountant
 // records what a memory-constrained system would have done.
 func (it *hashJoinIter) graceSpill() {
-	if buildPages := pagesOf(it.buildRowBytes, len(it.rows)); buildPages > it.memPages {
+	if buildPages := pagesOf(it.buildRowBytes, len(it.keys)); buildPages > it.memPages {
 		total := int64(buildPages + pagesOf(it.probeRowBytes, it.probeLen))
 		it.db.Acc.Write(total)
 		it.db.Acc.ReadSeq(total)
 	}
 }
 
-// hashJoinIter is the serial hash join. The build side is a joinTable
-// over the build rows in arrival order, so a probe row meets its matches
-// in build-insertion order without a slice per key.
+// hashJoinIter is the serial hash join. The build side is its tuples in
+// arrival order, their keys copied into one pointer-free column, and a
+// joinTable over the keys, so a probe tuple meets its matches in
+// build-insertion order without a slice per key.
 type hashJoinIter struct {
 	db       *DB
-	sc       *scratch // draws the build rows, the table and the probe vectors
+	sc       *scratch // draws the build tuples and keys, the table and the probe vectors
 	build    Iterator
-	buildCol int
-	probeCol int
+	buildKey column
+	probeKey column
+	kb, k    int // positions per build tuple and per output tuple
 
-	// buildNode and buildSchema identify the materialized build subtree
-	// for the cardinality guard consulted once the build fully drains.
+	// buildNode, buildSchema and buildTabs identify the materialized build
+	// subtree for the cardinality guard consulted once the build fully
+	// drains.
 	buildNode   *physical.Node
 	buildSchema Schema
+	buildTabs   []*storage.Table
 	// buildRowBytes and probeRowBytes are the inputs' row widths and
 	// memPages the grant the join was activated under.
 	buildRowBytes int
 	probeRowBytes int
 	memPages      float64
 
-	rows        []storage.Row
+	rows        []int32 // the build tuples
+	keys        []int64 // keys[i] is build tuple i's key
 	table       joinTable
 	buildClosed bool
 
-	// probe reads the probe side; cur is the probe row being joined and
-	// match its next build row (-1 when its matches are exhausted).
+	// probe reads the probe side, its current tuple the one being joined,
+	// and match is that tuple's next build tuple (-1 when its matches are
+	// exhausted).
 	probe    cursor
-	cur      storage.Row
 	match    int32
 	probeLen int
-	out      slab
 	spilled  bool
 	opened   bool
 }
@@ -113,9 +120,10 @@ func (it *hashJoinIter) Open() error {
 	if err := it.build.Open(); err != nil {
 		return err
 	}
-	rows, err := drain(it.build, it.rows[:0], it.sc)
+	rows, err := drain(it.build, it.kb, it.rows[:0], it.sc)
 	it.rows = rows
-	it.db.Acc.Tuples(int64(len(rows)))
+	it.keys = draw(it.sc, keyShelf, len(rows)/it.kb)
+	it.db.Acc.Tuples(int64(len(it.keys)))
 	if err != nil {
 		return err
 	}
@@ -123,12 +131,15 @@ func (it *hashJoinIter) Open() error {
 		return err
 	}
 	it.buildClosed = true
-	it.table.build(rows, it.buildCol, it.sc)
+	for i := range it.keys {
+		it.keys[i] = it.buildKey.at(rows[i*it.kb:])
+	}
+	it.table.build(it.keys, it.sc)
 	// The build side is a materialization point: its true cardinality is
 	// now known, so the guard can compare it against the predicted band
-	// before the probe side spends any work. The rows are in arrival
+	// before the probe side spends any work. The tuples are in arrival
 	// order; guard temporaries never claim a sort order.
-	if err := it.db.checkMat(it.buildNode, it.buildSchema, rows); err != nil {
+	if err := it.db.checkMat(it.buildNode, it.buildSchema, rows, it.buildTabs); err != nil {
 		return err
 	}
 	if err := it.buildFits(); err != nil {
@@ -142,28 +153,35 @@ func (it *hashJoinIter) Open() error {
 	return nil
 }
 
-// NextBatch fills dst with joined rows, carved from the join's slab: the
-// pending matches of the current probe row first, then probe row after
-// probe row. One tuple charge per probe row and one per emitted row, as
-// the per-row join charged.
-func (it *hashJoinIter) NextBatch(dst []storage.Row) (int, error) {
+// NextBatch fills dst with joined tuples, a build tuple's positions then
+// the probe tuple's: the pending matches of the current probe tuple
+// first, then probe tuple after probe tuple. One tuple charge per probe
+// tuple and one per emitted tuple, as the per-row join charged.
+func (it *hashJoinIter) NextBatch(dst []int32) (int, error) {
 	if !it.opened {
 		return 0, fmt.Errorf("exec: Hash-Join next before open")
 	}
 	if err := it.db.checkCancel(); err != nil {
 		return 0, err
 	}
+	k, kb, rows, next := it.k, it.kb, it.rows, it.table.next
 	n, probed := 0, 0
 	var err error
-	for n < len(dst) {
+	for m := len(dst) / k; n < m; {
 		if it.match >= 0 {
-			dst[n] = it.out.concat(it.rows[it.match], it.cur)
+			out, b := dst[n*k:(n+1)*k], int(it.match)*kb
+			for j, p := range rows[b : b+kb] {
+				out[j] = p
+			}
+			for j, p := range it.probe.cur() {
+				out[kb+j] = p
+			}
 			n++
-			it.match = it.table.next[it.match]
+			it.match = next[it.match]
 			continue
 		}
 		var ok bool
-		if it.cur, ok, err = it.probe.next(); !ok {
+		if ok, err = it.probe.next(); !ok {
 			if err == nil && !it.spilled {
 				it.spilled = true
 				it.graceSpill()
@@ -172,7 +190,7 @@ func (it *hashJoinIter) NextBatch(dst []storage.Row) (int, error) {
 		}
 		probed++
 		it.probeLen++
-		it.match = it.table.lookup(it.cur[it.probeCol])
+		it.match = it.table.lookup(it.probeKey.at(it.probe.cur()))
 	}
 	it.db.Acc.Tuples(int64(probed + n))
 	return n, err
@@ -181,11 +199,11 @@ func (it *hashJoinIter) NextBatch(dst []storage.Row) (int, error) {
 // MemoryHighWater reports the build side's buffered bytes, the join's
 // memory footprint (the probe side streams).
 func (it *hashJoinIter) MemoryHighWater() int64 {
-	return int64(len(it.rows)) * int64(it.buildRowBytes)
+	return int64(len(it.keys)) * int64(it.buildRowBytes)
 }
 
 func (it *hashJoinIter) Close() error {
-	it.rows, it.table = nil, joinTable{}
+	it.rows, it.keys, it.table = nil, nil, joinTable{}
 	it.probe.release()
 	var buildErr error
 	if !it.buildClosed {
@@ -202,16 +220,17 @@ func (it *hashJoinIter) Close() error {
 }
 
 // joinTable is a hash join's build side: an open-addressed table from
-// key to the key's first build row, and each row's successor with the same
-// key. Both live in one pointer-free []int32 — next (one entry per build
-// row) followed by slots (a power of two, at least twice the build rows) —
-// so building it takes no write barrier and the GC has nothing to scan. A
-// slot holds a row index + 1, 0 meaning empty; a key's home slot is the top
-// bits of its Fibonacci hash, and a collision probes linearly onward.
+// key to the key's first build tuple, and each tuple's successor with the
+// same key. Both live in one pointer-free []int32 — next (one entry per
+// build tuple) followed by slots (a power of two, at least twice the build
+// tuples) — over the build keys, one []int64: building and probing it
+// follow no pointer and take no write barrier, and the GC has nothing to
+// scan. A slot holds a tuple index + 1, 0 meaning empty; a key's home slot
+// is the top bits of its Fibonacci hash, and a collision probes linearly
+// onward.
 type joinTable struct {
-	rows  []storage.Row
-	col   int
-	next  []int32 // next[i] is the row after i with the same key, or -1
+	keys  []int64
+	next  []int32 // next[i] is the tuple after i with the same key, or -1
 	slots []int32
 	shift uint // 64 − log2(len(slots))
 }
@@ -224,19 +243,20 @@ const fibonacci = 0x9E3779B97F4A7C15
 // home returns the slot a key hashes to.
 func (t *joinTable) home(k int64) uint64 { return uint64(k) * fibonacci >> t.shift }
 
-// build indexes rows by column col in a buffer from sc, linked back to
-// front, so every chain starts at its key's first row and runs in order.
-func (t *joinTable) build(rows []storage.Row, col int, sc *scratch) {
-	n := len(rows)
+// build indexes keys in a buffer from sc, linked back to front, so every
+// chain starts at its key's first tuple and runs in order.
+func (t *joinTable) build(keys []int64, sc *scratch) {
+	n := len(keys)
 	logSlots := bits.Len(uint(max(2*n-1, 1)))
-	buf := draw(sc, tableShelf, n+1<<logSlots)
-	t.rows, t.col, t.shift = rows, col, uint(64-logSlots)
+	buf := draw(sc, intShelf, n+1<<logSlots)
+	t.keys, t.shift = keys, uint(64-logSlots)
 	t.next, t.slots = buf[:n:n], buf[n:]
+	clear(t.slots)
 	mask := uint64(len(t.slots) - 1)
 	for i := n - 1; i >= 0; i-- {
-		k := rows[i][col]
+		k := keys[i]
 		s := t.home(k)
-		for t.slots[s] != 0 && rows[t.slots[s]-1][col] != k {
+		for t.slots[s] != 0 && keys[t.slots[s]-1] != k {
 			s = (s + 1) & mask
 		}
 		t.next[i] = t.slots[s] - 1 // -1 when the slot was empty
@@ -244,43 +264,46 @@ func (t *joinTable) build(rows []storage.Row, col int, sc *scratch) {
 	}
 }
 
-// lookup returns the first build row with key k, or -1.
+// lookup returns the first build tuple with key k, or -1.
 func (t *joinTable) lookup(k int64) int32 {
 	mask := uint64(len(t.slots) - 1)
 	for s := t.home(k); ; s = (s + 1) & mask {
 		switch e := t.slots[s]; {
 		case e == 0:
 			return -1
-		case t.rows[e-1][t.col] == k:
+		case t.keys[e-1] == k:
 			return e - 1
 		}
 	}
 }
 
 // buildMergeJoin compiles Merge-Join over two sorted inputs.
-func (db *DB) buildMergeJoin(n *physical.Node, b *bindings.Bindings) (Iterator, Schema, error) {
+func (db *DB) buildMergeJoin(n *physical.Node, b *bindings.Bindings) (Iterator, error) {
 	left, ls, err := db.Build(n.Children[0], b)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	right, rs, err := db.Build(n.Children[1], b)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	lcol, err := ls.Index(n.LeftAttr)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	rcol, err := rs.Index(n.RightAttr)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
+	}
+	input := func(in *opIter, col int, side string) mergeInput {
+		k := len(in.tabs)
+		return mergeInput{it: in, key: columnAt(in.tabs, col), side: side, one: draw(db.sc, intShelf, k)}
 	}
 	return carve(&db.sc.f.merges, mergeJoinIter{
 		db:    db,
-		left:  mergeInput{it: left, col: lcol, side: "left"},
-		right: mergeInput{it: right, col: rcol, side: "right"},
-		out:   db.joinSlab(n),
-	}), db.joinSchema(ls, rs), nil
+		left:  input(left, lcol, "left"),
+		right: input(right, rcol, "right"),
+	}), nil
 }
 
 // mergeJoinIter implements the standard sorted-merge equi-join with
@@ -290,39 +313,37 @@ type mergeJoinIter struct {
 	db          *DB
 	left, right mergeInput
 
-	group  []storage.Row // buffered right rows with the current key
-	gpos   int
+	group  []int32 // buffered right tuples with the current key
+	gpos   int     // the next of them to pair, in positions
 	curKey int64
-	out    slab
 	opened bool
 }
 
-// mergeInput is one sorted input of a merge join and its current row. It
-// reads one row per call: a merge join stops reading one input as soon as
-// the other ends, so a wider vector would fetch — and charge — rows the
-// join never looks at.
+// mergeInput is one sorted input of a merge join and its current tuple.
+// It reads one tuple per call: a merge join stops reading one input as
+// soon as the other ends, so a wider vector would fetch — and charge —
+// rows the join never looks at.
 type mergeInput struct {
 	it   Iterator
-	col  int
+	key  column
 	side string
-	one  [1]storage.Row // the one-row input vector; one[0] is the current row
-	ok   bool           // one[0] is valid: the input has not ended
+	one  []int32 // the one-tuple input vector: the current tuple
+	ok   bool    // one is valid: the input has not ended
 	prev int64
 	seen bool
 }
 
-func (in *mergeInput) row() storage.Row { return in.one[0] }
+func (in *mergeInput) at() int64 { return in.key.at(in.one) }
 
-func (in *mergeInput) key() int64 { return in.one[0][in.col] }
-
-// advance reads the input's next row, checking that keys do not descend.
+// advance reads the input's next tuple, checking that keys do not
+// descend.
 func (in *mergeInput) advance(acc *storage.Accountant) error {
-	n, err := in.it.NextBatch(in.one[:])
+	n, err := in.it.NextBatch(in.one)
 	if err != nil {
 		return err
 	}
 	if in.ok = n == 1; in.ok {
-		k := in.key()
+		k := in.at()
 		if in.seen && k < in.prev {
 			return fmt.Errorf("exec: Merge-Join %s input not sorted (%d after %d)", in.side, k, in.prev)
 		}
@@ -349,7 +370,7 @@ func (it *mergeJoinIter) Open() error {
 	return nil
 }
 
-func (it *mergeJoinIter) NextBatch(dst []storage.Row) (int, error) {
+func (it *mergeJoinIter) NextBatch(dst []int32) (int, error) {
 	if !it.opened {
 		return 0, fmt.Errorf("exec: Merge-Join next before open")
 	}
@@ -364,24 +385,27 @@ func (it *mergeJoinIter) NextBatch(dst []storage.Row) (int, error) {
 }
 
 // merge runs the merge state machine until dst is full or the join ends,
-// returning how many rows it wrote.
-func (it *mergeJoinIter) merge(dst []storage.Row) (n int, err error) {
+// returning how many tuples it wrote: the left tuple's positions, then
+// the right's.
+func (it *mergeJoinIter) merge(dst []int32) (n int, err error) {
 	l, r, acc := &it.left, &it.right, it.db.Acc
-	for n < len(dst) {
+	kl, kr := len(l.one), len(r.one)
+	for m := len(dst) / (kl + kr); n < m; {
 		// Emit pending pairs of the current key group.
 		if it.gpos < len(it.group) {
-			dst[n] = it.out.concat(l.row(), it.group[it.gpos])
+			out := dst[n*(kl+kr) : (n+1)*(kl+kr)]
+			copy(out[copy(out, l.one):], it.group[it.gpos:it.gpos+kr])
 			n++
-			it.gpos++
+			it.gpos += kr
 			continue
 		}
 		if len(it.group) > 0 {
-			// Finished pairing the current left row with the group; move
-			// to the next left row and re-pair if its key still matches.
+			// Finished pairing the current left tuple with the group; move
+			// to the next left tuple and re-pair if its key still matches.
 			if err := l.advance(acc); err != nil {
 				return n, err
 			}
-			if l.ok && l.key() == it.curKey {
+			if l.ok && l.at() == it.curKey {
 				it.gpos = 0
 				continue
 			}
@@ -390,7 +414,7 @@ func (it *mergeJoinIter) merge(dst []storage.Row) (n int, err error) {
 		if !l.ok || !r.ok {
 			return n, nil
 		}
-		switch lk, rk := l.key(), r.key(); {
+		switch lk, rk := l.at(), r.at(); {
 		case lk < rk:
 			err = l.advance(acc)
 		case lk > rk:
@@ -399,8 +423,8 @@ func (it *mergeJoinIter) merge(dst []storage.Row) (n int, err error) {
 			// Buffer the right group for this key.
 			it.curKey = lk
 			it.group = it.group[:0]
-			for err == nil && r.ok && r.key() == it.curKey {
-				it.group = append(it.group, r.row())
+			for err == nil && r.ok && r.at() == it.curKey {
+				it.group = append(it.group, r.one...)
 				err = r.advance(acc)
 			}
 			it.gpos = 0
@@ -421,59 +445,64 @@ func (it *mergeJoinIter) Close() error {
 	return err2
 }
 
-// buildIndexJoin compiles Index-Join: for each outer row, probe the inner
-// relation's B-tree on the join attribute, fetch the matches, and apply
-// the inner relation's residual selection, if any.
-func (db *DB) buildIndexJoin(n *physical.Node, b *bindings.Bindings) (Iterator, Schema, error) {
+// buildIndexJoin compiles Index-Join: for each outer tuple, probe the
+// inner relation's B-tree on the join attribute, fetch the matches, and
+// apply the inner relation's residual selection, if any.
+func (db *DB) buildIndexJoin(n *physical.Node, b *bindings.Bindings) (Iterator, error) {
 	outer, os, err := db.Build(n.Children[0], b)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	innerSchema, err := db.relSchema(n.Rel)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	table, err := db.Store.Table(n.Rel)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	tree, err := db.index(n.Rel, n.Attr)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	ocol, err := os.Index(n.LeftAttr)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
+	k := len(outer.tabs) + 1
 	it := carve(&db.sc.f.indexes, indexJoinIter{
-		db: db, outer: cursor{src: outer, sc: db.sc}, table: table, tree: tree, ocol: ocol, residCol: -1,
-		out: db.joinSlab(n),
+		db: db, outer: cursor{src: outer, sc: db.sc, k: k - 1}, table: table, tree: tree,
+		outerKey: columnAt(outer.tabs, ocol), k: k,
 	})
 	if n.SelAttr != "" {
 		col, limit, err := db.predicate(n.SelAttr, n.Var, n.FixedSel, innerSchema, b)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		it.residCol, it.residLimit = col, limit
+		// The residual reads the inner row through the output tuple's last
+		// position.
+		it.resid = column{vals: table.Values(), slot: k - 1, width: table.Width(), col: col}
+		it.residual, it.residLimit = true, limit
 	}
-	return it, db.joinSchema(os, innerSchema), nil
+	db.source(table, innerSchema)
+	return it, nil
 }
 
 type indexJoinIter struct {
 	db         *DB
 	table      *storage.Table
 	tree       *btree.Tree
-	ocol       int
-	residCol   int
+	outerKey   column
+	k          int // positions per output tuple: the outer's, then the inner row's
+	residual   bool
+	resid      column // the inner relation's residual selection, if residual
 	residLimit float64
 
-	// outer reads the outer side; cur is the outer row being joined and
-	// rids its index matches, read into one reused buffer.
+	// outer reads the outer side, its current tuple the one being joined,
+	// and rids are that tuple's index matches, read into one reused buffer.
 	outer  cursor
-	cur    storage.Row
 	rids   []storage.RID
 	ridPos int
-	out    slab
 	opened bool
 }
 
@@ -486,39 +515,43 @@ func (it *indexJoinIter) Open() error {
 	return nil
 }
 
-// NextBatch fills dst with joined rows, carved from the join's slab. One
-// tuple charge per outer row and one per fetched inner record, qualifying
-// or not, as the per-row join charged.
-func (it *indexJoinIter) NextBatch(dst []storage.Row) (int, error) {
+// NextBatch fills dst with joined tuples. One tuple charge per outer
+// tuple and one per fetched inner record, qualifying or not, as the
+// per-row join charged.
+func (it *indexJoinIter) NextBatch(dst []int32) (int, error) {
 	if !it.opened {
 		return 0, fmt.Errorf("exec: Index-Join next before open")
 	}
 	if err := it.db.checkCancel(); err != nil {
 		return 0, err
 	}
+	k := it.k
 	n, work := 0, 0
 	var err error
-	for n < len(dst) {
+	for m := len(dst) / k; n < m; {
 		if it.ridPos < len(it.rids) {
-			var inner storage.Row
-			if inner, err = it.table.Fetch(it.rids[it.ridPos], it.db.Acc, it.db.Faults); err != nil {
+			var pos int
+			if pos, err = it.table.Fetch(it.rids[it.ridPos], it.db.Acc, it.db.Faults); err != nil {
 				break
 			}
 			it.ridPos++
 			work++
-			if it.residCol >= 0 && float64(inner[it.residCol]) >= it.residLimit {
+			out := dst[n*k : (n+1)*k]
+			copy(out, it.outer.cur())
+			out[k-1] = int32(pos)
+			if it.residual && float64(it.resid.at(out)) >= it.residLimit {
 				continue
 			}
-			dst[n] = it.out.concat(it.cur, inner)
 			n++
 			continue
 		}
 		var ok bool
-		if it.cur, ok, err = it.outer.next(); !ok {
+		if ok, err = it.outer.next(); !ok {
 			break
 		}
 		work++
-		it.rids, it.ridPos = it.tree.AppendRange(it.rids[:0], it.cur[it.ocol], it.cur[it.ocol]), 0
+		key := it.outerKey.at(it.outer.cur())
+		it.rids, it.ridPos = it.tree.AppendRange(it.rids[:0], key, key), 0
 	}
 	it.db.Acc.Tuples(int64(work))
 	return n, err
@@ -532,45 +565,48 @@ func (it *indexJoinIter) Close() error {
 
 // buildSort compiles the Sort enforcer: drain, sort by the key column,
 // and charge external-sort I/O when the input exceeds the run-time memory.
-func (db *DB) buildSort(n *physical.Node, b *bindings.Bindings) (Iterator, Schema, error) {
+func (db *DB) buildSort(n *physical.Node, b *bindings.Bindings) (Iterator, error) {
 	child, schema, err := db.Build(n.Children[0], b)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	col, err := schema.Index(n.Attr)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	sc := db.sc
-	if n == db.sc.f.root {
-		sc = nil // a root Sort's buffer is the result
-	}
+	k := len(child.tabs)
 	return carve(&db.sc.f.sorts, sortIter{
-		db: db, sc: sc, child: child, col: col,
+		db: db, sc: db.sc, child: child, key: columnAt(child.tabs, col), k: k,
 		childNode:   n.Children[0],
 		childSchema: schema,
+		childTabs:   child.tabs,
 		rowBytes:    n.Children[0].RowBytes,
 		memPages:    b.Memory,
-		rows:        db.startRows(n.Children[0], b, sc), // sized to the input's prediction
-	}), schema, nil
+		rows:        db.startRows(n.Children[0], k, b), // sized to the input's prediction
+	}), nil
 }
 
-// sortIter is the Sort enforcer. It buffers its whole input and orders
-// it stably by one column with sortRows.
+// sortIter is the Sort enforcer. It buffers its whole input's tuples and
+// hands them out in the stable order of one column, which sortOrder
+// computes over their keys.
 type sortIter struct {
 	db    *DB
-	sc    *scratch // draws the buffer
+	sc    *scratch // draws the buffers
 	child Iterator
-	col   int
-	// childNode and childSchema identify the materialized input subtree
-	// for the cardinality guard consulted once the input fully drains.
+	key   column
+	k     int // positions per tuple
+	// childNode, childSchema and childTabs identify the materialized input
+	// subtree for the cardinality guard consulted once the input fully
+	// drains.
 	childNode   *physical.Node
 	childSchema Schema
+	childTabs   []*storage.Table
 	rowBytes    int
 	memPages    float64
 
 	childClosed bool
-	rows        []storage.Row
+	rows        []int32 // the input tuples, in arrival order
+	order       []int32 // the tuples' indices, sorted
 	maxRows     int
 	pos         int
 }
@@ -585,9 +621,10 @@ func (it *sortIter) Open() error {
 	if err := it.child.Open(); err != nil {
 		return err
 	}
-	rows, err := drain(it.child, it.rows[:0], it.sc)
-	it.rows, it.pos = rows, 0
-	it.db.Acc.Tuples(int64(len(rows)))
+	rows, err := drain(it.child, it.k, it.rows[:0], it.sc)
+	it.rows, it.order, it.pos = rows, nil, 0
+	n := len(rows) / it.k
+	it.db.Acc.Tuples(int64(n))
 	if err != nil {
 		return err
 	}
@@ -597,19 +634,23 @@ func (it *sortIter) Open() error {
 	it.childClosed = true
 	// The sort input is a materialization point: the full input is
 	// buffered, so the guard sees the true cardinality before the sort
-	// (and any external-sort I/O) is paid for. The rows are in drain
+	// (and any external-sort I/O) is paid for. The tuples are in drain
 	// order; guard temporaries never claim a sort order.
-	if err := it.db.checkMat(it.childNode, it.childSchema, rows); err != nil {
+	if err := it.db.checkMat(it.childNode, it.childSchema, rows, it.childTabs); err != nil {
 		return err
 	}
-	if len(rows) > it.maxRows {
-		it.maxRows = len(rows)
+	if n > it.maxRows {
+		it.maxRows = n
 	}
-	sortRows(rows, it.col, it.db.sc)
+	keys := draw(it.sc, keyShelf, n)
+	for i := range keys {
+		keys[i] = it.key.at(rows[i*it.k:])
+	}
+	it.order = sortOrder(keys, it.sc)
 	// Charge external-sort I/O when the input would not fit in memory:
 	// run generation plus merge passes, write + read each (mirroring the
 	// cost model's formula).
-	pages := pagesOf(it.rowBytes, len(rows))
+	pages := pagesOf(it.rowBytes, n)
 	mem := it.memPages
 	if mem < 3 {
 		mem = 3
@@ -644,18 +685,19 @@ func (it *sortIter) Open() error {
 	return nil
 }
 
-// NextBatch hands out the sorted rows.
-func (it *sortIter) NextBatch(dst []storage.Row) (int, error) {
-	if it.pos >= len(it.rows) {
-		return 0, nil
+// NextBatch hands out the tuples in sorted order.
+func (it *sortIter) NextBatch(dst []int32) (int, error) {
+	k := it.k
+	n := min(len(dst)/k, len(it.order)-it.pos)
+	for i, j := range it.order[it.pos : it.pos+n] {
+		copy(dst[i*k:(i+1)*k], it.rows[int(j)*k:])
 	}
-	n := copy(dst, it.rows[it.pos:])
 	it.pos += n
 	return n, nil
 }
 
 func (it *sortIter) Close() error {
-	it.rows = nil
+	it.rows, it.order = nil, nil
 	if !it.childClosed {
 		it.childClosed = true
 		return it.child.Close()
@@ -663,26 +705,46 @@ func (it *sortIter) Close() error {
 	return nil
 }
 
-// sortKey is one row's sort key and its position in the input.
+// sortKey is one key and its index, the comparison sort's element.
 type sortKey struct {
 	key int64
 	pos int32
 }
 
-// sortRows orders rows by column col, stably. It sorts pointer-free
-// (key, position) pairs from sc — by key, then position, which is the
-// stable order — and then permutes the rows into that order by following
-// its cycles, so a row header moves once instead of at every swap of an
-// in-place stable sort, and the sort itself takes no write barrier.
-func sortRows(rows []storage.Row, col int, sc *scratch) {
-	if len(rows) < 2 {
-		return
+// sortOrder returns the indices of keys in the stable order of the keys,
+// drawn from sc. When every key's offset from the smallest fits in 32 bits
+// it sorts one uint64 per key, offset<<32 | index, with the ordered
+// slices.Sort: the index breaks ties, so that order is the stable one.
+// Wider keys sort (key, index) pairs with a comparison that does the same.
+// Neither sort moves anything but pointer-free words.
+func sortOrder(keys []int64, sc *scratch) []int32 {
+	order := draw(sc, intShelf, len(keys))
+	if len(keys) < 2 {
+		for i := range order {
+			order[i] = int32(i)
+		}
+		return order
 	}
-	keys := draw(sc, keyShelf, len(rows))
-	for i, r := range rows {
-		keys[i] = sortKey{r[col], int32(i)}
+	lo, hi := keys[0], keys[0]
+	for _, k := range keys[1:] {
+		lo, hi = min(lo, k), max(hi, k)
 	}
-	slices.SortFunc(keys, func(a, b sortKey) int {
+	if uint64(hi)-uint64(lo) <= math.MaxUint32 {
+		packed := draw(sc, packedShelf, len(keys))
+		for i, k := range keys {
+			packed[i] = (uint64(k)-uint64(lo))<<32 | uint64(i)
+		}
+		slices.Sort(packed)
+		for i, p := range packed {
+			order[i] = int32(uint32(p))
+		}
+		return order
+	}
+	pairs := draw(sc, pairShelf, len(keys))
+	for i, k := range keys {
+		pairs[i] = sortKey{k, int32(i)}
+	}
+	slices.SortFunc(pairs, func(a, b sortKey) int {
 		if a.key != b.key {
 			if a.key < b.key {
 				return -1
@@ -691,23 +753,8 @@ func sortRows(rows []storage.Row, col int, sc *scratch) {
 		}
 		return int(a.pos - b.pos)
 	})
-	// rows[i] takes the row at keys[i].pos. Walk each cycle of that
-	// permutation once, marking a visited position with -1.
-	for start := range keys {
-		if keys[start].pos < 0 {
-			continue
-		}
-		first := rows[start]
-		i := start
-		for {
-			from := int(keys[i].pos)
-			keys[i].pos = -1
-			if from == start {
-				rows[i] = first
-				break
-			}
-			rows[i] = rows[from]
-			i = from
-		}
+	for i, p := range pairs {
+		order[i] = p.pos
 	}
+	return order
 }

@@ -7,39 +7,25 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-
-	"dynplan/internal/storage"
 )
 
-// kernelRows returns one row per key: the key in column 0 and the row's
-// input position in column 1, so an output order names the rows it holds.
-func kernelRows(keys []int64) []storage.Row {
-	rows := make([]storage.Row, len(keys))
-	for i, k := range keys {
-		rows[i] = storage.Row{k, int64(i)}
-	}
-	return rows
-}
-
 // checkKernels checks the hash join's build table and the Sort enforcer's
-// key sort on rows keyed by keys against reference implementations: a Go
-// map from key to the key's rows in insertion order, and an in-place stable
-// sort of the row headers. Every probe — each build key and its two
-// neighbours — must meet the same rows in the same order, and the sort
-// must leave the same row headers in the same order.
+// key sort over keys against reference implementations: a Go map from key
+// to the key's indices in insertion order, and a stable sort of the
+// indices by key. Every probe — each build key and its two neighbours —
+// must meet the same indices in the same order, and the sort must put the
+// same indices in the same order.
 func checkKernels(t *testing.T, keys []int64) {
 	t.Helper()
-	rows := kernelRows(keys)
-
 	var table joinTable
-	table.build(rows, 0, nil)
+	table.build(keys, nil)
 	// Lookups end at an empty slot, so the table must keep some empty.
-	if s := len(table.slots); s < 2*len(rows) || s&(s-1) != 0 {
-		t.Fatalf("%d build rows: %d slots, want a power of two at least twice the rows", len(rows), s)
+	if s := len(table.slots); s < 2*len(keys) || s&(s-1) != 0 {
+		t.Fatalf("%d build keys: %d slots, want a power of two at least twice the keys", len(keys), s)
 	}
-	chains := make(map[int64][]int32, len(rows))
-	for i, r := range rows {
-		chains[r[0]] = append(chains[r[0]], int32(i))
+	chains := make(map[int64][]int32, len(keys))
+	for i, k := range keys {
+		chains[k] = append(chains[k], int32(i))
 	}
 	probes := make([]int64, 0, 3*len(keys))
 	for _, k := range keys {
@@ -49,22 +35,25 @@ func checkKernels(t *testing.T, keys []int64) {
 		var got []int32
 		for m := table.lookup(k); m >= 0; m = table.next[m] {
 			got = append(got, m)
-			if len(got) > len(rows) {
-				t.Fatalf("key %d: chain longer than the %d build rows", k, len(rows))
+			if len(got) > len(keys) {
+				t.Fatalf("key %d: chain longer than the %d build keys", k, len(keys))
 			}
 		}
 		if want := chains[k]; !slices.Equal(got, want) {
-			t.Fatalf("%d build rows, key %d: table chain %v, map chain %v", len(rows), k, got, want)
+			t.Fatalf("%d build keys, key %d: table chain %v, map chain %v", len(keys), k, got, want)
 		}
 	}
 
-	got, want := slices.Clone(rows), slices.Clone(rows)
-	sortRows(got, 0, nil)
-	slices.SortStableFunc(want, func(a, b storage.Row) int { return cmp.Compare(a[0], b[0]) })
+	got := sortOrder(keys, nil)
+	want := make([]int32, len(keys))
 	for i := range want {
-		if &got[i][0] != &want[i][0] {
-			t.Fatalf("%d rows: key sort puts row %d (key %d) at %d, stable sort row %d (key %d)",
-				len(rows), got[i][1], got[i][0], i, want[i][1], want[i][0])
+		want[i] = int32(i)
+	}
+	slices.SortStableFunc(want, func(a, b int32) int { return cmp.Compare(keys[a], keys[b]) })
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%d keys: key sort puts index %d (key %d) at %d, stable sort index %d (key %d)",
+				len(keys), got[i], keys[got[i]], i, want[i], keys[want[i]])
 		}
 	}
 }
@@ -73,7 +62,7 @@ func checkKernels(t *testing.T, keys []int64) {
 // n rows.
 func tableShape(n int) (shift uint, slots int) {
 	var table joinTable
-	table.build(kernelRows(make([]int64, n)), 0, nil)
+	table.build(make([]int64, n), nil)
 	return table.shift, len(table.slots)
 }
 
@@ -119,7 +108,7 @@ func TestJoinAndSortKernels(t *testing.T) {
 		// hashes to slot home.
 		homeAll := func(keys []int64, home uint64) {
 			var table joinTable
-			table.build(kernelRows(keys), 0, nil)
+			table.build(keys, nil)
 			for _, k := range keys {
 				if h := table.home(k); h != home {
 					t.Fatalf("key %d homes at slot %d, want %d", k, h, home)
@@ -142,6 +131,20 @@ func TestJoinAndSortKernels(t *testing.T) {
 			homeAll(keys, uint64(slots-1))
 			rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
 			checkKernels(t, keys)
+		}
+	})
+	t.Run("packing-boundary", func(t *testing.T) {
+		// A key range of 2³²−1 still packs into a uint64 beside the index;
+		// one of 2³² takes the comparison sort. Both must sort stably.
+		for _, span := range []int64{1<<32 - 1, 1 << 32} {
+			for _, lo := range []int64{math.MinInt64, -1 << 31, 0, math.MaxInt64 - span} {
+				keys := []int64{lo + span, lo, lo + span, lo}
+				for range 300 {
+					keys = append(keys, lo+rng.Int63n(span+1), lo+rng.Int63n(4))
+				}
+				rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+				checkKernels(t, keys)
+			}
 		}
 	})
 	t.Run("powers-of-two", func(t *testing.T) {

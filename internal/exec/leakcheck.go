@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"dynplan/internal/physical"
-	"dynplan/internal/storage"
 )
 
 // LeakChecker is a test utility that verifies every iterator opened during
@@ -73,7 +72,7 @@ func (w *leakIter) Open() error {
 	return w.inner.Open()
 }
 
-func (w *leakIter) NextBatch(dst []storage.Row) (int, error) {
+func (w *leakIter) NextBatch(dst []int32) (int, error) {
 	return w.inner.NextBatch(dst)
 }
 

@@ -225,15 +225,15 @@ func TestUnmeteredOperatorsCarryNoCounters(t *testing.T) {
 // emptyIter is an operator that produces no rows.
 type emptyIter struct{}
 
-func (emptyIter) Open() error                          { return nil }
-func (emptyIter) NextBatch([]storage.Row) (int, error) { return 0, nil }
-func (emptyIter) Close() error                         { return nil }
+func (emptyIter) Open() error                    { return nil }
+func (emptyIter) NextBatch([]int32) (int, error) { return 0, nil }
+func (emptyIter) Close() error                   { return nil }
 
 // TestUnmeteredOperatorAllocatesNothing pins the zero-overhead contract:
 // an unmetered operator's protocol calls perform no allocation.
 func TestUnmeteredOperatorAllocatesNothing(t *testing.T) {
 	op := &opIter{db: &DB{Acc: &storage.Accountant{}}, inner: emptyIter{}, node: &physical.Node{Op: physical.FileScan, Rel: "R"}}
-	var dst [4]storage.Row
+	var dst [4]int32
 	allocs := testing.AllocsPerRun(1000, func() {
 		if op.Open() != nil || op.Close() != nil {
 			t.Fatal("unreachable")

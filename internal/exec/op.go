@@ -33,7 +33,8 @@ type opIter struct {
 	db    *DB
 	inner Iterator
 	node  *physical.Node
-	c     *obs.Counters // nil unless metered
+	tabs  []*storage.Table // what each position of a tuple points into
+	c     *obs.Counters    // nil unless metered
 	mem   memReporter
 }
 
@@ -55,7 +56,7 @@ func (o *opIter) Open() error {
 	return o.fail(err)
 }
 
-func (o *opIter) NextBatch(dst []storage.Row) (int, error) {
+func (o *opIter) NextBatch(dst []int32) (int, error) {
 	if o.c == nil {
 		n, err := o.inner.NextBatch(dst)
 		return n, o.fail(err)

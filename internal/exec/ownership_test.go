@@ -3,8 +3,10 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"weak"
@@ -17,7 +19,7 @@ import (
 )
 
 // storedDigest hashes every row of the named stored tables and of every
-// temporary, page by page.
+// temporary, in storage order.
 func storedDigest(t *testing.T, db *DB, rels ...string) string {
 	t.Helper()
 	var tables []*storage.Table
@@ -33,29 +35,26 @@ func storedDigest(t *testing.T, db *DB, rels ...string) string {
 	}
 	var rows []storage.Row
 	for _, tbl := range tables {
-		for p := range tbl.NumPages() {
-			rows = append(rows, tbl.Page(p)...)
+		for pos := range tbl.NumRows() {
+			rows = append(rows, tbl.Row(pos))
 		}
 	}
 	return digestRows(nil, rows)
 }
 
-// ownedRoot is one kind of root the ownership tests run: built says the
-// run builds the root's rows, so Run returns them uncopied; hinted that
+// ownedRoot is one kind of root the ownership tests run: hinted says
 // every run gets predictions.
 type ownedRoot struct {
 	name   string
 	root   *physical.Node
-	built  bool
 	hinted bool
 }
 
 // ownedRoots materializes the temporary t1 into db and returns every kind
-// of root: the ones whose rows Run copies because they are stored rows
-// (scans, a Sort or a Filter over one, a Temp-Scan) and the ones it
-// returns as built (joins, a Sort over one).
-// A root Sort hands Run its own buffer, sized from the predictions when
-// there are some, so a Sort over a scan and one over a join also run with
+// of root: scans, a Sort or a Filter over one, a Temp-Scan, joins and a
+// Sort over one — roots whose tuples point into one stored table, into a
+// temporary or into several tables. Predictions size the buffers a run
+// drains into, so a Sort over a scan and one over a join also run with
 // every operator predicted at 600 rows.
 func ownedRoots(w *workload.Workload, db *DB, b *bindings.Bindings) ([]ownedRoot, error) {
 	card := func(rel string) int { return w.Catalog.MustRelation(rel).Cardinality }
@@ -76,19 +75,19 @@ func ownedRoots(w *workload.Workload, db *DB, b *bindings.Bindings) ([]ownedRoot
 	}
 	hash := join(physical.HashJoin, filter("R1", "v1", scan("R1")), filter("R2", "v2", scan("R2")))
 	return []ownedRoot{
-		{"file-scan", scan("R1"), false, false},
-		{"filter/file-scan", filter("R1", "v1", scan("R1")), false, false},
-		{"btree-scan", &physical.Node{Op: physical.BtreeScan, Rel: "R1", Attr: "jh", BaseCard: card("R1"), RowBytes: 512}, false, false},
-		{"sort/file-scan", srt("R1.jh", scan("R1")), false, false},
-		{"temp-scan", &physical.Node{Op: physical.TempScan, Rel: "t1", RowBytes: 512}, false, false},
-		{"hash-join", hash, true, false},
+		{"file-scan", scan("R1"), false},
+		{"filter/file-scan", filter("R1", "v1", scan("R1")), false},
+		{"btree-scan", &physical.Node{Op: physical.BtreeScan, Rel: "R1", Attr: "jh", BaseCard: card("R1"), RowBytes: 512}, false},
+		{"sort/file-scan", srt("R1.jh", scan("R1")), false},
+		{"temp-scan", &physical.Node{Op: physical.TempScan, Rel: "t1", RowBytes: 512}, false},
+		{"hash-join", hash, false},
 		{"merge-join", join(physical.MergeJoin,
-			srt("R1.jh", filter("R1", "v1", scan("R1"))), srt("R2.jl", filter("R2", "v2", scan("R2")))), true, false},
+			srt("R1.jh", filter("R1", "v1", scan("R1"))), srt("R2.jl", filter("R2", "v2", scan("R2")))), false},
 		{"index-join", &physical.Node{Op: physical.IndexJoin, Rel: "R2", Attr: "jl", LeftAttr: "R1.jh", RightAttr: "R2.jl",
-			BaseCard: card("R2"), RowBytes: 1024, Children: []*physical.Node{filter("R1", "v1", scan("R1"))}}, true, false},
-		{"sort/hash-join", srt("R2.a", hash), true, false},
-		{"hinted/sort/file-scan", srt("R1.jh", scan("R1")), false, true},
-		{"hinted/sort/hash-join", srt("R2.a", hash), true, true},
+			BaseCard: card("R2"), RowBytes: 1024, Children: []*physical.Node{filter("R1", "v1", scan("R1"))}}, false},
+		{"sort/hash-join", srt("R2.a", hash), false},
+		{"hinted/sort/file-scan", srt("R1.jh", scan("R1")), true},
+		{"hinted/sort/hash-join", srt("R2.a", hash), true},
 	}, nil
 }
 
@@ -128,9 +127,6 @@ func TestRunResultIsOwned(t *testing.T) {
 	stored := storedDigest(t, db, "R1", "R2")
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if ownsResult(c.root) != c.built {
-				t.Fatalf("ownsResult = %v, want %v", !c.built, c.built)
-			}
 			rows, schema, err := runOwned(db, c, b)
 			if err != nil {
 				t.Fatal(err)
@@ -218,7 +214,7 @@ type spoolGuard struct {
 	at *physical.Node
 }
 
-func (g spoolGuard) CheckMat(n *physical.Node, _ int, schema Schema, rows func() []storage.Row) error {
+func (g spoolGuard) CheckMat(n *physical.Node, _ int, schema Schema, rows func() []int64) error {
 	if n == g.at {
 		g.db.AddTemp("spool", schema, rows(), n.RowBytes)
 	}
@@ -236,7 +232,7 @@ func spooledWeak(base *DB, chain *physical.Node, b *bindings.Bindings) (weak.Poi
 	if err != nil {
 		return weak.Pointer[int64]{}, err
 	}
-	p := weak.Make(&tmp.Table.Page(0)[0][0])
+	p := weak.Make(&tmp.Table.Values()[0])
 	join := &physical.Node{Op: physical.HashJoin, LeftAttr: "R1.jh", RightAttr: "R2.jl", RowBytes: 1024,
 		Children: []*physical.Node{{Op: physical.TempScan, Rel: "w", RowBytes: 512}, chain.Children[0].Children[1]}}
 	_, _, _, err = db.Run(join, b)
@@ -349,4 +345,53 @@ func TestRecycledRunsNeverAlias(t *testing.T) {
 			t.Error("a pooled scratch keeps a temporary's rows alive after its run")
 		}
 	})
+}
+
+// TestScratchIsPointerFree checks that no buffer a run draws from its
+// scratch holds a pointer: every shelf's element type is pointer-free, so
+// the garbage collector neither scans a drawn buffer nor runs a write
+// barrier for what a run stores in it, and a pooled scratch keeps nothing
+// alive through its buffers.
+func TestScratchIsPointerFree(t *testing.T) {
+	st := reflect.TypeFor[scratch]()
+	shelves := 0
+	for i := range st.NumField() {
+		f := st.Field(i)
+		if !strings.HasPrefix(f.Type.Name(), "shelf[") {
+			continue
+		}
+		shelves++
+		bufs, ok := f.Type.FieldByName("bufs")
+		if !ok {
+			t.Fatalf("scratch.%s: %v has no bufs", f.Name, f.Type)
+		}
+		if elem := bufs.Type.Elem().Elem(); holdsPointer(elem) {
+			t.Errorf("scratch.%s draws buffers of %v, which holds a pointer", f.Name, elem)
+		}
+	}
+	if shelves == 0 {
+		t.Fatal("scratch has no shelf")
+	}
+}
+
+// holdsPointer reports whether a value of type t holds a pointer the
+// garbage collector follows.
+func holdsPointer(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return false
+	case reflect.Array:
+		return t.Len() > 0 && holdsPointer(t.Elem())
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if holdsPointer(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	default:
+		return true
+	}
 }

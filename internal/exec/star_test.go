@@ -29,13 +29,11 @@ func starReference(w *workload.Workload, db *DB, n int, b *bindings.Bindings) st
 		for _, a := range rel.Attrs {
 			schemas[i-1] = append(schemas[i-1], a.QualifiedName())
 		}
-		var acc storage.Accountant
-		table.Scan(&acc, func(r storage.Row) bool {
-			if float64(r[aIdx]) < limit {
+		for pos := range table.NumRows() {
+			if r := table.Row(pos); float64(r[aIdx]) < limit {
 				filtered[i-1] = append(filtered[i-1], r)
 			}
-			return true
-		})
+		}
 	}
 	// Join hub (index 0) with each satellite in turn.
 	cur := filtered[0]

@@ -1,12 +1,12 @@
 package exec
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"dynplan/internal/bindings"
 	"dynplan/internal/physical"
-	"dynplan/internal/storage"
 	"dynplan/internal/workload"
 )
 
@@ -79,7 +79,7 @@ func TestAddTempInitializesState(t *testing.T) {
 	w := workload.New(17)
 	// DB with nil Acc and nil Temps: AddTemp must self-initialize.
 	db := &DB{Catalog: w.Catalog, Store: w.LoadStore()}
-	temp := db.AddTemp("x", Schema{"a.b"}, []storage.Row{{1}, {2}}, 512)
+	temp := db.AddTemp("x", Schema{"a.b"}, []int64{1, 2}, 512)
 	if temp.Table.NumRows() != 2 {
 		t.Errorf("temp rows = %d", temp.Table.NumRows())
 	}
@@ -91,15 +91,15 @@ func TestAddTempInitializesState(t *testing.T) {
 func TestTempScanOrderPreserved(t *testing.T) {
 	w := workload.New(18)
 	db := testDB(t, w)
-	rows := []storage.Row{{5}, {3}, {9}, {1}}
-	db.AddTemp("seq", Schema{"t.k"}, rows, 512)
+	rows := []int64{5, 3, 9, 1}
+	db.AddTemp("seq", Schema{"t.k"}, slices.Clone(rows), 512)
 	scan := &physical.Node{Op: physical.TempScan, Rel: "seq", BaseCard: 4, RowBytes: 512}
 	got, _, _, err := db.Run(scan, bindings.NewBindings(64))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, r := range got {
-		if r[0] != rows[i][0] {
+		if r[0] != rows[i] {
 			t.Fatalf("temp scan reordered rows: %v", got)
 		}
 	}

@@ -62,7 +62,6 @@ import (
 	"dynplan/internal/qerr"
 	"dynplan/internal/runtimeopt"
 	"dynplan/internal/search"
-	"dynplan/internal/storage"
 )
 
 // Policy configures mid-query re-optimization for one query.
@@ -291,7 +290,7 @@ func band(card float64, n *physical.Node, rel string) bandInfo {
 // CheckMat is the executor's materialization hook: compare the observed
 // row count against the node's band and, on a violation beyond the
 // tolerance, spool the materialized rows — the work is kept — and trip.
-func (g *guard) CheckMat(n *physical.Node, count int, schema exec.Schema, rows func() []storage.Row) error {
+func (g *guard) CheckMat(n *physical.Node, count int, schema exec.Schema, rows func() []int64) error {
 	b, ok := g.bands[n]
 	if !ok {
 		return nil

@@ -129,7 +129,7 @@ func TestNilInjector(t *testing.T) {
 // the injector may fail it; a faulty page heals after its failure, a nil
 // injector injects nothing, and an invalid RID surfaces the storage error.
 func TestFetchInjectsFaults(t *testing.T) {
-	tab := NewTable("T", 512)
+	tab := NewTable("T", 2, 512, nil)
 	rid := tab.Append(Row{1, 2})
 	acc := &Accountant{}
 	f := NewInjector(FaultConfig{Seed: 1, TransientRate: 1})
@@ -140,9 +140,9 @@ func TestFetchInjectsFaults(t *testing.T) {
 		t.Fatal("failed fetch charged no random read")
 	}
 	before := acc.RandPageReads()
-	row, err := tab.Fetch(rid, acc, f) // healed
-	if err != nil || row[0] != 1 {
-		t.Fatalf("healed fetch: %v %v", row, err)
+	pos, err := tab.Fetch(rid, acc, f) // healed
+	if err != nil || tab.Row(pos)[0] != 1 {
+		t.Fatalf("healed fetch: %v %v", pos, err)
 	}
 	if _, err := tab.Fetch(rid, acc, nil); err != nil {
 		t.Fatalf("nil injector fetch: %v", err)

@@ -18,8 +18,8 @@ const PageBytes = 2048
 
 // Row is one record: a vector of integer attribute values. The experiment
 // schema is purely numeric (uniform integer domains), which is all the
-// paper's cost model reasons about. Rows are immutable once stored: a
-// table hands out its own rows, and no reader may modify them.
+// paper's cost model reasons about. A table hands out views of its own
+// rows, and no reader may modify them.
 type Row = []int64
 
 // RID identifies a record by page number and slot within the page, the
@@ -96,87 +96,114 @@ func (a *Accountant) String() string {
 		a.SeqPageReads(), a.RandPageReads(), a.PageWrites(), a.TupleOps())
 }
 
-// Table is a heap file: rows packed into fixed-capacity pages in insertion
-// order.
+// Table is a heap file: fixed-width rows packed into fixed-capacity pages
+// in insertion order. The rows live in one flat, pointer-free []int64, row
+// by row, so the row at position pos (0, 1, … in insertion order) is
+// values[pos*width : pos*width+width], and page p holds positions
+// p·rowsPerPage up to the next page's first. A reader holds positions, not
+// rows, and reads a value by that one index.
 type Table struct {
 	name        string
+	width       int
 	rowsPerPage int
-	pages       [][]Row
 	nrows       int
+	values      []int64
 }
 
-// NewTable creates an empty heap file for records of the given width.
-func NewTable(name string, recordBytes int) *Table {
+// NewTable creates a heap file for records of width values and recordBytes
+// bytes, holding rows — width values each, row after row — which it adopts:
+// the caller must not write into them afterwards.
+func NewTable(name string, width, recordBytes int, rows []int64) *Table {
 	rpp := PageBytes / recordBytes
 	if rpp < 1 {
 		rpp = 1
 	}
-	return &Table{name: name, rowsPerPage: rpp}
+	t := &Table{name: name, width: width, rowsPerPage: rpp, values: rows}
+	if width > 0 {
+		t.nrows = len(rows) / width
+	}
+	return t
 }
 
 // Name returns the table's name.
 func (t *Table) Name() string { return t.name }
 
-// Append stores a row and returns its RID.
+// Width returns the number of values in a row.
+func (t *Table) Width() int { return t.width }
+
+// Append stores a copy of a row of Width values and returns its RID.
 func (t *Table) Append(r Row) RID {
-	if len(t.pages) == 0 || len(t.pages[len(t.pages)-1]) == t.rowsPerPage {
-		t.pages = append(t.pages, make([]Row, 0, t.rowsPerPage))
+	if len(r) != t.width {
+		panic(fmt.Sprintf("storage: row of %d values appended to table %q of width %d", len(r), t.name, t.width))
 	}
-	p := len(t.pages) - 1
-	t.pages[p] = append(t.pages[p], r)
+	t.values = append(t.values, r...)
 	t.nrows++
-	return RID{Page: int32(p), Slot: int32(len(t.pages[p]) - 1)}
+	return t.RID(t.nrows - 1)
 }
 
 // NumRows returns the number of stored rows.
 func (t *Table) NumRows() int { return t.nrows }
 
 // NumPages returns the number of pages in the heap file.
-func (t *Table) NumPages() int { return len(t.pages) }
+func (t *Table) NumPages() int { return (t.nrows + t.rowsPerPage - 1) / t.rowsPerPage }
 
-// Page returns the rows of page p in slot order, without charging I/O: a
-// page is finished when its slots are, so a sequential reader walks
-// p = 0 … NumPages()-1 by length alone. The slice and its rows belong to
+// Values returns the stored rows, flat and capacity-clipped: the row at
+// position pos is Values()[pos*Width() : (pos+1)*Width()]. They belong to
 // the table and must not be modified.
-func (t *Table) Page(p int) []Row { return t.pages[p] }
+func (t *Table) Values() []int64 { return t.values[:len(t.values):len(t.values)] }
+
+// Row returns a view of the row at position pos, capacity-clipped. It
+// belongs to the table and must not be modified.
+func (t *Table) Row(pos int) Row {
+	return t.values[pos*t.width : (pos+1)*t.width : (pos+1)*t.width]
+}
+
+// PageRows returns the positions page p holds, lo up to hi exclusive,
+// without charging I/O: a sequential reader walks p = 0 … NumPages()-1.
+func (t *Table) PageRows(p int) (lo, hi int) {
+	lo = p * t.rowsPerPage
+	return lo, min(lo+t.rowsPerPage, t.nrows)
+}
+
+// RID returns the RID of the row at position pos.
+func (t *Table) RID(pos int) RID {
+	return RID{Page: int32(pos / t.rowsPerPage), Slot: int32(pos % t.rowsPerPage)}
+}
+
+// Pos returns the position of the row at rid; a rid that names no stored
+// row is an error.
+func (t *Table) Pos(rid RID) (int, error) {
+	pos := int(rid.Page)*t.rowsPerPage + int(rid.Slot)
+	if rid.Page < 0 || rid.Slot < 0 || int(rid.Slot) >= t.rowsPerPage || pos >= t.nrows {
+		return 0, fmt.Errorf("storage: invalid rid %v in table %q", rid, t.name)
+	}
+	return pos, nil
+}
 
 // Get fetches the record at rid without charging I/O; use Fetch for
 // accounted access. An invalid rid is an error.
 func (t *Table) Get(rid RID) (Row, error) {
-	if int(rid.Page) >= len(t.pages) || int(rid.Slot) >= len(t.pages[rid.Page]) {
-		return nil, fmt.Errorf("storage: invalid rid %v in table %q", rid, t.name)
-	}
-	return t.pages[rid.Page][rid.Slot], nil
-}
-
-// Fetch retrieves the record at rid, charging one random page read to the
-// accountant, then lets the fault injector fail the read (a nil injector
-// injects nothing). This models unclustered index access: one I/O per
-// qualifying record, the paper's B-tree-scan cost model.
-func (t *Table) Fetch(rid RID, acc *Accountant, f *Injector) (Row, error) {
-	row, err := t.Get(rid)
+	pos, err := t.Pos(rid)
 	if err != nil {
 		return nil, err
 	}
-	acc.ReadRand(1)
-	if err := f.PageRead(t.name, rid.Page, acc); err != nil {
-		return nil, err
-	}
-	return row, nil
+	return t.Row(pos), nil
 }
 
-// Scan iterates all rows in storage order, charging one sequential page
-// read per page as it advances. The yield function returns false to stop
-// early (the remaining pages are then not charged).
-func (t *Table) Scan(acc *Accountant, yield func(Row) bool) {
-	for _, page := range t.pages {
-		acc.ReadSeq(1)
-		for _, row := range page {
-			if !yield(row) {
-				return
-			}
-		}
+// Fetch returns the position of the record at rid, charging one random
+// page read to the accountant, then lets the fault injector fail the read
+// (a nil injector injects nothing). This models unclustered index access:
+// one I/O per qualifying record, the paper's B-tree-scan cost model.
+func (t *Table) Fetch(rid RID, acc *Accountant, f *Injector) (int, error) {
+	pos, err := t.Pos(rid)
+	if err != nil {
+		return 0, err
 	}
+	acc.ReadRand(1)
+	if err := f.PageRead(t.name, rid.Page, acc); err != nil {
+		return 0, err
+	}
+	return pos, nil
 }
 
 // Store is a named collection of tables, the simulated database instance.

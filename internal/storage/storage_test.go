@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"encoding/binary"
+	"slices"
 	"testing"
 )
 
@@ -12,10 +14,10 @@ func fill(t *Table, n int) {
 
 func TestTablePaging(t *testing.T) {
 	// 512-byte records: 4 rows per page.
-	tab := NewTable("R", 512)
+	tab := NewTable("R", 2, 512, nil)
 	fill(tab, 10)
-	if got := len(tab.Page(0)); got != 4 {
-		t.Fatalf("rows on page 0 = %d, want 4", got)
+	if lo, hi := tab.PageRows(0); hi-lo != 4 {
+		t.Fatalf("rows on page 0 = %d, want 4", hi-lo)
 	}
 	if tab.NumRows() != 10 {
 		t.Errorf("NumRows = %d", tab.NumRows())
@@ -26,15 +28,15 @@ func TestTablePaging(t *testing.T) {
 }
 
 func TestOversizedRecords(t *testing.T) {
-	tab := NewTable("wide", 4096)
+	tab := NewTable("wide", 2, 4096, nil)
 	fill(tab, 3)
-	if len(tab.Page(0)) != 1 || tab.NumPages() != 3 {
-		t.Errorf("oversized records: rows on page 0=%d pages=%d", len(tab.Page(0)), tab.NumPages())
+	if lo, hi := tab.PageRows(0); hi-lo != 1 || tab.NumPages() != 3 {
+		t.Errorf("oversized records: rows on page 0=%d pages=%d", hi-lo, tab.NumPages())
 	}
 }
 
 func TestAppendGetRoundTrip(t *testing.T) {
-	tab := NewTable("R", 512)
+	tab := NewTable("R", 1, 512, nil)
 	var rids []RID
 	for i := 0; i < 25; i++ {
 		rids = append(rids, tab.Append(Row{int64(i)}))
@@ -56,36 +58,16 @@ func TestAppendGetRoundTrip(t *testing.T) {
 	}
 }
 
-func TestScanChargesSequentialReads(t *testing.T) {
-	tab := NewTable("R", 512)
-	fill(tab, 10) // 3 pages
-	var acc Accountant
-	count := 0
-	tab.Scan(&acc, func(Row) bool { count++; return true })
-	if count != 10 {
-		t.Errorf("scan visited %d rows", count)
-	}
-	if acc.SeqPageReads() != 3 {
-		t.Errorf("SeqPageReads = %d, want 3", acc.SeqPageReads())
-	}
-	// Early stop after the first row: only the first page is charged.
-	acc = Accountant{}
-	tab.Scan(&acc, func(Row) bool { return false })
-	if acc.SeqPageReads() != 1 {
-		t.Errorf("early-stop SeqPageReads = %d, want 1", acc.SeqPageReads())
-	}
-}
-
 func TestFetchChargesRandomReads(t *testing.T) {
-	tab := NewTable("R", 512)
+	tab := NewTable("R", 2, 512, nil)
 	fill(tab, 10)
 	var acc Accountant
-	row, err := tab.Fetch(RID{Page: 1, Slot: 0}, &acc, nil)
+	pos, err := tab.Fetch(RID{Page: 1, Slot: 0}, &acc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if row[0] != 4 {
-		t.Errorf("Fetch returned %v", row)
+	if pos != 4 || tab.Row(pos)[0] != 4 {
+		t.Errorf("Fetch returned position %d, row %v", pos, tab.Row(pos))
 	}
 	if acc.RandPageReads() != 1 {
 		t.Errorf("RandPageReads = %d, want 1", acc.RandPageReads())
@@ -108,7 +90,7 @@ func TestAccountantString(t *testing.T) {
 
 func TestStore(t *testing.T) {
 	s := NewStore()
-	s.AddTable(NewTable("R", 512))
+	s.AddTable(NewTable("R", 1, 512, nil))
 	if _, err := s.Table("R"); err != nil {
 		t.Error(err)
 	}
@@ -120,15 +102,16 @@ func TestStore(t *testing.T) {
 // TestPageWalk reads a table page by page, the way sequential readers do:
 // every row once, in RID order, each page ending at its length.
 func TestPageWalk(t *testing.T) {
-	tab := NewTable("R", 512)
+	tab := NewTable("R", 2, 512, nil)
 	fill(tab, 10) // pages of 4, 4, 2 rows
 	var got []int64
 	for p := 0; p < tab.NumPages(); p++ {
-		rows := tab.Page(p)
-		if want := min(4, 10-4*p); len(rows) != want {
-			t.Errorf("page %d holds %d rows, want %d", p, len(rows), want)
+		lo, hi := tab.PageRows(p)
+		if want := min(4, 10-4*p); hi-lo != want {
+			t.Errorf("page %d holds %d rows, want %d", p, hi-lo, want)
 		}
-		for slot, row := range rows {
+		for slot := range hi - lo {
+			row := tab.Row(lo + slot)
 			if byRID, err := tab.Get(RID{Page: int32(p), Slot: int32(slot)}); err != nil || byRID[0] != row[0] {
 				t.Errorf("page %d slot %d: walk %v, Get %v (%v)", p, slot, row, byRID, err)
 			}
@@ -143,4 +126,92 @@ func TestPageWalk(t *testing.T) {
 	if len(got) != 10 {
 		t.Errorf("walk visited %d rows, want 10", len(got))
 	}
+}
+
+// FuzzFlatTable checks a table against a model of one slice per row:
+// rows of width 1–8 values, 1 to PageBytes/8 of them to a page, appended
+// one by one, then read back by Get, Fetch, the page walk and Values, with
+// every position and its RID converting into each other. A table built
+// from the same rows in one flat slice must read the same.
+func FuzzFlatTable(f *testing.F) {
+	f.Add(uint8(1), uint16(512), []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add(uint8(3), uint16(4096), binary.LittleEndian.AppendUint64(nil, 1<<63))
+	f.Add(uint8(8), uint16(8), make([]byte, 8*8*300))
+	f.Fuzz(func(t *testing.T, width uint8, recordBytes uint16, raw []byte) {
+		w := 1 + int(width)%8
+		rb := max(int(recordBytes), 8)
+		rpp := max(PageBytes/rb, 1)
+		var model [][]int64
+		for i := 0; i+8*w <= len(raw); i += 8 * w {
+			row := make([]int64, w)
+			for j := range row {
+				row[j] = int64(binary.LittleEndian.Uint64(raw[i+8*j:]))
+			}
+			model = append(model, row)
+		}
+		tab := NewTable("F", w, rb, nil)
+		var flat []int64
+		for pos, row := range model {
+			rid := tab.Append(row)
+			if want := (RID{Page: int32(pos / rpp), Slot: int32(pos % rpp)}); rid != want {
+				t.Fatalf("row %d appended at %v, want %v", pos, rid, want)
+			}
+			row[0] = ^row[0] // Append must have copied the row
+			row[0] = ^row[0]
+			flat = append(flat, row...)
+		}
+		adopted := NewTable("F", w, rb, slices.Clone(flat))
+		for _, tab := range []*Table{tab, adopted} {
+			if tab.NumRows() != len(model) || tab.NumPages() != (len(model)+rpp-1)/rpp {
+				t.Fatalf("%d rows of width %d, %d to a page: table reads %d rows on %d pages",
+					len(model), w, rpp, tab.NumRows(), tab.NumPages())
+			}
+			if !slices.Equal(tab.Values(), flat) || cap(tab.Values()) != len(flat) {
+				t.Fatal("Values differ from the rows appended, or are not capacity-clipped")
+			}
+			var acc Accountant
+			for pos, row := range model {
+				rid := tab.RID(pos)
+				if back, err := tab.Pos(rid); err != nil || back != pos {
+					t.Fatalf("position %d: RID %v converts back to %d (%v)", pos, rid, back, err)
+				}
+				got, err := tab.Get(rid)
+				if err != nil || !slices.Equal(got, row) || cap(got) != w {
+					t.Fatalf("Get(%v) = %v (%v), want %v", rid, got, err, row)
+				}
+				fetched, err := tab.Fetch(rid, &acc, nil)
+				if err != nil || fetched != pos {
+					t.Fatalf("Fetch(%v) = %d (%v), want %d", rid, fetched, err, pos)
+				}
+			}
+			if acc.RandPageReads() != int64(len(model)) {
+				t.Fatalf("%d fetches charged %d random reads", len(model), acc.RandPageReads())
+			}
+			next := 0
+			for p := range tab.NumPages() {
+				lo, hi := tab.PageRows(p)
+				if lo != next || hi <= lo || hi-lo > rpp {
+					t.Fatalf("page %d holds positions [%d, %d), want [%d, ≤ %d)", p, lo, hi, next, next+rpp)
+				}
+				for pos := lo; pos < hi; pos++ {
+					if rid := tab.RID(pos); rid.Page != int32(p) || int(rid.Slot) != pos-lo {
+						t.Fatalf("position %d on page %d has RID %v", pos, p, rid)
+					}
+					if !slices.Equal(tab.Row(pos), model[pos]) {
+						t.Fatalf("page walk: position %d reads %v, want %v", pos, tab.Row(pos), model[pos])
+					}
+				}
+				next = hi
+			}
+			if next != len(model) {
+				t.Fatalf("page walk ends at %d of %d rows", next, len(model))
+			}
+			for _, bad := range []RID{{Page: int32(tab.NumPages())}, {Page: -1}, {Slot: -1}, {Slot: int32(rpp)},
+				tab.RID(len(model))} {
+				if _, err := tab.Get(bad); err == nil {
+					t.Fatalf("Get(%v) of %d rows, %d to a page, did not fail", bad, len(model), rpp)
+				}
+			}
+		}
+	})
 }

@@ -194,9 +194,9 @@ func (w *Workload) LoadStoreSkewed(skew float64) *storage.Store {
 	rng := rand.New(rand.NewSource(w.seed + 1))
 	store := storage.NewStore()
 	for _, rel := range w.Catalog.Relations() {
-		t := storage.NewTable(rel.Name, rel.RecordBytes)
+		rows := make([]int64, rel.Cardinality*len(rel.Attrs))
 		for i := 0; i < rel.Cardinality; i++ {
-			row := make(storage.Row, len(rel.Attrs))
+			row := rows[i*len(rel.Attrs) : (i+1)*len(rel.Attrs)]
 			for j, a := range rel.Attrs {
 				u := rng.Float64()
 				if a.Name == SelAttr && skew != 1 {
@@ -208,9 +208,8 @@ func (w *Workload) LoadStoreSkewed(skew float64) *storage.Store {
 				}
 				row[j] = v
 			}
-			t.Append(row)
 		}
-		store.AddTable(t)
+		store.AddTable(storage.NewTable(rel.Name, len(rel.Attrs), rel.RecordBytes, rows))
 	}
 	return store
 }

@@ -12,7 +12,6 @@ import (
 
 	"dynplan/internal/exec"
 	"dynplan/internal/physical"
-	"dynplan/internal/storage"
 )
 
 // reoptStaleDB builds an n-relation chain system and its database, then
@@ -434,7 +433,7 @@ type stallIter struct {
 }
 
 func (s *stallIter) Open() error { return s.inner.Open() }
-func (s *stallIter) NextBatch(dst []storage.Row) (int, error) {
+func (s *stallIter) NextBatch(dst []int32) (int, error) {
 	if !s.stalled {
 		s.stalled = true
 		time.Sleep(s.pause)

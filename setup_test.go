@@ -27,8 +27,8 @@ func TestPreparedExecAllocations(t *testing.T) {
 		observed  bool
 		bound     float64
 	}{
-		{10, 0.01, false, 40}, // 17 measured
-		{3, 0.02, true, 72},   // 27 measured (41 metering into a per-node map)
+		{10, 0.01, false, 40}, // 16 measured
+		{3, 0.02, true, 72},   // 26 measured (41 metering into a per-node map)
 	} {
 		t.Run(fmt.Sprintf("relations=%d/observed=%v", tc.relations, tc.observed), func(t *testing.T) {
 			sys, q := resilChainSystem(t, tc.relations)
